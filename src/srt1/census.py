@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from .complexes import (
     SimplicialComplex,
+    _ndel,
     maximal_masks,
     minimal_nonface_masks,
     sort_key,
@@ -21,10 +22,8 @@ from .complexes import (
 from .cotangent import (
     T1Table,
     _bijection_sets,
-    _dim_on_faces,
     _link_face_masks,
-    _ndel,
-    _vertex_mask_of_faces,
+    _marks,
     dim_t1,
     dim_t1_nonface,
     t1_table,
@@ -72,11 +71,8 @@ def _perm_tables(n: int) -> list[list[int]]:
         table = [0] * (1 << n)
         for mask in range(1 << n):
             img = 0
-            rest = mask
-            while rest:
-                low = rest & -rest
-                img |= 1 << perm[low.bit_length() - 1]
-                rest ^= low
+            for v in unpack(mask):
+                img |= 1 << perm[v - 1]
             table[mask] = img
         tables.append(table)
     return tables
@@ -231,8 +227,7 @@ def check_complex(cx: SimplicialComplex) -> tuple[dict[str, CensusReport], tuple
             expect = del_faces
         if nset != expect:
             fails_shape.append(f"{tag}: b={unpack(b)}")
-        subs = [b ^ (b & -b)] if b.bit_count() == 1 else [b & ~bit for bit in _bits_of(b)]
-        red = {f for f in nvert if any((f | s) not in faces for s in subs)}
+        red = {f for f, m in zip(nvert, _marks(faces, nvert, b)) if m}
         cuts = {c & ~b for c in circuits if c & b}
         minima_n = {f for f in nset if not any(g != f and g & ~f == 0 for g in nset)}
         if not minima_n <= cuts:
@@ -250,7 +245,9 @@ def check_complex(cx: SimplicialComplex) -> tuple[dict[str, CensusReport], tuple
     rec.add("min-element-containment", 2 * ((1 << n) - 1), fails_min)
     rec.add("ndelred-empty-equivalence", (1 << n) - 1, fails_equiv)
 
-    # upper bound, with equality for matroids at nonzero degrees
+    # upper bound, with equality for matroids at nonzero degrees; each side of
+    # the bound also equals its restatement as a difference of circuit or
+    # basis families
     fails = []
     checked = 0
     for b in a_masks:
@@ -263,6 +260,18 @@ def check_complex(cx: SimplicialComplex) -> tuple[dict[str, CensusReport], tuple
             fails.append(f"{tag}: b={unpack(b)} dim {d} > bound {bound}")
         if ex and d > 0 and d != bound:
             fails.append(f"{tag}: b={unpack(b)} matroid dim {d} != bound {bound}")
+        link_faces = links[b]
+        del_faces = frozenset(f for f in faces if not f & b)
+        link_circuits = minimal_nonface_masks(link_faces, n)
+        del_facets = maximal_masks(del_faces)
+        del_circuits = set(minimal_nonface_masks(del_faces, n))
+        link_facets = set(maximal_masks(link_faces))
+        first = sum(1 for c in link_circuits if c in del_faces)
+        second = sum(1 for f in del_facets if f not in link_faces)
+        if first != sum(1 for c in link_circuits if c not in del_circuits):
+            fails.append(f"{tag}: b={unpack(b)} circuit side of the bound restated differs")
+        if second != sum(1 for f in del_facets if f not in link_facets):
+            fails.append(f"{tag}: b={unpack(b)} facet side of the bound restated differs")
     rec.add("upper-bound", checked, fails)
 
     # nonface degrees
@@ -305,15 +314,6 @@ def check_complex(cx: SimplicialComplex) -> tuple[dict[str, CensusReport], tuple
     return rec.data, (ex, nondiscrete, coloop_free)
 
 
-def _bits_of(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low)
-        mask ^= low
-    return out
-
-
 def _check_matroid_parts(rec, cx, tag, faces, a_masks, links, coloops) -> None:
     n = cx.n
     full = (1 << n) - 1
@@ -345,18 +345,15 @@ def _check_matroid_parts(rec, cx, tag, faces, a_masks, links, coloops) -> None:
     # deletion facets saturate N_b and N~_b
     fails = []
     for b in range(1, 1 << n):
-        nvert = set(_ndel(faces, b))
+        nvert = _ndel(faces, b)
+        red = {f for f, m in zip(nvert, _marks(faces, nvert, b)) if m}
         del_facets = set(maximal_masks(f for f in faces if not f & b))
-        if nvert and not del_facets <= nvert:
+        if nvert and not del_facets <= set(nvert):
             fails.append(f"{tag}: b={unpack(b)} facets of deletion escape N_b")
-        subs = [b ^ (b & -b)] if b.bit_count() == 1 else [b & ~bit for bit in _bits_of(b)]
-        red = {f for f in nvert if any((f | s) not in faces for s in subs)}
         if red:
             if not del_facets <= red:
                 fails.append(f"{tag}: b={unpack(b)} facets of deletion escape N~_b")
-            maxima_n = {f for f in nvert if not any(g != f and f & ~g == 0 for g in nvert)}
-            maxima_r = {f for f in red if not any(g != f and f & ~g == 0 for g in red)}
-            if maxima_n != maxima_r:
+            if maximal_masks(nvert) != maximal_masks(red):
                 fails.append(f"{tag}: b={unpack(b)} maxima differ")
     rec.add("deletion-basis-saturation", (1 << n) - 1, fails)
 
@@ -390,7 +387,7 @@ def _check_matroid_parts(rec, cx, tag, faces, a_masks, links, coloops) -> None:
             if any(c & b and b & ~c for c in link_circuits):
                 continue
             checked += 1
-            dom, cod = _bijection_sets(link_faces, n, b)
+            dom, cod = _bijection_sets(link_faces, link_circuits, n, b)
             if dom != cod:
                 fails.append(f"{tag}: A={unpack(a)} b={unpack(b)}")
     rec.add("bijection-generators", checked, fails)

@@ -25,7 +25,7 @@ from .matroids import (
     is_matroid_exchange,
     is_matroid_unique_min,
 )
-from .recognition import is_matroid_via_t1, formula_discrepancies
+from . import recognition
 from .reconstruction import reconstruct
 
 
@@ -104,27 +104,23 @@ _METHODS = {
     "exchange": is_matroid_exchange,
     "circuits": is_matroid_circuit_elimination,
     "unique-min": is_matroid_unique_min,
-    "t1": is_matroid_via_t1,
+    "t1": recognition.is_matroid_via_t1,
 }
 
 
 def _cmd_is_matroid(args) -> int:
     cx = read_complex(args.complex)
-    verdict = _METHODS[args.method](cx)
-    sys.stdout.write("true\n" if verdict else "false\n")
-    if args.method == "t1" and not verdict:
-        from .cotangent import _dim_on_faces, _vertex_mask_of_faces
-
-        faces = cx.face_masks()
-        circuits = cx.minimal_nonface_masks()
-        verts = _vertex_mask_of_faces(faces)
-        for v in range(cx.n):
-            bit = 1 << v
-            expected = max(sum(1 for c in circuits if c & bit) - 1, 0)
-            actual = _dim_on_faces(faces, bit) if bit & verts else 0
-            if actual != expected:
-                sys.stdout.write(f"witness: vertex {v + 1} (graph {actual}, formula {expected})\n")
-                break
+    if args.method != "t1":
+        sys.stdout.write("true\n" if _METHODS[args.method](cx) else "false\n")
+        return 0
+    witness = recognition._first_singleton_discrepancy(cx)
+    if witness is None:
+        sys.stdout.write("true\n")
+    else:
+        sys.stdout.write(
+            f"false\nwitness: vertex {witness.degree.b[0]} "
+            f"(graph {witness.graph_dim}, formula {witness.formula_dim})\n"
+        )
     return 0
 
 
@@ -137,7 +133,7 @@ def _cmd_discrepancies(args) -> int:
             "graph_dim": d.graph_dim,
             "formula_dim": d.formula_dim,
         }
-        for d in formula_discrepancies(cx)
+        for d in recognition.formula_discrepancies(cx)
     ]
     _emit({"n": cx.n, "discrepancies": rows})
     return 0
@@ -189,6 +185,18 @@ def _cmd_census(args) -> int:
     return 0 if ok else 1
 
 
+def _thread_count(text: str) -> int:
+    """--threads value: an integer from 1 to the CPU count."""
+    cap = os.cpu_count() or 1
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 1 <= value <= cap:
+        raise argparse.ArgumentTypeError(f"{value} is outside 1..{cap} (the CPU count)")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="srt1",
@@ -202,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("complex", help="complex JSON file")
     p.add_argument("--degree", help='single degree "a1,a2,...;b1,b2,..."')
     p.add_argument("--format", choices=("json", "tsv"), default="json")
-    p.add_argument("--threads", type=int, default=default_threads)
+    p.add_argument("--threads", type=_thread_count, default=default_threads)
     p.set_defaults(func=_cmd_t1)
 
     p = sub.add_parser("is-matroid", help="test whether the complex is a matroid")
@@ -228,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="validate all invariants over small complexes")
     p.add_argument("--max-n", type=int, required=True, choices=range(1, MAX_CENSUS_GROUND + 1))
-    p.add_argument("--threads", type=int, default=default_threads)
+    p.add_argument("--threads", type=_thread_count, default=default_threads)
     p.set_defaults(func=_cmd_census)
 
     return parser

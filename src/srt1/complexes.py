@@ -64,6 +64,20 @@ def submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
+def _union(masks: Iterable[int]) -> int:
+    """Bitwise OR of a family of masks, i.e. the vertices they cover."""
+    out = 0
+    for m in masks:
+        out |= m
+    return out
+
+
+def _ndel(faces: frozenset[int], b: int) -> list[int]:
+    """N_b over a face set, in no particular order: faces disjoint from b whose
+    union with b is not a face."""
+    return [f for f in faces if not f & b and (f | b) not in faces]
+
+
 def maximal_masks(masks: Iterable[int]) -> list[int]:
     """Inclusion-maximal elements of a family of bitmasks, canonically sorted."""
     out: list[int] = []
@@ -165,10 +179,7 @@ class SimplicialComplex:
 
     @property
     def vertex_mask(self) -> int:
-        mask = 0
-        for m in self.facet_masks:
-            mask |= m
-        return mask
+        return _union(self.facet_masks)
 
     def vertices(self) -> tuple[int, ...]:
         """The vertices of the complex, i.e. v with {v} a face."""

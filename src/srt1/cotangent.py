@@ -25,7 +25,8 @@ from typing import Iterable, NamedTuple
 
 from .complexes import (
     SimplicialComplex,
-    VoidComplexError,
+    _ndel,
+    _union,
     maximal_masks,
     minimal_nonface_masks,
     pack,
@@ -65,34 +66,37 @@ def _as_degree(degree) -> MultiDegree:
 # mask-level engine
 
 
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low)
-        mask ^= low
-    return out
-
-
 def _link_face_masks(faces: frozenset[int], a: int) -> frozenset[int]:
     """Face set of the link at the face a (empty when a is not a face)."""
     return frozenset(f ^ a for f in faces if f & a == a)
 
 
-def _ndel(faces: frozenset[int], b: int) -> list[int]:
-    """N_b over a face set, sorted canonically."""
-    return sorted((f for f in faces if not f & b and (f | b) not in faces), key=sort_key)
+def _link_degrees(faces: frozenset[int], a: int) -> tuple[frozenset[int], list[int]]:
+    """The link at the face a and its in-range b: the nonempty subsets of its vertices."""
+    link_faces = _link_face_masks(faces, a)
+    verts = _union(link_faces)
+    in_range = []
+    sub = verts
+    while sub:
+        in_range.append(sub)
+        sub = (sub - 1) & verts
+    return link_faces, in_range
+
+
+def _less_one_for_singleton(count: int, b: int) -> int:
+    return max(count - 1, 0) if b.bit_count() == 1 else count
 
 
 def _marks(faces: frozenset[int], nvert: list[int], b: int) -> list[bool]:
     """Membership of each N_b element in N~_b, testing only b \\ {v}."""
-    subs = [b ^ low for low in _bits(b)]
+    subs = [b ^ (1 << (v - 1)) for v in unpack(b)]
     return [any((f | s) not in faces for s in subs) for f in nvert]
 
 
-def _component_ids(nvert: list[int]) -> list[int]:
-    """Connected components of the strict-inclusion graph, via union-find."""
+def _inclusion_pass(nvert: list[int]) -> tuple[list[int], list[tuple[int, int]]]:
+    """Component ids (union-find) and edges of the strict-inclusion graph."""
     parent = list(range(len(nvert)))
+    edges = []
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -103,10 +107,11 @@ def _component_ids(nvert: list[int]) -> list[int]:
     for i, j in itertools.combinations(range(len(nvert)), 2):
         fi, fj = nvert[i], nvert[j]
         if fi & ~fj == 0 or fj & ~fi == 0:
+            edges.append((i, j))
             ri, rj = find(i), find(j)
             if ri != rj:
                 parent[ri] = rj
-    return [find(i) for i in range(len(nvert))]
+    return [find(i) for i in range(len(nvert))], edges
 
 
 def _dim_on_faces(faces: frozenset[int], b: int) -> int:
@@ -115,66 +120,51 @@ def _dim_on_faces(faces: frozenset[int], b: int) -> int:
     if not nvert:
         return 0
     marks = _marks(faces, nvert, b)
-    comp = _component_ids(nvert)
+    comp, _ = _inclusion_pass(nvert)
     bad = {c for c, m in zip(comp, marks) if m}
-    count = len(set(comp) - bad)
-    if b.bit_count() == 1:
-        return max(count - 1, 0)
-    return count
+    return _less_one_for_singleton(len(set(comp) - bad), b)
 
 
-def _vertex_mask_of_faces(faces: frozenset[int]) -> int:
-    mask = 0
-    for f in faces:
-        mask |= f
-    return mask
-
-
-def _formula_on_link(link_faces: frozenset[int], n: int, b: int) -> int:
-    """The closed-form circuit count evaluated on a link's face set.
+def _formula_on_link(link_circuits: list[int], b: int) -> int:
+    """The closed-form circuit count, from the minimal nonfaces of a link.
 
     Zero when some minimal nonface meets b properly (the N~ emptiness
     equivalence), else the number of minimal nonfaces containing b, less one
     (clamped) for singleton b.
     """
-    circuits = minimal_nonface_masks(link_faces, n)
     through = 0
-    for c in circuits:
+    for c in link_circuits:
         inter = c & b
-        if not inter:
-            continue
-        if b & ~c == 0:
+        if inter == b:
             through += 1
-        elif inter != b:
+        elif inter:
             return 0
-    if b.bit_count() == 1:
-        return max(through - 1, 0)
-    return through
+    return _less_one_for_singleton(through, b)
 
 
 # ---------------------------------------------------------------------------
 # public operations
 
 
-def n_del(cx: SimplicialComplex, b: Iterable[int]) -> list[tuple[int, ...]]:
-    """N_b(cx): faces disjoint from b whose union with b is not a face."""
-    cx._require_nonvoid("n_del")
+def _canonical_ndel(cx: SimplicialComplex, b: Iterable[int], op: str):
+    """The face set, the mask of b and N_b(cx) in canonical order."""
+    cx._require_nonvoid(op)
     bm = pack(b, cx.n)
     if bm == 0:
-        raise ValueError("n_del needs a nonempty b")
-    return [unpack(f) for f in _ndel(cx.face_masks(), bm)]
+        raise ValueError(f"{op} needs a nonempty b")
+    faces = cx.face_masks()
+    return faces, bm, sorted(_ndel(faces, bm), key=sort_key)
+
+
+def n_del(cx: SimplicialComplex, b: Iterable[int]) -> list[tuple[int, ...]]:
+    """N_b(cx): faces disjoint from b whose union with b is not a face."""
+    return [unpack(f) for f in _canonical_ndel(cx, b, "n_del")[2]]
 
 
 def n_del_red(cx: SimplicialComplex, b: Iterable[int]) -> list[tuple[int, ...]]:
     """N~_b(cx): members of N_b with F u b' a nonface for some proper b' of b."""
-    cx._require_nonvoid("n_del_red")
-    bm = pack(b, cx.n)
-    if bm == 0:
-        raise ValueError("n_del_red needs a nonempty b")
-    faces = cx.face_masks()
-    nvert = _ndel(faces, bm)
-    marks = _marks(faces, nvert, bm)
-    return [unpack(f) for f, m in zip(nvert, marks) if m]
+    faces, bm, nvert = _canonical_ndel(cx, b, "n_del_red")
+    return [unpack(f) for f, m in zip(nvert, _marks(faces, nvert, bm)) if m]
 
 
 def circuits_containing(cx: SimplicialComplex, b: Iterable[int]) -> list[tuple[int, ...]]:
@@ -210,23 +200,17 @@ def inclusion_graph(cx: SimplicialComplex, A: Iterable[int], b: Iterable[int]) -
     if am & bm:
         raise ValueError("A and b must be disjoint")
     link_faces = _link_face_masks(cx.face_masks(), am)
-    nvert = _ndel(link_faces, bm)
+    nvert = sorted(_ndel(link_faces, bm), key=sort_key)
     marks = _marks(link_faces, nvert, bm)
-    edges = tuple(
-        (i, j)
-        for i, j in itertools.combinations(range(len(nvert)), 2)
-        if nvert[i] & ~nvert[j] == 0 or nvert[j] & ~nvert[i] == 0
-    )
-    comp = _component_ids(nvert)
+    comp, edges = _inclusion_pass(nvert)
     groups: dict[int, list[int]] = {}
     for idx, c in enumerate(comp):
         groups.setdefault(c, []).append(idx)
-    components = tuple(tuple(g) for g in sorted(groups.values(), key=lambda g: g[0]))
     return InclusionGraph(
         vertices=tuple(unpack(f) for f in nvert),
-        edges=edges,
+        edges=tuple(edges),
         marked=frozenset(i for i, m in enumerate(marks) if m),
-        components=components,
+        components=tuple(tuple(g) for g in groups.values()),
     )
 
 
@@ -241,12 +225,10 @@ def dim_t1(cx: SimplicialComplex, degree) -> int:
     d = _as_degree(degree)
     am = pack(d.A, cx.n)
     bm = pack(d.b, cx.n)
-    if bm == 0:
-        return 0
-    if not cx.is_face_mask(am):
+    if bm == 0 or not cx.is_face_mask(am):
         return 0
     link_faces = _link_face_masks(cx.face_masks(), am)
-    if bm & ~_vertex_mask_of_faces(link_faces):
+    if bm & ~_union(link_faces):
         return 0
     return _dim_on_faces(link_faces, bm)
 
@@ -286,7 +268,7 @@ def dim_t1_matroid_formula(cx: SimplicialComplex, degree) -> int:
     if bm == 0 or not cx.is_face_mask(am):
         return 0
     link_faces = _link_face_masks(cx.face_masks(), am)
-    return _formula_on_link(link_faces, cx.n, bm)
+    return _formula_on_link(minimal_nonface_masks(link_faces, cx.n), bm)
 
 
 def t1_upper_bound(cx: SimplicialComplex, b: Iterable[int]) -> int:
@@ -294,9 +276,7 @@ def t1_upper_bound(cx: SimplicialComplex, b: Iterable[int]) -> int:
 
     min(#minimal nonfaces of link(cx, b) that are faces of cx \\ b,
         #facets of cx \\ b outside link(cx, b)),
-    with one subtracted (clamped) for singleton b.  The restated form, with
-    both sides written as set differences of circuit and basis families, is
-    computed alongside and asserted equal.
+    with one subtracted (clamped) for singleton b.
     """
     cx._require_nonvoid("t1_upper_bound")
     bm = pack(b, cx.n)
@@ -308,23 +288,11 @@ def t1_upper_bound(cx: SimplicialComplex, b: Iterable[int]) -> int:
     link_faces = _link_face_masks(faces, bm)
     del_faces = frozenset(f for f in faces if not f & bm)
     link_circuits = minimal_nonface_masks(link_faces, cx.n)
-    del_facets = set(maximal_masks(del_faces))
+    del_facets = maximal_masks(del_faces)
 
     first = sum(1 for c in link_circuits if c in del_faces)
     second = sum(1 for f in del_facets if f not in link_faces)
-
-    del_circuits = set(minimal_nonface_masks(del_faces, cx.n))
-    link_facets = set(maximal_masks(link_faces))
-    first_restated = sum(1 for c in link_circuits if c not in del_circuits)
-    second_restated = sum(1 for f in del_facets if f not in link_facets)
-    assert first == first_restated and second == second_restated, (
-        "bound forms disagree; complex bookkeeping bug"
-    )
-
-    value = min(first, second)
-    if bm.bit_count() == 1:
-        return max(value - 1, 0)
-    return value
+    return _less_one_for_singleton(min(first, second), bm)
 
 
 class T1Table:
@@ -449,8 +417,7 @@ def t1_table(cx: SimplicialComplex, threads: int = 1) -> T1Table:
     link(cx, A); degrees outside that range are provably zero.
     """
     cx._require_nonvoid("t1_table")
-    faces = cx.face_masks()
-    a_masks = sorted(faces, key=sort_key)
+    a_masks = list(cx.face_masks())
     if threads > 1 and len(a_masks) >= 64:
         import multiprocessing
 
@@ -466,24 +433,21 @@ def t1_table(cx: SimplicialComplex, threads: int = 1) -> T1Table:
 
 def _table_rows(job: tuple[SimplicialComplex, int]) -> list[tuple[MultiDegree, int]]:
     cx, a = job
-    faces = cx.face_masks()
-    link_faces = _link_face_masks(faces, a)
-    verts = _vertex_mask_of_faces(link_faces)
-    out = []
-    sub = verts
-    while sub:
-        dim = _dim_on_faces(link_faces, sub)
+    link_faces, in_range = _link_degrees(cx.face_masks(), a)
+    A = unpack(a)
+    rows = []
+    for b in in_range:
+        dim = _dim_on_faces(link_faces, b)
         if dim:
-            out.append((MultiDegree.make(unpack(a), unpack(sub)), dim))
-        sub = (sub - 1) & verts
-    out.sort(key=lambda kv: kv[0].key())
-    return out
+            rows.append((MultiDegree(A, unpack(b)), dim))
+    return rows
 
 
-def _bijection_sets(link_faces: frozenset[int], n: int, bm: int) -> tuple[set[int], set[int]]:
+def _bijection_sets(
+    link_faces: frozenset[int], link_circuits: list[int], n: int, bm: int
+) -> tuple[set[int], set[int]]:
     """Image of C |-> C \\ b over the link circuits through b, and the codomain."""
-    circuits = minimal_nonface_masks(link_faces, n)
-    domain_image = {c ^ bm for c in circuits if bm & ~c == 0}
+    domain_image = {c ^ bm for c in link_circuits if bm & ~c == 0}
     sub_link = _link_face_masks(link_faces, bm)
     sub_del = frozenset(f for f in link_faces if not f & bm)
     codomain = set(minimal_nonface_masks(sub_link, n)) - set(minimal_nonface_masks(sub_del, n))
@@ -511,5 +475,5 @@ def bijection_check(cx: SimplicialComplex, A: Iterable[int], b: Iterable[int]) -
     for c in circuits:
         if c & bm and bm & ~c:
             raise ValueError("b must be contained in or disjoint from every circuit of the link")
-    domain_image, codomain = _bijection_sets(link_faces, cx.n, bm)
+    domain_image, codomain = _bijection_sets(link_faces, circuits, cx.n, bm)
     return domain_image == codomain

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from typing import Iterable
 
-from .complexes import SimplicialComplex, VoidComplexError, unpack
+from .complexes import SimplicialComplex, VoidComplexError, _ndel
 
 
 class NotAMatroidError(ValueError):
@@ -82,10 +81,6 @@ def is_matroid_circuit_elimination(cx: SimplicialComplex) -> bool:
     return True
 
 
-def _ndel_masks(faces: frozenset[int], b: int) -> list[int]:
-    return [f for f in faces if not f & b and (f | b) not in faces]
-
-
 def is_matroid_unique_min(cx: SimplicialComplex) -> bool:
     """Unique-minimal-element criterion on the families N_v.
 
@@ -96,7 +91,7 @@ def is_matroid_unique_min(cx: SimplicialComplex) -> bool:
         raise VoidComplexError("matroid test is undefined on the void complex")
     faces = cx.face_masks()
     for v in range(cx.n):
-        nv = _ndel_masks(faces, 1 << v)
+        nv = _ndel(faces, 1 << v)
         minimal = [f for f in nv if not any(g != f and g & ~f == 0 for g in nv)]
         for f in nv:
             if sum(1 for m in minimal if m & ~f == 0) != 1:

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .complexes import SimplicialComplex, pack, sort_key, unpack
+from .complexes import SimplicialComplex, minimal_nonface_masks, unpack
 from .cotangent import (
     MultiDegree,
     _dim_on_faces,
     _formula_on_link,
-    _link_face_masks,
-    _vertex_mask_of_faces,
+    _link_degrees,
 )
 
 
@@ -26,20 +25,26 @@ class Discrepancy(NamedTuple):
     formula_dim: int
 
 
-def is_matroid_via_t1(cx: SimplicialComplex) -> bool:
-    """Singleton-degree test: graph dimension vs. circuit count at every (0, {v})."""
+def _first_singleton_discrepancy(cx: SimplicialComplex) -> Discrepancy | None:
+    """The first degree (0, {v}) where graph dimension and circuit count differ.
+
+    Loops are skipped: their only circuit is {v}, so both sides are zero.
+    """
     cx._require_nonvoid("is_matroid_via_t1")
     faces = cx.face_masks()
     circuits = cx.minimal_nonface_masks()
-    verts = _vertex_mask_of_faces(faces)
-    for v in range(cx.n):
-        bit = 1 << v
-        through = sum(1 for c in circuits if c & bit)
-        expected = max(through - 1, 0)
-        actual = _dim_on_faces(faces, bit) if bit & verts else 0
-        if actual != expected:
-            return False
-    return True
+    for v in cx.vertices():
+        b = 1 << (v - 1)
+        graph_dim = _dim_on_faces(faces, b)
+        formula_dim = _formula_on_link(circuits, b)
+        if graph_dim != formula_dim:
+            return Discrepancy(MultiDegree((), (v,)), graph_dim, formula_dim)
+    return None
+
+
+def is_matroid_via_t1(cx: SimplicialComplex) -> bool:
+    """Singleton-degree test: graph dimension vs. circuit count at every (0, {v})."""
+    return _first_singleton_discrepancy(cx) is None
 
 
 def formula_discrepancies(cx: SimplicialComplex) -> list[Discrepancy]:
@@ -52,17 +57,15 @@ def formula_discrepancies(cx: SimplicialComplex) -> list[Discrepancy]:
     cx._require_nonvoid("formula_discrepancies")
     faces = cx.face_masks()
     out = []
-    for a in sorted(faces, key=sort_key):
-        link_faces = _link_face_masks(faces, a)
-        verts = _vertex_mask_of_faces(link_faces)
-        sub = verts
-        while sub:
-            graph_dim = _dim_on_faces(link_faces, sub)
-            formula_dim = _formula_on_link(link_faces, cx.n, sub)
+    for a in faces:
+        link_faces, in_range = _link_degrees(faces, a)
+        if not in_range:
+            continue
+        link_circuits = minimal_nonface_masks(link_faces, cx.n)
+        for b in in_range:
+            graph_dim = _dim_on_faces(link_faces, b)
+            formula_dim = _formula_on_link(link_circuits, b)
             if graph_dim != formula_dim:
-                out.append(
-                    Discrepancy(MultiDegree.make(unpack(a), unpack(sub)), graph_dim, formula_dim)
-                )
-            sub = (sub - 1) & verts
+                out.append(Discrepancy(MultiDegree(unpack(a), unpack(b)), graph_dim, formula_dim))
     out.sort(key=lambda d: d.degree.key())
     return out

@@ -1,12 +1,17 @@
 import json
+import os
 
 import pytest
 
 from srt1 import cli
+from srt1.complexes import SimplicialComplex
 from srt1.cotangent import MultiDegree
+from srt1.recognition import formula_discrepancies
 
 REMARK_DOC = {"n": 5, "minimal_nonfaces": [[1, 2], [1, 3], [2, 3, 4], [2, 3, 5], [1, 4, 5]]}
 U32_DOC = {"n": 3, "facets": [[1, 2], [1, 3], [2, 3]]}
+# the non-matroid of the README: a triangle boundary beside a disjoint edge
+README_DOC = {"n": 5, "facets": [[1, 2], [1, 3], [2, 3], [4, 5]]}
 
 
 @pytest.fixture
@@ -79,8 +84,18 @@ def test_t1_tsv(capsys, tmp_path):
 
 def test_t1_threads_deterministic(capsys, remark):
     one = run_ok(capsys, ["t1", remark, "--threads", "1"])
-    three = run_ok(capsys, ["t1", remark, "--threads", "3"])
-    assert one == three
+    every_core = run_ok(capsys, ["t1", remark, "--threads", str(os.cpu_count() or 1)])
+    assert one == every_core
+
+
+@pytest.mark.parametrize("threads", [0, (os.cpu_count() or 1) + 1])
+@pytest.mark.parametrize("argv", [["t1", "/nonexistent/x.json"], ["census", "--max-n", "1"]])
+def test_threads_out_of_range_exit_2(capsys, argv, threads):
+    # rejected while parsing: the missing file is never opened, no pool starts
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--threads", str(threads)])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 # -- is-matroid -------------------------------------------------------------------
@@ -98,6 +113,19 @@ def test_is_matroid_t1_witness(capsys, remark):
     lines = out.splitlines()
     assert lines[0] == "false"
     assert lines[1].startswith("witness: vertex 1")
+
+
+def test_is_matroid_t1_witness_is_first_singleton_discrepancy(capsys, tmp_path):
+    p = tmp_path / "readme.json"
+    p.write_text(json.dumps(README_DOC))
+    out = run_ok(capsys, ["is-matroid", str(p), "--method", "t1"])
+    cx = SimplicialComplex.from_json_dict(README_DOC)
+    first = next(d for d in formula_discrepancies(cx) if not d.degree.A and len(d.degree.b) == 1)
+    assert out == (
+        f"false\nwitness: vertex {first.degree.b[0]} "
+        f"(graph {first.graph_dim}, formula {first.formula_dim})\n"
+    )
+    assert out == "false\nwitness: vertex 1 (graph 1, formula 2)\n"
 
 
 # -- discrepancies ------------------------------------------------------------------
@@ -158,8 +186,6 @@ def test_circuits_output_loads_back(capsys, remark):
         "n": 5,
         "minimal_nonfaces": [[1, 2], [1, 3], [1, 4, 5], [2, 3, 4], [2, 3, 5]],
     }
-    from srt1.complexes import SimplicialComplex
-
     assert SimplicialComplex.from_json_dict(doc) == SimplicialComplex.from_json_dict(REMARK_DOC)
 
 

@@ -1,0 +1,76 @@
+"""Pins the public surface: the package's exported names and the CLI's options.
+
+A refactor that drops or renames any of them fails here first.
+"""
+
+import argparse
+
+import srt1
+from srt1.cli import build_parser
+
+EXPORTS = [
+    "MAX_GROUND",
+    "SimplicialComplex",
+    "VertexRangeError",
+    "VoidComplexError",
+    "boundary_simplex",
+    "InclusionGraph",
+    "MultiDegree",
+    "T1Table",
+    "bijection_check",
+    "circuits_containing",
+    "dim_t1",
+    "dim_t1_matroid_formula",
+    "dim_t1_nonface",
+    "inclusion_graph",
+    "n_del",
+    "n_del_red",
+    "t1_table",
+    "t1_upper_bound",
+    "NotAMatroidError",
+    "is_discrete",
+    "is_matroid_circuit_elimination",
+    "is_matroid_exchange",
+    "is_matroid_unique_min",
+    "uniform",
+    "Discrepancy",
+    "formula_discrepancies",
+    "is_matroid_via_t1",
+    "DiscreteAmbiguousError",
+    "NotAMatroidTableError",
+    "classify_loops_coloops",
+    "rank_from_table",
+    "reconstruct",
+    "reconstruct_rank_one",
+    "slice_link_table",
+    "CensusReport",
+    "run_census",
+]
+
+# each subcommand with its arguments in declaration order: option strings,
+# or the destination name of a positional
+SUBCOMMANDS = {
+    "t1": [("-h", "--help"), ("complex",), ("--degree",), ("--format",), ("--threads",)],
+    "is-matroid": [("-h", "--help"), ("complex",), ("--method",)],
+    "discrepancies": [("-h", "--help"), ("complex",)],
+    "reconstruct": [("-h", "--help"), ("table",)],
+    "rigidity": [("-h", "--help"), ("complex",)],
+    "circuits": [("-h", "--help"), ("complex",)],
+    "census": [("-h", "--help"), ("--max-n",), ("--threads",)],
+}
+
+
+def test_all_is_pinned():
+    assert srt1.__all__ == EXPORTS
+    assert all(hasattr(srt1, name) for name in EXPORTS)
+
+
+def test_subcommands_and_options_are_pinned():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {
+        name: [tuple(a.option_strings) or (a.dest,) for a in p._actions]
+        for name, p in sub.choices.items()
+    }
+    assert got == SUBCOMMANDS
+    assert list(got) == list(SUBCOMMANDS)
