@@ -15,6 +15,14 @@ The number of surviving components is the dimension; for |b| = 1 one is
 subtracted (clamped at zero).  Membership in N~_b only needs the maximal
 proper subsets b \\ {v}: monotonicity of the face property makes smaller b'
 redundant, and for |b| = 1 the only subset is the empty set, so N~_b is empty.
+
+The engine runs the graph computation only where it is needed.  At a nonface
+b of L the dimension is 1 exactly when b is an isolated circuit of L (a
+minimal nonface with more than one vertex that meets no other minimal
+nonface) and 0 otherwise, so `t1_table` scans the nonempty faces b of each
+link and reads the nonface degrees off the link's circuits.  N_b is an up-set
+among the faces disjoint from b, so its components come from the one-vertex
+inclusions alone.
 """
 
 from __future__ import annotations
@@ -72,15 +80,23 @@ def _link_face_masks(faces: frozenset[int], a: int) -> frozenset[int]:
 
 
 def _link_degrees(faces: frozenset[int], a: int) -> tuple[frozenset[int], list[int]]:
-    """The link at the face a and its in-range b: the nonempty subsets of its vertices."""
+    """The link at the face a and the degrees scanned there: its nonempty faces.
+
+    The other in-range b, the nonfaces within the link's vertices, need no
+    scan: such a b has dimension 1 when it is an isolated circuit of the link
+    and 0 otherwise (`_isolated_circuits`).
+    """
     link_faces = _link_face_masks(faces, a)
-    verts = _union(link_faces)
-    in_range = []
-    sub = verts
-    while sub:
-        in_range.append(sub)
-        sub = (sub - 1) & verts
-    return link_faces, in_range
+    return link_faces, [b for b in link_faces if b]
+
+
+def _isolated_circuits(circuits: list[int]) -> list[int]:
+    """The minimal nonfaces with more than one vertex that meet no other one."""
+    seen = shared = 0
+    for c in circuits:
+        shared |= seen & c
+        seen |= c
+    return [c for c in circuits if c.bit_count() > 1 and not c & shared]
 
 
 def _less_one_for_singleton(count: int, b: int) -> int:
@@ -93,10 +109,16 @@ def _marks(faces: frozenset[int], nvert: list[int], b: int) -> list[bool]:
     return [any((f | s) not in faces for s in subs) for f in nvert]
 
 
-def _inclusion_pass(nvert: list[int]) -> tuple[list[int], list[tuple[int, int]]]:
-    """Component ids (union-find) and edges of the strict-inclusion graph."""
+def _component_ids(nvert: list[int]) -> list[int]:
+    """Component ids of the strict-inclusion graph on N_b, by union-find.
+
+    N_b is an up-set among the faces disjoint from b, so a strict inclusion
+    F < G inside it is a chain of one-vertex steps that stays in N_b.  Joining
+    each member to its one-vertex deletions in N_b gives the same components
+    as joining every comparable pair.
+    """
+    index = {f: i for i, f in enumerate(nvert)}
     parent = list(range(len(nvert)))
-    edges = []
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -104,14 +126,17 @@ def _inclusion_pass(nvert: list[int]) -> tuple[list[int], list[tuple[int, int]]]
             x = parent[x]
         return x
 
-    for i, j in itertools.combinations(range(len(nvert)), 2):
-        fi, fj = nvert[i], nvert[j]
-        if fi & ~fj == 0 or fj & ~fi == 0:
-            edges.append((i, j))
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-    return [find(i) for i in range(len(nvert))], edges
+    for i, f in enumerate(nvert):
+        rest = f
+        while rest:
+            u = rest & -rest
+            rest ^= u
+            j = index.get(f ^ u)
+            if j is not None:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[ri] = rj
+    return [find(i) for i in range(len(nvert))]
 
 
 def _dim_on_faces(faces: frozenset[int], b: int) -> int:
@@ -120,7 +145,7 @@ def _dim_on_faces(faces: frozenset[int], b: int) -> int:
     if not nvert:
         return 0
     marks = _marks(faces, nvert, b)
-    comp, _ = _inclusion_pass(nvert)
+    comp = _component_ids(nvert)
     bad = {c for c, m in zip(comp, marks) if m}
     return _less_one_for_singleton(len(set(comp) - bad), b)
 
@@ -202,7 +227,12 @@ def inclusion_graph(cx: SimplicialComplex, A: Iterable[int], b: Iterable[int]) -
     link_faces = _link_face_masks(cx.face_masks(), am)
     nvert = sorted(_ndel(link_faces, bm), key=sort_key)
     marks = _marks(link_faces, nvert, bm)
-    comp, edges = _inclusion_pass(nvert)
+    comp = _component_ids(nvert)
+    edges = [
+        (i, j)
+        for i, j in itertools.combinations(range(len(nvert)), 2)
+        if nvert[i] & ~nvert[j] == 0 or nvert[j] & ~nvert[i] == 0
+    ]
     groups: dict[int, list[int]] = {}
     for idx, c in enumerate(comp):
         groups.setdefault(c, []).append(idx)
@@ -243,14 +273,7 @@ def dim_t1_nonface(cx: SimplicialComplex, b: Iterable[int]) -> int:
     bm = pack(b, cx.n)
     if cx.is_face_mask(bm):
         raise ValueError(f"b {unpack(bm)} is a face; dim_t1_nonface needs a nonface")
-    if bm.bit_count() <= 1:
-        return 0
-    circuits = cx.minimal_nonface_masks()
-    if bm not in circuits:
-        return 0
-    if any(c != bm and c & bm for c in circuits):
-        return 0
-    return 1
+    return int(bm in _isolated_circuits(cx.minimal_nonface_masks()))
 
 
 def dim_t1_matroid_formula(cx: SimplicialComplex, degree) -> int:
@@ -413,8 +436,11 @@ class T1Table:
 def t1_table(cx: SimplicialComplex, threads: int = 1) -> T1Table:
     """All nonzero T1 dimensions of cx, over the vanishing-range degrees.
 
-    Scans every face A and every nonempty b within the vertices of
-    link(cx, A); degrees outside that range are provably zero.
+    For every face A, computes the dimension at each nonempty face b of
+    link(cx, A) from the inclusion graph, and adds dimension 1 at each
+    isolated circuit of the link with more than one vertex; every other
+    degree is provably zero.  The cost follows faces x link faces, not the
+    2^|V(link)| subsets of the link's vertices.
     """
     cx._require_nonvoid("t1_table")
     a_masks = list(cx.face_masks())
@@ -435,7 +461,8 @@ def _table_rows(job: tuple[SimplicialComplex, int]) -> list[tuple[MultiDegree, i
     cx, a = job
     link_faces, in_range = _link_degrees(cx.face_masks(), a)
     A = unpack(a)
-    rows = []
+    link_circuits = minimal_nonface_masks(link_faces, cx.n)
+    rows = [(MultiDegree(A, unpack(c)), 1) for c in _isolated_circuits(link_circuits)]
     for b in in_range:
         dim = _dim_on_faces(link_faces, b)
         if dim:

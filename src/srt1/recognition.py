@@ -50,9 +50,14 @@ def is_matroid_via_t1(cx: SimplicialComplex) -> bool:
 def formula_discrepancies(cx: SimplicialComplex) -> list[Discrepancy]:
     """Degrees where the graph computation and the circuit formula disagree.
 
-    Scans every face A and every nonempty b within the vertices of the link;
-    outside that range both sides are zero.  Empty exactly when cx is a
-    matroid.
+    Scans every face A and every nonempty face b of link(cx, A); outside the
+    vanishing range both sides are zero.  Empty exactly when cx is a matroid.
+
+    A nonface b within the link's vertices needs no check, since both sides
+    agree there.  If some circuit C of the link lies strictly inside b, then
+    C meets b properly and the formula is 0; the graph side is 0 too, because
+    b is not a circuit.  Otherwise b is itself a circuit, and both sides are
+    1 when b is isolated (meets no other circuit) with |b| > 1, and 0 otherwise.
     """
     cx._require_nonvoid("formula_discrepancies")
     faces = cx.face_masks()

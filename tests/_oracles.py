@@ -1,8 +1,10 @@
 """Brute-force reference implementations, independent of the package.
 
-Everything here runs on frozensets with explicit enumeration and the full
-quantifiers from the definitions, no bitmask tricks and no pruning.  Slow on
-purpose; only ever applied to small ground sets.
+The `naive_*` helpers run on frozensets with explicit enumeration and the
+full quantifiers from the definitions, no bitmask tricks and no pruning.  The
+last section keeps the package's former exhaustive engine, on bitmasks, as a
+differential oracle for the engine that skips provably zero work.  Slow on
+purpose; only ever applied to small or sparse inputs.
 """
 
 from __future__ import annotations
@@ -107,3 +109,98 @@ def naive_is_matroid(cx) -> bool:
                 if not any(i_face | {x} in faces for x in j_face - i_face):
                     return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# The package's former exhaustive engine, on bitmasks (bit v-1 is vertex v).
+# It computes T1 at every subset b of each link's vertices, counts components
+# over every comparable pair of N_b, and sweeps all 2^n masks for minimal
+# nonfaces.  The package now skips the work these scans prove redundant;
+# test_differential checks that nothing changed.
+
+
+def _verts(mask: int) -> tuple[int, ...]:
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _degree_key(degree) -> tuple:
+    A, b = degree
+    return (len(A), A, len(b), b)
+
+
+def sweep_minimal_nonfaces(faces, n: int) -> list[int]:
+    """Minimal nonfaces of a downward-closed mask family, by sweeping [n]'s subsets."""
+    found: list[int] = []
+    for mask in sorted(range(1 << n), key=int.bit_count):
+        if mask not in faces and not any(c & ~mask == 0 for c in found):
+            found.append(mask)
+    return found
+
+
+def _subset_scan(faces, a: int):
+    """The link at the face a and every nonempty subset of its vertices."""
+    link = {f ^ a for f in faces if f & a == a}
+    verts = 0
+    for f in link:
+        verts |= f
+    subsets = []
+    sub = verts
+    while sub:
+        subsets.append(sub)
+        sub = (sub - 1) & verts
+    return link, subsets
+
+
+def _less_one_for_singleton(count: int, b: int) -> int:
+    return max(count - 1, 0) if b.bit_count() == 1 else count
+
+
+def _scan_dim(link, b: int) -> int:
+    """Unmarked components of the comparability graph on N_b, joining every pair."""
+    nvert = [f for f in link if not f & b and (f | b) not in link]
+    drops = [b & ~(1 << (v - 1)) for v in _verts(b)]
+    comp = list(range(len(nvert)))
+    for i, fi in enumerate(nvert):
+        for j, fj in enumerate(nvert):
+            if fi & ~fj == 0 and comp[i] != comp[j]:
+                old = comp[j]
+                comp = [comp[i] if c == old else c for c in comp]
+    marked = {c for c, f in zip(comp, nvert) if any((f | d) not in link for d in drops)}
+    return _less_one_for_singleton(len(set(comp) - marked), b)
+
+
+def _scan_formula(circuits, b: int) -> int:
+    through = 0
+    for c in circuits:
+        if c & b == b:
+            through += 1
+        elif c & b:
+            return 0
+    return _less_one_for_singleton(through, b)
+
+
+def subset_scan_table(cx) -> dict:
+    """Every nonzero T1 dimension of a package complex, as {(A, b): dim}."""
+    faces = cx.face_masks()
+    out = {}
+    for a in faces:
+        link, subsets = _subset_scan(faces, a)
+        for b in subsets:
+            dim = _scan_dim(link, b)
+            if dim:
+                out[(_verts(a), _verts(b))] = dim
+    return out
+
+
+def subset_scan_discrepancies(cx) -> list:
+    """Every ((A, b), graph_dim, formula_dim) where the two disagree, in degree order."""
+    faces = cx.face_masks()
+    out = []
+    for a in faces:
+        link, subsets = _subset_scan(faces, a)
+        circuits = sweep_minimal_nonfaces(link, cx.n)
+        for b in subsets:
+            graph, formula = _scan_dim(link, b), _scan_formula(circuits, b)
+            if graph != formula:
+                out.append(((_verts(a), _verts(b)), graph, formula))
+    return sorted(out, key=lambda d: _degree_key(d[0]))

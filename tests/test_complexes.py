@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from srt1.census import representatives
 from srt1.complexes import (
     MAX_GROUND,
     SimplicialComplex,
@@ -71,14 +72,29 @@ def test_maximal_masks():
 
 
 def test_minimal_nonface_masks_against_oracle():
-    for facets in [[[1, 2], [2, 3]], [[1]], [[1, 2, 3]], []]:
-        cx = SimplicialComplex.from_facets(3, facets)
-        got = {unpack(m) for m in minimal_nonface_masks(cx.face_masks(), 3)}
-        want = {
-            tuple(sorted(s))
-            for s in naive_minimal_nonfaces(faces_of(cx), range(1, 4))
-        }
-        assert got == want
+    for cx in (cx for n in range(1, 6) for cx in representatives(n)):
+        got = [unpack(m) for m in minimal_nonface_masks(cx.face_masks(), cx.n)]
+        want = naive_minimal_nonfaces(faces_of(cx), range(1, cx.n + 1))
+        assert got == sorted((tuple(sorted(s)) for s in want), key=lambda t: (len(t), t)), cx
+
+
+def test_minimal_nonface_masks_void_family():
+    assert minimal_nonface_masks(frozenset(), 3) == [0]
+    assert minimal_nonface_masks(frozenset(), 0) == [0]
+
+
+def test_minimal_nonface_masks_empty_set_only():
+    assert minimal_nonface_masks(frozenset({0}), 3) == [0b001, 0b010, 0b100]
+
+
+def test_minimal_nonface_masks_link_misses_vertices():
+    # the link of vertex 1 in the cone 1 * (2-3 edge, 4) covers only 2, 3, 4;
+    # 1 and 5 are the singleton nonfaces, {2, 4} and {3, 4} the others
+    cx = SimplicialComplex.from_facets(5, [[1, 2, 3], [1, 4]])
+    link = cx.link([1])
+    assert link.vertices() == (2, 3, 4)
+    got = [unpack(m) for m in minimal_nonface_masks(link.face_masks(), 5)]
+    assert got == [(1,), (5,), (2, 4), (3, 4)]
 
 
 def test_from_facets_absorbs_subsets():

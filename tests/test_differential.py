@@ -1,13 +1,20 @@
-"""The engine against the brute-force oracles, over every complex on up to 4 vertices.
+"""The engine against the brute-force oracles and against its former exhaustive scan.
 
-Covers each of the 44 relabeling classes and every degree (A, b) with A a
-face and b a nonempty set disjoint from A: 1577 degrees in all.
+The definitions cover each of the 44 relabeling classes on up to 4 vertices
+and every degree (A, b) with A a face and b a nonempty set disjoint from A:
+1577 degrees in all.  The former engine, which scanned every subset of each
+link's vertices and swept all 2^n masks for circuits, covers every class on
+up to 5 vertices, every U(n, k) with n <= 7, and paths, cycles and stars on
+10 to 12 vertices.
 """
 
 import pytest
 
 from srt1.census import representatives
+from srt1.complexes import SimplicialComplex, minimal_nonface_masks, sort_key
 from srt1.cotangent import inclusion_graph, t1_table
+from srt1.matroids import uniform
+from srt1.recognition import formula_discrepancies
 
 from _oracles import (
     faces_of,
@@ -17,9 +24,31 @@ from _oracles import (
     naive_n_del,
     naive_n_del_red,
     powerset,
+    subset_scan_discrepancies,
+    subset_scan_table,
+    sweep_minimal_nonfaces,
 )
 
 COMPLEXES = [cx for n in range(1, 5) for cx in representatives(n)]
+
+
+def _path(n):
+    return SimplicialComplex.from_facets(n, [[v, v + 1] for v in range(1, n)])
+
+
+def _cycle(n):
+    return SimplicialComplex.from_facets(n, [[v, v % n + 1] for v in range(1, n + 1)])
+
+
+def _star(n):
+    return SimplicialComplex.from_facets(n, [[1, v] for v in range(2, n + 1)])
+
+
+SCAN_COMPLEXES = (
+    [cx for n in range(1, 6) for cx in representatives(n)]
+    + [uniform(n, k) for n in range(1, 8) for k in range(n + 1)]
+    + [family(n) for family in (_path, _cycle, _star) for n in (10, 11, 12)]
+)
 
 
 def degrees(cx):
@@ -63,3 +92,26 @@ def test_inclusion_graph_matches_definition(cx):
         }
         assert set(graph.edges) == comparable and len(graph.edges) == len(comparable)
 
+
+def test_scan_scale():
+    assert len(SCAN_COMPLEXES) == 253 + 35 + 9
+
+
+@pytest.mark.parametrize("cx", SCAN_COMPLEXES, ids=repr)
+def test_t1_table_matches_subset_scan(cx):
+    assert dict(t1_table(cx).items()) == subset_scan_table(cx)
+
+
+@pytest.mark.parametrize("cx", SCAN_COMPLEXES, ids=repr)
+def test_minimal_nonfaces_match_sweep(cx):
+    faces = cx.face_masks()
+    assert cx.minimal_nonface_masks() == sorted(sweep_minimal_nonfaces(faces, cx.n), key=sort_key)
+    for a in faces:
+        link = frozenset(f ^ a for f in faces if f & a == a)
+        want = sorted(sweep_minimal_nonfaces(link, cx.n), key=sort_key)
+        assert minimal_nonface_masks(link, cx.n) == want, a
+
+
+@pytest.mark.parametrize("cx", SCAN_COMPLEXES, ids=repr)
+def test_formula_discrepancies_match_subset_scan(cx):
+    assert formula_discrepancies(cx) == subset_scan_discrepancies(cx)

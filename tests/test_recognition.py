@@ -1,9 +1,12 @@
 import pytest
 
-from srt1.complexes import SimplicialComplex, VoidComplexError, unpack
-from srt1.cotangent import MultiDegree, dim_t1, dim_t1_matroid_formula
+from srt1.census import representatives
+from srt1.complexes import SimplicialComplex, VoidComplexError, pack, unpack
+from srt1.cotangent import MultiDegree, _formula_on_link, dim_t1, dim_t1_matroid_formula
 from srt1.matroids import is_matroid_exchange, uniform
 from srt1.recognition import Discrepancy, formula_discrepancies, is_matroid_via_t1
+
+from _oracles import faces_of, naive_link, naive_minimal_nonfaces, powerset, subset_scan_discrepancies
 
 REMARK = SimplicialComplex.from_minimal_nonfaces(
     5, [[1, 2], [1, 3], [2, 3, 4], [2, 3, 5], [1, 4, 5]]
@@ -99,3 +102,28 @@ def test_singleton_discrepancies_point_one_way():
                 seen += 1
                 assert d.graph_dim < d.formula_dim, (cx.facets, d)
     assert seen > 0
+
+
+def test_nonface_degrees_follow_isolated_circuits():
+    # at a nonface b within the link's vertices both sides are 1 exactly when
+    # b is an isolated circuit of the link with |b| > 1, so skipping nonfaces
+    # loses no discrepancy
+    checked = isolated = 0
+    for cx in (cx for n in range(1, 6) for cx in representatives(n)):
+        faces = faces_of(cx)
+        for A in faces:
+            link = naive_link(faces, A)
+            verts = {v for f in link for v in f}
+            circuits = naive_minimal_nonfaces(link, verts)
+            link_circuits = cx.link(A).minimal_nonface_masks()
+            for b in map(frozenset, powerset(verts)):
+                if b in link:
+                    continue
+                want = int(len(b) > 1 and b in circuits and not any(c != b and c & b for c in circuits))
+                assert dim_t1(cx, (A, b)) == want, (cx, A, b)
+                assert _formula_on_link(link_circuits, pack(b, cx.n)) == want, (cx, A, b)
+                checked += 1
+                isolated += want
+        for (A, b), _, _ in subset_scan_discrepancies(cx):
+            assert frozenset(b) in naive_link(faces, A), (cx, A, b)
+    assert (checked, isolated) == (7983, 694)
