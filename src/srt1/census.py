@@ -9,6 +9,7 @@ representative.  Ground sizes up to 5 are supported.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass, field
 
 from .complexes import (
@@ -17,6 +18,7 @@ from .complexes import (
     maximal_masks,
     minimal_nonface_masks,
     sort_key,
+    submasks,
     unpack,
 )
 from .cotangent import (
@@ -161,16 +163,12 @@ def check_complex(cx: SimplicialComplex) -> tuple[dict[str, CensusReport], tuple
     fails = []
     checked = 0
     for w in range(1 << n):
-        sub = w
-        while True:
+        for sub in submasks(w):
             checked += 1
             lhs = cx.restrict(unpack(w)).link_mask(sub)
             rhs = cx.link_mask(sub).restrict(unpack(w))
             if lhs != rhs:
                 fails.append(f"{tag}: W={unpack(w)} F={unpack(sub)}")
-            if sub == 0:
-                break
-            sub = (sub - 1) & w
     rec.add("link-restrict-commute", checked, fails)
 
     # rank is monotone and bounded by cardinality
@@ -204,15 +202,12 @@ def check_complex(cx: SimplicialComplex) -> tuple[dict[str, CensusReport], tuple
     checked = 0
     for a in a_masks:
         link_cx = cx.link_mask(a)
-        rest = full & ~a
-        sub = rest
-        while sub:
+        for sub in filter(None, submasks(full & ~a)):
             checked += 1
             lhs = dim_t1(cx, (unpack(a), unpack(sub)))
             rhs = dim_t1(link_cx, ((), unpack(sub)))
             if lhs != rhs:
                 fails.append(f"{tag}: degree ({unpack(a)},{unpack(sub)}) {lhs} != {rhs}")
-            sub = (sub - 1) & rest
     rec.add("link-reduction", checked, fails)
 
     # N_b shape, minimal elements, and the N~ emptiness equivalence
@@ -363,14 +358,10 @@ def _check_matroid_parts(rec, cx, tag, faces, a_masks, links, coloops) -> None:
     for b in range(1, 1 << n):
         del_facets = maximal_masks(f for f in faces if not f & b)
         for b1, b2 in itertools.combinations(del_facets, 2):
-            sub = b
-            while True:
+            for sub in submasks(b):
                 checked += 1
                 if cx.is_face_mask(b1 | sub) != cx.is_face_mask(b2 | sub):
                     fails.append(f"{tag}: b={unpack(b)} bases {unpack(b1)},{unpack(b2)}")
-                if sub == 0:
-                    break
-                sub = (sub - 1) & b
     rec.add("basis-extension", checked, fails)
 
     # generator bijection at every admissible (A, b)
@@ -522,31 +513,41 @@ BATTERY_ORDER = [
 ]
 
 
+def check_threads(threads: int) -> int:
+    """Return a worker count after checking it is an integer from 1 to the CPU count."""
+    cap = os.cpu_count() or 1
+    if not isinstance(threads, int) or not 1 <= threads <= cap:
+        raise ValueError(f"threads must be an integer in 1..{cap} (the CPU count), got {threads!r}")
+    return threads
+
+
 def run_census(max_n: int, threads: int = 1) -> list[CensusReport]:
     """Run the full battery over all complexes on up to max_n vertices.
+
+    `threads` must lie in 1..os.cpu_count(); above 1, with at least 16
+    complexes, one process pool runs the per-complex battery for the whole run.
 
     Returns one report per invariant, in a fixed order; an invariant passed
     when its failure list is empty.
     """
     if not 1 <= max_n <= MAX_CENSUS_GROUND:
         raise ValueError(f"census supports 1 <= max_n <= {MAX_CENSUS_GROUND}")
-    rec = _Recorder()
-    matroid_reps: dict[int, list[SimplicialComplex]] = {}
-    for n in range(1, max_n + 1):
-        reps = representatives(n)
-        matroid_reps[n] = []
-        if threads > 1 and len(reps) >= 16:
-            import multiprocessing
+    check_threads(threads)
+    reps = [cx for n in range(1, max_n + 1) for cx in representatives(n)]
+    if threads > 1 and len(reps) >= 16:
+        import multiprocessing
 
-            with multiprocessing.Pool(threads) as pool:
-                results = pool.map(check_complex, reps, chunksize=max(1, len(reps) // (4 * threads)))
-        else:
-            results = [check_complex(cx) for cx in reps]
-        for cx, (data, flags) in zip(reps, results):
-            for name, part in data.items():
-                rec.add(name, part.checked, part.failures)
-            if flags[0]:
-                matroid_reps[n].append(cx)
+        with multiprocessing.Pool(threads) as pool:
+            results = pool.map(check_complex, reps, chunksize=max(1, len(reps) // (4 * threads)))
+    else:
+        results = [check_complex(cx) for cx in reps]
+    rec = _Recorder()
+    matroid_reps: dict[int, list[SimplicialComplex]] = {n: [] for n in range(1, max_n + 1)}
+    for cx, (data, flags) in zip(reps, results):
+        for name, part in data.items():
+            rec.add(name, part.checked, part.failures)
+        if flags[0]:
+            matroid_reps[cx.n].append(cx)
     _check_families(rec, matroid_reps)
     reports = [rec.data.get(name, CensusReport(name)) for name in BATTERY_ORDER]
     extra = [r for name, r in rec.data.items() if name not in BATTERY_ORDER]

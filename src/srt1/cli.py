@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .census import MAX_CENSUS_GROUND, run_census
+from .census import MAX_CENSUS_GROUND, check_threads, run_census
 from .complexes import SimplicialComplex
 from .cotangent import (
     MultiDegree,
@@ -186,15 +186,15 @@ def _cmd_census(args) -> int:
 
 
 def _thread_count(text: str) -> int:
-    """--threads value: an integer from 1 to the CPU count."""
-    cap = os.cpu_count() or 1
+    """--threads value: an integer from 1 to the CPU count (`check_threads`)."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if not 1 <= value <= cap:
-        raise argparse.ArgumentTypeError(f"{value} is outside 1..{cap} (the CPU count)")
-    return value
+    try:
+        return check_threads(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

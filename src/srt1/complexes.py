@@ -17,10 +17,11 @@ import itertools
 from typing import Iterable, Iterator
 
 MAX_GROUND = 64
+MAX_NONFACE_GROUND = 20
 
 
 class VertexRangeError(ValueError):
-    """A vertex lies outside 1..n, or n exceeds the word-width limit."""
+    """A vertex lies outside 1..n, or n exceeds a ground-size limit."""
 
 
 class VoidComplexError(ValueError):
@@ -166,7 +167,14 @@ class SimplicialComplex:
 
     @classmethod
     def from_minimal_nonfaces(cls, n: int, nonfaces: Iterable[Iterable[int]]) -> "SimplicialComplex":
-        """Build the complex whose faces are the sets containing no listed nonface."""
+        """Build the complex whose faces are the sets containing no listed nonface.
+
+        The faces come from a sweep over all 2^n subsets of the ground set
+        (about 2 s at n = 20), so n above MAX_NONFACE_GROUND raises
+        VertexRangeError before the sweep.
+        """
+        if n > MAX_NONFACE_GROUND:
+            raise VertexRangeError(f"ground size {n} exceeds limit {MAX_NONFACE_GROUND}")
         forb = [pack(f, n) for f in nonfaces]
         if any(m == 0 for m in forb):
             raise ValueError("the empty set cannot be a nonface")

@@ -441,24 +441,17 @@ def t1_table(cx: SimplicialComplex, threads: int = 1) -> T1Table:
     isolated circuit of the link with more than one vertex; every other
     degree is provably zero.  The cost follows faces x link faces, not the
     2^|V(link)| subsets of the link's vertices.
+
+    The table is computed in-process: each face's piece costs well under a
+    millisecond, too little to repay a process pool.  `threads` is accepted
+    for compatibility and changes nothing.
     """
     cx._require_nonvoid("t1_table")
-    a_masks = list(cx.face_masks())
-    if threads > 1 and len(a_masks) >= 64:
-        import multiprocessing
-
-        with multiprocessing.Pool(threads) as pool:
-            chunks = pool.map(
-                _table_rows, [(cx, a) for a in a_masks], chunksize=max(1, len(a_masks) // (4 * threads))
-            )
-        rows = [kv for chunk in chunks for kv in chunk]
-    else:
-        rows = [kv for a in a_masks for kv in _table_rows((cx, a))]
+    rows = [kv for a in cx.face_masks() for kv in _table_rows(cx, a)]
     return T1Table(cx.n, rows)
 
 
-def _table_rows(job: tuple[SimplicialComplex, int]) -> list[tuple[MultiDegree, int]]:
-    cx, a = job
+def _table_rows(cx: SimplicialComplex, a: int) -> list[tuple[MultiDegree, int]]:
     link_faces, in_range = _link_degrees(cx.face_masks(), a)
     A = unpack(a)
     link_circuits = minimal_nonface_masks(link_faces, cx.n)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 
-from .complexes import SimplicialComplex, VoidComplexError, _ndel
+from .complexes import SimplicialComplex, _ndel
 
 
 class NotAMatroidError(ValueError):
@@ -31,8 +31,7 @@ def is_matroid_exchange(cx: SimplicialComplex) -> bool:
     Checks that for faces J, I with |I| = |J| + 1 there is v in I \\ J with
     J u {v} a face; the general unequal-size axiom reduces to this case.
     """
-    if cx.is_void:
-        raise VoidComplexError("matroid test is undefined on the void complex")
+    cx._require_nonvoid("matroid test")
     by_size: dict[int, list[int]] = defaultdict(list)
     for f in cx.face_masks():
         by_size[f.bit_count()].append(f)
@@ -60,8 +59,7 @@ def is_matroid_circuit_elimination(cx: SimplicialComplex) -> bool:
     For distinct circuits C, C' meeting at i, and any v in C \\ C', some
     circuit through v must avoid i inside C u C'.
     """
-    if cx.is_void:
-        raise VoidComplexError("matroid test is undefined on the void complex")
+    cx._require_nonvoid("matroid test")
     circuits = cx.minimal_nonface_masks()
     for c1, c2 in itertools.permutations(circuits, 2):
         inter = c1 & c2
@@ -87,8 +85,7 @@ def is_matroid_unique_min(cx: SimplicialComplex) -> bool:
     For every vertex v, each member of N_v(cx) must contain exactly one
     inclusion-minimal member of N_v(cx).
     """
-    if cx.is_void:
-        raise VoidComplexError("matroid test is undefined on the void complex")
+    cx._require_nonvoid("matroid test")
     faces = cx.face_masks()
     for v in range(cx.n):
         nv = _ndel(faces, 1 << v)

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from srt1.census import (
@@ -100,9 +102,17 @@ def test_run_census_rejects_bad_bounds():
         run_census(MAX_CENSUS_GROUND + 1)
 
 
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs two CPUs")
 def test_run_census_threads_match():
-    serial = run_census(3, threads=1)
-    parallel = run_census(3, threads=2)
+    # 44 complexes on up to 4 vertices, past the 16 that start the pool
+    serial = run_census(4, threads=1)
+    parallel = run_census(4, threads=2)
     assert [(r.name, r.checked, r.failures) for r in serial] == [
         (r.name, r.checked, r.failures) for r in parallel
     ]
+
+
+@pytest.mark.parametrize("threads", [0, (os.cpu_count() or 1) + 1])
+def test_run_census_rejects_thread_count_outside_cpu_range(threads):
+    with pytest.raises(ValueError, match="threads must be an integer"):
+        run_census(1, threads=threads)

@@ -200,6 +200,12 @@ def test_census_small(capsys):
     assert out.strip().endswith("max_n=2")
 
 
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs two CPUs")
+def test_census_threads_same_bytes(capsys):
+    one = run_ok(capsys, ["census", "--max-n", "4", "--threads", "1"])
+    assert run_ok(capsys, ["census", "--max-n", "4", "--threads", "2"]) == one
+
+
 # -- error handling -----------------------------------------------------------------
 
 

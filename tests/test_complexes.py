@@ -7,6 +7,7 @@ import pytest
 from srt1.census import representatives
 from srt1.complexes import (
     MAX_GROUND,
+    MAX_NONFACE_GROUND,
     SimplicialComplex,
     VertexRangeError,
     VoidComplexError,
@@ -179,6 +180,12 @@ def test_minimal_nonfaces_known():
 def test_from_minimal_nonfaces_rejects_empty_set():
     with pytest.raises(ValueError):
         SimplicialComplex.from_minimal_nonfaces(2, [[]])
+
+
+def test_from_minimal_nonfaces_rejects_ground_past_limit():
+    # the faces come from a 2^n sweep, so this must fail before sweeping
+    with pytest.raises(VertexRangeError, match=f"exceeds limit {MAX_NONFACE_GROUND}"):
+        SimplicialComplex.from_minimal_nonfaces(MAX_NONFACE_GROUND + 1, [[1, 2]])
 
 
 def test_nonface_duality_small():

@@ -336,7 +336,7 @@ def test_t1_table_agrees_with_dim_t1():
 
 
 def test_t1_table_threads_deterministic():
-    cx = uniform(7, 3)  # 64 faces, enough to engage the pool
+    cx = uniform(7, 3)  # 64 faces; threads is accepted and changes nothing
     assert t1_table(cx, threads=2) == t1_table(cx, threads=1)
 
 

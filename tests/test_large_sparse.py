@@ -11,7 +11,7 @@ import time
 import pytest
 
 from srt1 import cli
-from srt1.complexes import SimplicialComplex
+from srt1.complexes import MAX_NONFACE_GROUND, SimplicialComplex
 from srt1.cotangent import dim_t1, t1_table
 from srt1.recognition import is_matroid_via_t1
 
@@ -52,6 +52,12 @@ def test_cli_on_64_cycle(tmp_path, capsys):
     assert cli.main(["circuits", str(path)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["minimal_nonfaces"]) == 64 * 63 // 2 - 64
+
+    # the circuits document is minimal nonface input, past its ground limit
+    circuits_path = tmp_path / "cycle64_circuits.json"
+    circuits_path.write_text(json.dumps(doc))
+    assert cli.main(["t1", str(circuits_path)]) == 1
+    assert f"exceeds limit {MAX_NONFACE_GROUND}" in capsys.readouterr().err
 
     assert cli.main(["t1", str(path), "--threads", "1"]) == 0
     doc = json.loads(capsys.readouterr().out)
