@@ -13,7 +13,6 @@ and flagged by `is_void`; most operations reject it.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Iterator
 
 MAX_GROUND = 64
@@ -179,7 +178,7 @@ class SimplicialComplex:
         if any(m == 0 for m in forb):
             raise ValueError("the empty set cannot be a nonface")
         faces = [m for m in range(1 << n) if not any(c & ~m == 0 for c in forb)]
-        return cls(n, maximal_masks(faces))
+        return cls(n, faces)
 
     @classmethod
     def void(cls, n: int) -> "SimplicialComplex":
@@ -271,7 +270,7 @@ class SimplicialComplex:
 
     def link_mask(self, A: int) -> "SimplicialComplex":
         hits = [b & ~A for b in self.facet_masks if b & A == A]
-        return SimplicialComplex(self.n, maximal_masks(hits))
+        return SimplicialComplex(self.n, hits)
 
     def link(self, F: Iterable[int]) -> "SimplicialComplex":
         """Link of F: all faces G disjoint from F with G u F a face.
@@ -283,13 +282,12 @@ class SimplicialComplex:
     def restrict(self, W: Iterable[int]) -> "SimplicialComplex":
         """Full subcomplex on the vertex subset W, on the same ground set."""
         w = pack(W, self.n)
-        return SimplicialComplex(self.n, maximal_masks(b & w for b in self.facet_masks))
+        return SimplicialComplex(self.n, [b & w for b in self.facet_masks])
 
     def delete(self, W: Iterable[int]) -> "SimplicialComplex":
         """Deletion of W, i.e. the restriction to the complement of W."""
         w = pack(W, self.n)
-        full = (1 << self.n) - 1
-        return SimplicialComplex(self.n, maximal_masks(b & (full & ~w) for b in self.facet_masks))
+        return SimplicialComplex(self.n, [b & ~w for b in self.facet_masks])
 
     def join(self, other: "SimplicialComplex") -> "SimplicialComplex":
         """Simplicial join, with the other ground set relabeled to follow this one.
@@ -336,7 +334,7 @@ class SimplicialComplex:
                 return cls.from_facets(n, sets)
             return cls.from_minimal_nonfaces(n, sets)
         except ValueError as exc:
-            raise ValueError(f"key '{key}': {exc}") from exc
+            raise type(exc)(f"key '{key}': {exc}") from exc
 
     # -- dunder ----------------------------------------------------------
 
@@ -367,4 +365,4 @@ def boundary_simplex(F: Iterable[int], n: int | None = None) -> SimplicialComple
         n = max(verts)
     mask = pack(verts, n)
     facets = [mask & ~(1 << (v - 1)) for v in verts]
-    return SimplicialComplex(n, maximal_masks(facets))
+    return SimplicialComplex(n, facets)

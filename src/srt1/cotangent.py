@@ -16,20 +16,17 @@ subtracted (clamped at zero).  Membership in N~_b only needs the maximal
 proper subsets b \\ {v}: monotonicity of the face property makes smaller b'
 redundant, and for |b| = 1 the only subset is the empty set, so N~_b is empty.
 
-The engine runs the graph computation only where it is needed.  At a nonface
-b of L the dimension is 1 exactly when b is an isolated circuit of L (a
-minimal nonface with more than one vertex that meets no other minimal
-nonface) and 0 otherwise, so `t1_table` scans the nonempty faces b of each
-link and reads the nonface degrees off the link's circuits.  N_b is an up-set
-among the faces disjoint from b, so its components come from the one-vertex
-inclusions alone.
+The engine runs the graph computation only where it is needed: `_degree_scan`
+visits the nonempty faces b of each link, and the nonface degrees are read
+off the link's circuits.  N_b is an up-set among the faces disjoint from b,
+so its components come from the one-vertex inclusions alone.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .complexes import (
     SimplicialComplex,
@@ -77,17 +74,6 @@ def _as_degree(degree) -> MultiDegree:
 def _link_face_masks(faces: frozenset[int], a: int) -> frozenset[int]:
     """Face set of the link at the face a (empty when a is not a face)."""
     return frozenset(f ^ a for f in faces if f & a == a)
-
-
-def _link_degrees(faces: frozenset[int], a: int) -> tuple[frozenset[int], list[int]]:
-    """The link at the face a and the degrees scanned there: its nonempty faces.
-
-    The other in-range b, the nonfaces within the link's vertices, need no
-    scan: such a b has dimension 1 when it is an isolated circuit of the link
-    and 0 otherwise (`_isolated_circuits`).
-    """
-    link_faces = _link_face_masks(faces, a)
-    return link_faces, [b for b in link_faces if b]
 
 
 def _isolated_circuits(circuits: list[int]) -> list[int]:
@@ -165,6 +151,31 @@ def _formula_on_link(link_circuits: list[int], b: int) -> int:
         elif inter:
             return 0
     return _less_one_for_singleton(through, b)
+
+
+def _degree_scan(
+    faces: frozenset[int], n: int
+) -> Iterator[tuple[int, list[int], list[tuple[int, int]]]]:
+    """For each face a whose link L has a nonempty face, yields a, the
+    circuits of L and (b, graph dimension) at each nonempty face b of L.
+
+    These are the only degrees that need the inclusion graph.  Outside the
+    vanishing range both the graph dimension and the circuit formula are 0.
+    A nonface b within L's vertices has dimension 1 when it is an isolated
+    circuit of L (`_isolated_circuits`) and 0 otherwise, and the formula
+    agrees there: if some circuit C of L lies strictly inside b, then C meets
+    b properly and the formula is 0, as is the graph side, because b is not a
+    circuit; otherwise b is itself a circuit, and both sides are 1 when b is
+    isolated with |b| > 1 and 0 otherwise.  A face whose link is {emptyset}
+    is a facet: the link has no nonempty face and every circuit of it is a
+    single vertex, so skipping it loses no degree.
+    """
+    for a in faces:
+        link_faces = _link_face_masks(faces, a)
+        if len(link_faces) == 1:
+            continue
+        dims = [(b, _dim_on_faces(link_faces, b)) for b in link_faces if b]
+        yield a, minimal_nonface_masks(link_faces, n), dims
 
 
 # ---------------------------------------------------------------------------
@@ -436,31 +447,22 @@ class T1Table:
 def t1_table(cx: SimplicialComplex, threads: int = 1) -> T1Table:
     """All nonzero T1 dimensions of cx, over the vanishing-range degrees.
 
-    For every face A, computes the dimension at each nonempty face b of
-    link(cx, A) from the inclusion graph, and adds dimension 1 at each
-    isolated circuit of the link with more than one vertex; every other
-    degree is provably zero.  The cost follows faces x link faces, not the
-    2^|V(link)| subsets of the link's vertices.
+    Takes the graph dimensions of `_degree_scan` and adds dimension 1 at each
+    isolated circuit of a scanned link that has more than one vertex; every
+    other degree is provably zero.  The cost follows faces x link faces, not
+    the 2^|V(link)| subsets of the link's vertices.
 
     The table is computed in-process: each face's piece costs well under a
     millisecond, too little to repay a process pool.  `threads` is accepted
     for compatibility and changes nothing.
     """
     cx._require_nonvoid("t1_table")
-    rows = [kv for a in cx.face_masks() for kv in _table_rows(cx, a)]
+    rows = []
+    for a, link_circuits, dims in _degree_scan(cx.face_masks(), cx.n):
+        A = unpack(a)
+        rows += [(MultiDegree(A, unpack(c)), 1) for c in _isolated_circuits(link_circuits)]
+        rows += [(MultiDegree(A, unpack(b)), dim) for b, dim in dims if dim]
     return T1Table(cx.n, rows)
-
-
-def _table_rows(cx: SimplicialComplex, a: int) -> list[tuple[MultiDegree, int]]:
-    link_faces, in_range = _link_degrees(cx.face_masks(), a)
-    A = unpack(a)
-    link_circuits = minimal_nonface_masks(link_faces, cx.n)
-    rows = [(MultiDegree(A, unpack(c)), 1) for c in _isolated_circuits(link_circuits)]
-    for b in in_range:
-        dim = _dim_on_faces(link_faces, b)
-        if dim:
-            rows.append((MultiDegree(A, unpack(b)), dim))
-    return rows
 
 
 def _bijection_sets(

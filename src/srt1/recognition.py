@@ -10,13 +10,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .complexes import SimplicialComplex, minimal_nonface_masks, unpack
-from .cotangent import (
-    MultiDegree,
-    _dim_on_faces,
-    _formula_on_link,
-    _link_degrees,
-)
+from .complexes import SimplicialComplex, unpack
+from .cotangent import MultiDegree, _degree_scan, _dim_on_faces, _formula_on_link
 
 
 class Discrepancy(NamedTuple):
@@ -50,25 +45,14 @@ def is_matroid_via_t1(cx: SimplicialComplex) -> bool:
 def formula_discrepancies(cx: SimplicialComplex) -> list[Discrepancy]:
     """Degrees where the graph computation and the circuit formula disagree.
 
-    Scans every face A and every nonempty face b of link(cx, A); outside the
-    vanishing range both sides are zero.  Empty exactly when cx is a matroid.
-
-    A nonface b within the link's vertices needs no check, since both sides
-    agree there.  If some circuit C of the link lies strictly inside b, then
-    C meets b properly and the formula is 0; the graph side is 0 too, because
-    b is not a circuit.  Otherwise b is itself a circuit, and both sides are
-    1 when b is isolated (meets no other circuit) with |b| > 1, and 0 otherwise.
+    Compares the two at every degree of `cotangent._degree_scan`; at every
+    other degree both sides agree, as its docstring shows.  Empty exactly
+    when cx is a matroid.
     """
     cx._require_nonvoid("formula_discrepancies")
-    faces = cx.face_masks()
     out = []
-    for a in faces:
-        link_faces, in_range = _link_degrees(faces, a)
-        if not in_range:
-            continue
-        link_circuits = minimal_nonface_masks(link_faces, cx.n)
-        for b in in_range:
-            graph_dim = _dim_on_faces(link_faces, b)
+    for a, link_circuits, dims in _degree_scan(cx.face_masks(), cx.n):
+        for b, graph_dim in dims:
             formula_dim = _formula_on_link(link_circuits, b)
             if graph_dim != formula_dim:
                 out.append(Discrepancy(MultiDegree(unpack(a), unpack(b)), graph_dim, formula_dim))

@@ -3,9 +3,11 @@
 A nondiscrete matroid M on [n] splits as M' * U(l, 0) * U(c, c) with M' free
 of loops and coloops, and the table of M consists of the entries of M' with
 every subset of the coloops adjoined to the A-support.  The table determines
-the split, the rank of M', its independent non-basis sets (those with a
-nonrigid link, i.e. a nonempty sliced table) and, through the rank-one links
-of the (rank-1)-sized ones, the bases themselves.
+the split, the rank r of M', its independent non-basis sets (those with a
+nonrigid link, i.e. a nonempty sliced table) and the bases themselves.  The
+largest A-support in the table of M' has r - 1 vertices, so the entries with
+A = F for an (r-1)-set F are exactly the table of the rank-one link at F,
+whose shape names the vertices that complete F to a basis.
 
 Discrete matroids all share the empty table, so reconstructing from an empty
 table raises DiscreteAmbiguousError.  Tables consistent with no matroid at
@@ -15,7 +17,6 @@ recomputing its table.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable
 
 from .complexes import SimplicialComplex
@@ -34,8 +35,8 @@ class NotAMatroidTableError(ValueError):
 def slice_link_table(t: T1Table, F: Iterable[int]) -> T1Table:
     """The table of the link at F, read off from the table of the complex.
 
-    Keeps the entries whose A-support contains F (and whose remaining support
-    avoids F), with F removed from the A-side.
+    Keeps the entries whose A-support contains F, with F removed from the
+    A-side.
     """
     f_set = frozenset(F)
     if not all(1 <= v <= t.n for v in f_set):
@@ -44,8 +45,6 @@ def slice_link_table(t: T1Table, F: Iterable[int]) -> T1Table:
     for key, dim in t.items():
         a_set = set(key.A)
         if not f_set <= a_set:
-            continue
-        if ((a_set - f_set) | set(key.b)) & f_set:
             continue
         out.append((MultiDegree.make(a_set - f_set, key.b), dim))
     return T1Table(t.n, out)
@@ -126,10 +125,11 @@ def reconstruct(t: T1Table) -> SimplicialComplex:
     """The unique nondiscrete matroid with T1 table t.
 
     Classifies loops and coloops, peels the coloops off the A-supports, finds
-    the core rank, collects the bases of the core from the rank-one links of
-    its (rank-1)-sized non-basis sets and reattaches the coloops.  The result
-    is verified by recomputing its table; any mismatch, including tables of
-    non-matroid origin, raises NotAMatroidTableError.
+    the core rank r, groups the core's entries with |A| = r - 1 by A in one
+    pass, reads from each group the vertices that complete A to a basis and
+    reattaches the coloops.  The result is verified by recomputing its table;
+    any mismatch, including tables of non-matroid origin, raises
+    NotAMatroidTableError.
     """
     if len(t) == 0:
         raise DiscreteAmbiguousError(
@@ -144,25 +144,16 @@ def reconstruct(t: T1Table) -> SimplicialComplex:
     if len(core) == 0:
         raise NotAMatroidTableError("no entry survives removing coloop support")
     rank = rank_from_table(core)
+    links: dict[tuple[int, ...], list[tuple[MultiDegree, int]]] = {}
+    for key, dim in core.items():
+        if len(key.A) == rank - 1:
+            links.setdefault(key.A, []).append((MultiDegree((), key.b), dim))
     bases: set[frozenset[int]] = set()
-    if rank == 1:
-        members = reconstruct_rank_one(core, ordinary)
-        if set(members) != set(ordinary):
-            raise NotAMatroidTableError("rank-one core disagrees with the ordinary vertices")
-        bases.update(frozenset((v,)) for v in members)
-    else:
-        for F in itertools.combinations(ordinary, rank - 1):
-            sliced = slice_link_table(core, F)
-            if len(sliced) == 0:
-                continue
-            rest = tuple(v for v in ordinary if v not in F)
-            for v in reconstruct_rank_one(sliced, rest):
-                bases.add(frozenset(F) | {v})
-    if not bases:
-        raise NotAMatroidTableError("no basis could be recovered")
-    candidate = SimplicialComplex.from_facets(
-        t.n, [sorted(b | set(coloops)) for b in bases]
-    )
+    for F, entries in links.items():
+        rest = tuple(v for v in ordinary if v not in F)
+        for v in reconstruct_rank_one(T1Table(t.n, entries), rest):
+            bases.add(frozenset(F) | {v})
+    candidate = SimplicialComplex.from_facets(t.n, [b | set(coloops) for b in bases])
     if not matroids.is_matroid_exchange(candidate):
         raise NotAMatroidTableError("recovered facets do not satisfy the exchange axiom")
     if t1_table(candidate) != t:

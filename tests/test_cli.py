@@ -238,6 +238,24 @@ def test_malformed_json_names_key(capsys, tmp_path):
     assert "entries[0]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {"n": 21, "minimal_nonfaces": [[1, 2]]},
+            "key 'minimal_nonfaces': ground size 21 exceeds limit 20",
+        ),
+        ({"n": 3, "facets": [[1, 4]]}, "key 'facets': vertex 4 out of range 1..3"),
+    ],
+    ids=["minimal_nonfaces", "facets"],
+)
+def test_complex_parse_error_keeps_its_kind(capsys, tmp_path, doc, message):
+    p = tmp_path / "cx.json"
+    p.write_text(json.dumps(doc))
+    assert cli.main(["t1", str(p)]) == 1
+    assert capsys.readouterr().err == f"error [VertexRange]: {message}\n"
+
+
 def test_degree_error_exit_1(capsys, u32):
     assert cli.main(["t1", u32, "--degree", "1;1"]) == 1
     assert "overlap" in capsys.readouterr().err

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from srt1.census import representatives
 from srt1.complexes import SimplicialComplex
 from srt1.cotangent import MultiDegree, T1Table, t1_table
 from srt1.matroids import is_discrete, is_matroid_exchange, uniform
@@ -178,21 +179,46 @@ def test_empty_table_is_ambiguous():
         reconstruct(t1_table(uniform(2, 2) * uniform(1, 0)))
 
 
-def test_corrupted_dim_rejected():
-    t = t1_table(uniform(4, 2))
-    bumped = T1Table(
-        t.n, [(k, d + (1 if k == MultiDegree((), (1,)) else 0)) for k, d in t.items()]
-    )
-    with pytest.raises(NotAMatroidTableError):
-        reconstruct(bumped)
+CENSUS_MATROIDS = [
+    cx for n in range(1, 6) for cx in representatives(n) if is_matroid_exchange(cx)
+]
 
 
-def test_dropped_entry_rejected():
-    t = t1_table(uniform(4, 2))
-    keys = list(t.keys())
-    pruned = T1Table(t.n, [(k, t.dim(k)) for k in keys[1:]])
+def assert_rejected_or_reproduced(table):
+    """A corrupted table raises, or yields a matroid whose table it really is.
+
+    DiscreteAmbiguousError is allowed only for the empty table.
+    """
+    try:
+        m = reconstruct(table)
+    except DiscreteAmbiguousError:
+        assert len(table) == 0
+    except NotAMatroidTableError:
+        pass
+    else:
+        assert t1_table(m) == table, m.facets
+
+
+@pytest.mark.parametrize("m", CENSUS_MATROIDS)
+def test_corrupted_dim_rejected(m):
+    t = t1_table(m)
+    for key in t:
+        assert_rejected_or_reproduced(T1Table(t.n, [(k, d + (k == key)) for k, d in t.items()]))
+
+
+@pytest.mark.parametrize("m", CENSUS_MATROIDS)
+def test_dropped_entry_rejected(m):
+    t = t1_table(m)
+    for key in t:
+        assert_rejected_or_reproduced(T1Table(t.n, [(k, d) for k, d in t.items() if k != key]))
+
+
+def test_loop_in_a_support_rejected():
+    # vertex 4 is classified as a loop, yet the added entry puts it in A
+    t = t1_table(uniform(3, 2) * uniform(1, 0))
+    assert classify_loops_coloops(t)[4] == "loop"
     with pytest.raises(NotAMatroidTableError):
-        reconstruct(pruned)
+        reconstruct(T1Table(t.n, [*t.items(), (MultiDegree((4,), (1, 3)), 1)]))
 
 
 def test_nonmatroid_table_rejected():
