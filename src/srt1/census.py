@@ -4,6 +4,13 @@ Complexes on [n] correspond to antichains of subsets of 2^[n]; the census
 enumerates them, quotients by vertex relabeling (every checked property is
 label-equivariant) and runs the full invariant battery on each canonical
 representative.  Ground sizes up to 5 are supported.
+
+`check_complex` builds what the battery reads once per complex: the link and
+the restriction at every vertex set, the circuits of every face's link, the
+rank of every vertex set and, in one pass over the degrees b, N_b, N~_b and
+the deletion of b with its facets.  It returns the reports and whether the
+complex is a matroid; `run_census` keeps the matroids for the cross-complex
+checks.
 """
 
 from __future__ import annotations
@@ -139,14 +146,34 @@ def _tag(cx: SimplicialComplex) -> str:
     return f"n={cx.n} facets={[list(f) for f in cx.facets]}"
 
 
-def check_complex(cx: SimplicialComplex) -> tuple[dict[str, CensusReport], tuple[bool, bool, bool]]:
-    """Run the per-complex battery; also report (matroid, nondiscrete, coloop-free)."""
+class _Shared:
+    """The derived objects of one complex, each built once.
+
+    `links` and `restrictions` hold `cx.link_mask(F)` and `cx.restrict(W)`
+    for every vertex set, indexed by its mask; `link_faces` and
+    `link_circuits` hold the face set of each face's link and its minimal
+    nonfaces, keyed by the face, in canonical order (`a_masks`).
+    """
+
+    def __init__(self, cx: SimplicialComplex) -> None:
+        n = cx.n
+        faces = cx.face_masks()
+        self.cx = cx
+        self.tag = _tag(cx)
+        self.a_masks = sorted(faces, key=sort_key)
+        self.links = [cx.link_mask(m) for m in range(1 << n)]
+        self.restrictions = [cx.restrict(unpack(m)) for m in range(1 << n)]
+        self.link_faces = {a: _link_face_masks(faces, a) for a in self.a_masks}
+        self.link_circuits = {a: minimal_nonface_masks(f, n) for a, f in self.link_faces.items()}
+
+
+def check_complex(cx: SimplicialComplex) -> tuple[dict[str, CensusReport], bool]:
+    """Run the per-complex battery; return the reports by name and whether cx is a matroid."""
     rec = _Recorder()
-    tag = _tag(cx)
     n = cx.n
     full = (1 << n) - 1
-    faces = cx.face_masks()
-    circuits = cx.minimal_nonface_masks()
+    s = _Shared(cx)
+    tag = s.tag
 
     # facets form an antichain
     anti = all(
@@ -159,28 +186,23 @@ def check_complex(cx: SimplicialComplex) -> tuple[dict[str, CensusReport], tuple
     rebuilt = SimplicialComplex.from_minimal_nonfaces(n, cx.minimal_nonfaces())
     rec.add("nonface-duality", 1, [] if rebuilt == cx else [tag])
 
-    # link and restriction commute
+    # link and restriction commute, at each of the 3^n pairs F <= W
     fails = []
-    checked = 0
     for w in range(1 << n):
         for sub in submasks(w):
-            checked += 1
-            lhs = cx.restrict(unpack(w)).link_mask(sub)
-            rhs = cx.link_mask(sub).restrict(unpack(w))
-            if lhs != rhs:
+            if s.restrictions[w].link_mask(sub) != s.links[sub].restrict(unpack(w)):
                 fails.append(f"{tag}: W={unpack(w)} F={unpack(sub)}")
-    rec.add("link-restrict-commute", checked, fails)
+    rec.add("link-restrict-commute", 3**n, fails)
 
     # rank is monotone and bounded by cardinality
+    ranks = [cx.rank_of(unpack(a)) for a in range(1 << n)]
     fails = []
-    for a in range(1 << n):
-        ra = cx.rank_of(unpack(a))
+    for a, ra in enumerate(ranks):
         if ra > a.bit_count():
             fails.append(f"{tag}: rank({unpack(a)}) > |A|")
-        for v in range(n):
-            bit = 1 << v
-            if not a & bit and cx.rank_of(unpack(a | bit)) < ra:
-                fails.append(f"{tag}: rank drops adding {v + 1} to {unpack(a)}")
+        for v in unpack(full & ~a):
+            if ranks[a | 1 << (v - 1)] < ra:
+                fails.append(f"{tag}: rank drops adding {v} to {unpack(a)}")
     rec.add("rank-monotone", 1 << n, fails)
 
     # the three matroid oracles agree
@@ -193,92 +215,19 @@ def check_complex(cx: SimplicialComplex) -> tuple[dict[str, CensusReport], tuple
         [] if ex == ce == um else [f"{tag}: exchange={ex} circuits={ce} unique-min={um}"],
     )
 
-    # per-face link data, reused below
-    a_masks = sorted(faces, key=sort_key)
-    links = {a: _link_face_masks(faces, a) for a in a_masks}
-
     # T1 computed on the complex equals T1 of the link in the shifted degree
     fails = []
     checked = 0
-    for a in a_masks:
-        link_cx = cx.link_mask(a)
+    for a in s.a_masks:
         for sub in filter(None, submasks(full & ~a)):
             checked += 1
             lhs = dim_t1(cx, (unpack(a), unpack(sub)))
-            rhs = dim_t1(link_cx, ((), unpack(sub)))
+            rhs = dim_t1(s.links[a], ((), unpack(sub)))
             if lhs != rhs:
                 fails.append(f"{tag}: degree ({unpack(a)},{unpack(sub)}) {lhs} != {rhs}")
     rec.add("link-reduction", checked, fails)
 
-    # N_b shape, minimal elements, and the N~ emptiness equivalence
-    fails_shape, fails_min, fails_equiv = [], [], []
-    for b in range(1, 1 << n):
-        nvert = _ndel(faces, b)
-        nset = set(nvert)
-        del_faces = {f for f in faces if not f & b}
-        if cx.is_face_mask(b):
-            expect = {f for f in del_faces if (f | b) not in faces}
-        else:
-            expect = del_faces
-        if nset != expect:
-            fails_shape.append(f"{tag}: b={unpack(b)}")
-        red = {f for f, m in zip(nvert, _marks(faces, nvert, b)) if m}
-        cuts = {c & ~b for c in circuits if c & b}
-        minima_n = {f for f in nset if not any(g != f and g & ~f == 0 for g in nset)}
-        if not minima_n <= cuts:
-            fails_min.append(f"{tag}: b={unpack(b)} minima of N_b")
-        cuts_cross = {c & ~b for c in circuits if c & b and b & ~c}
-        minima_r = {f for f in red if not any(g != f and g & ~f == 0 for g in red)}
-        if not minima_r <= cuts_cross:
-            fails_min.append(f"{tag}: b={unpack(b)} minima of N~_b")
-        tame = all(not (c & b) or b & ~c == 0 for c in circuits)
-        if (not red) != tame:
-            fails_equiv.append(f"{tag}: b={unpack(b)} emptiness")
-        elif tame and minima_n != {c & ~b for c in circuits if b & ~c == 0}:
-            fails_equiv.append(f"{tag}: b={unpack(b)} minima formula")
-    rec.add("ndel-star-shape", (1 << n) - 1, fails_shape)
-    rec.add("min-element-containment", 2 * ((1 << n) - 1), fails_min)
-    rec.add("ndelred-empty-equivalence", (1 << n) - 1, fails_equiv)
-
-    # upper bound, with equality for matroids at nonzero degrees; each side of
-    # the bound also equals its restatement as a difference of circuit or
-    # basis families
-    fails = []
-    checked = 0
-    for b in a_masks:
-        if b == 0:
-            continue
-        checked += 1
-        bound = t1_upper_bound(cx, unpack(b))
-        d = dim_t1(cx, ((), unpack(b)))
-        if d > bound:
-            fails.append(f"{tag}: b={unpack(b)} dim {d} > bound {bound}")
-        if ex and d > 0 and d != bound:
-            fails.append(f"{tag}: b={unpack(b)} matroid dim {d} != bound {bound}")
-        link_faces = links[b]
-        del_faces = frozenset(f for f in faces if not f & b)
-        link_circuits = minimal_nonface_masks(link_faces, n)
-        del_facets = maximal_masks(del_faces)
-        del_circuits = set(minimal_nonface_masks(del_faces, n))
-        link_facets = set(maximal_masks(link_faces))
-        first = sum(1 for c in link_circuits if c in del_faces)
-        second = sum(1 for f in del_facets if f not in link_faces)
-        if first != sum(1 for c in link_circuits if c not in del_circuits):
-            fails.append(f"{tag}: b={unpack(b)} circuit side of the bound restated differs")
-        if second != sum(1 for f in del_facets if f not in link_facets):
-            fails.append(f"{tag}: b={unpack(b)} facet side of the bound restated differs")
-    rec.add("upper-bound", checked, fails)
-
-    # nonface degrees
-    fails = []
-    checked = 0
-    for b in range(1, 1 << n):
-        if cx.is_face_mask(b):
-            continue
-        checked += 1
-        if dim_t1_nonface(cx, unpack(b)) != dim_t1(cx, ((), unpack(b))):
-            fails.append(f"{tag}: b={unpack(b)}")
-    rec.add("nonface-dimension", checked, fails)
+    _check_degrees(rec, s, ex)
 
     # main theorem, both directions, plus the singleton corollary
     disc = formula_discrepancies(cx)
@@ -287,11 +236,7 @@ def check_complex(cx: SimplicialComplex) -> tuple[dict[str, CensusReport], tuple
         1,
         [] if (not disc) == ex else [f"{tag}: discrepancies={len(disc)} matroid={ex}"],
     )
-    rec.add(
-        "recognition-corollary",
-        1,
-        [] if is_matroid_via_t1(cx) == ex else [tag],
-    )
+    rec.add("recognition-corollary", 1, [] if is_matroid_via_t1(cx) == ex else [tag])
     fails = [
         f"{tag}: degree {d.degree} graph {d.graph_dim} >= formula {d.formula_dim}"
         for d in disc
@@ -299,37 +244,122 @@ def check_complex(cx: SimplicialComplex) -> tuple[dict[str, CensusReport], tuple
     ]
     rec.add("singleton-discrepancy-direction", len(disc), fails)
 
-    nondiscrete = False
-    coloop_free = False
     if ex:
-        loops, coloops = cx.loops_and_coloops()
-        nondiscrete = len(loops) + len(coloops) < n
-        coloop_free = not coloops
-        _check_matroid_parts(rec, cx, tag, faces, a_masks, links, coloops)
-    return rec.data, (ex, nondiscrete, coloop_free)
+        _check_matroid_parts(rec, s)
+    return rec.data, ex
 
 
-def _check_matroid_parts(rec, cx, tag, faces, a_masks, links, coloops) -> None:
+def _check_degrees(rec: _Recorder, s: _Shared, matroid: bool) -> None:
+    """The invariants stated per degree b: one pass builds N_b, N~_b, the
+    deletion of b and its facets, and dim T1 at (0, b) for all of them."""
+    cx, tag = s.cx, s.tag
     n = cx.n
-    full = (1 << n) - 1
+    faces = cx.face_masks()
+    circuits = cx.minimal_nonface_masks()
+    shape, minima, equiv, nonface, saturation, extension = [], [], [], [], [], []
+    bound = []  # (b, failure), reported in canonical face order
+    extension_checked = 0
+    for b in range(1, 1 << n):
+        vb = unpack(b)
+        nvert = _ndel(faces, b)
+        nset = set(nvert)
+        red = {f for f, m in zip(nvert, _marks(faces, nvert, b)) if m}
+        del_faces = frozenset(f for f in faces if not f & b)
+        del_facets = maximal_masks(del_faces)
+        dim = dim_t1(cx, ((), vb))
+
+        # N_b shape, minimal elements, and the N~ emptiness equivalence
+        if b in faces:
+            expect = {f for f in del_faces if (f | b) not in faces}
+        else:
+            expect = del_faces
+        if nset != expect:
+            shape.append(f"{tag}: b={vb}")
+        cuts = {c & ~b for c in circuits if c & b}
+        minima_n = {f for f in nset if not any(g != f and g & ~f == 0 for g in nset)}
+        if not minima_n <= cuts:
+            minima.append(f"{tag}: b={vb} minima of N_b")
+        cuts_cross = {c & ~b for c in circuits if c & b and b & ~c}
+        minima_r = {f for f in red if not any(g != f and g & ~f == 0 for g in red)}
+        if not minima_r <= cuts_cross:
+            minima.append(f"{tag}: b={vb} minima of N~_b")
+        tame = all(not (c & b) or b & ~c == 0 for c in circuits)
+        if (not red) != tame:
+            equiv.append(f"{tag}: b={vb} emptiness")
+        elif tame and minima_n != {c & ~b for c in circuits if b & ~c == 0}:
+            equiv.append(f"{tag}: b={vb} minima formula")
+
+        if b in faces:
+            # upper bound, with equality for matroids at nonzero degrees; each
+            # side of the bound also equals its restatement as a difference of
+            # circuit or basis families
+            ub = t1_upper_bound(cx, vb)
+            if dim > ub:
+                bound.append((b, f"{tag}: b={vb} dim {dim} > bound {ub}"))
+            if matroid and dim > 0 and dim != ub:
+                bound.append((b, f"{tag}: b={vb} matroid dim {dim} != bound {ub}"))
+            link_faces = s.link_faces[b]
+            link_circuits = s.link_circuits[b]
+            del_circuits = set(minimal_nonface_masks(del_faces, n))
+            link_facets = set(maximal_masks(link_faces))
+            first = sum(1 for c in link_circuits if c in del_faces)
+            second = sum(1 for f in del_facets if f not in link_faces)
+            if first != sum(1 for c in link_circuits if c not in del_circuits):
+                bound.append((b, f"{tag}: b={vb} circuit side of the bound restated differs"))
+            if second != sum(1 for f in del_facets if f not in link_facets):
+                bound.append((b, f"{tag}: b={vb} facet side of the bound restated differs"))
+        elif dim_t1_nonface(cx, vb) != dim:
+            nonface.append(f"{tag}: b={vb}")
+
+        if matroid:
+            # deletion facets saturate N_b and N~_b
+            if nvert and not nset.issuperset(del_facets):
+                saturation.append(f"{tag}: b={vb} facets of deletion escape N_b")
+            if red:
+                if not red.issuperset(del_facets):
+                    saturation.append(f"{tag}: b={vb} facets of deletion escape N~_b")
+                if maximal_masks(nvert) != maximal_masks(red):
+                    saturation.append(f"{tag}: b={vb} maxima differ")
+            # one basis of the deletion extends by b' exactly when all do
+            for b1, b2 in itertools.combinations(del_facets, 2):
+                extension_checked += 1 << b.bit_count()
+                for sub in submasks(b):
+                    if ((b1 | sub) in faces) != ((b2 | sub) in faces):
+                        extension.append(f"{tag}: b={vb} bases {unpack(b1)},{unpack(b2)}")
+
+    degrees = (1 << n) - 1
+    rec.add("ndel-star-shape", degrees, shape)
+    rec.add("min-element-containment", 2 * degrees, minima)
+    rec.add("ndelred-empty-equivalence", degrees, equiv)
+    bound.sort(key=lambda item: sort_key(item[0]))
+    rec.add("upper-bound", len(faces) - 1, [f for _, f in bound])
+    rec.add("nonface-dimension", degrees + 1 - len(faces), nonface)
+    if matroid:
+        rec.add("deletion-basis-saturation", degrees, saturation)
+        rec.add("basis-extension", extension_checked, extension)
+
+
+def _check_matroid_parts(rec: _Recorder, s: _Shared) -> None:
+    cx, tag, a_masks = s.cx, s.tag, s.a_masks
+    n = cx.n
+    loops, coloops = cx.loops_and_coloops()
 
     # links and restrictions stay matroids
-    fails = []
-    for a in a_masks:
-        if not is_matroid_exchange(cx.link_mask(a)):
-            fails.append(f"{tag}: link at {unpack(a)}")
-    for w in range(1 << n):
-        if not is_matroid_exchange(cx.restrict(unpack(w))):
-            fails.append(f"{tag}: restriction to {unpack(w)}")
+    fails = [f"{tag}: link at {unpack(a)}" for a in a_masks if not is_matroid_exchange(s.links[a])]
+    fails += [
+        f"{tag}: restriction to {unpack(w)}"
+        for w, r in enumerate(s.restrictions)
+        if not is_matroid_exchange(r)
+    ]
     rec.add("matroid-minor-closure", len(a_masks) + (1 << n), fails)
 
     # coloop-free heredity
     if not coloops:
-        fails = []
-        for a in a_masks:
-            link_cx = cx.link_mask(a)
-            if link_cx.loops_and_coloops()[1]:
-                fails.append(f"{tag}: link at {unpack(a)} gained a coloop")
+        fails = [
+            f"{tag}: link at {unpack(a)} gained a coloop"
+            for a in a_masks
+            if s.links[a].loops_and_coloops()[1]
+        ]
         rec.add("coloop-free-link-heredity", len(a_masks), fails)
 
     # facets all have rank cardinality
@@ -337,44 +367,12 @@ def _check_matroid_parts(rec, cx, tag, faces, a_masks, links, coloops) -> None:
     fails = [] if all(f.bit_count() == rank for f in cx.facet_masks) else [tag]
     rec.add("matroid-equicardinal-facets", 1, fails)
 
-    # deletion facets saturate N_b and N~_b
-    fails = []
-    for b in range(1, 1 << n):
-        nvert = _ndel(faces, b)
-        red = {f for f, m in zip(nvert, _marks(faces, nvert, b)) if m}
-        del_facets = set(maximal_masks(f for f in faces if not f & b))
-        if nvert and not del_facets <= set(nvert):
-            fails.append(f"{tag}: b={unpack(b)} facets of deletion escape N_b")
-        if red:
-            if not del_facets <= red:
-                fails.append(f"{tag}: b={unpack(b)} facets of deletion escape N~_b")
-            if maximal_masks(nvert) != maximal_masks(red):
-                fails.append(f"{tag}: b={unpack(b)} maxima differ")
-    rec.add("deletion-basis-saturation", (1 << n) - 1, fails)
-
-    # one basis of the deletion extends by b' exactly when all do
-    fails = []
-    checked = 0
-    for b in range(1, 1 << n):
-        del_facets = maximal_masks(f for f in faces if not f & b)
-        for b1, b2 in itertools.combinations(del_facets, 2):
-            for sub in submasks(b):
-                checked += 1
-                if cx.is_face_mask(b1 | sub) != cx.is_face_mask(b2 | sub):
-                    fails.append(f"{tag}: b={unpack(b)} bases {unpack(b1)},{unpack(b2)}")
-    rec.add("basis-extension", checked, fails)
-
     # generator bijection at every admissible (A, b)
     fails = []
     checked = 0
     for a in a_masks:
-        link_faces = links[a]
-        link_circuits = None
-        for b in sorted(link_faces, key=sort_key):
-            if b == 0:
-                continue
-            if link_circuits is None:
-                link_circuits = minimal_nonface_masks(link_faces, n)
+        link_faces, link_circuits = s.link_faces[a], s.link_circuits[a]
+        for b in filter(None, sorted(link_faces, key=sort_key)):
             if any(c & b and b & ~c for c in link_circuits):
                 continue
             checked += 1
@@ -385,8 +383,7 @@ def _check_matroid_parts(rec, cx, tag, faces, a_masks, links, coloops) -> None:
 
     # table-level properties
     table = t1_table(cx)
-    loops, coloop_t = cx.loops_and_coloops()
-    discrete = len(loops) + len(coloop_t) == n
+    discrete = len(loops) + len(coloops) == n
     rec.add(
         "rigidity-discrete",
         1,
@@ -405,17 +402,16 @@ def _check_matroid_parts(rec, cx, tag, faces, a_masks, links, coloops) -> None:
         want = {v: "ordinary" for v in range(1, n + 1)}
         for v in loops:
             want[v] = "loop"
-        for v in coloop_t:
+        for v in coloops:
             want[v] = "coloop"
         rec.add("loop-coloop-classify", 1, [] if roles == want else [f"{tag}: {roles}"])
 
-    if not coloop_t:
-        fails = []
-        facet_set = set(cx.facet_masks)
-        for a in a_masks:
-            empty = len(slice_link_table(table, unpack(a))) == 0
-            if empty != (a in facet_set):
-                fails.append(f"{tag}: A={unpack(a)}")
+    if not coloops:
+        fails = [
+            f"{tag}: A={unpack(a)}"
+            for a in a_masks
+            if (len(slice_link_table(table, unpack(a))) == 0) != (a in cx.facet_masks)
+        ]
         rec.add("link-rigidity-basis", len(a_masks), fails)
 
 
@@ -543,10 +539,10 @@ def run_census(max_n: int, threads: int = 1) -> list[CensusReport]:
         results = [check_complex(cx) for cx in reps]
     rec = _Recorder()
     matroid_reps: dict[int, list[SimplicialComplex]] = {n: [] for n in range(1, max_n + 1)}
-    for cx, (data, flags) in zip(reps, results):
+    for cx, (data, matroid) in zip(reps, results):
         for name, part in data.items():
             rec.add(name, part.checked, part.failures)
-        if flags[0]:
+        if matroid:
             matroid_reps[cx.n].append(cx)
     _check_families(rec, matroid_reps)
     reports = [rec.data.get(name, CensusReport(name)) for name in BATTERY_ORDER]

@@ -156,7 +156,7 @@ def _formula_on_link(link_circuits: list[int], b: int) -> int:
 def _degree_scan(
     faces: frozenset[int], n: int
 ) -> Iterator[tuple[int, list[int], list[tuple[int, int]]]]:
-    """For each face a whose link L has a nonempty face, yields a, the
+    """For each face a whose link L is not a simplex, yields a, the
     circuits of L and (b, graph dimension) at each nonempty face b of L.
 
     These are the only degrees that need the inclusion graph.  Outside the
@@ -166,13 +166,16 @@ def _degree_scan(
     agrees there: if some circuit C of L lies strictly inside b, then C meets
     b properly and the formula is 0, as is the graph side, because b is not a
     circuit; otherwise b is itself a circuit, and both sides are 1 when b is
-    isolated with |b| > 1 and 0 otherwise.  A face whose link is {emptyset}
-    is a facet: the link has no nonempty face and every circuit of it is a
-    single vertex, so skipping it loses no degree.
+    isolated with |b| > 1 and 0 otherwise.  A face whose link is a simplex
+    ({emptyset} when the face is a facet) is skipped, losing no degree: F u b
+    is a face for all faces F and b of a simplex, so every N_b is empty and
+    every graph dimension 0, and its circuits are the single vertices outside
+    it, which contain no nonempty face b, so the formula is 0 as well and no
+    circuit is isolated with more than one vertex.
     """
     for a in faces:
         link_faces = _link_face_masks(faces, a)
-        if len(link_faces) == 1:
+        if _union(link_faces) in link_faces:
             continue
         dims = [(b, _dim_on_faces(link_faces, b)) for b in link_faces if b]
         yield a, minimal_nonface_masks(link_faces, n), dims

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from srt1.census import run_census, representatives
+from srt1.census import run_census
 from srt1.complexes import SimplicialComplex
 from srt1.cotangent import (
     MultiDegree,
@@ -32,6 +32,7 @@ from srt1.matroids import (
 from srt1.recognition import formula_discrepancies, is_matroid_via_t1
 from srt1.reconstruction import DiscreteAmbiguousError, reconstruct
 
+from _census_reps import representatives
 from _oracles import powerset
 
 REMARK = SimplicialComplex.from_minimal_nonfaces(
@@ -47,6 +48,39 @@ def reps5():
 @pytest.fixture(scope="module")
 def census5():
     return {rep.name: rep for rep in run_census(5)}
+
+
+# each invariant's check count over the <=5-vertex census; a refactor of the
+# battery that drops or doubles a check changes one of them
+CENSUS5_CHECKED = {
+    "antichain": 253,
+    "nonface-duality": 253,
+    "link-restrict-commute": 53421,
+    "rank-monotone": 7244,
+    "oracle-agreement": 253,
+    "matroid-minor-closure": 2315,
+    "coloop-free-link-heredity": 375,
+    "matroid-equicardinal-facets": 69,
+    "link-reduction": 35374,
+    "ndel-star-shape": 6991,
+    "min-element-containment": 13982,
+    "ndelred-empty-equivalence": 6991,
+    "upper-bound": 3400,
+    "deletion-basis-saturation": 1503,
+    "basis-extension": 2942,
+    "main-theorem-iff": 253,
+    "recognition-corollary": 253,
+    "singleton-discrepancy-direction": 1360,
+    "nonface-dimension": 3591,
+    "bijection-generators": 1815,
+    "rigidity-discrete": 69,
+    "round-trip": 49,
+    "loop-coloop-classify": 49,
+    "link-rigidity-basis": 375,
+    "join-matroid-closure": 1128,
+    "join-associativity": 224,
+    "coloop-extension": 24,
+}
 
 
 def all_degrees(n):
@@ -260,7 +294,9 @@ def test_acceptance_8_property_suites(census5):
     # and the rest of the battery stays green too
     for name, rep in census5.items():
         assert rep.ok, (name, rep.failures)
+    assert {name: rep.checked for name, rep in census5.items()} == CENSUS5_CHECKED
     total = sum(rep.checked for rep in census5.values())
+    assert total == 144556
     elapsed = time.perf_counter() - started
     print(
         f"ACCEPTANCE 8: PASS property suites ({len(named)} named invariants, "

@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from srt1 import census
 from srt1.census import (
     BATTERY_ORDER,
     MAX_CENSUS_GROUND,
@@ -14,7 +15,7 @@ from srt1.census import (
     _perm_tables,
 )
 from srt1.complexes import SimplicialComplex
-from srt1.matroids import is_matroid_exchange
+from srt1.matroids import is_matroid_exchange, uniform
 
 # antichain counts of subsets of [n] (Dedekind numbers)
 DEDEKIND = [2, 3, 6, 20, 168, 7581]
@@ -77,14 +78,33 @@ def test_representatives_cover_distinct_classes():
 
 
 def test_check_complex_flags():
-    data, (matroid, nondiscrete, coloop_free) = check_complex(
-        SimplicialComplex.from_facets(3, [[1, 2], [1, 3], [2, 3]])
-    )
-    assert matroid and nondiscrete and coloop_free
+    data, matroid = check_complex(SimplicialComplex.from_facets(3, [[1, 2], [1, 3], [2, 3]]))
+    assert matroid
     assert all(rep.ok for rep in data.values())
 
-    _, (matroid, _, _) = check_complex(SimplicialComplex.from_facets(3, [[1, 2], [3]]))
+    _, matroid = check_complex(SimplicialComplex.from_facets(3, [[1, 2], [3]]))
     assert not matroid
+
+
+def test_check_complex_reports_a_wrong_engine(monkeypatch):
+    # a nonface dimension one too high and a bound one too low must each be
+    # caught, with the upper bound's failures in canonical face order and
+    # capped at five
+    nonface, bound = census.dim_t1_nonface, census.t1_upper_bound
+    monkeypatch.setattr(census, "dim_t1_nonface", lambda cx, b: nonface(cx, b) + 1)
+    monkeypatch.setattr(census, "t1_upper_bound", lambda cx, b: bound(cx, b) - 1)
+    data, _ = check_complex(uniform(3, 2))
+    tag = "n=3 facets=[[1, 2], [1, 3], [2, 3]]"
+    assert {name: rep.failures for name, rep in data.items() if not rep.ok} == {
+        "upper-bound": [
+            f"{tag}: b=(1,) dim 0 > bound -1",
+            f"{tag}: b=(2,) dim 0 > bound -1",
+            f"{tag}: b=(3,) dim 0 > bound -1",
+            f"{tag}: b=(1, 2) dim 1 > bound 0",
+            f"{tag}: b=(1, 2) matroid dim 1 != bound 0",
+        ],
+        "nonface-dimension": [f"{tag}: b=(1, 2, 3)"],
+    }
 
 
 def test_run_census_small_green():

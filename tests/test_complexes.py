@@ -4,7 +4,6 @@ import pickle
 
 import pytest
 
-from srt1.census import representatives
 from srt1.complexes import (
     MAX_GROUND,
     MAX_NONFACE_GROUND,
@@ -20,6 +19,7 @@ from srt1.complexes import (
     unpack,
 )
 
+from _census_reps import representatives
 from _oracles import close_down, faces_of, naive_link, naive_minimal_nonfaces, powerset
 
 

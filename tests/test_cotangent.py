@@ -3,11 +3,13 @@ import pickle
 
 import pytest
 
-from srt1.complexes import SimplicialComplex, VoidComplexError, unpack
+from srt1.complexes import SimplicialComplex, VoidComplexError, _union, unpack
 from srt1.cotangent import (
     InclusionGraph,
     MultiDegree,
     T1Table,
+    _degree_scan,
+    _link_face_masks,
     bijection_check,
     circuits_containing,
     dim_t1,
@@ -21,6 +23,7 @@ from srt1.cotangent import (
 )
 from srt1.matroids import NotAMatroidError, uniform
 
+from _census_reps import representatives
 from _oracles import naive_dim_t1, powerset
 
 REMARK = SimplicialComplex.from_minimal_nonfaces(
@@ -333,6 +336,22 @@ def test_t1_table_agrees_with_dim_t1():
     t = t1_table(cx)
     for d in all_degrees(5):
         assert t.dim(d) == dim_t1(cx, d), d
+
+
+def test_degree_scan_skips_simplex_links():
+    # T1 of a simplex vanishes in every degree, so a face whose link is a
+    # simplex, a facet or a leaf of a path say, is never scanned
+    path = SimplicialComplex.from_facets(4, [[1, 2], [2, 3], [3, 4]])
+    assert sorted(unpack(a) for a, _, _ in _degree_scan(path.face_masks(), 4)) == [
+        (),
+        (2,),
+        (3,),
+    ]
+    for cx in (cx for n in range(1, 5) for cx in representatives(n)):
+        faces = cx.face_masks()
+        for a, _, _ in _degree_scan(faces, cx.n):
+            link_faces = _link_face_masks(faces, a)
+            assert _union(link_faces) not in link_faces, (cx, unpack(a))
 
 
 def test_t1_table_threads_deterministic():

@@ -10,12 +10,12 @@ up to 5 vertices, every U(n, k) with n <= 7, and paths, cycles and stars on
 
 import pytest
 
-from srt1.census import representatives
 from srt1.complexes import SimplicialComplex, minimal_nonface_masks, sort_key
 from srt1.cotangent import inclusion_graph, t1_table
 from srt1.matroids import uniform
 from srt1.recognition import formula_discrepancies
 
+from _census_reps import representatives
 from _oracles import (
     faces_of,
     naive_components,

@@ -1,4 +1,5 @@
-"""Pins the public surface: the package's exported names and the CLI's options.
+"""Pins the public surface: the package's exported names, the CLI's options
+and the census calls the benchmark harness makes.
 
 A refactor that drops or renames any of them fails here first.
 """
@@ -6,6 +7,7 @@ A refactor that drops or renames any of them fails here first.
 import argparse
 
 import srt1
+from srt1 import census
 from srt1.cli import build_parser
 
 EXPORTS = [
@@ -74,3 +76,14 @@ def test_subcommands_and_options_are_pinned():
     }
     assert got == SUBCOMMANDS
     assert list(got) == list(SUBCOMMANDS)
+
+
+def test_census_calls_are_pinned():
+    # perfbench's traced run times these two calls on every census class
+    reps = census.representatives(2)
+    assert [cx.facets for cx in reps] == [((),), ((1,),), ((1,), (2,)), ((1, 2),)]
+    reports = census.check_complex(reps[-1])[0]
+    assert all(
+        isinstance(rep, census.CensusReport) and rep.name == name for name, rep in reports.items()
+    )
+    assert reports["antichain"].checked == 1

@@ -1,11 +1,11 @@
 import pytest
 
-from srt1.census import representatives
 from srt1.complexes import SimplicialComplex, VoidComplexError, pack, unpack
 from srt1.cotangent import MultiDegree, _formula_on_link, dim_t1, dim_t1_matroid_formula
 from srt1.matroids import is_matroid_exchange, uniform
 from srt1.recognition import Discrepancy, formula_discrepancies, is_matroid_via_t1
 
+from _census_reps import representatives
 from _oracles import faces_of, naive_link, naive_minimal_nonfaces, powerset, subset_scan_discrepancies
 
 REMARK = SimplicialComplex.from_minimal_nonfaces(

@@ -2,7 +2,6 @@ import itertools
 
 import pytest
 
-from srt1.census import representatives
 from srt1.complexes import SimplicialComplex
 from srt1.cotangent import MultiDegree, T1Table, t1_table
 from srt1.matroids import is_discrete, is_matroid_exchange, uniform
@@ -15,6 +14,8 @@ from srt1.reconstruction import (
     reconstruct_rank_one,
     slice_link_table,
 )
+
+from _census_reps import representatives
 
 
 # -- slicing -----------------------------------------------------------------
