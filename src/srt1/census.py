@@ -51,7 +51,8 @@ MAX_CENSUS_GROUND = 5
 
 
 def all_antichain_masks(n: int) -> list[tuple[int, ...]]:
-    """Every antichain of subsets of [n], as a sorted tuple of facet masks.
+    """Every antichain of subsets of [n], as a sorted tuple of facet masks,
+    in lexicographic order of those tuples.
 
     () is the void complex and (0,) is {emptyset}; the count over all n
     matches the Dedekind numbers.
@@ -87,29 +88,36 @@ def _perm_tables(n: int) -> list[list[int]]:
     return tables
 
 
+def _images(facet_masks: tuple[int, ...], perm_tables: list[list[int]]) -> set[tuple[int, ...]]:
+    """The sorted facet tuples of every relabeling of an antichain."""
+    return {tuple(sorted(t[f] for f in facet_masks)) for t in perm_tables}
+
+
 def canonical_form(facet_masks: tuple[int, ...], perm_tables: list[list[int]]) -> tuple[int, ...]:
     """Least relabeled facet tuple over all vertex permutations."""
-    return min(tuple(sorted(t[f] for f in facet_masks)) for t in perm_tables)
+    return min(_images(facet_masks, perm_tables))
 
 
 def representatives(n: int) -> list[SimplicialComplex]:
-    """One nonvoid complex per relabeling class on ground size n."""
+    """One nonvoid complex per relabeling class on ground size n, keyed by its
+    canonical form, in the order the classes first appear among the antichains.
+
+    The antichains come in lexicographic order, so the first one of a class
+    is its least relabeling, the canonical form.  The class's relabelings are
+    then set aside, so an antichain is only relabeled when it opens a class.
+    """
     tables = _perm_tables(n)
     seen: set[tuple[int, ...]] = set()
     out = []
     for facets in all_antichain_masks(n):
-        if not facets:
-            continue
-        key = canonical_form(facets, tables)
-        if key not in seen:
-            seen.add(key)
-            out.append(SimplicialComplex(n, key))
+        if facets and facets not in seen:
+            seen |= _images(facets, tables)
+            out.append(SimplicialComplex(n, facets))
     return out
 
 
 def orbit_size(cx: SimplicialComplex) -> int:
-    tables = _perm_tables(cx.n)
-    return len({tuple(sorted(t[f] for f in cx.facet_masks)) for t in tables})
+    return len(_images(cx.facet_masks, _perm_tables(cx.n)))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,10 @@ redundant, and for |b| = 1 the only subset is the empty set, so N~_b is empty.
 The engine runs the graph computation only where it is needed: `_degree_scan`
 visits the nonempty faces b of each link, and the nonface degrees are read
 off the link's circuits.  N_b is an up-set among the faces disjoint from b,
-so its components come from the one-vertex inclusions alone.
+so its components come from the one-vertex inclusions alone.  A matroid needs
+the graph only at its singleton degrees, which recognise it: by the main
+theorem its whole table is the circuit formula, which `_class_dims` reads off
+each link's circuits.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .complexes import (
     minimal_nonface_masks,
     pack,
     sort_key,
+    submasks,
     unpack,
 )
 from . import matroids
@@ -153,11 +157,48 @@ def _formula_on_link(link_circuits: list[int], b: int) -> int:
     return _less_one_for_singleton(through, b)
 
 
+def _singleton_dims(
+    faces: frozenset[int], circuits: list[int], vertex_mask: int
+) -> Iterator[tuple[int, int, int]]:
+    """(b, graph dimension, circuit formula) at each degree (emptyset, {v}),
+    v a vertex, lazily and in vertex order.
+
+    The two sides agree at every v exactly when the complex is a matroid (the
+    recognition corollary).  Loops are not vertices: their only circuit is
+    {v}, so both sides are zero there.
+    """
+    for v in unpack(vertex_mask):
+        b = 1 << (v - 1)
+        yield b, _dim_on_faces(faces, b), _formula_on_link(circuits, b)
+
+
+def _links(
+    faces: frozenset[int], n: int, circuits: list[int]
+) -> Iterator[tuple[int, frozenset[int], list[int]]]:
+    """For each face a whose link L is not a simplex, yields a, the faces
+    of L and the circuits of L; `circuits` are those of the whole complex,
+    the link at a = emptyset, so they are not computed again.
+
+    A face whose link is a simplex ({emptyset} when the face is a facet)
+    carries no nonzero degree: F u b is a face for all faces F and b of a
+    simplex, so every N_b is empty and every graph dimension 0, and its
+    circuits are the single vertices outside it, which contain no nonempty
+    face b, so the formula is 0 as well and no circuit is isolated with more
+    than one vertex.
+    """
+    for a in faces:
+        link_faces = _link_face_masks(faces, a) if a else faces
+        if _union(link_faces) in link_faces:
+            continue
+        yield a, link_faces, (minimal_nonface_masks(link_faces, n) if a else circuits)
+
+
 def _degree_scan(
-    faces: frozenset[int], n: int
+    faces: frozenset[int], n: int, circuits: list[int], known: dict[int, int] | None = None
 ) -> Iterator[tuple[int, list[int], list[tuple[int, int]]]]:
-    """For each face a whose link L is not a simplex, yields a, the
-    circuits of L and (b, graph dimension) at each nonempty face b of L.
+    """For each link L of `_links`, yields a, the circuits of L and
+    (b, graph dimension) at each nonempty face b of L.  `known` maps some b
+    to its graph dimension at a = emptyset, which is then not recomputed.
 
     These are the only degrees that need the inclusion graph.  Outside the
     vanishing range both the graph dimension and the circuit formula are 0.
@@ -166,19 +207,47 @@ def _degree_scan(
     agrees there: if some circuit C of L lies strictly inside b, then C meets
     b properly and the formula is 0, as is the graph side, because b is not a
     circuit; otherwise b is itself a circuit, and both sides are 1 when b is
-    isolated with |b| > 1 and 0 otherwise.  A face whose link is a simplex
-    ({emptyset} when the face is a facet) is skipped, losing no degree: F u b
-    is a face for all faces F and b of a simplex, so every N_b is empty and
-    every graph dimension 0, and its circuits are the single vertices outside
-    it, which contain no nonempty face b, so the formula is 0 as well and no
-    circuit is isolated with more than one vertex.
+    isolated with |b| > 1 and 0 otherwise.  The faces `_links` skips lose no
+    degree, as its docstring shows.
     """
-    for a in faces:
-        link_faces = _link_face_masks(faces, a)
-        if _union(link_faces) in link_faces:
-            continue
-        dims = [(b, _dim_on_faces(link_faces, b)) for b in link_faces if b]
-        yield a, minimal_nonface_masks(link_faces, n), dims
+    for a, link_faces, link_circuits in _links(faces, n, circuits):
+        have = {} if a or known is None else known
+        dims = [
+            (b, have[b] if b in have else _dim_on_faces(link_faces, b)) for b in link_faces if b
+        ]
+        yield a, link_circuits, dims
+
+
+def _class_dims(link_faces: frozenset[int], link_circuits: list[int]) -> list[tuple[int, int]]:
+    """(b, circuit formula) at the nonempty faces b of a link L where the
+    formula is positive, without visiting the other faces.
+
+    The formula is nonzero only at a tame b, one that every circuit of L
+    contains or misses, so all vertices of b lie in the same circuits.
+    Grouping L's vertices by the circuits through them, the tame b are the
+    nonempty subsets of one class K, and each lies in the c circuits through
+    K.  A b within K that is a nonface contains a circuit, which must then
+    contain all of K, so b = K is that circuit; it is left to the isolated
+    circuit rows.
+    """
+    through: dict[int, int] = {}
+    for i, c in enumerate(link_circuits):
+        for v in unpack(c):
+            through[v] = through.get(v, 0) | 1 << i
+    classes: dict[int, int] = {}
+    for v in unpack(_union(link_faces)):
+        key = through.get(v, 0)
+        classes[key] = classes.get(key, 0) | 1 << (v - 1)
+    out = []
+    for key, members in classes.items():
+        count = key.bit_count()
+        if count:
+            out += [
+                (b, dim)
+                for b in submasks(members)
+                if b and b in link_faces and (dim := _less_one_for_singleton(count, b))
+            ]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -450,18 +519,40 @@ class T1Table:
 def t1_table(cx: SimplicialComplex, threads: int = 1) -> T1Table:
     """All nonzero T1 dimensions of cx, over the vanishing-range degrees.
 
-    Takes the graph dimensions of `_degree_scan` and adds dimension 1 at each
-    isolated circuit of a scanned link that has more than one vertex; every
-    other degree is provably zero.  The cost follows faces x link faces, not
-    the 2^|V(link)| subsets of the link's vertices.
+    Adds dimension 1 at each isolated circuit of a link that has more than
+    one vertex, and the dimensions at the link's nonempty faces; every other
+    degree is provably zero.  Which engine supplies the face dimensions
+    depends on the singleton test of `_singleton_dims`, which already yields
+    the degrees (emptyset, {v}):
+
+    * a matroid takes them from the circuits of each link (`_class_dims`).
+      By the main theorem its dimension equals the circuit formula at every
+      degree; a tame b lies in exactly the circuits its vertices share, so
+      the formula is positive only on the subsets of one class of vertices
+      with equal circuits, and the one nonface among them is the class
+      itself when it is an isolated circuit.  The cost follows faces x link
+      vertices x link circuits, with no N_b built.
+    * any other complex takes the inclusion graph of `_degree_scan` at every
+      face of each link, reusing the complex's circuits and the singleton
+      graph dimensions.  The cost follows faces x link faces.
 
     The table is computed in-process: each face's piece costs well under a
     millisecond, too little to repay a process pool.  `threads` is accepted
     for compatibility and changes nothing.
     """
     cx._require_nonvoid("t1_table")
+    faces = cx.face_masks()
+    circuits = cx.minimal_nonface_masks()
+    singles = list(_singleton_dims(faces, circuits, cx.vertex_mask))
+    if all(graph == formula for _, graph, formula in singles):
+        scan = (
+            (a, link_circuits, _class_dims(link_faces, link_circuits))
+            for a, link_faces, link_circuits in _links(faces, cx.n, circuits)
+        )
+    else:
+        scan = _degree_scan(faces, cx.n, circuits, {b: graph for b, graph, _ in singles})
     rows = []
-    for a, link_circuits, dims in _degree_scan(cx.face_masks(), cx.n):
+    for a, link_circuits, dims in scan:
         A = unpack(a)
         rows += [(MultiDegree(A, unpack(c)), 1) for c in _isolated_circuits(link_circuits)]
         rows += [(MultiDegree(A, unpack(b)), dim) for b, dim in dims if dim]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .complexes import SimplicialComplex, unpack
-from .cotangent import MultiDegree, _degree_scan, _dim_on_faces, _formula_on_link
+from .cotangent import MultiDegree, _degree_scan, _formula_on_link, _singleton_dims
 
 
 class Discrepancy(NamedTuple):
@@ -21,19 +21,12 @@ class Discrepancy(NamedTuple):
 
 
 def _first_singleton_discrepancy(cx: SimplicialComplex) -> Discrepancy | None:
-    """The first degree (0, {v}) where graph dimension and circuit count differ.
-
-    Loops are skipped: their only circuit is {v}, so both sides are zero.
-    """
+    """The first degree (0, {v}) where graph dimension and circuit count differ."""
     cx._require_nonvoid("is_matroid_via_t1")
-    faces = cx.face_masks()
-    circuits = cx.minimal_nonface_masks()
-    for v in cx.vertices():
-        b = 1 << (v - 1)
-        graph_dim = _dim_on_faces(faces, b)
-        formula_dim = _formula_on_link(circuits, b)
+    singles = _singleton_dims(cx.face_masks(), cx.minimal_nonface_masks(), cx.vertex_mask)
+    for b, graph_dim, formula_dim in singles:
         if graph_dim != formula_dim:
-            return Discrepancy(MultiDegree((), (v,)), graph_dim, formula_dim)
+            return Discrepancy(MultiDegree((), unpack(b)), graph_dim, formula_dim)
     return None
 
 
@@ -51,7 +44,7 @@ def formula_discrepancies(cx: SimplicialComplex) -> list[Discrepancy]:
     """
     cx._require_nonvoid("formula_discrepancies")
     out = []
-    for a, link_circuits, dims in _degree_scan(cx.face_masks(), cx.n):
+    for a, link_circuits, dims in _degree_scan(cx.face_masks(), cx.n, cx.minimal_nonface_masks()):
         for b, graph_dim in dims:
             formula_dim = _formula_on_link(link_circuits, b)
             if graph_dim != formula_dim:

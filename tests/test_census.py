@@ -71,6 +71,18 @@ def test_canonical_form_is_relabel_invariant():
     )
 
 
+def test_representatives_match_canonical_form_of_every_antichain():
+    # the orbit of each new class is set aside instead of taking the
+    # canonical form of every antichain; keys and order must not change
+    for n in range(1, 6):
+        tables = _perm_tables(n)
+        keys = {}
+        for facets in all_antichain_masks(n):
+            if facets:
+                keys.setdefault(canonical_form(facets, tables), None)
+        assert list(representatives(n)) == [SimplicialComplex(n, key) for key in keys], n
+
+
 def test_representatives_cover_distinct_classes():
     tables = _perm_tables(3)
     forms = [canonical_form(cx.facet_masks, tables) for cx in representatives(3)]

@@ -342,14 +342,14 @@ def test_degree_scan_skips_simplex_links():
     # T1 of a simplex vanishes in every degree, so a face whose link is a
     # simplex, a facet or a leaf of a path say, is never scanned
     path = SimplicialComplex.from_facets(4, [[1, 2], [2, 3], [3, 4]])
-    assert sorted(unpack(a) for a, _, _ in _degree_scan(path.face_masks(), 4)) == [
+    assert sorted(unpack(a) for a, _, _ in _degree_scan(path.face_masks(), 4, path.minimal_nonface_masks())) == [
         (),
         (2,),
         (3,),
     ]
     for cx in (cx for n in range(1, 5) for cx in representatives(n)):
         faces = cx.face_masks()
-        for a, _, _ in _degree_scan(faces, cx.n):
+        for a, _, _ in _degree_scan(faces, cx.n, cx.minimal_nonface_masks()):
             link_faces = _link_face_masks(faces, a)
             assert _union(link_faces) not in link_faces, (cx, unpack(a))
 

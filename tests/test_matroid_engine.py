@@ -1,0 +1,167 @@
+"""The closed-form matroid path of `t1_table` against the graph engine.
+
+`t1_table` sends a complex that passes the singleton test to the class rule
+(`cotangent._class_dims`) and everything else to the inclusion graph of
+`cotangent._degree_scan`.  Here the class rule meets the graph engine on
+every census matroid, on every U(n, k) with n <= 8, and on seeded partition
+and graphic matroids on 8 and 9 elements, some with loops and coloops.  The
+dispatch guards check that non-matroids compute no singleton degree and no
+circuit family twice, and that the recognition functions keep the graph.
+"""
+
+import collections
+import itertools
+import random
+
+import pytest
+
+from srt1 import complexes, cotangent
+from srt1.complexes import SimplicialComplex, unpack
+from srt1.cotangent import _degree_scan, _isolated_circuits, t1_table
+from srt1.matroids import is_matroid_exchange, uniform
+from srt1.recognition import formula_discrepancies, is_matroid_via_t1
+
+from _census_reps import representatives
+
+SEEDS = range(6)
+
+
+def partition_matroid(seed):
+    """Blocks of a shuffled [n] with capacities; capacity 0 makes loops and a
+    full capacity coloops."""
+    rng = random.Random(seed)
+    n = 8 + seed % 2
+    labels = rng.sample(range(1, n + 1), n)
+    cuts = sorted(rng.sample(range(1, n), 3))
+    blocks = [labels[i:j] for i, j in zip([0] + cuts, cuts + [n])]
+    caps = [rng.randint(0, len(block)) for block in blocks]
+    choices = [itertools.combinations(block, cap) for block, cap in zip(blocks, caps)]
+    facets = [sum(parts, ()) for parts in itertools.product(*choices)]
+    return SimplicialComplex.from_facets(n, facets)
+
+
+def graphic_matroid(seed):
+    """The spanning forests of a seeded multigraph whose n edges are the
+    elements; self-loops are loops and bridges coloops."""
+    rng = random.Random(100 + seed)
+    n = 8 + seed % 2
+    nodes = 5
+    edges = [(rng.randrange(nodes), rng.randrange(nodes)) for _ in range(n)]
+
+    def acyclic(subset):
+        parent = list(range(nodes))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for i in subset:
+            ru, rv = find(edges[i][0]), find(edges[i][1])
+            if ru == rv:
+                return False
+            parent[ru] = rv
+        return True
+
+    forests = [s for r in range(n + 1) for s in itertools.combinations(range(n), r) if acyclic(s)]
+    return SimplicialComplex.from_facets(n, [[i + 1 for i in s] for s in forests])
+
+
+NAMED = (
+    [
+        (f"census-{n}-{i}", cx)
+        for n in range(1, 6)
+        for i, cx in enumerate(representatives(n))
+        if is_matroid_exchange(cx)
+    ]
+    + [(f"U({n},{k})", uniform(n, k)) for n in range(1, 9) for k in range(n + 1)]
+    + [
+        (f"{make.__name__}-{seed}", make(seed))
+        for make in (partition_matroid, graphic_matroid)
+        for seed in SEEDS
+    ]
+)
+MATROIDS = [cx for _, cx in NAMED]
+
+
+def graph_engine_table(cx):
+    """The table from the inclusion graph at every face of every link."""
+    out = {}
+    for a, circuits, dims in _degree_scan(cx.face_masks(), cx.n, cx.minimal_nonface_masks()):
+        A = unpack(a)
+        out.update({(A, unpack(c)): 1 for c in _isolated_circuits(circuits)})
+        out.update({(A, unpack(b)): dim for b, dim in dims if dim})
+    return out
+
+
+def test_matroid_scale():
+    assert len(MATROIDS) == 69 + 44 + 12
+    assert all(is_matroid_exchange(cx) and is_matroid_via_t1(cx) for cx in MATROIDS)
+    # the seeded families reach loops and coloops on 8 and 9 elements
+    seeded = MATROIDS[-12:]
+    assert {cx.n for cx in seeded} == {8, 9}
+    roles = [cx.loops_and_coloops() for cx in seeded]
+    assert any(loops for loops, _ in roles) and any(coloops for _, coloops in roles)
+
+
+@pytest.mark.parametrize("cx", MATROIDS, ids=[name for name, _ in NAMED])
+def test_class_rule_matches_graph_engine(cx):
+    table = {(k.A, k.b): dim for k, dim in t1_table(cx).items()}
+    assert table == graph_engine_table(cx)
+
+
+def test_matroid_table_builds_no_graph_past_singletons(monkeypatch):
+    m = uniform(6, 3)
+    want = graph_engine_table(m)
+    calls = []
+    real = cotangent._dim_on_faces
+    monkeypatch.setattr(
+        cotangent, "_dim_on_faces", lambda faces, b: calls.append(b) or real(faces, b)
+    )
+    assert {(k.A, k.b): d for k, d in t1_table(m).items()} == want
+    assert calls == [1 << i for i in range(m.n)]
+
+
+def _path_edges(n):
+    return [[v, v + 1] for v in range(1, n)]
+
+
+@pytest.mark.parametrize(
+    "n, facets", [(12, _path_edges(12)), (4, [[1, 2], [3, 4]])], ids=["path-12", "two-edges"]
+)
+def test_non_matroid_pays_once(monkeypatch, n, facets):
+    cx = SimplicialComplex.from_facets(n, facets)
+    want = graph_engine_table(SimplicialComplex.from_facets(n, facets))
+    faces = cx.face_masks()
+    dims = collections.Counter()
+    circuits = []
+    real_dim = cotangent._dim_on_faces
+    real_circuits = complexes.minimal_nonface_masks
+
+    def count_dim(face_set, b):
+        if face_set == faces:
+            dims[b] += 1
+        return real_dim(face_set, b)
+
+    def count_circuits(face_set, ground):
+        if face_set == faces:
+            circuits.append(ground)
+        return real_circuits(face_set, ground)
+
+    monkeypatch.setattr(cotangent, "_dim_on_faces", count_dim)
+    monkeypatch.setattr(cotangent, "minimal_nonface_masks", count_circuits)
+    monkeypatch.setattr(complexes, "minimal_nonface_masks", count_circuits)
+    table = t1_table(cx)
+    assert circuits == [n]
+    assert max(dims.values()) == 1
+    assert {b for b in dims if b.bit_count() == 1} == {1 << (v - 1) for v in cx.vertices()}
+    assert {(k.A, k.b): d for k, d in table.items()} == want
+    assert not is_matroid_via_t1(cx)
+
+
+def test_recognition_keeps_the_graph_engine(monkeypatch):
+    # a graph engine one too high at every degree must show, matroid or not
+    real = cotangent._dim_on_faces
+    monkeypatch.setattr(cotangent, "_dim_on_faces", lambda faces, b: real(faces, b) + 1)
+    assert formula_discrepancies(uniform(4, 2))
+    assert not is_matroid_via_t1(uniform(4, 2))
