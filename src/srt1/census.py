@@ -6,11 +6,11 @@ label-equivariant) and runs the full invariant battery on each canonical
 representative.  Ground sizes up to 5 are supported.
 
 `check_complex` builds what the battery reads once per complex: the link and
-the restriction at every vertex set, the circuits of every face's link, the
-rank of every vertex set and, in one pass over the degrees b, N_b, N~_b and
-the deletion of b with its facets.  It returns the reports and whether the
-complex is a matroid; `run_census` keeps the matroids for the cross-complex
-checks.
+the restriction at every vertex set, each caching its faces and circuits (the
+deletion of b is the restriction to the complement of b), the rank of every
+vertex set and, in one pass over the degrees b, N_b and N~_b.  It returns the
+reports and whether the complex is a matroid; `run_census` keeps the matroids
+for the cross-complex checks.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .complexes import (
     SimplicialComplex,
     _ndel,
     maximal_masks,
-    minimal_nonface_masks,
     sort_key,
     submasks,
     unpack,
@@ -31,7 +30,6 @@ from .complexes import (
 from .cotangent import (
     T1Table,
     _bijection_sets,
-    _link_face_masks,
     _marks,
     dim_t1,
     dim_t1_nonface,
@@ -158,21 +156,19 @@ class _Shared:
     """The derived objects of one complex, each built once.
 
     `links` and `restrictions` hold `cx.link_mask(F)` and `cx.restrict(W)`
-    for every vertex set, indexed by its mask; `link_faces` and
-    `link_circuits` hold the face set of each face's link and its minimal
-    nonfaces, keyed by the face, in canonical order (`a_masks`).
+    for every vertex set, indexed by its mask, so the deletion of b is
+    `restrictions[full ^ b]`.  Each is built from the facets of cx and caches
+    its own faces and circuits, so the battery reads those off the link or
+    the deletion.  `a_masks` lists the faces of cx in canonical order.
     """
 
     def __init__(self, cx: SimplicialComplex) -> None:
         n = cx.n
-        faces = cx.face_masks()
         self.cx = cx
         self.tag = _tag(cx)
-        self.a_masks = sorted(faces, key=sort_key)
+        self.a_masks = sorted(cx.face_masks(), key=sort_key)
         self.links = [cx.link_mask(m) for m in range(1 << n)]
         self.restrictions = [cx.restrict(unpack(m)) for m in range(1 << n)]
-        self.link_faces = {a: _link_face_masks(faces, a) for a in self.a_masks}
-        self.link_circuits = {a: minimal_nonface_masks(f, n) for a, f in self.link_faces.items()}
 
 
 def check_complex(cx: SimplicialComplex) -> tuple[dict[str, CensusReport], bool]:
@@ -258,10 +254,12 @@ def check_complex(cx: SimplicialComplex) -> tuple[dict[str, CensusReport], bool]
 
 
 def _check_degrees(rec: _Recorder, s: _Shared, matroid: bool) -> None:
-    """The invariants stated per degree b: one pass builds N_b, N~_b, the
-    deletion of b and its facets, and dim T1 at (0, b) for all of them."""
+    """The invariants stated per degree b: one pass builds N_b, N~_b and
+    dim T1 at (0, b) for all of them, and reads the deletion of b and its
+    facets off `s.restrictions`."""
     cx, tag = s.cx, s.tag
     n = cx.n
+    full = (1 << n) - 1
     faces = cx.face_masks()
     circuits = cx.minimal_nonface_masks()
     shape, minima, equiv, nonface, saturation, extension = [], [], [], [], [], []
@@ -272,8 +270,9 @@ def _check_degrees(rec: _Recorder, s: _Shared, matroid: bool) -> None:
         nvert = _ndel(faces, b)
         nset = set(nvert)
         red = {f for f, m in zip(nvert, _marks(faces, nvert, b)) if m}
-        del_faces = frozenset(f for f in faces if not f & b)
-        del_facets = maximal_masks(del_faces)
+        deletion = s.restrictions[full ^ b]
+        del_faces = deletion.face_masks()
+        del_facets = deletion.facet_masks
         dim = dim_t1(cx, ((), vb))
 
         # N_b shape, minimal elements, and the N~ emptiness equivalence
@@ -306,15 +305,14 @@ def _check_degrees(rec: _Recorder, s: _Shared, matroid: bool) -> None:
                 bound.append((b, f"{tag}: b={vb} dim {dim} > bound {ub}"))
             if matroid and dim > 0 and dim != ub:
                 bound.append((b, f"{tag}: b={vb} matroid dim {dim} != bound {ub}"))
-            link_faces = s.link_faces[b]
-            link_circuits = s.link_circuits[b]
-            del_circuits = set(minimal_nonface_masks(del_faces, n))
-            link_facets = set(maximal_masks(link_faces))
+            link = s.links[b]
+            link_circuits = link.minimal_nonface_masks()
+            del_circuits = set(deletion.minimal_nonface_masks())
             first = sum(1 for c in link_circuits if c in del_faces)
-            second = sum(1 for f in del_facets if f not in link_faces)
+            second = sum(1 for f in del_facets if not link.is_face_mask(f))
             if first != sum(1 for c in link_circuits if c not in del_circuits):
                 bound.append((b, f"{tag}: b={vb} circuit side of the bound restated differs"))
-            if second != sum(1 for f in del_facets if f not in link_facets):
+            if second != sum(1 for f in del_facets if f not in link.facet_masks):
                 bound.append((b, f"{tag}: b={vb} facet side of the bound restated differs"))
         elif dim_t1_nonface(cx, vb) != dim:
             nonface.append(f"{tag}: b={vb}")
@@ -379,12 +377,13 @@ def _check_matroid_parts(rec: _Recorder, s: _Shared) -> None:
     fails = []
     checked = 0
     for a in a_masks:
-        link_faces, link_circuits = s.link_faces[a], s.link_circuits[a]
-        for b in filter(None, sorted(link_faces, key=sort_key)):
+        link = s.links[a]
+        link_circuits = link.minimal_nonface_masks()
+        for b in filter(None, sorted(link.face_masks(), key=sort_key)):
             if any(c & b and b & ~c for c in link_circuits):
                 continue
             checked += 1
-            dom, cod = _bijection_sets(link_faces, link_circuits, n, b)
+            dom, cod = _bijection_sets(link, b)
             if dom != cod:
                 fails.append(f"{tag}: A={unpack(a)} b={unpack(b)}")
     rec.add("bijection-generators", checked, fails)
@@ -553,6 +552,4 @@ def run_census(max_n: int, threads: int = 1) -> list[CensusReport]:
         if matroid:
             matroid_reps[cx.n].append(cx)
     _check_families(rec, matroid_reps)
-    reports = [rec.data.get(name, CensusReport(name)) for name in BATTERY_ORDER]
-    extra = [r for name, r in rec.data.items() if name not in BATTERY_ORDER]
-    return reports + sorted(extra, key=lambda r: r.name)
+    return [rec.data.get(name, CensusReport(name)) for name in BATTERY_ORDER]

@@ -13,6 +13,7 @@ and flagged by `is_void`; most operations reject it.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator
 
 MAX_GROUND = 64
@@ -70,6 +71,26 @@ def _union(masks: Iterable[int]) -> int:
     for m in masks:
         out |= m
     return out
+
+
+def _ground_size(doc: dict) -> int:
+    """The key 'n' of a JSON document, checked to be a nonnegative integer."""
+    if "n" not in doc:
+        raise ValueError("missing key 'n'")
+    n = doc["n"]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValueError("key 'n': must be a nonnegative integer")
+    return n
+
+
+def _faces_of(facets: Iterable[int]) -> frozenset[int]:
+    """Every face of the complex with these facets: all their submasks."""
+    return frozenset(chain.from_iterable(map(submasks, facets)))
+
+
+def _link_facets(facets: Iterable[int], a: int) -> list[int]:
+    """The facets of the link at a: F minus a over the facets F through a."""
+    return [f ^ a for f in facets if f & a == a]
 
 
 def _ndel(faces: frozenset[int], b: int) -> list[int]:
@@ -211,10 +232,7 @@ class SimplicialComplex:
     def face_masks(self) -> frozenset[int]:
         """The set of all faces as bitmasks (cached)."""
         if self._faces is None:
-            acc: set[int] = set()
-            for b in self.facet_masks:
-                acc.update(submasks(b))
-            object.__setattr__(self, "_faces", frozenset(acc))
+            object.__setattr__(self, "_faces", _faces_of(self.facet_masks))
         return self._faces
 
     def faces(self) -> list[tuple[int, ...]]:
@@ -269,8 +287,7 @@ class SimplicialComplex:
     # -- constructions -------------------------------------------------
 
     def link_mask(self, A: int) -> "SimplicialComplex":
-        hits = [b & ~A for b in self.facet_masks if b & A == A]
-        return SimplicialComplex(self.n, hits)
+        return SimplicialComplex(self.n, _link_facets(self.facet_masks, A))
 
     def link(self, F: Iterable[int]) -> "SimplicialComplex":
         """Link of F: all faces G disjoint from F with G u F a face.
@@ -314,11 +331,7 @@ class SimplicialComplex:
         """Parse {"n": ..., "facets": [...]} or {"n": ..., "minimal_nonfaces": [...]}."""
         if not isinstance(doc, dict):
             raise ValueError("complex document must be a JSON object")
-        if "n" not in doc:
-            raise ValueError("missing key 'n'")
-        n = doc["n"]
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise ValueError("key 'n': must be a nonnegative integer")
+        n = _ground_size(doc)
         has_f = "facets" in doc
         has_m = "minimal_nonfaces" in doc
         if has_f and has_m:

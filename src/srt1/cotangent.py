@@ -16,13 +16,15 @@ subtracted (clamped at zero).  Membership in N~_b only needs the maximal
 proper subsets b \\ {v}: monotonicity of the face property makes smaller b'
 redundant, and for |b| = 1 the only subset is the empty set, so N~_b is empty.
 
-The engine runs the graph computation only where it is needed: `_degree_scan`
-visits the nonempty faces b of each link, and the nonface degrees are read
-off the link's circuits.  N_b is an up-set among the faces disjoint from b,
-so its components come from the one-vertex inclusions alone.  A matroid needs
-the graph only at its singleton degrees, which recognise it: by the main
-theorem its whole table is the circuit formula, which `_class_dims` reads off
-each link's circuits.
+Every link is read off the facets: those of link(D, A) are F \\ A over the
+facets F through A, and one materialiser, `complexes._faces_of`, turns facets
+into faces for the complex and its links alike.  The engine runs the graph
+computation only where it is needed: `_degree_scan` visits the nonempty faces
+b of each link, and the nonface degrees are read off the link's circuits.
+N_b is an up-set among the faces disjoint from b, so its components come from
+the one-vertex inclusions alone.  A matroid needs the graph only at its
+singleton degrees, which recognise it: by the main theorem its whole table is
+the circuit formula, which `_class_dims` reads off each link's circuits.
 """
 
 from __future__ import annotations
@@ -33,9 +35,11 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .complexes import (
     SimplicialComplex,
+    _faces_of,
+    _ground_size,
+    _link_facets,
     _ndel,
     _union,
-    maximal_masks,
     minimal_nonface_masks,
     pack,
     sort_key,
@@ -73,11 +77,6 @@ def _as_degree(degree) -> MultiDegree:
 
 # ---------------------------------------------------------------------------
 # mask-level engine
-
-
-def _link_face_masks(faces: frozenset[int], a: int) -> frozenset[int]:
-    """Face set of the link at the face a (empty when a is not a face)."""
-    return frozenset(f ^ a for f in faces if f & a == a)
 
 
 def _isolated_circuits(circuits: list[int]) -> list[int]:
@@ -157,48 +156,51 @@ def _formula_on_link(link_circuits: list[int], b: int) -> int:
     return _less_one_for_singleton(through, b)
 
 
-def _singleton_dims(
-    faces: frozenset[int], circuits: list[int], vertex_mask: int
-) -> Iterator[tuple[int, int, int]]:
+def _singleton_dims(cx: SimplicialComplex) -> Iterator[tuple[int, int, int]]:
     """(b, graph dimension, circuit formula) at each degree (emptyset, {v}),
-    v a vertex, lazily and in vertex order.
+    v a vertex of cx, lazily and in vertex order, from cx's cached faces and
+    circuits.
 
     The two sides agree at every v exactly when the complex is a matroid (the
     recognition corollary).  Loops are not vertices: their only circuit is
     {v}, so both sides are zero there.
     """
-    for v in unpack(vertex_mask):
+    faces, circuits = cx.face_masks(), cx.minimal_nonface_masks()
+    for v in cx.vertices():
         b = 1 << (v - 1)
         yield b, _dim_on_faces(faces, b), _formula_on_link(circuits, b)
 
 
-def _links(
-    faces: frozenset[int], n: int, circuits: list[int]
-) -> Iterator[tuple[int, frozenset[int], list[int]]]:
-    """For each face a whose link L is not a simplex, yields a, the faces
-    of L and the circuits of L; `circuits` are those of the whole complex,
-    the link at a = emptyset, so they are not computed again.
+def _links(cx: SimplicialComplex) -> Iterator[tuple[int, frozenset[int], list[int]]]:
+    """For each face a of cx in more than one facet, yields a, the faces of
+    its link L and the circuits of L.  L's faces come from its facets, F \\ a
+    over the facets F through a; at a = emptyset L is cx itself, whose cached
+    faces and circuits are reused.
 
-    A face whose link is a simplex ({emptyset} when the face is a facet)
-    carries no nonzero degree: F u b is a face for all faces F and b of a
-    simplex, so every N_b is empty and every graph dimension 0, and its
+    A face in exactly one facet F is skipped before any face set is built:
+    its link is the simplex on F \\ a ({emptyset} when the face is a facet),
+    which carries no nonzero degree.  F u b is a face for all faces F and b
+    of a simplex, so every N_b is empty and every graph dimension 0, and its
     circuits are the single vertices outside it, which contain no nonempty
     face b, so the formula is 0 as well and no circuit is isolated with more
     than one vertex.
     """
+    faces = cx.face_masks()
     for a in faces:
-        link_faces = _link_face_masks(faces, a) if a else faces
-        if _union(link_faces) in link_faces:
-            continue
-        yield a, link_faces, (minimal_nonface_masks(link_faces, n) if a else circuits)
+        hits = _link_facets(cx.facet_masks, a)
+        if len(hits) > 1:
+            link_faces = _faces_of(hits) if a else faces
+            circuits = minimal_nonface_masks(link_faces, cx.n) if a else cx.minimal_nonface_masks()
+            yield a, link_faces, circuits
 
 
 def _degree_scan(
-    faces: frozenset[int], n: int, circuits: list[int], known: dict[int, int] | None = None
+    cx: SimplicialComplex, known: dict[int, int] | None = None
 ) -> Iterator[tuple[int, list[int], list[tuple[int, int]]]]:
-    """For each link L of `_links`, yields a, the circuits of L and
-    (b, graph dimension) at each nonempty face b of L.  `known` maps some b
-    to its graph dimension at a = emptyset, which is then not recomputed.
+    """For each link L of cx that `_links` yields, yields a, the circuits of
+    L and (b, graph dimension) at each nonempty face b of L.  `known` maps
+    some b to its graph dimension at a = emptyset, which is then not
+    recomputed.
 
     These are the only degrees that need the inclusion graph.  Outside the
     vanishing range both the graph dimension and the circuit formula are 0.
@@ -210,7 +212,7 @@ def _degree_scan(
     isolated with |b| > 1 and 0 otherwise.  The faces `_links` skips lose no
     degree, as its docstring shows.
     """
-    for a, link_faces, link_circuits in _links(faces, n, circuits):
+    for a, link_faces, link_circuits in _links(cx):
         have = {} if a or known is None else known
         dims = [
             (b, have[b] if b in have else _dim_on_faces(link_faces, b)) for b in link_faces if b
@@ -307,7 +309,7 @@ def inclusion_graph(cx: SimplicialComplex, A: Iterable[int], b: Iterable[int]) -
         raise ValueError("inclusion_graph needs a nonempty b")
     if am & bm:
         raise ValueError("A and b must be disjoint")
-    link_faces = _link_face_masks(cx.face_masks(), am)
+    link_faces = cx.link_mask(am).face_masks()
     nvert = sorted(_ndel(link_faces, bm), key=sort_key)
     marks = _marks(link_faces, nvert, bm)
     comp = _component_ids(nvert)
@@ -330,20 +332,19 @@ def inclusion_graph(cx: SimplicialComplex, A: Iterable[int], b: Iterable[int]) -
 def dim_t1(cx: SimplicialComplex, degree) -> int:
     """dim T1 of cx in the multidegree with supports (A, b).
 
-    Returns 0 outside the vanishing range (A not a face, b empty, or b not
-    within the vertices of link(cx, A)); otherwise counts the unmarked
-    components of the inclusion graph, minus one (clamped) for singleton b.
+    Returns 0 outside the vanishing range (b empty, or b not within the
+    vertices of link(cx, A), which has none when A is a nonface); otherwise
+    counts the unmarked components of the inclusion graph, minus one
+    (clamped) for singleton b.
     """
     cx._require_nonvoid("dim_t1")
     d = _as_degree(degree)
     am = pack(d.A, cx.n)
     bm = pack(d.b, cx.n)
-    if bm == 0 or not cx.is_face_mask(am):
+    hits = _link_facets(cx.facet_masks, am)
+    if bm == 0 or bm & ~_union(hits):
         return 0
-    link_faces = _link_face_masks(cx.face_masks(), am)
-    if bm & ~_union(link_faces):
-        return 0
-    return _dim_on_faces(link_faces, bm)
+    return _dim_on_faces(_faces_of(hits), bm)
 
 
 def dim_t1_nonface(cx: SimplicialComplex, b: Iterable[int]) -> int:
@@ -373,8 +374,7 @@ def dim_t1_matroid_formula(cx: SimplicialComplex, degree) -> int:
     bm = pack(d.b, cx.n)
     if bm == 0 or not cx.is_face_mask(am):
         return 0
-    link_faces = _link_face_masks(cx.face_masks(), am)
-    return _formula_on_link(minimal_nonface_masks(link_faces, cx.n), bm)
+    return _formula_on_link(cx.link_mask(am).minimal_nonface_masks(), bm)
 
 
 def t1_upper_bound(cx: SimplicialComplex, b: Iterable[int]) -> int:
@@ -390,14 +390,10 @@ def t1_upper_bound(cx: SimplicialComplex, b: Iterable[int]) -> int:
         raise ValueError("t1_upper_bound needs a nonempty b")
     if not cx.is_face_mask(bm):
         raise ValueError(f"b {unpack(bm)} must be a face")
-    faces = cx.face_masks()
-    link_faces = _link_face_masks(faces, bm)
-    del_faces = frozenset(f for f in faces if not f & bm)
-    link_circuits = minimal_nonface_masks(link_faces, cx.n)
-    del_facets = maximal_masks(del_faces)
-
-    first = sum(1 for c in link_circuits if c in del_faces)
-    second = sum(1 for f in del_facets if f not in link_faces)
+    link = cx.link_mask(bm)
+    deletion = cx.delete(unpack(bm))
+    first = sum(1 for c in link.minimal_nonface_masks() if deletion.is_face_mask(c))
+    second = sum(1 for f in deletion.facet_masks if not link.is_face_mask(f))
     return _less_one_for_singleton(min(first, second), bm)
 
 
@@ -417,8 +413,7 @@ class T1Table:
         norm: dict[MultiDegree, int] = {}
         for key, dim in items:
             d = _as_degree(key)
-            if not all(1 <= v <= n for v in d.A + d.b):
-                raise ValueError(f"entry {d}: vertex out of range 1..{n}")
+            pack(d.A + d.b, n)  # VertexRangeError unless each vertex is an integer in 1..n
             if not d.b:
                 raise ValueError(f"entry {d}: b must be nonempty")
             if not isinstance(dim, int) or isinstance(dim, bool) or dim <= 0:
@@ -482,8 +477,7 @@ class T1Table:
     def from_json_dict(cls, doc: dict) -> "T1Table":
         if not isinstance(doc, dict):
             raise ValueError("table document must be a JSON object")
-        if "n" not in doc:
-            raise ValueError("missing key 'n'")
+        n = _ground_size(doc)
         if "entries" not in doc:
             raise ValueError("missing key 'entries'")
         entries = doc["entries"]
@@ -499,13 +493,14 @@ class T1Table:
             if not isinstance(e["A"], list) or not isinstance(e["b"], list):
                 raise ValueError(f"key 'entries[{i}]': A and b must be lists")
             try:
+                pack(e["A"] + e["b"], n)
                 pairs.append((MultiDegree.make(e["A"], e["b"]), e["dim"]))
             except ValueError as exc:
-                raise ValueError(f"key 'entries[{i}]': {exc}") from exc
+                raise type(exc)(f"key 'entries[{i}]': {exc}") from exc
         try:
-            return cls(doc["n"], pairs)
+            return cls(n, pairs)
         except ValueError as exc:
-            raise ValueError(f"key 'entries': {exc}") from exc
+            raise type(exc)(f"key 'entries': {exc}") from exc
 
     def to_tsv(self) -> str:
         lines = ["A\tb\tdim"]
@@ -541,16 +536,14 @@ def t1_table(cx: SimplicialComplex, threads: int = 1) -> T1Table:
     for compatibility and changes nothing.
     """
     cx._require_nonvoid("t1_table")
-    faces = cx.face_masks()
-    circuits = cx.minimal_nonface_masks()
-    singles = list(_singleton_dims(faces, circuits, cx.vertex_mask))
+    singles = list(_singleton_dims(cx))
     if all(graph == formula for _, graph, formula in singles):
         scan = (
             (a, link_circuits, _class_dims(link_faces, link_circuits))
-            for a, link_faces, link_circuits in _links(faces, cx.n, circuits)
+            for a, link_faces, link_circuits in _links(cx)
         )
     else:
-        scan = _degree_scan(faces, cx.n, circuits, {b: graph for b, graph, _ in singles})
+        scan = _degree_scan(cx, {b: graph for b, graph, _ in singles})
     rows = []
     for a, link_circuits, dims in scan:
         A = unpack(a)
@@ -559,15 +552,12 @@ def t1_table(cx: SimplicialComplex, threads: int = 1) -> T1Table:
     return T1Table(cx.n, rows)
 
 
-def _bijection_sets(
-    link_faces: frozenset[int], link_circuits: list[int], n: int, bm: int
-) -> tuple[set[int], set[int]]:
-    """Image of C |-> C \\ b over the link circuits through b, and the codomain."""
-    domain_image = {c ^ bm for c in link_circuits if bm & ~c == 0}
-    sub_link = _link_face_masks(link_faces, bm)
-    sub_del = frozenset(f for f in link_faces if not f & bm)
-    codomain = set(minimal_nonface_masks(sub_link, n)) - set(minimal_nonface_masks(sub_del, n))
-    return domain_image, codomain
+def _bijection_sets(link: SimplicialComplex, bm: int) -> tuple[set[int], set[int]]:
+    """Image of C |-> C \\ b over the circuits of link through b, and the codomain."""
+    domain_image = {c ^ bm for c in link.minimal_nonface_masks() if bm & ~c == 0}
+    sub_link = link.link_mask(bm).minimal_nonface_masks()
+    sub_del = link.delete(unpack(bm)).minimal_nonface_masks()
+    return domain_image, set(sub_link) - set(sub_del)
 
 
 def bijection_check(cx: SimplicialComplex, A: Iterable[int], b: Iterable[int]) -> bool:
@@ -584,12 +574,11 @@ def bijection_check(cx: SimplicialComplex, A: Iterable[int], b: Iterable[int]) -
         raise ValueError("A must be a face")
     if am & bm:
         raise ValueError("A and b must be disjoint")
-    link_faces = _link_face_masks(cx.face_masks(), am)
-    if bm not in link_faces:
+    link = cx.link_mask(am)
+    if not link.is_face_mask(bm):
         raise ValueError("b must be a face of link(cx, A)")
-    circuits = minimal_nonface_masks(link_faces, cx.n)
-    for c in circuits:
+    for c in link.minimal_nonface_masks():
         if c & bm and bm & ~c:
             raise ValueError("b must be contained in or disjoint from every circuit of the link")
-    domain_image, codomain = _bijection_sets(link_faces, circuits, cx.n, bm)
+    domain_image, codomain = _bijection_sets(link, bm)
     return domain_image == codomain

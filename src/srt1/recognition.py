@@ -23,8 +23,7 @@ class Discrepancy(NamedTuple):
 def _first_singleton_discrepancy(cx: SimplicialComplex) -> Discrepancy | None:
     """The first degree (0, {v}) where graph dimension and circuit count differ."""
     cx._require_nonvoid("is_matroid_via_t1")
-    singles = _singleton_dims(cx.face_masks(), cx.minimal_nonface_masks(), cx.vertex_mask)
-    for b, graph_dim, formula_dim in singles:
+    for b, graph_dim, formula_dim in _singleton_dims(cx):
         if graph_dim != formula_dim:
             return Discrepancy(MultiDegree((), unpack(b)), graph_dim, formula_dim)
     return None
@@ -44,7 +43,7 @@ def formula_discrepancies(cx: SimplicialComplex) -> list[Discrepancy]:
     """
     cx._require_nonvoid("formula_discrepancies")
     out = []
-    for a, link_circuits, dims in _degree_scan(cx.face_masks(), cx.n, cx.minimal_nonface_masks()):
+    for a, link_circuits, dims in _degree_scan(cx):
         for b, graph_dim in dims:
             formula_dim = _formula_on_link(link_circuits, b)
             if graph_dim != formula_dim:

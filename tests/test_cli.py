@@ -256,6 +256,29 @@ def test_complex_parse_error_keeps_its_kind(capsys, tmp_path, doc, message):
     assert capsys.readouterr().err == f"error [VertexRange]: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"A": ["x"], "b": [1], "dim": 1}, "key 'entries[0]': vertex 'x' is not an integer"),
+        ({"A": [], "b": [[1], 2], "dim": 1}, "key 'entries[0]': vertex [1] is not an integer"),
+        ({"A": [], "b": [4], "dim": 1}, "key 'entries[0]': vertex 4 out of range 1..3"),
+    ],
+    ids=["string", "list", "range"],
+)
+def test_table_vertex_error_keeps_its_kind(capsys, tmp_path, entry, message):
+    p = tmp_path / "table.json"
+    p.write_text(json.dumps({"n": 3, "entries": [entry]}))
+    assert cli.main(["reconstruct", str(p)]) == 1
+    assert capsys.readouterr().err == f"error [VertexRange]: {message}\n"
+
+
+def test_table_bad_n_names_key_n(capsys, tmp_path):
+    p = tmp_path / "table.json"
+    p.write_text(json.dumps({"n": -1, "entries": []}))
+    assert cli.main(["reconstruct", str(p)]) == 1
+    assert capsys.readouterr().err == "error: key 'n': must be a nonnegative integer\n"
+
+
 def test_degree_error_exit_1(capsys, u32):
     assert cli.main(["t1", u32, "--degree", "1;1"]) == 1
     assert "overlap" in capsys.readouterr().err

@@ -3,13 +3,14 @@ import pickle
 
 import pytest
 
-from srt1.complexes import SimplicialComplex, VoidComplexError, _union, unpack
+from srt1 import cotangent
+from srt1.complexes import SimplicialComplex, VertexRangeError, VoidComplexError, _union, unpack
 from srt1.cotangent import (
     InclusionGraph,
     MultiDegree,
     T1Table,
     _degree_scan,
-    _link_face_masks,
+    _links,
     bijection_check,
     circuits_containing,
     dim_t1,
@@ -338,20 +339,35 @@ def test_t1_table_agrees_with_dim_t1():
         assert t.dim(d) == dim_t1(cx, d), d
 
 
-def test_degree_scan_skips_simplex_links():
+def test_degree_scan_skips_simplex_links(monkeypatch):
     # T1 of a simplex vanishes in every degree, so a face whose link is a
     # simplex, a facet or a leaf of a path say, is never scanned
     path = SimplicialComplex.from_facets(4, [[1, 2], [2, 3], [3, 4]])
-    assert sorted(unpack(a) for a, _, _ in _degree_scan(path.face_masks(), 4, path.minimal_nonface_masks())) == [
+    assert sorted(unpack(a) for a, _, _ in _degree_scan(path)) == [
         (),
         (2,),
         (3,),
     ]
     for cx in (cx for n in range(1, 5) for cx in representatives(n)):
-        faces = cx.face_masks()
-        for a, _, _ in _degree_scan(faces, cx.n, cx.minimal_nonface_masks()):
-            link_faces = _link_face_masks(faces, a)
+        for a, _, _ in _degree_scan(cx):
+            link_faces = cx.link_mask(a).face_masks()
             assert _union(link_faces) not in link_faces, (cx, unpack(a))
+
+    # the link is a simplex exactly when one facet contains the face, and
+    # `_links` skips such a face before materialising any face set
+    built = []
+    real = cotangent._faces_of
+    monkeypatch.setattr(cotangent, "_faces_of", lambda facets: built.append(facets) or real(facets))
+    path12 = SimplicialComplex.from_facets(12, [[v, v + 1] for v in range(1, 12)])
+    for cx in (path12, uniform(6, 3)):
+        faces = cx.face_masks()
+        built.clear()
+        kept = {a for a, _, _ in _links(cx)}
+        assert kept == {a for a in faces if sum(f & a == a for f in cx.facet_masks) > 1}
+        assert sorted(map(sorted, built)) == sorted(
+            sorted(cx.link_mask(a).facet_masks) for a in kept if a
+        )
+    assert {unpack(a) for a, _, _ in _links(path12)} == {()} | {(v,) for v in range(2, 12)}
 
 
 def test_t1_table_threads_deterministic():
@@ -378,8 +394,13 @@ def test_t1_table_validation():
         T1Table(3, [(((), (1,)), 0)])
     with pytest.raises(ValueError, match="nonempty"):
         T1Table(3, [(((1,), ()), 1)])
-    with pytest.raises(ValueError, match="range"):
+    with pytest.raises(VertexRangeError, match="range"):
         T1Table(3, [(((), (4,)), 1)])
+    # vertices follow `pack`: integers, not bools, in 1..n
+    with pytest.raises(VertexRangeError, match="not an integer"):
+        T1Table(3, [(((), (1.0, 2)), 1)])
+    with pytest.raises(VertexRangeError, match="not an integer"):
+        T1Table(3, [(((), (True,)), 1)])
     with pytest.raises(ValueError):
         T1Table(-1, [])
 

@@ -87,7 +87,7 @@ MATROIDS = [cx for _, cx in NAMED]
 def graph_engine_table(cx):
     """The table from the inclusion graph at every face of every link."""
     out = {}
-    for a, circuits, dims in _degree_scan(cx.face_masks(), cx.n, cx.minimal_nonface_masks()):
+    for a, circuits, dims in _degree_scan(cx):
         A = unpack(a)
         out.update({(A, unpack(c)): 1 for c in _isolated_circuits(circuits)})
         out.update({(A, unpack(b)): dim for b, dim in dims if dim})
