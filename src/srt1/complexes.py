@@ -109,7 +109,13 @@ def maximal_masks(masks: Iterable[int]) -> list[int]:
 
 
 def minimal_nonface_masks(face_set: frozenset[int] | set[int], n: int) -> list[int]:
-    """Minimal nonfaces of a downward-closed face family, as bitmasks.
+    """Minimal nonfaces of a downward-closed face family, as canonically
+    sorted bitmasks."""
+    return sorted(_minimal_nonfaces(face_set, n), key=sort_key)
+
+
+def _minimal_nonfaces(face_set: frozenset[int] | set[int], n: int) -> list[int]:
+    """Minimal nonfaces of a downward-closed face family, in no particular order.
 
     A minimal nonface C of size > 1 minus its highest vertex v is a face F
     with v above every vertex of F, so each C is generated exactly once as
@@ -138,7 +144,7 @@ def minimal_nonface_masks(face_set: frozenset[int] | set[int], n: int) -> list[i
                     break
             else:
                 found.append(c)
-    return sorted(found, key=sort_key)
+    return found
 
 
 class SimplicialComplex:
@@ -148,7 +154,7 @@ class SimplicialComplex:
     encodes {emptyset}.  Instances are immutable by convention and hashable.
     """
 
-    __slots__ = ("n", "facet_masks", "_faces", "_mnf")
+    __slots__ = ("n", "facet_masks", "_faces", "_mnf", "_matroid")
 
     def __init__(self, n: int, facet_masks: Iterable[int]):
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
@@ -164,6 +170,7 @@ class SimplicialComplex:
         object.__setattr__(self, "facet_masks", tuple(maximal_masks(masks)))
         object.__setattr__(self, "_faces", None)
         object.__setattr__(self, "_mnf", None)
+        object.__setattr__(self, "_matroid", None)  # exchange-test verdict, set by matroids
 
     def __setattr__(self, name, value):
         raise AttributeError("SimplicialComplex is immutable")

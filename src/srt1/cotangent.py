@@ -38,9 +38,9 @@ from .complexes import (
     _faces_of,
     _ground_size,
     _link_facets,
+    _minimal_nonfaces,
     _ndel,
     _union,
-    minimal_nonface_masks,
     pack,
     sort_key,
     submasks,
@@ -173,9 +173,11 @@ def _singleton_dims(cx: SimplicialComplex) -> Iterator[tuple[int, int, int]]:
 
 def _links(cx: SimplicialComplex) -> Iterator[tuple[int, frozenset[int], list[int]]]:
     """For each face a of cx in more than one facet, yields a, the faces of
-    its link L and the circuits of L.  L's faces come from its facets, F \\ a
-    over the facets F through a; at a = emptyset L is cx itself, whose cached
-    faces and circuits are reused.
+    its link L and the circuits of L, in no particular order.  L's faces come
+    from its facets, F \\ a over the facets F through a, which one pass over
+    the submasks of each facet F lists for every face a at once: the cost is
+    the (face, facet) incidences, not faces x facets.  At a = emptyset L is
+    cx itself, whose cached faces and circuits are reused.
 
     A face in exactly one facet F is skipped before any face set is built:
     its link is the simplex on F \\ a ({emptyset} when the face is a facet),
@@ -185,13 +187,17 @@ def _links(cx: SimplicialComplex) -> Iterator[tuple[int, frozenset[int], list[in
     face b, so the formula is 0 as well and no circuit is isolated with more
     than one vertex.
     """
-    faces = cx.face_masks()
-    for a in faces:
-        hits = _link_facets(cx.facet_masks, a)
+    through: dict[int, list[int]] = {}
+    for f in cx.facet_masks:
+        for a in submasks(f):
+            through.setdefault(a, []).append(f ^ a)
+    for a, hits in through.items():
         if len(hits) > 1:
-            link_faces = _faces_of(hits) if a else faces
-            circuits = minimal_nonface_masks(link_faces, cx.n) if a else cx.minimal_nonface_masks()
-            yield a, link_faces, circuits
+            if a:
+                link_faces = _faces_of(hits)
+                yield a, link_faces, _minimal_nonfaces(link_faces, cx.n)
+            else:
+                yield a, cx.face_masks(), cx.minimal_nonface_masks()
 
 
 def _degree_scan(
@@ -397,11 +403,25 @@ def t1_upper_bound(cx: SimplicialComplex, b: Iterable[int]) -> int:
     return _less_one_for_singleton(min(first, second), bm)
 
 
+def _add_entry(norm: dict[MultiDegree, int], d: MultiDegree, dim) -> None:
+    """Stores dim at d in norm, after the checks on a table entry that follow
+    its vertices: b nonempty, dim a positive integer, d not yet stored."""
+    if not d.b:
+        raise ValueError(f"entry {d}: b must be nonempty")
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim <= 0:
+        raise ValueError(f"entry {d}: dimension must be a positive integer")
+    if d in norm:
+        raise ValueError(f"entry {d}: duplicate degree")
+    norm[d] = dim
+
+
 class T1Table:
     """Finite map from support pairs to positive T1 dimensions.
 
     Only nonzero dimensions are stored; lookups outside the stored support
     classes return 0.  Keys are kept in canonical (A then b, size-lex) order.
+    `T1Table(n, entries)` and `from_json_dict` check every entry; the tables
+    the library builds itself go through `_from_valid`, which checks none.
     """
 
     __slots__ = ("n", "_entries")
@@ -414,17 +434,21 @@ class T1Table:
         for key, dim in items:
             d = _as_degree(key)
             pack(d.A + d.b, n)  # VertexRangeError unless each vertex is an integer in 1..n
-            if not d.b:
-                raise ValueError(f"entry {d}: b must be nonempty")
-            if not isinstance(dim, int) or isinstance(dim, bool) or dim <= 0:
-                raise ValueError(f"entry {d}: dimension must be a positive integer")
-            if d in norm:
-                raise ValueError(f"entry {d}: duplicate degree")
-            norm[d] = dim
+            _add_entry(norm, d, dim)
+        self._fill(n, norm.items())
+
+    @classmethod
+    def _from_valid(cls, n: int, rows: Iterable[tuple[MultiDegree, int]]) -> "T1Table":
+        """The table of rows that already pass every check of `__init__`:
+        normalised MultiDegrees with disjoint A and b in 1..n, b nonempty,
+        positive dimensions, no degree twice.  Sorts them and checks nothing."""
+        t = object.__new__(cls)
+        t._fill(n, rows)
+        return t
+
+    def _fill(self, n: int, rows: Iterable[tuple[MultiDegree, int]]) -> None:
         object.__setattr__(self, "n", n)
-        object.__setattr__(
-            self, "_entries", dict(sorted(norm.items(), key=lambda kv: kv[0].key()))
-        )
+        object.__setattr__(self, "_entries", dict(sorted(rows, key=lambda kv: kv[0].key())))
 
     def __setattr__(self, name, value):
         raise AttributeError("T1Table is immutable")
@@ -497,10 +521,15 @@ class T1Table:
                 pairs.append((MultiDegree.make(e["A"], e["b"]), e["dim"]))
             except ValueError as exc:
                 raise type(exc)(f"key 'entries[{i}]': {exc}") from exc
+        # the remaining checks follow every entry's vertex check, so that a
+        # document with faults of both kinds still reports its vertex fault
+        norm: dict[MultiDegree, int] = {}
         try:
-            return cls(n, pairs)
+            for d, dim in pairs:
+                _add_entry(norm, d, dim)
         except ValueError as exc:
             raise type(exc)(f"key 'entries': {exc}") from exc
+        return cls._from_valid(n, norm.items())
 
     def to_tsv(self) -> str:
         lines = ["A\tb\tdim"]
@@ -525,8 +554,9 @@ def t1_table(cx: SimplicialComplex, threads: int = 1) -> T1Table:
       degree; a tame b lies in exactly the circuits its vertices share, so
       the formula is positive only on the subsets of one class of vertices
       with equal circuits, and the one nonface among them is the class
-      itself when it is an isolated circuit.  The cost follows faces x link
-      vertices x link circuits, with no N_b built.
+      itself when it is an isolated circuit.  The cost follows the (face,
+      facet) incidences plus faces x link vertices x link circuits, with no
+      N_b built.
     * any other complex takes the inclusion graph of `_degree_scan` at every
       face of each link, reusing the complex's circuits and the singleton
       graph dimensions.  The cost follows faces x link faces.
@@ -538,18 +568,31 @@ def t1_table(cx: SimplicialComplex, threads: int = 1) -> T1Table:
     cx._require_nonvoid("t1_table")
     singles = list(_singleton_dims(cx))
     if all(graph == formula for _, graph, formula in singles):
-        scan = (
+        return _matroid_table(cx)
+    return _table_of(cx, _degree_scan(cx, {b: graph for b, graph, _ in singles}))
+
+
+def _matroid_table(cx: SimplicialComplex) -> T1Table:
+    """The matroid branch of `t1_table`, for a cx already known to be a matroid."""
+    return _table_of(
+        cx,
+        (
             (a, link_circuits, _class_dims(link_faces, link_circuits))
             for a, link_faces, link_circuits in _links(cx)
-        )
-    else:
-        scan = _degree_scan(cx, {b: graph for b, graph, _ in singles})
+        ),
+    )
+
+
+def _table_of(
+    cx: SimplicialComplex, scan: Iterable[tuple[int, list[int], list[tuple[int, int]]]]
+) -> T1Table:
+    """The table of cx from (a, link circuits, (b, dim) at link faces) per link."""
     rows = []
     for a, link_circuits, dims in scan:
         A = unpack(a)
         rows += [(MultiDegree(A, unpack(c)), 1) for c in _isolated_circuits(link_circuits)]
         rows += [(MultiDegree(A, unpack(b)), dim) for b, dim in dims if dim]
-    return T1Table(cx.n, rows)
+    return T1Table._from_valid(cx.n, rows)
 
 
 def _bijection_sets(link: SimplicialComplex, bm: int) -> tuple[set[int], set[int]]:

@@ -29,9 +29,17 @@ def is_matroid_exchange(cx: SimplicialComplex) -> bool:
     """Independence-exchange test.
 
     Checks that for faces J, I with |I| = |J| + 1 there is v in I \\ J with
-    J u {v} a face; the general unequal-size axiom reduces to this case.
+    J u {v} a face; the general unequal-size axiom reduces to this case.  The
+    verdict is cached on cx, so the matroid-only operations that call
+    `require_matroid` on every call run the test once per complex.
     """
     cx._require_nonvoid("matroid test")
+    if cx._matroid is None:
+        object.__setattr__(cx, "_matroid", _exchange_holds(cx))
+    return cx._matroid
+
+
+def _exchange_holds(cx: SimplicialComplex) -> bool:
     by_size: dict[int, list[int]] = defaultdict(list)
     for f in cx.face_masks():
         by_size[f.bit_count()].append(f)

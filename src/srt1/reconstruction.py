@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .complexes import SimplicialComplex
-from .cotangent import MultiDegree, T1Table, t1_table
+from .complexes import SimplicialComplex, pack, unpack
+from .cotangent import MultiDegree, T1Table, _matroid_table
 from . import matroids
 
 
@@ -36,18 +36,16 @@ def slice_link_table(t: T1Table, F: Iterable[int]) -> T1Table:
     """The table of the link at F, read off from the table of the complex.
 
     Keeps the entries whose A-support contains F, with F removed from the
-    A-side.
+    A-side.  Raises VertexRangeError unless each vertex of F is an integer
+    in 1..n.
     """
-    f_set = frozenset(F)
-    if not all(1 <= v <= t.n for v in f_set):
-        raise ValueError(f"F must lie within 1..{t.n}")
-    out = []
-    for key, dim in t.items():
-        a_set = set(key.A)
-        if not f_set <= a_set:
-            continue
-        out.append((MultiDegree.make(a_set - f_set, key.b), dim))
-    return T1Table(t.n, out)
+    f_set = frozenset(unpack(pack(F, t.n)))
+    out = [
+        (MultiDegree(tuple(v for v in key.A if v not in f_set), key.b), dim)
+        for key, dim in t.items()
+        if f_set.issubset(key.A)
+    ]
+    return T1Table._from_valid(t.n, out)
 
 
 def classify_loops_coloops(t: T1Table) -> dict[int, str]:
@@ -138,8 +136,9 @@ def reconstruct(t: T1Table) -> SimplicialComplex:
     roles = classify_loops_coloops(t)
     ordinary = tuple(v for v in range(1, t.n + 1) if roles[v] == "ordinary")
     coloops = tuple(v for v in range(1, t.n + 1) if roles[v] == "coloop")
-    core = T1Table(
-        t.n, [(key, dim) for key, dim in t.items() if not set(key.A) & set(coloops)]
+    coloop_set = set(coloops)
+    core = T1Table._from_valid(
+        t.n, [(key, dim) for key, dim in t.items() if coloop_set.isdisjoint(key.A)]
     )
     if len(core) == 0:
         raise NotAMatroidTableError("no entry survives removing coloop support")
@@ -151,11 +150,13 @@ def reconstruct(t: T1Table) -> SimplicialComplex:
     bases: set[frozenset[int]] = set()
     for F, entries in links.items():
         rest = tuple(v for v in ordinary if v not in F)
-        for v in reconstruct_rank_one(T1Table(t.n, entries), rest):
+        for v in reconstruct_rank_one(T1Table._from_valid(t.n, entries), rest):
             bases.add(frozenset(F) | {v})
-    candidate = SimplicialComplex.from_facets(t.n, [b | set(coloops) for b in bases])
+    candidate = SimplicialComplex.from_facets(t.n, [b | coloop_set for b in bases])
     if not matroids.is_matroid_exchange(candidate):
         raise NotAMatroidTableError("recovered facets do not satisfy the exchange axiom")
-    if t1_table(candidate) != t:
+    # the exchange test has just proved candidate a matroid, so its table is
+    # the matroid branch of t1_table, without the singleton test
+    if _matroid_table(candidate) != t:
         raise NotAMatroidTableError("recovered matroid does not reproduce the table")
     return candidate

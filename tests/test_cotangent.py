@@ -3,7 +3,7 @@ import pickle
 
 import pytest
 
-from srt1 import cotangent
+from srt1 import cotangent, matroids
 from srt1.complexes import SimplicialComplex, VertexRangeError, VoidComplexError, _union, unpack
 from srt1.cotangent import (
     InclusionGraph,
@@ -262,6 +262,25 @@ def test_matroid_formula_rejects_nonmatroid():
         dim_t1_matroid_formula(REMARK, ((), (1,)))
 
 
+def test_exchange_test_runs_once_per_complex(monkeypatch):
+    runs = []
+    real = matroids._exchange_holds
+    monkeypatch.setattr(matroids, "_exchange_holds", lambda cx: runs.append(cx) or real(cx))
+    m = uniform(5, 2)
+    for d in all_degrees(5):
+        dim_t1_matroid_formula(m, d)
+    assert bijection_check(m, [1], [2])
+    assert runs == [m]
+    # the cached verdict raises the same error on every call
+    two_edges = SimplicialComplex.from_facets(4, [[1, 2], [3, 4]])
+    for _ in range(2):
+        with pytest.raises(NotAMatroidError, match="dim_t1_matroid_formula requires a matroid"):
+            dim_t1_matroid_formula(two_edges, ((), (1,)))
+        with pytest.raises(NotAMatroidError, match="bijection_check requires a matroid"):
+            bijection_check(two_edges, [], [4])
+    assert runs == [m, two_edges]
+
+
 def test_matroid_formula_agrees_with_graph_on_uniforms():
     for n, k in [(3, 1), (3, 2), (4, 2), (4, 3), (5, 2)]:
         m = uniform(n, k)
@@ -370,6 +389,21 @@ def test_degree_scan_skips_simplex_links(monkeypatch):
     assert {unpack(a) for a, _, _ in _links(path12)} == {()} | {(v,) for v in range(2, 12)}
 
 
+def test_links_match_the_definition():
+    # each face in two or more facets exactly once, with its link's faces and circuits
+    for cx in (cx for n in range(1, 6) for cx in representatives(n)):
+        got = list(_links(cx))
+        kept = [a for a, _, _ in got]
+        assert len(kept) == len(set(kept)), cx
+        assert set(kept) == {
+            a for a in cx.face_masks() if sum(f & a == a for f in cx.facet_masks) >= 2
+        }, cx
+        for a, link_faces, circuits in got:
+            link = cx.link_mask(a)
+            assert link_faces == link.face_masks(), (cx, unpack(a))
+            assert set(circuits) == set(link.minimal_nonface_masks()), (cx, unpack(a))
+
+
 def test_t1_table_threads_deterministic():
     cx = uniform(7, 3)  # 64 faces; threads is accepted and changes nothing
     assert t1_table(cx, threads=2) == t1_table(cx, threads=1)
@@ -422,6 +456,39 @@ def test_t1_table_json_roundtrip():
             {"n": 3, "entries": [{"A": [], "b": [1], "dim": 1},
                                  {"A": [2], "b": [2], "dim": 1}]}
         )
+
+
+def test_t1_table_json_entry_faults():
+    # the checks that follow an entry's vertices, with the messages they have always had
+    def doc(*entries):
+        return {"n": 3, "entries": list(entries)}
+
+    cases = [
+        (
+            doc({"A": [], "b": [1, 2], "dim": 1}, {"A": [], "b": [2, 1], "dim": 2}),
+            "key 'entries': entry MultiDegree(A=(), b=(1, 2)): duplicate degree",
+        ),
+        (
+            doc({"A": [], "b": [1], "dim": 0}),
+            "key 'entries': entry MultiDegree(A=(), b=(1,)): dimension must be a positive integer",
+        ),
+        (
+            doc({"A": [], "b": [1], "dim": True}),
+            "key 'entries': entry MultiDegree(A=(), b=(1,)): dimension must be a positive integer",
+        ),
+        (
+            doc({"A": [1], "b": [], "dim": 1}),
+            "key 'entries': entry MultiDegree(A=(1,), b=()): b must be nonempty",
+        ),
+    ]
+    for bad, message in cases:
+        with pytest.raises(ValueError) as info:
+            T1Table.from_json_dict(bad)
+        assert type(info.value) is ValueError
+        assert str(info.value) == message
+    # a vertex fault in a later entry is reported before a dimension fault in an earlier one
+    with pytest.raises(VertexRangeError, match="entries\\[1\\]"):
+        T1Table.from_json_dict(doc({"A": [], "b": [1], "dim": 0}, {"A": [], "b": [4], "dim": 1}))
 
 
 def test_t1_table_tsv():

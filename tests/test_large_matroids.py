@@ -1,9 +1,9 @@
 """U(12, 6), a matroid with 2510 faces, past the graph engine's reach.
 
 The closed-form matroid path of `t1_table` takes its table from the circuits
-of each link, so the table and the `reconstruct` round trip, which recomputes
-the table to verify it, take about a second each; the 10 s bound is
-deliberately loose.
+of each link.  On a 2-vCPU host the table takes about 0.55 s, the
+`reconstruct` round trip, which recomputes the table to verify it, about
+0.9 s, and the whole test about 2 s; the 10 s bound is deliberately loose.
 """
 
 import random
@@ -24,7 +24,7 @@ def test_uniform_12_6_round_trip():
     assert reconstruct(table) == m
 
     # a few stored entries and a few absent degrees against the formula,
-    # which checks the exchange axiom on every call
+    # whose exchange test runs on the first call only: m caches the verdict
     rng = random.Random(12)
     sampled = rng.sample(sorted(table.keys(), key=lambda d: d.key()), 4)
     absent = [((1, 2), (3, 4)), ((1, 2, 3, 4, 5, 6), (7,)), ((), (1, 2, 3, 4, 5, 6, 7))]

@@ -7,6 +7,8 @@ every census matroid, on every U(n, k) with n <= 8, and on seeded partition
 and graphic matroids on 8 and 9 elements, some with loops and coloops.  The
 dispatch guards check that non-matroids compute no singleton degree and no
 circuit family twice, and that the recognition functions keep the graph.
+`t1_table` builds its table without the entry checks, so the checking
+constructors are run on what it builds, matroid or not.
 """
 
 import collections
@@ -17,7 +19,7 @@ import pytest
 
 from srt1 import complexes, cotangent
 from srt1.complexes import SimplicialComplex, unpack
-from srt1.cotangent import _degree_scan, _isolated_circuits, t1_table
+from srt1.cotangent import T1Table, _degree_scan, _isolated_circuits, t1_table
 from srt1.matroids import is_matroid_exchange, uniform
 from srt1.recognition import formula_discrepancies, is_matroid_via_t1
 
@@ -110,6 +112,21 @@ def test_class_rule_matches_graph_engine(cx):
     assert table == graph_engine_table(cx)
 
 
+VALID_TABLE_CASES = (
+    [cx for n in range(1, 6) for cx in representatives(n)]
+    + [uniform(9, 4), uniform(10, 5), partition_matroid(1), graphic_matroid(1)]
+)
+
+
+def test_engine_builds_only_valid_tables():
+    # `t1_table` skips the entry checks; the checking constructors accept its output
+    assert {cx.n for cx in VALID_TABLE_CASES[-2:]} == {9}
+    for cx in VALID_TABLE_CASES:
+        t = t1_table(cx)
+        assert T1Table(t.n, list(t.items())) == t, cx
+        assert T1Table.from_json_dict(t.to_json_dict()) == t, cx
+
+
 def test_matroid_table_builds_no_graph_past_singletons(monkeypatch):
     m = uniform(6, 3)
     want = graph_engine_table(m)
@@ -136,7 +153,7 @@ def test_non_matroid_pays_once(monkeypatch, n, facets):
     dims = collections.Counter()
     circuits = []
     real_dim = cotangent._dim_on_faces
-    real_circuits = complexes.minimal_nonface_masks
+    real_circuits = complexes._minimal_nonfaces
 
     def count_dim(face_set, b):
         if face_set == faces:
@@ -149,8 +166,8 @@ def test_non_matroid_pays_once(monkeypatch, n, facets):
         return real_circuits(face_set, ground)
 
     monkeypatch.setattr(cotangent, "_dim_on_faces", count_dim)
-    monkeypatch.setattr(cotangent, "minimal_nonface_masks", count_circuits)
-    monkeypatch.setattr(complexes, "minimal_nonface_masks", count_circuits)
+    monkeypatch.setattr(cotangent, "_minimal_nonfaces", count_circuits)
+    monkeypatch.setattr(complexes, "_minimal_nonfaces", count_circuits)
     table = t1_table(cx)
     assert circuits == [n]
     assert max(dims.values()) == 1

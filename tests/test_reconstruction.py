@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from srt1.complexes import SimplicialComplex
+from srt1.complexes import SimplicialComplex, VertexRangeError
 from srt1.cotangent import MultiDegree, T1Table, t1_table
 from srt1.matroids import is_discrete, is_matroid_exchange, uniform
 from srt1.reconstruction import (
@@ -56,6 +56,12 @@ def test_slice_matches_link_table():
 def test_slice_validates_range():
     with pytest.raises(ValueError):
         slice_link_table(t1_table(uniform(3, 2)), [4])
+
+
+@pytest.mark.parametrize("F", [[True], [1.0], [[1]]], ids=["bool", "float", "list"])
+def test_slice_validates_vertices_like_pack(F):
+    with pytest.raises(VertexRangeError, match="not an integer"):
+        slice_link_table(t1_table(uniform(4, 2)), F)
 
 
 # -- loop/coloop classification ------------------------------------------------
