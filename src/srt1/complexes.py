@@ -100,11 +100,17 @@ def _ndel(faces: frozenset[int], b: int) -> list[int]:
 
 
 def maximal_masks(masks: Iterable[int]) -> list[int]:
-    """Inclusion-maximal elements of a family of bitmasks, canonically sorted."""
+    """Inclusion-maximal elements of a family of bitmasks, canonically sorted.
+
+    Two distinct masks of one size never contain each other, so each mask is
+    tested only against the kept masks of strictly larger size.
+    """
+    by_size: dict[int, list[int]] = {}
+    for m in set(masks):
+        by_size.setdefault(m.bit_count(), []).append(m)
     out: list[int] = []
-    for m in sorted(set(masks), key=lambda x: x.bit_count(), reverse=True):
-        if not any(m & ~k == 0 for k in out):
-            out.append(m)
+    for size in sorted(by_size, reverse=True):
+        out += [m for m in by_size[size] if not any(m & ~k == 0 for k in out)]
     return sorted(out, key=sort_key)
 
 

@@ -22,9 +22,22 @@ into faces for the complex and its links alike.  The engine runs the graph
 computation only where it is needed: `_degree_scan` visits the nonempty faces
 b of each link, and the nonface degrees are read off the link's circuits.
 N_b is an up-set among the faces disjoint from b, so its components come from
-the one-vertex inclusions alone.  A matroid needs the graph only at its
-singleton degrees, which recognise it: by the main theorem its whole table is
-the circuit formula, which `_class_dims` reads off each link's circuits.
+the one-vertex inclusions alone.  Two exact rules, for any complex, cut the
+graph further.  Call F in N_b unmarked when it is not in N~_b.
+
+1. A face b of L that lies in no circuit of L has dimension 0.  For an
+   unmarked F in N_b the nonface F u b contains a minimal nonface C, and C
+   contains b, since C missing v in b would lie in the face F u (b \\ {v}).
+   So without a circuit through b no F is unmarked and every component is
+   marked (for |b| = 1 every F is unmarked, so N_b is empty).
+   `_degree_scan` records these b as 0 without the graph.
+2. The marks form an up-set of N_b, so the unmarked part W is a down-set of
+   N_b.  `_dim_on_faces` joins W alone, then drops each component of W that
+   lies one vertex below a marked member of N_b, the only step out of W.
+
+A matroid needs the graph only at its singleton degrees, which recognise it:
+by the main theorem its whole table is the circuit formula, which
+`_class_dims` reads off each link's circuits.
 """
 
 from __future__ import annotations
@@ -99,44 +112,75 @@ def _marks(faces: frozenset[int], nvert: list[int], b: int) -> list[bool]:
 
 
 def _component_ids(nvert: list[int]) -> list[int]:
-    """Component ids of the strict-inclusion graph on N_b, by union-find.
+    """Component ids of the strict-inclusion graph on N_b, or on a down-set
+    of N_b, by union-find.
 
     N_b is an up-set among the faces disjoint from b, so a strict inclusion
-    F < G inside it is a chain of one-vertex steps that stays in N_b.  Joining
-    each member to its one-vertex deletions in N_b gives the same components
-    as joining every comparable pair.
+    F < G inside it is a chain of one-vertex steps that stays in N_b; inside
+    a down-set W of N_b the chain also stays in W.  Joining each member to
+    its one-vertex deletions in the family gives the same components as
+    joining every comparable pair.
     """
     index = {f: i for i, f in enumerate(nvert)}
     parent = list(range(len(nvert)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for i, f in enumerate(nvert):
         rest = f
         while rest:
             u = rest & -rest
             rest ^= u
-            j = index.get(f ^ u)
-            if j is not None:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    return [find(i) for i in range(len(nvert))]
+            rj = index.get(f ^ u)
+            if rj is None:
+                continue
+            ri = i  # the roots of i and j, halving each path on the way
+            while parent[ri] != ri:
+                parent[ri] = ri = parent[parent[ri]]
+            while parent[rj] != rj:
+                parent[rj] = rj = parent[parent[rj]]
+            parent[ri] = rj
+    for i, root in enumerate(parent):
+        while parent[root] != root:
+            root = parent[root]
+        parent[i] = root
+    return parent
 
 
 def _dim_on_faces(faces: frozenset[int], b: int) -> int:
-    """T1 dimension in degree -b over a nonvoid face set containing b's vertices."""
+    """T1 dimension in degree -b over a nonvoid face set containing b's vertices.
+
+    For |b| = 1, N~_b is empty: every component of N_b counts, less one.
+    For |b| > 1 the marks form an up-set of N_b (F u b' a nonface stays one
+    for larger F), so the unmarked part W is a down-set of N_b, and union-find
+    runs on W alone.  Each one-vertex deletion of an F in W that lies in N_b
+    is in W again, so a component of W is a whole component of N_b unless a
+    member F has a face G = F u {u} outside W with u a vertex of N_b not in
+    F; such a G is disjoint from b, and G u b contains the nonface F u b, so
+    G is a marked member of N_b joined to F.  The dimension is the number of
+    components of W with no such G.
+    """
     nvert = _ndel(faces, b)
     if not nvert:
         return 0
-    marks = _marks(faces, nvert, b)
-    comp = _component_ids(nvert)
-    bad = {c for c, m in zip(comp, marks) if m}
-    return _less_one_for_singleton(len(set(comp) - bad), b)
+    if b.bit_count() == 1:
+        return _less_one_for_singleton(len(set(_component_ids(nvert))), b)
+    unmarked = [f for f, m in zip(nvert, _marks(faces, nvert, b)) if not m]
+    if not unmarked:
+        return 0
+    comp = _component_ids(unmarked)
+    inside = set(unmarked)
+    above = _union(nvert)
+    dropped = set()
+    for f, c in zip(unmarked, comp):
+        if c in dropped:
+            continue
+        rest = above & ~f
+        while rest:
+            u = rest & -rest
+            rest ^= u
+            g = f | u
+            if g in faces and g not in inside:
+                dropped.add(c)
+                break
+    return len(set(comp) - dropped)
 
 
 def _formula_on_link(link_circuits: list[int], b: int) -> int:
@@ -217,13 +261,48 @@ def _degree_scan(
     circuit; otherwise b is itself a circuit, and both sides are 1 when b is
     isolated with |b| > 1 and 0 otherwise.  The faces `_links` skips lose no
     degree, as its docstring shows.
+
+    A face b of L that lies in no circuit of L gets 0 without the graph: a
+    minimal nonface C inside F u b that misses some v in b lies in
+    F u (b \\ {v}), so for an F in N_b outside N~_b every such C contains b.
+    Without a circuit through b every member of N_b is therefore in N~_b,
+    so every component is marked; for |b| = 1, N~_b is empty, so N_b is too.
     """
     for a, link_faces, link_circuits in _links(cx):
         have = {} if a or known is None else known
-        dims = [
-            (b, have[b] if b in have else _dim_on_faces(link_faces, b)) for b in link_faces if b
-        ]
+        through = _circuits_through(link_circuits)
+        dims = []
+        for b in link_faces:
+            if b in have:
+                dims.append((b, have[b]))
+            elif b:
+                dim = _dim_on_faces(link_faces, b) if _circuits_containing(b, through) else 0
+                dims.append((b, dim))
         yield a, link_circuits, dims
+
+
+def _circuits_through(circuits: list[int]) -> dict[int, int]:
+    """Maps each vertex bit to the circuits through it, as a bitmask of
+    their indices in `circuits`."""
+    through: dict[int, int] = {}
+    for i, c in enumerate(circuits):
+        rest = c
+        while rest:
+            u = rest & -rest
+            rest ^= u
+            through[u] = through.get(u, 0) | 1 << i
+    return through
+
+
+def _circuits_containing(b: int, through: dict[int, int]) -> int:
+    """The circuits that contain the nonempty b, as a bitmask of indices, from
+    the map of `_circuits_through`."""
+    hits = -1
+    while b and hits:
+        u = b & -b
+        b ^= u
+        hits &= through.get(u, 0)
+    return hits
 
 
 def _class_dims(link_faces: frozenset[int], link_circuits: list[int]) -> list[tuple[int, int]]:
@@ -238,14 +317,12 @@ def _class_dims(link_faces: frozenset[int], link_circuits: list[int]) -> list[tu
     contain all of K, so b = K is that circuit; it is left to the isolated
     circuit rows.
     """
-    through: dict[int, int] = {}
-    for i, c in enumerate(link_circuits):
-        for v in unpack(c):
-            through[v] = through.get(v, 0) | 1 << i
+    through = _circuits_through(link_circuits)
     classes: dict[int, int] = {}
     for v in unpack(_union(link_faces)):
-        key = through.get(v, 0)
-        classes[key] = classes.get(key, 0) | 1 << (v - 1)
+        u = 1 << (v - 1)
+        key = through.get(u, 0)
+        classes[key] = classes.get(key, 0) | u
     out = []
     for key, members in classes.items():
         count = key.bit_count()

@@ -1,6 +1,7 @@
 import itertools
 import json
 import pickle
+import random
 
 import pytest
 
@@ -70,6 +71,41 @@ def test_maximal_masks():
     assert maximal_masks([0b101, 0b11]) == [0b11, 0b101]
     # idempotent on an antichain
     assert maximal_masks([0b11, 0b101]) == [0b11, 0b101]
+
+
+def _naive_maximal(masks, n):
+    """The inclusion-maximal members, by comparing every pair of sets."""
+    sets = {frozenset(unpack(m)) for m in masks}
+    return sorted((pack(s, n) for s in sets if not any(s < t for t in sets)), key=sort_key)
+
+
+def _random_families(seed):
+    """Duplicated, mixed-size and one-size families on up to 10 vertices."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 10)
+    full = (1 << n) - 1
+    mixed = [rng.randint(0, full) for _ in range(rng.randint(0, 40))]
+    k = rng.randint(0, n)
+    one_size = [pack(rng.sample(range(1, n + 1), k), n) for _ in range(rng.randint(1, 30))]
+    return n, [mixed, mixed + mixed[: len(mixed) // 2], one_size, one_size + [0], one_size + mixed]
+
+
+def test_maximal_masks_against_naive_filter():
+    cases = []
+    for cx in (cx for m in range(1, 6) for cx in representatives(m)):
+        faces = sorted(cx.face_masks())
+        circuits = cx.minimal_nonface_masks()
+        cases += [(cx.n, faces), (cx.n, list(cx.facet_masks)), (cx.n, faces + circuits)]
+        assert maximal_masks(faces) == list(cx.facet_masks)
+    for seed in range(40):
+        n, families = _random_families(seed)
+        cases += [(n, family) for family in families]
+    for n, family in cases:
+        assert maximal_masks(family) == _naive_maximal(family, n), (n, family)
+        assert maximal_masks(reversed(family)) == maximal_masks(family)
+    # the largest one-size family is the 924 bases of U(12,6): all kept
+    bases = [pack(c, 12) for c in itertools.combinations(range(1, 13), 6)]
+    assert maximal_masks(bases) == sorted(bases, key=sort_key)
 
 
 def test_minimal_nonface_masks_against_oracle():

@@ -1,0 +1,121 @@
+"""The graph engine's counting rules against the definitions.
+
+`cotangent._dim_on_faces` joins only the unmarked part W of N_b and drops a
+component of W that lies one vertex below a marked member of N_b;
+`cotangent._degree_scan` records 0 without the graph at a face b of a link
+that lies in no circuit of the link.  Here the first meets the former
+exhaustive count (`_oracles._scan_dim`) at every nonempty face b of every
+link of the differential battery, and the second meets the definitions on
+the census classes on up to 4 vertices.
+"""
+
+import collections
+
+import pytest
+
+from srt1 import cotangent
+from srt1.complexes import SimplicialComplex, submasks
+from srt1.cotangent import _degree_scan, _dim_on_faces
+
+from _census_reps import representatives
+from _oracles import (
+    _scan_dim,
+    faces_of,
+    naive_dim_t1,
+    naive_link,
+    naive_minimal_nonfaces,
+    sweep_minimal_nonfaces,
+)
+from test_differential import SCAN_COMPLEXES, degrees
+
+# the exits of `_dim_on_faces`, in the order it reaches them
+EXITS = ("N_b empty", "singleton b", "W empty", "W-component dropped", "W-component survives")
+
+def _exits(link, b):
+    """The exits `_dim_on_faces(link, b)` takes, from the definitions: one
+    for each of the first three, else one per component of W."""
+    nvert = [f for f in link if not f & b and (f | b) not in link]
+    if not nvert:
+        return ["N_b empty"]
+    if b.bit_count() == 1:
+        return ["singleton b"]
+    drops = [b & ~v for v in submasks(b) if v.bit_count() == 1]
+    unmarked = [f for f in nvert if all((f | d) in link for d in drops)]
+    if not unmarked:
+        return ["W empty"]
+    marked = set(nvert) - set(unmarked)
+    out = []
+    for comp in _components(unmarked):
+        dropped = any(f & ~g == 0 for f in comp for g in marked)
+        out.append("W-component dropped" if dropped else "W-component survives")
+    return out
+
+
+def _components(family):
+    """Components of the comparability graph on a family of masks."""
+    left, out = set(family), []
+    while left:
+        comp, queue = set(), [left.pop()]
+        while queue:
+            f = queue.pop()
+            comp.add(f)
+            near = {g for g in left if f & ~g == 0 or g & ~f == 0}
+            left -= near
+            queue += near
+        out.append(comp)
+    return out
+
+
+def test_dim_on_faces_matches_scan_dim_at_every_exit():
+    reached = collections.Counter()
+    for cx in SCAN_COMPLEXES:
+        faces = cx.face_masks()
+        for a in faces:
+            link = frozenset(f ^ a for f in faces if f & a == a)
+            for b in link:
+                if b:
+                    assert _dim_on_faces(link, b) == _scan_dim(link, b), (cx, a, b)
+                    reached.update(_exits(link, b))
+    # the battery reaches every exit, no hand-built complex needed
+    assert set(reached) == set(EXITS), reached
+
+
+CENSUS = [cx for n in range(1, 5) for cx in representatives(n)]
+
+
+def test_b_in_no_link_circuit_has_zero_dimension():
+    # every minimal nonface inside F u b of an unmarked F in N_b contains b
+    checked = 0
+    for cx in CENSUS:
+        faces, ground = faces_of(cx), range(1, cx.n + 1)
+        for A, b in degrees(cx):
+            if len(b) < 2:
+                continue
+            circuits = naive_minimal_nonfaces(naive_link(faces, A), ground)
+            if not any(set(b) <= c for c in circuits):
+                assert naive_dim_t1(cx, A, b) == 0, (cx, A, b)
+                checked += 1
+    assert len(CENSUS) == 44 and checked == 642
+
+
+def _path_edges(n):
+    return [[v, v + 1] for v in range(1, n)]
+
+
+@pytest.mark.parametrize(
+    "n, facets", [(12, _path_edges(12)), (4, [[1, 2], [3, 4]])], ids=["path-12", "two-edges"]
+)
+def test_degree_scan_skips_b_in_no_link_circuit(monkeypatch, n, facets):
+    cx = SimplicialComplex.from_facets(n, facets)
+    calls = []
+    real = cotangent._dim_on_faces
+    monkeypatch.setattr(
+        cotangent, "_dim_on_faces", lambda faces, b: calls.append((faces, b)) or real(faces, b)
+    )
+    skipped = 0
+    for _, _, dims in _degree_scan(cx):
+        skipped += sum(1 for b, _ in dims if b.bit_count() > 1)
+    for faces, b in calls:
+        assert any(b & ~c == 0 for c in sweep_minimal_nonfaces(faces, n)), b
+    # no face b with two or more vertices lies in a link circuit of these
+    assert skipped > 0 and not [b for _, b in calls if b.bit_count() > 1]

@@ -87,7 +87,8 @@ MATROIDS = [cx for _, cx in NAMED]
 
 
 def graph_engine_table(cx):
-    """The table from the inclusion graph at every face of every link."""
+    """The table from `_degree_scan`: the inclusion graph at every face of
+    every link that lies in a circuit of the link, 0 at the others."""
     out = {}
     for a, circuits, dims in _degree_scan(cx):
         A = unpack(a)
