@@ -42,7 +42,7 @@ from .matroids import (
     is_matroid_unique_min,
     uniform,
 )
-from .recognition import formula_discrepancies, is_matroid_via_t1
+from .recognition import _all_discrepancies, is_matroid_via_t1
 from .reconstruction import classify_loops_coloops, reconstruct, slice_link_table
 
 MAX_CENSUS_GROUND = 5
@@ -233,8 +233,9 @@ def check_complex(cx: SimplicialComplex) -> tuple[dict[str, CensusReport], bool]
 
     _check_degrees(rec, s, ex)
 
-    # main theorem, both directions, plus the singleton corollary
-    disc = formula_discrepancies(cx)
+    # main theorem, both directions, plus the singleton corollary; the full
+    # comparison, since formula_discrepancies assumes the theorem on matroid links
+    disc = _all_discrepancies(cx)
     rec.add(
         "main-theorem-iff",
         1,

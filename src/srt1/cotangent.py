@@ -231,17 +231,29 @@ def _links(cx: SimplicialComplex) -> Iterator[tuple[int, frozenset[int], list[in
     face b, so the formula is 0 as well and no circuit is isolated with more
     than one vertex.
     """
+    for a, hits in _link_facets_by_face(cx):
+        yield (a, *_link_of(cx, a, hits))
+
+
+def _link_facets_by_face(cx: SimplicialComplex) -> list[tuple[int, list[int]]]:
+    """The faces a that `_links` visits, in its order, each with the facets
+    of its link, before any face set is built.  Each a \\ {v} lies in the
+    facets through a, so it is listed too."""
     through: dict[int, list[int]] = {}
     for f in cx.facet_masks:
         for a in submasks(f):
             through.setdefault(a, []).append(f ^ a)
-    for a, hits in through.items():
-        if len(hits) > 1:
-            if a:
-                link_faces = _faces_of(hits)
-                yield a, link_faces, _minimal_nonfaces(link_faces, cx.n)
-            else:
-                yield a, cx.face_masks(), cx.minimal_nonface_masks()
+    return [(a, hits) for a, hits in through.items() if len(hits) > 1]
+
+
+def _link_of(
+    cx: SimplicialComplex, a: int, link_facets: list[int]
+) -> tuple[frozenset[int], list[int]]:
+    """The faces and circuits of the link at a face a of cx, from its facets."""
+    if a:
+        link_faces = _faces_of(link_facets)
+        return link_faces, _minimal_nonfaces(link_faces, cx.n)
+    return cx.face_masks(), cx.minimal_nonface_masks()
 
 
 def _degree_scan(
@@ -276,9 +288,15 @@ def _degree_scan(
             if b in have:
                 dims.append((b, have[b]))
             elif b:
-                dim = _dim_on_faces(link_faces, b) if _circuits_containing(b, through) else 0
-                dims.append((b, dim))
+                dims.append((b, _scan_dim(link_faces, through, b)))
         yield a, link_circuits, dims
+
+
+def _scan_dim(link_faces: frozenset[int], through: dict[int, int], b: int) -> int:
+    """The graph dimension at a nonempty face b of a link L, given the map
+    `_circuits_through` of L's circuits: 0 without the graph when b lies in
+    no circuit of L, as `_degree_scan` shows."""
+    return _dim_on_faces(link_faces, b) if _circuits_containing(b, through) else 0
 
 
 def _circuits_through(circuits: list[int]) -> dict[int, int]:

@@ -21,7 +21,7 @@ from typing import Iterable
 
 from .complexes import SimplicialComplex, pack, unpack
 from .cotangent import MultiDegree, T1Table, _matroid_table
-from . import matroids
+from .recognition import is_matroid_via_t1
 
 
 class DiscreteAmbiguousError(ValueError):
@@ -125,8 +125,9 @@ def reconstruct(t: T1Table) -> SimplicialComplex:
     Classifies loops and coloops, peels the coloops off the A-supports, finds
     the core rank r, groups the core's entries with |A| = r - 1 by A in one
     pass, reads from each group the vertices that complete A to a basis and
-    reattaches the coloops.  The result is verified by recomputing its table;
-    any mismatch, including tables of non-matroid origin, raises
+    reattaches the coloops.  The result is verified as a matroid by its
+    singleton degrees (`is_matroid_via_t1`) and then by recomputing its
+    table; any mismatch, including tables of non-matroid origin, raises
     NotAMatroidTableError.
     """
     if len(t) == 0:
@@ -153,10 +154,10 @@ def reconstruct(t: T1Table) -> SimplicialComplex:
         for v in reconstruct_rank_one(T1Table._from_valid(t.n, entries), rest):
             bases.add(frozenset(F) | {v})
     candidate = SimplicialComplex.from_facets(t.n, [b | coloop_set for b in bases])
-    if not matroids.is_matroid_exchange(candidate):
+    if not is_matroid_via_t1(candidate):
         raise NotAMatroidTableError("recovered facets do not satisfy the exchange axiom")
-    # the exchange test has just proved candidate a matroid, so its table is
-    # the matroid branch of t1_table, without the singleton test
+    # the singleton test has just proved candidate a matroid (the recognition
+    # corollary), so its table is the matroid branch of t1_table
     if _matroid_table(candidate) != t:
         raise NotAMatroidTableError("recovered matroid does not reproduce the table")
     return candidate

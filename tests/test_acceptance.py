@@ -2,7 +2,7 @@
 
 One test per criterion; each prints a single summary line (visible with
 `pytest -v -s`, or in the captured-output section on failure).  The heavier
-criteria share the module-scoped census fixtures below.
+criteria share the census fixtures: `reps5` from conftest.py, `census5` below.
 """
 
 import itertools
@@ -29,20 +29,14 @@ from srt1.matroids import (
     is_matroid_unique_min,
     uniform,
 )
-from srt1.recognition import formula_discrepancies, is_matroid_via_t1
+from srt1.recognition import _all_discrepancies, is_matroid_via_t1
 from srt1.reconstruction import DiscreteAmbiguousError, reconstruct
 
-from _census_reps import representatives
 from _oracles import powerset
 
 REMARK = SimplicialComplex.from_minimal_nonfaces(
     5, [[1, 2], [1, 3], [2, 3, 4], [2, 3, 5], [1, 4, 5]]
 )
-
-
-@pytest.fixture(scope="module")
-def reps5():
-    return {n: representatives(n) for n in range(1, 6)}
 
 
 @pytest.fixture(scope="module")
@@ -145,7 +139,9 @@ def test_acceptance_2_main_theorem_iff(reps5):
                 is_matroid_unique_min(cx),
             )
             assert len(set(matroid_votes)) == 1, cx.facets
-            formula_holds = formula_discrepancies(cx) == []
+            # the full comparison: formula_discrepancies assumes the theorem
+            # on every link that passes the singleton test
+            formula_holds = _all_discrepancies(cx) == []
             assert formula_holds == matroid_votes[0], cx.facets
             checked += 1
     elapsed = time.perf_counter() - started

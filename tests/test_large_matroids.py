@@ -1,16 +1,28 @@
-"""U(12, 6), a matroid with 2510 faces, past the graph engine's reach.
+"""Matroids and near-matroids past the census, and past the graph engine's reach.
 
 The closed-form matroid path of `t1_table` takes its table from the circuits
-of each link.  On a 2-vCPU host the table takes about 0.55 s, the
-`reconstruct` round trip, which recomputes the table to verify it, about
-0.9 s, and the whole test about 2 s; the 10 s bound is deliberately loose.
+of each link.  On a 2-vCPU host the table of U(12, 6), a matroid with 2510
+faces, takes about 0.55 s, the `reconstruct` round trip, which recomputes the
+table to verify it, about 0.9 s, and the whole test about 2 s; the 10 s
+bound is deliberately loose.
+
+`formula_discrepancies` runs the graph only at the singleton degrees of a
+link that is not a contraction of a matroid link, so on U(12, 6) it takes
+about 0.05 s where a graph at every degree took 9 s.  On complexes near
+U(10, 5) and on every census class it must agree with the full comparison,
+which runs the graph at every degree.
 """
 
+import itertools
 import random
 import time
 
+import pytest
+
+from srt1.complexes import SimplicialComplex
 from srt1.cotangent import dim_t1_matroid_formula, t1_table
-from srt1.matroids import uniform
+from srt1.matroids import is_matroid_exchange, uniform
+from srt1.recognition import _all_discrepancies, formula_discrepancies
 from srt1.reconstruction import reconstruct
 
 BOUND_S = 10.0
@@ -32,3 +44,45 @@ def test_uniform_12_6_round_trip():
         assert table.dim(degree) == dim_t1_matroid_formula(m, degree), degree
     assert all(table.dim(degree) == 0 for degree in absent)
     assert time.perf_counter() - start < BOUND_S
+
+
+def test_uniform_12_6_has_no_discrepancy():
+    start = time.perf_counter()
+    assert formula_discrepancies(uniform(12, 6)) == []
+    assert time.perf_counter() - start < BOUND_S
+
+
+def minus_bases(drops):
+    """U(10, 5) without the given bases, each replaced by its 4-subsets."""
+    kept = [b for b in itertools.combinations(range(1, 11), 5) if b not in drops]
+    return SimplicialComplex.from_facets(
+        10, kept + [tuple(v for v in d if v != u) for d in drops for u in d]
+    )
+
+
+@pytest.mark.parametrize(
+    "drops, matroid",
+    [
+        # one basis dropped leaves a matroid: the basis becomes a circuit
+        # and a hyperplane, a sparse paving matroid
+        ([(1, 2, 3, 4, 5)], True),
+        # two bases sharing four elements do not
+        ([(1, 2, 3, 4, 5), (1, 2, 3, 4, 6)], False),
+    ],
+    ids=["one-basis", "two-bases"],
+)
+def test_near_uniform_matches_full_comparison(drops, matroid):
+    cx = minus_bases(drops)
+    assert is_matroid_exchange(cx) == matroid
+    found = formula_discrepancies(cx)
+    assert found == _all_discrepancies(minus_bases(drops))
+    assert (found == []) == matroid
+
+
+def test_census_matches_full_comparison(reps5):
+    checked = 0
+    for reps in reps5.values():
+        for cx in reps:
+            assert formula_discrepancies(cx) == _all_discrepancies(cx), cx.facets
+            checked += 1
+    assert checked == 253

@@ -6,7 +6,9 @@
 every census matroid, on every U(n, k) with n <= 8, and on seeded partition
 and graphic matroids on 8 and 9 elements, some with loops and coloops.  The
 dispatch guards check that non-matroids compute no singleton degree and no
-circuit family twice, and that the recognition functions keep the graph.
+circuit family twice, and that the recognition functions keep the graph:
+`formula_discrepancies` at the singleton degrees of every link that is not
+already known to be a matroid, the private full comparison at every degree.
 `t1_table` builds its table without the entry checks, so the checking
 constructors are run on what it builds, matroid or not.
 """
@@ -21,7 +23,7 @@ from srt1 import complexes, cotangent
 from srt1.complexes import SimplicialComplex, unpack
 from srt1.cotangent import T1Table, _degree_scan, _isolated_circuits, t1_table
 from srt1.matroids import is_matroid_exchange, uniform
-from srt1.recognition import formula_discrepancies, is_matroid_via_t1
+from srt1.recognition import _all_discrepancies, formula_discrepancies, is_matroid_via_t1
 
 from _census_reps import representatives
 
@@ -183,3 +185,36 @@ def test_recognition_keeps_the_graph_engine(monkeypatch):
     monkeypatch.setattr(cotangent, "_dim_on_faces", lambda faces, b: real(faces, b) + 1)
     assert formula_discrepancies(uniform(4, 2))
     assert not is_matroid_via_t1(uniform(4, 2))
+
+
+def test_discrepancies_on_a_matroid_run_only_singleton_graphs(monkeypatch):
+    # U(8, 4) passes the singleton test at the empty face, and every other
+    # link is a contraction of it, so the graph runs once per vertex
+    calls = []
+    real = cotangent._dim_on_faces
+    monkeypatch.setattr(
+        cotangent, "_dim_on_faces", lambda faces, b: calls.append(b) or real(faces, b)
+    )
+    assert formula_discrepancies(uniform(8, 4)) == []
+    assert sorted(calls) == [1 << i for i in range(8)]
+
+
+REMARK = SimplicialComplex.from_minimal_nonfaces(
+    5, [[1, 2], [1, 3], [2, 3, 4], [2, 3, 5], [1, 4, 5]]
+)
+
+
+def test_full_comparison_checks_what_the_shortcut_assumes(monkeypatch):
+    # a graph engine one too high only where |b| >= 2 leaves every singleton
+    # test intact: the shortcut trusts the main theorem on a matroid and misses
+    # it, the full comparison reports it, and on a non-matroid both do
+    before = formula_discrepancies(REMARK)
+    real = cotangent._dim_on_faces
+    monkeypatch.setattr(
+        cotangent, "_dim_on_faces", lambda faces, b: real(faces, b) + (b.bit_count() > 1)
+    )
+    assert formula_discrepancies(uniform(4, 2)) == []
+    assert _all_discrepancies(uniform(4, 2))
+    added = [d for d in formula_discrepancies(REMARK) if d not in before]
+    assert added and all(len(d.degree.b) > 1 for d in added)
+    assert added == [d for d in _all_discrepancies(REMARK) if d not in before]
