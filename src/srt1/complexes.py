@@ -50,9 +50,20 @@ def unpack(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def sort_key(mask: int) -> tuple[int, tuple[int, ...]]:
-    """Canonical ordering key for faces: cardinality, then lexicographic."""
-    return (mask.bit_count(), unpack(mask))
+# each byte with its bits in reverse order, for `sort_key`
+_REVERSED_BITS = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
+
+
+def sort_key(mask: int) -> int:
+    """Canonical ordering key for faces of at most MAX_GROUND vertices:
+    cardinality, then lexicographic.
+
+    Of two faces of one size, the one holding the lowest vertex where they
+    differ comes first.  With the bits reversed that vertex is the highest
+    differing bit, so the key subtracts the reversed mask.
+    """
+    reversed_bytes = mask.to_bytes(MAX_GROUND // 8, "little").translate(_REVERSED_BITS)
+    return (mask.bit_count() << MAX_GROUND) - int.from_bytes(reversed_bytes, "big")
 
 
 def submasks(mask: int) -> Iterator[int]:
@@ -105,8 +116,11 @@ def maximal_masks(masks: Iterable[int]) -> list[int]:
     Two distinct masks of one size never contain each other, so each mask is
     tested only against the kept masks of strictly larger size.
     """
+    family = set(masks)
+    if len(family) <= 1:
+        return list(family)
     by_size: dict[int, list[int]] = {}
-    for m in set(masks):
+    for m in family:
         by_size.setdefault(m.bit_count(), []).append(m)
     out: list[int] = []
     for size in sorted(by_size, reverse=True):

@@ -37,7 +37,9 @@ graph further.  Call F in N_b unmarked when it is not in N~_b.
 
 A matroid needs the graph only at its singleton degrees, which recognise it:
 by the main theorem its whole table is the circuit formula, which
-`_class_dims` reads off each link's circuits.
+`_matroid_table` reads off each link's vertices and circuits.  Those of the
+link at a u {v} follow from those of the link at a by contraction at v
+(`_matroid_links`), so no face set of a link is built.
 """
 
 from __future__ import annotations
@@ -274,11 +276,8 @@ def _degree_scan(
     isolated with |b| > 1 and 0 otherwise.  The faces `_links` skips lose no
     degree, as its docstring shows.
 
-    A face b of L that lies in no circuit of L gets 0 without the graph: a
-    minimal nonface C inside F u b that misses some v in b lies in
-    F u (b \\ {v}), so for an F in N_b outside N~_b every such C contains b.
-    Without a circuit through b every member of N_b is therefore in N~_b,
-    so every component is marked; for |b| = 1, N~_b is empty, so N_b is too.
+    A face b of L that lies in no circuit of L gets 0 without the graph, by
+    rule 1 of the module docstring.
     """
     for a, link_faces, link_circuits in _links(cx):
         have = {} if a or known is None else known
@@ -295,7 +294,7 @@ def _degree_scan(
 def _scan_dim(link_faces: frozenset[int], through: dict[int, int], b: int) -> int:
     """The graph dimension at a nonempty face b of a link L, given the map
     `_circuits_through` of L's circuits: 0 without the graph when b lies in
-    no circuit of L, as `_degree_scan` shows."""
+    no circuit of L, by rule 1 of the module docstring."""
     return _dim_on_faces(link_faces, b) if _circuits_containing(b, through) else 0
 
 
@@ -321,36 +320,6 @@ def _circuits_containing(b: int, through: dict[int, int]) -> int:
         b ^= u
         hits &= through.get(u, 0)
     return hits
-
-
-def _class_dims(link_faces: frozenset[int], link_circuits: list[int]) -> list[tuple[int, int]]:
-    """(b, circuit formula) at the nonempty faces b of a link L where the
-    formula is positive, without visiting the other faces.
-
-    The formula is nonzero only at a tame b, one that every circuit of L
-    contains or misses, so all vertices of b lie in the same circuits.
-    Grouping L's vertices by the circuits through them, the tame b are the
-    nonempty subsets of one class K, and each lies in the c circuits through
-    K.  A b within K that is a nonface contains a circuit, which must then
-    contain all of K, so b = K is that circuit; it is left to the isolated
-    circuit rows.
-    """
-    through = _circuits_through(link_circuits)
-    classes: dict[int, int] = {}
-    for v in unpack(_union(link_faces)):
-        u = 1 << (v - 1)
-        key = through.get(u, 0)
-        classes[key] = classes.get(key, 0) | u
-    out = []
-    for key, members in classes.items():
-        count = key.bit_count()
-        if count:
-            out += [
-                (b, dim)
-                for b in submasks(members)
-                if b and b in link_faces and (dim := _less_one_for_singleton(count, b))
-            ]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -612,10 +581,14 @@ class T1Table:
             if not isinstance(e["A"], list) or not isinstance(e["b"], list):
                 raise ValueError(f"key 'entries[{i}]': A and b must be lists")
             try:
-                pack(e["A"] + e["b"], n)
-                pairs.append((MultiDegree.make(e["A"], e["b"]), e["dim"]))
+                a, b = pack(e["A"], n), pack(e["b"], n)
             except ValueError as exc:
                 raise type(exc)(f"key 'entries[{i}]': {exc}") from exc
+            overlap = a & b
+            if overlap:
+                first = (overlap & -overlap).bit_length()
+                raise ValueError(f"key 'entries[{i}]': A and b overlap at vertex {first}")
+            pairs.append((MultiDegree(unpack(a), unpack(b)), e["dim"]))
         # the remaining checks follow every entry's vertex check, so that a
         # document with faults of both kinds still reports its vertex fault
         norm: dict[MultiDegree, int] = {}
@@ -644,14 +617,12 @@ def t1_table(cx: SimplicialComplex, threads: int = 1) -> T1Table:
     depends on the singleton test of `_singleton_dims`, which already yields
     the degrees (emptyset, {v}):
 
-    * a matroid takes them from the circuits of each link (`_class_dims`).
-      By the main theorem its dimension equals the circuit formula at every
-      degree; a tame b lies in exactly the circuits its vertices share, so
-      the formula is positive only on the subsets of one class of vertices
-      with equal circuits, and the one nonface among them is the class
-      itself when it is an isolated circuit.  The cost follows the (face,
-      facet) incidences plus faces x link vertices x link circuits, with no
-      N_b built.
+    * a matroid takes them from `_matroid_table`: by the main theorem its
+      dimension is the circuit formula at every degree, read off the
+      vertices and circuits of each link, which `_matroid_links` derives
+      from the parent link's by contraction.  The cost follows links x link
+      circuits face lookups, plus link vertices x link circuits per link to
+      group the vertices; no face set of a link and no N_b is built.
     * any other complex takes the inclusion graph of `_degree_scan` at every
       face of each link, reusing the complex's circuits and the singleton
       graph dimensions.  The cost follows faces x link faces.
@@ -668,14 +639,99 @@ def t1_table(cx: SimplicialComplex, threads: int = 1) -> T1Table:
 
 
 def _matroid_table(cx: SimplicialComplex) -> T1Table:
-    """The matroid branch of `t1_table`, for a cx already known to be a matroid."""
+    """The matroid branch of `t1_table`, for a cx already known to be a
+    matroid: the circuit formula on each link of `_matroid_links`.
+
+    The formula is nonzero only at a tame b, one that every circuit of the
+    link L contains or misses, so all vertices of b lie in the same circuits.
+    Grouping L's vertices by the circuits through them, the tame b are the
+    nonempty subsets of one class K, and each lies in the count circuits
+    through K.  A b within K that is a nonface contains a circuit C, which
+    then contains all of K, so b = K = C.  Every nonempty proper subset of K
+    is therefore a face, with formula count - [|b| = 1], and so is K unless
+    it is a circuit; a circuit K is isolated, since each of its vertices lies
+    in it alone, and is left to the isolated circuit rows.  No face of L is
+    looked up.
+    """
     return _table_of(
         cx,
         (
-            (a, link_circuits, _class_dims(link_faces, link_circuits))
-            for a, link_faces, link_circuits in _links(cx)
+            (a, link_circuits, _class_rows(link_vertices, link_circuits))
+            for a, link_vertices, link_circuits in _matroid_links(cx)
         ),
     )
+
+
+def _class_rows(link_vertices: int, link_circuits: list[int]) -> list[tuple[int, int]]:
+    """(b, formula) at the faces b of a matroid link where the circuit
+    formula is positive, as `_matroid_table` shows."""
+    classes: dict[tuple[int, ...], int] = {}
+    rest = link_vertices
+    while rest:
+        u = rest & -rest
+        rest ^= u
+        key = tuple([c for c in link_circuits if c & u])
+        if key:
+            classes[key] = classes.get(key, 0) | u
+    out = []
+    for key, members in classes.items():
+        count = len(key)
+        circuit = key == (members,)
+        out += [
+            (b, dim)
+            for b in submasks(members)
+            if b and not (circuit and b == members) and (dim := _less_one_for_singleton(count, b))
+        ]
+    return out
+
+
+def _matroid_links(cx: SimplicialComplex) -> Iterator[tuple[int, int, list[int]]]:
+    """For a matroid cx, yields each face a in more than one facet with the
+    vertex mask of its link M/a and the circuits of M/a with two or more
+    vertices, from cx's faces and circuits alone.
+
+    The walk steps from a to a u {v} only for link vertices v above a's
+    highest vertex, so it reaches each face once.  The circuits of
+    M/(a u v), the contraction of M/a at v, are the minimal nonempty sets
+    C \\ {v} over the circuits C of M/a (Oxley, Matroid Theory, 3.1.11):
+
+    * C \\ {v} for C through v is one, as a C' \\ {v} inside it, C' != C,
+      would put C' inside C.  When C \\ {v} = {u}, u is parallel to v and
+      becomes a loop, the only vertex besides v to leave the vertex mask.
+    * C missing v stays one exactly when v is not in cl(C \\ {x}) for each x
+      in C.  That closure is cl(C) for every x, so one x will do, and
+      (C \\ {x}) u {v} is independent in M/a exactly when its union with a
+      is a face of cx: one lookup in cx's face set.
+
+    A link whose circuits are all loops has a single facet, as have the
+    links above it, so the walk drops it with them; a matroid link with
+    facets B != B' has the circuit in B u {e}, e in B' \\ B, which holds e
+    and a vertex of B.  The faces visited are thus those of `_links`.
+    """
+    faces = cx.face_masks()
+    circuits = [c for c in cx.minimal_nonface_masks() if c & (c - 1)]
+    stack = [(0, cx.vertex_mask, circuits)] if circuits else []
+    while stack:
+        a, verts, circuits = stack.pop()
+        yield a, verts, circuits
+        rest = verts & -(1 << a.bit_length())
+        while rest:
+            v = rest & -rest
+            rest ^= v
+            av = a | v
+            child_verts = verts ^ v
+            child = []
+            for c in circuits:
+                if c & v:
+                    c ^= v
+                    if c & (c - 1):
+                        child.append(c)
+                    else:
+                        child_verts ^= c
+                elif (c & (c - 1) | av) in faces:
+                    child.append(c)
+            if child:
+                stack.append((av, child_verts, child))
 
 
 def _table_of(

@@ -1,16 +1,20 @@
 """The closed-form matroid path of `t1_table` against the graph engine.
 
 `t1_table` sends a complex that passes the singleton test to the class rule
-(`cotangent._class_dims`) and everything else to the inclusion graph of
-`cotangent._degree_scan`.  Here the class rule meets the graph engine on
-every census matroid, on every U(n, k) with n <= 8, and on seeded partition
-and graphic matroids on 8 and 9 elements, some with loops and coloops.  The
-dispatch guards check that non-matroids compute no singleton degree and no
-circuit family twice, and that the recognition functions keep the graph:
-`formula_discrepancies` at the singleton degrees of every link that is not
-already known to be a matroid, the private full comparison at every degree.
-`t1_table` builds its table without the entry checks, so the checking
-constructors are run on what it builds, matroid or not.
+of `cotangent._matroid_table` and everything else to the inclusion graph of
+`cotangent._degree_scan`.  The class rule reads each link's vertices and
+circuits off the walk `cotangent._matroid_links`, which derives them from the
+parent link by contraction; the walk meets the links built from their faces,
+and the class rule meets the graph engine, on every census matroid, on every
+U(n, k) with n <= 8, and on seeded partition and graphic matroids on 8 and 9
+elements, some with loops and coloops.  The dispatch guards check that a
+matroid's table and its reconstruction build no face set of a link, that
+non-matroids compute no singleton degree and no circuit family twice, and
+that the recognition functions keep the graph: `formula_discrepancies` at
+the singleton degrees of every link that is not already known to be a
+matroid, the private full comparison at every degree.  `t1_table` builds
+its table without the entry checks, so the checking constructors are run
+on what it builds, matroid or not.
 """
 
 import collections
@@ -21,9 +25,17 @@ import pytest
 
 from srt1 import complexes, cotangent
 from srt1.complexes import SimplicialComplex, unpack
-from srt1.cotangent import T1Table, _degree_scan, _isolated_circuits, t1_table
+from srt1.cotangent import (
+    T1Table,
+    _degree_scan,
+    _isolated_circuits,
+    _link_facets_by_face,
+    _matroid_links,
+    t1_table,
+)
 from srt1.matroids import is_matroid_exchange, uniform
 from srt1.recognition import _all_discrepancies, formula_discrepancies, is_matroid_via_t1
+from srt1.reconstruction import reconstruct
 
 from _census_reps import representatives
 
@@ -113,6 +125,55 @@ def test_matroid_scale():
 def test_class_rule_matches_graph_engine(cx):
     table = {(k.A, k.b): dim for k, dim in t1_table(cx).items()}
     assert table == graph_engine_table(cx)
+
+
+@pytest.mark.parametrize(
+    "cx", MATROIDS + [uniform(9, 4)], ids=[name for name, _ in NAMED] + ["U(9,4)"]
+)
+def test_matroid_walk_matches_links_built_from_faces(cx):
+    walk = list(_matroid_links(cx))
+    assert len({a for a, _, _ in walk}) == len(walk)
+    assert {a for a, _, _ in walk} == {a for a, _ in _link_facets_by_face(cx)}
+    for a, link_vertices, link_circuits in walk:
+        link = cx.link_mask(a)
+        assert link_vertices == link.vertex_mask, unpack(a)
+        want = [c for c in link.minimal_nonface_masks() if c.bit_count() > 1]
+        assert sorted(link_circuits) == sorted(want), unpack(a)
+
+
+def test_matroid_engine_states_each_degree_once(monkeypatch):
+    # `_from_valid` trusts its rows to hold no degree twice; a class of the
+    # class rule that is a circuit is also an isolated circuit row
+    batches = []
+    real = T1Table._from_valid.__func__
+
+    def record(cls, n, rows):
+        rows = list(rows)
+        batches.append(rows)
+        return real(cls, n, rows)
+
+    monkeypatch.setattr(T1Table, "_from_valid", classmethod(record))
+    isolated = 0
+    for cx in MATROIDS:
+        batches.clear()
+        t1_table(cx)
+        (rows,) = batches
+        assert len({d for d, _ in rows}) == len(rows), cx
+        isolated += any(_isolated_circuits(cx.minimal_nonface_masks()))
+    assert isolated
+
+
+def test_matroid_table_builds_no_link_face_set(monkeypatch):
+    calls = []
+    for name in ("_faces_of", "_minimal_nonfaces"):
+        real = getattr(cotangent, name)
+        monkeypatch.setattr(
+            cotangent, name, lambda *args, name=name, real=real: calls.append(name) or real(*args)
+        )
+    m = uniform(8, 4)
+    table = t1_table(m)
+    assert reconstruct(table) == m
+    assert calls == []
 
 
 VALID_TABLE_CASES = (
