@@ -520,7 +520,7 @@ BATTERY_ORDER = [
 def check_threads(threads: int) -> int:
     """Return a worker count after checking it is an integer from 1 to the CPU count."""
     cap = os.cpu_count() or 1
-    if not isinstance(threads, int) or not 1 <= threads <= cap:
+    if not isinstance(threads, int) or isinstance(threads, bool) or not 1 <= threads <= cap:
         raise ValueError(f"threads must be an integer in 1..{cap} (the CPU count), got {threads!r}")
     return threads
 
@@ -528,13 +528,14 @@ def check_threads(threads: int) -> int:
 def run_census(max_n: int, threads: int = 1) -> list[CensusReport]:
     """Run the full battery over all complexes on up to max_n vertices.
 
-    `threads` must lie in 1..os.cpu_count(); above 1, with at least 16
+    `max_n` must be an integer in 1..MAX_CENSUS_GROUND and `threads` one in
+    1..os.cpu_count(), neither a bool; `threads` above 1, with at least 16
     complexes, one process pool runs the per-complex battery for the whole run.
 
     Returns one report per invariant, in a fixed order; an invariant passed
     when its failure list is empty.
     """
-    if not 1 <= max_n <= MAX_CENSUS_GROUND:
+    if not isinstance(max_n, int) or isinstance(max_n, bool) or not 1 <= max_n <= MAX_CENSUS_GROUND:
         raise ValueError(f"census supports 1 <= max_n <= {MAX_CENSUS_GROUND}")
     check_threads(threads)
     reps = [cx for n in range(1, max_n + 1) for cx in representatives(n)]

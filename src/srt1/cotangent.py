@@ -18,28 +18,32 @@ redundant, and for |b| = 1 the only subset is the empty set, so N~_b is empty.
 
 Every link is read off the facets: those of link(D, A) are F \\ A over the
 facets F through A, and one materialiser, `complexes._faces_of`, turns facets
-into faces for the complex and its links alike.  The engine runs the graph
-computation only where it is needed: `_degree_scan` visits the nonempty faces
-b of each link, and the nonface degrees are read off the link's circuits.
-N_b is an up-set among the faces disjoint from b, so its components come from
-the one-vertex inclusions alone.  Two exact rules, for any complex, cut the
-graph further.  Call F in N_b unmarked when it is not in N~_b.
+into faces for the complex and its links alike.  T1 of D at (A, b) is T1 of
+link(D, A) at (emptyset, b), so each link is decided on its own, and one
+walk, `_walk`, visits the links and hands each to one of two engines.
+
+A link that passes the singleton test is a matroid (the recognition
+corollary), so by the main theorem its whole table is the circuit formula,
+which `_class_rows` reads off the link's vertices and circuits.  Every link
+above it is a contraction of it, and its vertices and circuits follow from
+those of the link one vertex below (`_matroid_links`), so no face set and no
+N_b is built above the singleton degrees of a matroid link.
+
+Any other link takes the inclusion graph at each of its nonempty faces b;
+the nonface degrees are read off the link's circuits.  N_b is an up-set
+among the faces disjoint from b, so its components come from the one-vertex
+inclusions alone.  Two exact rules, for any complex, cut the graph further.
+Call F in N_b unmarked when it is not in N~_b.
 
 1. A face b of L that lies in no circuit of L has dimension 0.  For an
    unmarked F in N_b the nonface F u b contains a minimal nonface C, and C
    contains b, since C missing v in b would lie in the face F u (b \\ {v}).
    So without a circuit through b no F is unmarked and every component is
    marked (for |b| = 1 every F is unmarked, so N_b is empty).
-   `_degree_scan` records these b as 0 without the graph.
+   `_scan_dim` records these b as 0 without the graph.
 2. The marks form an up-set of N_b, so the unmarked part W is a down-set of
    N_b.  `_dim_on_faces` joins W alone, then drops each component of W that
    lies one vertex below a marked member of N_b, the only step out of W.
-
-A matroid needs the graph only at its singleton degrees, which recognise it:
-by the main theorem its whole table is the circuit formula, which
-`_matroid_table` reads off each link's vertices and circuits.  Those of the
-link at a u {v} follow from those of the link at a by contraction at v
-(`_matroid_links`), so no face set of a link is built.
 """
 
 from __future__ import annotations
@@ -202,93 +206,89 @@ def _formula_on_link(link_circuits: list[int], b: int) -> int:
     return _less_one_for_singleton(through, b)
 
 
-def _singleton_dims(cx: SimplicialComplex) -> Iterator[tuple[int, int, int]]:
-    """(b, graph dimension, circuit formula) at each degree (emptyset, {v}),
-    v a vertex of cx, lazily and in vertex order, from cx's cached faces and
-    circuits.
+def _singleton_dims(
+    faces: frozenset[int], circuits: list[int], verts: int
+) -> Iterator[tuple[int, int, int]]:
+    """(b, graph dimension, circuit formula) at each degree (emptyset, {v}) of
+    the complex with these faces, circuits and vertex mask, lazily and in
+    vertex order.
 
     The two sides agree at every v exactly when the complex is a matroid (the
     recognition corollary).  Loops are not vertices: their only circuit is
     {v}, so both sides are zero there.
     """
-    faces, circuits = cx.face_masks(), cx.minimal_nonface_masks()
-    for v in cx.vertices():
-        b = 1 << (v - 1)
+    while verts:
+        b = verts & -verts
+        verts ^= b
         yield b, _dim_on_faces(faces, b), _formula_on_link(circuits, b)
 
 
-def _links(cx: SimplicialComplex) -> Iterator[tuple[int, frozenset[int], list[int]]]:
-    """For each face a of cx in more than one facet, yields a, the faces of
-    its link L and the circuits of L, in no particular order.  L's faces come
-    from its facets, F \\ a over the facets F through a, which one pass over
-    the submasks of each facet F lists for every face a at once: the cost is
-    the (face, facet) incidences, not faces x facets.  At a = emptyset L is
-    cx itself, whose cached faces and circuits are reused.
+def _walk(cx: SimplicialComplex) -> Iterator[tuple[int, int, list[int], list | None]]:
+    """Walks the links of cx depth first from the empty face, stepping from a
+    to a u {v} only for link vertices v above a's highest vertex, so that it
+    reaches each face once.  The facets of the link at a u {v} are those of
+    the link at a through v, less v.  Yields a, the link's vertex mask, its
+    circuits and dims, for two kinds of link:
 
-    A face in exactly one facet F is skipped before any face set is built:
-    its link is the simplex on F \\ a ({emptyset} when the face is a facet),
-    which carries no nonzero degree.  F u b is a face for all faces F and b
-    of a simplex, so every N_b is empty and every graph dimension 0, and its
-    circuits are the single vertices outside it, which contain no nonempty
-    face b, so the formula is 0 as well and no circuit is isolated with more
-    than one vertex.
+    * a link with a facet of two or more vertices that passes the singleton
+      test of `_singleton_dims` is a matroid.  It comes with its circuits of
+      two or more vertices and dims None, and the walk goes no higher:
+      every link above it is a contraction of it, which `_matroid_links`
+      reaches from it.
+    * any other link comes with all its circuits and dims, the pairs
+      (b, graph dimension) at each of its nonempty faces b, the singleton
+      graphs of the test reused.  A link of rank 1 skips the test: it has
+      no face of two or more vertices and no link above it with two facets,
+      so the test would save nothing.
+
+    A face in exactly one facet F is skipped with every face above it,
+    before any face set is built: its link is the simplex on F \\ a
+    ({emptyset} when the face is a facet), which carries no nonzero degree.
+    F u b is a face for all faces F and b of a simplex, so every N_b is
+    empty and every graph dimension 0, and its circuits are the single
+    vertices outside it, which contain no nonempty face b, so the formula is
+    0 as well and no circuit is isolated with more than one vertex.
+
+    The faces b are the only degrees that need the inclusion graph.  Outside
+    the vanishing range both the graph dimension and the circuit formula are
+    0.  A nonface b within the link's vertices has dimension 1 when it is an
+    isolated circuit of the link (`_isolated_circuits`) and 0 otherwise, and
+    the formula agrees there: if some circuit C lies strictly inside b, then
+    C meets b properly and the formula is 0, as is the graph side, because b
+    is not a circuit; otherwise b is itself a circuit, and both sides are 1
+    when b is isolated with |b| > 1 and 0 otherwise.
     """
-    for a, hits in _link_facets_by_face(cx):
-        yield (a, *_link_of(cx, a, hits))
-
-
-def _link_facets_by_face(cx: SimplicialComplex) -> list[tuple[int, list[int]]]:
-    """The faces a that `_links` visits, in its order, each with the facets
-    of its link, before any face set is built.  Each a \\ {v} lies in the
-    facets through a, so it is listed too."""
-    through: dict[int, list[int]] = {}
-    for f in cx.facet_masks:
-        for a in submasks(f):
-            through.setdefault(a, []).append(f ^ a)
-    return [(a, hits) for a, hits in through.items() if len(hits) > 1]
-
-
-def _link_of(
-    cx: SimplicialComplex, a: int, link_facets: list[int]
-) -> tuple[frozenset[int], list[int]]:
-    """The faces and circuits of the link at a face a of cx, from its facets."""
-    if a:
-        link_faces = _faces_of(link_facets)
-        return link_faces, _minimal_nonfaces(link_faces, cx.n)
-    return cx.face_masks(), cx.minimal_nonface_masks()
-
-
-def _degree_scan(
-    cx: SimplicialComplex, known: dict[int, int] | None = None
-) -> Iterator[tuple[int, list[int], list[tuple[int, int]]]]:
-    """For each link L of cx that `_links` yields, yields a, the circuits of
-    L and (b, graph dimension) at each nonempty face b of L.  `known` maps
-    some b to its graph dimension at a = emptyset, which is then not
-    recomputed.
-
-    These are the only degrees that need the inclusion graph.  Outside the
-    vanishing range both the graph dimension and the circuit formula are 0.
-    A nonface b within L's vertices has dimension 1 when it is an isolated
-    circuit of L (`_isolated_circuits`) and 0 otherwise, and the formula
-    agrees there: if some circuit C of L lies strictly inside b, then C meets
-    b properly and the formula is 0, as is the graph side, because b is not a
-    circuit; otherwise b is itself a circuit, and both sides are 1 when b is
-    isolated with |b| > 1 and 0 otherwise.  The faces `_links` skips lose no
-    degree, as its docstring shows.
-
-    A face b of L that lies in no circuit of L gets 0 without the graph, by
-    rule 1 of the module docstring.
-    """
-    for a, link_faces, link_circuits in _links(cx):
-        have = {} if a or known is None else known
-        through = _circuits_through(link_circuits)
-        dims = []
-        for b in link_faces:
-            if b in have:
-                dims.append((b, have[b]))
-            elif b:
-                dims.append((b, _scan_dim(link_faces, through, b)))
-        yield a, link_circuits, dims
+    stack = [(0, list(cx.facet_masks))]
+    while stack:
+        a, link_facets = stack.pop()
+        if len(link_facets) < 2:
+            continue
+        if a:
+            link_faces = _faces_of(link_facets)
+            circuits = _minimal_nonfaces(link_faces, cx.n)
+        else:
+            link_faces, circuits = cx.face_masks(), cx.minimal_nonface_masks()
+        verts = _union(link_facets)
+        known = {}
+        if any(f & (f - 1) for f in link_facets):
+            for b, graph, formula in _singleton_dims(link_faces, circuits, verts):
+                known[b] = graph
+                if graph != formula:
+                    break
+            else:
+                yield a, verts, [c for c in circuits if c & (c - 1)], None
+                continue
+        through = _circuits_through(circuits)
+        yield a, verts, circuits, [
+            (b, known[b] if b in known else _scan_dim(link_faces, through, b))
+            for b in link_faces
+            if b
+        ]
+        rest = verts & -(1 << a.bit_length())
+        while rest:
+            v = rest & -rest
+            rest ^= v
+            stack.append((a | v, [f ^ v for f in link_facets if f & v]))
 
 
 def _scan_dim(link_faces: frozenset[int], through: dict[int, int], b: int) -> int:
@@ -613,34 +613,33 @@ def t1_table(cx: SimplicialComplex, threads: int = 1) -> T1Table:
 
     Adds dimension 1 at each isolated circuit of a link that has more than
     one vertex, and the dimensions at the link's nonempty faces; every other
-    degree is provably zero.  Which engine supplies the face dimensions
-    depends on the singleton test of `_singleton_dims`, which already yields
-    the degrees (emptyset, {v}):
-
-    * a matroid takes them from `_matroid_table`: by the main theorem its
-      dimension is the circuit formula at every degree, read off the
-      vertices and circuits of each link, which `_matroid_links` derives
-      from the parent link's by contraction.  The cost follows links x link
-      circuits face lookups, plus link vertices x link circuits per link to
-      group the vertices; no face set of a link and no N_b is built.
-    * any other complex takes the inclusion graph of `_degree_scan` at every
-      face of each link, reusing the complex's circuits and the singleton
-      graph dimensions.  The cost follows faces x link faces.
+    degree is provably zero.  `_walk` supplies the face dimensions link by
+    link: at a matroid link the circuit formula of `_class_rows`, on it and
+    on every link above it, whose vertices and circuits `_matroid_links`
+    derives from the parent link's by contraction; at any other link the
+    inclusion graph at each face.  A matroid link costs its singleton
+    graphs, then per link above it link circuits face lookups plus link
+    vertices x link circuits to group the vertices; any other link costs
+    its faces x its faces.
 
     The table is computed in-process: each face's piece costs well under a
     millisecond, too little to repay a process pool.  `threads` is accepted
     for compatibility and changes nothing.
     """
     cx._require_nonvoid("t1_table")
-    singles = list(_singleton_dims(cx))
-    if all(graph == formula for _, graph, formula in singles):
-        return _matroid_table(cx)
-    return _table_of(cx, _degree_scan(cx, {b: graph for b, graph, _ in singles}))
+    return _table_of(cx, _walk(cx))
 
 
 def _matroid_table(cx: SimplicialComplex) -> T1Table:
-    """The matroid branch of `t1_table`, for a cx already known to be a
-    matroid: the circuit formula on each link of `_matroid_links`.
+    """The table of a cx already known to be a matroid: the contraction walk
+    of `_matroid_links` from the empty face, with no singleton test."""
+    circuits = [c for c in cx.minimal_nonface_masks() if c & (c - 1)]
+    return _table_of(cx, [(0, cx.vertex_mask, circuits, None)])
+
+
+def _class_rows(link_vertices: int, link_circuits: list[int]) -> list[tuple[int, int]]:
+    """(b, formula) at the faces b of a matroid link where the circuit
+    formula is positive.
 
     The formula is nonzero only at a tame b, one that every circuit of the
     link L contains or misses, so all vertices of b lie in the same circuits.
@@ -653,18 +652,6 @@ def _matroid_table(cx: SimplicialComplex) -> T1Table:
     in it alone, and is left to the isolated circuit rows.  No face of L is
     looked up.
     """
-    return _table_of(
-        cx,
-        (
-            (a, link_circuits, _class_rows(link_vertices, link_circuits))
-            for a, link_vertices, link_circuits in _matroid_links(cx)
-        ),
-    )
-
-
-def _class_rows(link_vertices: int, link_circuits: list[int]) -> list[tuple[int, int]]:
-    """(b, formula) at the faces b of a matroid link where the circuit
-    formula is positive, as `_matroid_table` shows."""
     classes: dict[tuple[int, ...], int] = {}
     rest = link_vertices
     while rest:
@@ -685,10 +672,13 @@ def _class_rows(link_vertices: int, link_circuits: list[int]) -> list[tuple[int,
     return out
 
 
-def _matroid_links(cx: SimplicialComplex) -> Iterator[tuple[int, int, list[int]]]:
-    """For a matroid cx, yields each face a in more than one facet with the
-    vertex mask of its link M/a and the circuits of M/a with two or more
-    vertices, from cx's faces and circuits alone.
+def _matroid_links(
+    cx: SimplicialComplex, a: int, verts: int, circuits: list[int]
+) -> Iterator[tuple[int, int, list[int]]]:
+    """For a face a of cx whose link M/a is a matroid, given the vertex mask
+    of M/a and its circuits with two or more vertices, yields a and each face
+    above it in more than one facet, with the vertex mask of its link and the
+    circuits of that link with two or more vertices, from cx's faces alone.
 
     The walk steps from a to a u {v} only for link vertices v above a's
     highest vertex, so it reaches each face once.  The circuits of
@@ -706,11 +696,10 @@ def _matroid_links(cx: SimplicialComplex) -> Iterator[tuple[int, int, list[int]]
     A link whose circuits are all loops has a single facet, as have the
     links above it, so the walk drops it with them; a matroid link with
     facets B != B' has the circuit in B u {e}, e in B' \\ B, which holds e
-    and a vertex of B.  The faces visited are thus those of `_links`.
+    and a vertex of B.  The faces visited are thus those of `_walk` above a.
     """
     faces = cx.face_masks()
-    circuits = [c for c in cx.minimal_nonface_masks() if c & (c - 1)]
-    stack = [(0, cx.vertex_mask, circuits)] if circuits else []
+    stack = [(a, verts, circuits)] if circuits else []
     while stack:
         a, verts, circuits = stack.pop()
         yield a, verts, circuits
@@ -735,15 +724,27 @@ def _matroid_links(cx: SimplicialComplex) -> Iterator[tuple[int, int, list[int]]
 
 
 def _table_of(
-    cx: SimplicialComplex, scan: Iterable[tuple[int, list[int], list[tuple[int, int]]]]
+    cx: SimplicialComplex, links: Iterable[tuple[int, int, list[int], list | None]]
 ) -> T1Table:
-    """The table of cx from (a, link circuits, (b, dim) at link faces) per link."""
+    """The table of cx from links as `_walk` yields them.  A matroid link
+    (dims None) stands for itself and every link above it: each link of
+    `_matroid_links` from it takes the rows of `_class_rows`."""
     rows = []
-    for a, link_circuits, dims in scan:
-        A = unpack(a)
-        rows += [(MultiDegree(A, unpack(c)), 1) for c in _isolated_circuits(link_circuits)]
-        rows += [(MultiDegree(A, unpack(b)), dim) for b, dim in dims if dim]
+    for a, verts, circuits, dims in links:
+        if dims is None:
+            for a, verts, circuits in _matroid_links(cx, a, verts, circuits):
+                rows += _link_rows(a, circuits, _class_rows(verts, circuits))
+        else:
+            rows += _link_rows(a, circuits, dims)
     return T1Table._from_valid(cx.n, rows)
+
+
+def _link_rows(a: int, circuits: list[int], dims: list[tuple[int, int]]) -> list:
+    """The rows of the link at a: 1 at each isolated circuit, and the nonzero
+    (b, dim) pairs."""
+    A = unpack(a)
+    rows = [(MultiDegree(A, unpack(c)), 1) for c in _isolated_circuits(circuits)]
+    return rows + [(MultiDegree(A, unpack(b)), dim) for b, dim in dims if dim]
 
 
 def _bijection_sets(link: SimplicialComplex, bm: int) -> tuple[set[int], set[int]]:

@@ -6,29 +6,27 @@ recognition corollary), and more generally exactly when the closed-form
 circuit expression matches the graph computation at every degree in the
 vanishing range (the main theorem).
 
-`formula_discrepancies` applies both link by link.  T1 of D at (A, b) is T1
-of L = link(D, A) at (0, b), so the main theorem for L settles every degree
-with support A: where L is a matroid there is no discrepancy, and the
-recognition corollary applied to L decides that from L's singleton degrees.
-Matroids are closed under contraction, and link(D, A) is the contraction of
-link(D, A \\ {v}) at v, so once one link is known to be a matroid every link
-of a larger A above it is one too and needs no degree at all.
+`formula_discrepancies` applies both link by link, along the walk
+`cotangent._walk`.  T1 of D at (A, b) is T1 of L = link(D, A) at (0, b), so
+the main theorem for L settles every degree with support A: where L is a
+matroid there is no discrepancy, and the recognition corollary applied to L
+decides that from L's singleton degrees.  Matroids are closed under
+contraction, and link(D, A u {v}) is the contraction of link(D, A) at v, so
+the walk goes no higher than a matroid link.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
-from .complexes import SimplicialComplex, unpack
+from .complexes import SimplicialComplex, _faces_of, _link_facets, _minimal_nonfaces, unpack
 from .cotangent import (
     MultiDegree,
     _circuits_through,
-    _degree_scan,
     _formula_on_link,
-    _link_facets_by_face,
-    _link_of,
     _scan_dim,
     _singleton_dims,
+    _walk,
 )
 
 
@@ -41,7 +39,8 @@ class Discrepancy(NamedTuple):
 def _first_singleton_discrepancy(cx: SimplicialComplex) -> Discrepancy | None:
     """The first degree (0, {v}) where graph dimension and circuit count differ."""
     cx._require_nonvoid("is_matroid_via_t1")
-    for b, graph_dim, formula_dim in _singleton_dims(cx):
+    singles = _singleton_dims(cx.face_masks(), cx.minimal_nonface_masks(), cx.vertex_mask)
+    for b, graph_dim, formula_dim in singles:
         if graph_dim != formula_dim:
             return Discrepancy(MultiDegree((), unpack(b)), graph_dim, formula_dim)
     return None
@@ -65,55 +64,37 @@ def _differing(
     return out
 
 
-def _graph_dims(
-    link_faces: frozenset[int], through: dict[int, int], single: bool
-) -> Iterator[tuple[int, int]]:
-    """(b, graph dimension) at the faces b of a link with one vertex, or with
-    two or more when single is false."""
-    for b in link_faces:
-        if b and (b.bit_count() == 1) == single:
-            yield b, _scan_dim(link_faces, through, b)
-
-
 def formula_discrepancies(cx: SimplicialComplex) -> list[Discrepancy]:
     """Degrees where the graph computation and the circuit formula disagree.
 
-    The degrees of `cotangent._degree_scan` are the only ones where the two
-    can differ, as its docstring shows.  They are taken link by link, over
-    the faces A that `cotangent._links` visits, in order of |A|.  A link L
-    at A is a matroid, and has no discrepancy by the main theorem, when the
-    link at A \\ {v} for some v in A is one: L is its contraction at v, and
-    its faces are never built.  Any other L first takes the recognition
-    corollary's test on its singleton degrees; when they all agree L is a
-    matroid, and otherwise the graph also runs at L's faces with two or more
-    vertices.  Empty exactly when cx is a matroid.
+    The degrees of the links of `cotangent._walk` are the only ones where
+    the two can differ, as its docstring shows.  A link that passes the
+    singleton test is a matroid, as is every link above it, and has no
+    discrepancy by the main theorem; every other link comes with its graph
+    dimensions, which are compared with the formula.  Empty exactly when cx
+    is a matroid.
     """
     cx._require_nonvoid("formula_discrepancies")
     out = []
-    matroid_links = set()
-    links = sorted(_link_facets_by_face(cx), key=lambda link: link[0].bit_count())
-    for a, link_facets in links:
-        if any((a ^ 1 << (v - 1)) in matroid_links for v in unpack(a)):
-            matroid_links.add(a)
-            continue
-        link_faces, link_circuits = _link_of(cx, a, link_facets)
-        through = _circuits_through(link_circuits)
-        found = _differing(a, link_circuits, _graph_dims(link_faces, through, True))
-        if found:
-            out += found + _differing(a, link_circuits, _graph_dims(link_faces, through, False))
-        else:
-            matroid_links.add(a)
+    for a, _, link_circuits, dims in _walk(cx):
+        if dims is not None:
+            out += _differing(a, link_circuits, dims)
     out.sort(key=lambda d: d.degree.key())
     return out
 
 
 def _all_discrepancies(cx: SimplicialComplex) -> list[Discrepancy]:
-    """`formula_discrepancies` without the shortcut: the graph against the
-    circuit formula at every degree of `cotangent._degree_scan`.  Its empty
-    result on a matroid checks the main theorem, which the shortcut assumes."""
+    """`formula_discrepancies` without the walk: at every face a of cx, the
+    graph against the circuit formula at every nonempty face b of its link,
+    each link built from its facets.  Its empty result on a matroid checks
+    the main theorem, which the walk assumes."""
     cx._require_nonvoid("formula_discrepancies")
     out = []
-    for a, link_circuits, dims in _degree_scan(cx):
+    for a in cx.face_masks():
+        link_faces = _faces_of(_link_facets(cx.facet_masks, a))
+        link_circuits = _minimal_nonfaces(link_faces, cx.n)
+        through = _circuits_through(link_circuits)
+        dims = [(b, _scan_dim(link_faces, through, b)) for b in link_faces if b]
         out += _differing(a, link_circuits, dims)
     out.sort(key=lambda d: d.degree.key())
     return out

@@ -5,12 +5,14 @@ One test per criterion; each prints a single summary line (visible with
 criteria share the census fixtures: `reps5` from conftest.py, `census5` below.
 """
 
+import hashlib
 import itertools
 import math
 import time
 
 import pytest
 
+from srt1 import cli
 from srt1.census import run_census
 from srt1.complexes import SimplicialComplex
 from srt1.cotangent import (
@@ -299,3 +301,23 @@ def test_acceptance_8_property_suites(census5):
         f"{len(census5)} total, {total} checks on the <=5-vertex census) "
         f"[{elapsed:.1f}s]"
     )
+
+
+# md5 and sha256 of the stdout of `srt1 census --max-n 5`, the same for every
+# thread count; an engine change that moves any report changes them
+CENSUS5_STDOUT_MD5 = "a2bf42a8f0d7e6a7bef2fa593eba5752"
+CENSUS5_STDOUT_SHA256 = "1a42e498388d4a1135445353cdbf7f50d699fe88f4eb3682e522a776fbdf0359"
+
+
+def test_census_cli_output_is_pinned(census5, monkeypatch, capsys):
+    # the module's census run stands in for the CLI's, so no second one runs
+    asked = []
+    reports = list(census5.values())
+    monkeypatch.setattr(
+        cli, "run_census", lambda max_n, threads: asked.append((max_n, threads)) or reports
+    )
+    assert cli.main(["census", "--max-n", "5", "--threads", "1"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert asked == [(5, 1)]
+    assert hashlib.md5(out).hexdigest() == CENSUS5_STDOUT_MD5
+    assert hashlib.sha256(out).hexdigest() == CENSUS5_STDOUT_SHA256

@@ -9,6 +9,7 @@ from srt1.census import (
     all_antichain_masks,
     canonical_form,
     check_complex,
+    check_threads,
     orbit_size,
     representatives,
     run_census,
@@ -144,7 +145,17 @@ def test_run_census_threads_match():
     ]
 
 
-@pytest.mark.parametrize("threads", [0, (os.cpu_count() or 1) + 1])
+@pytest.mark.parametrize("threads", [0, (os.cpu_count() or 1) + 1, True, 1.0, 1.5, "1"])
 def test_run_census_rejects_thread_count_outside_cpu_range(threads):
     with pytest.raises(ValueError, match="threads must be an integer"):
         run_census(1, threads=threads)
+    with pytest.raises(ValueError, match="threads must be an integer"):
+        check_threads(threads)
+
+
+@pytest.mark.parametrize("max_n", [True, False, 1.0, 2.5, "2"])
+def test_run_census_rejects_non_integer_max_n(max_n):
+    # bool is an int subclass and 1.0 compares equal to 1; both are refused,
+    # as `pack` and `T1Table` refuse them, before any complex is built
+    with pytest.raises(ValueError, match="census supports"):
+        run_census(max_n)

@@ -9,8 +9,8 @@ from srt1.cotangent import (
     InclusionGraph,
     MultiDegree,
     T1Table,
-    _degree_scan,
-    _links,
+    _matroid_links,
+    _walk,
     bijection_check,
     circuits_containing,
     dim_t1,
@@ -358,50 +358,82 @@ def test_t1_table_agrees_with_dim_t1():
         assert t.dim(d) == dim_t1(cx, d), d
 
 
-def test_degree_scan_skips_simplex_links(monkeypatch):
+def _in_two_facets(cx):
+    return {a for a in cx.face_masks() if sum(f & a == a for f in cx.facet_masks) > 1}
+
+
+def test_walk_skips_simplex_links(monkeypatch):
     # T1 of a simplex vanishes in every degree, so a face whose link is a
     # simplex, a facet or a leaf of a path say, is never scanned
     path = SimplicialComplex.from_facets(4, [[1, 2], [2, 3], [3, 4]])
-    assert sorted(unpack(a) for a, _, _ in _degree_scan(path)) == [
+    assert sorted(unpack(a) for a, _, _, _ in _walk(path)) == [
         (),
         (2,),
         (3,),
     ]
     for cx in (cx for n in range(1, 5) for cx in representatives(n)):
-        for a, _, _ in _degree_scan(cx):
+        for a, _, _, _ in _walk(cx):
             link_faces = cx.link_mask(a).face_masks()
             assert _union(link_faces) not in link_faces, (cx, unpack(a))
 
     # the link is a simplex exactly when one facet contains the face, and
-    # `_links` skips such a face before materialising any face set
+    # the walk skips such a face before materialising any face set; a
+    # matroid link is handed on with no face set built above it
     built = []
     real = cotangent._faces_of
     monkeypatch.setattr(cotangent, "_faces_of", lambda facets: built.append(facets) or real(facets))
     path12 = SimplicialComplex.from_facets(12, [[v, v + 1] for v in range(1, 12)])
-    for cx in (path12, uniform(6, 3)):
-        faces = cx.face_masks()
+    for cx, kept in ((path12, _in_two_facets(path12)), (uniform(6, 3), {0})):
         built.clear()
-        kept = {a for a, _, _ in _links(cx)}
-        assert kept == {a for a in faces if sum(f & a == a for f in cx.facet_masks) > 1}
+        assert {a for a, _, _, _ in _walk(cx)} == kept
         assert sorted(map(sorted, built)) == sorted(
             sorted(cx.link_mask(a).facet_masks) for a in kept if a
         )
-    assert {unpack(a) for a, _, _ in _links(path12)} == {()} | {(v,) for v in range(2, 12)}
+    assert {unpack(a) for a, _, _, _ in _walk(path12)} == {()} | {(v,) for v in range(2, 12)}
 
 
-def test_links_match_the_definition():
-    # each face in two or more facets exactly once, with its link's faces and circuits
+def test_walk_links_match_the_definition():
+    # every link the walk yields carries its own vertices and circuits, and
+    # a graph link the graph dimension at each of its nonempty faces
     for cx in (cx for n in range(1, 6) for cx in representatives(n)):
-        got = list(_links(cx))
-        kept = [a for a, _, _ in got]
-        assert len(kept) == len(set(kept)), cx
-        assert set(kept) == {
-            a for a in cx.face_masks() if sum(f & a == a for f in cx.facet_masks) >= 2
-        }, cx
-        for a, link_faces, circuits in got:
+        for a, verts, circuits, dims in _walk(cx):
             link = cx.link_mask(a)
-            assert link_faces == link.face_masks(), (cx, unpack(a))
+            assert verts == link.vertex_mask, (cx, unpack(a))
+            if dims is None:
+                assert matroids.is_matroid_exchange(link), (cx, unpack(a))
+                want = [c for c in link.minimal_nonface_masks() if c.bit_count() > 1]
+                assert sorted(circuits) == sorted(want), (cx, unpack(a))
+                continue
             assert set(circuits) == set(link.minimal_nonface_masks()), (cx, unpack(a))
+            link_faces = link.face_masks()
+            assert sorted(b for b, _ in dims) == sorted(b for b in link_faces if b)
+            for b, dim in dims:
+                assert dim == cotangent._dim_on_faces(link_faces, b), (cx, unpack(a), b)
+
+
+def _walk_reach(cx):
+    """The faces `_walk` yields, each matroid link with the faces above it
+    that `_matroid_links` yields from it."""
+    out = []
+    for a, verts, circuits, dims in _walk(cx):
+        if dims is None:
+            out += [c for c, _, _ in _matroid_links(cx, a, verts, circuits)]
+        else:
+            out.append(a)
+    return out
+
+
+@pytest.mark.parametrize(
+    "cx",
+    [cx for n in range(1, 6) for cx in representatives(n)]
+    + [uniform(n, k) for n in range(1, 9) for k in range(n + 1)],
+)
+def test_walk_and_hand_off_reach_each_link_once(cx):
+    # a face in two or more facets is reached once, by the walk or by the
+    # contraction walk from the matroid link below it, and no other face is
+    reach = _walk_reach(cx)
+    assert len(reach) == len(set(reach))
+    assert set(reach) == _in_two_facets(cx)
 
 
 def test_t1_table_threads_deterministic():

@@ -2,8 +2,9 @@
 
 `cotangent._dim_on_faces` joins only the unmarked part W of N_b and drops a
 component of W that lies one vertex below a marked member of N_b;
-`cotangent._degree_scan` records 0 without the graph at a face b of a link
-that lies in no circuit of the link.  Here the first meets the former
+`cotangent._scan_dim` records 0 without the graph at a face b of a link
+that lies in no circuit of the link, at every link the walk
+`cotangent._walk` hands to the graph.  Here the first meets the former
 exhaustive count (`_oracles._scan_dim`) at every nonempty face b of every
 link of the differential battery, and the second meets the definitions on
 the census classes on up to 4 vertices.
@@ -15,7 +16,7 @@ import pytest
 
 from srt1 import cotangent
 from srt1.complexes import SimplicialComplex, submasks
-from srt1.cotangent import _degree_scan, _dim_on_faces
+from srt1.cotangent import _dim_on_faces, _walk
 
 from _census_reps import representatives
 from _oracles import (
@@ -105,7 +106,7 @@ def _path_edges(n):
 @pytest.mark.parametrize(
     "n, facets", [(12, _path_edges(12)), (4, [[1, 2], [3, 4]])], ids=["path-12", "two-edges"]
 )
-def test_degree_scan_skips_b_in_no_link_circuit(monkeypatch, n, facets):
+def test_walk_skips_b_in_no_link_circuit(monkeypatch, n, facets):
     cx = SimplicialComplex.from_facets(n, facets)
     calls = []
     real = cotangent._dim_on_faces
@@ -113,7 +114,7 @@ def test_degree_scan_skips_b_in_no_link_circuit(monkeypatch, n, facets):
         cotangent, "_dim_on_faces", lambda faces, b: calls.append((faces, b)) or real(faces, b)
     )
     skipped = 0
-    for _, _, dims in _degree_scan(cx):
+    for _, _, _, dims in _walk(cx):
         skipped += sum(1 for b, _ in dims if b.bit_count() > 1)
     for faces, b in calls:
         assert any(b & ~c == 0 for c in sweep_minimal_nonfaces(faces, n)), b

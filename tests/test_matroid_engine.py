@@ -1,20 +1,23 @@
 """The closed-form matroid path of `t1_table` against the graph engine.
 
-`t1_table` sends a complex that passes the singleton test to the class rule
-of `cotangent._matroid_table` and everything else to the inclusion graph of
-`cotangent._degree_scan`.  The class rule reads each link's vertices and
-circuits off the walk `cotangent._matroid_links`, which derives them from the
-parent link by contraction; the walk meets the links built from their faces,
-and the class rule meets the graph engine, on every census matroid, on every
-U(n, k) with n <= 8, and on seeded partition and graphic matroids on 8 and 9
-elements, some with loops and coloops.  The dispatch guards check that a
-matroid's table and its reconstruction build no face set of a link, that
-non-matroids compute no singleton degree and no circuit family twice, and
-that the recognition functions keep the graph: `formula_discrepancies` at
-the singleton degrees of every link that is not already known to be a
-matroid, the private full comparison at every degree.  `t1_table` builds
-its table without the entry checks, so the checking constructors are run
-on what it builds, matroid or not.
+`t1_table` follows the walk `cotangent._walk`, which sends each link that
+passes the singleton test to the class rule of `cotangent._class_rows` and
+every other link to the inclusion graph.  The class rule reads the vertices
+and circuits of a matroid link, and of each link above it, off the walk
+`cotangent._matroid_links`, which derives them from the parent link by
+contraction.  The contraction walk meets the links built from their faces,
+and `t1_table` meets an independent graph table (the graph at every face of
+every link, each built from its facets) on every census class, on every
+U(n, k) with n <= 8, on seeded partition and graphic matroids on 8 and 9
+elements, some with loops and coloops, and on a non-matroid near U(10, 5).
+The dispatch guards check that a matroid's table and its reconstruction
+build no face set of a link, that non-matroids compute no singleton degree
+and no circuit family twice, that only links failing the singleton test run
+the graph past their singleton degrees, and that the recognition functions
+keep the graph: `formula_discrepancies` at the singleton degrees of every
+link the walk reaches, the private full comparison at every degree.
+`t1_table` builds its table without the entry checks, so the checking
+constructors are run on what it builds, matroid or not.
 """
 
 import collections
@@ -27,9 +30,7 @@ from srt1 import complexes, cotangent
 from srt1.complexes import SimplicialComplex, unpack
 from srt1.cotangent import (
     T1Table,
-    _degree_scan,
     _isolated_circuits,
-    _link_facets_by_face,
     _matroid_links,
     t1_table,
 )
@@ -38,6 +39,7 @@ from srt1.recognition import _all_discrepancies, formula_discrepancies, is_matro
 from srt1.reconstruction import reconstruct
 
 from _census_reps import representatives
+from test_large_matroids import minus_bases
 
 SEEDS = range(6)
 
@@ -101,13 +103,18 @@ MATROIDS = [cx for _, cx in NAMED]
 
 
 def graph_engine_table(cx):
-    """The table from `_degree_scan`: the inclusion graph at every face of
-    every link that lies in a circuit of the link, 0 at the others."""
+    """The table from the inclusion graph at every nonempty face of the link
+    at every face of cx, each link built from its facets, plus 1 at each
+    isolated circuit of a link: no walk, no rule and no hand-off."""
     out = {}
-    for a, circuits, dims in _degree_scan(cx):
+    for a in cx.face_masks():
         A = unpack(a)
-        out.update({(A, unpack(c)): 1 for c in _isolated_circuits(circuits)})
-        out.update({(A, unpack(b)): dim for b, dim in dims if dim})
+        link = cx.link_mask(a)
+        faces = link.face_masks()
+        out.update({(A, unpack(c)): 1 for c in _isolated_circuits(link.minimal_nonface_masks())})
+        for b in faces:
+            if b and (dim := cotangent._dim_on_faces(faces, b)):
+                out[(A, unpack(b))] = dim
     return out
 
 
@@ -127,13 +134,55 @@ def test_class_rule_matches_graph_engine(cx):
     assert table == graph_engine_table(cx)
 
 
+# U(10, 5) without two bases that share four elements: not a matroid, but
+# most of its links are
+NEAR_U10 = minus_bases([(1, 2, 3, 4, 5), (1, 2, 3, 4, 6)])
+CENSUS = [cx for n in range(1, 6) for cx in representatives(n)]
+NON_MATROIDS = [
+    (f"census-{n}-{i}", cx)
+    for n in range(1, 6)
+    for i, cx in enumerate(representatives(n))
+    if not is_matroid_exchange(cx)
+] + [("near-U(10,5)", NEAR_U10)]
+
+
+@pytest.mark.parametrize("cx", [cx for _, cx in NON_MATROIDS], ids=[n for n, _ in NON_MATROIDS])
+def test_walk_matches_graph_engine_on_non_matroids(cx):
+    # with the census matroids above, every census class
+    table = {(k.A, k.b): dim for k, dim in t1_table(cx).items()}
+    assert table == graph_engine_table(cx)
+
+
+def test_only_links_failing_the_singleton_test_run_wider_graphs(monkeypatch):
+    # the graph runs at a face b of two or more vertices only on the links
+    # where the singleton test fails; every other link is a matroid link or
+    # lies above one, and takes the class rule
+    failing = {
+        link.face_masks()
+        for link in (NEAR_U10.link_mask(a) for a in NEAR_U10.face_masks())
+        if not is_matroid_via_t1(link)
+    }
+    calls = []
+    real = cotangent._dim_on_faces
+    monkeypatch.setattr(
+        cotangent, "_dim_on_faces", lambda faces, b: calls.append((faces, b)) or real(faces, b)
+    )
+    t1_table(NEAR_U10)
+    wide = [faces for faces, b in calls if b.bit_count() > 1]
+    assert wide and all(faces in failing for faces in wide)
+    assert len(failing) < len(NEAR_U10.face_masks()) // 10
+
+
 @pytest.mark.parametrize(
     "cx", MATROIDS + [uniform(9, 4)], ids=[name for name, _ in NAMED] + ["U(9,4)"]
 )
 def test_matroid_walk_matches_links_built_from_faces(cx):
-    walk = list(_matroid_links(cx))
+    circuits = [c for c in cx.minimal_nonface_masks() if c.bit_count() > 1]
+    walk = list(_matroid_links(cx, 0, cx.vertex_mask, circuits))
     assert len({a for a, _, _ in walk}) == len(walk)
-    assert {a for a, _, _ in walk} == {a for a, _ in _link_facets_by_face(cx)}
+    assert {a for a, _, _ in walk} == {
+        a for a in cx.face_masks() if sum(f & a == a for f in cx.facet_masks) > 1
+    }
     for a, link_vertices, link_circuits in walk:
         link = cx.link_mask(a)
         assert link_vertices == link.vertex_mask, unpack(a)
@@ -141,9 +190,10 @@ def test_matroid_walk_matches_links_built_from_faces(cx):
         assert sorted(link_circuits) == sorted(want), unpack(a)
 
 
-def test_matroid_engine_states_each_degree_once(monkeypatch):
+def test_engine_states_each_degree_once(monkeypatch):
     # `_from_valid` trusts its rows to hold no degree twice; a class of the
-    # class rule that is a circuit is also an isolated circuit row
+    # class rule that is a circuit is also an isolated circuit row, and a
+    # walk that reached a link twice would state its rows twice
     batches = []
     real = T1Table._from_valid.__func__
 
@@ -154,7 +204,7 @@ def test_matroid_engine_states_each_degree_once(monkeypatch):
 
     monkeypatch.setattr(T1Table, "_from_valid", classmethod(record))
     isolated = 0
-    for cx in MATROIDS:
+    for cx in MATROIDS + CENSUS + [NEAR_U10]:
         batches.clear()
         t1_table(cx)
         (rows,) = batches
