@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field
 
 from .complexes import (
     SimplicialComplex,
@@ -122,15 +121,22 @@ def orbit_size(cx: SimplicialComplex) -> int:
 # invariant battery
 
 
-@dataclass
 class CensusReport:
-    name: str
-    checked: int = 0
-    failures: list[str] = field(default_factory=list)
+    """One invariant's name, check count and failure messages."""
+
+    def __init__(self, name: str, checked: int = 0, failures: list[str] | None = None) -> None:
+        self.name, self.checked = name, checked
+        self.failures = [] if failures is None else failures  # one list per report
 
     @property
     def ok(self) -> bool:
         return not self.failures
+
+    def __eq__(self, other) -> bool:
+        return vars(self) == vars(other) if isinstance(other, CensusReport) else NotImplemented
+
+    def __repr__(self) -> str:
+        return "CensusReport(" + ", ".join(f"{k}={v!r}" for k, v in vars(self).items()) + ")"
 
 
 _FAIL_CAP = 5

@@ -184,8 +184,8 @@ class SimplicialComplex:
         masks = list(facet_masks)
         full = (1 << n) - 1
         for m in masks:
-            if m & ~full:
-                raise VertexRangeError(f"facet {unpack(m)} not within 1..{n}")
+            if not isinstance(m, int) or isinstance(m, bool) or not 0 <= m <= full:
+                raise VertexRangeError(f"facet mask {m!r} is not an integer in 0..{full}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "facet_masks", tuple(maximal_masks(masks)))
         object.__setattr__(self, "_faces", None)

@@ -23,17 +23,19 @@ link(D, A) at (emptyset, b), so each link is decided on its own, and one
 walk, `_walk`, visits the links and hands each to one of two engines.
 
 A link that passes the singleton test is a matroid (the recognition
-corollary), so by the main theorem its whole table is the circuit formula,
-which `_class_rows` reads off the link's vertices and circuits.  Every link
-above it is a contraction of it, and its vertices and circuits follow from
-those of the link one vertex below (`_matroid_links`), so no face set and no
-N_b is built above the singleton degrees of a matroid link.
+corollary), so by the main theorem its whole table, its isolated circuits
+included, is the circuit formula, which `_class_rows` reads off the link's
+vertices and circuits.  Every link above it is a contraction of it, and its
+vertices and circuits follow from those of the link one vertex below
+(`_matroid_links`), so no face set and no N_b is built above the singleton
+degrees of a matroid link.
 
-Any other link takes the inclusion graph at each of its nonempty faces b;
-the nonface degrees are read off the link's circuits.  N_b is an up-set
-among the faces disjoint from b, so its components come from the one-vertex
-inclusions alone.  Two exact rules, for any complex, cut the graph further.
-Call F in N_b unmarked when it is not in N~_b.
+Any other link takes 1 at each of its isolated circuits, its only nonzero
+nonface degrees, and the inclusion graph at each of its nonempty faces b,
+both listed by `_walk`.  N_b is an up-set among the faces disjoint from b,
+so its components come from the one-vertex inclusions alone.  Two exact
+rules, for any complex, cut the graph further.  Call F in N_b unmarked when
+it is not in N~_b.
 
 1. A face b of L that lies in no circuit of L has dimension 0.  For an
    unmarked F in N_b the nonface F u b contains a minimal nonface C, and C
@@ -49,7 +51,6 @@ Call F in N_b unmarked when it is not in N~_b.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 from .complexes import (
@@ -235,11 +236,12 @@ def _walk(cx: SimplicialComplex) -> Iterator[tuple[int, int, list[int], list | N
       two or more vertices and dims None, and the walk goes no higher:
       every link above it is a contraction of it, which `_matroid_links`
       reaches from it.
-    * any other link comes with all its circuits and dims, the pairs
-      (b, graph dimension) at each of its nonempty faces b, the singleton
-      graphs of the test reused.  A link of rank 1 skips the test: it has
-      no face of two or more vertices and no link above it with two facets,
-      so the test would save nothing.
+    * any other link comes with all its circuits and dims, its whole
+      table: the pairs (c, 1) at each isolated circuit c of the link with
+      two or more vertices, then (b, graph dimension) at each of its
+      nonempty faces b, the singleton graphs of the test reused.  A link of
+      rank 1 skips the test: it has no face of two or more vertices and no
+      link above it with two facets, so the test would save nothing.
 
     A face in exactly one facet F is skipped with every face above it,
     before any face set is built: its link is the simplex on F \\ a
@@ -279,7 +281,7 @@ def _walk(cx: SimplicialComplex) -> Iterator[tuple[int, int, list[int], list | N
                 yield a, verts, [c for c in circuits if c & (c - 1)], None
                 continue
         through = _circuits_through(circuits)
-        yield a, verts, circuits, [
+        yield a, verts, circuits, [(c, 1) for c in _isolated_circuits(circuits)] + [
             (b, known[b] if b in known else _scan_dim(link_faces, through, b))
             for b in link_faces
             if b
@@ -353,8 +355,7 @@ def circuits_containing(cx: SimplicialComplex, b: Iterable[int]) -> list[tuple[i
     return [unpack(c) for c in cx.minimal_nonface_masks() if bm & ~c == 0]
 
 
-@dataclass(frozen=True)
-class InclusionGraph:
+class InclusionGraph(NamedTuple):
     """The component data of the graph on N_b(link(cx, A)).
 
     vertices are the members of N_b in canonical order; edges join strict
@@ -611,16 +612,16 @@ class T1Table:
 def t1_table(cx: SimplicialComplex, threads: int = 1) -> T1Table:
     """All nonzero T1 dimensions of cx, over the vanishing-range degrees.
 
-    Adds dimension 1 at each isolated circuit of a link that has more than
-    one vertex, and the dimensions at the link's nonempty faces; every other
-    degree is provably zero.  `_walk` supplies the face dimensions link by
-    link: at a matroid link the circuit formula of `_class_rows`, on it and
-    on every link above it, whose vertices and circuits `_matroid_links`
-    derives from the parent link's by contraction; at any other link the
-    inclusion graph at each face.  A matroid link costs its singleton
-    graphs, then per link above it link circuits face lookups plus link
-    vertices x link circuits to group the vertices; any other link costs
-    its faces x its faces.
+    The nonzero degrees of a link are among its nonempty faces and its
+    isolated circuits with more than one vertex; every other degree is
+    provably zero.  `_walk` supplies the dimensions link by link: at a
+    matroid link the circuit formula of `_class_rows`, on it and on every
+    link above it, whose vertices and circuits `_matroid_links` derives from
+    the parent link's by contraction; at any other link 1 at each isolated
+    circuit and the inclusion graph at each face.  A matroid link costs its
+    singleton graphs, then per link above it link circuits face lookups plus
+    link vertices x link circuits to group the vertices; any other link
+    costs its faces x its faces.
 
     The table is computed in-process: each face's piece costs well under a
     millisecond, too little to repay a process pool.  `threads` is accepted
@@ -638,8 +639,8 @@ def _matroid_table(cx: SimplicialComplex) -> T1Table:
 
 
 def _class_rows(link_vertices: int, link_circuits: list[int]) -> list[tuple[int, int]]:
-    """(b, formula) at the faces b of a matroid link where the circuit
-    formula is positive.
+    """(b, formula) at the degrees b of a matroid link where the circuit
+    formula is positive: the link's whole table, faces and nonfaces alike.
 
     The formula is nonzero only at a tame b, one that every circuit of the
     link L contains or misses, so all vertices of b lie in the same circuits.
@@ -648,9 +649,10 @@ def _class_rows(link_vertices: int, link_circuits: list[int]) -> list[tuple[int,
     through K.  A b within K that is a nonface contains a circuit C, which
     then contains all of K, so b = K = C.  Every nonempty proper subset of K
     is therefore a face, with formula count - [|b| = 1], and so is K unless
-    it is a circuit; a circuit K is isolated, since each of its vertices lies
-    in it alone, and is left to the isolated circuit rows.  No face of L is
-    looked up.
+    it is a circuit.  A circuit K is isolated, since each of its vertices
+    lies in it alone, so its count is 1 and K gets 1, the formula at K; each
+    isolated circuit of L with two or more vertices is such a class.  No face
+    of L is looked up.
     """
     classes: dict[tuple[int, ...], int] = {}
     rest = link_vertices
@@ -663,11 +665,8 @@ def _class_rows(link_vertices: int, link_circuits: list[int]) -> list[tuple[int,
     out = []
     for key, members in classes.items():
         count = len(key)
-        circuit = key == (members,)
         out += [
-            (b, dim)
-            for b in submasks(members)
-            if b and not (circuit and b == members) and (dim := _less_one_for_singleton(count, b))
+            (b, dim) for b in submasks(members) if b and (dim := _less_one_for_singleton(count, b))
         ]
     return out
 
@@ -726,25 +725,19 @@ def _matroid_links(
 def _table_of(
     cx: SimplicialComplex, links: Iterable[tuple[int, int, list[int], list | None]]
 ) -> T1Table:
-    """The table of cx from links as `_walk` yields them.  A matroid link
-    (dims None) stands for itself and every link above it: each link of
-    `_matroid_links` from it takes the rows of `_class_rows`."""
+    """The table of cx from links as `_walk` yields them: the nonzero
+    (b, dim) pairs of each link, and no other rows.  A matroid link (dims
+    None) stands for itself and every link above it: each link of
+    `_matroid_links` from it takes the pairs of `_class_rows`."""
     rows = []
     for a, verts, circuits, dims in links:
-        if dims is None:
-            for a, verts, circuits in _matroid_links(cx, a, verts, circuits):
-                rows += _link_rows(a, circuits, _class_rows(verts, circuits))
-        else:
-            rows += _link_rows(a, circuits, dims)
+        each_link = [(a, dims)] if dims is not None else (
+            (a, _class_rows(v, c)) for a, v, c in _matroid_links(cx, a, verts, circuits)
+        )
+        for a, dims in each_link:
+            A = unpack(a)
+            rows += [(MultiDegree(A, unpack(b)), dim) for b, dim in dims if dim]
     return T1Table._from_valid(cx.n, rows)
-
-
-def _link_rows(a: int, circuits: list[int], dims: list[tuple[int, int]]) -> list:
-    """The rows of the link at a: 1 at each isolated circuit, and the nonzero
-    (b, dim) pairs."""
-    A = unpack(a)
-    rows = [(MultiDegree(A, unpack(c)), 1) for c in _isolated_circuits(circuits)]
-    return rows + [(MultiDegree(A, unpack(b)), dim) for b, dim in dims if dim]
 
 
 def _bijection_sets(link: SimplicialComplex, bm: int) -> tuple[set[int], set[int]]:

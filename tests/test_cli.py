@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +34,22 @@ def remark(tmp_path):
 def run_ok(capsys, argv):
     assert cli.main(argv) == 0
     return capsys.readouterr().out
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # every `srt1` process imports srt1.cli first; with no bytecode cache
+    # each module it loads is compiled again, so the set stays small
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import srt1.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    ).stdout
+    assert out == "[]\n"
 
 
 # -- parse_degree ---------------------------------------------------------------

@@ -175,6 +175,15 @@ def test_ground_size_validation():
     assert cx.is_face([MAX_GROUND])
 
 
+@pytest.mark.parametrize("mask", [-1, -8, 8, 1 << 64, True, False, 1.0, "1"])
+def test_constructor_rejects_facet_masks_outside_the_ground(mask):
+    # a mask is checked before it is decoded: unpacking a negative int
+    # never ends, and a bool is no mask, as it is no vertex for `pack`
+    with pytest.raises(VertexRangeError):
+        SimplicialComplex(3, [0b101, mask])
+    assert SimplicialComplex(3, [0b111]).facets == ((1, 2, 3),)
+
+
 def test_zero_ground():
     cx = SimplicialComplex.from_facets(0, [])
     assert cx.faces() == [()]

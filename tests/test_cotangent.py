@@ -394,21 +394,30 @@ def test_walk_skips_simplex_links(monkeypatch):
 
 def test_walk_links_match_the_definition():
     # every link the walk yields carries its own vertices and circuits, and
-    # a graph link the graph dimension at each of its nonempty faces
+    # a graph link its whole table: 1 at each isolated circuit of two or
+    # more vertices, and the graph dimension at each of its nonempty faces
+    isolated_rows = 0
     for cx in (cx for n in range(1, 6) for cx in representatives(n)):
         for a, verts, circuits, dims in _walk(cx):
             link = cx.link_mask(a)
             assert verts == link.vertex_mask, (cx, unpack(a))
+            mnf = link.minimal_nonface_masks()
             if dims is None:
                 assert matroids.is_matroid_exchange(link), (cx, unpack(a))
-                want = [c for c in link.minimal_nonface_masks() if c.bit_count() > 1]
-                assert sorted(circuits) == sorted(want), (cx, unpack(a))
+                want = sorted(c for c in mnf if c.bit_count() > 1)
+                assert sorted(circuits) == want, (cx, unpack(a))
                 continue
-            assert set(circuits) == set(link.minimal_nonface_masks()), (cx, unpack(a))
+            assert set(circuits) == set(mnf), (cx, unpack(a))
+            isolated = [
+                c for c in mnf if c.bit_count() > 1 and not any(c & d for d in mnf if d != c)
+            ]
             link_faces = link.face_masks()
-            assert sorted(b for b, _ in dims) == sorted(b for b in link_faces if b)
-            for b, dim in dims:
-                assert dim == cotangent._dim_on_faces(link_faces, b), (cx, unpack(a), b)
+            want = [(c, 1) for c in isolated] + [
+                (b, cotangent._dim_on_faces(link_faces, b)) for b in link_faces if b
+            ]
+            assert sorted(dims) == sorted(want), (cx, unpack(a))
+            isolated_rows += len(isolated)
+    assert isolated_rows
 
 
 def _walk_reach(cx):

@@ -27,7 +27,7 @@ import random
 import pytest
 
 from srt1 import complexes, cotangent
-from srt1.complexes import SimplicialComplex, unpack
+from srt1.complexes import SimplicialComplex, boundary_simplex, unpack
 from srt1.cotangent import (
     T1Table,
     _isolated_circuits,
@@ -126,6 +126,8 @@ def test_matroid_scale():
     assert {cx.n for cx in seeded} == {8, 9}
     roles = [cx.loops_and_coloops() for cx in seeded]
     assert any(loops for loops, _ in roles) and any(coloops for _, coloops in roles)
+    # some of them have an isolated circuit, which the class rule writes
+    assert any(_isolated_circuits(cx.minimal_nonface_masks()) for cx in MATROIDS)
 
 
 @pytest.mark.parametrize("cx", MATROIDS, ids=[name for name, _ in NAMED])
@@ -191,9 +193,10 @@ def test_matroid_walk_matches_links_built_from_faces(cx):
 
 
 def test_engine_states_each_degree_once(monkeypatch):
-    # `_from_valid` trusts its rows to hold no degree twice; a class of the
-    # class rule that is a circuit is also an isolated circuit row, and a
-    # walk that reached a link twice would state its rows twice
+    # `_from_valid` trusts its rows to hold no degree twice; a second rule
+    # that wrote a link's isolated circuits beside the class rule, which
+    # writes them as classes, or a walk that reached a link twice, would
+    # state rows twice
     batches = []
     real = T1Table._from_valid.__func__
 
@@ -211,6 +214,32 @@ def test_engine_states_each_degree_once(monkeypatch):
         assert len({d for d, _ in rows}) == len(rows), cx
         isolated += any(_isolated_circuits(cx.minimal_nonface_masks()))
     assert isolated
+
+
+@pytest.mark.parametrize("cx", MATROIDS, ids=[name for name, _ in NAMED])
+def test_class_rule_writes_each_isolated_circuit(cx):
+    # an isolated circuit of a matroid link is a class of the class rule,
+    # which gives it the formula's 1 with the link's other rows
+    circuits = [c for c in cx.minimal_nonface_masks() if c.bit_count() > 1]
+    for a, verts, link_circuits in _matroid_links(cx, 0, cx.vertex_mask, circuits):
+        rows = set(cotangent._class_rows(verts, link_circuits))
+        for c in _isolated_circuits(link_circuits):
+            assert (c, 1) in rows, (unpack(a), unpack(c))
+
+
+def test_matroid_table_runs_no_isolated_circuit_pass(monkeypatch):
+    # one rule writes a matroid link's rows: the class rule, isolated
+    # circuits included
+    calls = []
+    real = cotangent._isolated_circuits
+    monkeypatch.setattr(
+        cotangent, "_isolated_circuits", lambda circuits: calls.append(circuits) or real(circuits)
+    )
+    t1_table(uniform(8, 4))
+    triangles = boundary_simplex([1, 2, 3]) * boundary_simplex([1, 2, 3])
+    table = t1_table(triangles)
+    assert calls == []
+    assert table.dim((), (1, 2, 3)) == 1 and table.dim((), (4, 5, 6)) == 1
 
 
 def test_matroid_table_builds_no_link_face_set(monkeypatch):
