@@ -48,7 +48,6 @@ from .reconstruction import (
     reconstruct_rank_one,
     slice_link_table,
 )
-from .census import CensusReport, run_census
 
 __version__ = "0.1.0"
 
@@ -90,3 +89,13 @@ __all__ = [
     "CensusReport",
     "run_census",
 ]
+
+
+def __getattr__(name: str):
+    # the census loads on first use, so that `import srt1` and every srt1
+    # process that runs no census skip it
+    if name in ("CensusReport", "run_census"):
+        from . import census
+
+        return getattr(census, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -16,11 +16,12 @@ for the cross-complex checks.
 from __future__ import annotations
 
 import itertools
-import os
 
 from .complexes import (
+    MAX_CENSUS_GROUND,
     SimplicialComplex,
     _ndel,
+    check_threads,
     maximal_masks,
     sort_key,
     submasks,
@@ -43,8 +44,6 @@ from .matroids import (
 )
 from .recognition import _all_discrepancies, is_matroid_via_t1
 from .reconstruction import classify_loops_coloops, reconstruct, slice_link_table
-
-MAX_CENSUS_GROUND = 5
 
 
 def all_antichain_masks(n: int) -> list[tuple[int, ...]]:
@@ -521,14 +520,6 @@ BATTERY_ORDER = [
     "join-associativity",
     "coloop-extension",
 ]
-
-
-def check_threads(threads: int) -> int:
-    """Return a worker count after checking it is an integer from 1 to the CPU count."""
-    cap = os.cpu_count() or 1
-    if not isinstance(threads, int) or isinstance(threads, bool) or not 1 <= threads <= cap:
-        raise ValueError(f"threads must be an integer in 1..{cap} (the CPU count), got {threads!r}")
-    return threads
 
 
 def run_census(max_n: int, threads: int = 1) -> list[CensusReport]:

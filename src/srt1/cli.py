@@ -12,8 +12,7 @@ import json
 import os
 import sys
 
-from .census import MAX_CENSUS_GROUND, check_threads, run_census
-from .complexes import SimplicialComplex
+from .complexes import MAX_CENSUS_GROUND, SimplicialComplex, check_threads
 from .cotangent import (
     MultiDegree,
     T1Table,
@@ -164,6 +163,14 @@ def _cmd_circuits(args) -> int:
     cx = read_complex(args.complex)
     _emit({"n": cx.n, "minimal_nonfaces": [list(c) for c in cx.minimal_nonfaces()]})
     return 0
+
+
+def run_census(max_n: int, threads: int = 1):
+    """`census.run_census`, imported on the first call, so that no other
+    subcommand loads the census."""
+    from . import census
+
+    return census.run_census(max_n, threads=threads)
 
 
 def _cmd_census(args) -> int:

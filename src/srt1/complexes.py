@@ -13,11 +13,14 @@ and flagged by `is_void`; most operations reject it.
 
 from __future__ import annotations
 
+import os
 from itertools import chain
 from typing import Iterable, Iterator
 
 MAX_GROUND = 64
 MAX_NONFACE_GROUND = 20
+# the census runs over every complex on up to this many vertices
+MAX_CENSUS_GROUND = 5
 
 
 class VertexRangeError(ValueError):
@@ -26,6 +29,14 @@ class VertexRangeError(ValueError):
 
 class VoidComplexError(ValueError):
     """The requested operation is undefined on the void complex."""
+
+
+def check_threads(threads: int) -> int:
+    """Return a worker count after checking it is an integer from 1 to the CPU count."""
+    cap = os.cpu_count() or 1
+    if not isinstance(threads, int) or isinstance(threads, bool) or not 1 <= threads <= cap:
+        raise ValueError(f"threads must be an integer in 1..{cap} (the CPU count), got {threads!r}")
+    return threads
 
 
 def pack(vertices: Iterable[int], n: int) -> int:

@@ -50,6 +50,7 @@ it is not in N~_b.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, Iterator, NamedTuple
 
@@ -468,98 +469,139 @@ def t1_upper_bound(cx: SimplicialComplex, b: Iterable[int]) -> int:
     return _less_one_for_singleton(min(first, second), bm)
 
 
-def _add_entry(norm: dict[MultiDegree, int], d: MultiDegree, dim) -> None:
-    """Stores dim at d in norm, after the checks on a table entry that follow
-    its vertices: b nonempty, dim a positive integer, d not yet stored."""
-    if not d.b:
-        raise ValueError(f"entry {d}: b must be nonempty")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim <= 0:
-        raise ValueError(f"entry {d}: dimension must be a positive integer")
-    if d in norm:
-        raise ValueError(f"entry {d}: duplicate degree")
-    norm[d] = dim
+def _check_row(rows: dict[tuple[int, int], int], a: int, b: int, dim) -> None:
+    """Stores dim at the row (a, b) of rows, after the checks on a table entry
+    that follow its vertices: b nonempty, dim a positive integer, (a, b) not
+    yet stored.  The messages name the entry as a MultiDegree."""
+    if not b:
+        fault = "b must be nonempty"
+    elif not isinstance(dim, int) or isinstance(dim, bool) or dim <= 0:
+        fault = "dimension must be a positive integer"
+    elif (a, b) in rows:
+        fault = "duplicate degree"
+    else:
+        rows[a, b] = dim
+        return
+    raise ValueError(f"entry {MultiDegree(unpack(a), unpack(b))}: {fault}")
+
+
+def _mask_order(n: int):
+    """The canonical order of masks on n vertices, by size and then
+    lexicographically as `complexes.sort_key` orders faces, as a key memoised
+    per mask.  It holds for any n: a table's ground is not bounded by
+    MAX_GROUND.  Reversing the n-bit string puts the lowest vertex where two
+    masks differ at the highest differing bit."""
+
+    @functools.lru_cache(maxsize=None)
+    def key(m: int) -> int:
+        return (m.bit_count() << n) - int(f"{m:0{n}b}"[::-1], 2)
+
+    return key
+
+
+def _canonical(rows: Iterable[tuple], n: int) -> list[tuple]:
+    """Rows whose first item is a pair (a, b) of masks on n vertices, sorted
+    into canonical degree order: by a, then by b, in `_mask_order`."""
+    key = _mask_order(n)
+    return sorted(rows, key=lambda row: (key(row[0][0]), key(row[0][1])))
 
 
 class T1Table:
     """Finite map from support pairs to positive T1 dimensions.
 
     Only nonzero dimensions are stored; lookups outside the stored support
-    classes return 0.  Keys are kept in canonical (A then b, size-lex) order.
-    `T1Table(n, entries)` and `from_json_dict` check every entry; the tables
-    the library builds itself go through `_from_valid`, which checks none.
+    classes return 0.  The rows are one dict `(a, b) -> dim`, a and b the
+    bitmasks of the supports A and b (vertex v is bit v - 1), kept in
+    canonical degree order: by A, then by b, each by size and then
+    lexicographically (`_mask_order`).  Vertex tuples and
+    MultiDegrees are built only where a caller asks for them: `items`,
+    `keys`, iteration, `repr`, `to_json_dict`, `to_tsv` and the error
+    messages.  `T1Table(n, entries)` and `from_json_dict` check every entry;
+    the tables the library builds itself go through `_of_rows`, which checks
+    none.
     """
 
-    __slots__ = ("n", "_entries")
+    __slots__ = ("n", "_rows")
 
     def __init__(self, n: int, entries) -> None:
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ValueError("table ground size must be a nonnegative integer")
         items = entries.items() if hasattr(entries, "items") else entries
-        norm: dict[MultiDegree, int] = {}
+        rows: dict[tuple[int, int], int] = {}
         for key, dim in items:
             d = _as_degree(key)
-            pack(d.A + d.b, n)  # VertexRangeError unless each vertex is an integer in 1..n
-            _add_entry(norm, d, dim)
-        self._fill(n, norm.items())
+            # VertexRangeError unless each vertex is an integer in 1..n
+            _check_row(rows, pack(d.A, n), pack(d.b, n), dim)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_rows", dict(_canonical(rows.items(), n)))
 
     @classmethod
-    def _from_valid(cls, n: int, rows: Iterable[tuple[MultiDegree, int]]) -> "T1Table":
-        """The table of rows that already pass every check of `__init__`:
-        normalised MultiDegrees with disjoint A and b in 1..n, b nonempty,
-        positive dimensions, no degree twice.  Sorts them and checks nothing."""
+    def _of_rows(cls, n: int, rows: Iterable[tuple[tuple[int, int], int]]) -> "T1Table":
+        """The table of mask rows ((a, b), dim) that already pass every check
+        of `__init__` and come in canonical order: disjoint a and b within
+        the n-vertex ground, b nonempty, positive dimensions, no degree
+        twice.  Checks and sorts nothing."""
         t = object.__new__(cls)
-        t._fill(n, rows)
+        object.__setattr__(t, "n", n)
+        object.__setattr__(t, "_rows", dict(rows))
         return t
-
-    def _fill(self, n: int, rows: Iterable[tuple[MultiDegree, int]]) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_entries", dict(sorted(rows, key=lambda kv: kv[0].key())))
 
     def __setattr__(self, name, value):
         raise AttributeError("T1Table is immutable")
 
     def __reduce__(self):
         # default slot-state pickling would trip the __setattr__ guard
-        return (T1Table, (self.n, tuple(self._entries.items())))
+        return (T1Table, (self.n, tuple(self.items())))
+
+    def _mask_pair(self, degree) -> tuple[int, int] | None:
+        """The masks of a degree's supports, or None when a vertex is no
+        integer in 1..n and the degree is stored nowhere."""
+        d = _as_degree(degree)
+        ground = range(1, self.n + 1)
+        if not all(v in ground for v in d.A + d.b):
+            return None
+        return sum(1 << (int(v) - 1) for v in d.A), sum(1 << (int(v) - 1) for v in d.b)
 
     def dim(self, A, b=None) -> int:
         """Stored dimension at (A, b), or 0 when absent."""
-        d = _as_degree(A if b is None else (A, b))
-        return self._entries.get(d, 0)
+        return self._rows.get(self._mask_pair(A if b is None else (A, b)), 0)
 
-    def items(self):
-        return self._entries.items()
+    def _vertex_rows(self) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
+        """The rows as (A, b, dim) with vertex tuples, each mask decoded once."""
+        tuples = {m: unpack(m) for m in {m for pair in self._rows for m in pair}}
+        return [(tuples[a], tuples[b], dim) for (a, b), dim in self._rows.items()]
 
-    def keys(self):
-        return self._entries.keys()
+    def items(self) -> list[tuple[MultiDegree, int]]:
+        return [(MultiDegree(A, b), dim) for A, b, dim in self._vertex_rows()]
+
+    def keys(self) -> list[MultiDegree]:
+        return [MultiDegree(A, b) for A, b, _ in self._vertex_rows()]
 
     def __iter__(self):
-        return iter(self._entries)
+        return iter(self.keys())
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._rows)
 
     def __contains__(self, key) -> bool:
-        return _as_degree(key) in self._entries
+        return self._mask_pair(key) in self._rows
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, T1Table):
             return NotImplemented
-        return self.n == other.n and self._entries == other._entries
+        return self.n == other.n and self._rows == other._rows
 
     def __hash__(self):
-        return hash((self.n, tuple(self._entries.items())))
+        return hash((self.n, tuple(self._rows.items())))
 
     def __repr__(self) -> str:
-        body = ", ".join(f"({list(k.A)},{list(k.b)})->{v}" for k, v in self._entries.items())
+        body = ", ".join(f"({list(A)},{list(b)})->{v}" for A, b, v in self._vertex_rows())
         return f"T1Table(n={self.n}, {{{body}}})"
 
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
-            "entries": [
-                {"A": list(k.A), "b": list(k.b), "dim": v} for k, v in self._entries.items()
-            ],
+            "entries": [{"A": list(A), "b": list(b), "dim": v} for A, b, v in self._vertex_rows()],
         }
 
     @classmethod
@@ -589,23 +631,21 @@ class T1Table:
             if overlap:
                 first = (overlap & -overlap).bit_length()
                 raise ValueError(f"key 'entries[{i}]': A and b overlap at vertex {first}")
-            pairs.append((MultiDegree(unpack(a), unpack(b)), e["dim"]))
+            pairs.append((a, b, e["dim"]))
         # the remaining checks follow every entry's vertex check, so that a
         # document with faults of both kinds still reports its vertex fault
-        norm: dict[MultiDegree, int] = {}
+        rows: dict[tuple[int, int], int] = {}
         try:
-            for d, dim in pairs:
-                _add_entry(norm, d, dim)
+            for a, b, dim in pairs:
+                _check_row(rows, a, b, dim)
         except ValueError as exc:
             raise type(exc)(f"key 'entries': {exc}") from exc
-        return cls._from_valid(n, norm.items())
+        return cls._of_rows(n, _canonical(rows.items(), n))
 
     def to_tsv(self) -> str:
         lines = ["A\tb\tdim"]
-        for k, v in self._entries.items():
-            a = ",".join(str(x) for x in k.A)
-            b = ",".join(str(x) for x in k.b)
-            lines.append(f"{a}\t{b}\t{v}")
+        for A, b, v in self._vertex_rows():
+            lines.append(f"{','.join(map(str, A))}\t{','.join(map(str, b))}\t{v}")
         return "\n".join(lines) + "\n"
 
 
@@ -728,16 +768,26 @@ def _table_of(
     """The table of cx from links as `_walk` yields them: the nonzero
     (b, dim) pairs of each link, and no other rows.  A matroid link (dims
     None) stands for itself and every link above it: each link of
-    `_matroid_links` from it takes the pairs of `_class_rows`."""
-    rows = []
+    `_matroid_links` from it takes the pairs of `_class_rows`.
+
+    The rows are written as `T1Table` keeps them, ((a, b), dim) with a and
+    b masks, and put in canonical order without a sort over the whole
+    table: the links are sorted by a, each link's rows by b, in
+    `_mask_order`."""
+    each_link = []
     for a, verts, circuits, dims in links:
-        each_link = [(a, dims)] if dims is not None else (
-            (a, _class_rows(v, c)) for a, v, c in _matroid_links(cx, a, verts, circuits)
-        )
-        for a, dims in each_link:
-            A = unpack(a)
-            rows += [(MultiDegree(A, unpack(b)), dim) for b, dim in dims if dim]
-    return T1Table._from_valid(cx.n, rows)
+        if dims is not None:
+            each_link.append((a, dims))
+        else:
+            each_link += [
+                (a, _class_rows(v, c)) for a, v, c in _matroid_links(cx, a, verts, circuits)
+            ]
+    key = _mask_order(cx.n)
+    each_link.sort(key=lambda link: key(link[0]))
+    rows = []
+    for a, dims in each_link:
+        rows += sorted((((a, b), dim) for b, dim in dims if dim), key=lambda row: key(row[0][1]))
+    return T1Table._of_rows(cx.n, rows)
 
 
 def _bijection_sets(link: SimplicialComplex, bm: int) -> tuple[set[int], set[int]]:

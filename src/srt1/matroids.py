@@ -65,25 +65,30 @@ def is_matroid_circuit_elimination(cx: SimplicialComplex) -> bool:
     """Strong circuit elimination on the minimal nonfaces.
 
     For distinct circuits C, C' meeting at i, and any v in C \\ C', some
-    circuit through v must avoid i inside C u C'.
+    circuit through v must avoid i inside C u C'.  Taken over both orders of
+    the pair, that is: the union of the circuits inside C u C' that avoid i
+    covers the symmetric difference of C and C'.  Each unordered pair
+    collects the circuits inside C u C' once.
     """
     cx._require_nonvoid("matroid test")
     circuits = cx.minimal_nonface_masks()
-    for c1, c2 in itertools.permutations(circuits, 2):
+    for c1, c2 in itertools.combinations(circuits, 2):
         inter = c1 & c2
         if not inter:
             continue
+        union = c1 | c2
+        inside = [c for c in circuits if c & ~union == 0]
+        need = c1 ^ c2
         rest = inter
         while rest:
             i = rest & -rest
             rest ^= i
-            allowed = (c1 | c2) & ~i
-            cand = c1 & ~c2
-            while cand:
-                v = cand & -cand
-                cand ^= v
-                if not any(c & v and c & ~allowed == 0 for c in circuits):
-                    return False
+            cover = 0
+            for c in inside:
+                if not c & i:
+                    cover |= c
+            if need & ~cover:
+                return False
     return True
 
 

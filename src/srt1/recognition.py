@@ -22,8 +22,10 @@ from typing import Iterable, NamedTuple
 from .complexes import SimplicialComplex, _faces_of, _link_facets, _minimal_nonfaces, unpack
 from .cotangent import (
     MultiDegree,
+    _canonical,
     _circuits_through,
     _formula_on_link,
+    _isolated_circuits,
     _scan_dim,
     _singleton_dims,
     _walk,
@@ -53,15 +55,25 @@ def is_matroid_via_t1(cx: SimplicialComplex) -> bool:
 
 def _differing(
     a: int, link_circuits: list[int], dims: Iterable[tuple[int, int]]
-) -> list[Discrepancy]:
+) -> list[tuple[tuple[int, int], int, int]]:
     """The (b, graph dimension) pairs of the link at a where the circuit
-    formula differs, as discrepancies."""
+    formula differs, as rows ((a, b), graph dimension, formula)."""
     out = []
     for b, graph_dim in dims:
         formula_dim = _formula_on_link(link_circuits, b)
         if graph_dim != formula_dim:
-            out.append(Discrepancy(MultiDegree(unpack(a), unpack(b)), graph_dim, formula_dim))
+            out.append(((a, b), graph_dim, formula_dim))
     return out
+
+
+def _discrepancies(
+    n: int, rows: list[tuple[tuple[int, int], int, int]]
+) -> list[Discrepancy]:
+    """The rows of `_differing` as discrepancies, in canonical degree order."""
+    return [
+        Discrepancy(MultiDegree(unpack(a), unpack(b)), graph_dim, formula_dim)
+        for (a, b), graph_dim, formula_dim in _canonical(rows, n)
+    ]
 
 
 def formula_discrepancies(cx: SimplicialComplex) -> list[Discrepancy]:
@@ -71,16 +83,18 @@ def formula_discrepancies(cx: SimplicialComplex) -> list[Discrepancy]:
     the two can differ, as its docstring shows.  A link that passes the
     singleton test is a matroid, as is every link above it, and has no
     discrepancy by the main theorem; every other link comes with its graph
-    dimensions, which are compared with the formula.  Empty exactly when cx
-    is a matroid.
+    dimensions, which are compared with the formula at its faces.  Its
+    isolated circuits, which head its dims, are skipped: both sides are 1
+    there, as the walk's docstring shows.  Empty exactly when cx is a
+    matroid.
     """
     cx._require_nonvoid("formula_discrepancies")
     out = []
     for a, _, link_circuits, dims in _walk(cx):
         if dims is not None:
-            out += _differing(a, link_circuits, dims)
-    out.sort(key=lambda d: d.degree.key())
-    return out
+            faces = dims[len(_isolated_circuits(link_circuits)):]
+            out += _differing(a, link_circuits, faces)
+    return _discrepancies(cx.n, out)
 
 
 def _all_discrepancies(cx: SimplicialComplex) -> list[Discrepancy]:
@@ -96,5 +110,4 @@ def _all_discrepancies(cx: SimplicialComplex) -> list[Discrepancy]:
         through = _circuits_through(link_circuits)
         dims = [(b, _scan_dim(link_faces, through, b)) for b in link_faces if b]
         out += _differing(a, link_circuits, dims)
-    out.sort(key=lambda d: d.degree.key())
-    return out
+    return _discrepancies(cx.n, out)

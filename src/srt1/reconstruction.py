@@ -13,6 +13,14 @@ Discrete matroids all share the empty table, so reconstructing from an empty
 table raises DiscreteAmbiguousError.  Tables consistent with no matroid at
 all raise NotAMatroidTableError; every returned complex is verified by
 recomputing its table.
+
+Every step reads the table's mask rows ((a, b), dim), in the canonical
+order `T1Table` keeps them (by A, then b; see its docstring), and decodes no
+vertex tuple.  A subsequence of a canonical table is canonical again, and so
+is the slice at F with F removed from every A: all those A contain F, so
+their sizes drop alike and the lowest vertex where two of them differ lies
+outside F.  The core table, the rank-one groups and the slices are therefore
+built without a sort, and the final check compares mask rows.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .complexes import SimplicialComplex, pack, unpack
-from .cotangent import MultiDegree, T1Table, _matroid_table
+from .cotangent import T1Table, _matroid_table
 from .recognition import is_matroid_via_t1
 
 
@@ -39,13 +47,10 @@ def slice_link_table(t: T1Table, F: Iterable[int]) -> T1Table:
     A-side.  Raises VertexRangeError unless each vertex of F is an integer
     in 1..n.
     """
-    f_set = frozenset(unpack(pack(F, t.n)))
-    out = [
-        (MultiDegree(tuple(v for v in key.A if v not in f_set), key.b), dim)
-        for key, dim in t.items()
-        if f_set.issubset(key.A)
-    ]
-    return T1Table._from_valid(t.n, out)
+    f = pack(F, t.n)
+    return T1Table._of_rows(
+        t.n, [((a ^ f, b), dim) for (a, b), dim in t._rows.items() if a & f == f]
+    )
 
 
 def classify_loops_coloops(t: T1Table) -> dict[int, str]:
@@ -58,24 +63,22 @@ def classify_loops_coloops(t: T1Table) -> dict[int, str]:
     """
     if len(t) == 0:
         raise DiscreteAmbiguousError("the empty table does not separate loops from coloops")
-    small_b: set[int] = set()
-    for key in t.keys():
-        if len(key.A) + len(key.b) <= 2:
-            small_b.update(key.b)
+    rows = t._rows
+    small_b = 0
+    for a, b in rows:
+        if a.bit_count() + b.bit_count() <= 2:
+            small_b |= b
     out: dict[int, str] = {}
     for v in range(1, t.n + 1):
-        if v in small_b:
+        bit = 1 << (v - 1)
+        if small_b & bit:
             out[v] = "ordinary"
             continue
-        probe = None
-        for key, dim in t.items():
-            if v not in key.A and v not in key.b:
-                probe = (key, dim)
-                break
+        probe = next(((a, b) for a, b in rows if not (a | b) & bit), None)
         if probe is None:
             raise NotAMatroidTableError(f"no entry avoids vertex {v}")
-        key, dim = probe
-        if t.dim(key.A + (v,), key.b) == dim:
+        a, b = probe
+        if rows.get((a | bit, b), 0) == rows[probe]:
             out[v] = "coloop"
         else:
             out[v] = "loop"
@@ -87,7 +90,7 @@ def rank_from_table(t: T1Table) -> int:
     with a nonempty sliced link table."""
     if len(t) == 0:
         raise DiscreteAmbiguousError("the empty table does not determine a rank")
-    return 1 + max(len(key.A) for key in t.keys())
+    return 1 + max(a.bit_count() for a, _ in t._rows)
 
 
 def reconstruct_rank_one(t: T1Table, ground: Iterable[int]) -> tuple[int, ...]:
@@ -98,21 +101,23 @@ def reconstruct_rank_one(t: T1Table, ground: Iterable[int]) -> tuple[int, ...]:
     singleton entries (0, {i}) -> m - 2 over the non-loops i.
     """
     ground_set = frozenset(ground)
-    items = list(t.items())
-    if any(key.A for key, _ in items):
+    if any(a for a, _ in t._rows):
         raise NotAMatroidTableError("rank-one table has an entry with nonempty A")
-    if len(items) == 1 and len(items[0][0].b) == 2 and items[0][1] == 1:
-        members = items[0][0].b
+    bs = [b for _, b in t._rows]
+    dims = list(t._rows.values())
+    if len(bs) == 1 and bs[0].bit_count() == 2 and dims[0] == 1:
+        members = unpack(bs[0])
         if not set(members) <= ground_set:
             raise NotAMatroidTableError(f"pair entry {members} leaves the ground set")
         return members
     if (
-        items
-        and all(len(key.b) == 1 for key, _ in items)
-        and len({dim for _, dim in items}) == 1
-        and items[0][1] == len(items) - 2
+        bs
+        and all(b.bit_count() == 1 for b in bs)
+        and len(set(dims)) == 1
+        and dims[0] == len(bs) - 2
     ):
-        members = tuple(sorted(key.b[0] for key, _ in items))
+        # distinct singletons in canonical order, that is by vertex
+        members = tuple(b.bit_length() for b in bs)
         if not set(members) <= ground_set:
             raise NotAMatroidTableError(f"singleton entries {members} leave the ground set")
         return members
@@ -136,24 +141,21 @@ def reconstruct(t: T1Table) -> SimplicialComplex:
         )
     roles = classify_loops_coloops(t)
     ordinary = tuple(v for v in range(1, t.n + 1) if roles[v] == "ordinary")
-    coloops = tuple(v for v in range(1, t.n + 1) if roles[v] == "coloop")
-    coloop_set = set(coloops)
-    core = T1Table._from_valid(
-        t.n, [(key, dim) for key, dim in t.items() if coloop_set.isdisjoint(key.A)]
-    )
+    coloops = pack((v for v in range(1, t.n + 1) if roles[v] == "coloop"), t.n)
+    core = T1Table._of_rows(t.n, [((a, b), d) for (a, b), d in t._rows.items() if not a & coloops])
     if len(core) == 0:
         raise NotAMatroidTableError("no entry survives removing coloop support")
     rank = rank_from_table(core)
-    links: dict[tuple[int, ...], list[tuple[MultiDegree, int]]] = {}
-    for key, dim in core.items():
-        if len(key.A) == rank - 1:
-            links.setdefault(key.A, []).append((MultiDegree((), key.b), dim))
-    bases: set[frozenset[int]] = set()
-    for F, entries in links.items():
-        rest = tuple(v for v in ordinary if v not in F)
-        for v in reconstruct_rank_one(T1Table._from_valid(t.n, entries), rest):
-            bases.add(frozenset(F) | {v})
-    candidate = SimplicialComplex.from_facets(t.n, [b | coloop_set for b in bases])
+    links: dict[int, list[tuple[tuple[int, int], int]]] = {}
+    for (a, b), dim in core._rows.items():
+        if a.bit_count() == rank - 1:
+            links.setdefault(a, []).append(((0, b), dim))
+    bases: set[int] = set()
+    for a, entries in links.items():
+        rest = tuple(v for v in ordinary if not a >> (v - 1) & 1)
+        for v in reconstruct_rank_one(T1Table._of_rows(t.n, entries), rest):
+            bases.add(a | 1 << (v - 1))
+    candidate = SimplicialComplex(t.n, [b | coloops for b in bases])
     if not is_matroid_via_t1(candidate):
         raise NotAMatroidTableError("recovered facets do not satisfy the exchange axiom")
     # the singleton test has just proved candidate a matroid (the recognition

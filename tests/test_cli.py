@@ -52,6 +52,22 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert out == "[]\n"
 
 
+def test_cli_import_loads_no_census():
+    # only the census subcommand imports the census; its limits, which
+    # argparse checks for every subcommand, live in srt1.complexes
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import srt1.cli, sys; print('srt1.census' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    ).stdout
+    assert out == "False\n"
+
+
 # -- parse_degree ---------------------------------------------------------------
 
 

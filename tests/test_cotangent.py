@@ -545,6 +545,50 @@ def test_t1_table_pickle_and_eq():
     assert hash(t) == hash(t1_table(uniform(3, 2)))
 
 
+def test_t1_table_contract():
+    # the table keeps mask rows; every public view of it decodes them, and
+    # every checking constructor rebuilds the same rows from that view
+    cases = [cx for n in range(1, 6) for cx in representatives(n)]
+    cases += [uniform(n, k) for n in range(1, 9) for k in range(n + 1)]
+    nonempty = 0
+    for cx in cases:
+        t = t1_table(cx)
+        copies = [
+            T1Table(t.n, t.items()),
+            T1Table(t.n, dict(t.items())),
+            T1Table.from_json_dict(t.to_json_dict()),
+            pickle.loads(pickle.dumps(t)),
+        ]
+        for copy in copies:
+            assert copy == t, cx
+            assert hash(copy) == hash(t), cx
+            assert list(copy.items()) == list(t.items()), cx
+        keys = list(t)
+        assert keys == sorted(keys, key=MultiDegree.key), cx
+        assert keys == list(t.keys()) == [d for d, _ in t.items()], cx
+        assert len(t) == len(keys)
+        for d, dim in t.items():
+            assert t.dim(d) == t.dim(d.A, d.b) == dim and d in t
+        outside = [([], [t.n + 1]), ([0], [1]), ([-1], [1]), ([t.n + 1], [1])]
+        if keys:
+            nonempty += 1
+            outside += [(keys[0].A + (t.n + 1,), keys[0].b), (keys[0].A, keys[0].b + (0,))]
+        for A, b in outside:
+            assert t.dim(A, b) == 0 and (A, b) not in t, (cx, A, b)
+    assert nonempty > 200
+
+
+def test_t1_table_ground_beyond_max_ground():
+    # a table's ground is not bounded by the 64 vertices of a complex; its
+    # rows still take the canonical order
+    entries = [(((), (70,)), 1), (((2,), (1, 69)), 2), (((), (1, 69)), 3), (((), (3,)), 4)]
+    t = T1Table(70, entries)
+    assert list(t) == sorted((MultiDegree.make(*k) for k, _ in entries), key=MultiDegree.key)
+    assert T1Table.from_json_dict(t.to_json_dict()) == t
+    assert pickle.loads(pickle.dumps(t)) == t
+    assert t.dim([2], [69, 1]) == 2 and t.dim([], [71]) == 0
+
+
 # -- bijection ---------------------------------------------------------------------
 
 

@@ -29,6 +29,7 @@ import pytest
 from srt1 import complexes, cotangent
 from srt1.complexes import SimplicialComplex, boundary_simplex, unpack
 from srt1.cotangent import (
+    MultiDegree,
     T1Table,
     _isolated_circuits,
     _matroid_links,
@@ -193,19 +194,19 @@ def test_matroid_walk_matches_links_built_from_faces(cx):
 
 
 def test_engine_states_each_degree_once(monkeypatch):
-    # `_from_valid` trusts its rows to hold no degree twice; a second rule
-    # that wrote a link's isolated circuits beside the class rule, which
-    # writes them as classes, or a walk that reached a link twice, would
-    # state rows twice
+    # `_of_rows` trusts its rows to hold no degree twice, and its dict would
+    # keep one of two; a second rule that wrote a link's isolated circuits
+    # beside the class rule, which writes them as classes, or a walk that
+    # reached a link twice, would state rows twice
     batches = []
-    real = T1Table._from_valid.__func__
+    real = T1Table._of_rows.__func__
 
     def record(cls, n, rows):
         rows = list(rows)
         batches.append(rows)
         return real(cls, n, rows)
 
-    monkeypatch.setattr(T1Table, "_from_valid", classmethod(record))
+    monkeypatch.setattr(T1Table, "_of_rows", classmethod(record))
     isolated = 0
     for cx in MATROIDS + CENSUS + [NEAR_U10]:
         batches.clear()
@@ -225,6 +226,26 @@ def test_class_rule_writes_each_isolated_circuit(cx):
         rows = set(cotangent._class_rows(verts, link_circuits))
         for c in _isolated_circuits(link_circuits):
             assert (c, 1) in rows, (unpack(a), unpack(c))
+
+
+def test_table_and_reconstruct_build_no_multidegree(monkeypatch):
+    # the rows stay mask pairs from the walk through the final check of
+    # `reconstruct`; a MultiDegree is made only where a caller asks for one
+    made = []
+    real = MultiDegree.__new__
+
+    def record(cls, *args):
+        made.append(args)
+        return real(cls, *args)
+
+    monkeypatch.setattr(MultiDegree, "__new__", record)
+    m = uniform(8, 4)
+    t = t1_table(m)
+    assert reconstruct(t) == m
+    assert T1Table.from_json_dict(t.to_json_dict()) == t
+    assert made == []
+    keys = t.keys()  # the count sees the MultiDegrees the public views make
+    assert len(made) == len(keys) == len(t) > 0
 
 
 def test_matroid_table_runs_no_isolated_circuit_pass(monkeypatch):

@@ -67,6 +67,15 @@ def test_all_is_pinned():
     assert all(hasattr(srt1, name) for name in EXPORTS)
 
 
+def test_star_import_binds_every_export():
+    # the census names load on first use, through the package's __getattr__
+    namespace = {}
+    exec("from srt1 import *", namespace)
+    assert [name for name in EXPORTS if name not in namespace] == []
+    assert namespace["run_census"] is census.run_census
+    assert namespace["CensusReport"] is census.CensusReport
+
+
 def test_subcommands_and_options_are_pinned():
     parser = build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]

@@ -1,7 +1,14 @@
 import pytest
 
 from srt1.complexes import SimplicialComplex, VoidComplexError, pack, unpack
-from srt1.cotangent import MultiDegree, _formula_on_link, dim_t1, dim_t1_matroid_formula
+from srt1 import recognition
+from srt1.cotangent import (
+    MultiDegree,
+    _formula_on_link,
+    _isolated_circuits,
+    dim_t1,
+    dim_t1_matroid_formula,
+)
 from srt1.matroids import is_matroid_exchange, uniform
 from srt1.recognition import Discrepancy, formula_discrepancies, is_matroid_via_t1
 
@@ -127,3 +134,26 @@ def test_nonface_degrees_follow_isolated_circuits():
         for (A, b), _, _ in subset_scan_discrepancies(cx):
             assert frozenset(b) in naive_link(faces, A), (cx, A, b)
     assert (checked, isolated) == (7983, 694)
+
+
+def test_discrepancies_skip_isolated_circuits(monkeypatch):
+    # both sides are 1 at an isolated circuit of a graph link, so the
+    # formula is only evaluated at the link's faces
+    asked = []
+
+    def record(link_circuits, b):
+        asked.append((link_circuits, b))
+        return _formula_on_link(link_circuits, b)
+
+    monkeypatch.setattr(recognition, "_formula_on_link", record)
+    isolated = 0
+    for n in range(1, 6):
+        for cx in representatives(n):
+            asked.clear()
+            formula_discrepancies(cx)
+            for link_circuits, b in asked:
+                assert b not in _isolated_circuits(link_circuits), (cx, unpack(b))
+            isolated += not is_matroid_exchange(cx) and any(
+                _isolated_circuits(cx.minimal_nonface_masks())
+            )
+    assert isolated
