@@ -61,20 +61,30 @@ def unpack(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-# each byte with its bits in reverse order, for `sort_key`
+# each byte with its bits in reverse order, for `_order_key`
 _REVERSED_BITS = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
 
 
-def sort_key(mask: int) -> int:
-    """Canonical ordering key for faces of at most MAX_GROUND vertices:
-    cardinality, then lexicographic.
+def _order_key(n: int):
+    """The canonical order key of masks on an n-vertex ground, by size and
+    then lexicographically; `sort_key`, for faces, is its case MAX_GROUND.
 
-    Of two faces of one size, the one holding the lowest vertex where they
-    differ comes first.  With the bits reversed that vertex is the highest
-    differing bit, so the key subtracts the reversed mask.
+    Of two masks of one size, the one holding the lowest vertex where they
+    differ comes first.  With the bits reversed over ceil(n / 8) bytes that
+    vertex is the highest differing bit, so the key subtracts the reversed
+    mask.
     """
-    reversed_bytes = mask.to_bytes(MAX_GROUND // 8, "little").translate(_REVERSED_BITS)
-    return (mask.bit_count() << MAX_GROUND) - int.from_bytes(reversed_bytes, "big")
+    width = -(-n // 8)
+    shift = 8 * width
+
+    def key(mask: int) -> int:
+        reversed_bytes = mask.to_bytes(width, "little").translate(_REVERSED_BITS)
+        return (mask.bit_count() << shift) - int.from_bytes(reversed_bytes, "big")
+
+    return key
+
+
+sort_key = _order_key(MAX_GROUND)
 
 
 def submasks(mask: int) -> Iterator[int]:

@@ -61,6 +61,7 @@ from .complexes import (
     _link_facets,
     _minimal_nonfaces,
     _ndel,
+    _order_key,
     _union,
     pack,
     sort_key,
@@ -416,7 +417,7 @@ def dim_t1(cx: SimplicialComplex, degree) -> int:
     hits = _link_facets(cx.facet_masks, am)
     if bm == 0 or bm & ~_union(hits):
         return 0
-    return _dim_on_faces(_faces_of(hits), bm)
+    return _dim_on_faces(_faces_of(hits) if am else cx.face_masks(), bm)
 
 
 def dim_t1_nonface(cx: SimplicialComplex, b: Iterable[int]) -> int:
@@ -486,24 +487,15 @@ def _check_row(rows: dict[tuple[int, int], int], a: int, b: int, dim) -> None:
 
 
 def _mask_order(n: int):
-    """The canonical order of masks on n vertices, by size and then
-    lexicographically as `complexes.sort_key` orders faces, as a key memoised
-    per mask.  It holds for any n: a table's ground is not bounded by
-    MAX_GROUND.  Reversing the n-bit string puts the lowest vertex where two
-    masks differ at the highest differing bit."""
-
-    @functools.lru_cache(maxsize=None)
-    def key(m: int) -> int:
-        return (m.bit_count() << n) - int(f"{m:0{n}b}"[::-1], 2)
-
-    return key
+    """`complexes._order_key(n)`, memoised per mask for sorting table rows."""
+    return functools.lru_cache(maxsize=None)(_order_key(n))
 
 
-def _canonical(rows: Iterable[tuple], n: int) -> list[tuple]:
-    """Rows whose first item is a pair (a, b) of masks on n vertices, sorted
-    into canonical degree order: by a, then by b, in `_mask_order`."""
+def _canonical(n: int):
+    """The key that puts rows whose first item is a pair (a, b) of masks on
+    n vertices in canonical degree order: by a, then by b, in `_mask_order`."""
     key = _mask_order(n)
-    return sorted(rows, key=lambda row: (key(row[0][0]), key(row[0][1])))
+    return lambda row: (key(row[0][0]), key(row[0][1]))
 
 
 class T1Table:
@@ -511,10 +503,11 @@ class T1Table:
 
     Only nonzero dimensions are stored; lookups outside the stored support
     classes return 0.  The rows are one dict `(a, b) -> dim`, a and b the
-    bitmasks of the supports A and b (vertex v is bit v - 1), kept in
-    canonical degree order: by A, then by b, each by size and then
-    lexicographically (`_mask_order`).  Vertex tuples and
-    MultiDegrees are built only where a caller asks for them: `items`,
+    bitmasks of the supports A and b (vertex v is bit v - 1).  The rows
+    carry no order: the dict keeps the order it was built in, and equality
+    and the hash read the set of rows.  Only where a caller sees them are
+    they sorted, by A, then by b, each by size and then lexicographically
+    (`_canonical`), and decoded into vertex tuples and MultiDegrees: `items`,
     `keys`, iteration, `repr`, `to_json_dict`, `to_tsv` and the error
     messages.  `T1Table(n, entries)` and `from_json_dict` check every entry;
     the tables the library builds itself go through `_of_rows`, which checks
@@ -533,14 +526,14 @@ class T1Table:
             # VertexRangeError unless each vertex is an integer in 1..n
             _check_row(rows, pack(d.A, n), pack(d.b, n), dim)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_rows", dict(_canonical(rows.items(), n)))
+        object.__setattr__(self, "_rows", rows)
 
     @classmethod
     def _of_rows(cls, n: int, rows: Iterable[tuple[tuple[int, int], int]]) -> "T1Table":
-        """The table of mask rows ((a, b), dim) that already pass every check
-        of `__init__` and come in canonical order: disjoint a and b within
-        the n-vertex ground, b nonempty, positive dimensions, no degree
-        twice.  Checks and sorts nothing."""
+        """The table of mask rows ((a, b), dim), in any order, that already
+        pass every check of `__init__`: disjoint a and b within the n-vertex
+        ground, b nonempty, positive dimensions, no degree twice.  Checks
+        and sorts nothing."""
         t = object.__new__(cls)
         object.__setattr__(t, "n", n)
         object.__setattr__(t, "_rows", dict(rows))
@@ -567,9 +560,10 @@ class T1Table:
         return self._rows.get(self._mask_pair(A if b is None else (A, b)), 0)
 
     def _vertex_rows(self) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
-        """The rows as (A, b, dim) with vertex tuples, each mask decoded once."""
+        """The rows as (A, b, dim) with vertex tuples, sorted, each mask decoded once."""
         tuples = {m: unpack(m) for m in {m for pair in self._rows for m in pair}}
-        return [(tuples[a], tuples[b], dim) for (a, b), dim in self._rows.items()]
+        rows = sorted(self._rows.items(), key=_canonical(self.n))
+        return [(tuples[a], tuples[b], dim) for (a, b), dim in rows]
 
     def items(self) -> list[tuple[MultiDegree, int]]:
         return [(MultiDegree(A, b), dim) for A, b, dim in self._vertex_rows()]
@@ -592,7 +586,7 @@ class T1Table:
         return self.n == other.n and self._rows == other._rows
 
     def __hash__(self):
-        return hash((self.n, tuple(self._rows.items())))
+        return hash((self.n, frozenset(self._rows.items())))
 
     def __repr__(self) -> str:
         body = ", ".join(f"({list(A)},{list(b)})->{v}" for A, b, v in self._vertex_rows())
@@ -640,7 +634,7 @@ class T1Table:
                 _check_row(rows, a, b, dim)
         except ValueError as exc:
             raise type(exc)(f"key 'entries': {exc}") from exc
-        return cls._of_rows(n, _canonical(rows.items(), n))
+        return cls._of_rows(n, rows)
 
     def to_tsv(self) -> str:
         lines = ["A\tb\tdim"]
@@ -704,10 +698,13 @@ def _class_rows(link_vertices: int, link_circuits: list[int]) -> list[tuple[int,
             classes[key] = classes.get(key, 0) | u
     out = []
     for key, members in classes.items():
-        count = len(key)
-        out += [
-            (b, dim) for b in submasks(members) if b and (dim := _less_one_for_singleton(count, b))
-        ]
+        larger = len(key)  # the formula at a b of two or more vertices
+        single = larger - 1  # and at a singleton b
+        for b in submasks(members):
+            if b & (b - 1):
+                out.append((b, larger))
+            elif b and single:
+                out.append((b, single))
     return out
 
 
@@ -771,22 +768,14 @@ def _table_of(
     `_matroid_links` from it takes the pairs of `_class_rows`.
 
     The rows are written as `T1Table` keeps them, ((a, b), dim) with a and
-    b masks, and put in canonical order without a sort over the whole
-    table: the links are sorted by a, each link's rows by b, in
-    `_mask_order`."""
-    each_link = []
+    b masks, in the order the links come, and sorted nowhere."""
+    rows = []
     for a, verts, circuits, dims in links:
         if dims is not None:
-            each_link.append((a, dims))
+            rows += [((a, b), dim) for b, dim in dims if dim]
         else:
-            each_link += [
-                (a, _class_rows(v, c)) for a, v, c in _matroid_links(cx, a, verts, circuits)
-            ]
-    key = _mask_order(cx.n)
-    each_link.sort(key=lambda link: key(link[0]))
-    rows = []
-    for a, dims in each_link:
-        rows += sorted((((a, b), dim) for b, dim in dims if dim), key=lambda row: key(row[0][1]))
+            for a, v, c in _matroid_links(cx, a, verts, circuits):
+                rows += [((a, b), dim) for b, dim in _class_rows(v, c)]
     return T1Table._of_rows(cx.n, rows)
 
 

@@ -72,7 +72,7 @@ def _discrepancies(
     """The rows of `_differing` as discrepancies, in canonical degree order."""
     return [
         Discrepancy(MultiDegree(unpack(a), unpack(b)), graph_dim, formula_dim)
-        for (a, b), graph_dim, formula_dim in _canonical(rows, n)
+        for (a, b), graph_dim, formula_dim in sorted(rows, key=_canonical(n))
     ]
 
 

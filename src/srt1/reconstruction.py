@@ -14,13 +14,11 @@ table raises DiscreteAmbiguousError.  Tables consistent with no matroid at
 all raise NotAMatroidTableError; every returned complex is verified by
 recomputing its table.
 
-Every step reads the table's mask rows ((a, b), dim), in the canonical
-order `T1Table` keeps them (by A, then b; see its docstring), and decodes no
-vertex tuple.  A subsequence of a canonical table is canonical again, and so
-is the slice at F with F removed from every A: all those A contain F, so
-their sizes drop alike and the lowest vertex where two of them differ lies
-outside F.  The core table, the rank-one groups and the slices are therefore
-built without a sort, and the final check compares mask rows.
+Every step reads the table's mask rows ((a, b), dim), which carry no order,
+and decodes no vertex tuple.  Where an order could show, in the entry the
+loop/coloop probe reads and in the rank-one group whose error is raised
+first, the steps take the canonical order of `T1Table`'s public views, so the
+result and every error message depend on the table alone.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .complexes import SimplicialComplex, pack, unpack
-from .cotangent import T1Table, _matroid_table
+from .cotangent import T1Table, _canonical, _mask_order, _matroid_table
 from .recognition import is_matroid_via_t1
 
 
@@ -74,11 +72,11 @@ def classify_loops_coloops(t: T1Table) -> dict[int, str]:
         if small_b & bit:
             out[v] = "ordinary"
             continue
-        probe = next(((a, b) for a, b in rows if not (a | b) & bit), None)
-        if probe is None:
+        avoiding = [row for row in rows.items() if not (row[0][0] | row[0][1]) & bit]
+        if not avoiding:
             raise NotAMatroidTableError(f"no entry avoids vertex {v}")
-        a, b = probe
-        if rows.get((a | bit, b), 0) == rows[probe]:
+        (a, b), dim = min(avoiding, key=_canonical(t.n))
+        if rows.get((a | bit, b), 0) == dim:
             out[v] = "coloop"
         else:
             out[v] = "loop"
@@ -116,8 +114,7 @@ def reconstruct_rank_one(t: T1Table, ground: Iterable[int]) -> tuple[int, ...]:
         and len(set(dims)) == 1
         and dims[0] == len(bs) - 2
     ):
-        # distinct singletons in canonical order, that is by vertex
-        members = tuple(b.bit_length() for b in bs)
+        members = tuple(sorted(b.bit_length() for b in bs))
         if not set(members) <= ground_set:
             raise NotAMatroidTableError(f"singleton entries {members} leave the ground set")
         return members
@@ -151,9 +148,10 @@ def reconstruct(t: T1Table) -> SimplicialComplex:
         if a.bit_count() == rank - 1:
             links.setdefault(a, []).append(((0, b), dim))
     bases: set[int] = set()
-    for a, entries in links.items():
+    # in canonical order of A, so that a bad table reports its first bad group
+    for a in sorted(links, key=_mask_order(t.n)):
         rest = tuple(v for v in ordinary if not a >> (v - 1) & 1)
-        for v in reconstruct_rank_one(T1Table._of_rows(t.n, entries), rest):
+        for v in reconstruct_rank_one(T1Table._of_rows(t.n, links[a]), rest):
             bases.add(a | 1 << (v - 1))
     candidate = SimplicialComplex(t.n, [b | coloops for b in bases])
     if not is_matroid_via_t1(candidate):

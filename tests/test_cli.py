@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,8 @@ import pytest
 
 from srt1 import cli
 from srt1.complexes import SimplicialComplex
-from srt1.cotangent import MultiDegree
+from srt1.cotangent import MultiDegree, t1_table
+from srt1.matroids import uniform
 from srt1.recognition import formula_discrepancies
 
 REMARK_DOC = {"n": 5, "minimal_nonfaces": [[1, 2], [1, 3], [2, 3, 4], [2, 3, 5], [1, 4, 5]]}
@@ -123,6 +125,50 @@ def test_t1_threads_deterministic(capsys, remark):
     assert one == every_core
 
 
+# in one process per hash seed, so that no output may follow the order of a
+# dict or set that the seed changes
+HASH_SEED_RUNS = """
+import json, sys
+from srt1 import cli
+for argv in json.loads(sys.argv[1]):
+    print("$", *argv, flush=True)
+    print("exit", cli.main(argv), flush=True)
+"""
+
+
+def test_output_is_the_same_under_every_hash_seed(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    # the README examples, and from the digest corpus a matroid with a loop and
+    # a coloop and the 12-vertex path
+    docs = [U32_DOC, REMARK_DOC, README_DOC]
+    docs.append({"n": 6, "facets": [[a, b, 5] for a in (1, 2) for b in (3, 4)]})
+    docs.append({"n": 12, "facets": [[v, v + 1] for v in range(1, 12)]})
+    threads = sorted({1, min(2, os.cpu_count() or 1)})
+    runs = []
+    for i, doc in enumerate(docs):
+        cx_path, table_path = tmp_path / f"cx{i}.json", tmp_path / f"table{i}.json"
+        cx_path.write_text(json.dumps(doc))
+        table = t1_table(SimplicialComplex.from_json_dict(doc)).to_json_dict()
+        table_path.write_text(json.dumps(table))
+        for fmt in ("json", "tsv"):
+            runs += [["t1", str(cx_path), "--format", fmt, "--threads", str(t)] for t in threads]
+        runs += [["discrepancies", str(cx_path)], ["reconstruct", str(table_path)]]
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", HASH_SEED_RUNS, json.dumps(runs)],
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+            capture_output=True,
+            timeout=120,
+            check=True,
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert outs[0] == outs[1]
+    # reconstruct fails on the tables of the three non-matroids, the remark's,
+    # the README's and the path's
+    assert outs[0].count(b"exit 0") == len(runs) - 3
+
+
 @pytest.mark.parametrize("threads", [0, (os.cpu_count() or 1) + 1])
 @pytest.mark.parametrize("argv", [["t1", "/nonexistent/x.json"], ["census", "--max-n", "1"]])
 def test_threads_out_of_range_exit_2(capsys, argv, threads):
@@ -190,6 +236,41 @@ def test_reconstruct_discrete_is_error(capsys, tmp_path):
     assert cli.main(["reconstruct", str(p)]) == 1
     err = capsys.readouterr().err
     assert "DiscreteAmbiguous" in err
+
+
+def test_reconstruct_reads_shuffled_rows_alike(capsys, tmp_path):
+    # a table document's rows may come in any order: the same complex, or
+    # the same error, as from the canonical document
+    rng = random.Random(16)
+    tables = [
+        t1_table(SimplicialComplex.from_json_dict(doc)).to_json_dict()
+        for doc in (U32_DOC, REMARK_DOC, README_DOC)
+    ]
+    m = uniform(3, 2) * uniform(1, 1) * uniform(1, 0)
+    tables.append(t1_table(m).to_json_dict())
+    tables.append(t1_table(uniform(5, 2)).to_json_dict())
+    for i in range(len(tables[-1]["entries"])):
+        broken = [dict(e, dim=e["dim"] + (j == i)) for j, e in enumerate(tables[-1]["entries"])]
+        tables.append({"n": 5, "entries": broken})
+    # U(4, 2) with the loop 5, whose rank-one groups at A = {1} and {2} each
+    # name the loop: the first group in canonical order is reported
+    entries = t1_table(uniform(4, 2) * uniform(1, 0)).to_json_dict()["entries"]
+    entries = [e for e in entries if e["A"] not in ([1], [2])]
+    entries += [{"A": [1], "b": [2, 5], "dim": 1}, {"A": [2], "b": [1, 5], "dim": 1}]
+    tables.append({"n": 5, "entries": entries})
+    p = tmp_path / "table.json"
+    errors = []
+    for doc in tables:
+        p.write_text(json.dumps(doc))
+        code = cli.main(["reconstruct", str(p)])
+        want = (code, capsys.readouterr())
+        errors.append(want[1].err)
+        entries = doc["entries"]
+        for _ in range(5):
+            p.write_text(json.dumps(dict(doc, entries=rng.sample(entries, len(entries)))))
+            assert (cli.main(["reconstruct", str(p)]), capsys.readouterr()) == want, doc
+    assert [e == "" for e in errors[:5]] == [True, False, False, True, True]
+    assert errors[-1] == "error [NotAMatroidTable]: pair entry (2, 5) leaves the ground set\n"
 
 
 # -- rigidity -----------------------------------------------------------------------

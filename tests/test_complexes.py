@@ -7,6 +7,7 @@ import pytest
 
 from srt1.complexes import (
     MAX_GROUND,
+    _order_key,
     MAX_NONFACE_GROUND,
     SimplicialComplex,
     VertexRangeError,
@@ -53,6 +54,20 @@ def test_sort_key_orders_by_size_then_lex():
         (2, 3),
         (1, 2, 3),
     ]
+    # one order key for every ground size, a table's beyond MAX_GROUND too;
+    # sort_key is its MAX_GROUND case, whose values are the reversed bit string
+    rng = random.Random(7)
+    for n in (1, 7, 8, 9, 64, 65, 70):
+        key = _order_key(n)
+        full = (1 << n) - 1
+        masks = {0, full} | {rng.getrandbits(n) & rng.getrandbits(n) for _ in range(300)}
+        masks |= {1 << rng.randrange(n) for _ in range(20)}
+        want = sorted(masks, key=lambda m: (m.bit_count(), unpack(m)))
+        assert sorted(masks, key=key) == want, n
+        if n == MAX_GROUND:
+            for m in masks:
+                reversed_mask = int(f"{m:0{n}b}"[::-1], 2)
+                assert sort_key(m) == key(m) == (m.bit_count() << n) - reversed_mask
 
 
 def test_submasks_enumerates_all_subsets():

@@ -1,5 +1,6 @@
 import json
 import pickle
+import random
 
 import pytest
 
@@ -546,23 +547,33 @@ def test_t1_table_pickle_and_eq():
 
 
 def test_t1_table_contract():
-    # the table keeps mask rows; every public view of it decodes them, and
-    # every checking constructor rebuilds the same rows from that view
+    # the table keeps mask rows in no order; every public view of it sorts
+    # and decodes them, and every checking constructor rebuilds the same
+    # rows from that view, as does `_of_rows` from the rows in any order
     cases = [cx for n in range(1, 6) for cx in representatives(n)]
     cases += [uniform(n, k) for n in range(1, 9) for k in range(n + 1)]
+    rng = random.Random(16)
     nonempty = 0
     for cx in cases:
         t = t1_table(cx)
+        shuffled = list(t._rows.items())
+        rng.shuffle(shuffled)
+        unordered = [T1Table._of_rows(t.n, shuffled), T1Table._of_rows(t.n, reversed(shuffled))]
         copies = [
             T1Table(t.n, t.items()),
             T1Table(t.n, dict(t.items())),
             T1Table.from_json_dict(t.to_json_dict()),
             pickle.loads(pickle.dumps(t)),
-        ]
+        ] + unordered
         for copy in copies:
             assert copy == t, cx
             assert hash(copy) == hash(t), cx
             assert list(copy.items()) == list(t.items()), cx
+        for copy in unordered:
+            assert list(copy) == list(t), cx
+            assert repr(copy) == repr(t), cx
+            assert json.dumps(copy.to_json_dict()) == json.dumps(t.to_json_dict()), cx
+            assert copy.to_tsv() == t.to_tsv(), cx
         keys = list(t)
         assert keys == sorted(keys, key=MultiDegree.key), cx
         assert keys == list(t.keys()) == [d for d, _ in t.items()], cx

@@ -26,7 +26,7 @@ import random
 
 import pytest
 
-from srt1 import complexes, cotangent
+from srt1 import complexes, cotangent, reconstruction
 from srt1.complexes import SimplicialComplex, boundary_simplex, unpack
 from srt1.cotangent import (
     MultiDegree,
@@ -246,6 +246,31 @@ def test_table_and_reconstruct_build_no_multidegree(monkeypatch):
     assert made == []
     keys = t.keys()  # the count sees the MultiDegrees the public views make
     assert len(made) == len(keys) == len(t) > 0
+
+
+def test_table_and_reconstruct_sort_only_the_rank_one_groups(monkeypatch):
+    # rows carry no order until a public view shows them: building a table
+    # and reading one from JSON sort nothing, and `reconstruct` orders only
+    # the A of its rank-one groups, so that its first error is the table's
+    calls = []
+    real = cotangent._mask_order
+
+    def counting(n):
+        key = real(n)
+        return lambda m: calls.append(m) or key(m)
+
+    monkeypatch.setattr(cotangent, "_mask_order", counting)
+    monkeypatch.setattr(reconstruction, "_mask_order", counting)
+    m = uniform(8, 4)
+    t = t1_table(m)
+    assert calls == []
+    doc = t.to_json_dict()
+    calls.clear()
+    back = T1Table.from_json_dict(doc)
+    assert calls == []
+    assert reconstruct(back) == m
+    groups = {a for a, _ in t._rows if a.bit_count() == 3}
+    assert sorted(calls) == sorted(groups) and len(groups) == 56
 
 
 def test_matroid_table_runs_no_isolated_circuit_pass(monkeypatch):

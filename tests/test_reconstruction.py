@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -243,3 +244,62 @@ def test_reconstruct_consumes_only_the_table():
     m = uniform(5, 2) * uniform(1, 1)
     doc = t1_table(m).to_json_dict()
     assert reconstruct(T1Table.from_json_dict(doc)) == m
+
+
+# -- row order -----------------------------------------------------------------
+
+
+def outcome(fn, doc):
+    """What fn prints for the table of doc: its value, or its error's text."""
+    try:
+        return repr(fn(T1Table.from_json_dict(doc)))
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def corrupted_docs(t, rng, count):
+    """JSON documents of t with a few dimensions moved and a few entries
+    added, most of them tables of no matroid."""
+    n = t.n
+    for _ in range(count):
+        rows = {(tuple(e["A"]), tuple(e["b"])): e["dim"] for e in t.to_json_dict()["entries"]}
+        for key in rng.sample(sorted(rows), min(len(rows), rng.randint(0, 3))):
+            rows[key] += rng.choice((-1, 1))
+        for _ in range(rng.randint(0, 2)):
+            side = [rng.randrange(3) for _ in range(n)]
+            A = tuple(v for v in range(1, n + 1) if side[v - 1] == 1)
+            b = tuple(v for v in range(1, n + 1) if side[v - 1] == 2)
+            if b:
+                rows[A, b] = rng.randint(1, 3)
+        entries = [{"A": list(A), "b": list(b), "dim": d} for (A, b), d in rows.items() if d > 0]
+        yield {"n": n, "entries": entries}
+
+
+SHUFFLE_MATROIDS = CENSUS_MATROIDS + [
+    uniform(3, 2) * uniform(1, 1) * uniform(1, 0),
+    uniform(3, 1) * uniform(2, 0) * uniform(1, 1),
+    uniform(4, 2) * uniform(2, 2),
+    uniform(6, 3),
+]
+
+
+def test_row_order_of_a_document_changes_nothing():
+    # the rows of a table read from JSON keep the document's order; reconstruct
+    # and the loop/coloop split give the same result, or the same error, as
+    # for the canonical document, on tables of matroids, of non-matroids and
+    # on corrupted ones
+    rng = random.Random(16)
+    docs = [t1_table(cx).to_json_dict() for n in range(1, 6) for cx in representatives(n)]
+    for m in SHUFFLE_MATROIDS:
+        docs += corrupted_docs(t1_table(m), rng, 6)
+    errors = set()
+    for doc in docs:
+        canonical = T1Table.from_json_dict(doc).to_json_dict()
+        want = [outcome(fn, canonical) for fn in (reconstruct, classify_loops_coloops)]
+        errors.update(w.split(":")[0] for w in want)
+        for _ in range(2):
+            entries = canonical["entries"]
+            shuffled = dict(canonical, entries=rng.sample(entries, len(entries)))
+            got = [outcome(fn, shuffled) for fn in (reconstruct, classify_loops_coloops)]
+            assert got == want, doc
+    assert {"NotAMatroidTableError", "DiscreteAmbiguousError"} <= errors
