@@ -3,6 +3,8 @@
 Exit codes: 0 on success, 1 on a domain error (bad input file, operation
 undefined on the given complex, reconstruction failures), 2 on usage errors.
 Output is deterministic for identical invocations regardless of --threads.
+Library names are read through the package (`srt1.t1_table`, ...), so a
+subcommand loads only the modules it runs.
 """
 
 from __future__ import annotations
@@ -12,23 +14,11 @@ import json
 import os
 import sys
 
-from .complexes import MAX_CENSUS_GROUND, SimplicialComplex, check_threads
-from .cotangent import (
-    MultiDegree,
-    T1Table,
-    dim_t1,
-    t1_table,
-)
-from .matroids import (
-    is_matroid_circuit_elimination,
-    is_matroid_exchange,
-    is_matroid_unique_min,
-)
-from . import recognition
-from .reconstruction import reconstruct
+import srt1
+from .complexes import MAX_CENSUS_GROUND, SimplicialComplex, check_threads, unpack
 
 
-def parse_degree(text: str) -> MultiDegree:
+def parse_degree(text: str) -> srt1.MultiDegree:
     """Parse "a1,a2,...;b1,b2,..." into a support pair; either side may be empty."""
     parts = text.split(";")
     if len(parts) != 2:
@@ -50,10 +40,10 @@ def parse_degree(text: str) -> MultiDegree:
             out.append(v)
         return out
 
-    return MultiDegree.make(side(parts[0], "A"), side(parts[1], "b"))
+    return srt1.MultiDegree.make(side(parts[0], "A"), side(parts[1], "b"))
 
 
-def format_degree(d: MultiDegree) -> str:
+def format_degree(d: srt1.MultiDegree) -> str:
     return ",".join(map(str, d.A)) + ";" + ",".join(map(str, d.b))
 
 
@@ -71,8 +61,8 @@ def read_complex(path: str) -> SimplicialComplex:
     return SimplicialComplex.from_json_dict(_read_json(path))
 
 
-def read_table(path: str) -> T1Table:
-    return T1Table.from_json_dict(_read_json(path))
+def read_table(path: str) -> srt1.T1Table:
+    return srt1.T1Table.from_json_dict(_read_json(path))
 
 
 def _emit(doc) -> None:
@@ -83,7 +73,7 @@ def _cmd_t1(args) -> int:
     cx = read_complex(args.complex)
     if args.degree is not None:
         d = parse_degree(args.degree)
-        dim = dim_t1(cx, d)
+        dim = srt1.dim_t1(cx, d)
         if args.format == "tsv":
             a = ",".join(map(str, d.A))
             b = ",".join(map(str, d.b))
@@ -91,7 +81,7 @@ def _cmd_t1(args) -> int:
         else:
             _emit({"A": list(d.A), "b": list(d.b), "dim": dim})
         return 0
-    table = t1_table(cx, threads=args.threads)
+    table = srt1.t1_table(cx, threads=args.threads)
     if args.format == "tsv":
         sys.stdout.write(table.to_tsv())
     else:
@@ -99,20 +89,23 @@ def _cmd_t1(args) -> int:
     return 0
 
 
+# each --method with the public name of its test
 _METHODS = {
-    "exchange": is_matroid_exchange,
-    "circuits": is_matroid_circuit_elimination,
-    "unique-min": is_matroid_unique_min,
-    "t1": recognition.is_matroid_via_t1,
+    "exchange": "is_matroid_exchange",
+    "circuits": "is_matroid_circuit_elimination",
+    "unique-min": "is_matroid_unique_min",
+    "t1": "is_matroid_via_t1",
 }
 
 
 def _cmd_is_matroid(args) -> int:
     cx = read_complex(args.complex)
     if args.method != "t1":
-        sys.stdout.write("true\n" if _METHODS[args.method](cx) else "false\n")
+        sys.stdout.write("true\n" if getattr(srt1, _METHODS[args.method])(cx) else "false\n")
         return 0
-    witness = recognition._first_singleton_discrepancy(cx)
+    from .recognition import _first_singleton_discrepancy
+
+    witness = _first_singleton_discrepancy(cx)
     if witness is None:
         sys.stdout.write("true\n")
     else:
@@ -132,7 +125,7 @@ def _cmd_discrepancies(args) -> int:
             "graph_dim": d.graph_dim,
             "formula_dim": d.formula_dim,
         }
-        for d in recognition.formula_discrepancies(cx)
+        for d in srt1.formula_discrepancies(cx)
     ]
     _emit({"n": cx.n, "discrepancies": rows})
     return 0
@@ -140,22 +133,26 @@ def _cmd_discrepancies(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     table = read_table(args.table)
-    cx = reconstruct(table)
+    cx = srt1.reconstruct(table)
     _emit(cx.to_json_dict())
     return 0
 
 
 def _cmd_rigidity(args) -> int:
     cx = read_complex(args.complex)
-    table = t1_table(cx)
+    table = srt1.t1_table(cx)
     if len(table) == 0:
-        if is_matroid_exchange(cx):
+        if srt1.is_matroid_exchange(cx):
             sys.stdout.write("DISCRETE\n")
         else:
             sys.stdout.write("RIGID\n")
         return 0
-    first = next(iter(table))
-    sys.stdout.write(f"NONRIGID {format_degree(first)} dim={table.dim(first)}\n")
+    from .cotangent import _canonical
+
+    # the canonically first row, the only one decoded
+    (a, b), dim = min(table._rows.items(), key=_canonical(table.n))
+    first = srt1.MultiDegree(unpack(a), unpack(b))
+    sys.stdout.write(f"NONRIGID {format_degree(first)} dim={dim}\n")
     return 0
 
 
@@ -165,16 +162,8 @@ def _cmd_circuits(args) -> int:
     return 0
 
 
-def run_census(max_n: int, threads: int = 1):
-    """`census.run_census`, imported on the first call, so that no other
-    subcommand loads the census."""
-    from . import census
-
-    return census.run_census(max_n, threads=threads)
-
-
 def _cmd_census(args) -> int:
-    reports = run_census(args.max_n, threads=args.threads)
+    reports = srt1.run_census(args.max_n, threads=args.threads)
     ok = True
     for rep in reports:
         if rep.ok:

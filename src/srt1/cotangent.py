@@ -353,6 +353,7 @@ def n_del_red(cx: SimplicialComplex, b: Iterable[int]) -> list[tuple[int, ...]]:
 
 def circuits_containing(cx: SimplicialComplex, b: Iterable[int]) -> list[tuple[int, ...]]:
     """Minimal nonfaces of cx that contain b."""
+    cx._require_nonvoid("circuits_containing")
     bm = pack(b, cx.n)
     return [unpack(c) for c in cx.minimal_nonface_masks() if bm & ~c == 0]
 

@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+import srt1
 from srt1 import cli
 from srt1.census import run_census
 from srt1.complexes import SimplicialComplex
@@ -314,7 +315,7 @@ def test_census_cli_output_is_pinned(census5, monkeypatch, capsys):
     asked = []
     reports = list(census5.values())
     monkeypatch.setattr(
-        cli, "run_census", lambda max_n, threads: asked.append((max_n, threads)) or reports
+        srt1, "run_census", lambda max_n, threads: asked.append((max_n, threads)) or reports
     )
     assert cli.main(["census", "--max-n", "5", "--threads", "1"]) == 0
     out = capsys.readouterr().out.encode()

@@ -120,6 +120,24 @@ def test_check_complex_reports_a_wrong_engine(monkeypatch):
     }
 
 
+def test_check_complex_reports_wrong_links(monkeypatch):
+    # a link of a nonempty face that loses its last facet breaks exactly the
+    # invariants that read links, and each failure names its degree or pair
+    link_mask = SimplicialComplex.link_mask
+
+    def wrong_link(cx, a):
+        link = link_mask(cx, a)
+        if a and len(link.facet_masks) > 1:
+            return SimplicialComplex(link.n, link.facet_masks[:-1])
+        return link
+
+    monkeypatch.setattr(SimplicialComplex, "link_mask", wrong_link)
+    data, _ = check_complex(SimplicialComplex.from_facets(3, [[1, 2], [1, 3]]))
+    failed = {name: rep.failures for name, rep in data.items() if not rep.ok}
+    assert sorted(failed) == ["bijection-generators", "link-reduction", "link-restrict-commute"]
+    assert failed["link-reduction"][0] == "n=3 facets=[[1, 2], [1, 3]]: degree ((1,),(2, 3)) 1 != 0"
+
+
 def test_run_census_small_green():
     reports = run_census(3)
     assert [r.name for r in reports] == BATTERY_ORDER

@@ -70,6 +70,51 @@ def test_cli_import_loads_no_census():
     assert out == "False\n"
 
 
+# the srt1 modules in sys.modules after each subcommand: each module loads on
+# first use of a name it owns, so a subcommand loads only what it runs
+_BASE = ["srt1", "srt1.cli", "srt1.complexes"]
+_T1 = _BASE + ["srt1.cotangent", "srt1.matroids"]
+_RECOGNITION = _T1 + ["srt1.recognition"]
+_RECONSTRUCTION = _RECOGNITION + ["srt1.reconstruction"]
+LOADED = {
+    "help": (["--help"], _BASE),
+    "circuits": (["circuits", "{cx}"], _BASE),
+    "exchange": (["is-matroid", "{cx}", "--method", "exchange"], _BASE + ["srt1.matroids"]),
+    "t1": (["t1", "{cx}"], _T1),
+    "rigidity": (["rigidity", "{cx}"], _T1),
+    "is-matroid-t1": (["is-matroid", "{cx}", "--method", "t1"], _RECOGNITION),
+    "discrepancies": (["discrepancies", "{cx}"], _RECOGNITION),
+    "reconstruct": (["reconstruct", "{table}"], _RECONSTRUCTION),
+    "census": (["census", "--max-n", "1", "--threads", "1"], _RECONSTRUCTION + ["srt1.census"]),
+}
+
+
+@pytest.mark.parametrize("argv, loaded", LOADED.values(), ids=LOADED)
+def test_each_subcommand_loads_only_its_modules(tmp_path, argv, loaded):
+    cx = tmp_path / "cx.json"
+    cx.write_text(json.dumps(U32_DOC))
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps(t1_table(SimplicialComplex.from_json_dict(U32_DOC)).to_json_dict()))
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys\n"
+        "from srt1 import cli\n"
+        "try:\n"
+        "    cli.main(sys.argv[1:])\n"
+        "finally:\n"
+        "    print(*sorted(m for m in sys.modules if m.split('.')[0] == 'srt1'), file=sys.stderr)\n"
+    )
+    err = subprocess.run(
+        [sys.executable, "-S", "-c", code, *(a.format(cx=cx, table=table) for a in argv)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    ).stderr
+    assert err.split() == sorted(loaded)
+
+
 # -- parse_degree ---------------------------------------------------------------
 
 
@@ -293,6 +338,18 @@ def test_rigidity_nonrigid(capsys, u32):
     assert out == "NONRIGID ;1,2 dim=1\n"
 
 
+def test_rigidity_decodes_only_the_degree_it_prints(capsys, tmp_path, monkeypatch):
+    p = tmp_path / "u84.json"
+    p.write_text(json.dumps(uniform(8, 4).to_json_dict()))
+    made = []
+    new = MultiDegree.__new__
+    monkeypatch.setattr(
+        MultiDegree, "__new__", lambda cls, *args: made.append(args) or new(cls, *args)
+    )
+    assert run_ok(capsys, ["rigidity", str(p)]) == "NONRIGID ;1 dim=34\n"
+    assert len(made) <= 1
+
+
 # -- circuits -----------------------------------------------------------------------
 
 
@@ -393,6 +450,47 @@ def test_table_bad_n_names_key_n(capsys, tmp_path):
     p.write_text(json.dumps({"n": -1, "entries": []}))
     assert cli.main(["reconstruct", str(p)]) == 1
     assert capsys.readouterr().err == "error: key 'n': must be a nonnegative integer\n"
+
+
+@pytest.mark.parametrize(
+    "argv, doc, message",
+    [
+        (["reconstruct"], [1, 2], "error: table document must be a JSON object"),
+        (["reconstruct"], {"n": 2, "entries": {}}, "error: key 'entries': must be a list"),
+        (["reconstruct"], {"n": 2, "entries": [3]}, "error: key 'entries[0]': must be an object"),
+        (
+            ["reconstruct"],
+            {"n": 2, "entries": [{"A": 1, "b": [2], "dim": 1}]},
+            "error: key 'entries[0]': A and b must be lists",
+        ),
+        (
+            ["reconstruct"],
+            {
+                "n": 3,
+                "entries": [
+                    {"A": [1], "b": [3], "dim": 1},
+                    {"A": [2], "b": [3], "dim": 1},
+                    {"A": [1, 2], "b": [3], "dim": 1},
+                ],
+            },
+            "error [NotAMatroidTable]: no entry survives removing coloop support",
+        ),
+        (["t1"], [1, 2], "error: complex document must be a JSON object"),
+    ],
+    ids=["table-array", "entries-object", "entry-number", "A-number", "coloops", "complex-array"],
+)
+def test_input_check_messages(capsys, tmp_path, argv, doc, message):
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    assert cli.main(argv + [str(p)]) == 1
+    assert capsys.readouterr().err == message + "\n"
+
+
+def test_threads_not_an_integer_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["t1", "/nonexistent/x.json", "--threads", "abc"])
+    assert exc.value.code == 2
+    assert "invalid int value: 'abc'" in capsys.readouterr().err
 
 
 def test_degree_error_exit_1(capsys, u32):

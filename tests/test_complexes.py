@@ -303,6 +303,8 @@ def test_join_shifts_ground():
     assert j.facets == ((1, 3), (2, 3))
     assert a.join(SimplicialComplex.from_facets(0, [])) == a
     assert (a * SimplicialComplex.void(1)).is_void
+    with pytest.raises(VertexRangeError, match="^joined ground size 70 exceeds limit 64$"):
+        SimplicialComplex.from_facets(40, [[1]]).join(SimplicialComplex.from_facets(30, [[1]]))
 
 
 def test_join_with_irrelevant_complex_adds_loops():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import pickle
 import random
@@ -127,6 +128,8 @@ def test_circuits_containing():
     assert circuits_containing(REMARK, [1]) == [(1, 2), (1, 3), (1, 4, 5)]
     assert circuits_containing(REMARK, []) == REMARK.minimal_nonfaces()
     assert circuits_containing(uniform(3, 3), [1]) == []
+    with pytest.raises(VoidComplexError, match="^circuits_containing is undefined"):
+        circuits_containing(SimplicialComplex.void(2), [1])
 
 
 # -- inclusion graph ----------------------------------------------------------
@@ -357,6 +360,33 @@ def test_t1_table_agrees_with_dim_t1():
     t = t1_table(cx)
     for d in all_degrees(5):
         assert t.dim(d) == dim_t1(cx, d), d
+
+
+def _join_rows(K, L):
+    """The T1 rows of K * L that the join rule predicts: a degree whose b lies
+    in one factor has that factor's dimension at the part of A there, for
+    every face of the other factor as the rest of A; a b that meets both
+    factors has none."""
+
+    def shift(vs):
+        return tuple(v + K.n for v in vs)
+
+    rows = {}
+    for d, dim in t1_table(K).items():
+        for f in L.faces():
+            rows[d.A + shift(f), d.b] = dim
+    for d, dim in t1_table(L).items():
+        for f in K.faces():
+            rows[f + shift(d.A), shift(d.b)] = dim
+    return rows
+
+
+def test_t1_table_of_a_join_follows_the_join_rule():
+    classes = [cx for n in (1, 2, 3) for cx in representatives(n)]
+    assert len(classes) == 15
+    for K, L in itertools.product(classes, repeat=2):
+        got = {(d.A, d.b): dim for d, dim in t1_table(K.join(L)).items()}
+        assert got == _join_rows(K, L), (K, L)
 
 
 def _in_two_facets(cx):
@@ -614,6 +644,8 @@ def test_bijection_check_preconditions():
         bijection_check(REMARK, [], [4])
     with pytest.raises(ValueError, match="face"):
         bijection_check(uniform(3, 1), [1, 2], [3])
+    with pytest.raises(ValueError, match="^A and b must be disjoint$"):
+        bijection_check(uniform(3, 2), [1], [1])
     with pytest.raises(ValueError, match="link"):
         bijection_check(uniform(3, 1), [1], [2, 3])
     with pytest.raises(ValueError, match="contained in or disjoint"):
