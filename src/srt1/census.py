@@ -8,9 +8,11 @@ representative.  Ground sizes up to 5 are supported.
 `check_complex` builds what the battery reads once per complex: the link and
 the restriction at every vertex set, each caching its faces and circuits (the
 deletion of b is the restriction to the complement of b), the rank of every
-vertex set and, in one pass over the degrees b, N_b and N~_b.  It returns the
-reports and whether the complex is a matroid; `run_census` keeps the matroids
-for the cross-complex checks.
+vertex set, dim T1 of each link at each degree (emptyset, b) and, in one
+pass over the degrees b, N_b and N~_b.  An invariant that relates two of
+them compares what each caches, so no complex is built per pair or degree.
+It returns the reports and whether the complex is a matroid; `run_census`
+keeps the matroids for the cross-complex checks.
 """
 
 from __future__ import annotations
@@ -164,8 +166,9 @@ class _Shared:
     for every vertex set, indexed by its mask, so the deletion of b is
     `restrictions[full ^ b]`.  Each is built from the facets of cx and caches
     its own faces and circuits, so the battery reads those off the link or
-    the deletion.  `a_masks` lists the faces of cx in canonical order, and
-    `table` is the T1 table of cx.
+    the deletion.  `a_masks` lists the faces of cx in canonical order,
+    `table` is the T1 table of cx, and `dims[a, b]` is dim T1 of `links[a]`
+    at (emptyset, b), kept by `link-reduction`; `links[0]` is cx.
     """
 
     def __init__(self, cx: SimplicialComplex) -> None:
@@ -176,6 +179,7 @@ class _Shared:
         self.links = [cx.link_mask(m) for m in range(1 << n)]
         self.restrictions = [cx.restrict(unpack(m)) for m in range(1 << n)]
         self.table = t1_table(cx)
+        self.dims: dict[tuple[int, int], int] = {}
 
 
 def check_complex(cx: SimplicialComplex) -> tuple[dict[str, CensusReport], bool]:
@@ -197,11 +201,15 @@ def check_complex(cx: SimplicialComplex) -> tuple[dict[str, CensusReport], bool]
     rebuilt = SimplicialComplex.from_minimal_nonfaces(n, cx.minimal_nonfaces())
     rec.add("nonface-duality", 1, [] if rebuilt == cx else [tag])
 
-    # link and restriction commute, at each of the 3^n pairs F <= W
+    # link and restriction commute, at each of the 3^n pairs F <= W: the sets
+    # G - F over the faces G >= F of the restriction to W are the faces of
+    # lk(F) inside W (none at a nonface F, whose link is void)
     fails = []
     for w in range(1 << n):
+        restricted = s.restrictions[w].face_masks()
         for sub in submasks(w):
-            if s.restrictions[w].link_mask(sub) != s.links[sub].restrict(unpack(w)):
+            lhs = {g ^ sub for g in restricted if g & sub == sub}
+            if lhs != {g for g in s.links[sub].face_masks() if not g & ~w}:
                 fails.append(f"{tag}: W={unpack(w)} F={unpack(sub)}")
     rec.add("link-restrict-commute", 3**n, fails)
 
@@ -233,7 +241,7 @@ def check_complex(cx: SimplicialComplex) -> tuple[dict[str, CensusReport], bool]
         for sub in filter(None, submasks(full & ~a)):
             checked += 1
             lhs = s.table._rows.get((a, sub), 0)
-            rhs = dim_t1(s.links[a], ((), unpack(sub)))
+            rhs = s.dims[a, sub] = dim_t1(s.links[a], ((), unpack(sub)))
             if lhs != rhs:
                 fails.append(f"{tag}: degree ({unpack(a)},{unpack(sub)}) {lhs} != {rhs}")
     rec.add("link-reduction", checked, fails)
@@ -262,9 +270,9 @@ def check_complex(cx: SimplicialComplex) -> tuple[dict[str, CensusReport], bool]
 
 
 def _check_degrees(rec: _Recorder, s: _Shared, matroid: bool) -> None:
-    """The invariants stated per degree b: one pass builds N_b, N~_b and
-    dim T1 at (0, b) for all of them, and reads the deletion of b and its
-    facets off `s.restrictions`."""
+    """The invariants stated per degree b: one pass builds N_b and N~_b for
+    all of them, and reads dim T1 at (0, b) off `s.dims` and the deletion of
+    b and its facets off `s.restrictions`."""
     cx, tag = s.cx, s.tag
     n = cx.n
     full = (1 << n) - 1
@@ -281,7 +289,7 @@ def _check_degrees(rec: _Recorder, s: _Shared, matroid: bool) -> None:
         deletion = s.restrictions[full ^ b]
         del_faces = deletion.face_masks()
         del_facets = deletion.facet_masks
-        dim = dim_t1(cx, ((), vb))
+        dim = s.dims[0, b]
 
         # N_b shape, minimal elements, and the N~ emptiness equivalence
         if b in faces:
@@ -413,7 +421,10 @@ def _check_matroid_parts(rec: _Recorder, s: _Shared) -> None:
             back, ok = None, False
         rec.add("round-trip", 1, [] if ok else [f"{tag}: got {back!r}"])
 
-        roles = classify_loops_coloops(table)
+        try:
+            roles = classify_loops_coloops(table)
+        except ValueError as exc:  # reported, as round-trip reports reconstruct's
+            roles = str(exc)
         want = {v: "ordinary" for v in range(1, n + 1)}
         for v in loops:
             want[v] = "loop"

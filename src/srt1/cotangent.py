@@ -68,7 +68,6 @@ from .complexes import (
     submasks,
     unpack,
 )
-from . import matroids
 
 
 class MultiDegree(NamedTuple):
@@ -441,8 +440,10 @@ def dim_t1_matroid_formula(cx: SimplicialComplex, degree) -> int:
     meets b properly; otherwise the number of circuits of the link containing
     b, with one subtracted (clamped) for singleton b.
     """
+    from .matroids import require_matroid
+
     cx._require_nonvoid("dim_t1_matroid_formula")
-    matroids.require_matroid(cx, "dim_t1_matroid_formula")
+    require_matroid(cx, "dim_t1_matroid_formula")
     d = _as_degree(degree)
     am = pack(d.A, cx.n)
     bm = pack(d.b, cx.n)
@@ -551,10 +552,10 @@ class T1Table:
         """The masks of a degree's supports, or None when a vertex is no
         integer in 1..n and the degree is stored nowhere."""
         d = _as_degree(degree)
-        ground = range(1, self.n + 1)
-        if not all(v in ground for v in d.A + d.b):
+        try:
+            return pack(d.A, self.n), pack(d.b, self.n)
+        except ValueError:
             return None
-        return sum(1 << (int(v) - 1) for v in d.A), sum(1 << (int(v) - 1) for v in d.b)
 
     def dim(self, A, b=None) -> int:
         """Stored dimension at (A, b), or 0 when absent."""
@@ -795,7 +796,9 @@ def bijection_check(cx: SimplicialComplex, A: Iterable[int], b: Iterable[int]) -
     disjoint from every circuit of L, the map sends the circuits of L through
     b bijectively onto circuits(link(L, b)) minus circuits(L \\ b).
     """
-    matroids.require_matroid(cx, "bijection_check")
+    from .matroids import require_matroid
+
+    require_matroid(cx, "bijection_check")
     am = pack(A, cx.n)
     bm = pack(b, cx.n)
     if not cx.is_face_mask(am):

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from srt1 import census
+from srt1 import census, complexes, cotangent, recognition
 from srt1.census import (
     BATTERY_ORDER,
     MAX_CENSUS_GROUND,
@@ -17,6 +17,8 @@ from srt1.census import (
 )
 from srt1.complexes import SimplicialComplex
 from srt1.matroids import is_matroid_exchange, uniform
+
+from _census_reps import representatives as cached_representatives
 
 # antichain counts of subsets of [n] (Dedekind numbers)
 DEDEKIND = [2, 3, 6, 20, 168, 7581]
@@ -120,22 +122,246 @@ def test_check_complex_reports_a_wrong_engine(monkeypatch):
     }
 
 
-def test_check_complex_reports_wrong_links(monkeypatch):
-    # a link of a nonempty face that loses its last facet breaks exactly the
-    # invariants that read links, and each failure names its degree or pair
+# -- mutants: each breaks one code path the battery claims to check --------------
+
+
+def _link_drops_a_facet(monkeypatch):
+    # a link of a nonempty face loses its last facet
     link_mask = SimplicialComplex.link_mask
 
-    def wrong_link(cx, a):
+    def wrong(cx, a):
         link = link_mask(cx, a)
         if a and len(link.facet_masks) > 1:
             return SimplicialComplex(link.n, link.facet_masks[:-1])
         return link
 
-    monkeypatch.setattr(SimplicialComplex, "link_mask", wrong_link)
+    monkeypatch.setattr(SimplicialComplex, "link_mask", wrong)
+
+
+def _link_of_a_nonface_is_the_empty_face(monkeypatch):
+    # the void link of a nonface mixed up with {emptyset}
+    link_mask = SimplicialComplex.link_mask
+
+    def wrong(cx, a):
+        link = link_mask(cx, a)
+        return link if link.facet_masks else SimplicialComplex(link.n, [0])
+
+    monkeypatch.setattr(SimplicialComplex, "link_mask", wrong)
+
+
+def _restriction_drops_a_facet(monkeypatch):
+    # a restriction to a proper subset of the ground loses its last facet
+    restrict = SimplicialComplex.restrict
+
+    def wrong(cx, W):
+        r = restrict(cx, W)
+        if set(W) != set(range(1, cx.n + 1)) and len(r.facet_masks) > 1:
+            return SimplicialComplex(r.n, r.facet_masks[:-1])
+        return r
+
+    monkeypatch.setattr(SimplicialComplex, "restrict", wrong)
+
+
+def _no_marks_at_pairs(monkeypatch):
+    # N~_b is empty at every b of two vertices
+    marks = cotangent._marks
+
+    def wrong(faces, nvert, b):
+        return [False] * len(nvert) if b.bit_count() == 2 else marks(faces, nvert, b)
+
+    monkeypatch.setattr(cotangent, "_marks", wrong)
+    monkeypatch.setattr(census, "_marks", wrong)
+
+
+def _components_fall_apart(monkeypatch):
+    # every member is its own component once there are more than two
+    component_ids = cotangent._component_ids
+
+    def wrong(nvert):
+        return list(range(len(nvert))) if len(nvert) > 2 else component_ids(nvert)
+
+    monkeypatch.setattr(cotangent, "_component_ids", wrong)
+
+
+def _class_rows_drop_singletons(monkeypatch):
+    # a matroid link's table loses its rows at singleton b
+    class_rows = cotangent._class_rows
+
+    def wrong(link_vertices, link_circuits):
+        return [(b, d) for b, d in class_rows(link_vertices, link_circuits) if b & (b - 1)]
+
+    monkeypatch.setattr(cotangent, "_class_rows", wrong)
+
+
+def _circuits_drop_the_last(monkeypatch):
+    # the minimal nonfaces of a face set lose the last one found
+    minimal_nonfaces = complexes._minimal_nonfaces
+
+    def wrong(face_set, n):
+        return minimal_nonfaces(face_set, n)[:-1]
+
+    for module in (complexes, cotangent, recognition):
+        monkeypatch.setattr(module, "_minimal_nonfaces", wrong)
+
+
+def _rank_of_the_ground_too_low(monkeypatch):
+    # the rank of the whole ground comes out one too low
+    rank_of = SimplicialComplex.rank_of
+
+    def wrong(cx, A):
+        r = rank_of(cx, A)
+        return r - 1 if set(A) == set(range(1, cx.n + 1)) else r
+
+    monkeypatch.setattr(SimplicialComplex, "rank_of", wrong)
+
+
+def _no_coloops(monkeypatch):
+    # the loop/coloop split reports no coloops
+    loops_and_coloops = SimplicialComplex.loops_and_coloops
+
+    def wrong(cx):
+        return loops_and_coloops(cx)[0], ()
+
+    monkeypatch.setattr(SimplicialComplex, "loops_and_coloops", wrong)
+
+
+# the invariants each mutant fails on the classes on up to 4 vertices
+MUTANTS = {
+    "link-drops-a-facet": (
+        _link_drops_a_facet,
+        {
+            "bijection-generators",
+            "coloop-free-link-heredity",
+            "link-reduction",
+            "link-restrict-commute",
+            "upper-bound",
+        },
+    ),
+    "link-of-a-nonface-is-the-empty-face": (
+        _link_of_a_nonface_is_the_empty_face,
+        {"link-restrict-commute"},
+    ),
+    "restriction-drops-a-facet": (
+        _restriction_drops_a_facet,
+        {"link-restrict-commute", "ndel-star-shape", "upper-bound"},
+    ),
+    "no-marks-at-pairs": (
+        _no_marks_at_pairs,
+        {"link-reduction", "main-theorem-iff", "ndelred-empty-equivalence", "nonface-dimension"},
+    ),
+    "components-fall-apart": (
+        _components_fall_apart,
+        {
+            "link-reduction",
+            "loop-coloop-classify",
+            "main-theorem-iff",
+            "nonface-dimension",
+            "recognition-corollary",
+            "round-trip",
+            "singleton-discrepancy-direction",
+            "upper-bound",
+        },
+    ),
+    "class-rows-drop-singletons": (
+        _class_rows_drop_singletons,
+        {
+            "link-reduction",
+            "link-rigidity-basis",
+            "loop-coloop-classify",
+            "rigidity-discrete",
+            "round-trip",
+        },
+    ),
+    "circuits-drop-the-last": (
+        _circuits_drop_the_last,
+        {
+            "bijection-generators",
+            "link-reduction",
+            "link-rigidity-basis",
+            "loop-coloop-classify",
+            "main-theorem-iff",
+            "min-element-containment",
+            "ndelred-empty-equivalence",
+            "nonface-dimension",
+            "nonface-duality",
+            "oracle-agreement",
+            "recognition-corollary",
+            "rigidity-discrete",
+            "round-trip",
+            "singleton-discrepancy-direction",
+            "upper-bound",
+        },
+    ),
+    "rank-of-the-ground-too-low": (_rank_of_the_ground_too_low, {"rank-monotone"}),
+    "no-coloops": (
+        _no_coloops,
+        {"link-rigidity-basis", "loop-coloop-classify", "rigidity-discrete", "round-trip"},
+    ),
+}
+
+
+def _failed_invariants(classes):
+    failed = set()
+    for cx in classes:
+        # a fresh copy, so that no face set or circuit list cached before the
+        # mutant was applied is read
+        data, _ = check_complex(SimplicialComplex(cx.n, cx.facet_masks))
+        failed |= {name for name, rep in data.items() if not rep.ok}
+    return failed
+
+
+@pytest.mark.parametrize("mutate, fails", MUTANTS.values(), ids=MUTANTS)
+def test_each_mutant_fails_its_invariants(monkeypatch, mutate, fails):
+    classes = [cx for n in range(1, 5) for cx in cached_representatives(n)]
+    mutate(monkeypatch)
+    assert _failed_invariants(classes) == fails
+
+
+def test_check_complex_reports_a_wrong_loop_coloop_split(monkeypatch):
+    # a split that misses a coloop makes `classify_loops_coloops` raise; the
+    # battery reports that as a failure instead of crashing
+    _no_coloops(monkeypatch)
+    data, _ = check_complex(SimplicialComplex.from_facets(1, [[1]]))
+    failed = {name: rep.failures for name, rep in data.items() if not rep.ok}
+    assert sorted(failed) == [
+        "link-rigidity-basis",
+        "loop-coloop-classify",
+        "rigidity-discrete",
+        "round-trip",
+    ]
+    assert failed["loop-coloop-classify"] == [
+        "n=1 facets=[[1]]: the empty table does not separate loops from coloops"
+    ]
+
+
+def test_check_complex_reports_wrong_links(monkeypatch):
+    # a link of a nonempty face that loses its last facet breaks exactly the
+    # invariants that read links, and each failure names its degree or pair
+    _link_drops_a_facet(monkeypatch)
     data, _ = check_complex(SimplicialComplex.from_facets(3, [[1, 2], [1, 3]]))
     failed = {name: rep.failures for name, rep in data.items() if not rep.ok}
     assert sorted(failed) == ["bijection-generators", "link-reduction", "link-restrict-commute"]
     assert failed["link-reduction"][0] == "n=3 facets=[[1, 2], [1, 3]]: degree ((1,),(2, 3)) 1 != 0"
+
+
+def test_check_complex_builds_no_complex_per_pair(monkeypatch):
+    # `link-restrict-commute` compares cached face sets instead of building
+    # two complexes at each of the 3^n pairs F <= W, and the degree checks
+    # read dim T1 at (emptyset, b) off `link-reduction` instead of again
+    cx = uniform(5, 3)
+    built, dims = [], []
+    init, dim_t1 = SimplicialComplex.__init__, census.dim_t1
+
+    def counting_init(self, n, facet_masks):
+        built.append(n)
+        init(self, n, facet_masks)
+
+    monkeypatch.setattr(SimplicialComplex, "__init__", counting_init)
+    monkeypatch.setattr(census, "dim_t1", lambda c, d: dims.append(d) or dim_t1(c, d))
+    data, _ = check_complex(cx)
+    assert all(rep.ok for rep in data.values())
+    assert len(built) < 3**5
+    assert len(dims) == data["link-reduction"].checked == 206
 
 
 def test_run_census_small_green():

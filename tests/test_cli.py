@@ -73,7 +73,7 @@ def test_cli_import_loads_no_census():
 # the srt1 modules in sys.modules after each subcommand: each module loads on
 # first use of a name it owns, so a subcommand loads only what it runs
 _BASE = ["srt1", "srt1.cli", "srt1.complexes"]
-_T1 = _BASE + ["srt1.cotangent", "srt1.matroids"]
+_T1 = _BASE + ["srt1.cotangent"]
 _RECOGNITION = _T1 + ["srt1.recognition"]
 _RECONSTRUCTION = _RECOGNITION + ["srt1.reconstruction"]
 LOADED = {
@@ -85,7 +85,10 @@ LOADED = {
     "is-matroid-t1": (["is-matroid", "{cx}", "--method", "t1"], _RECOGNITION),
     "discrepancies": (["discrepancies", "{cx}"], _RECOGNITION),
     "reconstruct": (["reconstruct", "{table}"], _RECONSTRUCTION),
-    "census": (["census", "--max-n", "1", "--threads", "1"], _RECONSTRUCTION + ["srt1.census"]),
+    "census": (
+        ["census", "--max-n", "1", "--threads", "1"],
+        _RECONSTRUCTION + ["srt1.census", "srt1.matroids"],
+    ),
 }
 
 

@@ -610,10 +610,13 @@ def test_t1_table_contract():
         assert len(t) == len(keys)
         for d, dim in t.items():
             assert t.dim(d) == t.dim(d.A, d.b) == dim and d in t
+        # 1.0 and True equal the vertex 1 but are refused, as `pack` refuses them
         outside = [([], [t.n + 1]), ([0], [1]), ([-1], [1]), ([t.n + 1], [1])]
+        outside += [([], [1.0]), ([], [True]), ([1.0], [2]), ([True], [2])]
         if keys:
             nonempty += 1
             outside += [(keys[0].A + (t.n + 1,), keys[0].b), (keys[0].A, keys[0].b + (0,))]
+            outside += [(keys[0].A, tuple(map(float, keys[0].b)))]
         for A, b in outside:
             assert t.dim(A, b) == 0 and (A, b) not in t, (cx, A, b)
     assert nonempty > 200
