@@ -28,7 +28,8 @@ included, is the circuit formula, which `_class_rows` reads off the link's
 vertices and circuits.  Every link above it is a contraction of it, and its
 vertices and circuits follow from those of the link one vertex below
 (`_matroid_links`), so no face set and no N_b is built above the singleton
-degrees of a matroid link.
+degrees of a matroid link.  A link whose d >= 2 facets are single vertices
+is U(d, 1) with loops, and `_rank_one_rows` writes its rows from d alone.
 
 Any other link takes 1 at each of its isolated circuits, its only nonzero
 nonface degrees, and the inclusion graph at each of its nonempty faces b,
@@ -56,6 +57,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .complexes import (
     SimplicialComplex,
+    VertexRangeError,
     _faces_of,
     _ground_size,
     _link_facets,
@@ -89,11 +91,14 @@ class MultiDegree(NamedTuple):
         return (len(self.A), self.A, len(self.b), self.b)
 
 
-def _as_degree(degree) -> MultiDegree:
-    if isinstance(degree, MultiDegree):
-        return MultiDegree.make(degree.A, degree.b)
+def _degree_masks(degree, n: int) -> tuple[int, int]:
+    """The masks of a degree's supports (A, b) on n vertices.  `pack` checks
+    every vertex before any two are compared, then A and b must be disjoint."""
     A, b = degree
-    return MultiDegree.make(A, b)
+    a, bm = pack(A, n), pack(b, n)
+    if a & bm:
+        raise ValueError(f"A and b overlap at vertex {unpack(a & bm)[0]}")
+    return a, bm
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +230,15 @@ def _singleton_dims(
         yield b, _dim_on_faces(faces, b), _formula_on_link(circuits, b)
 
 
-def _walk(cx: SimplicialComplex) -> Iterator[tuple[int, int, list[int], list | None]]:
+def _walk(cx: SimplicialComplex) -> Iterator[tuple[int, int, list[int] | None, list | None]]:
     """Walks the links of cx depth first from the empty face, stepping from a
     to a u {v} only for link vertices v above a's highest vertex, so that it
     reaches each face once.  The facets of the link at a u {v} are those of
     the link at a through v, less v.  Yields a, the link's vertex mask, its
-    circuits and dims, for two kinds of link:
+    circuits and dims, for three kinds of link:
 
+    * a link of rank 1, U(d, 1) with loops, comes with circuits None and
+      dims None, built from its vertices alone; every link above is a simplex.
     * a link with a facet of two or more vertices that passes the singleton
       test of `_singleton_dims` is a matroid.  It comes with its circuits of
       two or more vertices and dims None, and the walk goes no higher:
@@ -240,9 +247,7 @@ def _walk(cx: SimplicialComplex) -> Iterator[tuple[int, int, list[int], list | N
     * any other link comes with all its circuits and dims, its whole
       table: the pairs (c, 1) at each isolated circuit c of the link with
       two or more vertices, then (b, graph dimension) at each of its
-      nonempty faces b, the singleton graphs of the test reused.  A link of
-      rank 1 skips the test: it has no face of two or more vertices and no
-      link above it with two facets, so the test would save nothing.
+      nonempty faces b, the singleton graphs of the test reused.
 
     A face in exactly one facet F is skipped with every face above it,
     before any face set is built: its link is the simplex on F \\ a
@@ -266,21 +271,23 @@ def _walk(cx: SimplicialComplex) -> Iterator[tuple[int, int, list[int], list | N
         a, link_facets = stack.pop()
         if len(link_facets) < 2:
             continue
+        verts = _union(link_facets)
+        if not any(f & (f - 1) for f in link_facets):
+            yield a, verts, None, None
+            continue
         if a:
             link_faces = _faces_of(link_facets)
             circuits = _minimal_nonfaces(link_faces, cx.n)
         else:
             link_faces, circuits = cx.face_masks(), cx.minimal_nonface_masks()
-        verts = _union(link_facets)
         known = {}
-        if any(f & (f - 1) for f in link_facets):
-            for b, graph, formula in _singleton_dims(link_faces, circuits, verts):
-                known[b] = graph
-                if graph != formula:
-                    break
-            else:
-                yield a, verts, [c for c in circuits if c & (c - 1)], None
-                continue
+        for b, graph, formula in _singleton_dims(link_faces, circuits, verts):
+            known[b] = graph
+            if graph != formula:
+                break
+        else:
+            yield a, verts, [c for c in circuits if c & (c - 1)], None
+            continue
         through = _circuits_through(circuits)
         yield a, verts, circuits, [(c, 1) for c in _isolated_circuits(circuits)] + [
             (b, known[b] if b in known else _scan_dim(link_faces, through, b))
@@ -411,9 +418,7 @@ def dim_t1(cx: SimplicialComplex, degree) -> int:
     (clamped) for singleton b.
     """
     cx._require_nonvoid("dim_t1")
-    d = _as_degree(degree)
-    am = pack(d.A, cx.n)
-    bm = pack(d.b, cx.n)
+    am, bm = _degree_masks(degree, cx.n)
     hits = _link_facets(cx.facet_masks, am)
     if bm == 0 or bm & ~_union(hits):
         return 0
@@ -444,9 +449,7 @@ def dim_t1_matroid_formula(cx: SimplicialComplex, degree) -> int:
 
     cx._require_nonvoid("dim_t1_matroid_formula")
     require_matroid(cx, "dim_t1_matroid_formula")
-    d = _as_degree(degree)
-    am = pack(d.A, cx.n)
-    bm = pack(d.b, cx.n)
+    am, bm = _degree_masks(degree, cx.n)
     if bm == 0 or not cx.is_face_mask(am):
         return 0
     return _formula_on_link(cx.link_mask(am).minimal_nonface_masks(), bm)
@@ -524,9 +527,7 @@ class T1Table:
         items = entries.items() if hasattr(entries, "items") else entries
         rows: dict[tuple[int, int], int] = {}
         for key, dim in items:
-            d = _as_degree(key)
-            # VertexRangeError unless each vertex is an integer in 1..n
-            _check_row(rows, pack(d.A, n), pack(d.b, n), dim)
+            _check_row(rows, *_degree_masks(key, n), dim)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_rows", rows)
 
@@ -551,10 +552,9 @@ class T1Table:
     def _mask_pair(self, degree) -> tuple[int, int] | None:
         """The masks of a degree's supports, or None when a vertex is no
         integer in 1..n and the degree is stored nowhere."""
-        d = _as_degree(degree)
         try:
-            return pack(d.A, self.n), pack(d.b, self.n)
-        except ValueError:
+            return _degree_masks(degree, self.n)
+        except VertexRangeError:
             return None
 
     def dim(self, A, b=None) -> int:
@@ -650,14 +650,15 @@ def t1_table(cx: SimplicialComplex, threads: int = 1) -> T1Table:
 
     The nonzero degrees of a link are among its nonempty faces and its
     isolated circuits with more than one vertex; every other degree is
-    provably zero.  `_walk` supplies the dimensions link by link: at a
-    matroid link the circuit formula of `_class_rows`, on it and on every
-    link above it, whose vertices and circuits `_matroid_links` derives from
-    the parent link's by contraction; at any other link 1 at each isolated
-    circuit and the inclusion graph at each face.  A matroid link costs its
-    singleton graphs, then per link above it link circuits face lookups plus
-    link vertices x link circuits to group the vertices; any other link
-    costs its faces x its faces.
+    provably zero.  `_walk` supplies the dimensions link by link: at a link
+    of rank 1 the rows of U(d, 1); at any other matroid link the circuit
+    formula of `_class_rows`, on it and on every link above it, whose
+    vertices and circuits `_matroid_links` derives from the parent link's
+    by contraction; at any other link 1 at each isolated circuit and the
+    inclusion graph at each face.  A link of rank 1 costs its vertices, a
+    matroid link its singleton graphs, then per link above it link circuits
+    face lookups (none below rank 3) plus link vertices x link circuits, and
+    any other link its faces x its faces.
 
     The table is computed in-process: each face's piece costs well under a
     millisecond, too little to repay a process pool.  `threads` is accepted
@@ -710,18 +711,30 @@ def _class_rows(link_vertices: int, link_circuits: list[int]) -> list[tuple[int,
     return out
 
 
+def _rank_one_rows(link_vertices: int) -> list[tuple[int, int]]:
+    """`_class_rows` on a link of rank 1, U(d, 1) with loops, from its d >= 2
+    vertices alone: its circuits are the pairs, so for d >= 3 each vertex is
+    a class in d - 1 of them, with d - 2, and for d = 2 the pair gets 1."""
+    d = link_vertices.bit_count()
+    if d == 2:
+        return [(link_vertices, 1)]
+    return [(1 << i, d - 2) for i in range(link_vertices.bit_length()) if link_vertices >> i & 1]
+
+
 def _matroid_links(
     cx: SimplicialComplex, a: int, verts: int, circuits: list[int]
-) -> Iterator[tuple[int, int, list[int]]]:
+) -> Iterator[tuple[int, int, list[int] | None]]:
     """For a face a of cx whose link M/a is a matroid, given the vertex mask
     of M/a and its circuits with two or more vertices, yields a and each face
-    above it in more than one facet, with the vertex mask of its link and the
-    circuits of that link with two or more vertices, from cx's faces alone.
+    above it in more than one facet, with its link's vertex mask and circuits
+    with two or more vertices (None at rank 1), from cx's faces alone.
 
     The walk steps from a to a u {v} only for link vertices v above a's
-    highest vertex, so it reaches each face once.  The circuits of
-    M/(a u v), the contraction of M/a at v, are the minimal nonempty sets
-    C \\ {v} over the circuits C of M/a (Oxley, Matroid Theory, 3.1.11):
+    highest vertex, so it reaches each face once, and lowers the rank, the
+    size of the link's facets, by one; a link of rank 1 needs no circuits,
+    and no lookup is made for one.  The circuits of M/(a u v), the
+    contraction of M/a at v, are the minimal nonempty sets C \\ {v} over the
+    circuits C of M/a (Oxley, Matroid Theory, 3.1.11):
 
     * C \\ {v} for C through v is one, as a C' \\ {v} inside it, C' != C,
       would put C' inside C.  When C \\ {v} = {u}, u is parallel to v and
@@ -737,11 +750,21 @@ def _matroid_links(
     and a vertex of B.  The faces visited are thus those of `_walk` above a.
     """
     faces = cx.face_masks()
-    stack = [(a, verts, circuits)] if circuits else []
+    rank = max(map(int.bit_count, _link_facets(cx.facet_masks, a)))
+    stack = [(a, verts, circuits if rank > 1 else None, rank)] if circuits else []
     while stack:
-        a, verts, circuits = stack.pop()
+        a, verts, circuits, rank = stack.pop()
         yield a, verts, circuits
-        rest = verts & -(1 << a.bit_length())
+        rest = verts & -(1 << a.bit_length()) if rank > 1 else 0
+        if rank == 2:
+            pairs = [c for c in circuits if c.bit_count() == 2]
+            while rest:
+                v = rest & -rest
+                rest ^= v
+                child_verts = verts & ~_union([v] + [c for c in pairs if c & v])
+                if child_verts & (child_verts - 1):
+                    stack.append((a | v, child_verts, None, 1))
+            continue
         while rest:
             v = rest & -rest
             rest ^= v
@@ -758,16 +781,16 @@ def _matroid_links(
                 elif (c & (c - 1) | av) in faces:
                     child.append(c)
             if child:
-                stack.append((av, child_verts, child))
+                stack.append((av, child_verts, child, rank - 1))
 
 
 def _table_of(
-    cx: SimplicialComplex, links: Iterable[tuple[int, int, list[int], list | None]]
+    cx: SimplicialComplex, links: Iterable[tuple[int, int, list[int] | None, list | None]]
 ) -> T1Table:
     """The table of cx from links as `_walk` yields them: the nonzero
     (b, dim) pairs of each link, and no other rows.  A matroid link (dims
-    None) stands for itself and every link above it: each link of
-    `_matroid_links` from it takes the pairs of `_class_rows`.
+    None) stands for itself and every link above it (`_matroid_links`), and
+    each takes the pairs of `_rank_one_rows` at rank 1, of `_class_rows` else.
 
     The rows are written as `T1Table` keeps them, ((a, b), dim) with a and
     b masks, in the order the links come, and sorted nowhere."""
@@ -775,9 +798,11 @@ def _table_of(
     for a, verts, circuits, dims in links:
         if dims is not None:
             rows += [((a, b), dim) for b, dim in dims if dim]
-        else:
-            for a, v, c in _matroid_links(cx, a, verts, circuits):
-                rows += [((a, b), dim) for b, dim in _class_rows(v, c)]
+            continue
+        above = [(a, verts, None)] if circuits is None else _matroid_links(cx, a, verts, circuits)
+        for a, v, c in above:
+            link_rows = _rank_one_rows(v) if c is None else _class_rows(v, c)
+            rows += [((a, b), dim) for b, dim in link_rows]
     return T1Table._of_rows(cx.n, rows)
 
 

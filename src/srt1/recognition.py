@@ -80,13 +80,13 @@ def formula_discrepancies(cx: SimplicialComplex) -> list[Discrepancy]:
     """Degrees where the graph computation and the circuit formula disagree.
 
     The degrees of the links of `cotangent._walk` are the only ones where
-    the two can differ, as its docstring shows.  A link that passes the
-    singleton test is a matroid, as is every link above it, and has no
-    discrepancy by the main theorem; every other link comes with its graph
-    dimensions, which are compared with the formula at its faces.  Its
-    isolated circuits, which head its dims, are skipped: both sides are 1
-    there, as the walk's docstring shows.  Empty exactly when cx is a
-    matroid.
+    the two can differ, as its docstring shows.  A link of rank 1, or one
+    that passes the singleton test, is a matroid, as is every link above
+    it, and has no discrepancy by the main theorem; every other link comes
+    with its graph dimensions, which are compared with the formula at its
+    faces.  Its isolated circuits, which head its dims, are skipped: both
+    sides are 1 there, as the walk's docstring shows.  Empty exactly when
+    cx is a matroid.
     """
     cx._require_nonvoid("formula_discrepancies")
     out = []

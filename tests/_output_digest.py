@@ -1,0 +1,66 @@
+"""One sha256 over the library's outputs on a fixed set of 8929 inputs.
+
+Run from the repository root:
+
+    PYTHONPATH=src python3 tests/_output_digest.py
+
+The inputs are every nonvoid labelled complex on at most five vertices
+(7774, the one on n = 0 included), the 1152 members of
+`perfbench/catalogue.json` in their generators' labelling, and U(10, 5),
+U(11, 4) and U(12, 6).  Each input adds one JSON line to the hash: the
+`t1_table` document and, per entry of `formula_discrepancies`, the list
+[A, b, graph dimension, formula dimension], each line dumped with
+`json.dumps` defaults.  Two trees print the same digest when they give the
+same tables and the same discrepancies, in the same order, on all of them.
+pytest does not collect this file.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def inputs():
+    from srt1.census import all_antichain_masks
+    from srt1.complexes import SimplicialComplex
+    from srt1.matroids import uniform
+
+    for n in range(6):
+        for facets in all_antichain_masks(n):
+            if facets:
+                yield SimplicialComplex(n, facets)
+    sys.path.insert(0, str(PERFBENCH))
+    import workloads
+
+    for workload, slots in workloads.load_catalogue()["slots"].items():
+        for slot_index, entry in enumerate(slots):
+            for member in entry["members"]:
+                item = workloads.candidate(workload, slot_index, member)
+                yield SimplicialComplex.from_facets(item["n"], item["facets"])
+    for n, k in ((10, 5), (11, 4), (12, 6)):
+        yield uniform(n, k)
+
+
+def digest() -> tuple[str, int]:
+    from srt1.cotangent import t1_table
+    from srt1.recognition import formula_discrepancies
+
+    h = hashlib.sha256()
+    count = 0
+    for cx in inputs():
+        found = [
+            [list(d.degree.A), list(d.degree.b), d.graph_dim, d.formula_dim]
+            for d in formula_discrepancies(cx)
+        ]
+        line = json.dumps([t1_table(cx).to_json_dict(), found])
+        h.update(line.encode() + b"\n")
+        count += 1
+    return h.hexdigest(), count
+
+
+if __name__ == "__main__":
+    value, count = digest()
+    print(f"{value}  {count} inputs")

@@ -193,6 +193,16 @@ def _class_rows_drop_singletons(monkeypatch):
     monkeypatch.setattr(cotangent, "_class_rows", wrong)
 
 
+def _rank_one_vertices_one_too_high(monkeypatch):
+    # a link of rank 1 on d >= 3 vertices gets d - 1 at each vertex, not d - 2
+    rank_one_rows = cotangent._rank_one_rows
+
+    def wrong(link_vertices):
+        return [(b, d + (not b & (b - 1))) for b, d in rank_one_rows(link_vertices)]
+
+    monkeypatch.setattr(cotangent, "_rank_one_rows", wrong)
+
+
 def _circuits_drop_the_last(monkeypatch):
     # the minimal nonfaces of a face set lose the last one found
     minimal_nonfaces = complexes._minimal_nonfaces
@@ -264,13 +274,11 @@ MUTANTS = {
     ),
     "class-rows-drop-singletons": (
         _class_rows_drop_singletons,
-        {
-            "link-reduction",
-            "link-rigidity-basis",
-            "loop-coloop-classify",
-            "rigidity-discrete",
-            "round-trip",
-        },
+        {"link-reduction", "loop-coloop-classify", "round-trip"},
+    ),
+    "rank-one-vertices-one-too-high": (
+        _rank_one_vertices_one_too_high,
+        {"link-reduction", "loop-coloop-classify", "round-trip"},
     ),
     "circuits-drop-the-last": (
         _circuits_drop_the_last,

@@ -409,7 +409,8 @@ def test_walk_skips_simplex_links(monkeypatch):
 
     # the link is a simplex exactly when one facet contains the face, and
     # the walk skips such a face before materialising any face set; a
-    # matroid link is handed on with no face set built above it
+    # matroid link is handed on with no face set built above it, and a link
+    # of rank 1 with none built at all
     built = []
     real = cotangent._faces_of
     monkeypatch.setattr(cotangent, "_faces_of", lambda facets: built.append(facets) or real(facets))
@@ -417,22 +418,38 @@ def test_walk_skips_simplex_links(monkeypatch):
     for cx, kept in ((path12, _in_two_facets(path12)), (uniform(6, 3), {0})):
         built.clear()
         assert {a for a, _, _, _ in _walk(cx)} == kept
-        assert sorted(map(sorted, built)) == sorted(
-            sorted(cx.link_mask(a).facet_masks) for a in kept if a
-        )
+        assert built == []
     assert {unpack(a) for a, _, _, _ in _walk(path12)} == {()} | {(v,) for v in range(2, 12)}
+    for cx in (cx for n in range(1, 6) for cx in representatives(n)):
+        built.clear()
+        walked = [a for a, _, _, _ in _walk(cx)]
+        assert sorted(map(sorted, built)) == sorted(
+            sorted(cx.link_mask(a).facet_masks) for a in walked if a and not _rank_one(cx, a)
+        ), cx
+
+
+def _rank_one(cx, a):
+    """Whether the link of cx at a has two or more facets, each one vertex."""
+    facets = cx.link_mask(a).facet_masks
+    return len(facets) > 1 and all(f.bit_count() == 1 for f in facets)
 
 
 def test_walk_links_match_the_definition():
-    # every link the walk yields carries its own vertices and circuits, and
-    # a graph link its whole table: 1 at each isolated circuit of two or
-    # more vertices, and the graph dimension at each of its nonempty faces
-    isolated_rows = 0
+    # every link the walk yields carries its own vertices, a link of rank 1
+    # no circuits and no dims, any other link its circuits, and a graph link
+    # its whole table: 1 at each isolated circuit of two or more vertices,
+    # and the graph dimension at each of its nonempty faces
+    isolated_rows = rank_one = 0
     for cx in (cx for n in range(1, 6) for cx in representatives(n)):
         for a, verts, circuits, dims in _walk(cx):
             link = cx.link_mask(a)
             assert verts == link.vertex_mask, (cx, unpack(a))
             mnf = link.minimal_nonface_masks()
+            if circuits is None:
+                assert dims is None and _rank_one(cx, a), (cx, unpack(a))
+                rank_one += 1
+                continue
+            assert not _rank_one(cx, a), (cx, unpack(a))
             if dims is None:
                 assert matroids.is_matroid_exchange(link), (cx, unpack(a))
                 want = sorted(c for c in mnf if c.bit_count() > 1)
@@ -448,15 +465,15 @@ def test_walk_links_match_the_definition():
             ]
             assert sorted(dims) == sorted(want), (cx, unpack(a))
             isolated_rows += len(isolated)
-    assert isolated_rows
+    assert isolated_rows and rank_one
 
 
 def _walk_reach(cx):
-    """The faces `_walk` yields, each matroid link with the faces above it
-    that `_matroid_links` yields from it."""
+    """The faces `_walk` yields, each matroid link of rank 2 or more with
+    the faces above it that `_matroid_links` yields from it."""
     out = []
     for a, verts, circuits, dims in _walk(cx):
-        if dims is None:
+        if dims is None and circuits is not None:
             out += [c for c, _, _ in _matroid_links(cx, a, verts, circuits)]
         else:
             out.append(a)
@@ -509,6 +526,27 @@ def test_t1_table_validation():
         T1Table(3, [(((), (True,)), 1)])
     with pytest.raises(ValueError):
         T1Table(-1, [])
+
+
+def test_non_integer_vertex_among_integers():
+    # every vertex is checked before any two are compared, so a string
+    # beside an integer is the same vertex fault as a string alone
+    cx = uniform(3, 2)
+    t = t1_table(cx)
+    for A, b in (((), ("a",)), ((), (1, "a")), ((), ("a", 1)), ((1, "a"), (2,))):
+        assert t.dim(A, b) == 0 and t.dim((A, b)) == 0
+        assert (A, b) not in t
+        with pytest.raises(VertexRangeError, match="'a' is not an integer"):
+            dim_t1(cx, (A, b))
+        with pytest.raises(VertexRangeError, match="'a' is not an integer"):
+            dim_t1_matroid_formula(cx, (A, b))
+        with pytest.raises(VertexRangeError, match="'a' is not an integer"):
+            T1Table(3, {(A, b): 1})
+    # an overlap of valid vertices is still a degree fault, not a miss
+    with pytest.raises(ValueError, match="overlap at vertex 1"):
+        t.dim((1, 2), (3, 1))
+    with pytest.raises(ValueError, match="overlap at vertex 1"):
+        dim_t1(cx, ((1, 2), (3, 1)))
 
 
 def test_t1_table_json_roundtrip():

@@ -115,7 +115,7 @@ def test_walk_skips_b_in_no_link_circuit(monkeypatch, n, facets):
     )
     skipped = 0
     for _, _, _, dims in _walk(cx):
-        skipped += sum(1 for b, _ in dims if b.bit_count() > 1)
+        skipped += sum(1 for b, _ in dims or () if b.bit_count() > 1)
     for faces, b in calls:
         assert any(b & ~c == 0 for c in sweep_minimal_nonfaces(faces, n)), b
     # no face b with two or more vertices lies in a link circuit of these

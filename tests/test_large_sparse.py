@@ -1,4 +1,5 @@
-"""Paths and cycles on 40 and 64 vertices, far past what a 2^n sweep could reach.
+"""Paths, cycles and a star on 40 and 64 vertices, far past what a 2^n sweep
+could reach.
 
 Circuits, the T1 table and recognition cost faces x vertices here, so each
 test finishes in well under a second; the 10 s bound is deliberately loose.
@@ -41,6 +42,21 @@ def test_large_sparse_graph(n, cyclic):
     # the link of an inner vertex is its two neighbours, an isolated circuit
     for v in range(2, n):
         assert table.dim((v,), (v - 1, v + 1)) == 1
+    assert time.perf_counter() - start < BOUND_S
+
+
+def test_large_star_plus_one_edge():
+    # the centre's link is U(63, 1) and the link at either end of the extra
+    # edge U(2, 1): links of rank 1, whose rows come without a face set
+    start = time.perf_counter()
+    n = 64
+    cx = SimplicialComplex.from_facets(n, [(1, v) for v in range(2, n + 1)] + [(2, 3)])
+    table = t1_table(cx)
+    for degree, dim in table.items():
+        assert dim_t1(cx, degree) == dim, degree
+    assert all(table.dim((1,), (v,)) == n - 3 for v in range(2, n + 1))
+    assert table.dim((2,), (1, 3)) == table.dim((3,), (1, 2)) == 1
+    assert not is_matroid_via_t1(cx)
     assert time.perf_counter() - start < BOUND_S
 
 

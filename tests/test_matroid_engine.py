@@ -1,17 +1,22 @@
 """The closed-form matroid path of `t1_table` against the graph engine.
 
-`t1_table` follows the walk `cotangent._walk`, which sends each link that
-passes the singleton test to the class rule of `cotangent._class_rows` and
-every other link to the inclusion graph.  The class rule reads the vertices
-and circuits of a matroid link, and of each link above it, off the walk
-`cotangent._matroid_links`, which derives them from the parent link by
-contraction.  The contraction walk meets the links built from their faces,
+`t1_table` follows the walk `cotangent._walk`, which sends each link of
+rank 1 to the rank-one rule of `cotangent._rank_one_rows`, each other link
+that passes the singleton test to the class rule of `cotangent._class_rows`
+and every other link to the inclusion graph.  The class rule reads the
+vertices and circuits of a matroid link, and of each link above it, off the
+walk `cotangent._matroid_links`, which derives them from the parent link by
+contraction and steps to a link of rank 1 without circuits or lookups.  The
+rank-one rule meets the graph on U(d, 1) for d = 2..12, with and without
+loops, on every link of rank 1 of the census classes and on seeded random
+graphs.  The contraction walk meets the links built from their faces,
 and `t1_table` meets an independent graph table (the graph at every face of
 every link, each built from its facets) on every census class, on every
 U(n, k) with n <= 8, on seeded partition and graphic matroids on 8 and 9
 elements, some with loops and coloops, and on a non-matroid near U(10, 5).
 The dispatch guards check that a matroid's table and its reconstruction
-build no face set of a link, that non-matroids compute no singleton degree
+build no face set of a link, that no link of rank 1 gets a face set,
+circuits, the class rule or a face lookup, that non-matroids compute no singleton degree
 and no circuit family twice, that only links failing the singleton test run
 the graph past their singleton degrees, and that the recognition functions
 keep the graph: `formula_discrepancies` at the singleton degrees of every
@@ -27,7 +32,7 @@ import random
 import pytest
 
 from srt1 import complexes, cotangent, reconstruction
-from srt1.complexes import SimplicialComplex, boundary_simplex, unpack
+from srt1.complexes import SimplicialComplex, boundary_simplex, submasks, unpack
 from srt1.cotangent import (
     MultiDegree,
     T1Table,
@@ -189,8 +194,11 @@ def test_matroid_walk_matches_links_built_from_faces(cx):
     for a, link_vertices, link_circuits in walk:
         link = cx.link_mask(a)
         assert link_vertices == link.vertex_mask, unpack(a)
-        want = [c for c in link.minimal_nonface_masks() if c.bit_count() > 1]
-        assert sorted(link_circuits) == sorted(want), unpack(a)
+        # a link of rank 1 comes without circuits, any other with its own
+        assert (link_circuits is None) == (link.rank == 1), unpack(a)
+        if link_circuits is not None:
+            want = [c for c in link.minimal_nonface_masks() if c.bit_count() > 1]
+            assert sorted(link_circuits) == sorted(want), unpack(a)
 
 
 def test_engine_states_each_degree_once(monkeypatch):
@@ -219,13 +227,143 @@ def test_engine_states_each_degree_once(monkeypatch):
 
 @pytest.mark.parametrize("cx", MATROIDS, ids=[name for name, _ in NAMED])
 def test_class_rule_writes_each_isolated_circuit(cx):
-    # an isolated circuit of a matroid link is a class of the class rule,
-    # which gives it the formula's 1 with the link's other rows
+    # an isolated circuit of a matroid link of rank 2 or more is a class of
+    # the class rule, which gives it the formula's 1 with the link's other
+    # rows; on a link of rank 1 it is the pair of U(2, 1), and the rank-one
+    # rule gives it 1
     circuits = [c for c in cx.minimal_nonface_masks() if c.bit_count() > 1]
     for a, verts, link_circuits in _matroid_links(cx, 0, cx.vertex_mask, circuits):
-        rows = set(cotangent._class_rows(verts, link_circuits))
+        if link_circuits is None:
+            rows = set(cotangent._rank_one_rows(verts))
+            link_circuits = [c for c in cx.link_mask(a).minimal_nonface_masks() if c & (c - 1)]
+        else:
+            rows = set(cotangent._class_rows(verts, link_circuits))
         for c in _isolated_circuits(link_circuits):
             assert (c, 1) in rows, (unpack(a), unpack(c))
+
+
+# -- links of rank 1 ----------------------------------------------------------
+
+
+def _graph_rows(faces, verts):
+    """{b: dim} at each nonempty b within verts where the graph dimension over
+    these faces is positive: a link's whole table, its nonfaces included."""
+    return {b: dim for b in submasks(verts) if b and (dim := cotangent._dim_on_faces(faces, b))}
+
+
+def _rank_one(link):
+    """Whether a link has two or more facets, each one vertex: U(d, 1) with loops."""
+    return len(link.facet_masks) > 1 and link.rank == 1
+
+
+def test_rank_one_rows_match_the_graph_on_uniform_rank_one():
+    rng = random.Random(1)
+    for d in range(2, 13):
+        for loops in (0, 3):
+            n = d + loops
+            cx = SimplicialComplex.from_facets(n, [[v] for v in rng.sample(range(1, n + 1), d)])
+            assert len(cx.loops_and_coloops()[0]) == loops
+            want = _graph_rows(cx.face_masks(), cx.vertex_mask)
+            assert dict(cotangent._rank_one_rows(cx.vertex_mask)) == want, (d, loops)
+            rows = {(a, b): dim for (a, b), dim in t1_table(cx)._rows.items()}
+            assert rows == {(0, b): dim for b, dim in want.items()}, (d, loops)
+            assert cotangent._matroid_table(cx) == t1_table(cx)
+
+
+def test_rank_one_rows_match_the_graph_on_census_links():
+    seen = collections.Counter()
+    for cx in CENSUS:
+        for a in cx.face_masks():
+            link = cx.link_mask(a)
+            if _rank_one(link):
+                want = _graph_rows(link.face_masks(), link.vertex_mask)
+                assert dict(cotangent._rank_one_rows(link.vertex_mask)) == want, (cx, a)
+                seen[link.vertex_mask.bit_count()] += 1
+    assert seen == {2: 452, 3: 161, 4: 31, 5: 1}
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_rank_one_rows_match_the_graph_on_random_graphs(seed):
+    # every vertex link of a graph has rank 1 or a single facet
+    rng = random.Random(f"graph:{seed}")
+    n = rng.randint(6, 14)
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    cx = SimplicialComplex.from_facets(n, rng.sample(pairs, rng.randint(n, 2 * n)))
+    links = [cx.link([v]) for v in cx.vertices()]
+    assert any(_rank_one(link) for link in links)
+    for link in links:
+        if _rank_one(link):
+            want = _graph_rows(link.face_masks(), link.vertex_mask)
+            assert dict(cotangent._rank_one_rows(link.vertex_mask)) == want
+    assert {(k.A, k.b): dim for k, dim in t1_table(cx).items()} == graph_engine_table(cx)
+
+
+def _all_pairs_in(verts, circuits):
+    found = set(circuits)
+    bits = [1 << i for i in range(verts.bit_length()) if verts >> i & 1]
+    return len(bits) > 1 and all(u | w in found for u, w in itertools.combinations(bits, 2))
+
+
+# whether a call of each engine step is made for a link of rank 1
+RANK_ONE_CALL = {
+    "_faces_of": lambda facets: len(facets) > 1 and all(f.bit_count() == 1 for f in facets),
+    "_minimal_nonfaces": lambda faces, n: max(f.bit_count() for f in faces) == 1 < len(faces) - 1,
+    "_class_rows": _all_pairs_in,
+}
+PATH_64 = SimplicialComplex.from_facets(64, [[v, v + 1] for v in range(1, 64)])
+
+
+@pytest.mark.parametrize("cx", [PATH_64, uniform(9, 4)], ids=["path-64", "U(9,4)"])
+def test_rank_one_links_build_no_faces_circuits_or_classes(monkeypatch, cx):
+    # the walk yields a link of rank 1 before building its faces or its
+    # circuits, the contraction walk steps to one without either, and its
+    # rows come from the rank-one rule, not the class rule
+    made = collections.Counter()
+    for name, rank_one in RANK_ONE_CALL.items():
+
+        def watched(*args, name=name, real=getattr(cotangent, name), rank_one=rank_one):
+            made[name, rank_one(*args)] += 1
+            return real(*args)
+
+        monkeypatch.setattr(cotangent, name, watched)
+    table = t1_table(cx)
+    assert formula_discrepancies(cx) == [] or cx is PATH_64
+    if cx is not PATH_64:
+        assert reconstruct(table) == cx
+    assert not any(rank_one for _, rank_one in made), made
+    # the 62 inner vertex links of the path are U(2, 1), with 1 at the
+    # pair, and the 84 links of U(9, 4) at three vertices U(6, 1), with 4
+    # at each vertex
+    top = [dim for (a, b), dim in table._rows.items() if a.bit_count() == cx.rank - 1]
+    assert top == ([1] * 62 if cx is PATH_64 else [4] * 84 * 6)
+
+
+def test_contraction_walk_looks_up_no_face_for_a_rank_one_link(monkeypatch):
+    # each face lookup tests a circuit C of a link L = M/a that misses a
+    # vertex v of L, for the child a u {v}; only a child of rank 2 or more
+    # needs one, so only a parent of rank 3 or more makes one
+    m = uniform(9, 4)
+    want = 0
+    for a in m.face_masks():
+        link = m.link_mask(a)
+        if len(link.facet_masks) > 1 and link.rank >= 3:
+            circuits = [c for c in link.minimal_nonface_masks() if c.bit_count() > 1]
+            above = link.vertex_mask & -(1 << a.bit_length())
+            for v in (1 << i for i in range(m.n) if above >> i & 1):
+                want += sum(1 for c in circuits if not c & v)
+    lookups = []
+
+    class Watched(frozenset):
+        def __contains__(self, f):
+            lookups.append(f)
+            return frozenset.__contains__(self, f)
+
+    faces = Watched(m.face_masks())
+    circuits = [c for c in m.minimal_nonface_masks() if c.bit_count() > 1]
+    monkeypatch.setattr(SimplicialComplex, "face_masks", lambda self: faces)
+    walk = list(_matroid_links(m, 0, m.vertex_mask, circuits))
+    assert len(walk) == 1 + 9 + 36 + 84
+    assert len(lookups) == want == 9 * 56 + 36 * 35
 
 
 def test_table_and_reconstruct_build_no_multidegree(monkeypatch):
