@@ -277,7 +277,7 @@ def _check_degrees(rec: _Recorder, s: _Shared, matroid: bool) -> None:
     n = cx.n
     full = (1 << n) - 1
     faces = cx.face_masks()
-    circuits = cx.minimal_nonface_masks()
+    circuits = cx._circuit_masks()
     shape, minima, equiv, nonface, saturation, extension = [], [], [], [], [], []
     bound = []  # (b, failure), reported in canonical face order
     extension_checked = 0
@@ -322,8 +322,8 @@ def _check_degrees(rec: _Recorder, s: _Shared, matroid: bool) -> None:
             if matroid and dim > 0 and dim != ub:
                 bound.append((b, f"{tag}: b={vb} matroid dim {dim} != bound {ub}"))
             link = s.links[b]
-            link_circuits = link.minimal_nonface_masks()
-            del_circuits = set(deletion.minimal_nonface_masks())
+            link_circuits = link._circuit_masks()
+            del_circuits = set(deletion._circuit_masks())
             first = sum(1 for c in link_circuits if c in del_faces)
             second = sum(1 for f in del_facets if not link.is_face_mask(f))
             if first != sum(1 for c in link_circuits if c not in del_circuits):
@@ -394,7 +394,7 @@ def _check_matroid_parts(rec: _Recorder, s: _Shared) -> None:
     checked = 0
     for a in a_masks:
         link = s.links[a]
-        link_circuits = link.minimal_nonface_masks()
+        link_circuits = link._circuit_masks()
         for b in filter(None, sorted(link.face_masks(), key=sort_key)):
             if any(c & b and b & ~c for c in link_circuits):
                 continue

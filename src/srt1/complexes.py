@@ -298,13 +298,17 @@ class SimplicialComplex:
 
     # -- derived data --------------------------------------------------
 
-    def minimal_nonface_masks(self) -> list[int]:
+    def _circuit_masks(self) -> list[int]:
+        """The minimal nonfaces as bitmasks, in no particular order (cached):
+        the engine only iterates them, so only the public views sort."""
         if self._mnf is None:
             self._require_nonvoid("minimal_nonfaces")
-            object.__setattr__(
-                self, "_mnf", minimal_nonface_masks(self.face_masks(), self.n)
-            )
+            object.__setattr__(self, "_mnf", _minimal_nonfaces(self.face_masks(), self.n))
         return self._mnf
+
+    def minimal_nonface_masks(self) -> list[int]:
+        """The minimal nonfaces as bitmasks, canonically sorted."""
+        return sorted(self._circuit_masks(), key=sort_key)
 
     def minimal_nonfaces(self) -> list[tuple[int, ...]]:
         """Minimal nonfaces (circuits, when the complex is a matroid)."""

@@ -32,11 +32,22 @@ degrees of a matroid link.  A link whose d >= 2 facets are single vertices
 is U(d, 1) with loops, and `_rank_one_rows` writes its rows from d alone.
 
 Any other link takes 1 at each of its isolated circuits, its only nonzero
-nonface degrees, and the inclusion graph at each of its nonempty faces b,
-both listed by `_walk`.  N_b is an up-set among the faces disjoint from b,
-so its components come from the one-vertex inclusions alone.  Two exact
-rules, for any complex, cut the graph further.  Call F in N_b unmarked when
-it is not in N~_b.
+nonface degrees, and the graph dimension at each of its nonempty faces b,
+both listed by `_walk`.  A link of dimension at most 1 is a graph G on V,
+and `_graph_dims` reads N_b off its adjacency, with no face set:
+
+* at a vertex v, N_v is the non-neighbours V \\ N[v] and the edges that
+  avoid v, and an edge joins a member only through a non-neighbour, so the
+  dimension is c(G[V \\ N[v]]) + e(G[N(v)]) - 1, clamped, with c counting
+  components and e edges;
+* at an edge {u, w}, N_b is every nonempty face that avoids it, each edge
+  of it marked, so the dimension counts the common neighbours of u and w
+  whose only neighbours are u and w.
+
+Any larger link takes the inclusion graph.  N_b is an up-set among the
+faces disjoint from b, so its components come from the one-vertex
+inclusions alone.  Two exact rules, for any complex, cut the graph further.
+Call F in N_b unmarked when it is not in N~_b.
 
 1. A face b of L that lies in no circuit of L has dimension 0.  For an
    unmarked F in N_b the nonface F u b contains a minimal nonface C, and C
@@ -65,6 +76,7 @@ from .complexes import (
     _ndel,
     _order_key,
     _union,
+    check_threads,
     pack,
     sort_key,
     submasks,
@@ -80,6 +92,13 @@ class MultiDegree(NamedTuple):
 
     @classmethod
     def make(cls, A: Iterable[int], b: Iterable[int]) -> "MultiDegree":
+        """The degree with supports A and b, each sorted, after checking that
+        every vertex is an integer, as `pack` does, and that A and b are
+        disjoint."""
+        A, b = tuple(A), tuple(b)
+        for v in A + b:
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise VertexRangeError(f"vertex {v!r} is not an integer")
         a_t = tuple(sorted(set(A)))
         b_t = tuple(sorted(set(b)))
         overlap = set(a_t) & set(b_t)
@@ -230,6 +249,80 @@ def _singleton_dims(
         yield b, _dim_on_faces(faces, b), _formula_on_link(circuits, b)
 
 
+def _adjacency(facets: Iterable[int]) -> dict[int, int]:
+    """Each vertex bit of the complex with these facets of at most two
+    vertices, mapped to the mask of its neighbours."""
+    adj: dict[int, int] = {}
+    for f in facets:
+        rest = f
+        while rest:
+            u = rest & -rest
+            rest ^= u
+            adj[u] = adj.get(u, 0) | f ^ u
+    return adj
+
+
+def _edges_within(adj: dict[int, int], part: int) -> int:
+    """The number of edges of the graph with adjacency adj that lie in part."""
+    ends = 0
+    rest = part
+    while rest:
+        u = rest & -rest
+        rest ^= u
+        ends += (adj[u] & part).bit_count()
+    return ends // 2
+
+
+def _graph_dims(adj: dict[int, int]) -> Iterator[tuple[int, int]]:
+    """(b, graph dimension) at every nonempty face b of a link G whose facets
+    have at most two vertices, read off its adjacency `_adjacency`, lazily:
+    first each vertex, in vertex order, then each edge.  No face set, N_b or
+    union-find is built.
+
+    * At a vertex v, F u {v} is a face for F empty or a neighbour of v and
+      never for an edge F that avoids v, so N_v holds the non-neighbours
+      V \\ N[v] and every edge that avoids v.  An edge joins a member of N_v
+      only through an endpoint that is a non-neighbour, so the components of
+      N_v are those of G[V \\ N[v]] and one for each edge of G[N(v)]: the
+      dimension is c(G[V \\ N[v]]) + e(G[N(v)]) - 1, clamped at 0.
+    * At an edge b = {u, w}, N_b is every nonempty face that avoids b, and
+      each edge of it is marked, since its union with u has three vertices.
+      A vertex x is unmarked when x u {u} and x u {w} are both faces, so the
+      unmarked part W is the common neighbours of u and w, and the component
+      of x is unmarked just when no edge meets x but xu and xw: the
+      dimension is the number of common neighbours whose neighbours are
+      exactly u and w.
+    """
+    verts = _union(adj)
+    for v in sorted(adj):
+        near = adj[v]
+        far = verts & ~(near | v)
+        parts = 0
+        while far:  # the components of G[far], one breadth-first sweep each
+            parts += 1
+            reach = far & -far
+            far ^= reach
+            while reach:
+                u = reach & -reach
+                reach ^= u
+                new = adj[u] & far
+                far ^= new
+                reach |= new
+        yield v, _less_one_for_singleton(parts + _edges_within(adj, near), v)
+    for u, near in adj.items():
+        rest = near & -(u << 1)  # the neighbours above u, each edge once
+        while rest:
+            w = rest & -rest
+            rest ^= w
+            common = near & adj[w]
+            only = 0
+            while common:
+                x = common & -common
+                common ^= x
+                only += adj[x] == u | w
+            yield u | w, only
+
+
 def _walk(cx: SimplicialComplex) -> Iterator[tuple[int, int, list[int] | None, list | None]]:
     """Walks the links of cx depth first from the empty face, stepping from a
     to a u {v} only for link vertices v above a's highest vertex, so that it
@@ -240,7 +333,7 @@ def _walk(cx: SimplicialComplex) -> Iterator[tuple[int, int, list[int] | None, l
     * a link of rank 1, U(d, 1) with loops, comes with circuits None and
       dims None, built from its vertices alone; every link above is a simplex.
     * a link with a facet of two or more vertices that passes the singleton
-      test of `_singleton_dims` is a matroid.  It comes with its circuits of
+      test is a matroid.  It comes with its circuits of
       two or more vertices and dims None, and the walk goes no higher:
       every link above it is a contraction of it, which `_matroid_links`
       reaches from it.
@@ -248,6 +341,10 @@ def _walk(cx: SimplicialComplex) -> Iterator[tuple[int, int, list[int] | None, l
       table: the pairs (c, 1) at each isolated circuit c of the link with
       two or more vertices, then (b, graph dimension) at each of its
       nonempty faces b, the singleton graphs of the test reused.
+
+    At a link of dimension 1 the graph dimensions, those of the singleton
+    test included, are read off its adjacency by `_graph_dims`; at a larger
+    link they come from its face set, by `_singleton_dims` and `_scan_dim`.
 
     A face in exactly one facet F is skipped with every face above it,
     before any face set is built: its link is the simplex on F \\ a
@@ -272,28 +369,37 @@ def _walk(cx: SimplicialComplex) -> Iterator[tuple[int, int, list[int] | None, l
         if len(link_facets) < 2:
             continue
         verts = _union(link_facets)
-        if not any(f & (f - 1) for f in link_facets):
+        rank = max(map(int.bit_count, link_facets))
+        if rank == 1:
             yield a, verts, None, None
             continue
         if a:
             link_faces = _faces_of(link_facets)
             circuits = _minimal_nonfaces(link_faces, cx.n)
         else:
-            link_faces, circuits = cx.face_masks(), cx.minimal_nonface_masks()
+            link_faces, circuits = cx.face_masks(), cx._circuit_masks()
+        if rank == 2:
+            dims = list(_graph_dims(_adjacency(link_facets)))
+            singles = ((b, d, _formula_on_link(circuits, b)) for b, d in dims[: verts.bit_count()])
+        else:
+            dims = None
+            singles = _singleton_dims(link_faces, circuits, verts)
         known = {}
-        for b, graph, formula in _singleton_dims(link_faces, circuits, verts):
+        for b, graph, formula in singles:
             known[b] = graph
             if graph != formula:
                 break
         else:
             yield a, verts, [c for c in circuits if c & (c - 1)], None
             continue
-        through = _circuits_through(circuits)
-        yield a, verts, circuits, [(c, 1) for c in _isolated_circuits(circuits)] + [
-            (b, known[b] if b in known else _scan_dim(link_faces, through, b))
-            for b in link_faces
-            if b
-        ]
+        if dims is None:
+            through = _circuits_through(circuits)
+            dims = [
+                (b, known[b] if b in known else _scan_dim(link_faces, through, b))
+                for b in link_faces
+                if b
+            ]
+        yield a, verts, circuits, [(c, 1) for c in _isolated_circuits(circuits)] + dims
         rest = verts & -(1 << a.bit_length())
         while rest:
             v = rest & -rest
@@ -361,7 +467,8 @@ def circuits_containing(cx: SimplicialComplex, b: Iterable[int]) -> list[tuple[i
     """Minimal nonfaces of cx that contain b."""
     cx._require_nonvoid("circuits_containing")
     bm = pack(b, cx.n)
-    return [unpack(c) for c in cx.minimal_nonface_masks() if bm & ~c == 0]
+    through = [c for c in cx._circuit_masks() if bm & ~c == 0]
+    return [unpack(c) for c in sorted(through, key=sort_key)]
 
 
 class InclusionGraph(NamedTuple):
@@ -435,7 +542,7 @@ def dim_t1_nonface(cx: SimplicialComplex, b: Iterable[int]) -> int:
     bm = pack(b, cx.n)
     if cx.is_face_mask(bm):
         raise ValueError(f"b {unpack(bm)} is a face; dim_t1_nonface needs a nonface")
-    return int(bm in _isolated_circuits(cx.minimal_nonface_masks()))
+    return int(bm in _isolated_circuits(cx._circuit_masks()))
 
 
 def dim_t1_matroid_formula(cx: SimplicialComplex, degree) -> int:
@@ -452,7 +559,7 @@ def dim_t1_matroid_formula(cx: SimplicialComplex, degree) -> int:
     am, bm = _degree_masks(degree, cx.n)
     if bm == 0 or not cx.is_face_mask(am):
         return 0
-    return _formula_on_link(cx.link_mask(am).minimal_nonface_masks(), bm)
+    return _formula_on_link(cx.link_mask(am)._circuit_masks(), bm)
 
 
 def t1_upper_bound(cx: SimplicialComplex, b: Iterable[int]) -> int:
@@ -470,7 +577,7 @@ def t1_upper_bound(cx: SimplicialComplex, b: Iterable[int]) -> int:
         raise ValueError(f"b {unpack(bm)} must be a face")
     link = cx.link_mask(bm)
     deletion = cx.delete(unpack(bm))
-    first = sum(1 for c in link.minimal_nonface_masks() if deletion.is_face_mask(c))
+    first = sum(1 for c in link._circuit_masks() if deletion.is_face_mask(c))
     second = sum(1 for f in deletion.facet_masks if not link.is_face_mask(f))
     return _less_one_for_singleton(min(first, second), bm)
 
@@ -655,15 +762,20 @@ def t1_table(cx: SimplicialComplex, threads: int = 1) -> T1Table:
     formula of `_class_rows`, on it and on every link above it, whose
     vertices and circuits `_matroid_links` derives from the parent link's
     by contraction; at any other link 1 at each isolated circuit and the
-    inclusion graph at each face.  A link of rank 1 costs its vertices, a
-    matroid link its singleton graphs, then per link above it link circuits
-    face lookups (none below rank 3) plus link vertices x link circuits, and
-    any other link its faces x its faces.
+    graph dimension at each face, read off the adjacency at a link of
+    dimension 1.  A link of rank 1 costs its vertices, a link of dimension 1
+    its circuits, the singleton test vertices x circuits and the rule about
+    vertices x (vertices + edges), any other matroid link its singleton
+    graphs, then per link above it link circuits face lookups (none below
+    rank 3) plus link vertices x link circuits, and any other link its faces
+    x its faces.
 
     The table is computed in-process: each face's piece costs well under a
     millisecond, too little to repay a process pool.  `threads` is accepted
-    for compatibility and changes nothing.
+    for compatibility and changes nothing, once `check_threads` has checked
+    it.
     """
+    check_threads(threads)
     cx._require_nonvoid("t1_table")
     return _table_of(cx, _walk(cx))
 
@@ -671,7 +783,7 @@ def t1_table(cx: SimplicialComplex, threads: int = 1) -> T1Table:
 def _matroid_table(cx: SimplicialComplex) -> T1Table:
     """The table of a cx already known to be a matroid: the contraction walk
     of `_matroid_links` from the empty face, with no singleton test."""
-    circuits = [c for c in cx.minimal_nonface_masks() if c & (c - 1)]
+    circuits = [c for c in cx._circuit_masks() if c & (c - 1)]
     return _table_of(cx, [(0, cx.vertex_mask, circuits, None)])
 
 
@@ -808,9 +920,9 @@ def _table_of(
 
 def _bijection_sets(link: SimplicialComplex, bm: int) -> tuple[set[int], set[int]]:
     """Image of C |-> C \\ b over the circuits of link through b, and the codomain."""
-    domain_image = {c ^ bm for c in link.minimal_nonface_masks() if bm & ~c == 0}
-    sub_link = link.link_mask(bm).minimal_nonface_masks()
-    sub_del = link.delete(unpack(bm)).minimal_nonface_masks()
+    domain_image = {c ^ bm for c in link._circuit_masks() if bm & ~c == 0}
+    sub_link = link.link_mask(bm)._circuit_masks()
+    sub_del = link.delete(unpack(bm))._circuit_masks()
     return domain_image, set(sub_link) - set(sub_del)
 
 
@@ -833,7 +945,7 @@ def bijection_check(cx: SimplicialComplex, A: Iterable[int], b: Iterable[int]) -
     link = cx.link_mask(am)
     if not link.is_face_mask(bm):
         raise ValueError("b must be a face of link(cx, A)")
-    for c in link.minimal_nonface_masks():
+    for c in link._circuit_masks():
         if c & bm and bm & ~c:
             raise ValueError("b must be contained in or disjoint from every circuit of the link")
     domain_image, codomain = _bijection_sets(link, bm)

@@ -71,7 +71,7 @@ def is_matroid_circuit_elimination(cx: SimplicialComplex) -> bool:
     collects the circuits inside C u C' once.
     """
     cx._require_nonvoid("matroid test")
-    circuits = cx.minimal_nonface_masks()
+    circuits = cx._circuit_masks()
     for c1, c2 in itertools.combinations(circuits, 2):
         inter = c1 & c2
         if not inter:

@@ -13,19 +13,34 @@ matroid there is no discrepancy, and the recognition corollary applied to L
 decides that from L's singleton degrees.  Matroids are closed under
 contraction, and link(D, A u {v}) is the contraction of link(D, A) at v, so
 the walk goes no higher than a matroid link.
+
+A complex of dimension at most 1 is a graph G on its vertices V, and
+`is_matroid_via_t1` reads both sides of the test off its adjacency, with no
+face set and no circuits.  The graph side is `cotangent._graph_dims`:
+c(G[V \\ N[v]]) + e(G[N(v)]) - 1 at v, clamped.  The circuits through v are
+its non-edges and the triangles through it, so the formula side is
+|V \\ N[v]| + e(G[N(v)]) - 1, clamped.  They differ at v exactly when
+G[V \\ N[v]] has an edge.  So, as an observation that the tests check on
+the census and on random graphs, such a complex passes the test exactly
+when no vertex has two adjacent non-neighbours, that is, when its graph is
+complete multipartite.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .complexes import SimplicialComplex, _faces_of, _link_facets, _minimal_nonfaces, unpack
 from .cotangent import (
     MultiDegree,
+    _adjacency,
     _canonical,
     _circuits_through,
+    _edges_within,
     _formula_on_link,
+    _graph_dims,
     _isolated_circuits,
+    _less_one_for_singleton,
     _scan_dim,
     _singleton_dims,
     _walk,
@@ -38,10 +53,31 @@ class Discrepancy(NamedTuple):
     formula_dim: int
 
 
+def _graph_singletons(cx: SimplicialComplex) -> Iterator[tuple[int, int, int]]:
+    """`cotangent._singleton_dims` of a cx whose facets have at most two
+    vertices, read off its adjacency: the graph dimension by
+    `cotangent._graph_dims`, and the circuit formula by counting the circuits
+    through each vertex v.  Those are its non-edges and its triangles, so
+    the formula is |V \\ N[v]| + e(G[N(v)]) - 1, clamped at 0."""
+    adj = _adjacency(cx.facet_masks)
+    verts = cx.vertex_mask
+    for b, graph_dim in _graph_dims(adj):
+        if b & (b - 1):
+            return
+        near = adj[b]
+        through = (verts & ~(near | b)).bit_count() + _edges_within(adj, near)
+        yield b, graph_dim, _less_one_for_singleton(through, b)
+
+
 def _first_singleton_discrepancy(cx: SimplicialComplex) -> Discrepancy | None:
-    """The first degree (0, {v}) where graph dimension and circuit count differ."""
+    """The first degree (0, {v}) where graph dimension and circuit count
+    differ; on a complex of dimension at most 1 with no face set and no
+    circuits."""
     cx._require_nonvoid("is_matroid_via_t1")
-    singles = _singleton_dims(cx.face_masks(), cx.minimal_nonface_masks(), cx.vertex_mask)
+    if cx.rank <= 2:
+        singles = _graph_singletons(cx)
+    else:
+        singles = _singleton_dims(cx.face_masks(), cx._circuit_masks(), cx.vertex_mask)
     for b, graph_dim, formula_dim in singles:
         if graph_dim != formula_dim:
             return Discrepancy(MultiDegree((), unpack(b)), graph_dim, formula_dim)

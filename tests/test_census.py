@@ -203,6 +203,17 @@ def _rank_one_vertices_one_too_high(monkeypatch):
     monkeypatch.setattr(cotangent, "_rank_one_rows", wrong)
 
 
+def _graph_vertices_one_too_high(monkeypatch):
+    # a link of dimension at most 1 reads one too high at each vertex
+    graph_dims = cotangent._graph_dims
+
+    def wrong(adj):
+        return ((b, d + (not b & (b - 1))) for b, d in graph_dims(adj))
+
+    monkeypatch.setattr(cotangent, "_graph_dims", wrong)
+    monkeypatch.setattr(recognition, "_graph_dims", wrong)
+
+
 def _circuits_drop_the_last(monkeypatch):
     # the minimal nonfaces of a face set lose the last one found
     minimal_nonfaces = complexes._minimal_nonfaces
@@ -279,6 +290,10 @@ MUTANTS = {
     "rank-one-vertices-one-too-high": (
         _rank_one_vertices_one_too_high,
         {"link-reduction", "loop-coloop-classify", "round-trip"},
+    ),
+    "graph-vertices-one-too-high": (
+        _graph_vertices_one_too_high,
+        {"link-reduction", "loop-coloop-classify", "recognition-corollary", "round-trip"},
     ),
     "circuits-drop-the-last": (
         _circuits_drop_the_last,

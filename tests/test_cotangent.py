@@ -6,7 +6,14 @@ import random
 import pytest
 
 from srt1 import cotangent, matroids
-from srt1.complexes import SimplicialComplex, VertexRangeError, VoidComplexError, _union, unpack
+from srt1.complexes import (
+    SimplicialComplex,
+    VertexRangeError,
+    VoidComplexError,
+    _union,
+    pack,
+    unpack,
+)
 from srt1.cotangent import (
     InclusionGraph,
     MultiDegree,
@@ -547,6 +554,29 @@ def test_non_integer_vertex_among_integers():
         t.dim((1, 2), (3, 1))
     with pytest.raises(ValueError, match="overlap at vertex 1"):
         dim_t1(cx, ((1, 2), (3, 1)))
+
+
+def test_multidegree_checks_each_vertex_before_sorting():
+    # `MultiDegree.make` raises `pack`'s fault for a vertex that is no
+    # integer, alone or beside integers, before it sorts anything
+    for A, b in (((), ("a",)), ((), (1, "a")), (("a", 1), ()), ((1,), (True,)), ((), (1.0,))):
+        with pytest.raises(VertexRangeError, match="is not an integer"):
+            MultiDegree.make(A, b)
+    with pytest.raises(VertexRangeError) as made:
+        MultiDegree.make([], [1, "a"])
+    with pytest.raises(VertexRangeError) as packed:
+        pack([1, "a"], 3)
+    assert str(made.value) == str(packed.value) == "vertex 'a' is not an integer"
+    assert MultiDegree.make((2, 1), iter([3])) == MultiDegree((1, 2), (3,))
+    with pytest.raises(ValueError, match="overlap at vertex 2"):
+        MultiDegree.make([2, 1], [2])
+
+
+@pytest.mark.parametrize("threads", [0, True, "2"])
+def test_t1_table_validates_threads(threads):
+    # as `run_census` does, with `check_threads`
+    with pytest.raises(ValueError, match="threads must be an integer"):
+        t1_table(uniform(3, 2), threads=threads)
 
 
 def test_t1_table_json_roundtrip():

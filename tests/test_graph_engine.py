@@ -104,9 +104,14 @@ def _path_edges(n):
 
 
 @pytest.mark.parametrize(
-    "n, facets", [(12, _path_edges(12)), (4, [[1, 2], [3, 4]])], ids=["path-12", "two-edges"]
+    "n, facets",
+    [(12, _path_edges(12)), (4, [[1, 2], [3, 4]]), (5, [[1, 2, 3], [3, 4, 5]])],
+    ids=["path-12", "two-edges", "bowtie"],
 )
 def test_walk_skips_b_in_no_link_circuit(monkeypatch, n, facets):
+    # a graph link takes the rule of `cotangent._graph_dims` and calls no
+    # graph at all; the 2-dimensional root link of the bowtie calls it only
+    # at its singletons
     cx = SimplicialComplex.from_facets(n, facets)
     calls = []
     real = cotangent._dim_on_faces
@@ -120,3 +125,4 @@ def test_walk_skips_b_in_no_link_circuit(monkeypatch, n, facets):
         assert any(b & ~c == 0 for c in sweep_minimal_nonfaces(faces, n)), b
     # no face b with two or more vertices lies in a link circuit of these
     assert skipped > 0 and not [b for _, b in calls if b.bit_count() > 1]
+    assert bool(calls) == (cx.rank > 2)

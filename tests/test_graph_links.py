@@ -1,0 +1,122 @@
+"""The rule for links of dimension at most 1 against the graph engine.
+
+A link whose facets have at most two vertices is a graph G, and
+`cotangent._graph_dims` reads the graph dimension at each of its nonempty
+faces off the adjacency: c(G[V \\ N[v]]) + e(G[N(v)]) - 1, clamped, at a
+vertex v, and at an edge {u, w} the number of common neighbours whose only
+neighbours are u and w.  `_walk` uses it at every such link, and
+`recognition._first_singleton_discrepancy` on a complex of dimension at
+most 1, with the circuit count |V \\ N[v]| + e(G[N(v)]) - 1 as the formula.
+Here both meet `cotangent._dim_on_faces` and the face path of the singleton
+test at every nonempty face of the census classes of dimension at most 1,
+of seeded random graphs with loops and isolated vertices, and of the
+degenerate complexes.
+"""
+
+import random
+
+import pytest
+
+from srt1.complexes import SimplicialComplex, unpack
+from srt1.cotangent import (
+    MultiDegree,
+    _adjacency,
+    _dim_on_faces,
+    _graph_dims,
+    _singleton_dims,
+)
+from srt1.recognition import Discrepancy, _first_singleton_discrepancy, is_matroid_via_t1
+
+from _census_reps import representatives
+
+
+def random_graph(rng):
+    """A complex of dimension at most 1 on up to 12 vertices: random edges,
+    some isolated vertices, and ground vertices that no facet covers."""
+    n = rng.randint(1, 12)
+    used = rng.sample(range(1, n + 1), rng.randint(1, n))
+    pairs = [(u, w) for i, u in enumerate(used) for w in used[i + 1 :]]
+    edges = rng.sample(pairs, rng.randint(0, len(pairs)))
+    lone = rng.sample(used, rng.randint(0, min(3, len(used))))
+    return SimplicialComplex.from_facets(n, [list(e) for e in edges] + [[v] for v in lone])
+
+
+def _graph_complexes():
+    census = [cx for n in range(1, 6) for cx in representatives(n) if cx.rank <= 2]
+    rng = random.Random(20)
+    randoms = [random_graph(rng) for _ in range(1200)]
+    degenerate = [
+        SimplicialComplex.from_facets(3, []),  # {emptyset}
+        SimplicialComplex.from_facets(4, [[1], [2], [4]]),  # 0-dimensional
+        SimplicialComplex.from_facets(3, [[1, 2], [3]]),  # an edge and a lone vertex
+    ]
+    return census, randoms, degenerate
+
+
+CENSUS, RANDOMS, DEGENERATE = _graph_complexes()
+GRAPHS = CENSUS + RANDOMS + DEGENERATE
+
+
+def _face_singletons(cx):
+    """The first singleton discrepancy by the face path, `_singleton_dims`."""
+    singles = _singleton_dims(cx.face_masks(), cx.minimal_nonface_masks(), cx.vertex_mask)
+    for b, graph, formula in singles:
+        if graph != formula:
+            return Discrepancy(MultiDegree((), unpack(b)), graph, formula)
+    return None
+
+
+def test_the_battery_covers_every_kind_of_graph():
+    assert len(CENSUS) == 86 and len(RANDOMS) >= 1000
+    assert any(cx.rank == 1 for cx in RANDOMS)
+    assert any(cx.n > 0 and cx.vertex_mask != (1 << cx.n) - 1 for cx in RANDOMS)  # loops
+    assert any(any(f.bit_count() == 1 for f in cx.facet_masks) and cx.rank == 2 for cx in RANDOMS)
+    assert any(cx.n == 12 and cx.rank == 2 for cx in RANDOMS)
+
+
+@pytest.mark.parametrize(
+    "graphs", [CENSUS, RANDOMS, DEGENERATE], ids=["census", "random", "degenerate"]
+)
+def test_rule_matches_the_graph_engine_at_every_face(graphs):
+    checked = 0
+    for cx in graphs:
+        faces = cx.face_masks()
+        got = list(_graph_dims(_adjacency(cx.facet_masks)))
+        want = {b: _dim_on_faces(faces, b) for b in faces if b}
+        assert dict(got) == want and len(got) == len(want), cx
+        # the vertices come first, in vertex order
+        singles = [b for b, _ in got if not b & (b - 1)]
+        assert [b for b, _ in got[: len(singles)]] == sorted(singles), cx
+        checked += len(got)
+    assert checked > 0
+
+
+@pytest.mark.parametrize(
+    "graphs", [CENSUS, RANDOMS, DEGENERATE], ids=["census", "random", "degenerate"]
+)
+def test_singleton_test_on_a_graph_matches_the_face_path(graphs):
+    verdicts = set()
+    for cx in graphs:
+        got = _first_singleton_discrepancy(SimplicialComplex(cx.n, cx.facet_masks))
+        assert got == _face_singletons(cx), cx
+        verdicts.add(got is None)
+    assert verdicts == {True, False}
+
+
+def test_a_graph_passes_the_singleton_test_iff_it_is_complete_multipartite():
+    # observed: no vertex has two adjacent non-neighbours, that is, being
+    # non-adjacent is an equivalence on the vertices
+    for cx in GRAPHS:
+        adj = _adjacency(cx.facet_masks)
+        far = {v: cx.vertex_mask & ~(adj[v] | v) for v in adj}
+        multipartite = not any(adj[u] & far[v] for v in adj for u in adj if u & far[v])
+        assert is_matroid_via_t1(cx) == multipartite, cx
+
+
+def test_recognising_a_graph_builds_no_faces_and_no_circuits():
+    path = SimplicialComplex.from_facets(64, [[v, v + 1] for v in range(1, 64)])
+    assert not is_matroid_via_t1(path)
+    assert path._faces is None and path._mnf is None
+    star = SimplicialComplex.from_facets(64, [[1, v] for v in range(2, 65)])
+    assert is_matroid_via_t1(star)  # K(1, 63), complete bipartite
+    assert star._faces is None and star._mnf is None

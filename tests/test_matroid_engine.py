@@ -3,7 +3,8 @@
 `t1_table` follows the walk `cotangent._walk`, which sends each link of
 rank 1 to the rank-one rule of `cotangent._rank_one_rows`, each other link
 that passes the singleton test to the class rule of `cotangent._class_rows`
-and every other link to the inclusion graph.  The class rule reads the
+and every other link to the graph dimensions, read off the adjacency by
+`cotangent._graph_dims` at a link of dimension 1.  The class rule reads the
 vertices and circuits of a matroid link, and of each link above it, off the
 walk `cotangent._matroid_links`, which derives them from the parent link by
 contraction and steps to a link of rank 1 without circuits or lookups.  The
@@ -16,11 +17,14 @@ U(n, k) with n <= 8, on seeded partition and graphic matroids on 8 and 9
 elements, some with loops and coloops, and on a non-matroid near U(10, 5).
 The dispatch guards check that a matroid's table and its reconstruction
 build no face set of a link, that no link of rank 1 gets a face set,
-circuits, the class rule or a face lookup, that non-matroids compute no singleton degree
-and no circuit family twice, that only links failing the singleton test run
-the graph past their singleton degrees, and that the recognition functions
-keep the graph: `formula_discrepancies` at the singleton degrees of every
-link the walk reaches, the private full comparison at every degree.
+circuits, the class rule or a face lookup, that non-matroids compute no
+singleton degree and no circuit family twice, that a graph link reads the
+rule once and counts no graph over faces, that only links failing the
+singleton test run the graph past their singleton degrees, and that the
+recognition functions
+keep the graph, the rule on a 1-dimensional matroid and the face engine on
+a 2-dimensional one: `formula_discrepancies` at the singleton degrees of
+every link the walk reaches, the private full comparison at every degree.
 `t1_table` builds its table without the entry checks, so the checking
 constructors are run on what it builds, matroid or not.
 """
@@ -31,8 +35,8 @@ import random
 
 import pytest
 
-from srt1 import complexes, cotangent, reconstruction
-from srt1.complexes import SimplicialComplex, boundary_simplex, submasks, unpack
+from srt1 import complexes, cotangent, reconstruction, recognition
+from srt1.complexes import SimplicialComplex, _union, boundary_simplex, submasks, unpack
 from srt1.cotangent import (
     MultiDegree,
     T1Table,
@@ -470,17 +474,14 @@ def _path_edges(n):
     return [[v, v + 1] for v in range(1, n)]
 
 
-@pytest.mark.parametrize(
-    "n, facets", [(12, _path_edges(12)), (4, [[1, 2], [3, 4]])], ids=["path-12", "two-edges"]
-)
-def test_non_matroid_pays_once(monkeypatch, n, facets):
-    cx = SimplicialComplex.from_facets(n, facets)
-    want = graph_engine_table(SimplicialComplex.from_facets(n, facets))
-    faces = cx.face_masks()
-    dims = collections.Counter()
-    circuits = []
+def _count_engine_calls(monkeypatch, faces):
+    """Counters of the calls `t1_table` makes on the face set faces: the
+    graph at each degree b, and the circuit family (by ground size); and of
+    the rule `_graph_dims`, by the adjacency it is given."""
+    dims, circuits, rule = collections.Counter(), [], []
     real_dim = cotangent._dim_on_faces
     real_circuits = complexes._minimal_nonfaces
+    real_rule = cotangent._graph_dims
 
     def count_dim(face_set, b):
         if face_set == faces:
@@ -495,20 +496,69 @@ def test_non_matroid_pays_once(monkeypatch, n, facets):
     monkeypatch.setattr(cotangent, "_dim_on_faces", count_dim)
     monkeypatch.setattr(cotangent, "_minimal_nonfaces", count_circuits)
     monkeypatch.setattr(complexes, "_minimal_nonfaces", count_circuits)
+    monkeypatch.setattr(cotangent, "_graph_dims", lambda adj: rule.append(adj) or real_rule(adj))
+    return dims, circuits, rule
+
+
+@pytest.mark.parametrize(
+    "n, facets", [(12, _path_edges(12)), (4, [[1, 2], [3, 4]])], ids=["path-12", "two-edges"]
+)
+def test_non_matroid_pays_once(monkeypatch, n, facets):
+    # a graph's table reads the rule once, at the root, where the circuit
+    # family is built once for the singleton test; the face engine never runs
+    cx = SimplicialComplex.from_facets(n, facets)
+    want = graph_engine_table(SimplicialComplex.from_facets(n, facets))
+    dims, circuits, rule = _count_engine_calls(monkeypatch, cx.face_masks())
+    table = t1_table(cx)
+    assert circuits == [n]
+    assert rule == [cotangent._adjacency(cx.facet_masks)]
+    assert not dims
+    assert {(k.A, k.b): d for k, d in table.items()} == want
+    assert not is_matroid_via_t1(cx)
+
+
+@pytest.mark.parametrize(
+    "n, facets",
+    [(5, [[1, 2, 3], [3, 4, 5]]), (6, [[1, 2, 3], [3, 4], [4, 5, 6]])],
+    ids=["bowtie", "two-triangles-and-an-edge"],
+)
+def test_non_matroid_of_dimension_two_pays_once_per_degree(monkeypatch, n, facets):
+    # the root link is 2-dimensional, so the face engine runs there, once at
+    # each degree, a vertex in a circuit included (a vertex in none is 0 by
+    # rule 1), and every vertex link of dimension 1 takes the rule once
+    cx = SimplicialComplex.from_facets(n, facets)
+    want = graph_engine_table(SimplicialComplex.from_facets(n, facets))
+    in_circuits = _union(SimplicialComplex.from_facets(n, facets).minimal_nonface_masks())
+    dims, circuits, rule = _count_engine_calls(monkeypatch, cx.face_masks())
     table = t1_table(cx)
     assert circuits == [n]
     assert max(dims.values()) == 1
-    assert {b for b in dims if b.bit_count() == 1} == {1 << (v - 1) for v in cx.vertices()}
+    singles = {1 << (v - 1) for v in cx.vertices()}
+    assert {b for b in dims if b.bit_count() == 1} == {b for b in singles if b & in_circuits}
+    links = [cx.link_mask(1 << (v - 1)) for v in cx.vertices()]
+    graph_links = [link.vertex_mask for link in links if link.rank == 2 and len(link.facet_masks) > 1]
+    assert graph_links and sorted(map(_union, rule)) == sorted(graph_links)
     assert {(k.A, k.b): d for k, d in table.items()} == want
     assert not is_matroid_via_t1(cx)
 
 
 def test_recognition_keeps_the_graph_engine(monkeypatch):
-    # a graph engine one too high at every degree must show, matroid or not
+    # a graph dimension one too high at every degree must show, matroid or
+    # not: through the rule on the 1-dimensional U(4, 2), through the face
+    # engine on the 2-dimensional U(5, 3)
+    real_rule = cotangent._graph_dims
+    too_high = lambda adj: ((b, d + 1) for b, d in real_rule(adj))
+    with monkeypatch.context() as patch:
+        patch.setattr(cotangent, "_graph_dims", too_high)
+        patch.setattr(recognition, "_graph_dims", too_high)
+        assert formula_discrepancies(uniform(4, 2))
+        assert not is_matroid_via_t1(uniform(4, 2))
+        assert formula_discrepancies(uniform(5, 3)) == [] and is_matroid_via_t1(uniform(5, 3))
     real = cotangent._dim_on_faces
     monkeypatch.setattr(cotangent, "_dim_on_faces", lambda faces, b: real(faces, b) + 1)
-    assert formula_discrepancies(uniform(4, 2))
-    assert not is_matroid_via_t1(uniform(4, 2))
+    assert formula_discrepancies(uniform(5, 3))
+    assert not is_matroid_via_t1(uniform(5, 3))
+    assert formula_discrepancies(uniform(4, 2)) == [] and is_matroid_via_t1(uniform(4, 2))
 
 
 def test_discrepancies_on_a_matroid_run_only_singleton_graphs(monkeypatch):
