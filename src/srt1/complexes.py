@@ -115,6 +115,14 @@ def _ground_size(doc: dict) -> int:
     return n
 
 
+def _check_ground(n, limit: int) -> None:
+    """Raises VertexRangeError unless the ground size n is an integer in 0..limit."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise VertexRangeError(f"ground size {n!r} must be a nonnegative integer")
+    if n > limit:
+        raise VertexRangeError(f"ground size {n} exceeds limit {limit}")
+
+
 def _faces_of(facets: Iterable[int]) -> frozenset[int]:
     """Every face of the complex with these facets: all their submasks."""
     return frozenset(chain.from_iterable(map(submasks, facets)))
@@ -198,10 +206,7 @@ class SimplicialComplex:
     __slots__ = ("n", "facet_masks", "_faces", "_mnf", "_matroid")
 
     def __init__(self, n: int, facet_masks: Iterable[int]):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise VertexRangeError(f"ground size {n!r} must be a nonnegative integer")
-        if n > MAX_GROUND:
-            raise VertexRangeError(f"ground size {n} exceeds limit {MAX_GROUND}")
+        _check_ground(n, MAX_GROUND)
         masks = list(facet_masks)
         full = (1 << n) - 1
         for m in masks:
@@ -238,11 +243,11 @@ class SimplicialComplex:
         """Build the complex whose faces are the sets containing no listed nonface.
 
         The faces come from a sweep over all 2^n subsets of the ground set
-        (about 2 s at n = 20), so n above MAX_NONFACE_GROUND raises
-        VertexRangeError before the sweep.
+        (about 2 s at n = 20), so an n that is no nonnegative integer, or
+        lies above MAX_NONFACE_GROUND, raises VertexRangeError before the
+        sweep.
         """
-        if n > MAX_NONFACE_GROUND:
-            raise VertexRangeError(f"ground size {n} exceeds limit {MAX_NONFACE_GROUND}")
+        _check_ground(n, MAX_NONFACE_GROUND)
         forb = [pack(f, n) for f in nonfaces]
         if any(m == 0 for m in forb):
             raise ValueError("the empty set cannot be a nonface")

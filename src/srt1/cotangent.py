@@ -32,17 +32,13 @@ degrees of a matroid link.  A link whose d >= 2 facets are single vertices
 is U(d, 1) with loops, and `_rank_one_rows` writes its rows from d alone.
 
 Any other link takes 1 at each of its isolated circuits, its only nonzero
-nonface degrees, and the graph dimension at each of its nonempty faces b,
-both listed by `_walk`.  A link of dimension at most 1 is a graph G on V,
-and `_graph_dims` reads N_b off its adjacency, with no face set:
-
-* at a vertex v, N_v is the non-neighbours V \\ N[v] and the edges that
-  avoid v, and an edge joins a member only through a non-neighbour, so the
-  dimension is c(G[V \\ N[v]]) + e(G[N(v)]) - 1, clamped, with c counting
-  components and e edges;
-* at an edge {u, w}, N_b is every nonempty face that avoids it, each edge
-  of it marked, so the dimension counts the common neighbours of u and w
-  whose only neighbours are u and w.
+nonface degrees, and the graph dimension at its nonempty faces b, both
+listed by `_walk`.  A link of dimension at most 1 is a graph G on V, read
+off its adjacency with no face set: its circuits are its non-edges and its
+triangles (`_graph_circuits`), and `_graph_dims` reads N_b off it, for the
+dimension c(G[V \\ N[v]]) + e(G[N(v)]) - 1, clamped, at a vertex v, with c
+counting components and e edges, and at an edge {u, w} the number of common
+neighbours of u and w whose only neighbours are u and w.
 
 Any larger link takes the inclusion graph.  N_b is an up-set among the
 faces disjoint from b, so its components come from the one-vertex
@@ -53,8 +49,8 @@ Call F in N_b unmarked when it is not in N~_b.
    unmarked F in N_b the nonface F u b contains a minimal nonface C, and C
    contains b, since C missing v in b would lie in the face F u (b \\ {v}).
    So without a circuit through b no F is unmarked and every component is
-   marked (for |b| = 1 every F is unmarked, so N_b is empty).
-   `_scan_dim` records these b as 0 without the graph.
+   marked (for |b| = 1 every F is unmarked, so N_b is empty).  The faces
+   in a circuit are the nonempty proper subsets of circuits, `_circuit_faces`.
 2. The marks form an up-set of N_b, so the unmarked part W is a down-set of
    N_b.  `_dim_on_faces` joins W alone, then drops each component of W that
    lies one vertex below a marked member of N_b, the only step out of W.
@@ -64,7 +60,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .complexes import (
     SimplicialComplex,
@@ -232,21 +228,35 @@ def _formula_on_link(link_circuits: list[int], b: int) -> int:
     return _less_one_for_singleton(through, b)
 
 
-def _singleton_dims(
-    faces: frozenset[int], circuits: list[int], verts: int
-) -> Iterator[tuple[int, int, int]]:
-    """(b, graph dimension, circuit formula) at each degree (emptyset, {v}) of
-    the complex with these faces, circuits and vertex mask, lazily and in
-    vertex order.
-
-    The two sides agree at every v exactly when the complex is a matroid (the
-    recognition corollary).  Loops are not vertices: their only circuit is
-    {v}, so both sides are zero there.
-    """
+def _vertex_dims(faces: frozenset[int], verts: int) -> Iterator[tuple[int, int]]:
+    """(b, graph dimension) at each vertex b of verts, in vertex order, lazily."""
     while verts:
         b = verts & -verts
         verts ^= b
-        yield b, _dim_on_faces(faces, b), _formula_on_link(circuits, b)
+        yield b, _dim_on_faces(faces, b)
+
+
+def _singleton_discrepancy(
+    dims: Iterable[tuple[int, int]], formula: Callable[[int], int]
+) -> tuple[int, int, int] | None:
+    """The first (b, graph, formula(b)) where the sides differ, over the pairs
+    (b, graph dimension) of dims up to the first b of two or more vertices.
+    Over every vertex, or every vertex in a circuit of two or more vertices,
+    it is None exactly when the complex is a matroid (the recognition
+    corollary): at any other vertex both sides are 0, the graph by rule 1."""
+    for b, graph in dims:
+        if b & (b - 1):
+            break
+        count = formula(b)
+        if graph != count:
+            return b, graph, count
+    return None
+
+
+def _circuit_faces(circuits: list[int]) -> set[int]:
+    """The nonempty proper subsets of the circuits: the faces in a circuit,
+    the only faces where rule 1 lets the graph dimension be nonzero."""
+    return {b for c in circuits for b in submasks(c)} - set(circuits) - {0}
 
 
 def _adjacency(facets: Iterable[int]) -> dict[int, int]:
@@ -271,6 +281,39 @@ def _edges_within(adj: dict[int, int], part: int) -> int:
         rest ^= u
         ends += (adj[u] & part).bit_count()
     return ends // 2
+
+
+def _graph_circuits(adj: dict[int, int]) -> list[int]:
+    """The minimal nonfaces of two or more vertices of a complex of
+    dimension at most 1, from its adjacency: its non-edges, and the sets of
+    three vertices whose pairs are all edges, its triangles."""
+    verts = _union(adj)
+    out = []
+    for u, near in adj.items():
+        above = -(u << 1)  # the vertices above u, each set listed once
+        rest = verts & ~near & above
+        while rest:
+            w = rest & -rest
+            rest ^= w
+            out.append(u | w)
+        rest = near & above
+        while rest:
+            w = rest & -rest
+            rest ^= w
+            common = near & adj[w] & -(w << 1)
+            while common:
+                x = common & -common
+                common ^= x
+                out.append(u | w | x)
+    return out
+
+
+def _graph_formula(adj: dict[int, int], verts: int, b: int) -> int:
+    """The circuit formula at a vertex b of a complex of dimension at most 1,
+    from its adjacency and vertex mask: the circuits through b are its
+    non-edges and triangles, |V \\ N[b]| + e(G[N(b)]) of them, less one."""
+    near = adj[b]
+    return max((verts & ~(near | b)).bit_count() + _edges_within(adj, near) - 1, 0)
 
 
 def _graph_dims(adj: dict[int, int]) -> Iterator[tuple[int, int]]:
@@ -328,23 +371,22 @@ def _walk(cx: SimplicialComplex) -> Iterator[tuple[int, int, list[int] | None, l
     to a u {v} only for link vertices v above a's highest vertex, so that it
     reaches each face once.  The facets of the link at a u {v} are those of
     the link at a through v, less v.  Yields a, the link's vertex mask, its
-    circuits and dims, for three kinds of link:
+    circuits of two or more vertices and dims, for three kinds of link:
 
     * a link of rank 1, U(d, 1) with loops, comes with circuits None and
       dims None, built from its vertices alone; every link above is a simplex.
     * a link with a facet of two or more vertices that passes the singleton
-      test is a matroid.  It comes with its circuits of
-      two or more vertices and dims None, and the walk goes no higher:
-      every link above it is a contraction of it, which `_matroid_links`
-      reaches from it.
-    * any other link comes with all its circuits and dims, its whole
-      table: the pairs (c, 1) at each isolated circuit c of the link with
-      two or more vertices, then (b, graph dimension) at each of its
-      nonempty faces b, the singleton graphs of the test reused.
+      test is a matroid.  It comes with dims None, and the walk goes no
+      higher: every link above it is a contraction of it, which
+      `_matroid_links` reaches from it.
+    * any other link comes with dims, its whole table: (c, 1) at each
+      isolated circuit c, then (b, graph dimension) at each nonempty face b
+      of a link of dimension 1, and at the `_circuit_faces` of a larger
+      link, any other face being 0 by rule 1.
 
-    At a link of dimension 1 the graph dimensions, those of the singleton
-    test included, are read off its adjacency by `_graph_dims`; at a larger
-    link they come from its face set, by `_singleton_dims` and `_scan_dim`.
+    A link of dimension 1 is read off its adjacency (`_graph_circuits`,
+    `_graph_formula`); a larger one counts the graph at its vertices in a
+    circuit for the singleton test, then at its wider `_circuit_faces`.
 
     A face in exactly one facet F is skipped with every face above it,
     before any face set is built: its link is the simplex on F \\ a
@@ -373,69 +415,31 @@ def _walk(cx: SimplicialComplex) -> Iterator[tuple[int, int, list[int] | None, l
         if rank == 1:
             yield a, verts, None, None
             continue
-        if a:
-            link_faces = _faces_of(link_facets)
-            circuits = _minimal_nonfaces(link_faces, cx.n)
-        else:
-            link_faces, circuits = cx.face_masks(), cx._circuit_masks()
         if rank == 2:
-            dims = list(_graph_dims(_adjacency(link_facets)))
-            singles = ((b, d, _formula_on_link(circuits, b)) for b, d in dims[: verts.bit_count()])
+            adj = _adjacency(link_facets)
+            circuits, dims = _graph_circuits(adj), list(_graph_dims(adj))
+            formula = functools.partial(_graph_formula, adj, verts)
         else:
-            dims = None
-            singles = _singleton_dims(link_faces, circuits, verts)
-        known = {}
-        for b, graph, formula in singles:
-            known[b] = graph
-            if graph != formula:
-                break
-        else:
-            yield a, verts, [c for c in circuits if c & (c - 1)], None
+            if a:
+                link_faces = _faces_of(link_facets)
+                circuits = _minimal_nonfaces(link_faces, cx.n)
+            else:
+                link_faces, circuits = cx.face_masks(), cx._circuit_masks()
+            circuits = [c for c in circuits if c & (c - 1)]
+            dims = list(_vertex_dims(link_faces, _union(circuits)))
+            formula = functools.partial(_formula_on_link, circuits)
+        if _singleton_discrepancy(dims, formula) is None:
+            yield a, verts, circuits, None
             continue
-        if dims is None:
-            through = _circuits_through(circuits)
-            dims = [
-                (b, known[b] if b in known else _scan_dim(link_faces, through, b))
-                for b in link_faces
-                if b
-            ]
+        if rank > 2:
+            wider = [b for b in _circuit_faces(circuits) if b & (b - 1)]
+            dims += [(b, _dim_on_faces(link_faces, b)) for b in wider]
         yield a, verts, circuits, [(c, 1) for c in _isolated_circuits(circuits)] + dims
         rest = verts & -(1 << a.bit_length())
         while rest:
             v = rest & -rest
             rest ^= v
             stack.append((a | v, [f ^ v for f in link_facets if f & v]))
-
-
-def _scan_dim(link_faces: frozenset[int], through: dict[int, int], b: int) -> int:
-    """The graph dimension at a nonempty face b of a link L, given the map
-    `_circuits_through` of L's circuits: 0 without the graph when b lies in
-    no circuit of L, by rule 1 of the module docstring."""
-    return _dim_on_faces(link_faces, b) if _circuits_containing(b, through) else 0
-
-
-def _circuits_through(circuits: list[int]) -> dict[int, int]:
-    """Maps each vertex bit to the circuits through it, as a bitmask of
-    their indices in `circuits`."""
-    through: dict[int, int] = {}
-    for i, c in enumerate(circuits):
-        rest = c
-        while rest:
-            u = rest & -rest
-            rest ^= u
-            through[u] = through.get(u, 0) | 1 << i
-    return through
-
-
-def _circuits_containing(b: int, through: dict[int, int]) -> int:
-    """The circuits that contain the nonempty b, as a bitmask of indices, from
-    the map of `_circuits_through`."""
-    hits = -1
-    while b and hits:
-        u = b & -b
-        b ^= u
-        hits &= through.get(u, 0)
-    return hits
 
 
 # ---------------------------------------------------------------------------
@@ -762,13 +766,12 @@ def t1_table(cx: SimplicialComplex, threads: int = 1) -> T1Table:
     formula of `_class_rows`, on it and on every link above it, whose
     vertices and circuits `_matroid_links` derives from the parent link's
     by contraction; at any other link 1 at each isolated circuit and the
-    graph dimension at each face, read off the adjacency at a link of
-    dimension 1.  A link of rank 1 costs its vertices, a link of dimension 1
-    its circuits, the singleton test vertices x circuits and the rule about
-    vertices x (vertices + edges), any other matroid link its singleton
-    graphs, then per link above it link circuits face lookups (none below
-    rank 3) plus link vertices x link circuits, and any other link its faces
-    x its faces.
+    graph dimension at each face in a circuit, read off the adjacency at a
+    link of dimension 1.  A link of rank 1 costs its vertices, a link of
+    dimension 1 vertices x (vertices + edges), a larger link its faces x its
+    vertices and its singleton graphs, then a matroid link per link above it
+    link circuits face lookups (none below rank 3) plus link vertices x link
+    circuits, and any other link one graph at each face in a circuit.
 
     The table is computed in-process: each face's piece costs well under a
     millisecond, too little to repay a process pool.  `threads` is accepted
@@ -788,8 +791,9 @@ def _matroid_table(cx: SimplicialComplex) -> T1Table:
 
 
 def _class_rows(link_vertices: int, link_circuits: list[int]) -> list[tuple[int, int]]:
-    """(b, formula) at the degrees b of a matroid link where the circuit
-    formula is positive: the link's whole table, faces and nonfaces alike.
+    """(b, formula) at the degrees b of any link where the circuit formula
+    is positive, faces and nonfaces alike, from its vertices and circuits of
+    two or more vertices: on a matroid link, its whole table.
 
     The formula is nonzero only at a tame b, one that every circuit of the
     link L contains or misses, so all vertices of b lie in the same circuits.

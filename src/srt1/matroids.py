@@ -19,6 +19,8 @@ class NotAMatroidError(ValueError):
 
 def uniform(n: int, k: int) -> SimplicialComplex:
     """The uniform matroid U(n, k): faces are the subsets of [n] of size <= k."""
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (n, k)):
+        raise ValueError(f"uniform matroid needs integers n and k, got n={n!r}, k={k!r}")
     if not 0 <= k <= n:
         raise ValueError(f"uniform matroid needs 0 <= k <= n, got n={n}, k={k}")
     facets = itertools.combinations(range(1, n + 1), k)

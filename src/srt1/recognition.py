@@ -12,37 +12,38 @@ the main theorem for L settles every degree with support A: where L is a
 matroid there is no discrepancy, and the recognition corollary applied to L
 decides that from L's singleton degrees.  Matroids are closed under
 contraction, and link(D, A u {v}) is the contraction of link(D, A) at v, so
-the walk goes no higher than a matroid link.
+the walk goes no higher than a matroid link.  At any other link the walk's
+dims meet the formula of `cotangent._class_rows`.
 
-A complex of dimension at most 1 is a graph G on its vertices V, and
-`is_matroid_via_t1` reads both sides of the test off its adjacency, with no
-face set and no circuits.  The graph side is `cotangent._graph_dims`:
-c(G[V \\ N[v]]) + e(G[N(v)]) - 1 at v, clamped.  The circuits through v are
-its non-edges and the triangles through it, so the formula side is
-|V \\ N[v]| + e(G[N(v)]) - 1, clamped.  They differ at v exactly when
-G[V \\ N[v]] has an edge.  So, as an observation that the tests check on
-the census and on random graphs, such a complex passes the test exactly
-when no vertex has two adjacent non-neighbours, that is, when its graph is
-complete multipartite.
+The singleton test is the walk's, on either engine.  A complex of dimension
+at most 1 is a graph G on its vertices V, and `is_matroid_via_t1` reads both
+sides off its adjacency, with no face set and no circuits: the graph side
+c(G[V \\ N[v]]) + e(G[N(v)]) - 1 at v, clamped, and the formula side
+|V \\ N[v]| + e(G[N(v)]) - 1, clamped, since the circuits through v are its
+non-edges and triangles.  They differ at v exactly when G[V \\ N[v]] has an
+edge.  So, as an observation that the tests check on the census and on
+random graphs, such a complex passes the test exactly when no vertex has two
+adjacent non-neighbours, that is, when its graph is complete multipartite.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+import functools
+from typing import Iterable, NamedTuple
 
 from .complexes import SimplicialComplex, _faces_of, _link_facets, _minimal_nonfaces, unpack
 from .cotangent import (
     MultiDegree,
     _adjacency,
     _canonical,
-    _circuits_through,
-    _edges_within,
+    _circuit_faces,
+    _class_rows,
+    _dim_on_faces,
     _formula_on_link,
     _graph_dims,
-    _isolated_circuits,
-    _less_one_for_singleton,
-    _scan_dim,
-    _singleton_dims,
+    _graph_formula,
+    _singleton_discrepancy,
+    _vertex_dims,
     _walk,
 )
 
@@ -53,35 +54,22 @@ class Discrepancy(NamedTuple):
     formula_dim: int
 
 
-def _graph_singletons(cx: SimplicialComplex) -> Iterator[tuple[int, int, int]]:
-    """`cotangent._singleton_dims` of a cx whose facets have at most two
-    vertices, read off its adjacency: the graph dimension by
-    `cotangent._graph_dims`, and the circuit formula by counting the circuits
-    through each vertex v.  Those are its non-edges and its triangles, so
-    the formula is |V \\ N[v]| + e(G[N(v)]) - 1, clamped at 0."""
-    adj = _adjacency(cx.facet_masks)
-    verts = cx.vertex_mask
-    for b, graph_dim in _graph_dims(adj):
-        if b & (b - 1):
-            return
-        near = adj[b]
-        through = (verts & ~(near | b)).bit_count() + _edges_within(adj, near)
-        yield b, graph_dim, _less_one_for_singleton(through, b)
-
-
 def _first_singleton_discrepancy(cx: SimplicialComplex) -> Discrepancy | None:
     """The first degree (0, {v}) where graph dimension and circuit count
     differ; on a complex of dimension at most 1 with no face set and no
     circuits."""
     cx._require_nonvoid("is_matroid_via_t1")
     if cx.rank <= 2:
-        singles = _graph_singletons(cx)
+        adj = _adjacency(cx.facet_masks)
+        dims, formula = _graph_dims(adj), functools.partial(_graph_formula, adj, cx.vertex_mask)
     else:
-        singles = _singleton_dims(cx.face_masks(), cx._circuit_masks(), cx.vertex_mask)
-    for b, graph_dim, formula_dim in singles:
-        if graph_dim != formula_dim:
-            return Discrepancy(MultiDegree((), unpack(b)), graph_dim, formula_dim)
-    return None
+        dims = _vertex_dims(cx.face_masks(), cx.vertex_mask)
+        formula = functools.partial(_formula_on_link, cx._circuit_masks())
+    found = _singleton_discrepancy(dims, formula)
+    if found is None:
+        return None
+    b, graph_dim, formula_dim = found
+    return Discrepancy(MultiDegree((), unpack(b)), graph_dim, formula_dim)
 
 
 def is_matroid_via_t1(cx: SimplicialComplex) -> bool:
@@ -105,7 +93,7 @@ def _differing(
 def _discrepancies(
     n: int, rows: list[tuple[tuple[int, int], int, int]]
 ) -> list[Discrepancy]:
-    """The rows of `_differing` as discrepancies, in canonical degree order."""
+    """Rows ((a, b), graph, formula) as discrepancies, in canonical degree order."""
     return [
         Discrepancy(MultiDegree(unpack(a), unpack(b)), graph_dim, formula_dim)
         for (a, b), graph_dim, formula_dim in sorted(rows, key=_canonical(n))
@@ -119,31 +107,30 @@ def formula_discrepancies(cx: SimplicialComplex) -> list[Discrepancy]:
     the two can differ, as its docstring shows.  A link of rank 1, or one
     that passes the singleton test, is a matroid, as is every link above
     it, and has no discrepancy by the main theorem; every other link comes
-    with its graph dimensions, which are compared with the formula at its
-    faces.  Its isolated circuits, which head its dims, are skipped: both
-    sides are 1 there, as the walk's docstring shows.  Empty exactly when
-    cx is a matroid.
+    with its dims, compared with its `_class_rows` at each degree either
+    lists (any other is 0 on both sides).  Empty exactly when cx is a matroid.
     """
     cx._require_nonvoid("formula_discrepancies")
     out = []
-    for a, _, link_circuits, dims in _walk(cx):
+    for a, verts, circuits, dims in _walk(cx):
         if dims is not None:
-            faces = dims[len(_isolated_circuits(link_circuits)):]
-            out += _differing(a, link_circuits, faces)
+            graph, formula = dict(dims), dict(_class_rows(verts, circuits))
+            for b in graph.keys() | formula.keys():
+                if graph.get(b, 0) != formula.get(b, 0):
+                    out.append(((a, b), graph.get(b, 0), formula.get(b, 0)))
     return _discrepancies(cx.n, out)
 
 
 def _all_discrepancies(cx: SimplicialComplex) -> list[Discrepancy]:
     """`formula_discrepancies` without the walk: at every face a of cx, the
-    graph against the circuit formula at every nonempty face b of its link,
-    each link built from its facets.  Its empty result on a matroid checks
-    the main theorem, which the walk assumes."""
+    graph against `_formula_on_link` at each face b of its link in a circuit
+    (0 on both sides at any other), each link built from its facets.  Its
+    empty result on a matroid checks the main theorem, which the walk assumes."""
     cx._require_nonvoid("formula_discrepancies")
     out = []
     for a in cx.face_masks():
         link_faces = _faces_of(_link_facets(cx.facet_masks, a))
         link_circuits = _minimal_nonfaces(link_faces, cx.n)
-        through = _circuits_through(link_circuits)
-        dims = [(b, _scan_dim(link_faces, through, b)) for b in link_faces if b]
+        dims = [(b, _dim_on_faces(link_faces, b)) for b in _circuit_faces(link_circuits)]
         out += _differing(a, link_circuits, dims)
     return _discrepancies(cx.n, out)

@@ -2,7 +2,10 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python3 tests/_output_digest.py
+    PYTHONPATH=src python3 tests/_output_digest.py [EXPECTED]
+
+With EXPECTED, a hex digest, it exits 1 when the digest differs, so that
+one command checks that a change to the engine keeps every output.
 
 The inputs are every nonvoid labelled complex on at most five vertices
 (7774, the one on n = 0 included), the 1152 members of
@@ -64,3 +67,6 @@ def digest() -> tuple[str, int]:
 if __name__ == "__main__":
     value, count = digest()
     print(f"{value}  {count} inputs")
+    if len(sys.argv) > 1 and value != sys.argv[1].lower():
+        print(f"expected {sys.argv[1]}", file=sys.stderr)
+        sys.exit(1)

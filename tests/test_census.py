@@ -214,6 +214,16 @@ def _graph_vertices_one_too_high(monkeypatch):
     monkeypatch.setattr(recognition, "_graph_dims", wrong)
 
 
+def _graph_circuits_drop_triangles(monkeypatch):
+    # a link of dimension 1 loses its triangles from its circuits
+    graph_circuits = cotangent._graph_circuits
+
+    def wrong(adj):
+        return [c for c in graph_circuits(adj) if c.bit_count() == 2]
+
+    monkeypatch.setattr(cotangent, "_graph_circuits", wrong)
+
+
 def _circuits_drop_the_last(monkeypatch):
     # the minimal nonfaces of a face set lose the last one found
     minimal_nonfaces = complexes._minimal_nonfaces
@@ -294,6 +304,16 @@ MUTANTS = {
     "graph-vertices-one-too-high": (
         _graph_vertices_one_too_high,
         {"link-reduction", "loop-coloop-classify", "recognition-corollary", "round-trip"},
+    ),
+    "graph-circuits-drop-triangles": (
+        _graph_circuits_drop_triangles,
+        {
+            "link-reduction",
+            "link-rigidity-basis",
+            "loop-coloop-classify",
+            "rigidity-discrete",
+            "round-trip",
+        },
     ),
     "circuits-drop-the-last": (
         _circuits_drop_the_last,

@@ -248,6 +248,13 @@ def test_from_minimal_nonfaces_rejects_ground_past_limit():
         SimplicialComplex.from_minimal_nonfaces(MAX_NONFACE_GROUND + 1, [[1, 2]])
 
 
+@pytest.mark.parametrize("n", [-1, 1.5, True, "3", None])
+def test_from_minimal_nonfaces_checks_the_ground_size_first(n):
+    # as the constructor does, before the sweep shifts by n
+    with pytest.raises(VertexRangeError, match="must be a nonnegative integer"):
+        SimplicialComplex.from_minimal_nonfaces(n, [])
+
+
 def test_nonface_duality_small():
     # rebuilding from the computed minimal nonfaces gives the complex back,
     # over every complex on 3 vertices

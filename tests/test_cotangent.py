@@ -417,7 +417,7 @@ def test_walk_skips_simplex_links(monkeypatch):
     # the link is a simplex exactly when one facet contains the face, and
     # the walk skips such a face before materialising any face set; a
     # matroid link is handed on with no face set built above it, and a link
-    # of rank 1 with none built at all
+    # of rank 1 or 2 with none built at all
     built = []
     real = cotangent._faces_of
     monkeypatch.setattr(cotangent, "_faces_of", lambda facets: built.append(facets) or real(facets))
@@ -431,7 +431,7 @@ def test_walk_skips_simplex_links(monkeypatch):
         built.clear()
         walked = [a for a, _, _, _ in _walk(cx)]
         assert sorted(map(sorted, built)) == sorted(
-            sorted(cx.link_mask(a).facet_masks) for a in walked if a and not _rank_one(cx, a)
+            sorted(cx.link_mask(a).facet_masks) for a in walked if a and cx.link_mask(a).rank > 2
         ), cx
 
 
@@ -443,36 +443,40 @@ def _rank_one(cx, a):
 
 def test_walk_links_match_the_definition():
     # every link the walk yields carries its own vertices, a link of rank 1
-    # no circuits and no dims, any other link its circuits, and a graph link
-    # its whole table: 1 at each isolated circuit of two or more vertices,
-    # and the graph dimension at each of its nonempty faces
-    isolated_rows = rank_one = 0
+    # no circuits and no dims, any other link its circuits of two or more
+    # vertices, and a link failing the singleton test its whole table: 1 at
+    # each isolated circuit, the graph dimension at each of its nonempty
+    # faces at a graph link and at each face in a circuit at a larger link,
+    # and no other nonzero row
+    isolated_rows = rank_one = larger = 0
     for cx in (cx for n in range(1, 6) for cx in representatives(n)):
         for a, verts, circuits, dims in _walk(cx):
             link = cx.link_mask(a)
             assert verts == link.vertex_mask, (cx, unpack(a))
-            mnf = link.minimal_nonface_masks()
             if circuits is None:
                 assert dims is None and _rank_one(cx, a), (cx, unpack(a))
                 rank_one += 1
                 continue
             assert not _rank_one(cx, a), (cx, unpack(a))
+            want = sorted(c for c in link.minimal_nonface_masks() if c.bit_count() > 1)
+            assert sorted(circuits) == want, (cx, unpack(a))
             if dims is None:
                 assert matroids.is_matroid_exchange(link), (cx, unpack(a))
-                want = sorted(c for c in mnf if c.bit_count() > 1)
-                assert sorted(circuits) == want, (cx, unpack(a))
                 continue
-            assert set(circuits) == set(mnf), (cx, unpack(a))
-            isolated = [
-                c for c in mnf if c.bit_count() > 1 and not any(c & d for d in mnf if d != c)
-            ]
+            isolated = [c for c in want if not any(c & d for d in want if d != c)]
             link_faces = link.face_masks()
-            want = [(c, 1) for c in isolated] + [
+            listed = {b for b, _ in dims} - set(isolated)
+            if link.rank == 2:
+                assert listed == link_faces - {0}, (cx, unpack(a))
+            else:
+                assert listed == cotangent._circuit_faces(circuits), (cx, unpack(a))
+                larger += 1
+            scan = [(c, 1) for c in isolated] + [
                 (b, cotangent._dim_on_faces(link_faces, b)) for b in link_faces if b
             ]
-            assert sorted(dims) == sorted(want), (cx, unpack(a))
+            assert sorted(row for row in dims if row[1]) == sorted(row for row in scan if row[1])
             isolated_rows += len(isolated)
-    assert isolated_rows and rank_one
+    assert isolated_rows and rank_one and larger
 
 
 def _walk_reach(cx):

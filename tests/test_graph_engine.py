@@ -1,22 +1,26 @@
 """The graph engine's counting rules against the definitions.
 
 `cotangent._dim_on_faces` joins only the unmarked part W of N_b and drops a
-component of W that lies one vertex below a marked member of N_b;
-`cotangent._scan_dim` records 0 without the graph at a face b of a link
-that lies in no circuit of the link, at every link the walk
-`cotangent._walk` hands to the graph.  Here the first meets the former
-exhaustive count (`_oracles._scan_dim`) at every nonempty face b of every
-link of the differential battery, and the second meets the definitions on
-the census classes on up to 4 vertices.
+component of W that lies one vertex below a marked member of N_b.  At a
+link of dimension 2 or more that the walk `cotangent._walk` hands to the
+graph, the graph runs only at the nonempty proper subsets of the link's
+circuits (`cotangent._circuit_faces`), and every other face b of the link
+is 0, since it lies in no circuit (rule 1).  Here the first meets the
+former exhaustive count (`_oracles._scan_dim`) at every nonempty face b of
+every link of the differential battery, and the rule meets the definitions
+on the census classes on up to 4 vertices and the face engine on every
+link of the census classes on up to 5 vertices and of seeded random
+complexes.
 """
 
 import collections
+import random
 
 import pytest
 
 from srt1 import cotangent
 from srt1.complexes import SimplicialComplex, submasks
-from srt1.cotangent import _dim_on_faces, _walk
+from srt1.cotangent import _circuit_faces, _dim_on_faces, _isolated_circuits, _walk
 
 from _census_reps import representatives
 from _oracles import (
@@ -126,3 +130,45 @@ def test_walk_skips_b_in_no_link_circuit(monkeypatch, n, facets):
     # no face b with two or more vertices lies in a link circuit of these
     assert skipped > 0 and not [b for _, b in calls if b.bit_count() > 1]
     assert bool(calls) == (cx.rank > 2)
+
+
+def _random_complex(rng):
+    """A complex on 4 to 8 vertices with two to six random facets of one to
+    four vertices."""
+    n = rng.randint(4, 8)
+    facets = [rng.sample(range(1, n + 1), rng.randint(1, 4)) for _ in range(rng.randint(2, 6))]
+    return SimplicialComplex.from_facets(n, facets)
+
+
+RULE_COMPLEXES = [cx for n in range(1, 6) for cx in representatives(n)] + [
+    _random_complex(random.Random(seed)) for seed in range(300)
+]
+
+
+def test_graph_is_nonzero_only_in_a_proper_subset_of_a_circuit():
+    nonzero = 0
+    for cx in RULE_COMPLEXES:
+        for a in cx.face_masks():
+            link = cx.link_mask(a)
+            faces, in_circuits = link.face_masks(), _circuit_faces(link._circuit_masks())
+            assert in_circuits <= faces, (cx, a)
+            for b in faces - in_circuits - {0}:
+                assert _dim_on_faces(faces, b) == 0, (cx, a, b)
+            nonzero += sum(1 for b in in_circuits if _dim_on_faces(faces, b))
+    assert nonzero > 1000
+
+
+def test_walk_rows_are_the_face_scan_rows():
+    # at each link the walk lists, the nonzero rows are those of the graph
+    # at every nonempty face and of 1 at every isolated circuit
+    larger = 0
+    for cx in RULE_COMPLEXES:
+        for a, _, circuits, dims in _walk(cx):
+            if dims is None:
+                continue
+            faces = cx.link_mask(a).face_masks()
+            scan = {c: 1 for c in _isolated_circuits(circuits)}
+            scan.update((b, _dim_on_faces(faces, b)) for b in faces if b)
+            assert {b: d for b, d in dims if d} == {b: d for b, d in scan.items() if d}, (cx, a)
+            larger += max(f.bit_count() for f in faces) > 2
+    assert larger > 100

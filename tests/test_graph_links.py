@@ -6,24 +6,33 @@ faces off the adjacency: c(G[V \\ N[v]]) + e(G[N(v)]) - 1, clamped, at a
 vertex v, and at an edge {u, w} the number of common neighbours whose only
 neighbours are u and w.  `_walk` uses it at every such link, and
 `recognition._first_singleton_discrepancy` on a complex of dimension at
-most 1, with the circuit count |V \\ N[v]| + e(G[N(v)]) - 1 as the formula.
-Here both meet `cotangent._dim_on_faces` and the face path of the singleton
-test at every nonempty face of the census classes of dimension at most 1,
-of seeded random graphs with loops and isolated vertices, and of the
-degenerate complexes.
+most 1, with the circuit count |V \\ N[v]| + e(G[N(v)]) - 1 of
+`cotangent._graph_formula` as the formula; its circuits of two or more
+vertices are its non-edges and triangles, `cotangent._graph_circuits`.
+Here they meet `cotangent._dim_on_faces`, the face path of the singleton
+test and `complexes._minimal_nonfaces` on the census classes of dimension
+at most 1, on seeded random graphs with loops and isolated vertices, on the
+degenerate complexes and on the 64-vertex path and cycle.
 """
 
+import functools
 import random
 
 import pytest
 
-from srt1.complexes import SimplicialComplex, unpack
+from srt1 import cotangent
+from srt1.complexes import SimplicialComplex, _minimal_nonfaces, unpack
 from srt1.cotangent import (
     MultiDegree,
     _adjacency,
     _dim_on_faces,
+    _formula_on_link,
+    _graph_circuits,
     _graph_dims,
-    _singleton_dims,
+    _singleton_discrepancy,
+    _vertex_dims,
+    _walk,
+    t1_table,
 )
 from srt1.recognition import Discrepancy, _first_singleton_discrepancy, is_matroid_via_t1
 
@@ -55,15 +64,15 @@ def _graph_complexes():
 
 CENSUS, RANDOMS, DEGENERATE = _graph_complexes()
 GRAPHS = CENSUS + RANDOMS + DEGENERATE
+PATH_64 = SimplicialComplex.from_facets(64, [[v, v + 1] for v in range(1, 64)])
+CYCLE_64 = SimplicialComplex.from_facets(64, [[v, v % 64 + 1] for v in range(1, 65)])
 
 
 def _face_singletons(cx):
-    """The first singleton discrepancy by the face path, `_singleton_dims`."""
-    singles = _singleton_dims(cx.face_masks(), cx.minimal_nonface_masks(), cx.vertex_mask)
-    for b, graph, formula in singles:
-        if graph != formula:
-            return Discrepancy(MultiDegree((), unpack(b)), graph, formula)
-    return None
+    """The first singleton discrepancy by the face path, `_singleton_discrepancy`."""
+    formula = functools.partial(_formula_on_link, cx.minimal_nonface_masks())
+    found = _singleton_discrepancy(_vertex_dims(cx.face_masks(), cx.vertex_mask), formula)
+    return None if found is None else Discrepancy(MultiDegree((), unpack(found[0])), *found[1:])
 
 
 def test_the_battery_covers_every_kind_of_graph():
@@ -89,6 +98,22 @@ def test_rule_matches_the_graph_engine_at_every_face(graphs):
         assert [b for b, _ in got[: len(singles)]] == sorted(singles), cx
         checked += len(got)
     assert checked > 0
+
+
+@pytest.mark.parametrize(
+    "graphs, sizes",
+    [(CENSUS, {2, 3}), (RANDOMS, {2, 3}), (DEGENERATE, {2}), ([PATH_64, CYCLE_64], {2})],
+    ids=["census", "random", "degenerate", "path-and-cycle-64"],
+)
+def test_graph_circuits_are_the_minimal_nonfaces(graphs, sizes):
+    # the non-edges and the triangles, each once, are the circuits of two
+    # or more vertices; the loops, the vertices no facet covers, are left out
+    for cx in graphs:
+        got = _graph_circuits(_adjacency(cx.facet_masks))
+        want = [c for c in _minimal_nonfaces(cx.face_masks(), cx.n) if c & (c - 1)]
+        assert len(got) == len(set(got)) and sorted(got) == sorted(want), cx
+        sizes -= {c.bit_count() for c in got}
+    assert not sizes  # the battery reaches non-edges, and triangles where it has any
 
 
 @pytest.mark.parametrize(
@@ -120,3 +145,20 @@ def test_recognising_a_graph_builds_no_faces_and_no_circuits():
     star = SimplicialComplex.from_facets(64, [[1, v] for v in range(2, 65)])
     assert is_matroid_via_t1(star)  # K(1, 63), complete bipartite
     assert star._faces is None and star._mnf is None
+
+
+@pytest.mark.parametrize("cx", [PATH_64, CYCLE_64], ids=["path-64", "cycle-64"])
+def test_walk_builds_no_face_set_and_no_circuits_at_a_graph_link(monkeypatch, cx):
+    # the root link of a graph has rank 2, and the walk reads its circuits,
+    # its singleton test and its dims off the adjacency; every vertex link
+    # has rank 1 and needs none of them
+    calls = []
+    for name in ("_faces_of", "_minimal_nonfaces", "_dim_on_faces"):
+        real = getattr(cotangent, name)
+        monkeypatch.setattr(
+            cotangent, name, lambda *args, name=name, real=real: calls.append(name) or real(*args)
+        )
+    cx = SimplicialComplex(cx.n, cx.facet_masks)
+    assert [a for a, _, _, dims in _walk(cx) if dims is not None] == [0]
+    assert len(t1_table(cx)) >= 62  # 1 at the pair of each inner vertex link
+    assert calls == [] and cx._faces is None and cx._mnf is None

@@ -19,7 +19,8 @@ The dispatch guards check that a matroid's table and its reconstruction
 build no face set of a link, that no link of rank 1 gets a face set,
 circuits, the class rule or a face lookup, that non-matroids compute no
 singleton degree and no circuit family twice, that a graph link reads the
-rule once and counts no graph over faces, that only links failing the
+rule once and builds no circuit family and counts no graph over faces, that
+the graph runs only at faces in a circuit, that only links failing the
 singleton test run the graph past their singleton degrees, and that the
 recognition functions
 keep the graph, the rule on a 1-dimensional matroid and the face engine on
@@ -504,13 +505,14 @@ def _count_engine_calls(monkeypatch, faces):
     "n, facets", [(12, _path_edges(12)), (4, [[1, 2], [3, 4]])], ids=["path-12", "two-edges"]
 )
 def test_non_matroid_pays_once(monkeypatch, n, facets):
-    # a graph's table reads the rule once, at the root, where the circuit
-    # family is built once for the singleton test; the face engine never runs
+    # a graph's table reads the rule once, at the root, whose circuits come
+    # off the adjacency too; no circuit family is built and the face engine
+    # never runs
     cx = SimplicialComplex.from_facets(n, facets)
     want = graph_engine_table(SimplicialComplex.from_facets(n, facets))
     dims, circuits, rule = _count_engine_calls(monkeypatch, cx.face_masks())
     table = t1_table(cx)
-    assert circuits == [n]
+    assert circuits == []
     assert rule == [cotangent._adjacency(cx.facet_masks)]
     assert not dims
     assert {(k.A, k.b): d for k, d in table.items()} == want
@@ -524,17 +526,15 @@ def test_non_matroid_pays_once(monkeypatch, n, facets):
 )
 def test_non_matroid_of_dimension_two_pays_once_per_degree(monkeypatch, n, facets):
     # the root link is 2-dimensional, so the face engine runs there, once at
-    # each degree, a vertex in a circuit included (a vertex in none is 0 by
+    # each face in a circuit, a vertex included (a vertex in none is 0 by
     # rule 1), and every vertex link of dimension 1 takes the rule once
     cx = SimplicialComplex.from_facets(n, facets)
     want = graph_engine_table(SimplicialComplex.from_facets(n, facets))
-    in_circuits = _union(SimplicialComplex.from_facets(n, facets).minimal_nonface_masks())
+    mnf = SimplicialComplex.from_facets(n, facets).minimal_nonface_masks()
     dims, circuits, rule = _count_engine_calls(monkeypatch, cx.face_masks())
     table = t1_table(cx)
     assert circuits == [n]
-    assert max(dims.values()) == 1
-    singles = {1 << (v - 1) for v in cx.vertices()}
-    assert {b for b in dims if b.bit_count() == 1} == {b for b in singles if b & in_circuits}
+    assert max(dims.values()) == 1 and set(dims) == cotangent._circuit_faces(mnf)
     links = [cx.link_mask(1 << (v - 1)) for v in cx.vertices()]
     graph_links = [link.vertex_mask for link in links if link.rank == 2 and len(link.facet_masks) > 1]
     assert graph_links and sorted(map(_union, rule)) == sorted(graph_links)
@@ -584,9 +584,9 @@ def test_full_comparison_checks_what_the_shortcut_assumes(monkeypatch):
     # it, the full comparison reports it, and on a non-matroid both do
     before = formula_discrepancies(REMARK)
     real = cotangent._dim_on_faces
-    monkeypatch.setattr(
-        cotangent, "_dim_on_faces", lambda faces, b: real(faces, b) + (b.bit_count() > 1)
-    )
+    wrong = lambda faces, b: real(faces, b) + (b.bit_count() > 1)
+    monkeypatch.setattr(cotangent, "_dim_on_faces", wrong)
+    monkeypatch.setattr(recognition, "_dim_on_faces", wrong)
     assert formula_discrepancies(uniform(4, 2)) == []
     assert _all_discrepancies(uniform(4, 2))
     added = [d for d in formula_discrepancies(REMARK) if d not in before]

@@ -41,6 +41,12 @@ def test_uniform_shape():
         uniform(2, -1)
 
 
+@pytest.mark.parametrize("n, k", [(2.0, 1), (3, True), (True, 0), (3, 1.0), ("3", 1), (3, None)])
+def test_uniform_needs_integers(n, k):
+    with pytest.raises(ValueError, match="needs integers n and k"):
+        uniform(n, k)
+
+
 def test_known_matroids():
     for m in [uniform(4, 2), uniform(5, 1), uniform(3, 3), uniform(2, 0),
               uniform(2, 1) * uniform(2, 1),
