@@ -142,10 +142,8 @@ def _cmd_rigidity(args) -> int:
     cx = read_complex(args.complex)
     table = srt1.t1_table(cx)
     if len(table) == 0:
-        if srt1.is_matroid_exchange(cx):
-            sys.stdout.write("DISCRETE\n")
-        else:
-            sys.stdout.write("RIGID\n")
+        # a discrete matroid has one facet, any other matroid a nonzero degree
+        sys.stdout.write("DISCRETE\n" if len(cx.facet_masks) == 1 else "RIGID\n")
         return 0
     from .cotangent import _canonical
 

@@ -25,7 +25,7 @@ walk, `_walk`, visits the links and hands each to one of two engines.
 A link that passes the singleton test is a matroid (the recognition
 corollary), so by the main theorem its whole table, its isolated circuits
 included, is the circuit formula, which `_class_rows` reads off the link's
-vertices and circuits.  Every link above it is a contraction of it, and its
+circuits.  Every link above it is a contraction of it, and its
 vertices and circuits follow from those of the link one vertex below
 (`_matroid_links`), so no face set and no N_b is built above the singleton
 degrees of a matroid link.  A link whose d >= 2 facets are single vertices
@@ -439,7 +439,7 @@ def _walk(cx: SimplicialComplex) -> Iterator[tuple[int, int, list[int] | None, l
         while rest:
             v = rest & -rest
             rest ^= v
-            stack.append((a | v, [f ^ v for f in link_facets if f & v]))
+            stack.append((a | v, _link_facets(link_facets, v)))
 
 
 # ---------------------------------------------------------------------------
@@ -770,8 +770,9 @@ def t1_table(cx: SimplicialComplex, threads: int = 1) -> T1Table:
     link of dimension 1.  A link of rank 1 costs its vertices, a link of
     dimension 1 vertices x (vertices + edges), a larger link its faces x its
     vertices and its singleton graphs, then a matroid link per link above it
-    link circuits face lookups (none below rank 3) plus link vertices x link
-    circuits, and any other link one graph at each face in a circuit.
+    link circuits face lookups (none below rank 3) plus, per link vertex, a
+    few operations on an integer of link circuits x link vertices bits, and
+    any other link one graph at each face in a circuit.
 
     The table is computed in-process: each face's piece costs well under a
     millisecond, too little to repay a process pool.  `threads` is accepted
@@ -783,17 +784,17 @@ def t1_table(cx: SimplicialComplex, threads: int = 1) -> T1Table:
     return _table_of(cx, _walk(cx))
 
 
-def _matroid_table(cx: SimplicialComplex) -> T1Table:
-    """The table of a cx already known to be a matroid: the contraction walk
-    of `_matroid_links` from the empty face, with no singleton test."""
-    circuits = [c for c in cx._circuit_masks() if c & (c - 1)]
-    return _table_of(cx, [(0, cx.vertex_mask, circuits, None)])
+def _matroid_table(cx: SimplicialComplex) -> T1Table | None:
+    """t1_table(cx) if cx is a matroid, else None, from `_walk`'s first link,
+    cx itself: it fails the singleton test (dims) or ends the walk."""
+    root = list(itertools.islice(_walk(cx), 1))
+    return None if root and root[0][3] is not None else _table_of(cx, root)
 
 
-def _class_rows(link_vertices: int, link_circuits: list[int]) -> list[tuple[int, int]]:
+def _class_rows(link_circuits: list[int]) -> list[tuple[int, int]]:
     """(b, formula) at the degrees b of any link where the circuit formula
-    is positive, faces and nonfaces alike, from its vertices and circuits of
-    two or more vertices: on a matroid link, its whole table.
+    is positive, faces and nonfaces alike, from its circuits of two or more
+    vertices: on a matroid link, its whole table.
 
     The formula is nonzero only at a tame b, one that every circuit of the
     link L contains or misses, so all vertices of b lie in the same circuits.
@@ -806,18 +807,23 @@ def _class_rows(link_vertices: int, link_circuits: list[int]) -> list[tuple[int,
     lies in it alone, so its count is 1 and K gets 1, the formula at K; each
     isolated circuit of L with two or more vertices is such a class.  No face
     of L is looked up.
+
+    One integer, grid, lays the circuits side by side, `width` bytes each.
+    The circuits through the vertex bit 1 << j are its bits j + 8 * width * i,
+    which `ones` picks out, so a vertex costs a few operations on the whole
+    integer and no Python loop runs over the circuits.
     """
-    classes: dict[tuple[int, ...], int] = {}
-    rest = link_vertices
-    while rest:
-        u = rest & -rest
-        rest ^= u
-        key = tuple([c for c in link_circuits if c & u])
-        if key:
-            classes[key] = classes.get(key, 0) | u
+    width = -(-_union(link_circuits).bit_length() // 8)
+    grid = int.from_bytes(b"".join([c.to_bytes(width, "little") for c in link_circuits]), "little")
+    ones = int.from_bytes(b"\x01".ljust(width, b"\0") * len(link_circuits), "little")
+    classes: dict[int, int] = {}
+    for j in range(8 * width):
+        through = grid >> j & ones  # one bit per circuit through vertex j
+        if through:
+            classes[through] = classes.get(through, 0) | 1 << j
     out = []
-    for key, members in classes.items():
-        larger = len(key)  # the formula at a b of two or more vertices
+    for through, members in classes.items():
+        larger = through.bit_count()  # the formula at a b of two or more vertices
         single = larger - 1  # and at a singleton b
         for b in submasks(members):
             if b & (b - 1):
@@ -917,7 +923,7 @@ def _table_of(
             continue
         above = [(a, verts, None)] if circuits is None else _matroid_links(cx, a, verts, circuits)
         for a, v, c in above:
-            link_rows = _rank_one_rows(v) if c is None else _class_rows(v, c)
+            link_rows = _rank_one_rows(v) if c is None else _class_rows(c)
             rows += [((a, b), dim) for b, dim in link_rows]
     return T1Table._of_rows(cx.n, rows)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 
-from .complexes import SimplicialComplex, _ndel
+from .complexes import MAX_GROUND, SimplicialComplex, _check_ground, _ndel
 
 
 class NotAMatroidError(ValueError):
@@ -23,6 +23,7 @@ def uniform(n: int, k: int) -> SimplicialComplex:
         raise ValueError(f"uniform matroid needs integers n and k, got n={n!r}, k={k!r}")
     if not 0 <= k <= n:
         raise ValueError(f"uniform matroid needs 0 <= k <= n, got n={n}, k={k}")
+    _check_ground(n, MAX_GROUND)
     facets = itertools.combinations(range(1, n + 1), k)
     return SimplicialComplex.from_facets(n, facets)
 
@@ -117,7 +118,6 @@ def require_matroid(cx: SimplicialComplex, op: str) -> None:
 
 
 def is_discrete(cx: SimplicialComplex) -> bool:
-    """Whether a matroid consists of loops and coloops only (shape U(l,0) * U(c,c))."""
+    """Whether a matroid is loops and coloops only, U(l,0) * U(c,c): one facet."""
     require_matroid(cx, "is_discrete")
-    loops, coloops = cx.loops_and_coloops()
-    return len(loops) + len(coloops) == cx.n
+    return len(cx.facet_masks) == 1

@@ -112,9 +112,9 @@ def formula_discrepancies(cx: SimplicialComplex) -> list[Discrepancy]:
     """
     cx._require_nonvoid("formula_discrepancies")
     out = []
-    for a, verts, circuits, dims in _walk(cx):
+    for a, _, circuits, dims in _walk(cx):
         if dims is not None:
-            graph, formula = dict(dims), dict(_class_rows(verts, circuits))
+            graph, formula = dict(dims), dict(_class_rows(circuits))
             for b in graph.keys() | formula.keys():
                 if graph.get(b, 0) != formula.get(b, 0):
                     out.append(((a, b), graph.get(b, 0), formula.get(b, 0)))

@@ -11,8 +11,9 @@ whose shape names the vertices that complete F to a basis.
 
 Discrete matroids all share the empty table, so reconstructing from an empty
 table raises DiscreteAmbiguousError.  Tables consistent with no matroid at
-all raise NotAMatroidTableError; every returned complex is verified by
-recomputing its table.
+all raise NotAMatroidTableError.  The steps reuse the rules that write tables:
+a rank-one group must be the rows of `cotangent._rank_one_rows`, and the
+walk's root verifies every returned complex (`cotangent._matroid_table`).
 
 Every step reads the table's mask rows ((a, b), dim), which carry no order,
 and decodes no vertex tuple.  Where an order could show, in the entry the
@@ -26,8 +27,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .complexes import SimplicialComplex, pack, unpack
-from .cotangent import T1Table, _canonical, _mask_order, _matroid_table
-from .recognition import is_matroid_via_t1
+from .cotangent import T1Table, _canonical, _mask_order, _matroid_table, _rank_one_rows
 
 
 class DiscreteAmbiguousError(ValueError):
@@ -94,31 +94,28 @@ def rank_from_table(t: T1Table) -> int:
 def reconstruct_rank_one(t: T1Table, ground: Iterable[int]) -> tuple[int, ...]:
     """Non-loop vertices of a rank-one coloop-free matroid, from its table.
 
-    Shape U(m, 1) * U(l, 0): for m = 2 the table is a single pair entry
-    (0, {u, v}) -> 1 and the answer is {u, v}; for m > 2 it consists of the
-    singleton entries (0, {i}) -> m - 2 over the non-loops i.
+    Shape U(m, 1) * U(l, 0), m >= 2: A = 0 throughout, and the rows are
+    those `cotangent._rank_one_rows` writes for the union of the b's, the
+    m non-loops: (0, {u, v}) -> 1 for m = 2, (0, {i}) -> m - 2 for m > 2.
     """
     ground_set = frozenset(ground)
-    if any(a for a, _ in t._rows):
-        raise NotAMatroidTableError("rank-one table has an entry with nonempty A")
-    bs = [b for _, b in t._rows]
-    dims = list(t._rows.values())
-    if len(bs) == 1 and bs[0].bit_count() == 2 and dims[0] == 1:
-        members = unpack(bs[0])
-        if not set(members) <= ground_set:
-            raise NotAMatroidTableError(f"pair entry {members} leaves the ground set")
-        return members
-    if (
-        bs
-        and all(b.bit_count() == 1 for b in bs)
-        and len(set(dims)) == 1
-        and dims[0] == len(bs) - 2
-    ):
-        members = tuple(sorted(b.bit_length() for b in bs))
-        if not set(members) <= ground_set:
-            raise NotAMatroidTableError(f"singleton entries {members} leave the ground set")
-        return members
-    raise NotAMatroidTableError("table shape matches no rank-one matroid")
+    rows = t._rows
+    members = 0
+    for a, b in rows:
+        if a:
+            raise NotAMatroidTableError("rank-one table has an entry with nonempty A")
+        members |= b
+    shape = _rank_one_rows(members)  # empty for an empty table
+    bad = not shape or len(shape) != len(rows)
+    for b, d in shape:  # a plain loop: a generator or a dict per group is slower
+        bad = bad or rows.get((0, b)) != d
+    if bad:
+        raise NotAMatroidTableError("table shape matches no rank-one matroid")
+    out = unpack(members)
+    if not ground_set.issuperset(out):
+        entries = f"pair entry {out} leaves" if len(rows) == 1 else f"singleton entries {out} leave"
+        raise NotAMatroidTableError(f"{entries} the ground set")
+    return out
 
 
 def reconstruct(t: T1Table) -> SimplicialComplex:
@@ -127,10 +124,9 @@ def reconstruct(t: T1Table) -> SimplicialComplex:
     Classifies loops and coloops, peels the coloops off the A-supports, finds
     the core rank r, groups the core's entries with |A| = r - 1 by A in one
     pass, reads from each group the vertices that complete A to a basis and
-    reattaches the coloops.  The result is verified as a matroid by its
-    singleton degrees (`is_matroid_via_t1`) and then by recomputing its
-    table; any mismatch, including tables of non-matroid origin, raises
-    NotAMatroidTableError.
+    reattaches the coloops.  The result must pass the walk's singleton test
+    and give back t (`_matroid_table`), or NotAMatroidTableError is raised,
+    as for any table of non-matroid origin.
     """
     if len(t) == 0:
         raise DiscreteAmbiguousError(
@@ -154,10 +150,9 @@ def reconstruct(t: T1Table) -> SimplicialComplex:
         for v in reconstruct_rank_one(T1Table._of_rows(t.n, links[a]), rest):
             bases.add(a | 1 << (v - 1))
     candidate = SimplicialComplex(t.n, [b | coloops for b in bases])
-    if not is_matroid_via_t1(candidate):
+    back = _matroid_table(candidate)
+    if back is None:
         raise NotAMatroidTableError("recovered facets do not satisfy the exchange axiom")
-    # the singleton test has just proved candidate a matroid (the recognition
-    # corollary), so its table is the matroid branch of t1_table
-    if _matroid_table(candidate) != t:
+    if back != t:
         raise NotAMatroidTableError("recovered matroid does not reproduce the table")
     return candidate

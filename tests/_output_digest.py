@@ -10,11 +10,14 @@ one command checks that a change to the engine keeps every output.
 The inputs are every nonvoid labelled complex on at most five vertices
 (7774, the one on n = 0 included), the 1152 members of
 `perfbench/catalogue.json` in their generators' labelling, and U(10, 5),
-U(11, 4) and U(12, 6).  Each input adds one JSON line to the hash: the
-`t1_table` document and, per entry of `formula_discrepancies`, the list
-[A, b, graph dimension, formula dimension], each line dumped with
-`json.dumps` defaults.  Two trees print the same digest when they give the
-same tables and the same discrepancies, in the same order, on all of them.
+U(11, 4) and U(12, 6).  Each input adds one JSON line to the hash, a list
+of four items dumped with `json.dumps` defaults: the `t1_table` document;
+per entry of `formula_discrepancies`, the list [A, b, graph dimension,
+formula dimension]; the verdict of `is_matroid_via_t1`; and what
+`reconstruct` makes of the table, the document of the complex it returns or,
+when it raises a ValueError, "ExceptionName: message".  Two trees print the
+same digest when they give the same tables, discrepancies, verdicts and
+reconstructions, errors included, in the same order, on all of them.
 pytest does not collect this file.
 """
 
@@ -49,7 +52,8 @@ def inputs():
 
 def digest() -> tuple[str, int]:
     from srt1.cotangent import t1_table
-    from srt1.recognition import formula_discrepancies
+    from srt1.recognition import formula_discrepancies, is_matroid_via_t1
+    from srt1.reconstruction import reconstruct
 
     h = hashlib.sha256()
     count = 0
@@ -58,7 +62,12 @@ def digest() -> tuple[str, int]:
             [list(d.degree.A), list(d.degree.b), d.graph_dim, d.formula_dim]
             for d in formula_discrepancies(cx)
         ]
-        line = json.dumps([t1_table(cx).to_json_dict(), found])
+        table = t1_table(cx)
+        try:
+            back = reconstruct(table).to_json_dict()
+        except ValueError as exc:
+            back = f"{type(exc).__name__}: {exc}"
+        line = json.dumps([table.to_json_dict(), found, is_matroid_via_t1(cx), back])
         h.update(line.encode() + b"\n")
         count += 1
     return h.hexdigest(), count

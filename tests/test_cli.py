@@ -71,33 +71,44 @@ def test_cli_import_loads_no_census():
 
 
 # the srt1 modules in sys.modules after each subcommand: each module loads on
-# first use of a name it owns, so a subcommand loads only what it runs
+# first use of a name it owns, so a subcommand loads only what it runs;
+# `reconstruct` verifies through the walk of `cotangent`, and `rigidity`
+# decides an empty table by its facet count, with no matroid oracle
 _BASE = ["srt1", "srt1.cli", "srt1.complexes"]
 _T1 = _BASE + ["srt1.cotangent"]
 _RECOGNITION = _T1 + ["srt1.recognition"]
-_RECONSTRUCTION = _RECOGNITION + ["srt1.reconstruction"]
 LOADED = {
     "help": (["--help"], _BASE),
     "circuits": (["circuits", "{cx}"], _BASE),
     "exchange": (["is-matroid", "{cx}", "--method", "exchange"], _BASE + ["srt1.matroids"]),
     "t1": (["t1", "{cx}"], _T1),
     "rigidity": (["rigidity", "{cx}"], _T1),
+    "rigidity-discrete": (["rigidity", "{discrete}"], _T1),
+    "rigidity-rigid": (["rigidity", "{rigid}"], _T1),
     "is-matroid-t1": (["is-matroid", "{cx}", "--method", "t1"], _RECOGNITION),
     "discrepancies": (["discrepancies", "{cx}"], _RECOGNITION),
-    "reconstruct": (["reconstruct", "{table}"], _RECONSTRUCTION),
+    "reconstruct": (["reconstruct", "{table}"], _T1 + ["srt1.reconstruction"]),
     "census": (
         ["census", "--max-n", "1", "--threads", "1"],
-        _RECONSTRUCTION + ["srt1.census", "srt1.matroids"],
+        _RECOGNITION + ["srt1.census", "srt1.matroids", "srt1.reconstruction"],
     ),
 }
+# the complexes of the two rigidity rows: a simplex with loops, and a
+# non-matroid with an empty table
+DISCRETE_DOC = {"n": 3, "facets": [[3]]}
+RIGID_DOC = {"n": 3, "facets": [[1], [2, 3]]}
 
 
 @pytest.mark.parametrize("argv, loaded", LOADED.values(), ids=LOADED)
 def test_each_subcommand_loads_only_its_modules(tmp_path, argv, loaded):
-    cx = tmp_path / "cx.json"
-    cx.write_text(json.dumps(U32_DOC))
-    table = tmp_path / "table.json"
-    table.write_text(json.dumps(t1_table(SimplicialComplex.from_json_dict(U32_DOC)).to_json_dict()))
+    paths = {}
+    for name, doc in (("cx", U32_DOC), ("discrete", DISCRETE_DOC), ("rigid", RIGID_DOC)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    paths["table"] = tmp_path / "table.json"
+    paths["table"].write_text(
+        json.dumps(t1_table(SimplicialComplex.from_json_dict(U32_DOC)).to_json_dict())
+    )
     src = Path(__file__).resolve().parent.parent / "src"
     code = (
         "import sys\n"
@@ -108,7 +119,7 @@ def test_each_subcommand_loads_only_its_modules(tmp_path, argv, loaded):
         "    print(*sorted(m for m in sys.modules if m.split('.')[0] == 'srt1'), file=sys.stderr)\n"
     )
     err = subprocess.run(
-        [sys.executable, "-S", "-c", code, *(a.format(cx=cx, table=table) for a in argv)],
+        [sys.executable, "-S", "-c", code, *(a.format(**paths) for a in argv)],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
@@ -326,13 +337,13 @@ def test_reconstruct_reads_shuffled_rows_alike(capsys, tmp_path):
 
 def test_rigidity_discrete(capsys, tmp_path):
     p = tmp_path / "d.json"
-    p.write_text(json.dumps({"n": 3, "facets": [[3]]}))
+    p.write_text(json.dumps(DISCRETE_DOC))
     assert run_ok(capsys, ["rigidity", str(p)]) == "DISCRETE\n"
 
 
 def test_rigidity_rigid_nonmatroid(capsys, tmp_path):
     p = tmp_path / "r.json"
-    p.write_text(json.dumps({"n": 3, "facets": [[1], [2, 3]]}))
+    p.write_text(json.dumps(RIGID_DOC))
     assert run_ok(capsys, ["rigidity", str(p)]) == "RIGID\n"
 
 

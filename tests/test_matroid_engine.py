@@ -230,6 +230,50 @@ def test_engine_states_each_degree_once(monkeypatch):
     assert isolated
 
 
+def _class_rows_by_scan(circuits):
+    """The class rule by its definition: each vertex's circuits found by a
+    scan of all of them, each class a set of vertices with the same ones."""
+    classes = collections.defaultdict(int)
+    for v in range(64):
+        through = tuple(c for c in circuits if c >> v & 1)
+        if through:
+            classes[through] |= 1 << v
+    rows = set()
+    for through, members in classes.items():
+        count = len(through)
+        for b in submasks(members):
+            if b & (b - 1):
+                rows.add((b, count))
+            elif b and count > 1:
+                rows.add((b, count - 1))
+    return rows
+
+
+@pytest.mark.parametrize("top", [2, 7, 8, 9, 16, 17, 40, 63, 64])
+def test_class_rule_reads_every_width(top):
+    # the circuits through each vertex are read off one integer that packs
+    # the circuits a whole number of bytes apart; each byte width, up to the
+    # 64th vertex, and the classes that hold several vertices, read back
+    rng = random.Random(f"class-rows:{top}")
+    for _ in range(40):
+        verts = rng.sample(range(1, top + 1), min(top, rng.randint(2, 12)))
+        circuits = []
+        for _ in range(rng.randint(1, 30)):
+            size = rng.randint(2, min(5, len(verts)))
+            circuits.append(complexes.pack(rng.sample(verts, size), 64))
+        circuits = list(dict.fromkeys(circuits))
+        got = cotangent._class_rows(circuits)
+        assert len(got) == len(set(got))
+        assert set(got) == _class_rows_by_scan(circuits), circuits
+
+
+def test_class_rule_on_the_64_vertex_path():
+    # the root of the path: 1953 circuits, its non-edges, up to vertex 64
+    circuits = cotangent._graph_circuits(cotangent._adjacency(PATH_64.facet_masks))
+    assert len(circuits) == 1953
+    assert set(cotangent._class_rows(circuits)) == _class_rows_by_scan(circuits)
+
+
 @pytest.mark.parametrize("cx", MATROIDS, ids=[name for name, _ in NAMED])
 def test_class_rule_writes_each_isolated_circuit(cx):
     # an isolated circuit of a matroid link of rank 2 or more is a class of
@@ -242,7 +286,7 @@ def test_class_rule_writes_each_isolated_circuit(cx):
             rows = set(cotangent._rank_one_rows(verts))
             link_circuits = [c for c in cx.link_mask(a).minimal_nonface_masks() if c & (c - 1)]
         else:
-            rows = set(cotangent._class_rows(verts, link_circuits))
+            rows = set(cotangent._class_rows(link_circuits))
         for c in _isolated_circuits(link_circuits):
             assert (c, 1) in rows, (unpack(a), unpack(c))
 
@@ -303,8 +347,11 @@ def test_rank_one_rows_match_the_graph_on_random_graphs(seed):
     assert {(k.A, k.b): dim for k, dim in t1_table(cx).items()} == graph_engine_table(cx)
 
 
-def _all_pairs_in(verts, circuits):
+def _all_pairs_in(circuits):
+    # the circuits of U(d, 1) with loops hold every pair of their vertices;
+    # no link of the inputs below has a coloop, which no circuit would show
     found = set(circuits)
+    verts = _union(circuits)
     bits = [1 << i for i in range(verts.bit_length()) if verts >> i & 1]
     return len(bits) > 1 and all(u | w in found for u, w in itertools.combinations(bits, 2))
 

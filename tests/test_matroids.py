@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from srt1.complexes import SimplicialComplex, VoidComplexError, unpack
+from srt1 import matroids
+from srt1.complexes import SimplicialComplex, VertexRangeError, VoidComplexError, unpack
 from srt1.matroids import (
     NotAMatroidError,
     is_discrete,
@@ -44,6 +45,16 @@ def test_uniform_shape():
 @pytest.mark.parametrize("n, k", [(2.0, 1), (3, True), (True, 0), (3, 1.0), ("3", 1), (3, None)])
 def test_uniform_needs_integers(n, k):
     with pytest.raises(ValueError, match="needs integers n and k"):
+        uniform(n, k)
+
+
+@pytest.mark.parametrize("n, k", [(65, 2), (80, 40)])
+def test_uniform_checks_the_ground_size_before_enumerating(monkeypatch, n, k):
+    def enumerate_nothing(*args):
+        raise AssertionError(f"combinations{args} was called")
+
+    monkeypatch.setattr(matroids.itertools, "combinations", enumerate_nothing)
+    with pytest.raises(VertexRangeError, match=f"^ground size {n} exceeds limit 64$"):
         uniform(n, k)
 
 

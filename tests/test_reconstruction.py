@@ -4,7 +4,7 @@ import random
 import pytest
 
 from srt1.complexes import SimplicialComplex, VertexRangeError
-from srt1.cotangent import MultiDegree, T1Table, t1_table
+from srt1.cotangent import MultiDegree, T1Table, _matroid_table, t1_table
 from srt1.matroids import is_discrete, is_matroid_exchange, uniform
 from srt1.reconstruction import (
     DiscreteAmbiguousError,
@@ -303,3 +303,91 @@ def test_row_order_of_a_document_changes_nothing():
             got = [outcome(fn, shuffled) for fn in (reconstruct, classify_loops_coloops)]
             assert got == want, doc
     assert {"NotAMatroidTableError", "DiscreteAmbiguousError"} <= errors
+
+
+# -- the readers decide by the rules that write the table ------------------------------
+
+CENSUS = [cx for n in range(1, 6) for cx in representatives(n)]
+
+
+def test_matroid_table_is_the_walks_root_verdict():
+    # the first link of the walk decides: None exactly on the non-matroids,
+    # the whole table on the matroids
+    assert len(CENSUS) == 253
+    nones = 0
+    for cx in CENSUS:
+        back = _matroid_table(cx)
+        if is_matroid_exchange(cx):
+            assert back == t1_table(cx), cx
+        else:
+            assert back is None, cx
+            nones += 1
+    assert nones == 184
+
+
+def test_an_empty_table_is_discrete_exactly_on_one_facet():
+    # a discrete matroid is a simplex with loops; every other matroid has a
+    # nonzero degree, so an empty table on two or more facets is no matroid's
+    empty = [cx for cx in CENSUS if len(t1_table(cx)) == 0]
+    assert len(empty) == 37
+    for cx in empty:
+        assert (len(cx.facet_masks) == 1) == is_matroid_exchange(cx), cx
+    for cx in CENSUS:
+        if is_matroid_exchange(cx):
+            loops, coloops = cx.loops_and_coloops()
+            assert is_discrete(cx) == (len(loops) + len(coloops) == cx.n), cx
+
+
+def _rank_one_table(n, members):
+    return t1_table(SimplicialComplex.from_facets(n, [[v] for v in members]))
+
+
+def test_rank_one_reads_back_uniform_rank_one_with_loops():
+    rng = random.Random(22)
+    for d in range(2, 13):
+        n = d + 3
+        members = tuple(sorted(rng.sample(range(1, n + 1), d)))
+        t = _rank_one_table(n, members)
+        assert reconstruct_rank_one(t, range(1, n + 1)) == members, d
+        assert reconstruct_rank_one(t, members) == members, d
+
+
+def _rows(t, extra=(), drop=()):
+    rows = {(e.A, e.b): dim for e, dim in t.items() if (e.A, e.b) not in drop}
+    rows.update(extra)
+    return T1Table(t.n, list(rows.items()))
+
+
+SHAPE = "table shape matches no rank-one matroid"
+NONEMPTY_A = "rank-one table has an entry with nonempty A"
+
+
+@pytest.mark.parametrize(
+    "members, change, ground, message",
+    [
+        # U(4, 1) with the loops 5 and 6: (0, {i}) -> 2 at i = 1..4
+        ((1, 2, 3, 4), {"extra": {((), (1,)): 3}}, None, SHAPE),
+        ((1, 2, 3, 4), {"drop": [((), (4,))]}, None, SHAPE),
+        ((1, 2, 3, 4), {"extra": {((), (5,)): 2}}, None, SHAPE),
+        ((1, 2, 3, 4), {"extra": {((), (5, 6)): 1}}, None, SHAPE),
+        ((1, 2, 3, 4), {"extra": {((5,), (6,)): 1}}, None, NONEMPTY_A),
+        ((1, 2, 3, 4), {}, (1, 2, 3, 5, 6), "singleton entries (1, 2, 3, 4) leave the ground set"),
+        # U(2, 1) with the loops: (0, {1, 2}) -> 1
+        ((1, 2), {"extra": {((), (1, 2)): 2}}, None, SHAPE),
+        ((1, 2), {"drop": [((), (1, 2))]}, None, SHAPE),  # the empty table
+        ((1, 2), {"extra": {((), (3,)): 1}}, None, SHAPE),
+        ((1, 2), {"extra": {((3,), (1,)): 1}}, None, NONEMPTY_A),
+        ((1, 2), {}, (2, 3, 4, 5, 6), "pair entry (1, 2) leaves the ground set"),
+        # U(3, 1): (0, {i}) -> 1 at i = 1..3, beside a pair
+        ((1, 2, 3), {"extra": {((), (4, 5)): 1}}, None, SHAPE),
+        # a nonempty A comes first, then the shape, then the ground
+        ((1, 2, 3), {"extra": {((), (4,)): 7, ((4,), (5,)): 1}}, (), NONEMPTY_A),
+        ((1, 2, 3), {"extra": {((), (4,)): 7}}, (), SHAPE),
+    ],
+)
+def test_rank_one_corruptions_keep_their_messages(members, change, ground, message):
+    t = _rows(_rank_one_table(6, members), **change)
+    ground = range(1, 7) if ground is None else ground
+    with pytest.raises(NotAMatroidTableError) as info:
+        reconstruct_rank_one(t, ground)
+    assert str(info.value) == message
