@@ -25,11 +25,16 @@ walk, `_walk`, visits the links and hands each to one of two engines.
 A link that passes the singleton test is a matroid (the recognition
 corollary), so by the main theorem its whole table, its isolated circuits
 included, is the circuit formula, which `_class_rows` reads off the link's
-circuits.  Every link above it is a contraction of it, and its
-vertices and circuits follow from those of the link one vertex below
-(`_matroid_links`), so no face set and no N_b is built above the singleton
-degrees of a matroid link.  A link whose d >= 2 facets are single vertices
-is U(d, 1) with loops, and `_rank_one_rows` writes its rows from d alone.
+circuits.  Every link above it is a contraction of it, so no face set and
+no N_b is built above the singleton degrees of a matroid link.  When its
+circuits are all the r + 1-subsets of their union W (`_uniform_shape`), it
+is U(|W|, r) joined with a simplex on its coloops, as is every link above
+it with r lowered by each vertex of W in the face, and `_uniform_rows`
+writes each one's rows from |W| and r alone (`_uniform_up_set`); a link
+whose d >= 2 facets are single vertices is U(d, 1) with loops, the case
+r = 1.  Above any other matroid link the vertices and circuits of a link
+follow from those of the link one vertex below (`_matroid_links`), and the
+rows of each link are computed once per vertex mask, which fixes the flat.
 
 Any other link takes 1 at each of its isolated circuits, its only nonzero
 nonface degrees, and the graph dimension at its nonempty faces b, both
@@ -60,6 +65,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .complexes import (
@@ -378,14 +384,16 @@ def _walk(cx: SimplicialComplex) -> Iterator[tuple[int, int, list[int] | None, l
     * a link with a facet of two or more vertices that passes the singleton
       test is a matroid.  It comes with dims None, and the walk goes no
       higher: every link above it is a contraction of it, which
-      `_matroid_links` reaches from it.
+      `_table_of` writes from the link's shape (`_uniform_up_set`) or
+      reaches through `_matroid_links`.
     * any other link comes with dims, its whole table: (c, 1) at each
       isolated circuit c, then (b, graph dimension) at each nonempty face b
       of a link of dimension 1, and at the `_circuit_faces` of a larger
       link, any other face being 0 by rule 1.
 
     A link of dimension 1 is read off its adjacency (`_graph_circuits`,
-    `_graph_formula`); a larger one counts the graph at its vertices in a
+    `_graph_formula`), at its vertices for the singleton test, then at its
+    edges if it fails; a larger one counts the graph at its vertices in a
     circuit for the singleton test, then at its wider `_circuit_faces`.
 
     A face in exactly one facet F is skipped with every face above it,
@@ -417,7 +425,8 @@ def _walk(cx: SimplicialComplex) -> Iterator[tuple[int, int, list[int] | None, l
             continue
         if rank == 2:
             adj = _adjacency(link_facets)
-            circuits, dims = _graph_circuits(adj), list(_graph_dims(adj))
+            graph = _graph_dims(adj)  # each vertex, then each edge, lazily
+            circuits, dims = _graph_circuits(adj), list(itertools.islice(graph, len(adj)))
             formula = functools.partial(_graph_formula, adj, verts)
         else:
             if a:
@@ -431,7 +440,9 @@ def _walk(cx: SimplicialComplex) -> Iterator[tuple[int, int, list[int] | None, l
         if _singleton_discrepancy(dims, formula) is None:
             yield a, verts, circuits, None
             continue
-        if rank > 2:
+        if rank == 2:
+            dims += graph
+        else:
             wider = [b for b in _circuit_faces(circuits) if b & (b - 1)]
             dims += [(b, _dim_on_faces(link_faces, b)) for b in wider]
         yield a, verts, circuits, [(c, 1) for c in _isolated_circuits(circuits)] + dims
@@ -761,18 +772,22 @@ def t1_table(cx: SimplicialComplex, threads: int = 1) -> T1Table:
 
     The nonzero degrees of a link are among its nonempty faces and its
     isolated circuits with more than one vertex; every other degree is
-    provably zero.  `_walk` supplies the dimensions link by link: at a link
-    of rank 1 the rows of U(d, 1); at any other matroid link the circuit
-    formula of `_class_rows`, on it and on every link above it, whose
-    vertices and circuits `_matroid_links` derives from the parent link's
-    by contraction; at any other link 1 at each isolated circuit and the
-    graph dimension at each face in a circuit, read off the adjacency at a
-    link of dimension 1.  A link of rank 1 costs its vertices, a link of
-    dimension 1 vertices x (vertices + edges), a larger link its faces x its
-    vertices and its singleton graphs, then a matroid link per link above it
-    link circuits face lookups (none below rank 3) plus, per link vertex, a
-    few operations on an integer of link circuits x link vertices bits, and
-    any other link one graph at each face in a circuit.
+    provably zero.  `_walk` supplies the dimensions link by link: at a
+    uniform matroid link with coloops, a link of rank 1 among them, the rows
+    of `_uniform_rows` on it and on every link above it; at any other
+    matroid link the circuit formula of `_class_rows`, on it and on every
+    link above it, whose vertices and circuits `_matroid_links` derives from
+    the parent link's by contraction; at any other link 1 at each isolated
+    circuit and the graph dimension at each face in a circuit, read off the
+    adjacency at a link of dimension 1.  A link of rank 1 costs its
+    vertices, a link of dimension 1 vertices x vertices for its singleton
+    test and vertices x edges more only if it fails, and a larger link its
+    faces x its vertices and its singleton graphs.  Then a uniform matroid
+    link costs one pass over its circuits and the rows it writes, with no
+    circuit or lookup above it; any other matroid link costs, per link
+    above it, link circuits face lookups (none below rank 3), and per flat,
+    a few operations on an integer of link circuits x link vertices bits
+    per link vertex; and any other link one graph at each face in a circuit.
 
     The table is computed in-process: each face's piece costs well under a
     millisecond, too little to repay a process pool.  `threads` is accepted
@@ -833,14 +848,59 @@ def _class_rows(link_circuits: list[int]) -> list[tuple[int, int]]:
     return out
 
 
-def _rank_one_rows(link_vertices: int) -> list[tuple[int, int]]:
-    """`_class_rows` on a link of rank 1, U(d, 1) with loops, from its d >= 2
-    vertices alone: its circuits are the pairs, so for d >= 3 each vertex is
-    a class in d - 1 of them, with d - 2, and for d = 2 the pair gets 1."""
-    d = link_vertices.bit_count()
-    if d == 2:
-        return [(link_vertices, 1)]
-    return [(1 << i, d - 2) for i in range(link_vertices.bit_length()) if link_vertices >> i & 1]
+def _uniform_rows(part: int, rank: int) -> list[tuple[int, int]]:
+    """`_class_rows` on U(m, rank) with 1 <= rank < m, on the m vertices of
+    part, from m and rank alone.  Its circuits are the rank + 1-subsets of
+    part.  For m > rank + 1 each vertex lies in C(m - 1, rank) of them and
+    no other vertex lies in just the same ones, so each vertex is a class
+    with C(m - 1, rank) - 1; for m = rank + 1 part is the one circuit, a
+    class whose subsets of two or more vertices get 1.  Rank 1 is U(d, 1):
+    d - 2 at each vertex for d >= 3, and 1 at the pair for d = 2."""
+    m = part.bit_count()
+    if m == 2:  # U(2, 1), most links of a graph: the pair alone, unlisted
+        return [(part, 1)]
+    if m == rank + 1:
+        return [(b, 1) for b in submasks(part) if b & (b - 1)]
+    dim = math.comb(m - 1, rank) - 1
+    return [(1 << i, dim) for i in range(part.bit_length()) if part >> i & 1]
+
+
+def _uniform_shape(link_circuits: list[int]) -> tuple[int, int] | None:
+    """(W, r) when a matroid link's circuits, each of two or more vertices,
+    are all the r + 1-subsets of their union W, else None.  They are
+    distinct, so one size per circuit and one count against C(|W|, r + 1)
+    decide it.  Such a link is U(|W|, r) joined with a simplex on its other
+    vertices, its coloops, which lie in no circuit."""
+    sizes = {c.bit_count() for c in link_circuits}
+    if len(sizes) != 1:
+        return None
+    (size,) = sizes
+    part = _union(link_circuits)
+    return (part, size - 1) if len(link_circuits) == math.comb(part.bit_count(), size) else None
+
+
+def _uniform_up_set(a: int, verts: int, part: int, rank: int) -> list[tuple[tuple[int, int], int]]:
+    """The rows ((a', b), dim) of the link at a, U(|part|, rank) joined with
+    a simplex on its coloops verts - part, and of each link above it that
+    `_walk` reaches: a' = a u S for S within verts above a's highest vertex.
+    Contracting a vertex of part lowers the rank by one and contracting a
+    coloop leaves it, so the link at a' is U(|part - S|, rank - |S n part|)
+    joined with the coloops outside S, in two or more facets exactly when
+    |S n part| < rank; any other a' lies in one facet and has no rows.  No
+    circuit, contraction or face lookup is made."""
+    above = -(1 << a.bit_length())
+    coloops = list(submasks(verts & ~part & above))
+    free = part & above
+    bits = [1 << i for i in range(free.bit_length()) if free >> i & 1]
+    out = []
+    for size in range(rank):
+        for picked in itertools.combinations(bits, size):
+            s = sum(picked)
+            link_rows = _uniform_rows(part ^ s, rank - size)
+            for c in coloops:
+                face = a | s | c
+                out += [((face, b), dim) for b, dim in link_rows]
+    return out
 
 
 def _matroid_links(
@@ -911,8 +971,17 @@ def _table_of(
 ) -> T1Table:
     """The table of cx from links as `_walk` yields them: the nonzero
     (b, dim) pairs of each link, and no other rows.  A matroid link (dims
-    None) stands for itself and every link above it (`_matroid_links`), and
-    each takes the pairs of `_rank_one_rows` at rank 1, of `_class_rows` else.
+    None) stands for itself and every link above it.  A link of rank 1 is
+    U(d, 1) with loops, with only simplices above it, and takes
+    `_uniform_rows` at rank 1.  When a link is uniform with coloops
+    (`_uniform_shape`), so is every link above it, and `_uniform_up_set`
+    writes them all from the shape.  Any other matroid link reaches the
+    links above it through `_matroid_links`, each taking `_uniform_rows` at
+    rank 1 and `_class_rows` else.  Those rows are kept by vertex mask,
+    which fixes a link within one matroid: for an independent A of a
+    matroid M, link(A) is M/cl(A) less its loops, on the vertices E - cl(A)
+    (Oxley, Matroid Theory, 3.1).  Each matroid link of a non-matroid cx is
+    a separate matroid, so the memo is not shared between them.
 
     The rows are written as `T1Table` keeps them, ((a, b), dim) with a and
     b masks, in the order the links come, and sorted nowhere."""
@@ -921,9 +990,18 @@ def _table_of(
         if dims is not None:
             rows += [((a, b), dim) for b, dim in dims if dim]
             continue
-        above = [(a, verts, None)] if circuits is None else _matroid_links(cx, a, verts, circuits)
-        for a, v, c in above:
-            link_rows = _rank_one_rows(v) if c is None else _class_rows(c)
+        if circuits is None:  # U(d, 1) with loops, and nothing above it
+            rows += [((a, b), dim) for b, dim in _uniform_rows(verts, 1)]
+            continue
+        shape = _uniform_shape(circuits)
+        if shape is not None:
+            rows += _uniform_up_set(a, verts, *shape)
+            continue
+        by_flat: dict[int, list[tuple[int, int]]] = {}
+        for a, v, c in _matroid_links(cx, a, verts, circuits):
+            link_rows = by_flat.get(v)
+            if link_rows is None:
+                link_rows = by_flat[v] = _uniform_rows(v, 1) if c is None else _class_rows(c)
             rows += [((a, b), dim) for b, dim in link_rows]
     return T1Table._of_rows(cx.n, rows)
 

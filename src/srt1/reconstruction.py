@@ -12,8 +12,8 @@ whose shape names the vertices that complete F to a basis.
 Discrete matroids all share the empty table, so reconstructing from an empty
 table raises DiscreteAmbiguousError.  Tables consistent with no matroid at
 all raise NotAMatroidTableError.  The steps reuse the rules that write tables:
-a rank-one group must be the rows of `cotangent._rank_one_rows`, and the
-walk's root verifies every returned complex (`cotangent._matroid_table`).
+a rank-one group must be the rows of `cotangent._uniform_rows` at rank 1, and
+the walk's root verifies every returned complex (`cotangent._matroid_table`).
 
 Every step reads the table's mask rows ((a, b), dim), which carry no order,
 and decodes no vertex tuple.  Where an order could show, in the entry the
@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .complexes import SimplicialComplex, pack, unpack
-from .cotangent import T1Table, _canonical, _mask_order, _matroid_table, _rank_one_rows
+from .cotangent import T1Table, _canonical, _mask_order, _matroid_table, _uniform_rows
 
 
 class DiscreteAmbiguousError(ValueError):
@@ -95,8 +95,9 @@ def reconstruct_rank_one(t: T1Table, ground: Iterable[int]) -> tuple[int, ...]:
     """Non-loop vertices of a rank-one coloop-free matroid, from its table.
 
     Shape U(m, 1) * U(l, 0), m >= 2: A = 0 throughout, and the rows are
-    those `cotangent._rank_one_rows` writes for the union of the b's, the
-    m non-loops: (0, {u, v}) -> 1 for m = 2, (0, {i}) -> m - 2 for m > 2.
+    those `cotangent._uniform_rows` writes at rank 1 for the union of the
+    b's, the m non-loops: (0, {u, v}) -> 1 for m = 2, (0, {i}) -> m - 2 for
+    m > 2.
     """
     ground_set = frozenset(ground)
     rows = t._rows
@@ -105,7 +106,7 @@ def reconstruct_rank_one(t: T1Table, ground: Iterable[int]) -> tuple[int, ...]:
         if a:
             raise NotAMatroidTableError("rank-one table has an entry with nonempty A")
         members |= b
-    shape = _rank_one_rows(members)  # empty for an empty table
+    shape = _uniform_rows(members, 1) if members & (members - 1) else []
     bad = not shape or len(shape) != len(rows)
     for b, d in shape:  # a plain loop: a generator or a dict per group is slower
         bad = bad or rows.get((0, b)) != d

@@ -1,4 +1,4 @@
-"""One sha256 over the library's outputs on a fixed set of 8929 inputs.
+"""One sha256 over the library's outputs on a fixed set of 8932 inputs.
 
 Run from the repository root:
 
@@ -9,8 +9,12 @@ one command checks that a change to the engine keeps every output.
 
 The inputs are every nonvoid labelled complex on at most five vertices
 (7774, the one on n = 0 included), the 1152 members of
-`perfbench/catalogue.json` in their generators' labelling, and U(10, 5),
-U(11, 4) and U(12, 6).  Each input adds one JSON line to the hash, a list
+`perfbench/catalogue.json` in their generators' labelling, U(10, 5),
+U(11, 4) and U(12, 6), and three matroids that reach each matroid rule of
+the engine past the census: M(K6), the spanning trees of the complete graph
+on six nodes, whose links the contraction walk reaches and whose flats
+repeat; U(7, 4) with each element doubled; and U(8, 4) joined with two
+coloops, written from its uniform shape.  Each input adds one JSON line to the hash, a list
 of four items dumped with `json.dumps` defaults: the `t1_table` document;
 per entry of `formula_discrepancies`, the list [A, b, graph dimension,
 formula dimension]; the verdict of `is_matroid_via_t1`; and what
@@ -22,6 +26,7 @@ pytest does not collect this file.
 """
 
 import hashlib
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -48,6 +53,36 @@ def inputs():
                 yield SimplicialComplex.from_facets(item["n"], item["facets"])
     for n, k in ((10, 5), (11, 4), (12, 6)):
         yield uniform(n, k)
+    yield complete_graph_matroid(6)
+    doubled = [
+        [2 * v - j for v, j in zip(f, picks)]
+        for f in uniform(7, 4).facets
+        for picks in itertools.product((0, 1), repeat=4)
+    ]
+    yield SimplicialComplex.from_facets(14, doubled)
+    yield uniform(8, 4).join(SimplicialComplex.from_facets(2, [[1, 2]]))
+
+
+def complete_graph_matroid(nodes: int):
+    """M(K_nodes): its bases are the spanning trees, its elements the edges
+    in lexicographic order."""
+    from srt1.complexes import SimplicialComplex
+
+    edges = list(itertools.combinations(range(nodes), 2))
+
+    def spanning(subset) -> bool:
+        reach = list(range(nodes))  # each node's component label
+        for i in subset:
+            u, w = reach[edges[i][0]], reach[edges[i][1]]
+            if u == w:
+                return False
+            reach = [u if r == w else r for r in reach]
+        return True
+
+    trees = itertools.combinations(range(len(edges)), nodes - 1)
+    return SimplicialComplex.from_facets(
+        len(edges), [[i + 1 for i in s] for s in trees if spanning(s)]
+    )
 
 
 def digest() -> tuple[str, int]:

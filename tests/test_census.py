@@ -194,13 +194,27 @@ def _class_rows_drop_singletons(monkeypatch):
 
 
 def _rank_one_vertices_one_too_high(monkeypatch):
-    # a link of rank 1 on d >= 3 vertices gets d - 1 at each vertex, not d - 2
-    rank_one_rows = cotangent._rank_one_rows
+    # the uniform rule at rank 1, U(d, 1) on d >= 3 vertices, gives d - 1 at
+    # each vertex, not d - 2
+    uniform_rows = cotangent._uniform_rows
 
-    def wrong(link_vertices):
-        return [(b, d + (not b & (b - 1))) for b, d in rank_one_rows(link_vertices)]
+    def wrong(part, rank):
+        rows = uniform_rows(part, rank)
+        return [(b, d + (not b & (b - 1))) for b, d in rows] if rank == 1 else rows
 
-    monkeypatch.setattr(cotangent, "_rank_one_rows", wrong)
+    monkeypatch.setattr(cotangent, "_uniform_rows", wrong)
+
+
+def _uniform_vertices_one_too_high(monkeypatch):
+    # the uniform rule at rank 2 or more gives C(m - 1, r) at each vertex of
+    # U(m, r), m > r + 1, not C(m - 1, r) - 1
+    uniform_rows = cotangent._uniform_rows
+
+    def wrong(part, rank):
+        rows = uniform_rows(part, rank)
+        return [(b, d + (not b & (b - 1))) for b, d in rows] if rank > 1 else rows
+
+    monkeypatch.setattr(cotangent, "_uniform_rows", wrong)
 
 
 def _graph_vertices_one_too_high(monkeypatch):
@@ -293,13 +307,14 @@ MUTANTS = {
             "upper-bound",
         },
     ),
-    "class-rows-drop-singletons": (
-        _class_rows_drop_singletons,
-        {"link-reduction", "loop-coloop-classify", "round-trip"},
-    ),
+    "class-rows-drop-singletons": (_class_rows_drop_singletons, {"link-reduction"}),
     "rank-one-vertices-one-too-high": (
         _rank_one_vertices_one_too_high,
-        {"link-reduction", "loop-coloop-classify", "round-trip"},
+        {"link-reduction", "round-trip"},
+    ),
+    "uniform-vertices-one-too-high": (
+        _uniform_vertices_one_too_high,
+        {"link-reduction"},
     ),
     "graph-vertices-one-too-high": (
         _graph_vertices_one_too_high,

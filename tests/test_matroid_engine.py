@@ -1,33 +1,45 @@
 """The closed-form matroid path of `t1_table` against the graph engine.
 
 `t1_table` follows the walk `cotangent._walk`, which sends each link of
-rank 1 to the rank-one rule of `cotangent._rank_one_rows`, each other link
-that passes the singleton test to the class rule of `cotangent._class_rows`
-and every other link to the graph dimensions, read off the adjacency by
-`cotangent._graph_dims` at a link of dimension 1.  The class rule reads the
-vertices and circuits of a matroid link, and of each link above it, off the
-walk `cotangent._matroid_links`, which derives them from the parent link by
-contraction and steps to a link of rank 1 without circuits or lookups.  The
-rank-one rule meets the graph on U(d, 1) for d = 2..12, with and without
-loops, on every link of rank 1 of the census classes and on seeded random
-graphs.  The contraction walk meets the links built from their faces,
-and `t1_table` meets an independent graph table (the graph at every face of
-every link, each built from its facets) on every census class, on every
-U(n, k) with n <= 8, on seeded partition and graphic matroids on 8 and 9
-elements, some with loops and coloops, and on a non-matroid near U(10, 5).
-The dispatch guards check that a matroid's table and its reconstruction
-build no face set of a link, that no link of rank 1 gets a face set,
-circuits, the class rule or a face lookup, that non-matroids compute no
-singleton degree and no circuit family twice, that a graph link reads the
-rule once and builds no circuit family and counts no graph over faces, that
-the graph runs only at faces in a circuit, that only links failing the
-singleton test run the graph past their singleton degrees, and that the
-recognition functions
-keep the graph, the rule on a 1-dimensional matroid and the face engine on
-a 2-dimensional one: `formula_discrepancies` at the singleton degrees of
-every link the walk reaches, the private full comparison at every degree.
-`t1_table` builds its table without the entry checks, so the checking
-constructors are run on what it builds, matroid or not.
+rank 1, and each other link that passes the singleton test, to the matroid
+rules of `cotangent._table_of`, and every other link to the graph
+dimensions, read off the adjacency by `cotangent._graph_dims` at a link of
+dimension 1.  A matroid link whose circuits are all the r + 1-subsets of
+their union W (`cotangent._uniform_shape`), a link of rank 1 among them, is
+U(|W|, r) with coloops, and the uniform rule `cotangent._uniform_rows`
+writes it and every link above it (`cotangent._uniform_up_set`).  Any other
+matroid link takes the class rule `cotangent._class_rows`, at it and at
+each link above it, whose vertices and circuits the walk
+`cotangent._matroid_links` derives from the parent link by contraction,
+stepping to a link of rank 1 without circuits or lookups; the rows are
+kept once per vertex mask, the link's flat.  The uniform rule meets the
+class rule on U(m, r) with 0, 1 or 2 coloops for 1 <= r < m <= 10, and at
+rank 1 the graph on U(d, 1) for d = 2..12, with and without loops, on every
+link of rank 1 of the census classes and on seeded random graphs.  The
+contraction walk meets the links built from their faces, and `t1_table`
+meets an independent graph table (the graph at every face of every link,
+each built from its facets) on every census class, on every U(n, k) with
+n <= 8, on seeded partition and graphic matroids on 8 and 9 elements, some
+with loops and coloops, and on a non-matroid near U(10, 5); and the class
+rule at every face, on circuits of links built from their facets, on
+M(K5), M(K6), U(5, 3) with each element tripled, U(7, 4) with each element
+doubled and seeded partition matroids with coloops.  The dispatch guards
+check that a matroid's table and its reconstruction build no face set of a
+link, that no link of rank 1 gets a face set, circuits, the class rule or a
+face lookup, that a uniform link and the links above it run no class rule
+and no contraction, that the class rule runs once per flat of M(K6) and
+keeps no rows across the matroid links of a non-matroid, that
+non-matroids compute no singleton degree and no circuit family twice, that
+a graph link reads the rule once, counts its edges only when it fails the
+singleton test, and builds no circuit family and counts no graph over
+faces, that the graph runs only at faces in a circuit, that only links
+failing the singleton test run the graph past their singleton degrees, and
+that the recognition functions keep the graph, the rule on a 1-dimensional
+matroid and the face engine on a 2-dimensional one:
+`formula_discrepancies` at the singleton degrees of every link the walk
+reaches, the private full comparison at every degree.  `t1_table` builds
+its table without the entry checks, so the checking constructors are run
+on what it builds, matroid or not.
 """
 
 import collections
@@ -278,12 +290,12 @@ def test_class_rule_on_the_64_vertex_path():
 def test_class_rule_writes_each_isolated_circuit(cx):
     # an isolated circuit of a matroid link of rank 2 or more is a class of
     # the class rule, which gives it the formula's 1 with the link's other
-    # rows; on a link of rank 1 it is the pair of U(2, 1), and the rank-one
-    # rule gives it 1
+    # rows; on a link of rank 1 it is the pair of U(2, 1), and the uniform
+    # rule at rank 1 gives it 1
     circuits = [c for c in cx.minimal_nonface_masks() if c.bit_count() > 1]
     for a, verts, link_circuits in _matroid_links(cx, 0, cx.vertex_mask, circuits):
         if link_circuits is None:
-            rows = set(cotangent._rank_one_rows(verts))
+            rows = set(cotangent._uniform_rows(verts, 1))
             link_circuits = [c for c in cx.link_mask(a).minimal_nonface_masks() if c & (c - 1)]
         else:
             rows = set(cotangent._class_rows(link_circuits))
@@ -313,7 +325,7 @@ def test_rank_one_rows_match_the_graph_on_uniform_rank_one():
             cx = SimplicialComplex.from_facets(n, [[v] for v in rng.sample(range(1, n + 1), d)])
             assert len(cx.loops_and_coloops()[0]) == loops
             want = _graph_rows(cx.face_masks(), cx.vertex_mask)
-            assert dict(cotangent._rank_one_rows(cx.vertex_mask)) == want, (d, loops)
+            assert dict(cotangent._uniform_rows(cx.vertex_mask, 1)) == want, (d, loops)
             rows = {(a, b): dim for (a, b), dim in t1_table(cx)._rows.items()}
             assert rows == {(0, b): dim for b, dim in want.items()}, (d, loops)
             assert cotangent._matroid_table(cx) == t1_table(cx)
@@ -326,7 +338,7 @@ def test_rank_one_rows_match_the_graph_on_census_links():
             link = cx.link_mask(a)
             if _rank_one(link):
                 want = _graph_rows(link.face_masks(), link.vertex_mask)
-                assert dict(cotangent._rank_one_rows(link.vertex_mask)) == want, (cx, a)
+                assert dict(cotangent._uniform_rows(link.vertex_mask, 1)) == want, (cx, a)
                 seen[link.vertex_mask.bit_count()] += 1
     assert seen == {2: 452, 3: 161, 4: 31, 5: 1}
 
@@ -343,7 +355,7 @@ def test_rank_one_rows_match_the_graph_on_random_graphs(seed):
     for link in links:
         if _rank_one(link):
             want = _graph_rows(link.face_masks(), link.vertex_mask)
-            assert dict(cotangent._rank_one_rows(link.vertex_mask)) == want
+            assert dict(cotangent._uniform_rows(link.vertex_mask, 1)) == want
     assert {(k.A, k.b): dim for k, dim in t1_table(cx).items()} == graph_engine_table(cx)
 
 
@@ -369,7 +381,7 @@ PATH_64 = SimplicialComplex.from_facets(64, [[v, v + 1] for v in range(1, 64)])
 def test_rank_one_links_build_no_faces_circuits_or_classes(monkeypatch, cx):
     # the walk yields a link of rank 1 before building its faces or its
     # circuits, the contraction walk steps to one without either, and its
-    # rows come from the rank-one rule, not the class rule
+    # rows come from the uniform rule, not the class rule
     made = collections.Counter()
     for name, rank_one in RANK_ONE_CALL.items():
 
@@ -479,15 +491,17 @@ def test_matroid_table_runs_no_isolated_circuit_pass(monkeypatch):
 
 
 def test_matroid_table_builds_no_link_face_set(monkeypatch):
+    # on a uniform matroid, written from its shape, and on M(K5), whose
+    # links the contraction walk reaches
     calls = []
     for name in ("_faces_of", "_minimal_nonfaces"):
         real = getattr(cotangent, name)
         monkeypatch.setattr(
             cotangent, name, lambda *args, name=name, real=real: calls.append(name) or real(*args)
         )
-    m = uniform(8, 4)
-    table = t1_table(m)
-    assert reconstruct(table) == m
+    for m in (uniform(8, 4), complete_graph_matroid(5)):
+        table = t1_table(m)
+        assert reconstruct(table) == m
     assert calls == []
 
 
@@ -639,3 +653,208 @@ def test_full_comparison_checks_what_the_shortcut_assumes(monkeypatch):
     added = [d for d in formula_discrepancies(REMARK) if d not in before]
     assert added and all(len(d.degree.b) > 1 for d in added)
     assert added == [d for d in _all_discrepancies(REMARK) if d not in before]
+
+
+# -- uniform links and flats ----------------------------------------------------
+
+
+def uniform_with_coloops(m, r, coloops):
+    """U(m, r) joined with a simplex on coloops vertices, beside one loop,
+    on shuffled labels: the matroid, its uniform part W and its coloops."""
+    n = m + coloops + 1
+    labels = random.Random(f"uniform:{m}:{r}:{coloops}").sample(range(1, n + 1), n)
+    part, free = labels[:m], labels[m : m + coloops]
+    facets = [list(s) + free for s in itertools.combinations(part, r)]
+    cx = SimplicialComplex.from_facets(n, facets)
+    return cx, complexes.pack(part, n), complexes.pack(free, n)
+
+
+def contraction_rows(cx, circuits):
+    """The rows of the matroid cx and of every link above it, the way a
+    non-uniform matroid link takes them: `_matroid_links`, then the class
+    rule at each link, or the uniform rule at rank 1."""
+    rows = {}
+    for face, v, c in _matroid_links(cx, 0, cx.vertex_mask, circuits):
+        link_rows = cotangent._uniform_rows(v, 1) if c is None else cotangent._class_rows(c)
+        rows.update({(face, b): dim for b, dim in link_rows})
+    return rows
+
+
+@pytest.mark.parametrize("coloops", [0, 1, 2])
+def test_uniform_rows_match_the_class_rule(coloops):
+    # for every 1 <= r < m <= 10: the shape test names W and r, the uniform
+    # rows are the class rule's on the link's circuits, and the up-set the
+    # uniform rule writes is what the contraction walk and the class rule
+    # write at each link above
+    for m in range(2, 11):
+        for r in range(1, m):
+            cx, part, free = uniform_with_coloops(m, r, coloops)
+            circuits = [c for c in cx.minimal_nonface_masks() if c & (c - 1)]
+            assert cotangent._uniform_shape(circuits) == (part, r), (m, r)
+            rows = cotangent._uniform_rows(part, r)
+            assert len(rows) == len(set(rows))
+            assert set(rows) == set(cotangent._class_rows(circuits)), (m, r)
+            up_set = cotangent._uniform_up_set(0, part | free, part, r)
+            assert len(up_set) == len(dict(up_set)), (m, r)
+            assert dict(up_set) == contraction_rows(cx, circuits), (m, r)
+            assert t1_table(cx)._rows == dict(up_set)
+
+
+def test_uniform_shape_rejects_other_circuit_families():
+    # one circuit short of all the 3-subsets, circuits of two sizes, and the
+    # two parallel classes of U(2, 1) joined with U(2, 1)
+    triples = [complexes.pack(t, 5) for t in itertools.combinations(range(1, 6), 3)]
+    assert cotangent._uniform_shape(triples) == (0b11111, 2)
+    assert cotangent._uniform_shape(triples[:-1]) is None
+    assert cotangent._uniform_shape(triples[:-1] + [0b11000]) is None
+    assert cotangent._uniform_shape([0b0011, 0b1100]) is None
+
+
+def complete_graph_matroid(nodes):
+    """M(K_nodes): the spanning trees of the complete graph, its edges the
+    elements in lexicographic order."""
+    edges = list(itertools.combinations(range(nodes), 2))
+
+    def spanning_tree(subset):
+        parent = list(range(nodes))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for i in subset:
+            ru, rv = find(edges[i][0]), find(edges[i][1])
+            if ru == rv:
+                return False
+            parent[ru] = rv
+        return True
+
+    trees = itertools.combinations(range(len(edges)), nodes - 1)
+    return SimplicialComplex.from_facets(
+        len(edges), [[i + 1 for i in s] for s in trees if spanning_tree(s)]
+    )
+
+
+def parallel_copies(cx, times):
+    """cx with each element v replaced by the times parallel elements
+    times * (v - 1) + 1 .. times * v."""
+    copies = lambda v: range(times * (v - 1) + 1, times * v + 1)
+    facets = [p for f in cx.facets for p in itertools.product(*map(copies, f))]
+    return SimplicialComplex.from_facets(cx.n * times, facets)
+
+
+def class_rule_at_every_face(cx):
+    """The table from the class rule at every face of cx, on the circuits of
+    the link built from its facets: no walk, no contraction, no shape test."""
+    out = {}
+    for a in cx.face_masks():
+        circuits = [c for c in cx.link_mask(a).minimal_nonface_masks() if c & (c - 1)]
+        out.update({(a, b): dim for b, dim in cotangent._class_rows(circuits)} if circuits else {})
+    return out
+
+
+K6 = complete_graph_matroid(6)
+FLAT_CASES = [
+    ("M(K5)", complete_graph_matroid(5)),
+    ("M(K6)", K6),
+    ("U(5,3)-tripled", parallel_copies(uniform(5, 3), 3)),
+    ("U(7,4)-doubled", parallel_copies(uniform(7, 4), 2)),
+] + [(f"partition-{seed}", partition_matroid(seed)) for seed in (0, 20, 35, 38)]
+
+
+@pytest.mark.parametrize("cx", [cx for _, cx in FLAT_CASES], ids=[name for name, _ in FLAT_CASES])
+def test_t1_table_matches_the_class_rule_at_every_face(cx):
+    assert is_matroid_exchange(cx)
+    assert t1_table(cx)._rows == class_rule_at_every_face(cx)
+
+
+def test_flat_cases_reach_coloops_past_the_uniform_rule():
+    # each seeded partition matroid has a coloop, and its root is no uniform
+    # link, so the class rule writes it
+    for _, cx in FLAT_CASES[-4:]:
+        circuits = [c for c in cx.minimal_nonface_masks() if c & (c - 1)]
+        assert cx.loops_and_coloops()[1] and cotangent._uniform_shape(circuits) is None
+
+
+def _record_calls(monkeypatch, name):
+    """The argument tuples of each call of the engine step `name`."""
+    calls = []
+    real = getattr(cotangent, name)
+    monkeypatch.setattr(cotangent, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_uniform_links_run_no_class_rule_or_contraction(monkeypatch):
+    # a uniform matroid with coloops is written from its shape: no class
+    # rule and no contraction step at its root or above it
+    class_rows = _record_calls(monkeypatch, "_class_rows")
+    contractions = _record_calls(monkeypatch, "_matroid_links")
+    for m, r, coloops in ((6, 3, 2), (9, 4, 1), (40, 2, 0)):
+        cx, _, _ = uniform_with_coloops(m, r, coloops)
+        assert reconstruct(t1_table(cx)) == cx
+    assert class_rows == [] and contractions == []
+    # near U(10, 5) most matroid links are uniform and take the rule: the
+    # contraction walk starts only at a link that is not
+    roots = [
+        (a, circuits)
+        for a, _, circuits, dims in cotangent._walk(NEAR_U10)
+        if dims is None and circuits is not None
+    ]
+    uniform_roots = [a for a, circuits in roots if cotangent._uniform_shape(circuits)]
+    t1_table(NEAR_U10)
+    assert uniform_roots and len(contractions) == len(roots) - len(uniform_roots)
+    assert all(cotangent._uniform_shape(circuits) is None for _, _, _, circuits in contractions)
+
+
+def test_class_rule_runs_once_per_flat(monkeypatch):
+    # a link of a matroid is fixed by its flat, which its vertex mask names:
+    # M(K6)'s 1636 links have 202 vertex masks, its flats of rank at most 4;
+    # the 31 of rank 4 have links of rank 1, and the class rule runs once at
+    # each of the other 171
+    circuits = [c for c in K6.minimal_nonface_masks() if c & (c - 1)]
+    links = list(_matroid_links(K6, 0, K6.vertex_mask, circuits))
+    assert len(links) == 1636
+    assert len({v for _, v, _ in links}) == 202
+    assert len({v for _, v, c in links if c is None}) == 31
+    class_rows = _record_calls(monkeypatch, "_class_rows")
+    table = t1_table(K6)
+    assert len(class_rows) == len({frozenset(c) for (c,) in class_rows}) == 171
+    assert reconstruct(table) == K6
+
+
+def test_flat_memo_is_not_shared_between_matroid_links():
+    # the links at 1 and at 2 are matroids on the same vertices 3..6, with
+    # different parallel classes, inside a complex that is no matroid: each
+    # matroid link keeps its own memo
+    first = [[1, 3, 5], [1, 3, 6], [1, 4, 5], [1, 4, 6]]  # classes 34, 56
+    second = [[2, 3, 4], [2, 3, 6], [2, 5, 4], [2, 5, 6]]  # classes 35, 46
+    cx = SimplicialComplex.from_facets(6, first + second)
+    assert not is_matroid_via_t1(cx)
+    links = {a: v for a, v, _, dims in cotangent._walk(cx) if dims is None}
+    assert links[0b1] == links[0b10] == 0b111100
+    table = t1_table(cx)
+    assert {(k.A, k.b): dim for k, dim in table.items()} == graph_engine_table(cx)
+    assert table.dim((1,), (3, 4)) == table.dim((2,), (3, 5)) == 1
+    assert table.dim((1,), (3, 5)) == table.dim((2,), (3, 4)) == 0
+
+
+def test_rank_two_links_count_edges_only_past_a_failed_test(monkeypatch):
+    # the singleton test reads the vertices of a link of dimension 1 alone;
+    # the graph at its edges is counted only when the test fails
+    drawn = []
+    real = cotangent._graph_dims
+
+    def counted(adj):
+        drawn.append(0)
+        for item in real(adj):
+            drawn[-1] += 1
+            yield item
+
+    monkeypatch.setattr(cotangent, "_graph_dims", counted)
+    t1_table(uniform(40, 2))
+    assert drawn == [40]
+    drawn.clear()
+    path = SimplicialComplex.from_facets(12, _path_edges(12))
+    t1_table(path)
+    assert drawn == [12 + 11]
