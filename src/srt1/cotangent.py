@@ -22,6 +22,14 @@ into faces for the complex and its links alike.  T1 of D at (A, b) is T1 of
 link(D, A) at (emptyset, b), so each link is decided on its own, and one
 walk, `_walk`, visits the links and hands each to one of two engines.
 
+The singleton test compares, at each vertex v in a circuit of a link L,
+the graph dimension with the circuit count, and neither side needs N_v.
+The graph dimension is c(G_v) - 1, clamped, where G_v has the circuits of
+L through v as nodes, two of them joined when their union less v is a face
+of L (`_vertex_dims`), and the count is the number of those circuits less
+one, clamped.  So the test passes at v exactly when G_v has no edge: weak
+circuit elimination at v.
+
 A link that passes the singleton test is a matroid (the recognition
 corollary), so by the main theorem its whole table, its isolated circuits
 included, is the circuit formula, which `_class_rows` reads off the link's
@@ -45,10 +53,11 @@ dimension c(G[V \\ N[v]]) + e(G[N(v)]) - 1, clamped, at a vertex v, with c
 counting components and e edges, and at an edge {u, w} the number of common
 neighbours of u and w whose only neighbours are u and w.
 
-Any larger link takes the inclusion graph.  N_b is an up-set among the
-faces disjoint from b, so its components come from the one-vertex
-inclusions alone.  Two exact rules, for any complex, cut the graph further.
-Call F in N_b unmarked when it is not in N~_b.
+Any larger link takes the circuit rule at its vertices and the inclusion
+graph at its wider faces.  N_b is an up-set among the faces disjoint from
+b, so its components come from the one-vertex inclusions alone.  Two exact
+rules, for any complex, cut the graph further.  Call F in N_b unmarked when
+it is not in N~_b.
 
 1. A face b of L that lies in no circuit of L has dimension 0.  For an
    unmarked F in N_b the nonface F u b contains a minimal nonface C, and C
@@ -234,12 +243,43 @@ def _formula_on_link(link_circuits: list[int], b: int) -> int:
     return _less_one_for_singleton(through, b)
 
 
-def _vertex_dims(faces: frozenset[int], verts: int) -> Iterator[tuple[int, int]]:
-    """(b, graph dimension) at each vertex b of verts, in vertex order, lazily."""
+def _vertex_dims(
+    faces: frozenset[int], circuits: list[int], rank: int
+) -> Iterator[tuple[int, int]]:
+    """(b, graph dimension) at each vertex b in one of circuits, in vertex
+    order, lazily, for a link with these faces, these circuits of two or
+    more vertices and this rank.  No N_b is built and no union-find runs
+    over faces.
+
+    The graph G_v has the circuits C through v as nodes, C and C' joined
+    when (C u C') - v is a face, and the dimension is c(G_v) - 1, clamped.
+    The minimal members of N_v are the sets C - v: for F in N_v, F u {v}
+    holds a circuit C, which holds v since F is a face, so F holds C - v,
+    a face avoiding v and itself in N_v.  N_v is their up-set among the
+    faces avoiding v, and members F < G share a component, so two of them
+    share one exactly when a chain of them has pairwise unions that are
+    faces.  A circuit of rank + 1 vertices is an isolated node, as (C u C')
+    - v then has more than rank vertices; it is counted and never paired.
+    So the test passes at v exactly when G_v has no edge: weak circuit
+    elimination at v.  `_graph_dims`'s count at a vertex is the case
+    rank 2."""
+    verts = _union(circuits)
     while verts:
-        b = verts & -verts
-        verts ^= b
-        yield b, _dim_on_faces(faces, b)
+        v = verts & -verts
+        verts ^= v
+        below = [c ^ v for c in circuits if c & v]  # the minimal members of N_v
+        left = [g for g in below if g.bit_count() < rank]
+        parts = len(below) - len(left)
+        while left:  # the components of G_v, one sweep each
+            parts += 1
+            reach = [left.pop()]
+            while reach:
+                g = reach.pop()
+                rest = []
+                for h in left:
+                    (reach if g | h in faces else rest).append(h)
+                left = rest
+        yield v, _less_one_for_singleton(parts, v)
 
 
 def _singleton_discrepancy(
@@ -393,8 +433,10 @@ def _walk(cx: SimplicialComplex) -> Iterator[tuple[int, int, list[int] | None, l
 
     A link of dimension 1 is read off its adjacency (`_graph_circuits`,
     `_graph_formula`), at its vertices for the singleton test, then at its
-    edges if it fails; a larger one counts the graph at its vertices in a
-    circuit for the singleton test, then at its wider `_circuit_faces`.
+    edges if it fails; a larger one reads the graph at its vertices in a
+    circuit off its circuits for the singleton test (`_vertex_dims`, no
+    N_b), then counts it over its faces at its wider `_circuit_faces` if
+    the test fails.
 
     A face in exactly one facet F is skipped with every face above it,
     before any face set is built: its link is the simplex on F \\ a
@@ -435,7 +477,7 @@ def _walk(cx: SimplicialComplex) -> Iterator[tuple[int, int, list[int] | None, l
             else:
                 link_faces, circuits = cx.face_masks(), cx._circuit_masks()
             circuits = [c for c in circuits if c & (c - 1)]
-            dims = list(_vertex_dims(link_faces, _union(circuits)))
+            dims = list(_vertex_dims(link_faces, circuits, rank))
             formula = functools.partial(_formula_on_link, circuits)
         if _singleton_discrepancy(dims, formula) is None:
             yield a, verts, circuits, None
@@ -782,12 +824,15 @@ def t1_table(cx: SimplicialComplex, threads: int = 1) -> T1Table:
     adjacency at a link of dimension 1.  A link of rank 1 costs its
     vertices, a link of dimension 1 vertices x vertices for its singleton
     test and vertices x edges more only if it fails, and a larger link its
-    faces x its vertices and its singleton graphs.  Then a uniform matroid
+    face set and circuits, then for its singleton test vertices x circuits
+    and, summed over its vertices v, (circuits through v with at most rank
+    vertices)^2 face lookups, none on a uniform link.  Then a uniform matroid
     link costs one pass over its circuits and the rows it writes, with no
     circuit or lookup above it; any other matroid link costs, per link
     above it, link circuits face lookups (none below rank 3), and per flat,
     a few operations on an integer of link circuits x link vertices bits
-    per link vertex; and any other link one graph at each face in a circuit.
+    per link vertex; and any other link one graph over its faces at each
+    face of two or more vertices in a circuit.
 
     The table is computed in-process: each face's piece costs well under a
     millisecond, too little to repay a process pool.  `threads` is accepted

@@ -15,9 +15,20 @@ contraction, and link(D, A u {v}) is the contraction of link(D, A) at v, so
 the walk goes no higher than a matroid link.  At any other link the walk's
 dims meet the formula of `cotangent._class_rows`.
 
-The singleton test is the walk's, on either engine.  A complex of dimension
-at most 1 is a graph G on its vertices V, and `is_matroid_via_t1` reads both
-sides off its adjacency, with no face set and no circuits: the graph side
+The singleton test is the walk's, and neither side builds N_v.  Let G_v be
+the graph on the circuits of two or more vertices through a vertex v, two
+of them, C and C', joined when (C u C') - v is a face.  The graph side at
+v is c(G_v) - 1, clamped (`cotangent._vertex_dims`), and the formula side
+the number of nodes of G_v less one, clamped, so the two differ at v
+exactly when G_v has an edge.  So, as an observation that the tests check
+on the census and on random complexes, a complex passes the test exactly
+when weak circuit elimination holds at every vertex: for circuits C != C'
+through v, (C u C') - v is a nonface.  That is the paper's "bound reached
+iff matroid" at the singleton degrees.
+
+A complex of dimension at most 1 is a graph G on its vertices V, and
+`is_matroid_via_t1` reads both sides off its adjacency, with no face set
+and no circuits, the case rank 2 of that rule: the graph side
 c(G[V \\ N[v]]) + e(G[N(v)]) - 1 at v, clamped, and the formula side
 |V \\ N[v]| + e(G[N(v)]) - 1, clamped, since the circuits through v are its
 non-edges and triangles.  They differ at v exactly when G[V \\ N[v]] has an
@@ -57,14 +68,16 @@ class Discrepancy(NamedTuple):
 def _first_singleton_discrepancy(cx: SimplicialComplex) -> Discrepancy | None:
     """The first degree (0, {v}) where graph dimension and circuit count
     differ; on a complex of dimension at most 1 with no face set and no
-    circuits."""
+    circuits, on any other from the circuits through each vertex, lazily,
+    so that the test stops at the first vertex where they differ."""
     cx._require_nonvoid("is_matroid_via_t1")
     if cx.rank <= 2:
         adj = _adjacency(cx.facet_masks)
         dims, formula = _graph_dims(adj), functools.partial(_graph_formula, adj, cx.vertex_mask)
     else:
-        dims = _vertex_dims(cx.face_masks(), cx.vertex_mask)
-        formula = functools.partial(_formula_on_link, cx._circuit_masks())
+        circuits = [c for c in cx._circuit_masks() if c & (c - 1)]
+        dims = _vertex_dims(cx.face_masks(), circuits, cx.rank)
+        formula = functools.partial(_formula_on_link, circuits)
     found = _singleton_discrepancy(dims, formula)
     if found is None:
         return None

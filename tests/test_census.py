@@ -183,6 +183,19 @@ def _components_fall_apart(monkeypatch):
     monkeypatch.setattr(cotangent, "_component_ids", wrong)
 
 
+def _circuit_graph_joins_no_pair(monkeypatch):
+    # the singleton rule joins no two circuits through a vertex, so its
+    # dimension is the circuit count less one: looked up in an empty face
+    # set, no union of two of them is a face
+    vertex_dims = cotangent._vertex_dims
+
+    def wrong(faces, circuits, rank):
+        return vertex_dims(frozenset(), circuits, rank)
+
+    monkeypatch.setattr(cotangent, "_vertex_dims", wrong)
+    monkeypatch.setattr(recognition, "_vertex_dims", wrong)
+
+
 def _class_rows_drop_singletons(monkeypatch):
     # a matroid link's table loses its rows at singleton b
     class_rows = cotangent._class_rows
@@ -298,14 +311,15 @@ MUTANTS = {
         _components_fall_apart,
         {
             "link-reduction",
-            "loop-coloop-classify",
             "main-theorem-iff",
             "nonface-dimension",
-            "recognition-corollary",
-            "round-trip",
             "singleton-discrepancy-direction",
             "upper-bound",
         },
+    ),
+    "circuit-graph-joins-no-pair": (
+        _circuit_graph_joins_no_pair,
+        {"link-reduction", "recognition-corollary"},
     ),
     "class-rows-drop-singletons": (_class_rows_drop_singletons, {"link-reduction"}),
     "rank-one-vertices-one-too-high": (

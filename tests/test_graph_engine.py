@@ -113,15 +113,23 @@ def _path_edges(n):
     ids=["path-12", "two-edges", "bowtie"],
 )
 def test_walk_skips_b_in_no_link_circuit(monkeypatch, n, facets):
-    # a graph link takes the rule of `cotangent._graph_dims` and calls no
-    # graph at all; the 2-dimensional root link of the bowtie calls it only
-    # at its singletons
+    # a graph link takes the rule of `cotangent._graph_dims` and counts no
+    # graph at all; the 2-dimensional root link of the bowtie counts one only
+    # at its singletons, by the circuit rule `cotangent._vertex_dims`
     cx = SimplicialComplex.from_facets(n, facets)
     calls = []
     real = cotangent._dim_on_faces
     monkeypatch.setattr(
         cotangent, "_dim_on_faces", lambda faces, b: calls.append((faces, b)) or real(faces, b)
     )
+    real_vertex_dims = cotangent._vertex_dims
+
+    def vertex_dims(faces, circuits, rank):
+        for b, dim in real_vertex_dims(faces, circuits, rank):
+            calls.append((faces, b))
+            yield b, dim
+
+    monkeypatch.setattr(cotangent, "_vertex_dims", vertex_dims)
     skipped = 0
     for _, _, _, dims in _walk(cx):
         skipped += sum(1 for b, _ in dims or () if b.bit_count() > 1)

@@ -9,10 +9,11 @@ neighbours are u and w.  `_walk` uses it at every such link, and
 most 1, with the circuit count |V \\ N[v]| + e(G[N(v)]) - 1 of
 `cotangent._graph_formula` as the formula; its circuits of two or more
 vertices are its non-edges and triangles, `cotangent._graph_circuits`.
-Here they meet `cotangent._dim_on_faces`, the face path of the singleton
-test and `complexes._minimal_nonfaces` on the census classes of dimension
-at most 1, on seeded random graphs with loops and isolated vertices, on the
-degenerate complexes and on the 64-vertex path and cycle.
+Here they meet `cotangent._dim_on_faces`, the face path, run at each
+vertex for the singleton test, and `complexes._minimal_nonfaces` on the
+census classes of dimension at most 1, on seeded random graphs with loops
+and isolated vertices, on the degenerate complexes and on the 64-vertex
+path and cycle.
 """
 
 import functools
@@ -30,7 +31,6 @@ from srt1.cotangent import (
     _graph_circuits,
     _graph_dims,
     _singleton_discrepancy,
-    _vertex_dims,
     _walk,
     t1_table,
 )
@@ -69,9 +69,12 @@ CYCLE_64 = SimplicialComplex.from_facets(64, [[v, v % 64 + 1] for v in range(1, 
 
 
 def _face_singletons(cx):
-    """The first singleton discrepancy by the face path, `_singleton_discrepancy`."""
+    """The first singleton discrepancy by the face path, `_dim_on_faces` at
+    each vertex, through `_singleton_discrepancy`."""
+    faces = cx.face_masks()
+    vertices = [1 << i for i in range(cx.n) if cx.vertex_mask >> i & 1]
     formula = functools.partial(_formula_on_link, cx.minimal_nonface_masks())
-    found = _singleton_discrepancy(_vertex_dims(cx.face_masks(), cx.vertex_mask), formula)
+    found = _singleton_discrepancy(((b, _dim_on_faces(faces, b)) for b in vertices), formula)
     return None if found is None else Discrepancy(MultiDegree((), unpack(found[0])), *found[1:])
 
 

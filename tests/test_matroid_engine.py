@@ -35,11 +35,12 @@ singleton test, and builds no circuit family and counts no graph over
 faces, that the graph runs only at faces in a circuit, that only links
 failing the singleton test run the graph past their singleton degrees, and
 that the recognition functions keep the graph, the rule on a 1-dimensional
-matroid and the face engine on a 2-dimensional one:
-`formula_discrepancies` at the singleton degrees of every link the walk
-reaches, the private full comparison at every degree.  `t1_table` builds
-its table without the entry checks, so the checking constructors are run
-on what it builds, matroid or not.
+matroid and the circuit rule `cotangent._vertex_dims` on a 2-dimensional
+one: `formula_discrepancies` at the singleton degrees of every link the
+walk reaches, with no face engine on a matroid, the private full
+comparison at every degree.  `t1_table` builds its table without the entry
+checks, so the checking constructors are run on what it builds, matroid or
+not.
 """
 
 import collections
@@ -520,16 +521,33 @@ def test_engine_builds_only_valid_tables():
         assert T1Table.from_json_dict(t.to_json_dict()) == t, cx
 
 
+def _record_singletons(monkeypatch):
+    """The vertices b where `_vertex_dims` yields a dimension, and the
+    degrees b where `_dim_on_faces` counts one, in the order they come."""
+    singletons, counted = [], []
+    real_vertex_dims, real_dim = cotangent._vertex_dims, cotangent._dim_on_faces
+
+    def vertex_dims(faces, circuits, rank):
+        for b, dim in real_vertex_dims(faces, circuits, rank):
+            singletons.append(b)
+            yield b, dim
+
+    for module in (cotangent, recognition):
+        monkeypatch.setattr(module, "_vertex_dims", vertex_dims)
+    monkeypatch.setattr(
+        cotangent, "_dim_on_faces", lambda faces, b: counted.append(b) or real_dim(faces, b)
+    )
+    return singletons, counted
+
+
 def test_matroid_table_builds_no_graph_past_singletons(monkeypatch):
+    # the circuit rule decides U(6, 3) at its six vertices, and no face
+    # engine runs at all
     m = uniform(6, 3)
     want = graph_engine_table(m)
-    calls = []
-    real = cotangent._dim_on_faces
-    monkeypatch.setattr(
-        cotangent, "_dim_on_faces", lambda faces, b: calls.append(b) or real(faces, b)
-    )
+    singletons, counted = _record_singletons(monkeypatch)
     assert {(k.A, k.b): d for k, d in t1_table(m).items()} == want
-    assert calls == [1 << i for i in range(m.n)]
+    assert singletons == [1 << i for i in range(m.n)] and counted == []
 
 
 def _path_edges(n):
@@ -538,10 +556,12 @@ def _path_edges(n):
 
 def _count_engine_calls(monkeypatch, faces):
     """Counters of the calls `t1_table` makes on the face set faces: the
-    graph at each degree b, and the circuit family (by ground size); and of
-    the rule `_graph_dims`, by the adjacency it is given."""
+    graph at each degree b, by the circuit rule `_vertex_dims` at a vertex
+    and the face engine else, and the circuit family (by ground size); and
+    of the rule `_graph_dims`, by the adjacency it is given."""
     dims, circuits, rule = collections.Counter(), [], []
     real_dim = cotangent._dim_on_faces
+    real_vertex_dims = cotangent._vertex_dims
     real_circuits = complexes._minimal_nonfaces
     real_rule = cotangent._graph_dims
 
@@ -550,12 +570,19 @@ def _count_engine_calls(monkeypatch, faces):
             dims[b] += 1
         return real_dim(face_set, b)
 
+    def count_vertex_dims(face_set, link_circuits, rank):
+        for b, dim in real_vertex_dims(face_set, link_circuits, rank):
+            if face_set == faces:
+                dims[b] += 1
+            yield b, dim
+
     def count_circuits(face_set, ground):
         if face_set == faces:
             circuits.append(ground)
         return real_circuits(face_set, ground)
 
     monkeypatch.setattr(cotangent, "_dim_on_faces", count_dim)
+    monkeypatch.setattr(cotangent, "_vertex_dims", count_vertex_dims)
     monkeypatch.setattr(cotangent, "_minimal_nonfaces", count_circuits)
     monkeypatch.setattr(complexes, "_minimal_nonfaces", count_circuits)
     monkeypatch.setattr(cotangent, "_graph_dims", lambda adj: rule.append(adj) or real_rule(adj))
@@ -586,9 +613,10 @@ def test_non_matroid_pays_once(monkeypatch, n, facets):
     ids=["bowtie", "two-triangles-and-an-edge"],
 )
 def test_non_matroid_of_dimension_two_pays_once_per_degree(monkeypatch, n, facets):
-    # the root link is 2-dimensional, so the face engine runs there, once at
-    # each face in a circuit, a vertex included (a vertex in none is 0 by
-    # rule 1), and every vertex link of dimension 1 takes the rule once
+    # the root link is 2-dimensional, so the graph is counted there once at
+    # each face in a circuit, by the circuit rule at a vertex and the face
+    # engine at a wider face (a vertex in none is 0 by rule 1), and every
+    # vertex link of dimension 1 takes the rule once
     cx = SimplicialComplex.from_facets(n, facets)
     want = graph_engine_table(SimplicialComplex.from_facets(n, facets))
     mnf = SimplicialComplex.from_facets(n, facets).minimal_nonface_masks()
@@ -605,8 +633,8 @@ def test_non_matroid_of_dimension_two_pays_once_per_degree(monkeypatch, n, facet
 
 def test_recognition_keeps_the_graph_engine(monkeypatch):
     # a graph dimension one too high at every degree must show, matroid or
-    # not: through the rule on the 1-dimensional U(4, 2), through the face
-    # engine on the 2-dimensional U(5, 3)
+    # not: through the rule on the 1-dimensional U(4, 2), through the
+    # circuit rule at the vertices of the 2-dimensional U(5, 3)
     real_rule = cotangent._graph_dims
     too_high = lambda adj: ((b, d + 1) for b, d in real_rule(adj))
     with monkeypatch.context() as patch:
@@ -615,8 +643,10 @@ def test_recognition_keeps_the_graph_engine(monkeypatch):
         assert formula_discrepancies(uniform(4, 2))
         assert not is_matroid_via_t1(uniform(4, 2))
         assert formula_discrepancies(uniform(5, 3)) == [] and is_matroid_via_t1(uniform(5, 3))
-    real = cotangent._dim_on_faces
-    monkeypatch.setattr(cotangent, "_dim_on_faces", lambda faces, b: real(faces, b) + 1)
+    real = cotangent._vertex_dims
+    too_high = lambda *args: ((b, d + 1) for b, d in real(*args))
+    monkeypatch.setattr(cotangent, "_vertex_dims", too_high)
+    monkeypatch.setattr(recognition, "_vertex_dims", too_high)
     assert formula_discrepancies(uniform(5, 3))
     assert not is_matroid_via_t1(uniform(5, 3))
     assert formula_discrepancies(uniform(4, 2)) == [] and is_matroid_via_t1(uniform(4, 2))
@@ -624,14 +654,11 @@ def test_recognition_keeps_the_graph_engine(monkeypatch):
 
 def test_discrepancies_on_a_matroid_run_only_singleton_graphs(monkeypatch):
     # U(8, 4) passes the singleton test at the empty face, and every other
-    # link is a contraction of it, so the graph runs once per vertex
-    calls = []
-    real = cotangent._dim_on_faces
-    monkeypatch.setattr(
-        cotangent, "_dim_on_faces", lambda faces, b: calls.append(b) or real(faces, b)
-    )
+    # link is a contraction of it, so the graph is counted once per vertex,
+    # by the circuit rule, and the face engine never runs
+    singletons, counted = _record_singletons(monkeypatch)
     assert formula_discrepancies(uniform(8, 4)) == []
-    assert sorted(calls) == [1 << i for i in range(8)]
+    assert sorted(singletons) == [1 << i for i in range(8)] and counted == []
 
 
 REMARK = SimplicialComplex.from_minimal_nonfaces(
