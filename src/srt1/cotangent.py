@@ -26,9 +26,10 @@ The singleton test compares, at each vertex v in a circuit of a link L,
 the graph dimension with the circuit count, and neither side needs N_v.
 The graph dimension is c(G_v) - 1, clamped, where G_v has the circuits of
 L through v as nodes, two of them joined when their union less v is a face
-of L (`_vertex_dims`), and the count is the number of those circuits less
-one, clamped.  So the test passes at v exactly when G_v has no edge: weak
-circuit elimination at v.
+of L, and the count is the number of those circuits less one, clamped.
+One rule, `_vertex_dims`, yields both sides from one listing of the
+circuits through v.  The test passes at v exactly when G_v has no edge:
+weak circuit elimination at v.
 
 A link that passes the singleton test is a matroid (the recognition
 corollary), so by the main theorem its whole table, its isolated circuits
@@ -48,10 +49,11 @@ Any other link takes 1 at each of its isolated circuits, its only nonzero
 nonface degrees, and the graph dimension at its nonempty faces b, both
 listed by `_walk`.  A link of dimension at most 1 is a graph G on V, read
 off its adjacency with no face set: its circuits are its non-edges and its
-triangles (`_graph_circuits`), and `_graph_dims` reads N_b off it, for the
-dimension c(G[V \\ N[v]]) + e(G[N(v)]) - 1, clamped, at a vertex v, with c
-counting components and e edges, and at an edge {u, w} the number of common
-neighbours of u and w whose only neighbours are u and w.
+triangles (`_graph_circuits`), and N_b is read off it: `_graph_dims` gives
+the dimension c(G[V \\ N[v]]) + e(G[N(v)]) - 1, clamped, at a vertex v, with
+c counting components and e edges, beside the circuit count, and
+`_graph_edge_dims` at an edge {u, w} the number of common neighbours of u
+and w whose only neighbours are u and w.
 
 Any larger link takes the circuit rule at its vertices and the inclusion
 graph at its wider faces.  N_b is an up-set among the faces disjoint from
@@ -75,7 +77,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .complexes import (
     SimplicialComplex,
@@ -245,24 +247,24 @@ def _formula_on_link(link_circuits: list[int], b: int) -> int:
 
 def _vertex_dims(
     faces: frozenset[int], circuits: list[int], rank: int
-) -> Iterator[tuple[int, int]]:
-    """(b, graph dimension) at each vertex b in one of circuits, in vertex
-    order, lazily, for a link with these faces, these circuits of two or
-    more vertices and this rank.  No N_b is built and no union-find runs
-    over faces.
+) -> Iterator[tuple[int, int, int]]:
+    """(v, graph dimension, circuit count) at each vertex v in one of
+    circuits, in vertex order, lazily, for a link with these faces, these
+    circuits of two or more vertices and this rank: both sides of the
+    singleton test, from one pass over the circuits at each vertex.  No N_b
+    is built and no union-find runs over faces.
 
     The graph G_v has the circuits C through v as nodes, C and C' joined
-    when (C u C') - v is a face, and the dimension is c(G_v) - 1, clamped.
-    The minimal members of N_v are the sets C - v: for F in N_v, F u {v}
-    holds a circuit C, which holds v since F is a face, so F holds C - v,
-    a face avoiding v and itself in N_v.  N_v is their up-set among the
-    faces avoiding v, and members F < G share a component, so two of them
-    share one exactly when a chain of them has pairwise unions that are
-    faces.  A circuit of rank + 1 vertices is an isolated node, as (C u C')
+    when (C u C') - v is a face, and the dimension is c(G_v) - 1, clamped;
+    the count is the number of nodes less one, clamped.  The minimal
+    members of N_v are the sets C - v: for F in N_v, F u {v} holds a
+    circuit C, which holds v since F is a face, so F holds C - v, a face
+    avoiding v and itself in N_v.  N_v is their up-set among the faces
+    avoiding v, and members F < G share a component, so two of them share
+    one exactly when a chain of them has pairwise unions that are faces.  A circuit of rank + 1 vertices is an isolated node, as (C u C')
     - v then has more than rank vertices; it is counted and never paired.
     So the test passes at v exactly when G_v has no edge: weak circuit
-    elimination at v.  `_graph_dims`'s count at a vertex is the case
-    rank 2."""
+    elimination at v.  `_graph_dims` is the case rank 2."""
     verts = _union(circuits)
     while verts:
         v = verts & -verts
@@ -279,24 +281,7 @@ def _vertex_dims(
                 for h in left:
                     (reach if g | h in faces else rest).append(h)
                 left = rest
-        yield v, _less_one_for_singleton(parts, v)
-
-
-def _singleton_discrepancy(
-    dims: Iterable[tuple[int, int]], formula: Callable[[int], int]
-) -> tuple[int, int, int] | None:
-    """The first (b, graph, formula(b)) where the sides differ, over the pairs
-    (b, graph dimension) of dims up to the first b of two or more vertices.
-    Over every vertex, or every vertex in a circuit of two or more vertices,
-    it is None exactly when the complex is a matroid (the recognition
-    corollary): at any other vertex both sides are 0, the graph by rule 1."""
-    for b, graph in dims:
-        if b & (b - 1):
-            break
-        count = formula(b)
-        if graph != count:
-            return b, graph, count
-    return None
+        yield v, max(parts - 1, 0), max(len(below) - 1, 0)
 
 
 def _circuit_faces(circuits: list[int]) -> set[int]:
@@ -354,38 +339,27 @@ def _graph_circuits(adj: dict[int, int]) -> list[int]:
     return out
 
 
-def _graph_formula(adj: dict[int, int], verts: int, b: int) -> int:
-    """The circuit formula at a vertex b of a complex of dimension at most 1,
-    from its adjacency and vertex mask: the circuits through b are its
-    non-edges and triangles, |V \\ N[b]| + e(G[N(b)]) of them, less one."""
-    near = adj[b]
-    return max((verts & ~(near | b)).bit_count() + _edges_within(adj, near) - 1, 0)
+def _graph_dims(adj: dict[int, int]) -> Iterator[tuple[int, int, int]]:
+    """(v, graph dimension, circuit count) at each vertex v, in vertex order,
+    of a link G whose facets have at most two vertices, read off its
+    adjacency `_adjacency`, lazily: both sides of the singleton test.  No
+    face set, N_b or union-find is built.
 
-
-def _graph_dims(adj: dict[int, int]) -> Iterator[tuple[int, int]]:
-    """(b, graph dimension) at every nonempty face b of a link G whose facets
-    have at most two vertices, read off its adjacency `_adjacency`, lazily:
-    first each vertex, in vertex order, then each edge.  No face set, N_b or
-    union-find is built.
-
-    * At a vertex v, F u {v} is a face for F empty or a neighbour of v and
-      never for an edge F that avoids v, so N_v holds the non-neighbours
-      V \\ N[v] and every edge that avoids v.  An edge joins a member of N_v
-      only through an endpoint that is a non-neighbour, so the components of
-      N_v are those of G[V \\ N[v]] and one for each edge of G[N(v)]: the
-      dimension is c(G[V \\ N[v]]) + e(G[N(v)]) - 1, clamped at 0.
-    * At an edge b = {u, w}, N_b is every nonempty face that avoids b, and
-      each edge of it is marked, since its union with u has three vertices.
-      A vertex x is unmarked when x u {u} and x u {w} are both faces, so the
-      unmarked part W is the common neighbours of u and w, and the component
-      of x is unmarked just when no edge meets x but xu and xw: the
-      dimension is the number of common neighbours whose neighbours are
-      exactly u and w.
+    F u {v} is a face for F empty or a neighbour of v and never for an edge
+    F that avoids v, so N_v holds the non-neighbours V \\ N[v] and every
+    edge that avoids v.  An edge joins a member of N_v only through an
+    endpoint that is a non-neighbour, so the components of N_v are those of
+    G[V \\ N[v]] and one for each edge of G[N(v)]: the dimension is
+    c(G[V \\ N[v]]) + e(G[N(v)]) - 1, clamped at 0.  The circuits through v
+    are its non-edges and triangles, |V \\ N[v]| + e(G[N(v)]) of them, and
+    the count is that less one, clamped.
     """
     verts = _union(adj)
     for v in sorted(adj):
         near = adj[v]
         far = verts & ~(near | v)
+        edges = _edges_within(adj, near)
+        count = far.bit_count() + edges
         parts = 0
         while far:  # the components of G[far], one breadth-first sweep each
             parts += 1
@@ -397,7 +371,19 @@ def _graph_dims(adj: dict[int, int]) -> Iterator[tuple[int, int]]:
                 new = adj[u] & far
                 far ^= new
                 reach |= new
-        yield v, _less_one_for_singleton(parts + _edges_within(adj, near), v)
+        yield v, max(parts + edges - 1, 0), max(count - 1, 0)
+
+
+def _graph_edge_dims(adj: dict[int, int]) -> Iterator[tuple[int, int]]:
+    """(b, graph dimension) at each edge b = {u, w} of a link G whose facets
+    have at most two vertices, read off its adjacency, lazily.  N_b is every
+    nonempty face that avoids b, and each edge of it is marked, since its
+    union with u has three vertices.  A vertex x is unmarked when x u {u}
+    and x u {w} are both faces, so the unmarked part W is the common
+    neighbours of u and w, and the component of x is unmarked just when no
+    edge meets x but xu and xw: the dimension is the number of common
+    neighbours whose neighbours are exactly u and w.
+    """
     for u, near in adj.items():
         rest = near & -(u << 1)  # the neighbours above u, each edge once
         while rest:
@@ -431,12 +417,14 @@ def _walk(cx: SimplicialComplex) -> Iterator[tuple[int, int, list[int] | None, l
       of a link of dimension 1, and at the `_circuit_faces` of a larger
       link, any other face being 0 by rule 1.
 
-    A link of dimension 1 is read off its adjacency (`_graph_circuits`,
-    `_graph_formula`), at its vertices for the singleton test, then at its
-    edges if it fails; a larger one reads the graph at its vertices in a
-    circuit off its circuits for the singleton test (`_vertex_dims`, no
-    N_b), then counts it over its faces at its wider `_circuit_faces` if
-    the test fails.
+    The singleton test compares the two sides of each row (v, graph
+    dimension, circuit count) that one vertex rule yields.  A link of
+    dimension 1 reads them off its adjacency (`_graph_circuits`,
+    `_graph_dims`), then its edges only if the test fails
+    (`_graph_edge_dims`); a larger one reads them at its vertices in a
+    circuit off its circuits (`_vertex_dims`, no N_b), then counts the
+    graph over its faces at its wider `_circuit_faces` only if the test
+    fails.
 
     A face in exactly one facet F is skipped with every face above it,
     before any face set is built: its link is the simplex on F \\ a
@@ -467,9 +455,7 @@ def _walk(cx: SimplicialComplex) -> Iterator[tuple[int, int, list[int] | None, l
             continue
         if rank == 2:
             adj = _adjacency(link_facets)
-            graph = _graph_dims(adj)  # each vertex, then each edge, lazily
-            circuits, dims = _graph_circuits(adj), list(itertools.islice(graph, len(adj)))
-            formula = functools.partial(_graph_formula, adj, verts)
+            circuits, rows = _graph_circuits(adj), list(_graph_dims(adj))
         else:
             if a:
                 link_faces = _faces_of(link_facets)
@@ -477,13 +463,13 @@ def _walk(cx: SimplicialComplex) -> Iterator[tuple[int, int, list[int] | None, l
             else:
                 link_faces, circuits = cx.face_masks(), cx._circuit_masks()
             circuits = [c for c in circuits if c & (c - 1)]
-            dims = list(_vertex_dims(link_faces, circuits, rank))
-            formula = functools.partial(_formula_on_link, circuits)
-        if _singleton_discrepancy(dims, formula) is None:
+            rows = list(_vertex_dims(link_faces, circuits, rank))
+        if all(graph == count for _, graph, count in rows):
             yield a, verts, circuits, None
             continue
+        dims = [(b, graph) for b, graph, _ in rows]
         if rank == 2:
-            dims += graph
+            dims += _graph_edge_dims(adj)
         else:
             wider = [b for b in _circuit_faces(circuits) if b & (b - 1)]
             dims += [(b, _dim_on_faces(link_faces, b)) for b in wider]
@@ -824,15 +810,15 @@ def t1_table(cx: SimplicialComplex, threads: int = 1) -> T1Table:
     adjacency at a link of dimension 1.  A link of rank 1 costs its
     vertices, a link of dimension 1 vertices x vertices for its singleton
     test and vertices x edges more only if it fails, and a larger link its
-    face set and circuits, then for its singleton test vertices x circuits
-    and, summed over its vertices v, (circuits through v with at most rank
-    vertices)^2 face lookups, none on a uniform link.  Then a uniform matroid
-    link costs one pass over its circuits and the rows it writes, with no
-    circuit or lookup above it; any other matroid link costs, per link
-    above it, link circuits face lookups (none below rank 3), and per flat,
-    a few operations on an integer of link circuits x link vertices bits
-    per link vertex; and any other link one graph over its faces at each
-    face of two or more vertices in a circuit.
+    face set and circuits, then for both sides of its singleton test
+    vertices x circuits once and, summed over its vertices v, (circuits
+    through v with at most rank vertices)^2 face lookups, none on a uniform
+    link.  Then a uniform matroid link costs one pass over its circuits and
+    the rows it writes, with no circuit or lookup above it; any other
+    matroid link costs, per link above it, link circuits face lookups (none
+    below rank 3), and per flat, a few operations on an integer of link
+    circuits x link vertices bits per link vertex; and any other link one
+    graph over its faces at each face of two or more vertices in a circuit.
 
     The table is computed in-process: each face's piece costs well under a
     millisecond, too little to repay a process pool.  `threads` is accepted

@@ -18,28 +18,29 @@ dims meet the formula of `cotangent._class_rows`.
 The singleton test is the walk's, and neither side builds N_v.  Let G_v be
 the graph on the circuits of two or more vertices through a vertex v, two
 of them, C and C', joined when (C u C') - v is a face.  The graph side at
-v is c(G_v) - 1, clamped (`cotangent._vertex_dims`), and the formula side
-the number of nodes of G_v less one, clamped, so the two differ at v
-exactly when G_v has an edge.  So, as an observation that the tests check
-on the census and on random complexes, a complex passes the test exactly
-when weak circuit elimination holds at every vertex: for circuits C != C'
-through v, (C u C') - v is a nonface.  That is the paper's "bound reached
-iff matroid" at the singleton degrees.
+v is c(G_v) - 1, clamped, and the formula side the number of nodes of G_v
+less one, clamped; one rule yields both at each vertex
+(`cotangent._vertex_dims`), so the two differ at v exactly when G_v has an
+edge.  So, as an observation that the tests check on the census and on
+random complexes, a complex passes the test exactly when weak circuit
+elimination holds at every vertex: for circuits C != C' through v,
+(C u C') - v is a nonface.  That is the paper's "bound reached iff
+matroid" at the singleton degrees.
 
 A complex of dimension at most 1 is a graph G on its vertices V, and
 `is_matroid_via_t1` reads both sides off its adjacency, with no face set
-and no circuits, the case rank 2 of that rule: the graph side
-c(G[V \\ N[v]]) + e(G[N(v)]) - 1 at v, clamped, and the formula side
-|V \\ N[v]| + e(G[N(v)]) - 1, clamped, since the circuits through v are its
-non-edges and triangles.  They differ at v exactly when G[V \\ N[v]] has an
-edge.  So, as an observation that the tests check on the census and on
-random graphs, such a complex passes the test exactly when no vertex has two
-adjacent non-neighbours, that is, when its graph is complete multipartite.
+and no circuits (`cotangent._graph_dims`), the case rank 2 of that rule:
+the graph side c(G[V \\ N[v]]) + e(G[N(v)]) - 1 at v, clamped, and the
+formula side |V \\ N[v]| + e(G[N(v)]) - 1, clamped, since the circuits
+through v are its non-edges and triangles.  They differ at v exactly when
+G[V \\ N[v]] has an edge.  So, as an observation that the tests check on
+the census and on random graphs, such a complex passes the test exactly
+when no vertex has two adjacent non-neighbours, that is, when its graph is
+complete multipartite.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Iterable, NamedTuple
 
 from .complexes import SimplicialComplex, _faces_of, _link_facets, _minimal_nonfaces, unpack
@@ -52,8 +53,6 @@ from .cotangent import (
     _dim_on_faces,
     _formula_on_link,
     _graph_dims,
-    _graph_formula,
-    _singleton_discrepancy,
     _vertex_dims,
     _walk,
 )
@@ -69,20 +68,19 @@ def _first_singleton_discrepancy(cx: SimplicialComplex) -> Discrepancy | None:
     """The first degree (0, {v}) where graph dimension and circuit count
     differ; on a complex of dimension at most 1 with no face set and no
     circuits, on any other from the circuits through each vertex, lazily,
-    so that the test stops at the first vertex where they differ."""
+    so that the test stops at the first vertex where they differ.  On a
+    larger complex a vertex in no circuit of two or more vertices is 0 on
+    both sides, the graph by rule 1, and is not read."""
     cx._require_nonvoid("is_matroid_via_t1")
     if cx.rank <= 2:
-        adj = _adjacency(cx.facet_masks)
-        dims, formula = _graph_dims(adj), functools.partial(_graph_formula, adj, cx.vertex_mask)
+        rows = _graph_dims(_adjacency(cx.facet_masks))
     else:
         circuits = [c for c in cx._circuit_masks() if c & (c - 1)]
-        dims = _vertex_dims(cx.face_masks(), circuits, cx.rank)
-        formula = functools.partial(_formula_on_link, circuits)
-    found = _singleton_discrepancy(dims, formula)
-    if found is None:
-        return None
-    b, graph_dim, formula_dim = found
-    return Discrepancy(MultiDegree((), unpack(b)), graph_dim, formula_dim)
+        rows = _vertex_dims(cx.face_masks(), circuits, cx.rank)
+    for b, graph_dim, formula_dim in rows:
+        if graph_dim != formula_dim:
+            return Discrepancy(MultiDegree((), unpack(b)), graph_dim, formula_dim)
+    return None
 
 
 def is_matroid_via_t1(cx: SimplicialComplex) -> bool:

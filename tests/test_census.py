@@ -185,12 +185,12 @@ def _components_fall_apart(monkeypatch):
 
 def _circuit_graph_joins_no_pair(monkeypatch):
     # the singleton rule joins no two circuits through a vertex, so its
-    # dimension is the circuit count less one: looked up in an empty face
-    # set, no union of two of them is a face
+    # dimension is the circuit count less one, the count the rule yields
+    # beside it, and every link of rank >= 3 passes the singleton test
     vertex_dims = cotangent._vertex_dims
 
     def wrong(faces, circuits, rank):
-        return vertex_dims(frozenset(), circuits, rank)
+        return ((v, count, count) for v, _, count in vertex_dims(faces, circuits, rank))
 
     monkeypatch.setattr(cotangent, "_vertex_dims", wrong)
     monkeypatch.setattr(recognition, "_vertex_dims", wrong)
@@ -235,7 +235,7 @@ def _graph_vertices_one_too_high(monkeypatch):
     graph_dims = cotangent._graph_dims
 
     def wrong(adj):
-        return ((b, d + (not b & (b - 1))) for b, d in graph_dims(adj))
+        return ((v, graph + 1, count) for v, graph, count in graph_dims(adj))
 
     monkeypatch.setattr(cotangent, "_graph_dims", wrong)
     monkeypatch.setattr(recognition, "_graph_dims", wrong)

@@ -113,9 +113,10 @@ def _path_edges(n):
     ids=["path-12", "two-edges", "bowtie"],
 )
 def test_walk_skips_b_in_no_link_circuit(monkeypatch, n, facets):
-    # a graph link takes the rule of `cotangent._graph_dims` and counts no
-    # graph at all; the 2-dimensional root link of the bowtie counts one only
-    # at its singletons, by the circuit rule `cotangent._vertex_dims`
+    # a graph link takes the rules of `cotangent._graph_dims` and
+    # `cotangent._graph_edge_dims` and counts no graph at all; the
+    # 2-dimensional root link of the bowtie counts one only at its
+    # singletons, by the circuit rule `cotangent._vertex_dims`
     cx = SimplicialComplex.from_facets(n, facets)
     calls = []
     real = cotangent._dim_on_faces
@@ -125,9 +126,9 @@ def test_walk_skips_b_in_no_link_circuit(monkeypatch, n, facets):
     real_vertex_dims = cotangent._vertex_dims
 
     def vertex_dims(faces, circuits, rank):
-        for b, dim in real_vertex_dims(faces, circuits, rank):
-            calls.append((faces, b))
-            yield b, dim
+        for row in real_vertex_dims(faces, circuits, rank):
+            calls.append((faces, row[0]))
+            yield row
 
     monkeypatch.setattr(cotangent, "_vertex_dims", vertex_dims)
     skipped = 0

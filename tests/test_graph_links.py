@@ -1,22 +1,21 @@
 """The rule for links of dimension at most 1 against the graph engine.
 
-A link whose facets have at most two vertices is a graph G, and
-`cotangent._graph_dims` reads the graph dimension at each of its nonempty
-faces off the adjacency: c(G[V \\ N[v]]) + e(G[N(v)]) - 1, clamped, at a
-vertex v, and at an edge {u, w} the number of common neighbours whose only
-neighbours are u and w.  `_walk` uses it at every such link, and
-`recognition._first_singleton_discrepancy` on a complex of dimension at
-most 1, with the circuit count |V \\ N[v]| + e(G[N(v)]) - 1 of
-`cotangent._graph_formula` as the formula; its circuits of two or more
-vertices are its non-edges and triangles, `cotangent._graph_circuits`.
-Here they meet `cotangent._dim_on_faces`, the face path, run at each
-vertex for the singleton test, and `complexes._minimal_nonfaces` on the
-census classes of dimension at most 1, on seeded random graphs with loops
-and isolated vertices, on the degenerate complexes and on the 64-vertex
-path and cycle.
+A link whose facets have at most two vertices is a graph G, and the graph
+dimension at each of its nonempty faces is read off the adjacency:
+`cotangent._graph_dims` gives c(G[V \\ N[v]]) + e(G[N(v)]) - 1, clamped, at
+a vertex v, beside the circuit count |V \\ N[v]| + e(G[N(v)]) - 1, clamped,
+and `cotangent._graph_edge_dims` at an edge {u, w} the number of common
+neighbours whose only neighbours are u and w.  `_walk` uses them at every
+such link, and `recognition._first_singleton_discrepancy` the vertex rule
+on a complex of dimension at most 1; its circuits of two or more vertices
+are its non-edges and triangles, `cotangent._graph_circuits`.  Here they
+meet `cotangent._dim_on_faces`, the face path, run at each vertex for the
+singleton test, `cotangent._formula_on_link` and
+`complexes._minimal_nonfaces` on the census classes of dimension at most
+1, on seeded random graphs with loops and isolated vertices, on the
+degenerate complexes and on the 64-vertex path and cycle.
 """
 
-import functools
 import random
 
 import pytest
@@ -30,7 +29,7 @@ from srt1.cotangent import (
     _formula_on_link,
     _graph_circuits,
     _graph_dims,
-    _singleton_discrepancy,
+    _graph_edge_dims,
     _walk,
     t1_table,
 )
@@ -69,13 +68,14 @@ CYCLE_64 = SimplicialComplex.from_facets(64, [[v, v % 64 + 1] for v in range(1, 
 
 
 def _face_singletons(cx):
-    """The first singleton discrepancy by the face path, `_dim_on_faces` at
-    each vertex, through `_singleton_discrepancy`."""
-    faces = cx.face_masks()
-    vertices = [1 << i for i in range(cx.n) if cx.vertex_mask >> i & 1]
-    formula = functools.partial(_formula_on_link, cx.minimal_nonface_masks())
-    found = _singleton_discrepancy(((b, _dim_on_faces(faces, b)) for b in vertices), formula)
-    return None if found is None else Discrepancy(MultiDegree((), unpack(found[0])), *found[1:])
+    """The first singleton discrepancy by the face path: `_dim_on_faces`
+    against `_formula_on_link` at each vertex."""
+    faces, circuits = cx.face_masks(), cx.minimal_nonface_masks()
+    for b in (1 << i for i in range(cx.n) if cx.vertex_mask >> i & 1):
+        graph, count = _dim_on_faces(faces, b), _formula_on_link(circuits, b)
+        if graph != count:
+            return Discrepancy(MultiDegree((), unpack(b)), graph, count)
+    return None
 
 
 def test_the_battery_covers_every_kind_of_graph():
@@ -92,13 +92,18 @@ def test_the_battery_covers_every_kind_of_graph():
 def test_rule_matches_the_graph_engine_at_every_face(graphs):
     checked = 0
     for cx in graphs:
-        faces = cx.face_masks()
-        got = list(_graph_dims(_adjacency(cx.facet_masks)))
+        faces, adj = cx.face_masks(), _adjacency(cx.facet_masks)
+        circuits = _minimal_nonfaces(faces, cx.n)
+        rows = list(_graph_dims(adj))
+        for b, _, count in rows:
+            assert count == _formula_on_link(circuits, b), (cx, b)
+        # the vertices, in vertex order, then the edges
+        vertices = [b for b, _, _ in rows]
+        edges = list(_graph_edge_dims(adj))
+        assert vertices == sorted(vertices) and all(b.bit_count() == 2 for b, _ in edges), cx
+        got = [(b, graph) for b, graph, _ in rows] + edges
         want = {b: _dim_on_faces(faces, b) for b in faces if b}
         assert dict(got) == want and len(got) == len(want), cx
-        # the vertices come first, in vertex order
-        singles = [b for b, _ in got if not b & (b - 1)]
-        assert [b for b, _ in got[: len(singles)]] == sorted(singles), cx
         checked += len(got)
     assert checked > 0
 

@@ -3,11 +3,12 @@
 `t1_table` follows the walk `cotangent._walk`, which sends each link of
 rank 1, and each other link that passes the singleton test, to the matroid
 rules of `cotangent._table_of`, and every other link to the graph
-dimensions, read off the adjacency by `cotangent._graph_dims` at a link of
-dimension 1.  A matroid link whose circuits are all the r + 1-subsets of
-their union W (`cotangent._uniform_shape`), a link of rank 1 among them, is
-U(|W|, r) with coloops, and the uniform rule `cotangent._uniform_rows`
-writes it and every link above it (`cotangent._uniform_up_set`).  Any other
+dimensions, read off the adjacency by `cotangent._graph_dims` and
+`cotangent._graph_edge_dims` at a link of dimension 1.  A matroid link
+whose circuits are all the r + 1-subsets of their union W
+(`cotangent._uniform_shape`), a link of rank 1 among them, is U(|W|, r)
+with coloops, and the uniform rule `cotangent._uniform_rows` writes it and
+every link above it (`cotangent._uniform_up_set`).  Any other
 matroid link takes the class rule `cotangent._class_rows`, at it and at
 each link above it, whose vertices and circuits the walk
 `cotangent._matroid_links` derives from the parent link by contraction,
@@ -528,9 +529,9 @@ def _record_singletons(monkeypatch):
     real_vertex_dims, real_dim = cotangent._vertex_dims, cotangent._dim_on_faces
 
     def vertex_dims(faces, circuits, rank):
-        for b, dim in real_vertex_dims(faces, circuits, rank):
-            singletons.append(b)
-            yield b, dim
+        for row in real_vertex_dims(faces, circuits, rank):
+            singletons.append(row[0])
+            yield row
 
     for module in (cotangent, recognition):
         monkeypatch.setattr(module, "_vertex_dims", vertex_dims)
@@ -571,10 +572,10 @@ def _count_engine_calls(monkeypatch, faces):
         return real_dim(face_set, b)
 
     def count_vertex_dims(face_set, link_circuits, rank):
-        for b, dim in real_vertex_dims(face_set, link_circuits, rank):
+        for row in real_vertex_dims(face_set, link_circuits, rank):
             if face_set == faces:
-                dims[b] += 1
-            yield b, dim
+                dims[row[0]] += 1
+            yield row
 
     def count_circuits(face_set, ground):
         if face_set == faces:
@@ -635,16 +636,19 @@ def test_recognition_keeps_the_graph_engine(monkeypatch):
     # a graph dimension one too high at every degree must show, matroid or
     # not: through the rule on the 1-dimensional U(4, 2), through the
     # circuit rule at the vertices of the 2-dimensional U(5, 3)
-    real_rule = cotangent._graph_dims
-    too_high = lambda adj: ((b, d + 1) for b, d in real_rule(adj))
+    real_rule, real_edges = cotangent._graph_dims, cotangent._graph_edge_dims
+    too_high = lambda adj: ((b, g + 1, f) for b, g, f in real_rule(adj))
     with monkeypatch.context() as patch:
         patch.setattr(cotangent, "_graph_dims", too_high)
         patch.setattr(recognition, "_graph_dims", too_high)
+        patch.setattr(
+            cotangent, "_graph_edge_dims", lambda adj: ((b, d + 1) for b, d in real_edges(adj))
+        )
         assert formula_discrepancies(uniform(4, 2))
         assert not is_matroid_via_t1(uniform(4, 2))
         assert formula_discrepancies(uniform(5, 3)) == [] and is_matroid_via_t1(uniform(5, 3))
     real = cotangent._vertex_dims
-    too_high = lambda *args: ((b, d + 1) for b, d in real(*args))
+    too_high = lambda *args: ((b, g + 1, f) for b, g, f in real(*args))
     monkeypatch.setattr(cotangent, "_vertex_dims", too_high)
     monkeypatch.setattr(recognition, "_vertex_dims", too_high)
     assert formula_discrepancies(uniform(5, 3))
@@ -869,19 +873,19 @@ def test_flat_memo_is_not_shared_between_matroid_links():
 def test_rank_two_links_count_edges_only_past_a_failed_test(monkeypatch):
     # the singleton test reads the vertices of a link of dimension 1 alone;
     # the graph at its edges is counted only when the test fails
-    drawn = []
-    real = cotangent._graph_dims
+    drawn = {"_graph_dims": [], "_graph_edge_dims": []}
+    for name, counts in drawn.items():
 
-    def counted(adj):
-        drawn.append(0)
-        for item in real(adj):
-            drawn[-1] += 1
-            yield item
+        def counted(adj, real=getattr(cotangent, name), counts=counts):
+            counts.append(0)
+            for item in real(adj):
+                counts[-1] += 1
+                yield item
 
-    monkeypatch.setattr(cotangent, "_graph_dims", counted)
+        monkeypatch.setattr(cotangent, name, counted)
     t1_table(uniform(40, 2))
-    assert drawn == [40]
-    drawn.clear()
-    path = SimplicialComplex.from_facets(12, _path_edges(12))
-    t1_table(path)
-    assert drawn == [12 + 11]
+    assert drawn == {"_graph_dims": [40], "_graph_edge_dims": []}
+    for counts in drawn.values():
+        counts.clear()
+    t1_table(SimplicialComplex.from_facets(12, _path_edges(12)))
+    assert drawn == {"_graph_dims": [12], "_graph_edge_dims": [11]}

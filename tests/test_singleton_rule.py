@@ -3,13 +3,15 @@
 At a vertex v of a link L, `cotangent._vertex_dims` reads the graph
 dimension off the circuits of L through v: they are the nodes of a graph
 G_v, two of them joined when their union less v is a face, and the
-dimension is c(G_v) - 1, clamped at 0.  Here it meets
-`cotangent._dim_on_faces` at every vertex of every link, each link built
-from its facets (`complexes._link_facets`, `complexes._faces_of`), on the
-census classes, on seeded random complexes on 6 to 9 vertices, on M(K5),
-on U(12, 6) and on "three facets k = 10", the complex with facets {1..10},
-{3..16} and {1, 16}; a vertex in no circuit gets 0 from the face engine
-(rule 1), and the rule lists it nowhere.  On the census and the random
+dimension is c(G_v) - 1, clamped at 0; beside it the rule yields the
+circuit count, the number of nodes less one, clamped.  Here the dimension
+meets `cotangent._dim_on_faces` and the count `cotangent._formula_on_link`
+at every vertex of every link, each link built from its facets
+(`complexes._link_facets`, `complexes._faces_of`), on the census classes,
+on seeded random complexes on 6 to 9 vertices, on M(K5), on U(12, 6) and
+on "three facets k = 10", the complex with facets {1..10}, {3..16} and
+{1, 16}; a vertex in no circuit gets 0 from the face engine (rule 1), and
+the rule lists it nowhere.  On the census and the random
 complexes, as an observation, the test passes exactly when weak circuit
 elimination holds at every vertex, and so exactly when the complex is a
 matroid.  The guard below counts calls, with no timing: the table, the T1
@@ -27,7 +29,7 @@ import pytest
 
 from srt1 import cotangent, recognition
 from srt1.complexes import SimplicialComplex, _faces_of, _link_facets, _minimal_nonfaces
-from srt1.cotangent import _dim_on_faces, _vertex_dims, t1_table
+from srt1.cotangent import _dim_on_faces, _formula_on_link, _vertex_dims, t1_table
 from srt1.matroids import is_matroid_exchange, uniform
 from srt1.recognition import is_matroid_via_t1
 from srt1.reconstruction import reconstruct
@@ -76,9 +78,11 @@ def _compare_every_vertex(cx, fewest_facets=1):
         faces = _faces_of(link_facets)
         circuits = [c for c in _minimal_nonfaces(faces, cx.n) if c & (c - 1)]
         rank = max(map(int.bit_count, link_facets))
-        got = list(_vertex_dims(faces, circuits, rank))
-        assert [b for b, _ in got] == sorted(b for b, _ in got), (cx, a)
-        got = dict(got)
+        rows = list(_vertex_dims(faces, circuits, rank))
+        assert [b for b, _, _ in rows] == sorted(b for b, _, _ in rows), (cx, a)
+        for b, _, count in rows:
+            assert count == _formula_on_link(circuits, b), (cx, a, b)
+        got = {b: graph for b, graph, _ in rows}
         for b in (1 << i for i in range(cx.n)):
             if b not in faces:
                 assert b not in got, (cx, a, b)
@@ -148,9 +152,9 @@ def test_recognition_stops_at_the_first_vertex_that_fails(monkeypatch):
     real = cotangent._vertex_dims
 
     def counted(*args):
-        for b, dim in real(*args):
-            drawn.append(b)
-            yield b, dim
+        for row in real(*args):
+            drawn.append(row[0])
+            yield row
 
     monkeypatch.setattr(recognition, "_vertex_dims", counted)
     assert not is_matroid_via_t1(SimplicialComplex.from_facets(5, [[1, 2, 3], [3, 4, 5]]))
