@@ -157,12 +157,6 @@ def maximal_masks(masks: Iterable[int]) -> list[int]:
     return sorted(out, key=sort_key)
 
 
-def minimal_nonface_masks(face_set: frozenset[int] | set[int], n: int) -> list[int]:
-    """Minimal nonfaces of a downward-closed face family, as canonically
-    sorted bitmasks."""
-    return sorted(_minimal_nonfaces(face_set, n), key=sort_key)
-
-
 def _minimal_nonfaces(face_set: frozenset[int] | set[int], n: int) -> list[int]:
     """Minimal nonfaces of a downward-closed face family, in no particular order.
 

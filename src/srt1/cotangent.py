@@ -560,19 +560,38 @@ def inclusion_graph(cx: SimplicialComplex, A: Iterable[int], b: Iterable[int]) -
 
 
 def dim_t1(cx: SimplicialComplex, degree) -> int:
-    """dim T1 of cx in the multidegree with supports (A, b).
-
-    Returns 0 outside the vanishing range (b empty, or b not within the
-    vertices of link(cx, A), which has none when A is a nonface); otherwise
-    counts the unmarked components of the inclusion graph, minus one
-    (clamped) for singleton b.
-    """
+    """dim T1 of cx at the degree with supports (A, b), by the rule `_walk`
+    applies there: 0 outside the vanishing range or on a link in one facet;
+    the `_uniform_rows` row at rank 1; `_graph_dims` at a vertex and
+    `_graph_edge_dims` at an edge of a graph link; on a larger link (at
+    A = emptyset, cx's cached faces and circuits) 0 at a face in no circuit,
+    `_vertex_dims` over the circuits through a vertex, else `_dim_on_faces`;
+    at a nonface, 1 on an isolated circuit."""
     cx._require_nonvoid("dim_t1")
     am, bm = _degree_masks(degree, cx.n)
-    hits = _link_facets(cx.facet_masks, am)
-    if bm == 0 or bm & ~_union(hits):
+    link_facets = _link_facets(cx.facet_masks, am)
+    verts = _union(link_facets)
+    if bm == 0 or bm & ~verts or len(link_facets) < 2:
         return 0
-    return _dim_on_faces(_faces_of(hits) if am else cx.face_masks(), bm)
+    rank = max(map(int.bit_count, link_facets))
+    if rank == 1:
+        return dict(_uniform_rows(verts, 1)).get(bm, 0)
+    if rank == 2:
+        adj = _adjacency(link_facets)
+        if not bm & (bm - 1):
+            return next(graph for v, graph, _ in _graph_dims(adj) if v == bm)
+        if bm.bit_count() == 2 and bm & adj[bm & -bm]:
+            return dict(_graph_edge_dims(adj))[bm]
+        circuits = _graph_circuits(adj)
+    else:
+        link_faces = _faces_of(link_facets) if am else cx.face_masks()
+        circuits = _minimal_nonfaces(link_faces, cx.n) if am else cx._circuit_masks()
+        if bm in link_faces:
+            through = [c for c in circuits if not bm & ~c]
+            if through and bm & (bm - 1):
+                return _dim_on_faces(link_faces, bm)
+            return next((g for v, g, _ in _vertex_dims(link_faces, through, rank) if v == bm), 0)
+    return int(bm in _isolated_circuits(circuits))
 
 
 def dim_t1_nonface(cx: SimplicialComplex, b: Iterable[int]) -> int:
@@ -610,7 +629,9 @@ def t1_upper_bound(cx: SimplicialComplex, b: Iterable[int]) -> int:
 
     min(#minimal nonfaces of link(cx, b) that are faces of cx \\ b,
         #facets of cx \\ b outside link(cx, b)),
-    with one subtracted (clamped) for singleton b.
+    with one subtracted (clamped) for singleton b.  Observed on the census
+    and tested: with c1 the first count, dim T1 at (emptyset, {v}) is
+    max(c1 - 1, 0) at every vertex v exactly when cx is a matroid.
     """
     cx._require_nonvoid("t1_upper_bound")
     bm = pack(b, cx.n)
@@ -944,8 +965,8 @@ def _matroid_links(
 
     The walk steps from a to a u {v} only for link vertices v above a's
     highest vertex, so it reaches each face once, and lowers the rank, the
-    size of the link's facets, by one; a link of rank 1 needs no circuits,
-    and no lookup is made for one.  The circuits of M/(a u v), the
+    size of the link's facets, by one; only a step from rank 3 or more looks
+    a face up, in cx's face set, built then.  The circuits of M/(a u v), the
     contraction of M/a at v, are the minimal nonempty sets C \\ {v} over the
     circuits C of M/a (Oxley, Matroid Theory, 3.1.11):
 
@@ -962,13 +983,14 @@ def _matroid_links(
     facets B != B' has the circuit in B u {e}, e in B' \\ B, which holds e
     and a vertex of B.  The faces visited are thus those of `_walk` above a.
     """
-    faces = cx.face_masks()
     rank = max(map(int.bit_count, _link_facets(cx.facet_masks, a)))
     stack = [(a, verts, circuits if rank > 1 else None, rank)] if circuits else []
     while stack:
         a, verts, circuits, rank = stack.pop()
         yield a, verts, circuits
-        rest = verts & -(1 << a.bit_length()) if rank > 1 else 0
+        if rank == 1:
+            continue
+        rest = verts & -(1 << a.bit_length())
         if rank == 2:
             pairs = [c for c in circuits if c.bit_count() == 2]
             while rest:
@@ -978,6 +1000,7 @@ def _matroid_links(
                 if child_verts & (child_verts - 1):
                     stack.append((a | v, child_verts, None, 1))
             continue
+        faces = cx.face_masks()
         while rest:
             v = rest & -rest
             rest ^= v

@@ -22,7 +22,8 @@ formula dimension]; the verdict of `is_matroid_via_t1`; and what
 when it raises a ValueError, "ExceptionName: message".  Two trees print the
 same digest when they give the same tables, discrepancies, verdicts and
 reconstructions, errors included, in the same order, on all of them.
-pytest does not collect this file.
+pytest does not collect this file; `test_output_digest.py` pins its digest
+in the test suite.
 """
 
 import hashlib

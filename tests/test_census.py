@@ -241,6 +241,16 @@ def _graph_vertices_one_too_high(monkeypatch):
     monkeypatch.setattr(recognition, "_graph_dims", wrong)
 
 
+def _graph_edges_one_too_high(monkeypatch):
+    # a link of dimension at most 1 reads one too high at each edge
+    graph_edge_dims = cotangent._graph_edge_dims
+
+    def wrong(adj):
+        return ((b, dim + 1) for b, dim in graph_edge_dims(adj))
+
+    monkeypatch.setattr(cotangent, "_graph_edge_dims", wrong)
+
+
 def _graph_circuits_drop_triangles(monkeypatch):
     # a link of dimension 1 loses its triangles from its circuits
     graph_circuits = cotangent._graph_circuits
@@ -334,6 +344,7 @@ MUTANTS = {
         _graph_vertices_one_too_high,
         {"link-reduction", "loop-coloop-classify", "recognition-corollary", "round-trip"},
     ),
+    "graph-edges-one-too-high": (_graph_edges_one_too_high, {"link-reduction"}),
     "graph-circuits-drop-triangles": (
         _graph_circuits_drop_triangles,
         {
@@ -419,21 +430,29 @@ def test_check_complex_reports_wrong_links(monkeypatch):
 def test_check_complex_builds_no_complex_per_pair(monkeypatch):
     # `link-restrict-commute` compares cached face sets instead of building
     # two complexes at each of the 3^n pairs F <= W, and the degree checks
-    # read dim T1 at (emptyset, b) off `link-reduction` instead of again
+    # read dim T1 at (emptyset, b) off `link-reduction` instead of again.
+    # `link-reduction` checks 206 degrees of U(5, 3); the 30 at its 10
+    # facets, whose links have no vertex, are 0 by the vanishing range, and
+    # each of the other 176 reads the definition once
     cx = uniform(5, 3)
-    built, dims = [], []
-    init, dim_t1 = SimplicialComplex.__init__, census.dim_t1
+    built, counts = [], []
+    init, dim_on_faces = SimplicialComplex.__init__, census._dim_on_faces
 
     def counting_init(self, n, facet_masks):
         built.append(n)
         init(self, n, facet_masks)
 
+    def counting_dim(faces, b):
+        counts.append((faces, b))
+        return dim_on_faces(faces, b)
+
     monkeypatch.setattr(SimplicialComplex, "__init__", counting_init)
-    monkeypatch.setattr(census, "dim_t1", lambda c, d: dims.append(d) or dim_t1(c, d))
+    monkeypatch.setattr(census, "_dim_on_faces", counting_dim)
     data, _ = check_complex(cx)
     assert all(rep.ok for rep in data.values())
     assert len(built) < 3**5
-    assert len(dims) == data["link-reduction"].checked == 206
+    assert data["link-reduction"].checked == 206 == len(counts) + 10 * 3
+    assert len(set(counts)) == len(counts) == 176
 
 
 def test_run_census_small_green():

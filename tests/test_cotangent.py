@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import pickle
@@ -331,6 +332,26 @@ def test_upper_bound_tight_for_matroids():
                 d = dim_t1(m, ((), b))
                 if d > 0:
                     assert d == t1_upper_bound(m, b), (m.facets, b)
+
+
+def test_singleton_bounds_reached_exactly_on_matroids():
+    # with c1 the circuits of link(cx, v) that are faces of cx \\ v and c2 the
+    # facets of cx \\ v outside link(cx, v), as in `t1_upper_bound`:
+    # dim(0, {v}) = max(c1 - 1, 0) at every vertex v holds on all 69 census
+    # matroids and on none of the 184 non-matroids; dim(0, {v}) =
+    # max(min(c1, c2) - 1, 0), the bound itself, at every vertex holds on
+    # the matroids and on 47 non-matroids as well, so it is no iff
+    counts = collections.Counter()
+    for cx in (cx for n in range(1, 6) for cx in representatives(n)):
+        first = bound = True
+        for v in cx.vertices():
+            link, deletion = cx.link_mask(1 << (v - 1)), cx.delete([v])
+            c1 = sum(1 for c in link._circuit_masks() if deletion.is_face_mask(c))
+            dim = dim_t1(cx, ((), (v,)))
+            first &= dim == max(c1 - 1, 0)
+            bound &= dim == t1_upper_bound(cx, [v])
+        counts[matroids.is_matroid_exchange(cx), first, bound] += 1
+    assert counts == {(True, True, True): 69, (False, False, True): 47, (False, False, False): 137}
 
 
 # -- tables ------------------------------------------------------------------------

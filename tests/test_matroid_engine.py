@@ -507,6 +507,19 @@ def test_matroid_table_builds_no_link_face_set(monkeypatch):
     assert calls == []
 
 
+def test_rank_two_contraction_walk_builds_no_face_set(monkeypatch):
+    # K(2, 3) = U(2, 1) + U(3, 1) is a rank-2 matroid that is not uniform,
+    # so the contraction walk starts at its root; it steps only to links of
+    # rank 1 and looks no face up, so no face set of the complex is built
+    calls = []
+    real = complexes._faces_of
+    monkeypatch.setattr(complexes, "_faces_of", lambda facets: calls.append(1) or real(facets))
+    k23 = SimplicialComplex.from_facets(5, [[u, w] for u in (1, 2) for w in (3, 4, 5)])
+    table = t1_table(k23)
+    assert calls == [] and len(table) == 13
+    assert reconstruct(table) == k23 and calls == []
+
+
 VALID_TABLE_CASES = (
     [cx for n in range(1, 6) for cx in representatives(n)]
     + [uniform(9, 4), uniform(10, 5), partition_matroid(1), graphic_matroid(1)]
