@@ -773,6 +773,18 @@ class T1Table:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "T1Table":
+        """The table of a document {"n": n, "entries": [{"A", "b", "dim"}, ...]}.
+
+        One pass over the entries checks each in turn: that it is an object
+        with the three fields, that A and b are lists, then its vertices, A
+        before b, each an integer in 1..n, and that A and b are disjoint.  A
+        plain int vertex in range is packed inline; any other goes to `pack`,
+        which accepts an int subclass and names every fault.  The row checks
+        of `_check_row` (b nonempty, dim a positive integer, no degree twice)
+        run in the same pass, but the first row fault is held back until
+        every entry's vertices have passed, so that a document with faults
+        of both kinds reports its vertex fault.
+        """
         if not isinstance(doc, dict):
             raise ValueError("table document must be a JSON object")
         n = _ground_size(doc)
@@ -781,32 +793,40 @@ class T1Table:
         entries = doc["entries"]
         if not isinstance(entries, list):
             raise ValueError("key 'entries': must be a list")
-        pairs = []
+        rows: dict[tuple[int, int], int] = {}
+        row_fault = None
         for i, e in enumerate(entries):
             if not isinstance(e, dict):
                 raise ValueError(f"key 'entries[{i}]': must be an object")
             for field in ("A", "b", "dim"):
                 if field not in e:
                     raise ValueError(f"key 'entries[{i}].{field}': missing")
-            if not isinstance(e["A"], list) or not isinstance(e["b"], list):
+            A, B = e["A"], e["b"]
+            if not isinstance(A, list) or not isinstance(B, list):
                 raise ValueError(f"key 'entries[{i}]': A and b must be lists")
+            a = b = 0
             try:
-                a, b = pack(e["A"], n), pack(e["b"], n)
+                for v in A:
+                    a |= 1 << (v - 1) if type(v) is int and 0 < v <= n else pack((v,), n)
+                for v in B:
+                    b |= 1 << (v - 1) if type(v) is int and 0 < v <= n else pack((v,), n)
             except ValueError as exc:
                 raise type(exc)(f"key 'entries[{i}]': {exc}") from exc
             overlap = a & b
             if overlap:
                 first = (overlap & -overlap).bit_length()
                 raise ValueError(f"key 'entries[{i}]': A and b overlap at vertex {first}")
-            pairs.append((a, b, e["dim"]))
-        # the remaining checks follow every entry's vertex check, so that a
-        # document with faults of both kinds still reports its vertex fault
-        rows: dict[tuple[int, int], int] = {}
-        try:
-            for a, b, dim in pairs:
-                _check_row(rows, a, b, dim)
-        except ValueError as exc:
-            raise type(exc)(f"key 'entries': {exc}") from exc
+            if row_fault is None:
+                dim = e["dim"]
+                if b and type(dim) is int and dim > 0 and (a, b) not in rows:
+                    rows[a, b] = dim
+                else:
+                    try:
+                        _check_row(rows, a, b, dim)
+                    except ValueError as exc:
+                        row_fault = exc
+        if row_fault is not None:
+            raise ValueError(f"key 'entries': {row_fault}") from row_fault
         return cls._of_rows(n, rows)
 
     def to_tsv(self) -> str:

@@ -20,6 +20,14 @@ and decodes no vertex tuple.  Where an order could show, in the entry the
 loop/coloop probe reads and in the rank-one group whose error is raised
 first, the steps take the canonical order of `T1Table`'s public views, so the
 result and every error message depend on the table alone.
+
+`reconstruct` builds no table of its own before the verification: it sorts
+the rows once for the loop/coloop probes, groups the rows whose A avoids the
+coloops by A in one pass, each group a dict b -> dim, reads the rank off the
+distinct A masks and sends each group of the largest A through the rank-one
+rule `_rank_one_members`, on a dict and a ground mask.  The public steps
+`rank_from_table` and `reconstruct_rank_one` apply the same rules to a
+table, so each quantity keeps one path.
 """
 
 from __future__ import annotations
@@ -57,7 +65,8 @@ def classify_loops_coloops(t: T1Table) -> dict[int, str]:
     A vertex v is loop-or-coloop exactly when every entry with v in b and
     |A u b| <= 2 is absent.  Such a v is then probed against the canonically
     first entry (A0, b0) avoiding v: a coloop keeps the entry, with equal
-    dimension, after adjoining v to A0; a loop does not.
+    dimension, after adjoining v to A0; a loop does not.  The rows are put in
+    canonical order once, at the first probe.
     """
     if len(t) == 0:
         raise DiscreteAmbiguousError("the empty table does not separate loops from coloops")
@@ -67,19 +76,19 @@ def classify_loops_coloops(t: T1Table) -> dict[int, str]:
         if a.bit_count() + b.bit_count() <= 2:
             small_b |= b
     out: dict[int, str] = {}
+    ordered = None
     for v in range(1, t.n + 1):
         bit = 1 << (v - 1)
         if small_b & bit:
             out[v] = "ordinary"
             continue
-        avoiding = [row for row in rows.items() if not (row[0][0] | row[0][1]) & bit]
-        if not avoiding:
+        if ordered is None:
+            ordered = sorted(rows.items(), key=_canonical(t.n))
+        first = next((row for row in ordered if not (row[0][0] | row[0][1]) & bit), None)
+        if first is None:
             raise NotAMatroidTableError(f"no entry avoids vertex {v}")
-        (a, b), dim = min(avoiding, key=_canonical(t.n))
-        if rows.get((a | bit, b), 0) == dim:
-            out[v] = "coloop"
-        else:
-            out[v] = "loop"
+        (a, b), dim = first
+        out[v] = "coloop" if rows.get((a | bit, b), 0) == dim else "loop"
     return out
 
 
@@ -91,65 +100,88 @@ def rank_from_table(t: T1Table) -> int:
     return 1 + max(a.bit_count() for a, _ in t._rows)
 
 
+def _rank_one_members(group: dict[int, int], ground: int) -> int:
+    """The mask of the non-loop vertices of the rank-one coloop-free matroid
+    whose table has the rows (0, b) -> group[b], which must lie in ground.
+
+    Shape U(m, 1) * U(l, 0), m >= 2: the rows are those `_uniform_rows`
+    writes at rank 1 for the union of the b's, the m non-loops: (0, {u, v})
+    -> 1 for m = 2, (0, {i}) -> m - 2 for m > 2.
+    """
+    members = 0
+    for b in group:
+        members |= b
+    shape = _uniform_rows(members, 1) if members & (members - 1) else []
+    bad = not shape or len(shape) != len(group)
+    for b, d in shape:  # a plain loop: a generator is slower
+        bad = bad or group.get(b) != d
+    if bad:
+        raise NotAMatroidTableError("table shape matches no rank-one matroid")
+    if members & ~ground:
+        out = unpack(members)
+        entries = f"pair entry {out} leaves" if len(group) == 1 else f"singleton entries {out} leave"
+        raise NotAMatroidTableError(f"{entries} the ground set")
+    return members
+
+
 def reconstruct_rank_one(t: T1Table, ground: Iterable[int]) -> tuple[int, ...]:
     """Non-loop vertices of a rank-one coloop-free matroid, from its table.
 
-    Shape U(m, 1) * U(l, 0), m >= 2: A = 0 throughout, and the rows are
-    those `cotangent._uniform_rows` writes at rank 1 for the union of the
-    b's, the m non-loops: (0, {u, v}) -> 1 for m = 2, (0, {i}) -> m - 2 for
-    m > 2.
+    Every entry must have A = 0, and the b's must be the rows of
+    `_rank_one_members`, whose vertices must lie in ground.
     """
     ground_set = frozenset(ground)
-    rows = t._rows
-    members = 0
-    for a, b in rows:
+    group: dict[int, int] = {}
+    for (a, b), dim in t._rows.items():
         if a:
             raise NotAMatroidTableError("rank-one table has an entry with nonempty A")
-        members |= b
-    shape = _uniform_rows(members, 1) if members & (members - 1) else []
-    bad = not shape or len(shape) != len(rows)
-    for b, d in shape:  # a plain loop: a generator or a dict per group is slower
-        bad = bad or rows.get((0, b)) != d
-    if bad:
-        raise NotAMatroidTableError("table shape matches no rank-one matroid")
-    out = unpack(members)
-    if not ground_set.issuperset(out):
-        entries = f"pair entry {out} leaves" if len(rows) == 1 else f"singleton entries {out} leave"
-        raise NotAMatroidTableError(f"{entries} the ground set")
-    return out
+        group[b] = dim
+    inside = pack((v for v in range(1, t.n + 1) if v in ground_set), t.n)
+    return unpack(_rank_one_members(group, inside))
 
 
 def reconstruct(t: T1Table) -> SimplicialComplex:
     """The unique nondiscrete matroid with T1 table t.
 
-    Classifies loops and coloops, peels the coloops off the A-supports, finds
-    the core rank r, groups the core's entries with |A| = r - 1 by A in one
-    pass, reads from each group the vertices that complete A to a basis and
-    reattaches the coloops.  The result must pass the walk's singleton test
-    and give back t (`_matroid_table`), or NotAMatroidTableError is raised,
-    as for any table of non-matroid origin.
+    Classifies loops and coloops, then in one pass over the rows groups the
+    entries whose A avoids the coloops by A, each group a dict b -> dim.
+    The core rank r is one more than the largest A among them; each group
+    with |A| = r - 1, in canonical order of A, goes through the rank-one rule
+    (`_rank_one_members`) with the ordinary vertices outside A as ground, and
+    names the vertices that complete A to a basis.  The coloops are then
+    reattached.  The result must pass the walk's singleton test and give
+    back t (`_matroid_table`), or NotAMatroidTableError is raised, as for
+    any table of non-matroid origin.
     """
     if len(t) == 0:
         raise DiscreteAmbiguousError(
             "empty table: every discrete matroid on this ground set is rigid"
         )
     roles = classify_loops_coloops(t)
-    ordinary = tuple(v for v in range(1, t.n + 1) if roles[v] == "ordinary")
-    coloops = pack((v for v in range(1, t.n + 1) if roles[v] == "coloop"), t.n)
-    core = T1Table._of_rows(t.n, [((a, b), d) for (a, b), d in t._rows.items() if not a & coloops])
-    if len(core) == 0:
+    ordinary = coloops = 0
+    for v, role in roles.items():
+        if role == "ordinary":
+            ordinary |= 1 << (v - 1)
+        elif role == "coloop":
+            coloops |= 1 << (v - 1)
+    groups: dict[int, dict[int, int]] = {}
+    for (a, b), dim in t._rows.items():
+        if not a & coloops:
+            group = groups.get(a)
+            if group is None:
+                group = groups[a] = {}
+            group[b] = dim
+    if not groups:
         raise NotAMatroidTableError("no entry survives removing coloop support")
-    rank = rank_from_table(core)
-    links: dict[int, list[tuple[tuple[int, int], int]]] = {}
-    for (a, b), dim in core._rows.items():
-        if a.bit_count() == rank - 1:
-            links.setdefault(a, []).append(((0, b), dim))
+    top = max(a.bit_count() for a in groups)
     bases: set[int] = set()
     # in canonical order of A, so that a bad table reports its first bad group
-    for a in sorted(links, key=_mask_order(t.n)):
-        rest = tuple(v for v in ordinary if not a >> (v - 1) & 1)
-        for v in reconstruct_rank_one(T1Table._of_rows(t.n, links[a]), rest):
-            bases.add(a | 1 << (v - 1))
+    for a in sorted((a for a in groups if a.bit_count() == top), key=_mask_order(t.n)):
+        members = _rank_one_members(groups[a], ordinary & ~a)
+        while members:
+            low = members & -members
+            bases.add(a | low)
+            members ^= low
     candidate = SimplicialComplex(t.n, [b | coloops for b in bases])
     back = _matroid_table(candidate)
     if back is None:

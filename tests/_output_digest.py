@@ -44,8 +44,12 @@ def inputs():
         for facets in all_antichain_masks(n):
             if facets:
                 yield SimplicialComplex(n, facets)
+    saved = sys.path[:]
     sys.path.insert(0, str(PERFBENCH))
-    import workloads
+    try:
+        import workloads
+    finally:
+        sys.path[:] = saved
 
     for workload, slots in workloads.load_catalogue()["slots"].items():
         for slot_index, entry in enumerate(slots):

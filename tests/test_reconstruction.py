@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -17,6 +18,7 @@ from srt1.reconstruction import (
 )
 
 from _census_reps import representatives
+from _output_digest import complete_graph_matroid
 
 
 # -- slicing -----------------------------------------------------------------
@@ -391,3 +393,102 @@ def test_rank_one_corruptions_keep_their_messages(members, change, ground, messa
     with pytest.raises(NotAMatroidTableError) as info:
         reconstruct_rank_one(t, ground)
     assert str(info.value) == message
+
+
+# -- which error a perturbed matroid table reports -------------------------------
+
+RECOVERED = "recovered matroid does not reproduce the table"
+
+
+def _outcome(t):
+    try:
+        reconstruct(t)
+    except NotAMatroidTableError as exc:
+        return str(exc)
+    return "reconstructed"
+
+
+@pytest.mark.parametrize(
+    "m, shape, recovered",
+    [
+        (uniform(6, 3), 60, 36),
+        (complete_graph_matroid(4), 48, 36),
+        (uniform(6, 3) * uniform(1, 0), 60, 36),
+        (complete_graph_matroid(4) * uniform(1, 1), 48, 120),
+    ],
+)
+def test_one_perturbed_row_reports_its_error(m, shape, recovered):
+    # a row dropped or a dim raised in a group of the largest coloop-free A
+    # breaks that rank-one group; anywhere else the walk's verification catches it
+    t = t1_table(m)
+    items = t.items()
+    coloops = {v for v, role in classify_loops_coloops(t).items() if role == "coloop"}
+    top = max(len(e.A) for e, _ in items if not coloops & set(e.A))
+    counts = collections.Counter()
+    for k, (key, dim) in enumerate(items):
+        want = SHAPE if len(key.A) == top and not coloops & set(key.A) else RECOVERED
+        for changed in (items[:k] + items[k + 1 :], items[:k] + [(key, dim + 1)] + items[k + 1 :]):
+            assert _outcome(T1Table(t.n, changed)) == want, key
+        counts[want] += 1
+    assert counts == {SHAPE: shape, RECOVERED: recovered}
+
+
+def _edited(m, drop=(), add=(), raise_=()):
+    """The table of m, less the rows at drop, with the rows of add and the
+    dims at raise_ one higher, as a shuffled document read back."""
+    rows = {(e.A, e.b): dim for e, dim in t1_table(m).items()}
+    for key in drop:
+        del rows[key]
+    rows.update(add)
+    for key in raise_:
+        rows[key] += 1
+    return T1Table(m.n, list(rows.items()))
+
+
+def test_the_first_bad_group_in_canonical_order_is_reported():
+    # U(6, 3) with the loop 7: the group at A = {a, b} is U(4, 1) on the other four
+    m = uniform(6, 3) * uniform(1, 0)
+    leaves_at_12 = {"drop": [((1, 2), (6,))], "add": {((1, 2), (7,)): 2}}
+    leaves_at_13 = {"drop": [((1, 3), (6,))], "add": {((1, 3), (7,)): 2}}
+    shape_at_12 = [((1, 2), (3,))]
+    shape_at_13 = [((1, 3), (2,))]
+    leaves_12 = "singleton entries (3, 4, 5, 7) leave the ground set"
+    leaves_13 = "singleton entries (2, 4, 5, 7) leave the ground set"
+    assert _outcome(_edited(m, **leaves_at_12, raise_=shape_at_13)) == leaves_12
+    assert _outcome(_edited(m, **leaves_at_13, raise_=shape_at_12)) == SHAPE
+    assert _outcome(_edited(m, **leaves_at_13, raise_=shape_at_13)) == SHAPE
+    assert _outcome(_edited(m, **leaves_at_13)) == leaves_13
+    t = _edited(m, **leaves_at_12, raise_=shape_at_13)
+    assert classify_loops_coloops(t)[7] == "loop"
+    rng = random.Random(27)
+    entries = t.to_json_dict()["entries"]
+    for _ in range(5):
+        doc = {"n": t.n, "entries": rng.sample(entries, len(entries))}
+        assert _outcome(T1Table.from_json_dict(doc)) == leaves_12
+
+
+def test_a_pair_group_leaving_the_ground_set_names_its_pair():
+    # U(3, 2) with the loop 4: the group at A = {1} is the pair {2, 3}; moved to {2, 4}
+    m = uniform(3, 2) * uniform(1, 0)
+    t = _edited(m, drop=[((1,), (2, 3))], add={((1,), (2, 4)): 1})
+    assert classify_loops_coloops(t)[4] == "loop"
+    assert _outcome(t) == "pair entry (2, 4) leaves the ground set"
+
+
+@pytest.mark.parametrize(
+    "ground, want",
+    [
+        # ground is read as a set: a member equal to a vertex counts as that vertex
+        ((True, 2.0, 3, 4), (1, 2, 3, 4)),
+        ((0, 1, 2, 3, 4, 99), (1, 2, 3, 4)),
+        ((1, 2, 3, "4"), "singleton entries (1, 2, 3, 4) leave the ground set"),
+        (iter((4, 3, 2, 1)), (1, 2, 3, 4)),
+    ],
+)
+def test_rank_one_reads_its_ground_as_a_set(ground, want):
+    t = _rank_one_table(6, (1, 2, 3, 4))
+    try:
+        got = reconstruct_rank_one(t, ground)
+    except NotAMatroidTableError as exc:
+        got = str(exc)
+    assert got == want
