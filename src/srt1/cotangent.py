@@ -398,6 +398,26 @@ def _graph_edge_dims(adj: dict[int, int]) -> Iterator[tuple[int, int]]:
             yield u | w, only
 
 
+def _read_link(
+    cx: SimplicialComplex, a: int, link_facets: list[int], rank: int
+) -> tuple[dict | frozenset, list[int] | None, Iterator[tuple[int, int, int]]]:
+    """What the singleton test reads at the link at a with these facets and
+    this rank: at rank at most 2 its adjacency, circuits None and the
+    `_graph_dims` rows; otherwise its face set, its circuits of two or more
+    vertices and the `_vertex_dims` rows, at a = emptyset cx's cached face
+    set and circuits.  The rows are lazy, so a failing test stops early."""
+    if rank <= 2:
+        adj = _adjacency(link_facets)
+        return adj, None, _graph_dims(adj)
+    if a:
+        link_faces = _faces_of(link_facets)
+        circuits = _minimal_nonfaces(link_faces, cx.n)
+    else:
+        link_faces, circuits = cx.face_masks(), cx._circuit_masks()
+    circuits = [c for c in circuits if c & (c - 1)]
+    return link_faces, circuits, _vertex_dims(link_faces, circuits, rank)
+
+
 def _walk(cx: SimplicialComplex) -> Iterator[tuple[int, int, list[int] | None, list | None]]:
     """Walks the links of cx depth first from the empty face, stepping from a
     to a u {v} only for link vertices v above a's highest vertex, so that it
@@ -418,13 +438,10 @@ def _walk(cx: SimplicialComplex) -> Iterator[tuple[int, int, list[int] | None, l
       link, any other face being 0 by rule 1.
 
     The singleton test compares the two sides of each row (v, graph
-    dimension, circuit count) that one vertex rule yields.  A link of
-    dimension 1 reads them off its adjacency (`_graph_circuits`,
-    `_graph_dims`), then its edges only if the test fails
-    (`_graph_edge_dims`); a larger one reads them at its vertices in a
-    circuit off its circuits (`_vertex_dims`, no N_b), then counts the
-    graph over its faces at its wider `_circuit_faces` only if the test
-    fails.
+    dimension, circuit count) of the link as `_read_link` reads it.  Only if
+    the test fails does a link of dimension 1 read its edges
+    (`_graph_edge_dims`), and a larger one count the graph over its faces
+    at its wider `_circuit_faces`.
 
     A face in exactly one facet F is skipped with every face above it,
     before any face set is built: its link is the simplex on F \\ a
@@ -453,26 +470,19 @@ def _walk(cx: SimplicialComplex) -> Iterator[tuple[int, int, list[int] | None, l
         if rank == 1:
             yield a, verts, None, None
             continue
+        link, circuits, rows = _read_link(cx, a, link_facets, rank)
+        rows = list(rows)
         if rank == 2:
-            adj = _adjacency(link_facets)
-            circuits, rows = _graph_circuits(adj), list(_graph_dims(adj))
-        else:
-            if a:
-                link_faces = _faces_of(link_facets)
-                circuits = _minimal_nonfaces(link_faces, cx.n)
-            else:
-                link_faces, circuits = cx.face_masks(), cx._circuit_masks()
-            circuits = [c for c in circuits if c & (c - 1)]
-            rows = list(_vertex_dims(link_faces, circuits, rank))
+            circuits = _graph_circuits(link)
         if all(graph == count for _, graph, count in rows):
             yield a, verts, circuits, None
             continue
         dims = [(b, graph) for b, graph, _ in rows]
         if rank == 2:
-            dims += _graph_edge_dims(adj)
+            dims += _graph_edge_dims(link)
         else:
             wider = [b for b in _circuit_faces(circuits) if b & (b - 1)]
-            dims += [(b, _dim_on_faces(link_faces, b)) for b in wider]
+            dims += [(b, _dim_on_faces(link, b)) for b in wider]
         yield a, verts, circuits, [(c, 1) for c in _isolated_circuits(circuits)] + dims
         rest = verts & -(1 << a.bit_length())
         while rest:
@@ -562,11 +572,11 @@ def inclusion_graph(cx: SimplicialComplex, A: Iterable[int], b: Iterable[int]) -
 def dim_t1(cx: SimplicialComplex, degree) -> int:
     """dim T1 of cx at the degree with supports (A, b), by the rule `_walk`
     applies there: 0 outside the vanishing range or on a link in one facet;
-    the `_uniform_rows` row at rank 1; `_graph_dims` at a vertex and
-    `_graph_edge_dims` at an edge of a graph link; on a larger link (at
-    A = emptyset, cx's cached faces and circuits) 0 at a face in no circuit,
-    `_vertex_dims` over the circuits through a vertex, else `_dim_on_faces`;
-    at a nonface, 1 on an isolated circuit."""
+    the `_uniform_rows` row at rank 1; on any other link, read by
+    `_read_link`, its row at a vertex and `_graph_edge_dims` at an edge of a
+    graph link; on a larger one 0 at a face in no circuit, `_vertex_dims`
+    over the circuits through a vertex, else `_dim_on_faces`; at a nonface,
+    1 on an isolated circuit."""
     cx._require_nonvoid("dim_t1")
     am, bm = _degree_masks(degree, cx.n)
     link_facets = _link_facets(cx.facet_masks, am)
@@ -576,21 +586,18 @@ def dim_t1(cx: SimplicialComplex, degree) -> int:
     rank = max(map(int.bit_count, link_facets))
     if rank == 1:
         return dict(_uniform_rows(verts, 1)).get(bm, 0)
+    link, circuits, rows = _read_link(cx, am, link_facets, rank)
     if rank == 2:
-        adj = _adjacency(link_facets)
         if not bm & (bm - 1):
-            return next(graph for v, graph, _ in _graph_dims(adj) if v == bm)
-        if bm.bit_count() == 2 and bm & adj[bm & -bm]:
-            return dict(_graph_edge_dims(adj))[bm]
-        circuits = _graph_circuits(adj)
-    else:
-        link_faces = _faces_of(link_facets) if am else cx.face_masks()
-        circuits = _minimal_nonfaces(link_faces, cx.n) if am else cx._circuit_masks()
-        if bm in link_faces:
-            through = [c for c in circuits if not bm & ~c]
-            if through and bm & (bm - 1):
-                return _dim_on_faces(link_faces, bm)
-            return next((g for v, g, _ in _vertex_dims(link_faces, through, rank) if v == bm), 0)
+            return next(graph for v, graph, _ in rows if v == bm)
+        if bm.bit_count() == 2 and bm & link[bm & -bm]:
+            return dict(_graph_edge_dims(link))[bm]
+        circuits = _graph_circuits(link)
+    elif bm in link:
+        through = [c for c in circuits if not bm & ~c]
+        if through and bm & (bm - 1):
+            return _dim_on_faces(link, bm)
+        return next((g for v, g, _ in _vertex_dims(link, through, rank) if v == bm), 0)
     return int(bm in _isolated_circuits(circuits))
 
 

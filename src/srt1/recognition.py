@@ -15,45 +15,44 @@ contraction, and link(D, A u {v}) is the contraction of link(D, A) at v, so
 the walk goes no higher than a matroid link.  At any other link the walk's
 dims meet the formula of `cotangent._class_rows`.
 
-The singleton test is the walk's, and neither side builds N_v.  Let G_v be
-the graph on the circuits of two or more vertices through a vertex v, two
-of them, C and C', joined when (C u C') - v is a face.  The graph side at
-v is c(G_v) - 1, clamped, and the formula side the number of nodes of G_v
-less one, clamped; one rule yields both at each vertex
-(`cotangent._vertex_dims`), so the two differ at v exactly when G_v has an
-edge.  So, as an observation that the tests check on the census and on
-random complexes, a complex passes the test exactly when weak circuit
-elimination holds at every vertex: for circuits C != C' through v,
-(C u C') - v is a nonface.  That is the paper's "bound reached iff
-matroid" at the singleton degrees.
+The singleton test is the walk's: `is_matroid_via_t1` reads cx as the link
+at the empty face through `cotangent._read_link`, as the walk and `dim_t1`
+read every link, and neither side builds N_v.  Let G_v be the graph on the
+circuits of two or more vertices through a vertex v, two of them, C and
+C', joined when (C u C') - v is a face.  The graph side at v is
+c(G_v) - 1, clamped, and the formula side the number of nodes of G_v less
+one, clamped; one rule yields both at each vertex, so the two differ at v
+exactly when G_v has an edge.  So, as an observation that the tests check
+on the census and on random complexes, a complex passes the test exactly
+when weak circuit elimination holds at every vertex: for circuits C != C'
+through v, (C u C') - v is a nonface.  That is the paper's "bound reached
+iff matroid" at the singleton degrees.
 
 A complex of dimension at most 1 is a graph G on its vertices V, and
-`is_matroid_via_t1` reads both sides off its adjacency, with no face set
-and no circuits (`cotangent._graph_dims`), the case rank 2 of that rule:
-the graph side c(G[V \\ N[v]]) + e(G[N(v)]) - 1 at v, clamped, and the
-formula side |V \\ N[v]| + e(G[N(v)]) - 1, clamped, since the circuits
-through v are its non-edges and triangles.  They differ at v exactly when
-G[V \\ N[v]] has an edge.  So, as an observation that the tests check on
-the census and on random graphs, such a complex passes the test exactly
-when no vertex has two adjacent non-neighbours, that is, when its graph is
-complete multipartite.
+`_read_link` reads both sides off its adjacency, with no face set and no
+circuits, the case rank 2 of that rule: the graph side
+c(G[V \\ N[v]]) + e(G[N(v)]) - 1 at v, clamped, and the formula side
+|V \\ N[v]| + e(G[N(v)]) - 1, clamped, since the circuits through v are its
+non-edges and triangles.  They differ at v exactly when G[V \\ N[v]] has
+an edge.  So, as an observation that the tests check on the census and on
+random graphs, such a complex passes the test exactly when no vertex has
+two adjacent non-neighbours, that is, when its graph is complete
+multipartite.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .complexes import SimplicialComplex, _faces_of, _link_facets, _minimal_nonfaces, unpack
 from .cotangent import (
     MultiDegree,
-    _adjacency,
     _canonical,
     _circuit_faces,
     _class_rows,
     _dim_on_faces,
     _formula_on_link,
-    _graph_dims,
-    _vertex_dims,
+    _read_link,
     _walk,
 )
 
@@ -66,17 +65,13 @@ class Discrepancy(NamedTuple):
 
 def _first_singleton_discrepancy(cx: SimplicialComplex) -> Discrepancy | None:
     """The first degree (0, {v}) where graph dimension and circuit count
-    differ; on a complex of dimension at most 1 with no face set and no
-    circuits, on any other from the circuits through each vertex, lazily,
-    so that the test stops at the first vertex where they differ.  On a
-    larger complex a vertex in no circuit of two or more vertices is 0 on
-    both sides, the graph by rule 1, and is not read."""
+    differ, in the rows of cx as `cotangent._read_link` reads it at the
+    empty face, lazily, so that the test stops at the first vertex where
+    they differ.  On a complex of dimension 2 or more a vertex in no circuit
+    of two or more vertices is 0 on both sides, the graph by rule 1, and is
+    not read."""
     cx._require_nonvoid("is_matroid_via_t1")
-    if cx.rank <= 2:
-        rows = _graph_dims(_adjacency(cx.facet_masks))
-    else:
-        circuits = [c for c in cx._circuit_masks() if c & (c - 1)]
-        rows = _vertex_dims(cx.face_masks(), circuits, cx.rank)
+    _, _, rows = _read_link(cx, 0, cx.facet_masks, cx.rank)
     for b, graph_dim, formula_dim in rows:
         if graph_dim != formula_dim:
             return Discrepancy(MultiDegree((), unpack(b)), graph_dim, formula_dim)
@@ -86,19 +81,6 @@ def _first_singleton_discrepancy(cx: SimplicialComplex) -> Discrepancy | None:
 def is_matroid_via_t1(cx: SimplicialComplex) -> bool:
     """Singleton-degree test: graph dimension vs. circuit count at every (0, {v})."""
     return _first_singleton_discrepancy(cx) is None
-
-
-def _differing(
-    a: int, link_circuits: list[int], dims: Iterable[tuple[int, int]]
-) -> list[tuple[tuple[int, int], int, int]]:
-    """The (b, graph dimension) pairs of the link at a where the circuit
-    formula differs, as rows ((a, b), graph dimension, formula)."""
-    out = []
-    for b, graph_dim in dims:
-        formula_dim = _formula_on_link(link_circuits, b)
-        if graph_dim != formula_dim:
-            out.append(((a, b), graph_dim, formula_dim))
-    return out
 
 
 def _discrepancies(
@@ -142,6 +124,9 @@ def _all_discrepancies(cx: SimplicialComplex) -> list[Discrepancy]:
     for a in cx.face_masks():
         link_faces = _faces_of(_link_facets(cx.facet_masks, a))
         link_circuits = _minimal_nonfaces(link_faces, cx.n)
-        dims = [(b, _dim_on_faces(link_faces, b)) for b in _circuit_faces(link_circuits)]
-        out += _differing(a, link_circuits, dims)
+        for b in _circuit_faces(link_circuits):
+            graph_dim = _dim_on_faces(link_faces, b)
+            formula_dim = _formula_on_link(link_circuits, b)
+            if graph_dim != formula_dim:
+                out.append(((a, b), graph_dim, formula_dim))
     return _discrepancies(cx.n, out)

@@ -65,8 +65,9 @@ def classify_loops_coloops(t: T1Table) -> dict[int, str]:
     A vertex v is loop-or-coloop exactly when every entry with v in b and
     |A u b| <= 2 is absent.  Such a v is then probed against the canonically
     first entry (A0, b0) avoiding v: a coloop keeps the entry, with equal
-    dimension, after adjoining v to A0; a loop does not.  The rows are put in
-    canonical order once, at the first probe.
+    dimension, after adjoining v to A0; a loop does not.  At the first probe
+    the canonically least row is found once; a vertex outside it reads it,
+    and only a vertex inside it looks for the least row that avoids it.
     """
     if len(t) == 0:
         raise DiscreteAmbiguousError("the empty table does not separate loops from coloops")
@@ -76,15 +77,19 @@ def classify_loops_coloops(t: T1Table) -> dict[int, str]:
         if a.bit_count() + b.bit_count() <= 2:
             small_b |= b
     out: dict[int, str] = {}
-    ordered = None
+    key = least = None
     for v in range(1, t.n + 1):
         bit = 1 << (v - 1)
         if small_b & bit:
             out[v] = "ordinary"
             continue
-        if ordered is None:
-            ordered = sorted(rows.items(), key=_canonical(t.n))
-        first = next((row for row in ordered if not (row[0][0] | row[0][1]) & bit), None)
+        if key is None:
+            key = _canonical(t.n)
+            least = min(rows.items(), key=key)
+        first = least
+        if (least[0][0] | least[0][1]) & bit:
+            avoiding = (row for row in rows.items() if not (row[0][0] | row[0][1]) & bit)
+            first = min(avoiding, key=key, default=None)
         if first is None:
             raise NotAMatroidTableError(f"no entry avoids vertex {v}")
         (a, b), dim = first

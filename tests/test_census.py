@@ -193,7 +193,6 @@ def _circuit_graph_joins_no_pair(monkeypatch):
         return ((v, count, count) for v, _, count in vertex_dims(faces, circuits, rank))
 
     monkeypatch.setattr(cotangent, "_vertex_dims", wrong)
-    monkeypatch.setattr(recognition, "_vertex_dims", wrong)
 
 
 def _class_rows_drop_singletons(monkeypatch):
@@ -238,7 +237,6 @@ def _graph_vertices_one_too_high(monkeypatch):
         return ((v, graph + 1, count) for v, graph, count in graph_dims(adj))
 
     monkeypatch.setattr(cotangent, "_graph_dims", wrong)
-    monkeypatch.setattr(recognition, "_graph_dims", wrong)
 
 
 def _graph_edges_one_too_high(monkeypatch):

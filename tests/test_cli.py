@@ -1,13 +1,15 @@
+import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from srt1 import cli
+from srt1 import census, cli
 from srt1.complexes import SimplicialComplex
 from srt1.cotangent import MultiDegree, t1_table
 from srt1.matroids import uniform
@@ -385,6 +387,23 @@ def test_census_small(capsys):
     assert "FAIL" not in out
     assert "PASS antichain" in out
     assert out.strip().endswith("max_n=2")
+
+
+def test_census_reports_a_failing_invariant(capsys, monkeypatch):
+    # a nonface dimension one too high fails that invariant alone: its line
+    # lists at most five failures, indented, every other invariant passes,
+    # and the summary and the exit code say the census failed
+    nonface = census.dim_t1_nonface
+    monkeypatch.setattr(census, "dim_t1_nonface", lambda cx, b: nonface(cx, b) + 1)
+    assert cli.main(["census", "--max-n", "3", "--threads", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("FAIL"))
+    assert re.fullmatch(r"FAIL nonface-dimension \(checked=\d+\)", lines[at])
+    failures = list(itertools.takewhile(lambda line: line.startswith("  "), lines[at + 1 :]))
+    assert 1 <= len(failures) <= 5
+    rest = lines[:at] + lines[at + 1 + len(failures) : -1]
+    assert rest and all(line.startswith("PASS ") for line in rest)
+    assert lines[-1].startswith("census FAILED:")
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs two CPUs")

@@ -546,8 +546,7 @@ def _record_singletons(monkeypatch):
             singletons.append(row[0])
             yield row
 
-    for module in (cotangent, recognition):
-        monkeypatch.setattr(module, "_vertex_dims", vertex_dims)
+    monkeypatch.setattr(cotangent, "_vertex_dims", vertex_dims)
     monkeypatch.setattr(
         cotangent, "_dim_on_faces", lambda faces, b: counted.append(b) or real_dim(faces, b)
     )
@@ -653,7 +652,6 @@ def test_recognition_keeps_the_graph_engine(monkeypatch):
     too_high = lambda adj: ((b, g + 1, f) for b, g, f in real_rule(adj))
     with monkeypatch.context() as patch:
         patch.setattr(cotangent, "_graph_dims", too_high)
-        patch.setattr(recognition, "_graph_dims", too_high)
         patch.setattr(
             cotangent, "_graph_edge_dims", lambda adj: ((b, d + 1) for b, d in real_edges(adj))
         )
@@ -663,7 +661,6 @@ def test_recognition_keeps_the_graph_engine(monkeypatch):
     real = cotangent._vertex_dims
     too_high = lambda *args: ((b, g + 1, f) for b, g, f in real(*args))
     monkeypatch.setattr(cotangent, "_vertex_dims", too_high)
-    monkeypatch.setattr(recognition, "_vertex_dims", too_high)
     assert formula_discrepancies(uniform(5, 3))
     assert not is_matroid_via_t1(uniform(5, 3))
     assert formula_discrepancies(uniform(4, 2)) == [] and is_matroid_via_t1(uniform(4, 2))

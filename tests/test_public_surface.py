@@ -1,13 +1,16 @@
 """Pins the public surface: the package's exported names, the CLI's options
-and the census calls the benchmark harness makes.
+and the census calls the benchmark harness makes.  Pins one internal
+boundary too: only `cotangent` reads a link for the singleton test.
 
 A refactor that drops or renames any of them fails here first.
 """
 
 import argparse
 
+import pytest
+
 import srt1
-from srt1 import census
+from srt1 import census, cli, recognition, reconstruction
 from srt1.cli import build_parser
 
 EXPORTS = [
@@ -96,3 +99,12 @@ def test_census_calls_are_pinned():
         isinstance(rep, census.CensusReport) and rep.name == name for name, rep in reports.items()
     )
     assert reports["antichain"].checked == 1
+
+
+@pytest.mark.parametrize("module", [recognition, reconstruction, census, cli])
+def test_only_cotangent_reads_a_link_for_the_singleton_test(module):
+    # the adjacency and the two vertex rules are read through
+    # `cotangent._read_link` alone, so a test that patches them patches
+    # `cotangent` and nothing else
+    bound = {"_adjacency", "_graph_dims", "_vertex_dims"} & set(vars(module))
+    assert bound == set(), module.__name__

@@ -18,7 +18,8 @@ matroid.  The guard below counts calls, with no timing: the table, the T1
 recognition and the reconstruction of U(12, 6), M(K6) and four parallel
 classes of 12 run neither the face engine nor its union-find, and
 `is_matroid_via_t1` reads the rule lazily, up to the first vertex that
-fails.
+fails.  The T1 recognition, `dim_t1` at the vertices and the table share one
+face set and one circuit sweep at the root, cx's cached ones.
 """
 
 import collections
@@ -27,9 +28,9 @@ import random
 
 import pytest
 
-from srt1 import cotangent, recognition
+from srt1 import complexes, cotangent, recognition
 from srt1.complexes import SimplicialComplex, _faces_of, _link_facets, _minimal_nonfaces
-from srt1.cotangent import _dim_on_faces, _formula_on_link, _vertex_dims, t1_table
+from srt1.cotangent import _dim_on_faces, _formula_on_link, _vertex_dims, dim_t1, t1_table
 from srt1.matroids import is_matroid_exchange, uniform
 from srt1.recognition import is_matroid_via_t1
 from srt1.reconstruction import reconstruct
@@ -156,6 +157,31 @@ def test_recognition_stops_at_the_first_vertex_that_fails(monkeypatch):
             drawn.append(row[0])
             yield row
 
-    monkeypatch.setattr(recognition, "_vertex_dims", counted)
+    monkeypatch.setattr(cotangent, "_vertex_dims", counted)
     assert not is_matroid_via_t1(SimplicialComplex.from_facets(5, [[1, 2, 3], [3, 4, 5]]))
     assert drawn == [0b1]
+
+
+@pytest.mark.parametrize(
+    "cx", [uniform(5, 3), SimplicialComplex.from_facets(5, [[1, 2, 3], [3, 4, 5]])],
+    ids=["U(5,3)", "bowtie"],
+)
+def test_the_root_readers_share_one_face_set_and_one_circuit_sweep(monkeypatch, cx):
+    # the T1 recognition, `dim_t1` at each vertex and the table all read the
+    # root through `cotangent._read_link`, from cx's cached faces and circuits:
+    # one face set and one circuit sweep in all, none of them outside the cache
+    calls = []
+    for module in (complexes, cotangent):
+        for name in ("_faces_of", "_minimal_nonfaces"):
+            real = getattr(module, name)
+            monkeypatch.setattr(
+                module,
+                name,
+                lambda *args, tag=(module.__name__, name), real=real: calls.append(tag) or real(*args),
+            )
+    cx = SimplicialComplex(cx.n, cx.facet_masks)
+    is_matroid_via_t1(cx)
+    for v in cx.vertices():
+        dim_t1(cx, ((), (v,)))
+    t1_table(cx)
+    assert sorted(calls) == [("srt1.complexes", "_faces_of"), ("srt1.complexes", "_minimal_nonfaces")]
