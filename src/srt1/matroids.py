@@ -1,8 +1,11 @@
 """Matroid oracles over simplicial complexes, plus uniform matroids.
 
 A complex is (the independence complex of) a matroid when it is nonempty and
-satisfies the exchange axiom.  Three independent recognizers are provided; all
-reject the void complex.
+satisfies the exchange axiom.  Three independent recognizers are provided,
+one per classical axiom: independence exchange, strong circuit elimination
+and the unique-minimal-element criterion on N_v.  They run on bitmasks over
+the complex's cached face set and circuits, share no code with the T1 engine
+(`srt1.cotangent`, `srt1.recognition`), and all reject the void complex.
 """
 
 from __future__ import annotations
@@ -31,10 +34,14 @@ def uniform(n: int, k: int) -> SimplicialComplex:
 def is_matroid_exchange(cx: SimplicialComplex) -> bool:
     """Independence-exchange test.
 
-    Checks that for faces J, I with |I| = |J| + 1 there is v in I \\ J with
-    J u {v} a face; the general unequal-size axiom reduces to this case.  The
-    verdict is cached on cx, so the matroid-only operations that call
-    `require_matroid` on every call run the test once per complex.
+    Ranges over every pair of faces J, I with |I| = |J| + 1, and checks that
+    there is v in I \\ J with J u {v} a face; the general unequal-size axiom
+    reduces to this case.  Level by level, one pass over the (k+1)-faces
+    builds the extension mask e(J) = {v : J u {v} a face} of each k-face J,
+    and J passes against I exactly when I meets e(J): e(J) is disjoint from
+    J, so I n e(J) lies in I \\ J.  The verdict is cached on cx, so the
+    matroid-only operations that call `require_matroid` on every call run
+    the test once per complex.
     """
     cx._require_nonvoid("matroid test")
     if cx._matroid is None:
@@ -46,20 +53,19 @@ def _exchange_holds(cx: SimplicialComplex) -> bool:
     by_size: dict[int, list[int]] = defaultdict(list)
     for f in cx.face_masks():
         by_size[f.bit_count()].append(f)
-    faces = cx.face_masks()
     for k in range(cx.rank):
-        uppers = by_size.get(k + 1, [])
-        for j in by_size.get(k, []):
+        uppers = by_size[k + 1]
+        # e(J) for every k-face J: each (k+1)-face I puts each u in I into e(I - u)
+        extensions = dict.fromkeys(by_size[k], 0)
+        for i in uppers:
+            rest = i
+            while rest:
+                u = rest & -rest
+                extensions[i ^ u] |= u
+                rest ^= u
+        for e in extensions.values():
             for i in uppers:
-                cand = i & ~j
-                ok = False
-                while cand:
-                    low = cand & -cand
-                    if (j | low) in faces:
-                        ok = True
-                        break
-                    cand ^= low
-                if not ok:
+                if not i & e:
                     return False
     return True
 
@@ -67,47 +73,79 @@ def _exchange_holds(cx: SimplicialComplex) -> bool:
 def is_matroid_circuit_elimination(cx: SimplicialComplex) -> bool:
     """Strong circuit elimination on the minimal nonfaces.
 
-    For distinct circuits C, C' meeting at i, and any v in C \\ C', some
-    circuit through v must avoid i inside C u C'.  Taken over both orders of
-    the pair, that is: the union of the circuits inside C u C' that avoid i
-    covers the symmetric difference of C and C'.  Each unordered pair
-    collects the circuits inside C u C' once.
+    Ranges over every pair of distinct circuits C, C' that meet, every i in
+    C n C' and every f in C ^ C' (both orders of the pair at once): some
+    circuit inside C u C' must contain f and avoid i.  The circuits are
+    indexed, and through[v] is the mask of the indices of the circuits that
+    contain v.  The circuits inside C u C' are the AND of ~through[x] over
+    the vertices x outside C u C', so the pair passes at (i, f) exactly when
+    inside & ~through[i] & through[f] is nonzero: a set bit is such a
+    circuit.
     """
     cx._require_nonvoid("matroid test")
     circuits = cx._circuit_masks()
-    for c1, c2 in itertools.combinations(circuits, 2):
-        inter = c1 & c2
-        if not inter:
-            continue
-        union = c1 | c2
-        inside = [c for c in circuits if c & ~union == 0]
-        need = c1 ^ c2
-        rest = inter
+    ground = (1 << cx.n) - 1
+    through = dict.fromkeys((1 << v for v in range(cx.n)), 0)
+    for index, c in enumerate(circuits):
+        rest = c
         while rest:
-            i = rest & -rest
-            rest ^= i
-            cover = 0
-            for c in inside:
-                if not c & i:
-                    cover |= c
-            if need & ~cover:
-                return False
+            v = rest & -rest
+            through[v] |= 1 << index
+            rest ^= v
+    every = (1 << len(circuits)) - 1
+    for c1, c2 in itertools.combinations(circuits, 2):
+        meet = c1 & c2
+        if not meet:
+            continue
+        inside = every
+        rest = ground & ~(c1 | c2)
+        while rest:
+            x = rest & -rest
+            inside &= ~through[x]
+            rest ^= x
+        need = c1 ^ c2
+        while meet:
+            i = meet & -meet
+            meet ^= i
+            avoiding = inside & ~through[i]
+            rest = need
+            while rest:
+                f = rest & -rest
+                if not avoiding & through[f]:
+                    return False
+                rest ^= f
     return True
 
 
 def is_matroid_unique_min(cx: SimplicialComplex) -> bool:
     """Unique-minimal-element criterion on the families N_v.
 
-    For every vertex v, each member of N_v(cx) must contain exactly one
-    inclusion-minimal member of N_v(cx).
+    Ranges over every vertex v and every member of N_v(cx), the faces F
+    avoiding v with F u {v} not a face: each must contain exactly one
+    inclusion-minimal member of N_v(cx).  N_v is an up-set among the faces
+    that avoid v, so a member F is minimal exactly when no one-vertex
+    deletion F - u is a member, that is when (F - u) u {v} is a face for
+    every u in F.
     """
     cx._require_nonvoid("matroid test")
     faces = cx.face_masks()
     for v in range(cx.n):
-        nv = _ndel(faces, 1 << v)
-        minimal = [f for f in nv if not any(g != f and g & ~f == 0 for g in nv)]
+        bit = 1 << v
+        nv = _ndel(faces, bit)
+        minimal = []
         for f in nv:
-            if sum(1 for m in minimal if m & ~f == 0) != 1:
+            rest = f
+            while rest:
+                u = rest & -rest
+                if ((f ^ u) | bit) not in faces:
+                    break
+                rest ^= u
+            else:
+                minimal.append(f)
+        for f in nv:
+            # the minimal members inside f are those with no vertex outside f
+            outside = ~f
+            if [m & outside for m in minimal].count(0) != 1:
                 return False
     return True
 

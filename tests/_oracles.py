@@ -111,6 +111,40 @@ def naive_is_matroid(cx) -> bool:
     return True
 
 
+def naive_circuit_elimination(cx) -> bool:
+    """Strong circuit elimination on the minimal nonfaces: for distinct circuits
+    C1, C2, every e in C1 & C2 and every f in C1 - C2, some circuit inside
+    (C1 | C2) - {e} contains f."""
+    faces = faces_of(cx)
+    if not faces:
+        return False
+    circuits = naive_minimal_nonfaces(faces, range(1, cx.n + 1))
+    for c1 in circuits:
+        for c2 in circuits:
+            if c1 == c2:
+                continue
+            for e in c1 & c2:
+                for f in c1 - c2:
+                    if not any(f in c3 and c3 <= (c1 | c2) - {e} for c3 in circuits):
+                        return False
+    return True
+
+
+def naive_unique_min(cx) -> bool:
+    """Every member of every N_v contains exactly one inclusion-minimal member
+    of N_v, minimality taken over every member."""
+    faces = faces_of(cx)
+    if not faces:
+        return False
+    for v in range(1, cx.n + 1):
+        nv = naive_n_del(faces, {v})
+        minimal = [f for f in nv if not any(g < f for g in nv)]
+        for f in nv:
+            if sum(1 for m in minimal if m <= f) != 1:
+                return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # The package's former exhaustive engine, on bitmasks (bit v-1 is vertex v).
 # It computes T1 at every subset b of each link's vertices, counts components

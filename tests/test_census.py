@@ -1,8 +1,9 @@
+import itertools
 import os
 
 import pytest
 
-from srt1 import census, complexes, cotangent, recognition
+from srt1 import census, complexes, cotangent, matroids, recognition
 from srt1.census import (
     BATTERY_ORDER,
     MAX_CENSUS_GROUND,
@@ -291,6 +292,56 @@ def _no_coloops(monkeypatch):
     monkeypatch.setattr(SimplicialComplex, "loops_and_coloops", wrong)
 
 
+def _exchange_skips_the_top_level(monkeypatch):
+    # independence exchange stops one level short, so no face of rank - 1
+    # vertices is tested against a facet of rank vertices: the verdict is
+    # that of the complex's faces of fewer than rank vertices
+    exchange_holds = matroids._exchange_holds
+
+    def wrong(cx):
+        if cx.rank == 0:
+            return exchange_holds(cx)
+        lower = [f for f in cx.face_masks() if f.bit_count() < cx.rank]
+        return exchange_holds(SimplicialComplex(cx.n, lower))
+
+    monkeypatch.setattr(matroids, "_exchange_holds", wrong)
+
+
+def _unique_min_accepts_two_minima(monkeypatch):
+    # the criterion on N_v passes a member that holds two minimal members
+    def wrong(cx):
+        faces = cx.face_masks()
+        for v in range(cx.n):
+            bit = 1 << v
+            nv = complexes._ndel(faces, bit)
+            minimal = [
+                f for f in nv
+                if all((f & ~(1 << u)) | bit in faces for u in range(cx.n) if f >> u & 1)
+            ]
+            if any([m & ~f for m in minimal].count(0) > 2 for f in nv):
+                return False
+        return True
+
+    monkeypatch.setattr(census, "is_matroid_unique_min", wrong)
+
+
+def _elimination_outside_the_union(monkeypatch):
+    # strong circuit elimination takes the circuit that contains f and avoids
+    # i from anywhere, not only from inside C u C'
+    def wrong(cx):
+        circuits = cx._circuit_masks()
+        through = [sum(1 << k for k, c in enumerate(circuits) if c >> v & 1) for v in range(cx.n)]
+        for c1, c2 in itertools.combinations(circuits, 2):
+            for i in range(cx.n):
+                if (c1 & c2) >> i & 1:
+                    for f in range(cx.n):
+                        if (c1 ^ c2) >> f & 1 and not through[f] & ~through[i]:
+                            return False
+        return True
+
+    monkeypatch.setattr(census, "is_matroid_circuit_elimination", wrong)
+
+
 # the invariants each mutant fails on the classes on up to 4 vertices
 MUTANTS = {
     "link-drops-a-facet": (
@@ -373,6 +424,25 @@ MUTANTS = {
             "upper-bound",
         },
     ),
+    "exchange-skips-the-top-level": (
+        _exchange_skips_the_top_level,
+        {
+            "basis-extension",
+            "coloop-free-link-heredity",
+            "deletion-basis-saturation",
+            "link-rigidity-basis",
+            "loop-coloop-classify",
+            "main-theorem-iff",
+            "matroid-equicardinal-facets",
+            "oracle-agreement",
+            "recognition-corollary",
+            "rigidity-discrete",
+            "round-trip",
+            "upper-bound",
+        },
+    ),
+    "unique-min-accepts-two-minima": (_unique_min_accepts_two_minima, {"oracle-agreement"}),
+    "elimination-outside-the-union": (_elimination_outside_the_union, {"oracle-agreement"}),
     "rank-of-the-ground-too-low": (_rank_of_the_ground_too_low, {"rank-monotone"}),
     "no-coloops": (
         _no_coloops,

@@ -1,8 +1,9 @@
 import itertools
+import random
 
 import pytest
 
-from srt1 import matroids
+from srt1 import cotangent, matroids, recognition
 from srt1.complexes import SimplicialComplex, VertexRangeError, VoidComplexError, unpack
 from srt1.matroids import (
     NotAMatroidError,
@@ -13,7 +14,8 @@ from srt1.matroids import (
     uniform,
 )
 
-from _oracles import naive_is_matroid
+from _census_reps import representatives
+from _oracles import naive_circuit_elimination, naive_is_matroid, naive_unique_min
 
 ORACLES = (is_matroid_exchange, is_matroid_circuit_elimination, is_matroid_unique_min)
 
@@ -130,3 +132,96 @@ def test_is_discrete():
     assert not is_discrete(uniform(4, 2))
     with pytest.raises(NotAMatroidError):
         is_discrete(REMARK)
+
+
+def random_complexes(count, seed):
+    """Seeded complexes on 6 to 8 vertices: some of the k-subsets of [n], and
+    half the time a few facets of other sizes beside them."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(6, 8)
+        k = rng.randint(1, n - 1)
+        subsets = list(itertools.combinations(range(1, n + 1), k))
+        facets = rng.sample(subsets, rng.randint(1, len(subsets)))
+        if rng.random() < 0.5:
+            for _ in range(rng.randint(1, 3)):
+                facets.append(rng.sample(range(1, n + 1), rng.randint(1, n - 1)))
+        out.append(SimplicialComplex.from_facets(n, facets))
+    return out
+
+
+def uniform_less_bases(max_n):
+    """U(n, k) for n <= max_n less the basis [k], and, when n > k, less [k]
+    and the basis [k - 1] + {k + 1} that shares k - 1 of its elements."""
+    for n in range(1, max_n + 1):
+        for k in range(1, n + 1):
+            one = [tuple(range(1, k + 1))]
+            two = one + [tuple(range(1, k)) + (k + 1,)]
+            for drop in (one, two) if n > k else (one,):
+                bases = [b for b in itertools.combinations(range(1, n + 1), k) if b not in drop]
+                # the (k - 1)-faces of a dropped basis stay faces
+                ridges = [r for b in drop for r in itertools.combinations(b, k - 1)]
+                yield SimplicialComplex.from_facets(n, bases + ridges)
+
+
+DIFFERENTIAL_CASES = {
+    "census": [cx for n in range(1, 6) for cx in representatives(n)],
+    "random": random_complexes(160, seed=29),
+    "uniform-less-bases": list(uniform_less_bases(8)),
+}
+
+
+@pytest.mark.parametrize(
+    "oracle, axiom",
+    [
+        (is_matroid_exchange, naive_is_matroid),
+        (is_matroid_circuit_elimination, naive_circuit_elimination),
+        (is_matroid_unique_min, naive_unique_min),
+    ],
+    ids=["exchange", "circuit-elimination", "unique-min"],
+)
+@pytest.mark.parametrize("family", DIFFERENTIAL_CASES)
+def test_each_oracle_agrees_with_its_axiom(oracle, axiom, family):
+    # each oracle against its own axiom, written over frozensets with the
+    # full quantifiers, not against the other oracles
+    cases = DIFFERENTIAL_CASES[family]
+    verdicts = [axiom(cx) for cx in cases]
+    for cx, want in zip(cases, verdicts):
+        fresh = SimplicialComplex(cx.n, cx.facet_masks)
+        assert oracle(fresh) == want, (oracle.__name__, cx.n, cx.facets)
+    # both verdicts occur in every family
+    assert len(set(verdicts)) == 2
+
+
+def test_the_differential_families_have_their_sizes():
+    assert len(DIFFERENTIAL_CASES["census"]) == 253
+    assert {cx.n for cx in DIFFERENTIAL_CASES["random"]} == {6, 7, 8}
+    assert len(DIFFERENTIAL_CASES["random"]) >= 150
+
+
+def test_the_oracles_bind_nothing_from_the_engine():
+    # the oracles are checks on the T1 engine, so they import none of it
+    engine = {cotangent.__name__, recognition.__name__}
+    bound = {
+        name
+        for name, obj in vars(matroids).items()
+        if getattr(obj, "__name__", None) in engine or getattr(obj, "__module__", None) in engine
+    }
+    assert bound == set()
+
+
+@pytest.mark.parametrize("oracle", ORACLES, ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "cx", [uniform(6, 3), SimplicialComplex.from_facets(4, [[1, 2], [3, 4]])],
+    ids=["U(6,3)", "two-disjoint-edges"],
+)
+def test_the_oracles_read_no_link(monkeypatch, oracle, cx):
+    calls = []
+    for name in ("_read_link", "_vertex_dims", "_graph_dims"):
+        real = getattr(cotangent, name)
+        monkeypatch.setattr(
+            cotangent, name, lambda *args, name=name, real=real: calls.append(name) or real(*args)
+        )
+    oracle(SimplicialComplex(cx.n, cx.facet_masks))
+    assert calls == []

@@ -15,8 +15,8 @@ the rule lists it nowhere.  On the census and the random
 complexes, as an observation, the test passes exactly when weak circuit
 elimination holds at every vertex, and so exactly when the complex is a
 matroid.  The guard below counts calls, with no timing: the table, the T1
-recognition and the reconstruction of U(12, 6), M(K6) and four parallel
-classes of 12 run neither the face engine nor its union-find, and
+recognition, the discrepancies and the reconstruction of U(12, 6), M(K6) and
+four parallel classes of 12 run neither the face engine nor its union-find, and
 `is_matroid_via_t1` reads the rule lazily, up to the first vertex that
 fails.  The T1 recognition, `dim_t1` at the vertices and the table share one
 face set and one circuit sweep at the root, cx's cached ones.
@@ -28,11 +28,11 @@ import random
 
 import pytest
 
-from srt1 import complexes, cotangent, recognition
+from srt1 import complexes, cotangent
 from srt1.complexes import SimplicialComplex, _faces_of, _link_facets, _minimal_nonfaces
 from srt1.cotangent import _dim_on_faces, _formula_on_link, _vertex_dims, dim_t1, t1_table
 from srt1.matroids import is_matroid_exchange, uniform
-from srt1.recognition import is_matroid_via_t1
+from srt1.recognition import formula_discrepancies, is_matroid_via_t1
 from srt1.reconstruction import reconstruct
 
 from _census_reps import representatives
@@ -139,9 +139,10 @@ def test_matroids_run_no_face_engine_and_no_union_find(monkeypatch, cx):
         monkeypatch.setattr(
             cotangent, name, lambda *args, name=name, real=real: calls.append(name) or real(*args)
         )
-    monkeypatch.setattr(recognition, "_dim_on_faces", cotangent._dim_on_faces)
     cx = SimplicialComplex(cx.n, cx.facet_masks)
     assert is_matroid_via_t1(cx)
+    # through `_walk`, which would reach the face engine at a link that fell to it
+    assert formula_discrepancies(cx) == []
     assert reconstruct(t1_table(cx)) == cx
     assert calls == []
 
