@@ -16,11 +16,12 @@ subtracted (clamped at zero).  Membership in N~_b only needs the maximal
 proper subsets b \\ {v}: monotonicity of the face property makes smaller b'
 redundant, and for |b| = 1 the only subset is the empty set, so N~_b is empty.
 
-Every link is read off the facets: those of link(D, A) are F \\ A over the
-facets F through A, and one materialiser, `complexes._faces_of`, turns facets
-into faces for the complex and its links alike.  T1 of D at (A, b) is T1 of
-link(D, A) at (emptyset, b), so each link is decided on its own, and one
-walk, `_walk`, visits the links and hands each to one of two engines.
+Every link is read off the root: the facets of link(D, A) are F \\ A over
+the facets F through A, S is a face of it when S u A is one of D, and its
+circuits follow from D's by one contraction step, `_contract`, per vertex
+of A.  T1 of D at (A, b) is T1 of link(D, A) at (emptyset, b), so each link
+is decided on its own, and one walk, `_walk`, visits the links and hands
+each to one of two engines.
 
 The singleton test compares, at each vertex v in a circuit of a link L,
 the graph dimension with the circuit count, and neither side needs N_v.
@@ -85,7 +86,6 @@ from .complexes import (
     _faces_of,
     _ground_size,
     _link_facets,
-    _minimal_nonfaces,
     _ndel,
     _order_key,
     _union,
@@ -246,13 +246,13 @@ def _formula_on_link(link_circuits: list[int], b: int) -> int:
 
 
 def _vertex_dims(
-    faces: frozenset[int], circuits: list[int], rank: int
+    faces: frozenset[int], a: int, circuits: list[int], rank: int
 ) -> Iterator[tuple[int, int, int]]:
     """(v, graph dimension, circuit count) at each vertex v in one of
-    circuits, in vertex order, lazily, for a link with these faces, these
-    circuits of two or more vertices and this rank: both sides of the
-    singleton test, from one pass over the circuits at each vertex.  No N_b
-    is built and no union-find runs over faces.
+    circuits, in vertex order, lazily, for the link at a of the complex with
+    these faces (S is a face of it when S u a is one), given its circuits of
+    two or more vertices and its rank: both sides of the singleton test, from
+    one pass over the circuits at each vertex, with no N_b and no union-find.
 
     The graph G_v has the circuits C through v as nodes, C and C' joined
     when (C u C') - v is a face, and the dimension is c(G_v) - 1, clamped;
@@ -261,8 +261,9 @@ def _vertex_dims(
     circuit C, which holds v since F is a face, so F holds C - v, a face
     avoiding v and itself in N_v.  N_v is their up-set among the faces
     avoiding v, and members F < G share a component, so two of them share
-    one exactly when a chain of them has pairwise unions that are faces.  A circuit of rank + 1 vertices is an isolated node, as (C u C')
-    - v then has more than rank vertices; it is counted and never paired.
+    one exactly when a chain of them has pairwise unions that are faces.
+    A circuit of rank + 1 vertices is an isolated node, as (C u C') - v
+    then has more than rank vertices; it is counted and never paired.
     So the test passes at v exactly when G_v has no edge: weak circuit
     elimination at v.  `_graph_dims` is the case rank 2."""
     verts = _union(circuits)
@@ -270,7 +271,7 @@ def _vertex_dims(
         v = verts & -verts
         verts ^= v
         below = [c ^ v for c in circuits if c & v]  # the minimal members of N_v
-        left = [g for g in below if g.bit_count() < rank]
+        left = [g | a for g in below if g.bit_count() < rank]  # with a, for lookups in faces
         parts = len(below) - len(left)
         while left:  # the components of G_v, one sweep each
             parts += 1
@@ -398,24 +399,48 @@ def _graph_edge_dims(adj: dict[int, int]) -> Iterator[tuple[int, int]]:
             yield u | w, only
 
 
+def _contract(faces: frozenset[int], a: int, v: int, circuits: list[int]) -> tuple[list[int], int]:
+    """The circuits of two or more vertices of link(cx, a) and the mask of
+    its new loops, from the circuits C of L = link(cx, a \\ {v}) and cx's
+    faces.  link(cx, a) is L's link at v, whose circuits are the minimal
+    sets C \\ {v}, loops of L included (Oxley, Matroid Theory, 3.1.11).  For
+    C through v, C \\ {v} is one, as a C' \\ {v} inside it would put C'
+    inside C, and a loop {u} when C = {u, v}.  C missing v is one exactly
+    when (C \\ {x}) u a is a face for every x in C."""
+    out, loops = [], 0
+    for c in circuits:
+        if c & v:
+            c ^= v
+            if c & (c - 1):
+                out.append(c)
+            else:
+                loops |= c
+        elif (c & (c - 1) | a) in faces:  # x the lowest vertex of C first
+            rest = c & (c - 1)
+            while rest and (c ^ (rest & -rest) | a) in faces:
+                rest &= rest - 1
+            if not rest:
+                out.append(c)
+    return out, loops
+
+
 def _read_link(
     cx: SimplicialComplex, a: int, link_facets: list[int], rank: int
 ) -> tuple[dict | frozenset, list[int] | None, Iterator[tuple[int, int, int]]]:
     """What the singleton test reads at the link at a with these facets and
     this rank: at rank at most 2 its adjacency, circuits None and the
-    `_graph_dims` rows; otherwise its face set, its circuits of two or more
-    vertices and the `_vertex_dims` rows, at a = emptyset cx's cached face
-    set and circuits.  The rows are lazy, so a failing test stops early."""
+    `_graph_dims` rows; otherwise cx's face set, the link's circuits of two
+    or more vertices, cx's contracted at each vertex of a by `_contract`,
+    and the `_vertex_dims` rows.  The rows are lazy, so a failing test stops
+    early."""
     if rank <= 2:
         adj = _adjacency(link_facets)
         return adj, None, _graph_dims(adj)
-    if a:
-        link_faces = _faces_of(link_facets)
-        circuits = _minimal_nonfaces(link_faces, cx.n)
-    else:
-        link_faces, circuits = cx.face_masks(), cx._circuit_masks()
-    circuits = [c for c in circuits if c & (c - 1)]
-    return link_faces, circuits, _vertex_dims(link_faces, circuits, rank)
+    faces = cx.face_masks()
+    circuits = [c for c in cx._circuit_masks() if c & (c - 1)]
+    for v in (1 << i for i in range(a.bit_length()) if a >> i & 1):
+        circuits = _contract(faces, a & (2 * v - 1), v, circuits)[0]
+    return faces, circuits, _vertex_dims(faces, a, circuits, rank)
 
 
 def _walk(cx: SimplicialComplex) -> Iterator[tuple[int, int, list[int] | None, list | None]]:
@@ -440,11 +465,11 @@ def _walk(cx: SimplicialComplex) -> Iterator[tuple[int, int, list[int] | None, l
     The singleton test compares the two sides of each row (v, graph
     dimension, circuit count) of the link as `_read_link` reads it.  Only if
     the test fails does a link of dimension 1 read its edges
-    (`_graph_edge_dims`), and a larger one count the graph over its faces
-    at its wider `_circuit_faces`.
+    (`_graph_edge_dims`), and a larger one build its face set, cx's at a =
+    emptyset, to count the graph over it at its wider `_circuit_faces`.
 
     A face in exactly one facet F is skipped with every face above it,
-    before any face set is built: its link is the simplex on F \\ a
+    before any lookup: its link is the simplex on F \\ a
     ({emptyset} when the face is a facet), which carries no nonzero degree.
     F u b is a face for all faces F and b of a simplex, so every N_b is
     empty and every graph dimension 0, and its circuits are the single
@@ -482,6 +507,8 @@ def _walk(cx: SimplicialComplex) -> Iterator[tuple[int, int, list[int] | None, l
             dims += _graph_edge_dims(link)
         else:
             wider = [b for b in _circuit_faces(circuits) if b & (b - 1)]
+            if wider and a:
+                link = _faces_of(link_facets)
             dims += [(b, _dim_on_faces(link, b)) for b in wider]
         yield a, verts, circuits, [(c, 1) for c in _isolated_circuits(circuits)] + dims
         rest = verts & -(1 << a.bit_length())
@@ -573,10 +600,12 @@ def dim_t1(cx: SimplicialComplex, degree) -> int:
     """dim T1 of cx at the degree with supports (A, b), by the rule `_walk`
     applies there: 0 outside the vanishing range or on a link in one facet;
     the `_uniform_rows` row at rank 1; on any other link, read by
-    `_read_link`, its row at a vertex and `_graph_edge_dims` at an edge of a
-    graph link; on a larger one 0 at a face in no circuit, `_vertex_dims`
-    over the circuits through a vertex, else `_dim_on_faces`; at a nonface,
-    1 on an isolated circuit."""
+    `_read_link`, its row at a vertex, 0 at a vertex it lists nowhere, and
+    `_graph_edge_dims` at an edge of a graph link; on a larger one, at a
+    wider face, 0 in no circuit (rule 1) and else `_dim_on_faces`; at a
+    nonface, 1 on an isolated circuit.  `_read_link` takes link(cx, A) as
+    a complex of its own, at its empty face, so that one degree builds no
+    face set or circuits beyond its link's."""
     cx._require_nonvoid("dim_t1")
     am, bm = _degree_masks(degree, cx.n)
     link_facets = _link_facets(cx.facet_masks, am)
@@ -586,19 +615,16 @@ def dim_t1(cx: SimplicialComplex, degree) -> int:
     rank = max(map(int.bit_count, link_facets))
     if rank == 1:
         return dict(_uniform_rows(verts, 1)).get(bm, 0)
-    link, circuits, rows = _read_link(cx, am, link_facets, rank)
+    link, circuits, rows = _read_link(cx.link_mask(am) if am else cx, 0, link_facets, rank)
+    if not bm & (bm - 1):
+        return next((graph * (v == bm) for v, graph, _ in rows if v >= bm), 0)  # in vertex order
     if rank == 2:
-        if not bm & (bm - 1):
-            return next(graph for v, graph, _ in rows if v == bm)
         if bm.bit_count() == 2 and bm & link[bm & -bm]:
             return dict(_graph_edge_dims(link))[bm]
         circuits = _graph_circuits(link)
-    elif bm in link:
-        through = [c for c in circuits if not bm & ~c]
-        if through and bm & (bm - 1):
-            return _dim_on_faces(link, bm)
-        return next((g for v, g, _ in _vertex_dims(link, through, rank) if v == bm), 0)
-    return int(bm in _isolated_circuits(circuits))
+    elif bm in link and any(not bm & ~c for c in circuits):
+        return _dim_on_faces(link, bm)
+    return int(bm in _isolated_circuits(circuits))  # 0 at a face in no circuit
 
 
 def dim_t1_nonface(cx: SimplicialComplex, b: Iterable[int]) -> int:
@@ -857,16 +883,18 @@ def t1_table(cx: SimplicialComplex, threads: int = 1) -> T1Table:
     circuit and the graph dimension at each face in a circuit, read off the
     adjacency at a link of dimension 1.  A link of rank 1 costs its
     vertices, a link of dimension 1 vertices x vertices for its singleton
-    test and vertices x edges more only if it fails, and a larger link its
-    face set and circuits, then for both sides of its singleton test
-    vertices x circuits once and, summed over its vertices v, (circuits
-    through v with at most rank vertices)^2 face lookups, none on a uniform
-    link.  Then a uniform matroid link costs one pass over its circuits and
-    the rows it writes, with no circuit or lookup above it; any other
-    matroid link costs, per link above it, link circuits face lookups (none
-    below rank 3), and per flat, a few operations on an integer of link
-    circuits x link vertices bits per link vertex; and any other link one
-    graph over its faces at each face of two or more vertices in a circuit.
+    test and vertices x edges more only if it fails.  A larger link at a
+    face a costs |a| contraction steps of at most circuits x circuit size
+    lookups, then for both sides of its singleton test vertices x circuits
+    once and, summed over its vertices v, (circuits through v with at most
+    rank vertices)^2 face lookups, none on a uniform link; cx's face set and
+    circuits are built once.  Then a uniform matroid link costs one pass
+    over its circuits and the rows it writes, with no circuit or lookup
+    above it; any other matroid link costs, per link above it, link circuits
+    x circuit size face lookups (none below rank 3), and per flat, a few
+    operations on an integer of link circuits x link vertices bits per link
+    vertex; and any other link its face set and one graph over it at each
+    face of two or more vertices in a circuit.
 
     The table is computed in-process: each face's piece costs well under a
     millisecond, too little to repay a process pool.  `threads` is accepted
@@ -992,18 +1020,10 @@ def _matroid_links(
 
     The walk steps from a to a u {v} only for link vertices v above a's
     highest vertex, so it reaches each face once, and lowers the rank, the
-    size of the link's facets, by one; only a step from rank 3 or more looks
-    a face up, in cx's face set, built then.  The circuits of M/(a u v), the
-    contraction of M/a at v, are the minimal nonempty sets C \\ {v} over the
-    circuits C of M/a (Oxley, Matroid Theory, 3.1.11):
-
-    * C \\ {v} for C through v is one, as a C' \\ {v} inside it, C' != C,
-      would put C' inside C.  When C \\ {v} = {u}, u is parallel to v and
-      becomes a loop, the only vertex besides v to leave the vertex mask.
-    * C missing v stays one exactly when v is not in cl(C \\ {x}) for each x
-      in C.  That closure is cl(C) for every x, so one x will do, and
-      (C \\ {x}) u {v} is independent in M/a exactly when its union with a
-      is a face of cx: one lookup in cx's face set.
+    size of the link's facets, by one.  M/(a u v) is the contraction of M/a
+    at v: a step from rank 3 or more is `_contract`, with lookups in cx's
+    face set, built then, and one from rank 2 lands on U(d, 1) with loops,
+    the vertices of M/a less v and those parallel to v.
 
     A link whose circuits are all loops has a single facet, as have the
     links above it, so the walk drops it with them; a matroid link with
@@ -1031,20 +1051,9 @@ def _matroid_links(
         while rest:
             v = rest & -rest
             rest ^= v
-            av = a | v
-            child_verts = verts ^ v
-            child = []
-            for c in circuits:
-                if c & v:
-                    c ^= v
-                    if c & (c - 1):
-                        child.append(c)
-                    else:
-                        child_verts ^= c
-                elif (c & (c - 1) | av) in faces:
-                    child.append(c)
+            child, loops = _contract(faces, a | v, v, circuits)
             if child:
-                stack.append((av, child_verts, child, rank - 1))
+                stack.append((a | v, verts & ~(v | loops), child, rank - 1))
 
 
 def _table_of(

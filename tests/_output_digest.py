@@ -1,4 +1,4 @@
-"""One sha256 over the library's outputs on a fixed set of 8932 inputs.
+"""One sha256 over the library's outputs on a fixed set of 8934 inputs.
 
 Run from the repository root:
 
@@ -10,11 +10,14 @@ one command checks that a change to the engine keeps every output.
 The inputs are every nonvoid labelled complex on at most five vertices
 (7774, the one on n = 0 included), the 1152 members of
 `perfbench/catalogue.json` in their generators' labelling, U(10, 5),
-U(11, 4) and U(12, 6), and three matroids that reach each matroid rule of
+U(11, 4) and U(12, 6), three matroids that reach each matroid rule of
 the engine past the census: M(K6), the spanning trees of the complete graph
 on six nodes, whose links the contraction walk reaches and whose flats
 repeat; U(7, 4) with each element doubled; and U(8, 4) joined with two
-coloops, written from its uniform shape.  Each input adds one JSON line to the hash, a list
+coloops, written from its uniform shape; and two non-matroids whose links
+of rank 3 or more fail the singleton test past the census: "three facets
+k = 9", with facets {1..9}, {2..14} and {1, 14}, and U(8, 4) less the
+bases 1234 and 1235, which share three elements.  Each input adds one JSON line to the hash, a list
 of four items dumped with `json.dumps` defaults: the `t1_table` document;
 per entry of `formula_discrepancies`, the list [A, b, graph dimension,
 formula dimension]; the verdict of `is_matroid_via_t1`; and what
@@ -66,6 +69,9 @@ def inputs():
     ]
     yield SimplicialComplex.from_facets(14, doubled)
     yield uniform(8, 4).join(SimplicialComplex.from_facets(2, [[1, 2]]))
+    yield SimplicialComplex.from_facets(14, [range(1, 10), range(2, 15), [1, 14]])
+    dropped = {(1, 2, 3, 4), (1, 2, 3, 5)}
+    yield SimplicialComplex.from_facets(8, [f for f in uniform(8, 4).facets if f not in dropped])
 
 
 def complete_graph_matroid(nodes: int):

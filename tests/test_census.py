@@ -190,8 +190,8 @@ def _circuit_graph_joins_no_pair(monkeypatch):
     # beside it, and every link of rank >= 3 passes the singleton test
     vertex_dims = cotangent._vertex_dims
 
-    def wrong(faces, circuits, rank):
-        return ((v, count, count) for v, _, count in vertex_dims(faces, circuits, rank))
+    def wrong(faces, a, circuits, rank):
+        return ((v, count, count) for v, _, count in vertex_dims(faces, a, circuits, rank))
 
     monkeypatch.setattr(cotangent, "_vertex_dims", wrong)
 
@@ -261,13 +261,14 @@ def _graph_circuits_drop_triangles(monkeypatch):
 
 
 def _circuits_drop_the_last(monkeypatch):
-    # the minimal nonfaces of a face set lose the last one found
+    # the minimal nonfaces of a face set lose the last one found; the
+    # engine's links take theirs from the complex's by contraction
     minimal_nonfaces = complexes._minimal_nonfaces
 
     def wrong(face_set, n):
         return minimal_nonfaces(face_set, n)[:-1]
 
-    for module in (complexes, cotangent, recognition):
+    for module in (complexes, recognition):
         monkeypatch.setattr(module, "_minimal_nonfaces", wrong)
 
 

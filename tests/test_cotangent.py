@@ -36,6 +36,7 @@ from srt1.matroids import NotAMatroidError, uniform
 
 from _census_reps import representatives
 from _oracles import naive_dim_t1, powerset
+from test_singleton_rule import three_facets
 
 REMARK = SimplicialComplex.from_minimal_nonfaces(
     5, [[1, 2], [1, 3], [2, 3, 4], [2, 3, 5], [1, 4, 5]]
@@ -231,6 +232,16 @@ def test_dim_t1_matches_naive_oracle_4_vertex_sample():
     for cx in sample:
         for d in all_degrees(4):
             assert dim_t1(cx, d) == naive_dim_t1(cx, d.A, d.b), (cx.facets, d)
+
+
+def test_dim_t1_off_the_empty_face_builds_no_root_face_set():
+    # link(three facets k = 12, {1}) has 2,049 faces against the root's
+    # 69,377: a degree at A = {1} reads the link as a complex of its own
+    cx = three_facets(12)
+    link_faces = cx.link((1,)).face_masks()
+    for b in ((2,), (20,), (2, 3)):
+        assert dim_t1(cx, ((1,), b)) == cotangent._dim_on_faces(link_faces, pack(b, cx.n))
+    assert cx._faces is None and cx._mnf is None
 
 
 # -- nonface degrees -----------------------------------------------------------
@@ -437,8 +448,10 @@ def test_walk_skips_simplex_links(monkeypatch):
 
     # the link is a simplex exactly when one facet contains the face, and
     # the walk skips such a face before materialising any face set; a
-    # matroid link is handed on with no face set built above it, and a link
-    # of rank 1 or 2 with none built at all
+    # matroid link is handed on with no face set built above it, a link of
+    # rank 1 or 2 with none built at all, and a larger link reads cx's faces
+    # and builds its own only when it fails the singleton test and has a
+    # face of two or more vertices in a circuit, for the inclusion graph
     built = []
     real = cotangent._faces_of
     monkeypatch.setattr(cotangent, "_faces_of", lambda facets: built.append(facets) or real(facets))
@@ -448,12 +461,20 @@ def test_walk_skips_simplex_links(monkeypatch):
         assert {a for a, _, _, _ in _walk(cx)} == kept
         assert built == []
     assert {unpack(a) for a, _, _, _ in _walk(path12)} == {()} | {(v,) for v in range(2, 12)}
+    link_face_sets = 0
     for cx in (cx for n in range(1, 6) for cx in representatives(n)):
         built.clear()
-        walked = [a for a, _, _, _ in _walk(cx)]
+        walked = list(_walk(cx))
         assert sorted(map(sorted, built)) == sorted(
-            sorted(cx.link_mask(a).facet_masks) for a in walked if a and cx.link_mask(a).rank > 2
+            sorted(cx.link_mask(a).facet_masks)
+            for a, _, circuits, dims in walked
+            if a
+            and dims is not None
+            and cx.link_mask(a).rank > 2
+            and any(b & (b - 1) for b in cotangent._circuit_faces(circuits))
         ), cx
+        link_face_sets += len(built)
+    assert link_face_sets
 
 
 def _rank_one(cx, a):

@@ -125,9 +125,11 @@ def test_walk_skips_b_in_no_link_circuit(monkeypatch, n, facets):
     )
     real_vertex_dims = cotangent._vertex_dims
 
-    def vertex_dims(faces, circuits, rank):
-        for row in real_vertex_dims(faces, circuits, rank):
-            calls.append((faces, row[0]))
+    def vertex_dims(faces, a, circuits, rank):
+        # the rule reads the link at a through the complex's faces
+        link_faces = frozenset(f ^ a for f in faces if f & a == a)
+        for row in real_vertex_dims(faces, a, circuits, rank):
+            calls.append((link_faces, row[0]))
             yield row
 
     monkeypatch.setattr(cotangent, "_vertex_dims", vertex_dims)

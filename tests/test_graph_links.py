@@ -20,7 +20,7 @@ import random
 
 import pytest
 
-from srt1 import cotangent
+from srt1 import complexes, cotangent
 from srt1.complexes import SimplicialComplex, _minimal_nonfaces, unpack
 from srt1.cotangent import (
     MultiDegree,
@@ -161,10 +161,14 @@ def test_walk_builds_no_face_set_and_no_circuits_at_a_graph_link(monkeypatch, cx
     # its singleton test and its dims off the adjacency; every vertex link
     # has rank 1 and needs none of them
     calls = []
-    for name in ("_faces_of", "_minimal_nonfaces", "_dim_on_faces"):
-        real = getattr(cotangent, name)
+    for module, name in (
+        (cotangent, "_faces_of"),
+        (complexes, "_minimal_nonfaces"),
+        (cotangent, "_dim_on_faces"),
+    ):
+        real = getattr(module, name)
         monkeypatch.setattr(
-            cotangent, name, lambda *args, name=name, real=real: calls.append(name) or real(*args)
+            module, name, lambda *args, name=name, real=real: calls.append(name) or real(*args)
         )
     cx = SimplicialComplex(cx.n, cx.facet_masks)
     assert [a for a, _, _, dims in _walk(cx) if dims is not None] == [0]

@@ -370,11 +370,16 @@ def _all_pairs_in(circuits):
     return len(bits) > 1 and all(u | w in found for u, w in itertools.combinations(bits, 2))
 
 
-# whether a call of each engine step is made for a link of rank 1
+# whether a call of each engine step, by the module that binds it, is made
+# for a link of rank 1; the circuit sweep runs behind the complex's cache
 RANK_ONE_CALL = {
-    "_faces_of": lambda facets: len(facets) > 1 and all(f.bit_count() == 1 for f in facets),
-    "_minimal_nonfaces": lambda faces, n: max(f.bit_count() for f in faces) == 1 < len(faces) - 1,
-    "_class_rows": _all_pairs_in,
+    (cotangent, "_faces_of"): (
+        lambda facets: len(facets) > 1 and all(f.bit_count() == 1 for f in facets)
+    ),
+    (complexes, "_minimal_nonfaces"): (
+        lambda faces, n: max(f.bit_count() for f in faces) == 1 < len(faces) - 1
+    ),
+    (cotangent, "_class_rows"): _all_pairs_in,
 }
 PATH_64 = SimplicialComplex.from_facets(64, [[v, v + 1] for v in range(1, 64)])
 
@@ -385,13 +390,13 @@ def test_rank_one_links_build_no_faces_circuits_or_classes(monkeypatch, cx):
     # circuits, the contraction walk steps to one without either, and its
     # rows come from the uniform rule, not the class rule
     made = collections.Counter()
-    for name, rank_one in RANK_ONE_CALL.items():
+    for (module, name), rank_one in RANK_ONE_CALL.items():
 
-        def watched(*args, name=name, real=getattr(cotangent, name), rank_one=rank_one):
+        def watched(*args, name=name, real=getattr(module, name), rank_one=rank_one):
             made[name, rank_one(*args)] += 1
             return real(*args)
 
-        monkeypatch.setattr(cotangent, name, watched)
+        monkeypatch.setattr(module, name, watched)
     table = t1_table(cx)
     assert formula_discrepancies(cx) == [] or cx is PATH_64
     if cx is not PATH_64:
@@ -496,11 +501,8 @@ def test_matroid_table_builds_no_link_face_set(monkeypatch):
     # on a uniform matroid, written from its shape, and on M(K5), whose
     # links the contraction walk reaches
     calls = []
-    for name in ("_faces_of", "_minimal_nonfaces"):
-        real = getattr(cotangent, name)
-        monkeypatch.setattr(
-            cotangent, name, lambda *args, name=name, real=real: calls.append(name) or real(*args)
-        )
+    real = cotangent._faces_of
+    monkeypatch.setattr(cotangent, "_faces_of", lambda facets: calls.append(facets) or real(facets))
     for m in (uniform(8, 4), complete_graph_matroid(5)):
         table = t1_table(m)
         assert reconstruct(table) == m
@@ -541,8 +543,8 @@ def _record_singletons(monkeypatch):
     singletons, counted = [], []
     real_vertex_dims, real_dim = cotangent._vertex_dims, cotangent._dim_on_faces
 
-    def vertex_dims(faces, circuits, rank):
-        for row in real_vertex_dims(faces, circuits, rank):
+    def vertex_dims(faces, a, circuits, rank):
+        for row in real_vertex_dims(faces, a, circuits, rank):
             singletons.append(row[0])
             yield row
 
@@ -568,10 +570,11 @@ def _path_edges(n):
 
 
 def _count_engine_calls(monkeypatch, faces):
-    """Counters of the calls `t1_table` makes on the face set faces: the
-    graph at each degree b, by the circuit rule `_vertex_dims` at a vertex
-    and the face engine else, and the circuit family (by ground size); and
-    of the rule `_graph_dims`, by the adjacency it is given."""
+    """Counters of the calls `t1_table` makes on the face set faces, the
+    complex's: the graph at each degree b of the root link, by the circuit
+    rule `_vertex_dims` at a vertex and the face engine else, and the
+    circuit family (by ground size); and of the rule `_graph_dims`, by the
+    adjacency it is given."""
     dims, circuits, rule = collections.Counter(), [], []
     real_dim = cotangent._dim_on_faces
     real_vertex_dims = cotangent._vertex_dims
@@ -583,9 +586,9 @@ def _count_engine_calls(monkeypatch, faces):
             dims[b] += 1
         return real_dim(face_set, b)
 
-    def count_vertex_dims(face_set, link_circuits, rank):
-        for row in real_vertex_dims(face_set, link_circuits, rank):
-            if face_set == faces:
+    def count_vertex_dims(face_set, a, link_circuits, rank):
+        for row in real_vertex_dims(face_set, a, link_circuits, rank):
+            if face_set == faces and not a:
                 dims[row[0]] += 1
             yield row
 
@@ -596,7 +599,6 @@ def _count_engine_calls(monkeypatch, faces):
 
     monkeypatch.setattr(cotangent, "_dim_on_faces", count_dim)
     monkeypatch.setattr(cotangent, "_vertex_dims", count_vertex_dims)
-    monkeypatch.setattr(cotangent, "_minimal_nonfaces", count_circuits)
     monkeypatch.setattr(complexes, "_minimal_nonfaces", count_circuits)
     monkeypatch.setattr(cotangent, "_graph_dims", lambda adj: rule.append(adj) or real_rule(adj))
     return dims, circuits, rule

@@ -1,6 +1,7 @@
 """Pins the public surface: the package's exported names, the CLI's options
-and the census calls the benchmark harness makes.  Pins one internal
-boundary too: only `cotangent` reads a link for the singleton test.
+and the census calls the benchmark harness makes.  Pins two internal
+boundaries too: only `cotangent` reads a link for the singleton test, and
+`cotangent` runs no circuit sweep of its own.
 
 A refactor that drops or renames any of them fails here first.
 """
@@ -10,7 +11,7 @@ import argparse
 import pytest
 
 import srt1
-from srt1 import census, cli, recognition, reconstruction
+from srt1 import census, cli, cotangent, recognition, reconstruction
 from srt1.cli import build_parser
 
 EXPORTS = [
@@ -108,3 +109,10 @@ def test_only_cotangent_reads_a_link_for_the_singleton_test(module):
     # `cotangent` and nothing else
     bound = {"_adjacency", "_graph_dims", "_vertex_dims"} & set(vars(module))
     assert bound == set(), module.__name__
+
+
+def test_cotangent_binds_no_circuit_sweep():
+    # every link takes its circuits from the complex's cached ones, by
+    # contraction (`cotangent._contract`), so `complexes._minimal_nonfaces`
+    # runs behind `SimplicialComplex._circuit_masks` alone, once per complex
+    assert "_minimal_nonfaces" not in vars(cotangent)

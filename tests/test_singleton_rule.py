@@ -18,8 +18,10 @@ matroid.  The guard below counts calls, with no timing: the table, the T1
 recognition, the discrepancies and the reconstruction of U(12, 6), M(K6) and
 four parallel classes of 12 run neither the face engine nor its union-find, and
 `is_matroid_via_t1` reads the rule lazily, up to the first vertex that
-fails.  The T1 recognition, `dim_t1` at the vertices and the table share one
-face set and one circuit sweep at the root, cx's cached ones.
+fails.  The T1 recognition, `dim_t1` at the vertices, the table and the
+discrepancies share one face set and one circuit sweep, cx's cached ones,
+at the root and at every link above it; a link builds its own face set only
+where the inclusion graph is counted at a wider face.
 """
 
 import collections
@@ -79,7 +81,7 @@ def _compare_every_vertex(cx, fewest_facets=1):
         faces = _faces_of(link_facets)
         circuits = [c for c in _minimal_nonfaces(faces, cx.n) if c & (c - 1)]
         rank = max(map(int.bit_count, link_facets))
-        rows = list(_vertex_dims(faces, circuits, rank))
+        rows = list(_vertex_dims(faces, 0, circuits, rank))
         assert [b for b, _, _ in rows] == sorted(b for b, _, _ in rows), (cx, a)
         for b, _, count in rows:
             assert count == _formula_on_link(circuits, b), (cx, a, b)
@@ -163,26 +165,60 @@ def test_recognition_stops_at_the_first_vertex_that_fails(monkeypatch):
     assert drawn == [0b1]
 
 
+def _failing_links(cx):
+    """The facets of each link of a nonempty face of cx that is no matroid,
+    in two or more facets, of rank 3 or more and with a circuit of three or
+    more vertices: the links whose inclusion graph `_walk` counts at a face
+    of two or more vertices in a circuit, by the definition."""
+    out = []
+    for a in cx.face_masks() - {0}:
+        link = cx.link_mask(a)
+        if len(link.facet_masks) > 1 and link.rank > 2 and not is_matroid_exchange(link):
+            if any(c.bit_count() > 2 for c in link.minimal_nonface_masks()):
+                out.append(sorted(link.facet_masks))
+    return out
+
+
+def uniform_less_two_bases():
+    """U(8, 4) less the bases 1234 and 1235, which share three elements."""
+    dropped = {(1, 2, 3, 4), (1, 2, 3, 5)}
+    return SimplicialComplex.from_facets(8, [f for f in uniform(8, 4).facets if f not in dropped])
+
+
 @pytest.mark.parametrize(
-    "cx", [uniform(5, 3), SimplicialComplex.from_facets(5, [[1, 2, 3], [3, 4, 5]])],
-    ids=["U(5,3)", "bowtie"],
+    "cx, failing",
+    [
+        (uniform(5, 3), 0),
+        (SimplicialComplex.from_facets(5, [[1, 2, 3], [3, 4, 5]]), 0),
+        (three_facets(9), 0),
+        (uniform_less_two_bases(), 3),
+    ],
+    ids=["U(5,3)", "bowtie", "three-facets-9", "U(8,4)-less-two-bases"],
 )
-def test_the_root_readers_share_one_face_set_and_one_circuit_sweep(monkeypatch, cx):
-    # the T1 recognition, `dim_t1` at each vertex and the table all read the
-    # root through `cotangent._read_link`, from cx's cached faces and circuits:
-    # one face set and one circuit sweep in all, none of them outside the cache
-    calls = []
+def test_the_root_readers_share_one_face_set_and_one_circuit_sweep(monkeypatch, cx, failing):
+    # the T1 recognition, `dim_t1` at each vertex, the table and the
+    # discrepancies read the root through `cotangent._read_link`, from cx's
+    # cached faces and circuits, and every larger link through them too, its
+    # circuits contracted from cx's: one circuit sweep in all, and one face
+    # set for cx and, in each of the two walks, one for each link where the
+    # inclusion graph is counted
+    links = _failing_links(SimplicialComplex(cx.n, cx.facet_masks))
+    assert len(links) == failing
+    sweeps, face_sets = [], []
+    real_sweep = complexes._minimal_nonfaces
+    monkeypatch.setattr(
+        complexes, "_minimal_nonfaces", lambda *args: sweeps.append(args[1]) or real_sweep(*args)
+    )
     for module in (complexes, cotangent):
-        for name in ("_faces_of", "_minimal_nonfaces"):
-            real = getattr(module, name)
-            monkeypatch.setattr(
-                module,
-                name,
-                lambda *args, tag=(module.__name__, name), real=real: calls.append(tag) or real(*args),
-            )
+        real = module._faces_of
+        monkeypatch.setattr(
+            module, "_faces_of", lambda facets, real=real: face_sets.append(sorted(facets)) or real(facets)
+        )
     cx = SimplicialComplex(cx.n, cx.facet_masks)
     is_matroid_via_t1(cx)
     for v in cx.vertices():
         dim_t1(cx, ((), (v,)))
     t1_table(cx)
-    assert sorted(calls) == [("srt1.complexes", "_faces_of"), ("srt1.complexes", "_minimal_nonfaces")]
+    formula_discrepancies(cx)
+    assert sweeps == [cx.n]
+    assert sorted(face_sets) == sorted([sorted(cx.facet_masks)] + links + links)
