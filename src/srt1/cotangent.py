@@ -46,15 +46,12 @@ r = 1.  Above any other matroid link the vertices and circuits of a link
 follow from those of the link one vertex below (`_matroid_links`), and the
 rows of each link are computed once per vertex mask, which fixes the flat.
 
-Any other link takes 1 at each of its isolated circuits, its only nonzero
-nonface degrees, and the graph dimension at its nonempty faces b, both
-listed by `_walk`.  A link of dimension at most 1 is a graph G on V, read
-off its adjacency with no face set: its circuits are its non-edges and its
-triangles (`_graph_circuits`), and N_b is read off it: `_graph_dims` gives
-the dimension c(G[V \\ N[v]]) + e(G[N(v)]) - 1, clamped, at a vertex v, with
-c counting components and e edges, beside the circuit count, and
-`_graph_edge_dims` at an edge {u, w} the number of common neighbours of u
-and w whose only neighbours are u and w.
+Any other link takes the graph dimension, listed by `_walk`: its row at
+each vertex and the rules of `_wide_dim` at each wider degree where it may
+be nonzero.  A link of dimension at most 1 is a graph G on V, read off its
+adjacency with no face set: its circuits are its non-edges and triangles
+(`_graph_circuits`), and `_graph_dims` gives the dimension c(G[V \\ N[v]])
++ e(G[N(v)]) - 1, clamped, at a vertex v (c counts components, e edges).
 
 Any larger link takes the circuit rule at its vertices and the inclusion
 graph at its wider faces.  N_b is an up-set among the faces disjoint from
@@ -375,28 +372,23 @@ def _graph_dims(adj: dict[int, int]) -> Iterator[tuple[int, int, int]]:
         yield v, max(parts + edges - 1, 0), max(count - 1, 0)
 
 
-def _graph_edge_dims(adj: dict[int, int]) -> Iterator[tuple[int, int]]:
-    """(b, graph dimension) at each edge b = {u, w} of a link G whose facets
-    have at most two vertices, read off its adjacency, lazily.  N_b is every
+def _graph_edge_dim(adj: dict[int, int], b: int) -> int:
+    """The graph dimension at an edge b = {u, w} of a link G whose facets
+    have at most two vertices, read off its adjacency.  N_b is every
     nonempty face that avoids b, and each edge of it is marked, since its
     union with u has three vertices.  A vertex x is unmarked when x u {u}
     and x u {w} are both faces, so the unmarked part W is the common
     neighbours of u and w, and the component of x is unmarked just when no
     edge meets x but xu and xw: the dimension is the number of common
-    neighbours whose neighbours are exactly u and w.
-    """
-    for u, near in adj.items():
-        rest = near & -(u << 1)  # the neighbours above u, each edge once
-        while rest:
-            w = rest & -rest
-            rest ^= w
-            common = near & adj[w]
-            only = 0
-            while common:
-                x = common & -common
-                common ^= x
-                only += adj[x] == u | w
-            yield u | w, only
+    neighbours whose neighbours are exactly u and w."""
+    u = b & -b
+    common = adj[u] & adj[b ^ u]
+    only = 0
+    while common:
+        x = common & -common
+        common ^= x
+        only += adj[x] == b
+    return only
 
 
 def _contract(faces: frozenset[int], a: int, v: int, circuits: list[int]) -> tuple[list[int], int]:
@@ -443,6 +435,28 @@ def _read_link(
     return faces, circuits, _vertex_dims(faces, a, circuits, rank)
 
 
+def _wide_dim(link: dict | frozenset, circuits: list[int] | None, rank: int, b: int) -> int:
+    """The graph dimension at a degree b of two or more vertices of a link
+    in two or more facets and of rank at least 2, read as `_read_link`
+    reads it at its empty face: its adjacency at rank 2, else its own face
+    set, and its circuits of two or more vertices, None allowed at rank 2.
+    The one list of the rules at such degrees, shared by `_walk` and `dim_t1`:
+
+    * an edge b of a graph link: `_graph_edge_dim`;
+    * a face b of a larger link in a circuit: `_dim_on_faces` over its faces;
+    * a face b in no circuit: 0, by rule 1;
+    * a nonface b: 1 on an isolated circuit (`_isolated_circuits`), else 0;
+      only here are circuits None built, by `_graph_circuits`."""
+    if rank == 2:
+        if b.bit_count() == 2 and b & link[b & -b]:
+            return _graph_edge_dim(link, b)
+        if circuits is None:
+            circuits = _graph_circuits(link)
+    elif b in link:
+        return _dim_on_faces(link, b) if any(not b & ~c for c in circuits) else 0
+    return int(b in _isolated_circuits(circuits))
+
+
 def _walk(cx: SimplicialComplex) -> Iterator[tuple[int, int, list[int] | None, list | None]]:
     """Walks the links of cx depth first from the empty face, stepping from a
     to a u {v} only for link vertices v above a's highest vertex, so that it
@@ -457,16 +471,13 @@ def _walk(cx: SimplicialComplex) -> Iterator[tuple[int, int, list[int] | None, l
       higher: every link above it is a contraction of it, which
       `_table_of` writes from the link's shape (`_uniform_up_set`) or
       reaches through `_matroid_links`.
-    * any other link comes with dims, its whole table: (c, 1) at each
-      isolated circuit c, then (b, graph dimension) at each nonempty face b
-      of a link of dimension 1, and at the `_circuit_faces` of a larger
-      link, any other face being 0 by rule 1.
-
-    The singleton test compares the two sides of each row (v, graph
-    dimension, circuit count) of the link as `_read_link` reads it.  Only if
-    the test fails does a link of dimension 1 read its edges
-    (`_graph_edge_dims`), and a larger one build its face set, cx's at a =
-    emptyset, to count the graph over it at its wider `_circuit_faces`.
+    * any other link fails the singleton test, which compares the two sides
+      of each row (v, graph dimension, circuit count) of the link as
+      `_read_link` reads it.  Only then does it read its edges or build its
+      face set (cx's at a = 0), and it comes with dims, its whole table:
+      (c, 1) at each isolated circuit c, the graph dimension of each row at
+      its vertex, and `_wide_dim` at each edge of a link of dimension 1 and
+      at each wider `_circuit_faces` of a larger link, any other face 0.
 
     A face in exactly one facet F is skipped with every face above it,
     before any lookup: its link is the simplex on F \\ a
@@ -478,9 +489,8 @@ def _walk(cx: SimplicialComplex) -> Iterator[tuple[int, int, list[int] | None, l
 
     The faces b are the only degrees that need the inclusion graph.  Outside
     the vanishing range both the graph dimension and the circuit formula are
-    0.  A nonface b within the link's vertices has dimension 1 when it is an
-    isolated circuit of the link (`_isolated_circuits`) and 0 otherwise, and
-    the formula agrees there: if some circuit C lies strictly inside b, then
+    0.  At a nonface b within the link's vertices the formula agrees with
+    the rule of `_wide_dim`: if some circuit C lies strictly inside b, then
     C meets b properly and the formula is 0, as is the graph side, because b
     is not a circuit; otherwise b is itself a circuit, and both sides are 1
     when b is isolated with |b| > 1 and 0 otherwise.
@@ -502,15 +512,13 @@ def _walk(cx: SimplicialComplex) -> Iterator[tuple[int, int, list[int] | None, l
         if all(graph == count for _, graph, count in rows):
             yield a, verts, circuits, None
             continue
-        dims = [(b, graph) for b, graph, _ in rows]
-        if rank == 2:
-            dims += _graph_edge_dims(link)
-        else:
-            wider = [b for b in _circuit_faces(circuits) if b & (b - 1)]
-            if wider and a:
-                link = _faces_of(link_facets)
-            dims += [(b, _dim_on_faces(link, b)) for b in wider]
-        yield a, verts, circuits, [(c, 1) for c in _isolated_circuits(circuits)] + dims
+        # the edges of a graph link, the wider faces in a circuit of a larger one
+        wider = [b for b in (link_facets if rank == 2 else _circuit_faces(circuits)) if b & (b - 1)]
+        if rank > 2 and a and wider:
+            link = _faces_of(link_facets)
+        dims = [(c, 1) for c in _isolated_circuits(circuits)] + [(b, graph) for b, graph, _ in rows]
+        dims += [(b, _wide_dim(link, circuits, rank, b)) for b in wider]
+        yield a, verts, circuits, dims
         rest = verts & -(1 << a.bit_length())
         while rest:
             v = rest & -rest
@@ -597,15 +605,14 @@ def inclusion_graph(cx: SimplicialComplex, A: Iterable[int], b: Iterable[int]) -
 
 
 def dim_t1(cx: SimplicialComplex, degree) -> int:
-    """dim T1 of cx at the degree with supports (A, b), by the rule `_walk`
-    applies there: 0 outside the vanishing range or on a link in one facet;
-    the `_uniform_rows` row at rank 1; on any other link, read by
-    `_read_link`, its row at a vertex, 0 at a vertex it lists nowhere, and
-    `_graph_edge_dims` at an edge of a graph link; on a larger one, at a
-    wider face, 0 in no circuit (rule 1) and else `_dim_on_faces`; at a
-    nonface, 1 on an isolated circuit.  `_read_link` takes link(cx, A) as
-    a complex of its own, at its empty face, so that one degree builds no
-    face set or circuits beyond its link's."""
+    """dim T1 of cx at the degree with supports (A, b): 0 outside the
+    vanishing range or on a link in one facet, the `_uniform_rows` row at
+    rank 1, else the graph dimension of link(cx, A), which `_read_link`
+    reads as a complex of its own, building nothing beyond it: its row at a
+    vertex b, 0 at a vertex it lists nowhere, and `_wide_dim` at a wider b.
+    `_walk` counts the graph side only where the singleton test fails; where
+    it passes, the walk writes the circuit formula (`_class_rows`,
+    `_uniform_rows`, `_uniform_up_set`), equal there by the main theorem."""
     cx._require_nonvoid("dim_t1")
     am, bm = _degree_masks(degree, cx.n)
     link_facets = _link_facets(cx.facet_masks, am)
@@ -618,13 +625,7 @@ def dim_t1(cx: SimplicialComplex, degree) -> int:
     link, circuits, rows = _read_link(cx.link_mask(am) if am else cx, 0, link_facets, rank)
     if not bm & (bm - 1):
         return next((graph * (v == bm) for v, graph, _ in rows if v >= bm), 0)  # in vertex order
-    if rank == 2:
-        if bm.bit_count() == 2 and bm & link[bm & -bm]:
-            return dict(_graph_edge_dims(link))[bm]
-        circuits = _graph_circuits(link)
-    elif bm in link and any(not bm & ~c for c in circuits):
-        return _dim_on_faces(link, bm)
-    return int(bm in _isolated_circuits(circuits))  # 0 at a face in no circuit
+    return _wide_dim(link, circuits, rank, bm)
 
 
 def dim_t1_nonface(cx: SimplicialComplex, b: Iterable[int]) -> int:
@@ -879,9 +880,8 @@ def t1_table(cx: SimplicialComplex, threads: int = 1) -> T1Table:
     of `_uniform_rows` on it and on every link above it; at any other
     matroid link the circuit formula of `_class_rows`, on it and on every
     link above it, whose vertices and circuits `_matroid_links` derives from
-    the parent link's by contraction; at any other link 1 at each isolated
-    circuit and the graph dimension at each face in a circuit, read off the
-    adjacency at a link of dimension 1.  A link of rank 1 costs its
+    the parent link's by contraction; at any other link the `_read_link`
+    rows and the rules of `_wide_dim`.  A link of rank 1 costs its
     vertices, a link of dimension 1 vertices x vertices for its singleton
     test and vertices x edges more only if it fails.  A larger link at a
     face a costs |a| contraction steps of at most circuits x circuit size

@@ -242,12 +242,12 @@ def _graph_vertices_one_too_high(monkeypatch):
 
 def _graph_edges_one_too_high(monkeypatch):
     # a link of dimension at most 1 reads one too high at each edge
-    graph_edge_dims = cotangent._graph_edge_dims
+    graph_edge_dim = cotangent._graph_edge_dim
 
-    def wrong(adj):
-        return ((b, dim + 1) for b, dim in graph_edge_dims(adj))
+    def wrong(adj, b):
+        return graph_edge_dim(adj, b) + 1
 
-    monkeypatch.setattr(cotangent, "_graph_edge_dims", wrong)
+    monkeypatch.setattr(cotangent, "_graph_edge_dim", wrong)
 
 
 def _graph_circuits_drop_triangles(monkeypatch):

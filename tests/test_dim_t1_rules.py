@@ -1,15 +1,17 @@
 """`dim_t1` by the walk's rules against the definition.
 
-`dim_t1` decides one degree (A, b) by the rule `cotangent._walk` applies
-there: the U(d, 1) row at a link of rank 1, the adjacency rules at a link of
-dimension 1, rule 1, the circuit rule at a vertex and one count over the
-link's faces at a wider face of a larger link, and the isolated-circuit
-rule at a nonface.  The definition is the inclusion graph over the link's
-whole face set (`cotangent._dim_on_faces`), 0 outside the vanishing range.
-The two meet at every face A, one nonface A and every nonempty b disjoint
-from A, on the census classes and on seeded random complexes on 6 to 8
-vertices; a work count shows that a singleton degree of "three facets
-k = 12" runs no count over faces.
+`dim_t1` decides one degree (A, b) by the graph side of the rules of
+`cotangent._walk`: the U(d, 1) row at a link of rank 1, the singleton-test
+row at a vertex, and at a wider b the rules that `cotangent._wide_dim`
+lists.  The walk applies them only at a link that fails the singleton
+test; at one that passes it writes the circuit formula, which the main
+theorem makes equal.  The definition is the inclusion graph over the
+link's whole face set (`cotangent._dim_on_faces`), 0 outside the vanishing
+range.  The two meet at every face A, one nonface A and every nonempty b
+disjoint from A, on the census classes and on seeded random complexes on
+6 to 8 vertices; at every wider degree of a link that fails the test,
+`dim_t1` and the walk agree and both call `_wide_dim`; a work count shows
+that a singleton degree of "three facets k = 12" runs no count over faces.
 """
 
 import random
@@ -78,3 +80,77 @@ def test_singleton_degree_counts_no_graph_over_faces(monkeypatch):
     monkeypatch.setattr(cotangent, "_dim_on_faces", lambda f, b: calls.append(b) or real(f, b))
     assert dim_t1(cx, ((), (1,))) == want
     assert calls == []
+
+
+WIDE_RULES = ("_graph_edge_dim", "_dim_on_faces", "_isolated_circuits")
+
+
+def record_wide_calls(monkeypatch):
+    """Patches `cotangent._wide_dim` to record each call as (b, the names
+    of the WIDE_RULES it reached), in call order; a rule run outside a call
+    of `_wide_dim` is not recorded."""
+    calls, inside = [], []
+    real = cotangent._wide_dim
+
+    def wide_dim(link, circuits, rank, b):
+        inside.append(set())
+        try:
+            return real(link, circuits, rank, b)
+        finally:
+            calls.append((b, inside.pop()))
+
+    def reaching(name, rule):
+        def reached(*args):
+            if inside:
+                inside[-1].add(name)
+            return rule(*args)
+
+        return reached
+
+    monkeypatch.setattr(cotangent, "_wide_dim", wide_dim)
+    for name in WIDE_RULES:
+        monkeypatch.setattr(cotangent, name, reaching(name, getattr(cotangent, name)))
+    return calls
+
+
+def test_walk_and_dim_t1_decide_wide_degrees_by_one_rule(monkeypatch):
+    # at each degree of two or more vertices in the dims of a link that
+    # fails the singleton test, dim_t1 meets the walk and both decide it
+    # through `_wide_dim`; the walk lists its isolated circuits itself,
+    # by `_isolated_circuits`, the rule `_wide_dim` applies at a nonface
+    calls = record_wide_calls(monkeypatch)
+    reached, checked = set(), 0
+    for cx in CENSUS + RANDOMS:
+        links = cotangent._walk(cx)
+        while True:
+            del calls[:]
+            link = next(links, None)
+            if link is None:
+                break
+            a, _, circuits, dims = link
+            if dims is None:
+                continue
+            walk_calls = calls[:]
+            isolated = set(cotangent._isolated_circuits(circuits))
+            wide = {b: dim for b, dim in dims if b & (b - 1)}
+            assert sorted(b for b, _ in walk_calls) == sorted(set(wide) - isolated), (cx, a)
+            for b, dim in wide.items():
+                del calls[:]
+                assert dim_t1(cx, (unpack(a), unpack(b))) == dim, (cx, unpack(a), unpack(b))
+                assert [c for c, _ in calls] == [b], (cx, unpack(a), unpack(b))
+                reached |= calls[0][1]
+                checked += 1
+            for _, rules in walk_calls:
+                reached |= rules
+    assert checked == 3_030 and reached == set(WIDE_RULES)
+
+
+def test_dim_t1_builds_graph_circuits_only_at_a_nonface(monkeypatch):
+    # on a graph link an edge takes the edge rule alone; only a nonface
+    # needs the circuits, for the isolated-circuit rule
+    cx = SimplicialComplex.from_facets(5, [[1, 2], [2, 3], [3, 4], [4, 5], [5, 1]])
+    calls = []
+    real = cotangent._graph_circuits
+    monkeypatch.setattr(cotangent, "_graph_circuits", lambda adj: calls.append(adj) or real(adj))
+    assert dim_t1(cx, ((), (1, 2))) == definition(cx, 0, 0b11) and calls == []
+    assert dim_t1(cx, ((), (1, 3))) == 0 and len(calls) == 1

@@ -114,7 +114,7 @@ def _path_edges(n):
 )
 def test_walk_skips_b_in_no_link_circuit(monkeypatch, n, facets):
     # a graph link takes the rules of `cotangent._graph_dims` and
-    # `cotangent._graph_edge_dims` and counts no graph at all; the
+    # `cotangent._graph_edge_dim` and counts no graph at all; the
     # 2-dimensional root link of the bowtie counts one only at its
     # singletons, by the circuit rule `cotangent._vertex_dims`
     cx = SimplicialComplex.from_facets(n, facets)

@@ -4,7 +4,7 @@ A link whose facets have at most two vertices is a graph G, and the graph
 dimension at each of its nonempty faces is read off the adjacency:
 `cotangent._graph_dims` gives c(G[V \\ N[v]]) + e(G[N(v)]) - 1, clamped, at
 a vertex v, beside the circuit count |V \\ N[v]| + e(G[N(v)]) - 1, clamped,
-and `cotangent._graph_edge_dims` at an edge {u, w} the number of common
+and `cotangent._graph_edge_dim` at an edge {u, w} the number of common
 neighbours whose only neighbours are u and w.  `_walk` uses them at every
 such link, and `recognition._first_singleton_discrepancy` the vertex rule
 on a complex of dimension at most 1; its circuits of two or more vertices
@@ -29,7 +29,7 @@ from srt1.cotangent import (
     _formula_on_link,
     _graph_circuits,
     _graph_dims,
-    _graph_edge_dims,
+    _graph_edge_dim,
     _walk,
     t1_table,
 )
@@ -97,10 +97,10 @@ def test_rule_matches_the_graph_engine_at_every_face(graphs):
         rows = list(_graph_dims(adj))
         for b, _, count in rows:
             assert count == _formula_on_link(circuits, b), (cx, b)
-        # the vertices, in vertex order, then the edges
+        # the vertices, in vertex order, then the edges, one call each
         vertices = [b for b, _, _ in rows]
-        edges = list(_graph_edge_dims(adj))
-        assert vertices == sorted(vertices) and all(b.bit_count() == 2 for b, _ in edges), cx
+        edges = [(b, _graph_edge_dim(adj, b)) for b in cx.facet_masks if b.bit_count() == 2]
+        assert vertices == sorted(vertices), cx
         got = [(b, graph) for b, graph, _ in rows] + edges
         want = {b: _dim_on_faces(faces, b) for b in faces if b}
         assert dict(got) == want and len(got) == len(want), cx

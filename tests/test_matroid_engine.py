@@ -3,9 +3,10 @@
 `t1_table` follows the walk `cotangent._walk`, which sends each link of
 rank 1, and each other link that passes the singleton test, to the matroid
 rules of `cotangent._table_of`, and every other link to the graph
-dimensions, read off the adjacency by `cotangent._graph_dims` and
-`cotangent._graph_edge_dims` at a link of dimension 1.  A matroid link
-whose circuits are all the r + 1-subsets of their union W
+dimensions: its singleton-test rows at its vertices, read off the
+adjacency by `cotangent._graph_dims` at a link of dimension 1, and the
+rules that `cotangent._wide_dim` lists at its wider degrees.  A matroid
+link whose circuits are all the r + 1-subsets of their union W
 (`cotangent._uniform_shape`), a link of rank 1 among them, is U(|W|, r)
 with coloops, and the uniform rule `cotangent._uniform_rows` writes it and
 every link above it (`cotangent._uniform_up_set`).  Any other
@@ -650,13 +651,11 @@ def test_recognition_keeps_the_graph_engine(monkeypatch):
     # a graph dimension one too high at every degree must show, matroid or
     # not: through the rule on the 1-dimensional U(4, 2), through the
     # circuit rule at the vertices of the 2-dimensional U(5, 3)
-    real_rule, real_edges = cotangent._graph_dims, cotangent._graph_edge_dims
+    real_rule, real_edge = cotangent._graph_dims, cotangent._graph_edge_dim
     too_high = lambda adj: ((b, g + 1, f) for b, g, f in real_rule(adj))
     with monkeypatch.context() as patch:
         patch.setattr(cotangent, "_graph_dims", too_high)
-        patch.setattr(
-            cotangent, "_graph_edge_dims", lambda adj: ((b, d + 1) for b, d in real_edges(adj))
-        )
+        patch.setattr(cotangent, "_graph_edge_dim", lambda adj, b: real_edge(adj, b) + 1)
         assert formula_discrepancies(uniform(4, 2))
         assert not is_matroid_via_t1(uniform(4, 2))
         assert formula_discrepancies(uniform(5, 3)) == [] and is_matroid_via_t1(uniform(5, 3))
@@ -885,19 +884,24 @@ def test_flat_memo_is_not_shared_between_matroid_links():
 def test_rank_two_links_count_edges_only_past_a_failed_test(monkeypatch):
     # the singleton test reads the vertices of a link of dimension 1 alone;
     # the graph at its edges is counted only when the test fails
-    drawn = {"_graph_dims": [], "_graph_edge_dims": []}
-    for name, counts in drawn.items():
+    drawn = {"_graph_dims": [], "_graph_edge_dim": []}
+    real_rule, real_edge = cotangent._graph_dims, cotangent._graph_edge_dim
 
-        def counted(adj, real=getattr(cotangent, name), counts=counts):
-            counts.append(0)
-            for item in real(adj):
-                counts[-1] += 1
-                yield item
+    def rows(adj):
+        drawn["_graph_dims"].append(0)  # the rows read, per call
+        for row in real_rule(adj):
+            drawn["_graph_dims"][-1] += 1
+            yield row
 
-        monkeypatch.setattr(cotangent, name, counted)
+    def edge(adj, b):
+        drawn["_graph_edge_dim"].append(b)  # the edges counted
+        return real_edge(adj, b)
+
+    monkeypatch.setattr(cotangent, "_graph_dims", rows)
+    monkeypatch.setattr(cotangent, "_graph_edge_dim", edge)
     t1_table(uniform(40, 2))
-    assert drawn == {"_graph_dims": [40], "_graph_edge_dims": []}
+    assert drawn == {"_graph_dims": [40], "_graph_edge_dim": []}
     for counts in drawn.values():
         counts.clear()
     t1_table(SimplicialComplex.from_facets(12, _path_edges(12)))
-    assert drawn == {"_graph_dims": [12], "_graph_edge_dims": [11]}
+    assert drawn == {"_graph_dims": [12], "_graph_edge_dim": [3 << v for v in range(11)]}

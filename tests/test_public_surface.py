@@ -1,7 +1,8 @@
 """Pins the public surface: the package's exported names, the CLI's options
-and the census calls the benchmark harness makes.  Pins two internal
-boundaries too: only `cotangent` reads a link for the singleton test, and
-`cotangent` runs no circuit sweep of its own.
+and the census calls the benchmark harness makes.  Pins three internal
+boundaries too: only `cotangent` reads a link for the singleton test,
+`cotangent` runs no circuit sweep of its own, and `dim_t1` decides a degree
+of two or more vertices through `cotangent._wide_dim` alone.
 
 A refactor that drops or renames any of them fails here first.
 """
@@ -116,3 +117,12 @@ def test_cotangent_binds_no_circuit_sweep():
     # contraction (`cotangent._contract`), so `complexes._minimal_nonfaces`
     # runs behind `SimplicialComplex._circuit_masks` alone, once per complex
     assert "_minimal_nonfaces" not in vars(cotangent)
+
+
+def test_dim_t1_names_no_wide_rule_of_its_own():
+    # the rules at a degree of two or more vertices are listed once, in
+    # `cotangent._wide_dim`, which `dim_t1` and `_walk` both call
+    own = {"_graph_edge_dim", "_dim_on_faces", "_isolated_circuits", "_graph_circuits"}
+    assert own & set(cotangent.dim_t1.__code__.co_names) == set()
+    assert "_wide_dim" in cotangent.dim_t1.__code__.co_names
+    assert "_graph_edge_dims" not in vars(cotangent)
