@@ -20,10 +20,10 @@ _EXPORTS = {
         "MAX_GROUND", "SimplicialComplex", "VertexRangeError", "VoidComplexError",
         "boundary_simplex",
     ),
-    "cotangent": (
-        "InclusionGraph", "MultiDegree", "T1Table", "bijection_check", "circuits_containing",
-        "dim_t1", "dim_t1_matroid_formula", "dim_t1_nonface", "inclusion_graph", "n_del",
-        "n_del_red", "t1_table", "t1_upper_bound",
+    "cotangent": ("MultiDegree", "T1Table", "dim_t1", "t1_table"),
+    "definition": (
+        "InclusionGraph", "bijection_check", "circuits_containing", "dim_t1_matroid_formula",
+        "dim_t1_nonface", "inclusion_graph", "n_del", "n_del_red", "t1_upper_bound",
     ),
     "matroids": (
         "NotAMatroidError", "is_discrete", "is_matroid_circuit_elimination",
@@ -38,7 +38,11 @@ _EXPORTS = {
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = list(_OWNER)
+# sorted by name within each module, the T1 names of the engine and of its
+# definition as one run
+_RUN = {module: i for i, module in enumerate(_EXPORTS)}
+_RUN["definition"] = _RUN["cotangent"]
+__all__ = sorted(_OWNER, key=lambda name: (_RUN[_OWNER[name]], name))
 
 
 def __getattr__(name: str):

@@ -11,8 +11,8 @@ deletion of b is the restriction to the complement of b), the rank of every
 vertex set, dim T1 of each link at each degree (emptyset, b) and, in one
 pass over the degrees b, N_b and N~_b.  An invariant that relates two of
 them compares what each caches, so no complex is built per pair or degree.
-`link-reduction` reads the definition (`_dim_on_faces` over a link's faces),
-independent of the walk's rules that `t1_table` and `dim_t1` share.
+`link-reduction` and `main-theorem-iff` read the face engine of `definition`
+over each link's faces, which no rule of `t1_table` or `dim_t1` runs.
 It returns the reports and whether the complex is a matroid; `run_census`
 keeps the matroids for the cross-complex checks.
 """
@@ -31,15 +31,8 @@ from .complexes import (
     submasks,
     unpack,
 )
-from .cotangent import (
-    T1Table,
-    _bijection_sets,
-    _dim_on_faces,
-    _marks,
-    dim_t1_nonface,
-    t1_table,
-    t1_upper_bound,
-)
+from .cotangent import T1Table, t1_table
+from .definition import _bijection_sets, _dim_on_faces, _marks, dim_t1_nonface, t1_upper_bound
 from .matroids import (
     is_matroid_circuit_elimination,
     is_matroid_exchange,

@@ -53,21 +53,26 @@ adjacency with no face set: its circuits are its non-edges and triangles
 (`_graph_circuits`), and `_graph_dims` gives the dimension c(G[V \\ N[v]])
 + e(G[N(v)]) - 1, clamped, at a vertex v (c counts components, e edges).
 
-Any larger link takes the circuit rule at its vertices and the inclusion
-graph at its wider faces.  N_b is an up-set among the faces disjoint from
-b, so its components come from the one-vertex inclusions alone.  Two exact
-rules, for any complex, cut the graph further.  Call F in N_b unmarked when
-it is not in N~_b.
+Any larger link takes the circuit rule at its vertices and the wider rule
+of `_wide_dim` at its wider faces, both read off the circuits through b
+and lookups in the root's one face set, with no N_b.  Call F in N_b
+unmarked when it is not in N~_b; the marks form an up-set of N_b, so the
+unmarked part W is a down-set of it.  For F in W the nonface F u b holds a
+circuit C, and C holds b, since C missing v in b would lie in the face
+F u (b \\ {v}); and each such C - b is in W.  So the minimal members of W,
+its seeds, are the sets C - b over the circuits C through b: a face in no
+circuit has dimension 0, and the walk decides only the faces in one, the
+nonempty proper subsets of circuits (`_circuit_faces`).  Each member of W
+is reached from a seed below it one vertex at a time inside W; neighbours
+in W are comparable and share a seed, and two seeds inside one member of W
+have their union in W.  So the components of W are those of the graph G_b
+on the circuits through b, C and C' joined when (C u C') - v is a face for
+every v in b, which is G_v at a vertex.  A component of W is a whole one
+of N_b, and counts, unless a member F has a face F u {u} outside W, u
+outside b: a marked member of N_b, the only step out of W.
 
-1. A face b of L that lies in no circuit of L has dimension 0.  For an
-   unmarked F in N_b the nonface F u b contains a minimal nonface C, and C
-   contains b, since C missing v in b would lie in the face F u (b \\ {v}).
-   So without a circuit through b no F is unmarked and every component is
-   marked (for |b| = 1 every F is unmarked, so N_b is empty).  The faces
-   in a circuit are the nonempty proper subsets of circuits, `_circuit_faces`.
-2. The marks form an up-set of N_b, so the unmarked part W is a down-set of
-   N_b.  `_dim_on_faces` joins W alone, then drops each component of W that
-   lies one vertex below a marked member of N_b, the only step out of W.
+The face engine, which lists N_b over a whole face set, is the definition
+itself; it lives in `definition`, which this module never imports.
 """
 
 from __future__ import annotations
@@ -80,15 +85,12 @@ from typing import Iterable, Iterator, NamedTuple
 from .complexes import (
     SimplicialComplex,
     VertexRangeError,
-    _faces_of,
     _ground_size,
     _link_facets,
-    _ndel,
     _order_key,
     _union,
     check_threads,
     pack,
-    sort_key,
     submasks,
     unpack,
 )
@@ -141,105 +143,6 @@ def _isolated_circuits(circuits: list[int]) -> list[int]:
         shared |= seen & c
         seen |= c
     return [c for c in circuits if c.bit_count() > 1 and not c & shared]
-
-
-def _less_one_for_singleton(count: int, b: int) -> int:
-    return max(count - 1, 0) if b.bit_count() == 1 else count
-
-
-def _marks(faces: frozenset[int], nvert: list[int], b: int) -> list[bool]:
-    """Membership of each N_b element in N~_b, testing only b \\ {v}."""
-    subs = [b ^ (1 << (v - 1)) for v in unpack(b)]
-    return [any((f | s) not in faces for s in subs) for f in nvert]
-
-
-def _component_ids(nvert: list[int]) -> list[int]:
-    """Component ids of the strict-inclusion graph on N_b, or on a down-set
-    of N_b, by union-find.
-
-    N_b is an up-set among the faces disjoint from b, so a strict inclusion
-    F < G inside it is a chain of one-vertex steps that stays in N_b; inside
-    a down-set W of N_b the chain also stays in W.  Joining each member to
-    its one-vertex deletions in the family gives the same components as
-    joining every comparable pair.
-    """
-    index = {f: i for i, f in enumerate(nvert)}
-    parent = list(range(len(nvert)))
-    for i, f in enumerate(nvert):
-        rest = f
-        while rest:
-            u = rest & -rest
-            rest ^= u
-            rj = index.get(f ^ u)
-            if rj is None:
-                continue
-            ri = i  # the roots of i and j, halving each path on the way
-            while parent[ri] != ri:
-                parent[ri] = ri = parent[parent[ri]]
-            while parent[rj] != rj:
-                parent[rj] = rj = parent[parent[rj]]
-            parent[ri] = rj
-    for i, root in enumerate(parent):
-        while parent[root] != root:
-            root = parent[root]
-        parent[i] = root
-    return parent
-
-
-def _dim_on_faces(faces: frozenset[int], b: int) -> int:
-    """T1 dimension in degree -b over a nonvoid face set containing b's vertices.
-
-    For |b| = 1, N~_b is empty: every component of N_b counts, less one.
-    For |b| > 1 the marks form an up-set of N_b (F u b' a nonface stays one
-    for larger F), so the unmarked part W is a down-set of N_b, and union-find
-    runs on W alone.  Each one-vertex deletion of an F in W that lies in N_b
-    is in W again, so a component of W is a whole component of N_b unless a
-    member F has a face G = F u {u} outside W with u a vertex of N_b not in
-    F; such a G is disjoint from b, and G u b contains the nonface F u b, so
-    G is a marked member of N_b joined to F.  The dimension is the number of
-    components of W with no such G.
-    """
-    nvert = _ndel(faces, b)
-    if not nvert:
-        return 0
-    if b.bit_count() == 1:
-        return _less_one_for_singleton(len(set(_component_ids(nvert))), b)
-    unmarked = [f for f, m in zip(nvert, _marks(faces, nvert, b)) if not m]
-    if not unmarked:
-        return 0
-    comp = _component_ids(unmarked)
-    inside = set(unmarked)
-    above = _union(nvert)
-    dropped = set()
-    for f, c in zip(unmarked, comp):
-        if c in dropped:
-            continue
-        rest = above & ~f
-        while rest:
-            u = rest & -rest
-            rest ^= u
-            g = f | u
-            if g in faces and g not in inside:
-                dropped.add(c)
-                break
-    return len(set(comp) - dropped)
-
-
-def _formula_on_link(link_circuits: list[int], b: int) -> int:
-    """The closed-form circuit count, from the minimal nonfaces of a link.
-
-    Zero when some minimal nonface meets b properly (the N~ emptiness
-    equivalence), else the number of minimal nonfaces containing b, less one
-    (clamped) for singleton b.
-    """
-    through = 0
-    for c in link_circuits:
-        inter = c & b
-        if inter == b:
-            through += 1
-        elif inter:
-            return 0
-    return _less_one_for_singleton(through, b)
 
 
 def _vertex_dims(
@@ -435,25 +338,71 @@ def _read_link(
     return faces, circuits, _vertex_dims(faces, a, circuits, rank)
 
 
-def _wide_dim(link: dict | frozenset, circuits: list[int] | None, rank: int, b: int) -> int:
-    """The graph dimension at a degree b of two or more vertices of a link
-    in two or more facets and of rank at least 2, read as `_read_link`
-    reads it at its empty face: its adjacency at rank 2, else its own face
-    set, and its circuits of two or more vertices, None allowed at rank 2.
-    The one list of the rules at such degrees, shared by `_walk` and `dim_t1`:
+def _grows_unmarked(
+    faces: frozenset[int], a: int, seeds: list[int], tries: int, subs: list[int]
+) -> bool:
+    """Whether the part of W above these seeds, grown by one vertex of tries
+    at a time, has no face one vertex above it outside W, with subs the sets
+    (b - v) u a, v in b, and S a face when S u a is in faces."""
+    inside = set(seeds)
+    stack = list(seeds)
+    while stack:
+        f = stack.pop()
+        rest = tries & ~f
+        while rest:
+            u = rest & -rest
+            rest ^= u
+            g = f | u
+            if g in inside or (g | a) not in faces:
+                continue
+            if not all(g | s in faces for s in subs):
+                return False
+            inside.add(g)
+            stack.append(g)
+    return True
+
+
+def _wide_dim(link: dict | frozenset, a: int, circuits: list[int] | None, rank: int, b: int) -> int:
+    """The graph dimension at a degree b of two or more vertices of the link
+    at a, in two or more facets and of rank at least 2, read as `_read_link`
+    reads it: its adjacency at rank 2, else the face set in which S is a
+    face of it when S u a is one, and its circuits of two or more vertices,
+    None allowed at rank 2.  The one list of the rules at such degrees,
+    shared by `_walk` and `dim_t1`:
 
     * an edge b of a graph link: `_graph_edge_dim`;
-    * a face b of a larger link in a circuit: `_dim_on_faces` over its faces;
-    * a face b in no circuit: 0, by rule 1;
+    * a face b of a larger link: the wider rule of the module docstring,
+      0 with no circuit through b;
     * a nonface b: 1 on an isolated circuit (`_isolated_circuits`), else 0;
-      only here are circuits None built, by `_graph_circuits`."""
+      only here are circuits None built, by `_graph_circuits`.
+
+    The wider rule sweeps the components of G_b, which has at most as many
+    nodes as the first count c1 of `definition.t1_upper_bound`, as C |-> C - b
+    maps them one to one into the sets it counts, and grows each component
+    from its seeds C - b by `_grows_unmarked`, up to the first marked face.
+    Only vertices of circuits are tried: for u in no circuit, F u {u} u (b - v)
+    is a face whenever F u {u} is, so u marks nothing, and taking such
+    vertices out of a member of W keeps it in W and a marked face above it
+    marked."""
     if rank == 2:
         if b.bit_count() == 2 and b & link[b & -b]:
             return _graph_edge_dim(link, b)
         if circuits is None:
             circuits = _graph_circuits(link)
-    elif b in link:
-        return _dim_on_faces(link, b) if any(not b & ~c for c in circuits) else 0
+    elif (b | a) in link:
+        subs = [b ^ 1 << i | a for i in range(b.bit_length()) if b >> i & 1]
+        left = [c ^ b for c in circuits if not b & ~c]  # the seeds
+        tries = _union(circuits) & ~b
+        kept = 0
+        while left:  # the components of G_b, one sweep each
+            part = [left.pop()]
+            for g in part:  # part grows as the sweep reaches seeds
+                rest = []
+                for h in left:
+                    (part if all(g | h | s in link for s in subs) else rest).append(h)
+                left = rest
+            kept += _grows_unmarked(link, a, part, tries, subs)
+        return kept
     return int(b in _isolated_circuits(circuits))
 
 
@@ -473,11 +422,13 @@ def _walk(cx: SimplicialComplex) -> Iterator[tuple[int, int, list[int] | None, l
       reaches through `_matroid_links`.
     * any other link fails the singleton test, which compares the two sides
       of each row (v, graph dimension, circuit count) of the link as
-      `_read_link` reads it.  Only then does it read its edges or build its
-      face set (cx's at a = 0), and it comes with dims, its whole table:
-      (c, 1) at each isolated circuit c, the graph dimension of each row at
-      its vertex, and `_wide_dim` at each edge of a link of dimension 1 and
-      at each wider `_circuit_faces` of a larger link, any other face 0.
+      `_read_link` reads it.  Only then does it read its edges, and it
+      comes with dims, its whole table: (c, 1) at each isolated circuit c,
+      the graph dimension of each row at its vertex, and `_wide_dim` at each
+      edge of a link of dimension 1 and at each wider `_circuit_faces` of a
+      larger link, any other face 0.  A larger link is read off cx's face
+      set and its circuits at every degree, so the walk builds no face set
+      of a link.
 
     A face in exactly one facet F is skipped with every face above it,
     before any lookup: its link is the simplex on F \\ a
@@ -487,7 +438,7 @@ def _walk(cx: SimplicialComplex) -> Iterator[tuple[int, int, list[int] | None, l
     vertices outside it, which contain no nonempty face b, so the formula is
     0 as well and no circuit is isolated with more than one vertex.
 
-    The faces b are the only degrees that need the inclusion graph.  Outside
+    The faces b are the only degrees that need the graph side.  Outside
     the vanishing range both the graph dimension and the circuit formula are
     0.  At a nonface b within the link's vertices the formula agrees with
     the rule of `_wide_dim`: if some circuit C lies strictly inside b, then
@@ -514,10 +465,8 @@ def _walk(cx: SimplicialComplex) -> Iterator[tuple[int, int, list[int] | None, l
             continue
         # the edges of a graph link, the wider faces in a circuit of a larger one
         wider = [b for b in (link_facets if rank == 2 else _circuit_faces(circuits)) if b & (b - 1)]
-        if rank > 2 and a and wider:
-            link = _faces_of(link_facets)
         dims = [(c, 1) for c in _isolated_circuits(circuits)] + [(b, graph) for b, graph, _ in rows]
-        dims += [(b, _wide_dim(link, circuits, rank, b)) for b in wider]
+        dims += [(b, _wide_dim(link, a, circuits, rank, b)) for b in wider]
         yield a, verts, circuits, dims
         rest = verts & -(1 << a.bit_length())
         while rest:
@@ -528,80 +477,6 @@ def _walk(cx: SimplicialComplex) -> Iterator[tuple[int, int, list[int] | None, l
 
 # ---------------------------------------------------------------------------
 # public operations
-
-
-def _canonical_ndel(cx: SimplicialComplex, b: Iterable[int], op: str):
-    """The face set, the mask of b and N_b(cx) in canonical order."""
-    cx._require_nonvoid(op)
-    bm = pack(b, cx.n)
-    if bm == 0:
-        raise ValueError(f"{op} needs a nonempty b")
-    faces = cx.face_masks()
-    return faces, bm, sorted(_ndel(faces, bm), key=sort_key)
-
-
-def n_del(cx: SimplicialComplex, b: Iterable[int]) -> list[tuple[int, ...]]:
-    """N_b(cx): faces disjoint from b whose union with b is not a face."""
-    return [unpack(f) for f in _canonical_ndel(cx, b, "n_del")[2]]
-
-
-def n_del_red(cx: SimplicialComplex, b: Iterable[int]) -> list[tuple[int, ...]]:
-    """N~_b(cx): members of N_b with F u b' a nonface for some proper b' of b."""
-    faces, bm, nvert = _canonical_ndel(cx, b, "n_del_red")
-    return [unpack(f) for f, m in zip(nvert, _marks(faces, nvert, bm)) if m]
-
-
-def circuits_containing(cx: SimplicialComplex, b: Iterable[int]) -> list[tuple[int, ...]]:
-    """Minimal nonfaces of cx that contain b."""
-    cx._require_nonvoid("circuits_containing")
-    bm = pack(b, cx.n)
-    through = [c for c in cx._circuit_masks() if bm & ~c == 0]
-    return [unpack(c) for c in sorted(through, key=sort_key)]
-
-
-class InclusionGraph(NamedTuple):
-    """The component data of the graph on N_b(link(cx, A)).
-
-    vertices are the members of N_b in canonical order; edges join strict
-    inclusions (as index pairs); marked holds the indices lying in N~_b;
-    components partitions the vertex indices.
-    """
-
-    vertices: tuple[tuple[int, ...], ...]
-    edges: tuple[tuple[int, int], ...]
-    marked: frozenset[int]
-    components: tuple[tuple[int, ...], ...]
-
-    def unmarked_component_count(self) -> int:
-        return sum(1 for comp in self.components if not any(i in self.marked for i in comp))
-
-
-def inclusion_graph(cx: SimplicialComplex, A: Iterable[int], b: Iterable[int]) -> InclusionGraph:
-    """Inclusion graph of N_b(link(cx, A)); empty when the link is void."""
-    am = pack(A, cx.n)
-    bm = pack(b, cx.n)
-    if bm == 0:
-        raise ValueError("inclusion_graph needs a nonempty b")
-    if am & bm:
-        raise ValueError("A and b must be disjoint")
-    link_faces = cx.link_mask(am).face_masks()
-    nvert = sorted(_ndel(link_faces, bm), key=sort_key)
-    marks = _marks(link_faces, nvert, bm)
-    comp = _component_ids(nvert)
-    edges = [
-        (i, j)
-        for i, j in itertools.combinations(range(len(nvert)), 2)
-        if nvert[i] & ~nvert[j] == 0 or nvert[j] & ~nvert[i] == 0
-    ]
-    groups: dict[int, list[int]] = {}
-    for idx, c in enumerate(comp):
-        groups.setdefault(c, []).append(idx)
-    return InclusionGraph(
-        vertices=tuple(unpack(f) for f in nvert),
-        edges=tuple(edges),
-        marked=frozenset(i for i, m in enumerate(marks) if m),
-        components=tuple(tuple(g) for g in groups.values()),
-    )
 
 
 def dim_t1(cx: SimplicialComplex, degree) -> int:
@@ -625,59 +500,7 @@ def dim_t1(cx: SimplicialComplex, degree) -> int:
     link, circuits, rows = _read_link(cx.link_mask(am) if am else cx, 0, link_facets, rank)
     if not bm & (bm - 1):
         return next((graph * (v == bm) for v, graph, _ in rows if v >= bm), 0)  # in vertex order
-    return _wide_dim(link, circuits, rank, bm)
-
-
-def dim_t1_nonface(cx: SimplicialComplex, b: Iterable[int]) -> int:
-    """dim T1 in degree -b for a nonface b.
-
-    Equals 1 exactly when |b| > 1 and b is a minimal nonface disjoint from
-    every other minimal nonface, else 0.
-    """
-    cx._require_nonvoid("dim_t1_nonface")
-    bm = pack(b, cx.n)
-    if cx.is_face_mask(bm):
-        raise ValueError(f"b {unpack(bm)} is a face; dim_t1_nonface needs a nonface")
-    return int(bm in _isolated_circuits(cx._circuit_masks()))
-
-
-def dim_t1_matroid_formula(cx: SimplicialComplex, degree) -> int:
-    """Closed-form T1 dimension for a matroid, from the circuits of the link.
-
-    Zero when A is not a face, b is empty, or some circuit of link(cx, A)
-    meets b properly; otherwise the number of circuits of the link containing
-    b, with one subtracted (clamped) for singleton b.
-    """
-    from .matroids import require_matroid
-
-    cx._require_nonvoid("dim_t1_matroid_formula")
-    require_matroid(cx, "dim_t1_matroid_formula")
-    am, bm = _degree_masks(degree, cx.n)
-    if bm == 0 or not cx.is_face_mask(am):
-        return 0
-    return _formula_on_link(cx.link_mask(am)._circuit_masks(), bm)
-
-
-def t1_upper_bound(cx: SimplicialComplex, b: Iterable[int]) -> int:
-    """Upper bound for dim T1 in degree -b, for a nonempty face b.
-
-    min(#minimal nonfaces of link(cx, b) that are faces of cx \\ b,
-        #facets of cx \\ b outside link(cx, b)),
-    with one subtracted (clamped) for singleton b.  Observed on the census
-    and tested: with c1 the first count, dim T1 at (emptyset, {v}) is
-    max(c1 - 1, 0) at every vertex v exactly when cx is a matroid.
-    """
-    cx._require_nonvoid("t1_upper_bound")
-    bm = pack(b, cx.n)
-    if bm == 0:
-        raise ValueError("t1_upper_bound needs a nonempty b")
-    if not cx.is_face_mask(bm):
-        raise ValueError(f"b {unpack(bm)} must be a face")
-    link = cx.link_mask(bm)
-    deletion = cx.delete(unpack(bm))
-    first = sum(1 for c in link._circuit_masks() if deletion.is_face_mask(c))
-    second = sum(1 for f in deletion.facet_masks if not link.is_face_mask(f))
-    return _less_one_for_singleton(min(first, second), bm)
+    return _wide_dim(link, 0, circuits, rank, bm)
 
 
 def _check_row(rows: dict[tuple[int, int], int], a: int, b: int, dim) -> None:
@@ -893,8 +716,10 @@ def t1_table(cx: SimplicialComplex, threads: int = 1) -> T1Table:
     above it; any other matroid link costs, per link above it, link circuits
     x circuit size face lookups (none below rank 3), and per flat, a few
     operations on an integer of link circuits x link vertices bits per link
-    vertex; and any other link its face set and one graph over it at each
-    face of two or more vertices in a circuit.
+    vertex; and any other link, at each face b of two or more vertices in
+    a circuit, |b| lookups per pair of circuits through b for G_b and, per
+    component, at most |b| + 1 per member of its part of W and circuit
+    vertex tried, up to the first marked face: no face set of a link.
 
     The table is computed in-process: each face's piece costs well under a
     millisecond, too little to repay a process pool.  `threads` is accepted
@@ -1094,37 +919,3 @@ def _table_of(
                 link_rows = by_flat[v] = _uniform_rows(v, 1) if c is None else _class_rows(c)
             rows += [((a, b), dim) for b, dim in link_rows]
     return T1Table._of_rows(cx.n, rows)
-
-
-def _bijection_sets(link: SimplicialComplex, bm: int) -> tuple[set[int], set[int]]:
-    """Image of C |-> C \\ b over the circuits of link through b, and the codomain."""
-    domain_image = {c ^ bm for c in link._circuit_masks() if bm & ~c == 0}
-    sub_link = link.link_mask(bm)._circuit_masks()
-    sub_del = link.delete(unpack(bm))._circuit_masks()
-    return domain_image, set(sub_link) - set(sub_del)
-
-
-def bijection_check(cx: SimplicialComplex, A: Iterable[int], b: Iterable[int]) -> bool:
-    """Verify C |-> C \\ b maps the link circuits through b onto the stated codomain.
-
-    For a matroid M with face A, a face b of L = link(M, A) contained in or
-    disjoint from every circuit of L, the map sends the circuits of L through
-    b bijectively onto circuits(link(L, b)) minus circuits(L \\ b).
-    """
-    from .matroids import require_matroid
-
-    require_matroid(cx, "bijection_check")
-    am = pack(A, cx.n)
-    bm = pack(b, cx.n)
-    if not cx.is_face_mask(am):
-        raise ValueError("A must be a face")
-    if am & bm:
-        raise ValueError("A and b must be disjoint")
-    link = cx.link_mask(am)
-    if not link.is_face_mask(bm):
-        raise ValueError("b must be a face of link(cx, A)")
-    for c in link._circuit_masks():
-        if c & bm and bm & ~c:
-            raise ValueError("b must be contained in or disjoint from every circuit of the link")
-    domain_image, codomain = _bijection_sets(link, bm)
-    return domain_image == codomain

@@ -16,16 +16,8 @@ import srt1
 from srt1 import cli
 from srt1.census import run_census
 from srt1.complexes import SimplicialComplex
-from srt1.cotangent import (
-    MultiDegree,
-    T1Table,
-    dim_t1,
-    dim_t1_nonface,
-    n_del,
-    n_del_red,
-    t1_table,
-    t1_upper_bound,
-)
+from srt1.cotangent import MultiDegree, T1Table, dim_t1, t1_table
+from srt1.definition import dim_t1_nonface, n_del, n_del_red, t1_upper_bound
 from srt1.matroids import (
     is_matroid_circuit_elimination,
     is_matroid_exchange,

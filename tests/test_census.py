@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from srt1 import census, complexes, cotangent, matroids, recognition
+from srt1 import census, complexes, cotangent, definition, matroids, recognition
 from srt1.census import (
     BATTERY_ORDER,
     MAX_CENSUS_GROUND,
@@ -165,23 +165,23 @@ def _restriction_drops_a_facet(monkeypatch):
 
 def _no_marks_at_pairs(monkeypatch):
     # N~_b is empty at every b of two vertices
-    marks = cotangent._marks
+    marks = definition._marks
 
     def wrong(faces, nvert, b):
         return [False] * len(nvert) if b.bit_count() == 2 else marks(faces, nvert, b)
 
-    monkeypatch.setattr(cotangent, "_marks", wrong)
+    monkeypatch.setattr(definition, "_marks", wrong)
     monkeypatch.setattr(census, "_marks", wrong)
 
 
 def _components_fall_apart(monkeypatch):
     # every member is its own component once there are more than two
-    component_ids = cotangent._component_ids
+    component_ids = definition._component_ids
 
     def wrong(nvert):
         return list(range(len(nvert))) if len(nvert) > 2 else component_ids(nvert)
 
-    monkeypatch.setattr(cotangent, "_component_ids", wrong)
+    monkeypatch.setattr(definition, "_component_ids", wrong)
 
 
 def _circuit_graph_joins_no_pair(monkeypatch):

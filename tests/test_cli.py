@@ -92,7 +92,7 @@ LOADED = {
     "reconstruct": (["reconstruct", "{table}"], _T1 + ["srt1.reconstruction"]),
     "census": (
         ["census", "--max-n", "1", "--threads", "1"],
-        _RECOGNITION + ["srt1.census", "srt1.matroids", "srt1.reconstruction"],
+        _RECOGNITION + ["srt1.census", "srt1.definition", "srt1.matroids", "srt1.reconstruction"],
     ),
 }
 # the complexes of the two rigidity rows: a simplex with loops, and a

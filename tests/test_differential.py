@@ -11,7 +11,8 @@ up to 5 vertices, every U(n, k) with n <= 7, and paths, cycles and stars on
 import pytest
 
 from srt1.complexes import SimplicialComplex, _minimal_nonfaces, sort_key
-from srt1.cotangent import inclusion_graph, t1_table
+from srt1.cotangent import t1_table
+from srt1.definition import inclusion_graph
 from srt1.matroids import uniform
 from srt1.recognition import formula_discrepancies
 

@@ -6,12 +6,12 @@ row at a vertex, and at a wider b the rules that `cotangent._wide_dim`
 lists.  The walk applies them only at a link that fails the singleton
 test; at one that passes it writes the circuit formula, which the main
 theorem makes equal.  The definition is the inclusion graph over the
-link's whole face set (`cotangent._dim_on_faces`), 0 outside the vanishing
+link's whole face set (`definition._dim_on_faces`), 0 outside the vanishing
 range.  The two meet at every face A, one nonface A and every nonempty b
 disjoint from A, on the census classes and on seeded random complexes on
 6 to 8 vertices; at every wider degree of a link that fails the test,
 `dim_t1` and the walk agree and both call `_wide_dim`; a work count shows
-that a singleton degree of "three facets k = 12" runs no count over faces.
+that a singleton degree of "three facets k = 12" runs no wider rule.
 """
 
 import random
@@ -20,7 +20,8 @@ import pytest
 
 from srt1 import cotangent
 from srt1.complexes import SimplicialComplex, _faces_of, _link_facets, _union, submasks, unpack
-from srt1.cotangent import _dim_on_faces, dim_t1
+from srt1.cotangent import dim_t1
+from srt1.definition import _dim_on_faces
 
 from _census_reps import representatives
 from test_singleton_rule import three_facets
@@ -72,17 +73,17 @@ def test_dim_t1_meets_the_definition_at_every_degree(family):
 
 def test_singleton_degree_counts_no_graph_over_faces(monkeypatch):
     # at (emptyset, {1}) of three facets k = 12 the circuit rule decides:
-    # no inclusion graph is counted over the 69,377 faces
+    # no wider rule runs over the 69,377 faces
     cx = three_facets(12)
     want = _dim_on_faces(cx.face_masks(), 1)
     calls = []
-    real = cotangent._dim_on_faces
-    monkeypatch.setattr(cotangent, "_dim_on_faces", lambda f, b: calls.append(b) or real(f, b))
+    real = cotangent._wide_dim
+    monkeypatch.setattr(cotangent, "_wide_dim", lambda *args: calls.append(args[-1]) or real(*args))
     assert dim_t1(cx, ((), (1,))) == want
     assert calls == []
 
 
-WIDE_RULES = ("_graph_edge_dim", "_dim_on_faces", "_isolated_circuits")
+WIDE_RULES = ("_graph_edge_dim", "_grows_unmarked", "_isolated_circuits")
 
 
 def record_wide_calls(monkeypatch):
@@ -92,10 +93,10 @@ def record_wide_calls(monkeypatch):
     calls, inside = [], []
     real = cotangent._wide_dim
 
-    def wide_dim(link, circuits, rank, b):
+    def wide_dim(link, a, circuits, rank, b):
         inside.append(set())
         try:
-            return real(link, circuits, rank, b)
+            return real(link, a, circuits, rank, b)
         finally:
             calls.append((b, inside.pop()))
 

@@ -1,7 +1,7 @@
 """The graph engine's counting rules against the definitions.
 
-`cotangent._dim_on_faces` joins only the unmarked part W of N_b and drops a
-component of W that lies one vertex below a marked member of N_b.  At a
+`definition._dim_on_faces` joins only the unmarked part W of N_b and drops
+a component of W that lies one vertex below a marked member of N_b.  At a
 link of dimension 2 or more that the walk `cotangent._walk` hands to the
 graph, the graph runs only at the nonempty proper subsets of the link's
 circuits (`cotangent._circuit_faces`), and every other face b of the link
@@ -20,7 +20,8 @@ import pytest
 
 from srt1 import cotangent
 from srt1.complexes import SimplicialComplex, submasks
-from srt1.cotangent import _circuit_faces, _dim_on_faces, _isolated_circuits, _walk
+from srt1.cotangent import _circuit_faces, _isolated_circuits, _walk
+from srt1.definition import _dim_on_faces
 
 from _census_reps import representatives
 from _oracles import (
@@ -116,22 +117,25 @@ def test_walk_skips_b_in_no_link_circuit(monkeypatch, n, facets):
     # a graph link takes the rules of `cotangent._graph_dims` and
     # `cotangent._graph_edge_dim` and counts no graph at all; the
     # 2-dimensional root link of the bowtie counts one only at its
-    # singletons, by the circuit rule `cotangent._vertex_dims`
+    # singletons, by the circuit rule `cotangent._vertex_dims`, and runs
+    # the wider rule of `cotangent._wide_dim` nowhere
     cx = SimplicialComplex.from_facets(n, facets)
     calls = []
-    real = cotangent._dim_on_faces
-    monkeypatch.setattr(
-        cotangent, "_dim_on_faces", lambda faces, b: calls.append((faces, b)) or real(faces, b)
-    )
-    real_vertex_dims = cotangent._vertex_dims
+    real_wide, real_vertex_dims = cotangent._wide_dim, cotangent._vertex_dims
+
+    def wide_dim(link, a, circuits, rank, b):
+        # a larger link is read at a through the complex's faces
+        if rank > 2:
+            calls.append((frozenset(f ^ a for f in link if f & a == a), b))
+        return real_wide(link, a, circuits, rank, b)
 
     def vertex_dims(faces, a, circuits, rank):
-        # the rule reads the link at a through the complex's faces
         link_faces = frozenset(f ^ a for f in faces if f & a == a)
         for row in real_vertex_dims(faces, a, circuits, rank):
             calls.append((link_faces, row[0]))
             yield row
 
+    monkeypatch.setattr(cotangent, "_wide_dim", wide_dim)
     monkeypatch.setattr(cotangent, "_vertex_dims", vertex_dims)
     skipped = 0
     for _, _, _, dims in _walk(cx):

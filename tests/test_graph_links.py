@@ -9,8 +9,8 @@ neighbours whose only neighbours are u and w.  `_walk` uses them at every
 such link, and `recognition._first_singleton_discrepancy` the vertex rule
 on a complex of dimension at most 1; its circuits of two or more vertices
 are its non-edges and triangles, `cotangent._graph_circuits`.  Here they
-meet `cotangent._dim_on_faces`, the face path, run at each vertex for the
-singleton test, `cotangent._formula_on_link` and
+meet `definition._dim_on_faces`, the face path, run at each vertex for the
+singleton test, `definition._formula_on_link` and
 `complexes._minimal_nonfaces` on the census classes of dimension at most
 1, on seeded random graphs with loops and isolated vertices, on the
 degenerate complexes and on the 64-vertex path and cycle.
@@ -25,14 +25,13 @@ from srt1.complexes import SimplicialComplex, _minimal_nonfaces, unpack
 from srt1.cotangent import (
     MultiDegree,
     _adjacency,
-    _dim_on_faces,
-    _formula_on_link,
     _graph_circuits,
     _graph_dims,
     _graph_edge_dim,
     _walk,
     t1_table,
 )
+from srt1.definition import _dim_on_faces, _formula_on_link
 from srt1.recognition import Discrepancy, _first_singleton_discrepancy, is_matroid_via_t1
 
 from _census_reps import representatives
@@ -162,9 +161,9 @@ def test_walk_builds_no_face_set_and_no_circuits_at_a_graph_link(monkeypatch, cx
     # has rank 1 and needs none of them
     calls = []
     for module, name in (
-        (cotangent, "_faces_of"),
+        (complexes, "_faces_of"),
         (complexes, "_minimal_nonfaces"),
-        (cotangent, "_dim_on_faces"),
+        (cotangent, "_grows_unmarked"),
     ):
         real = getattr(module, name)
         monkeypatch.setattr(

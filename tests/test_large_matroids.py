@@ -20,7 +20,8 @@ import time
 import pytest
 
 from srt1.complexes import SimplicialComplex
-from srt1.cotangent import dim_t1_matroid_formula, t1_table
+from srt1.cotangent import t1_table
+from srt1.definition import dim_t1_matroid_formula
 from srt1.matroids import is_matroid_exchange, uniform
 from srt1.recognition import _all_discrepancies, formula_discrepancies
 from srt1.reconstruction import reconstruct

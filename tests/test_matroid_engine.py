@@ -51,7 +51,7 @@ import random
 
 import pytest
 
-from srt1 import complexes, cotangent, reconstruction, recognition
+from srt1 import complexes, cotangent, definition, reconstruction
 from srt1.complexes import SimplicialComplex, _union, boundary_simplex, submasks, unpack
 from srt1.cotangent import (
     MultiDegree,
@@ -139,7 +139,7 @@ def graph_engine_table(cx):
         faces = link.face_masks()
         out.update({(A, unpack(c)): 1 for c in _isolated_circuits(link.minimal_nonface_masks())})
         for b in faces:
-            if b and (dim := cotangent._dim_on_faces(faces, b)):
+            if b and (dim := definition._dim_on_faces(faces, b)):
                 out[(A, unpack(b))] = dim
     return out
 
@@ -185,19 +185,12 @@ def test_only_links_failing_the_singleton_test_run_wider_graphs(monkeypatch):
     # the graph runs at a face b of two or more vertices only on the links
     # where the singleton test fails; every other link is a matroid link or
     # lies above one, and takes the class rule
-    failing = {
-        link.face_masks()
-        for link in (NEAR_U10.link_mask(a) for a in NEAR_U10.face_masks())
-        if not is_matroid_via_t1(link)
-    }
+    failing = {a for a in NEAR_U10.face_masks() if not is_matroid_via_t1(NEAR_U10.link_mask(a))}
     calls = []
-    real = cotangent._dim_on_faces
-    monkeypatch.setattr(
-        cotangent, "_dim_on_faces", lambda faces, b: calls.append((faces, b)) or real(faces, b)
-    )
+    real = cotangent._wide_dim
+    monkeypatch.setattr(cotangent, "_wide_dim", lambda *args: calls.append(args[1]) or real(*args))
     t1_table(NEAR_U10)
-    wide = [faces for faces, b in calls if b.bit_count() > 1]
-    assert wide and all(faces in failing for faces in wide)
+    assert calls and all(a in failing for a in calls)
     assert len(failing) < len(NEAR_U10.face_masks()) // 10
 
 
@@ -312,7 +305,7 @@ def test_class_rule_writes_each_isolated_circuit(cx):
 def _graph_rows(faces, verts):
     """{b: dim} at each nonempty b within verts where the graph dimension over
     these faces is positive: a link's whole table, its nonfaces included."""
-    return {b: dim for b in submasks(verts) if b and (dim := cotangent._dim_on_faces(faces, b))}
+    return {b: dim for b in submasks(verts) if b and (dim := definition._dim_on_faces(faces, b))}
 
 
 def _rank_one(link):
@@ -374,7 +367,7 @@ def _all_pairs_in(circuits):
 # whether a call of each engine step, by the module that binds it, is made
 # for a link of rank 1; the circuit sweep runs behind the complex's cache
 RANK_ONE_CALL = {
-    (cotangent, "_faces_of"): (
+    (complexes, "_faces_of"): (
         lambda facets: len(facets) > 1 and all(f.bit_count() == 1 for f in facets)
     ),
     (complexes, "_minimal_nonfaces"): (
@@ -500,14 +493,18 @@ def test_matroid_table_runs_no_isolated_circuit_pass(monkeypatch):
 
 def test_matroid_table_builds_no_link_face_set(monkeypatch):
     # on a uniform matroid, written from its shape, and on M(K5), whose
-    # links the contraction walk reaches
+    # links the contraction walk reaches: the only face sets built are the
+    # matroid's own, for the table and for the check of its reconstruction
     calls = []
-    real = cotangent._faces_of
-    monkeypatch.setattr(cotangent, "_faces_of", lambda facets: calls.append(facets) or real(facets))
+    real = complexes._faces_of
+    monkeypatch.setattr(
+        complexes, "_faces_of", lambda facets: calls.append(sorted(facets)) or real(facets)
+    )
     for m in (uniform(8, 4), complete_graph_matroid(5)):
+        calls.clear()
         table = t1_table(m)
         assert reconstruct(table) == m
-    assert calls == []
+        assert calls and all(facets == sorted(m.facet_masks) for facets in calls)
 
 
 def test_rank_two_contraction_walk_builds_no_face_set(monkeypatch):
@@ -540,9 +537,9 @@ def test_engine_builds_only_valid_tables():
 
 def _record_singletons(monkeypatch):
     """The vertices b where `_vertex_dims` yields a dimension, and the
-    degrees b where `_dim_on_faces` counts one, in the order they come."""
+    degrees b where `_wide_dim` decides one, in the order they come."""
     singletons, counted = [], []
-    real_vertex_dims, real_dim = cotangent._vertex_dims, cotangent._dim_on_faces
+    real_vertex_dims, real_wide = cotangent._vertex_dims, cotangent._wide_dim
 
     def vertex_dims(faces, a, circuits, rank):
         for row in real_vertex_dims(faces, a, circuits, rank):
@@ -551,14 +548,14 @@ def _record_singletons(monkeypatch):
 
     monkeypatch.setattr(cotangent, "_vertex_dims", vertex_dims)
     monkeypatch.setattr(
-        cotangent, "_dim_on_faces", lambda faces, b: counted.append(b) or real_dim(faces, b)
+        cotangent, "_wide_dim", lambda *args: counted.append(args[-1]) or real_wide(*args)
     )
     return singletons, counted
 
 
 def test_matroid_table_builds_no_graph_past_singletons(monkeypatch):
-    # the circuit rule decides U(6, 3) at its six vertices, and no face
-    # engine runs at all
+    # the circuit rule decides U(6, 3) at its six vertices, and no wider
+    # rule runs at all
     m = uniform(6, 3)
     want = graph_engine_table(m)
     singletons, counted = _record_singletons(monkeypatch)
@@ -573,19 +570,19 @@ def _path_edges(n):
 def _count_engine_calls(monkeypatch, faces):
     """Counters of the calls `t1_table` makes on the face set faces, the
     complex's: the graph at each degree b of the root link, by the circuit
-    rule `_vertex_dims` at a vertex and the face engine else, and the
-    circuit family (by ground size); and of the rule `_graph_dims`, by the
-    adjacency it is given."""
+    rule `_vertex_dims` at a vertex and the wider rule of `_wide_dim` else,
+    and the circuit family (by ground size); and of the rule `_graph_dims`,
+    by the adjacency it is given."""
     dims, circuits, rule = collections.Counter(), [], []
-    real_dim = cotangent._dim_on_faces
+    real_wide = cotangent._wide_dim
     real_vertex_dims = cotangent._vertex_dims
     real_circuits = complexes._minimal_nonfaces
     real_rule = cotangent._graph_dims
 
-    def count_dim(face_set, b):
-        if face_set == faces:
+    def count_wide(link, a, link_circuits, rank, b):
+        if link == faces and not a:
             dims[b] += 1
-        return real_dim(face_set, b)
+        return real_wide(link, a, link_circuits, rank, b)
 
     def count_vertex_dims(face_set, a, link_circuits, rank):
         for row in real_vertex_dims(face_set, a, link_circuits, rank):
@@ -598,7 +595,7 @@ def _count_engine_calls(monkeypatch, faces):
             circuits.append(ground)
         return real_circuits(face_set, ground)
 
-    monkeypatch.setattr(cotangent, "_dim_on_faces", count_dim)
+    monkeypatch.setattr(cotangent, "_wide_dim", count_wide)
     monkeypatch.setattr(cotangent, "_vertex_dims", count_vertex_dims)
     monkeypatch.setattr(complexes, "_minimal_nonfaces", count_circuits)
     monkeypatch.setattr(cotangent, "_graph_dims", lambda adj: rule.append(adj) or real_rule(adj))
@@ -610,8 +607,8 @@ def _count_engine_calls(monkeypatch, faces):
 )
 def test_non_matroid_pays_once(monkeypatch, n, facets):
     # a graph's table reads the rule once, at the root, whose circuits come
-    # off the adjacency too; no circuit family is built and the face engine
-    # never runs
+    # off the adjacency too; no circuit family is built and no rule reads
+    # a face set
     cx = SimplicialComplex.from_facets(n, facets)
     want = graph_engine_table(SimplicialComplex.from_facets(n, facets))
     dims, circuits, rule = _count_engine_calls(monkeypatch, cx.face_masks())
@@ -630,8 +627,8 @@ def test_non_matroid_pays_once(monkeypatch, n, facets):
 )
 def test_non_matroid_of_dimension_two_pays_once_per_degree(monkeypatch, n, facets):
     # the root link is 2-dimensional, so the graph is counted there once at
-    # each face in a circuit, by the circuit rule at a vertex and the face
-    # engine at a wider face (a vertex in none is 0 by rule 1), and every
+    # each face in a circuit, by the circuit rule at a vertex and the wider
+    # rule at a wider face (a vertex in none is 0 by rule 1), and every
     # vertex link of dimension 1 takes the rule once
     cx = SimplicialComplex.from_facets(n, facets)
     want = graph_engine_table(SimplicialComplex.from_facets(n, facets))
@@ -670,7 +667,7 @@ def test_recognition_keeps_the_graph_engine(monkeypatch):
 def test_discrepancies_on_a_matroid_run_only_singleton_graphs(monkeypatch):
     # U(8, 4) passes the singleton test at the empty face, and every other
     # link is a contraction of it, so the graph is counted once per vertex,
-    # by the circuit rule, and the face engine never runs
+    # by the circuit rule, and the wider rule never runs
     singletons, counted = _record_singletons(monkeypatch)
     assert formula_discrepancies(uniform(8, 4)) == []
     assert sorted(singletons) == [1 << i for i in range(8)] and counted == []
@@ -682,14 +679,18 @@ REMARK = SimplicialComplex.from_minimal_nonfaces(
 
 
 def test_full_comparison_checks_what_the_shortcut_assumes(monkeypatch):
-    # a graph engine one too high only where |b| >= 2 leaves every singleton
-    # test intact: the shortcut trusts the main theorem on a matroid and misses
-    # it, the full comparison reports it, and on a non-matroid both do
+    # a graph dimension one too high at the faces of two or more vertices
+    # of the links of rank 3 or more leaves every singleton test intact: the
+    # shortcut, whose wider rule is patched, trusts the main theorem on a
+    # matroid and misses it, the full comparison, whose definition is
+    # patched, reports it, and on a non-matroid both do
     before = formula_discrepancies(REMARK)
-    real = cotangent._dim_on_faces
-    wrong = lambda faces, b: real(faces, b) + (b.bit_count() > 1)
-    monkeypatch.setattr(cotangent, "_dim_on_faces", wrong)
-    monkeypatch.setattr(recognition, "_dim_on_faces", wrong)
+    real_wide, real_dim = cotangent._wide_dim, definition._dim_on_faces
+    wrong = lambda link, a, circuits, rank, b: real_wide(link, a, circuits, rank, b) + (rank > 2)
+    monkeypatch.setattr(cotangent, "_wide_dim", wrong)
+    monkeypatch.setattr(
+        definition, "_dim_on_faces", lambda faces, b: real_dim(faces, b) + (b.bit_count() > 1)
+    )
     assert formula_discrepancies(uniform(4, 2)) == []
     assert _all_discrepancies(uniform(4, 2))
     added = [d for d in formula_discrepancies(REMARK) if d not in before]

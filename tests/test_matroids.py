@@ -78,7 +78,7 @@ def test_known_nonmatroids():
 
 def test_remark_unique_min_witness():
     # the face {2,4,5} in N_1 contains two minimal members, {2} and {4,5}
-    from srt1.cotangent import n_del
+    from srt1.definition import n_del
 
     nv = n_del(REMARK, [1])
     assert (2, 4, 5) in nv

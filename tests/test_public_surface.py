@@ -1,8 +1,9 @@
 """Pins the public surface: the package's exported names, the CLI's options
-and the census calls the benchmark harness makes.  Pins three internal
+and the census calls the benchmark harness makes.  Pins four internal
 boundaries too: only `cotangent` reads a link for the singleton test,
-`cotangent` runs no circuit sweep of its own, and `dim_t1` decides a degree
-of two or more vertices through `cotangent._wide_dim` alone.
+`cotangent` runs no circuit sweep of its own, `dim_t1` decides a degree
+of two or more vertices through `cotangent._wide_dim` alone, and the
+definition lives in `definition`, apart from the engine.
 
 A refactor that drops or renames any of them fails here first.
 """
@@ -12,7 +13,7 @@ import argparse
 import pytest
 
 import srt1
-from srt1 import census, cli, cotangent, recognition, reconstruction
+from srt1 import census, cli, cotangent, definition, recognition, reconstruction
 from srt1.cli import build_parser
 
 EXPORTS = [
@@ -122,7 +123,28 @@ def test_cotangent_binds_no_circuit_sweep():
 def test_dim_t1_names_no_wide_rule_of_its_own():
     # the rules at a degree of two or more vertices are listed once, in
     # `cotangent._wide_dim`, which `dim_t1` and `_walk` both call
-    own = {"_graph_edge_dim", "_dim_on_faces", "_isolated_circuits", "_graph_circuits"}
+    own = {"_graph_edge_dim", "_grows_unmarked", "_isolated_circuits", "_graph_circuits"}
     assert own & set(cotangent.dim_t1.__code__.co_names) == set()
     assert "_wide_dim" in cotangent.dim_t1.__code__.co_names
     assert "_graph_edge_dims" not in vars(cotangent)
+
+
+# what `definition` holds: the face engine, its helpers and the public views
+DEFINITION = {
+    "_dim_on_faces", "_marks", "_component_ids", "_less_one_for_singleton", "_formula_on_link",
+    "_canonical_ndel", "_bijection_sets", "InclusionGraph", "bijection_check",
+    "circuits_containing", "dim_t1_matroid_formula", "dim_t1_nonface", "inclusion_graph",
+    "n_del", "n_del_red", "t1_upper_bound",
+}
+
+
+def test_the_definition_stays_apart_from_the_engine():
+    # the engine binds no part of the definition, nor `_faces_of` and
+    # `_ndel`, which only the face engine needs; the definition binds no
+    # part of the engine's walk or link reader, so each checks the other
+    assert DEFINITION <= set(vars(definition))
+    assert (DEFINITION | {"_faces_of", "_ndel"}) & set(vars(cotangent)) == set()
+    assert {"_walk", "_read_link"} & set(vars(definition)) == set()
+    assert {name for name, module in srt1._OWNER.items() if module == "definition"} == {
+        name for name in DEFINITION if not name.startswith("_")
+    }

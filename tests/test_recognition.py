@@ -1,13 +1,8 @@
 import pytest
 
 from srt1.complexes import SimplicialComplex, VoidComplexError, pack, unpack
-from srt1.cotangent import (
-    MultiDegree,
-    _formula_on_link,
-    _isolated_circuits,
-    dim_t1,
-    dim_t1_matroid_formula,
-)
+from srt1.cotangent import MultiDegree, _isolated_circuits, dim_t1
+from srt1.definition import _formula_on_link, dim_t1_matroid_formula
 from srt1.matroids import is_matroid_exchange, uniform
 from srt1.recognition import Discrepancy, formula_discrepancies, is_matroid_via_t1
 

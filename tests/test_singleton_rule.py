@@ -1,27 +1,38 @@
-"""The singleton rule from the circuits against the face engine.
+"""The singleton rule and the wider rule from the circuits against the face engine.
 
 At a vertex v of a link L, `cotangent._vertex_dims` reads the graph
 dimension off the circuits of L through v: they are the nodes of a graph
 G_v, two of them joined when their union less v is a face, and the
 dimension is c(G_v) - 1, clamped at 0; beside it the rule yields the
 circuit count, the number of nodes less one, clamped.  Here the dimension
-meets `cotangent._dim_on_faces` and the count `cotangent._formula_on_link`
+meets `definition._dim_on_faces` and the count `definition._formula_on_link`
 at every vertex of every link, each link built from its facets
 (`complexes._link_facets`, `complexes._faces_of`), on the census classes,
 on seeded random complexes on 6 to 9 vertices, on M(K5), on U(12, 6) and
 on "three facets k = 10", the complex with facets {1..10}, {3..16} and
-{1, 16}; a vertex in no circuit gets 0 from the face engine (rule 1), and
-the rule lists it nowhere.  On the census and the random
-complexes, as an observation, the test passes exactly when weak circuit
-elimination holds at every vertex, and so exactly when the complex is a
-matroid.  The guard below counts calls, with no timing: the table, the T1
-recognition, the discrepancies and the reconstruction of U(12, 6), M(K6) and
-four parallel classes of 12 run neither the face engine nor its union-find, and
-`is_matroid_via_t1` reads the rule lazily, up to the first vertex that
-fails.  The T1 recognition, `dim_t1` at the vertices, the table and the
-discrepancies share one face set and one circuit sweep, cx's cached ones,
-at the root and at every link above it; a link builds its own face set only
-where the inclusion graph is counted at a wider face.
+{1, 16}; a vertex in no circuit gets 0 from the face engine, and the rule
+lists it nowhere.  On the census and the random complexes, as an
+observation, the test passes exactly when weak circuit elimination holds at
+every vertex, and so exactly when the complex is a matroid.
+
+At a face b of two or more vertices in a circuit of a link of rank 3 or
+more, the wider rule of `cotangent._wide_dim` reads the link off cx's faces
+as the walk does, sweeps the graph G_b on the circuits through b and grows
+each component from its seeds; it meets the face engine over the link's own
+faces on the census classes, the random complexes, three facets k = 9 and
+10 and U(8, 4) less two bases, with pinned counts of nonzero dimensions and
+of dropped components.  Over the census, C |-> C - b maps the circuits
+through each nonempty face b into `t1_upper_bound`'s first count c1.
+
+The guards count calls, with no timing: the table, the T1 recognition, the
+discrepancies and the reconstruction of U(12, 6), M(K6) and four parallel
+classes of 12 run neither the wider rule nor the face engine nor its
+union-find, and `is_matroid_via_t1` reads the rule lazily, up to the first
+vertex that fails.  The T1 recognition, `dim_t1` at the vertices, the table
+and the discrepancies share one face set and one circuit sweep, cx's cached
+ones, at the root and at every link above it, at the singleton test and at
+the wider faces alike; on three facets k = 12 none of them runs N_b, its
+marks or its union-find.
 """
 
 import collections
@@ -30,9 +41,10 @@ import random
 
 import pytest
 
-from srt1 import complexes, cotangent
-from srt1.complexes import SimplicialComplex, _faces_of, _link_facets, _minimal_nonfaces
-from srt1.cotangent import _dim_on_faces, _formula_on_link, _vertex_dims, dim_t1, t1_table
+from srt1 import complexes, cotangent, definition
+from srt1.complexes import SimplicialComplex, _faces_of, _link_facets, _minimal_nonfaces, unpack
+from srt1.cotangent import _vertex_dims, dim_t1, t1_table
+from srt1.definition import _dim_on_faces, _formula_on_link
 from srt1.matroids import is_matroid_exchange, uniform
 from srt1.recognition import formula_discrepancies, is_matroid_via_t1
 from srt1.reconstruction import reconstruct
@@ -136,14 +148,18 @@ GUARD_CASES = [uniform(12, 6), K6, parallel_copies(uniform(4, 4), 12)]
 @pytest.mark.parametrize("cx", GUARD_CASES, ids=["U(12,6)", "M(K6)", "four-classes-of-12"])
 def test_matroids_run_no_face_engine_and_no_union_find(monkeypatch, cx):
     calls = []
-    for name in ("_dim_on_faces", "_component_ids"):
-        real = getattr(cotangent, name)
+    for module, name in (
+        (definition, "_dim_on_faces"),
+        (definition, "_component_ids"),
+        (cotangent, "_wide_dim"),
+    ):
+        real = getattr(module, name)
         monkeypatch.setattr(
-            cotangent, name, lambda *args, name=name, real=real: calls.append(name) or real(*args)
+            module, name, lambda *args, name=name, real=real: calls.append(name) or real(*args)
         )
     cx = SimplicialComplex(cx.n, cx.facet_masks)
     assert is_matroid_via_t1(cx)
-    # through `_walk`, which would reach the face engine at a link that fell to it
+    # through `_walk`, which would reach the wider rule at a link that fell to it
     assert formula_discrepancies(cx) == []
     assert reconstruct(t1_table(cx)) == cx
     assert calls == []
@@ -168,8 +184,8 @@ def test_recognition_stops_at_the_first_vertex_that_fails(monkeypatch):
 def _failing_links(cx):
     """The facets of each link of a nonempty face of cx that is no matroid,
     in two or more facets, of rank 3 or more and with a circuit of three or
-    more vertices: the links whose inclusion graph `_walk` counts at a face
-    of two or more vertices in a circuit, by the definition."""
+    more vertices: the links where `_walk` runs the wider rule at a face of
+    two or more vertices in a circuit, off cx's face set."""
     out = []
     for a in cx.face_masks() - {0}:
         link = cx.link_mask(a)
@@ -199,9 +215,8 @@ def test_the_root_readers_share_one_face_set_and_one_circuit_sweep(monkeypatch, 
     # the T1 recognition, `dim_t1` at each vertex, the table and the
     # discrepancies read the root through `cotangent._read_link`, from cx's
     # cached faces and circuits, and every larger link through them too, its
-    # circuits contracted from cx's: one circuit sweep in all, and one face
-    # set for cx and, in each of the two walks, one for each link where the
-    # inclusion graph is counted
+    # circuits contracted from cx's, at its singleton test and at its wider
+    # faces alike: one circuit sweep and one face set in all
     links = _failing_links(SimplicialComplex(cx.n, cx.facet_masks))
     assert len(links) == failing
     sweeps, face_sets = [], []
@@ -209,11 +224,10 @@ def test_the_root_readers_share_one_face_set_and_one_circuit_sweep(monkeypatch, 
     monkeypatch.setattr(
         complexes, "_minimal_nonfaces", lambda *args: sweeps.append(args[1]) or real_sweep(*args)
     )
-    for module in (complexes, cotangent):
-        real = module._faces_of
-        monkeypatch.setattr(
-            module, "_faces_of", lambda facets, real=real: face_sets.append(sorted(facets)) or real(facets)
-        )
+    real = complexes._faces_of
+    monkeypatch.setattr(
+        complexes, "_faces_of", lambda facets: face_sets.append(sorted(facets)) or real(facets)
+    )
     cx = SimplicialComplex(cx.n, cx.facet_masks)
     is_matroid_via_t1(cx)
     for v in cx.vertices():
@@ -221,4 +235,103 @@ def test_the_root_readers_share_one_face_set_and_one_circuit_sweep(monkeypatch, 
     t1_table(cx)
     formula_discrepancies(cx)
     assert sweeps == [cx.n]
-    assert sorted(face_sets) == sorted([sorted(cx.facet_masks)] + links + links)
+    assert face_sets == [sorted(cx.facet_masks)]
+
+
+# the inputs of the wider rule's differential test, each with the (link, b)
+# pairs compared, those with a nonzero dimension and those where the
+# growth drops a component of W
+WIDER = {
+    "census": (CENSUS, 1_363, 345, 1_452),
+    "random": (RANDOMS, 1_520, 105, 1_520),
+    "three-facets-9-and-10": ([three_facets(9), three_facets(10)], 34, 0, 34),
+    "U(8,4)-less-two-bases": ([uniform_less_two_bases()], 592, 0, 3_772),
+}
+
+
+@pytest.mark.parametrize("family", WIDER)
+def test_wider_rule_matches_the_face_engine_at_every_wider_face(monkeypatch, family):
+    # at each face b of two or more vertices in a circuit of the link at a,
+    # for every face a in two or more facets whose link has rank 3 or more,
+    # `_wide_dim` reads the link off cx's faces as the walk does, and meets
+    # the face engine over the link's own faces
+    complexes_, want_pairs, want_nonzero, want_dropped = WIDER[family]
+    grown = []
+    real = cotangent._grows_unmarked
+    monkeypatch.setattr(
+        cotangent, "_grows_unmarked", lambda *args: grown.append(real(*args)) or grown[-1]
+    )
+    pairs = nonzero = 0
+    for cx in complexes_:
+        faces = cx.face_masks()
+        for a in faces:
+            link_facets = _link_facets(cx.facet_masks, a)
+            rank = max(map(int.bit_count, link_facets), default=0)
+            if len(link_facets) < 2 or rank < 3:
+                continue
+            _, circuits, _ = cotangent._read_link(cx, a, link_facets, rank)
+            link_faces = _faces_of(link_facets)
+            for b in cotangent._circuit_faces(circuits):
+                if b & (b - 1):
+                    want = _dim_on_faces(link_faces, b)
+                    assert cotangent._wide_dim(faces, a, circuits, rank, b) == want, (cx, a, b)
+                    pairs += 1
+                    nonzero += want > 0
+    assert (pairs, nonzero, grown.count(False)) == (want_pairs, want_nonzero, want_dropped)
+
+
+def test_circuits_through_a_face_map_into_the_first_bound_count():
+    # C |-> C - b sends the circuits through a nonempty face b into the
+    # minimal nonfaces of link(b) that are faces of the deletion of b, the
+    # first count c1 of `t1_upper_bound`, so G_b has at most c1 nodes, and
+    # the dimension at (emptyset, b) is at most that many, less one at a
+    # singleton
+    checked = equal = 0
+    for cx in CENSUS:
+        circuits = cx.minimal_nonface_masks()
+        for b in cx.face_masks() - {0}:
+            link, deletion = cx.link_mask(b), cx.delete(unpack(b))
+            first = {c for c in link.minimal_nonface_masks() if deletion.is_face_mask(c)}
+            nodes = {c ^ b for c in circuits if not b & ~c}
+            assert nodes <= first, (cx, unpack(b))
+            assert dim_t1(cx, ((), unpack(b))) <= max(len(nodes) - (b.bit_count() == 1), 0)
+            checked += 1
+            equal += len(nodes) == len(first)
+    assert (checked, equal) == (3_400, 1_775)
+
+
+def test_three_facets_runs_no_face_engine(monkeypatch):
+    # on three facets k = 12 the table, the discrepancies and `dim_t1` at
+    # each of the 17 wider faces of the root in a circuit, the only ones in
+    # the table's dims, decide every degree without N_b, its marks or its
+    # union-find, and the two walks build one face set, the complex's own
+    cx = three_facets(12)
+    table = t1_table(cx)
+    wider = [b for b in cotangent._circuit_faces(cx.minimal_nonface_masks()) if b & (b - 1)]
+    calls = []
+    for module, name in (
+        (definition, "_dim_on_faces"),
+        (definition, "_marks"),
+        (definition, "_component_ids"),
+        (definition, "_ndel"),
+        (complexes, "_ndel"),
+    ):
+        real = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *args, name=name, real=real: calls.append(name) or real(*args)
+        )
+    face_sets = []
+    real_faces = complexes._faces_of
+    monkeypatch.setattr(
+        complexes,
+        "_faces_of",
+        lambda facets: face_sets.append(sorted(facets)) or real_faces(facets),
+    )
+    cx = SimplicialComplex(cx.n, cx.facet_masks)
+    assert t1_table(cx) == table
+    assert formula_discrepancies(cx)
+    assert face_sets == [sorted(cx.facet_masks)]
+    assert len(wider) == 17
+    for b in wider:
+        assert dim_t1(cx, ((), unpack(b))) == table.dim((), unpack(b)), unpack(b)
+    assert calls == [] and face_sets == [sorted(cx.facet_masks)]
