@@ -105,7 +105,7 @@ def representatives(n: int) -> list[SimplicialComplex]:
     for facets in all_antichain_masks(n):
         if facets and facets not in seen:
             seen |= _images(facets, tables)
-            out.append(SimplicialComplex(n, facets))
+            out.append(SimplicialComplex._of_masks(n, facets))
     return out
 
 

@@ -14,7 +14,6 @@ and flagged by `is_void`; most operations reject it.
 from __future__ import annotations
 
 import os
-from itertools import chain
 from typing import Iterable, Iterator
 
 MAX_GROUND = 64
@@ -63,6 +62,8 @@ def unpack(mask: int) -> tuple[int, ...]:
 
 # each byte with its bits in reverse order, for `_order_key`
 _REVERSED_BITS = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
+# `_order_key` at one byte, for each mask below 256
+_BYTE_KEYS = tuple((m.bit_count() << 8) - _REVERSED_BITS[m] for m in range(256))
 
 
 def _order_key(n: int):
@@ -72,9 +73,11 @@ def _order_key(n: int):
     Of two masks of one size, the one holding the lowest vertex where they
     differ comes first.  With the bits reversed over ceil(n / 8) bytes that
     vertex is the highest differing bit, so the key subtracts the reversed
-    mask.
+    mask.  At n <= 8 the key is one lookup in `_BYTE_KEYS`.
     """
     width = -(-n // 8)
+    if width <= 1:
+        return _BYTE_KEYS.__getitem__
     shift = 8 * width
 
     def key(mask: int) -> int:
@@ -124,8 +127,19 @@ def _check_ground(n, limit: int) -> None:
 
 
 def _faces_of(facets: Iterable[int]) -> frozenset[int]:
-    """Every face of the complex with these facets: all their submasks."""
-    return frozenset(chain.from_iterable(map(submasks, facets)))
+    """Every face of the complex with these facets: all their submasks,
+    walked inline into one set, so no facets (the void complex) give no
+    faces.  The facets are trusted to be masks; `SimplicialComplex` checks
+    them where they come from outside."""
+    faces: set[int] = set()
+    add = faces.add
+    for f in facets:
+        sub = f
+        while sub:
+            add(sub)
+            sub = (sub - 1) & f
+        add(0)
+    return frozenset(faces)
 
 
 def _link_facets(facets: Iterable[int], a: int) -> list[int]:
@@ -140,21 +154,33 @@ def _ndel(faces: frozenset[int], b: int) -> list[int]:
 
 
 def maximal_masks(masks: Iterable[int]) -> list[int]:
-    """Inclusion-maximal elements of a family of bitmasks, canonically sorted.
+    """Inclusion-maximal elements of a family of nonnegative int masks,
+    canonically sorted.  It checks nothing: `SimplicialComplex` checks the
+    masks that come from outside before they get here.
 
-    Two distinct masks of one size never contain each other, so each mask is
-    tested only against the kept masks of strictly larger size.
+    One sort, by `_order_key` of the masks' own width (the order of
+    `sort_key`), puts them largest first.  Two distinct masks of one size
+    never contain each other, so the masks of the largest size are kept
+    untested, and each smaller one is tested against the masks kept so far,
+    all of them larger.
     """
     family = set(masks)
     if len(family) <= 1:
         return list(family)
-    by_size: dict[int, list[int]] = {}
-    for m in family:
-        by_size.setdefault(m.bit_count(), []).append(m)
-    out: list[int] = []
-    for size in sorted(by_size, reverse=True):
-        out += [m for m in by_size[size] if not any(m & ~k == 0 for k in out)]
-    return sorted(out, key=sort_key)
+    order = sorted(family, key=_order_key(max(family).bit_length()), reverse=True)
+    top = order[0].bit_count()
+    out = []
+    for m in order:
+        if m.bit_count() < top:
+            for k in out:
+                if m & ~k == 0:
+                    break
+            else:
+                out.append(m)
+        else:
+            out.append(m)
+    out.reverse()
+    return out
 
 
 def _minimal_nonfaces(face_set: frozenset[int] | set[int], n: int) -> list[int]:
@@ -190,6 +216,44 @@ def _minimal_nonfaces(face_set: frozenset[int] | set[int], n: int) -> list[int]:
     return found
 
 
+def _adjacency(facets: Iterable[int]) -> dict[int, int]:
+    """Each vertex bit of the complex with these facets of at most two
+    vertices, mapped to the mask of its neighbours."""
+    adj: dict[int, int] = {}
+    for f in facets:
+        rest = f
+        while rest:
+            u = rest & -rest
+            rest ^= u
+            adj[u] = adj.get(u, 0) | f ^ u
+    return adj
+
+
+def _graph_circuits(adj: dict[int, int]) -> list[int]:
+    """The minimal nonfaces of two or more vertices of a complex of
+    dimension at most 1, from its adjacency: its non-edges, and the sets of
+    three vertices whose pairs are all edges, its triangles."""
+    verts = _union(adj)
+    out = []
+    for u, near in adj.items():
+        above = -(u << 1)  # the vertices above u, each set listed once
+        rest = verts & ~near & above
+        while rest:
+            w = rest & -rest
+            rest ^= w
+            out.append(u | w)
+        rest = near & above
+        while rest:
+            w = rest & -rest
+            rest ^= w
+            common = near & adj[w] & -(w << 1)
+            while common:
+                x = common & -common
+                common ^= x
+                out.append(u | w | x)
+    return out
+
+
 class SimplicialComplex:
     """A simplicial complex, held as the antichain of its facet bitmasks.
 
@@ -206,11 +270,32 @@ class SimplicialComplex:
         for m in masks:
             if not isinstance(m, int) or isinstance(m, bool) or not 0 <= m <= full:
                 raise VertexRangeError(f"facet mask {m!r} is not an integer in 0..{full}")
+        self._set(n, masks)
+
+    def _set(self, n: int, masks: Iterable[int]) -> None:
+        # the one body of `__init__` and `_of_masks`
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "facet_masks", tuple(maximal_masks(masks)))
         object.__setattr__(self, "_faces", None)
         object.__setattr__(self, "_mnf", None)
         object.__setattr__(self, "_matroid", None)  # exchange-test verdict, set by matroids
+
+    @classmethod
+    def _of_masks(cls, n: int, masks: Iterable[int]) -> "SimplicialComplex":
+        """The complex on n vertices whose facets are the maximal masks of
+        this family, with n and every mask trusted: n an integer in
+        0..MAX_GROUND and each mask an int in 0..2^n - 1.  Checks nothing.
+
+        Input from outside is checked where it enters, by `__init__` (masks)
+        and `from_facets` (vertices), which both reach this body; the
+        builders whose masks the library makes itself call it directly:
+        `link_mask`, `restrict`, `delete`, `join`, `boundary_simplex`,
+        `from_minimal_nonfaces`, `census.representatives` and the candidate
+        of `reconstruct`.
+        """
+        cx = object.__new__(cls)
+        cx._set(n, masks)
+        return cx
 
     def __setattr__(self, name, value):
         raise AttributeError("SimplicialComplex is immutable")
@@ -226,11 +311,22 @@ class SimplicialComplex:
         """Build a complex from candidate facets; non-maximal entries are absorbed.
 
         An empty facet list yields the complex {emptyset}, never the void complex.
+
+        This is where vertices from outside are checked: the ground size n
+        first, by `_check_ground`, then each facet in one pass, a plain int
+        in 1..n packed inline and any other vertex sent to `pack`, which
+        names the fault (or packs an int subclass), so the first bad vertex
+        in facet order is the one reported.  The masks then go to the
+        trusted `_of_masks`.
         """
-        masks = [pack(f, n) for f in facets]
-        if not masks:
-            masks = [0]
-        return cls(n, masks)
+        _check_ground(n, MAX_GROUND)
+        masks = []
+        for f in facets:
+            m = 0
+            for v in f:
+                m |= 1 << (v - 1) if type(v) is int and 0 < v <= n else pack((v,), n)
+            masks.append(m)
+        return cls._of_masks(n, masks or [0])
 
     @classmethod
     def from_minimal_nonfaces(cls, n: int, nonfaces: Iterable[Iterable[int]]) -> "SimplicialComplex":
@@ -246,7 +342,7 @@ class SimplicialComplex:
         if any(m == 0 for m in forb):
             raise ValueError("the empty set cannot be a nonface")
         faces = [m for m in range(1 << n) if not any(c & ~m == 0 for c in forb)]
-        return cls(n, faces)
+        return cls._of_masks(n, faces)
 
     @classmethod
     def void(cls, n: int) -> "SimplicialComplex":
@@ -284,7 +380,7 @@ class SimplicialComplex:
 
     def faces(self) -> list[tuple[int, ...]]:
         """All faces as vertex tuples, canonically ordered."""
-        return [unpack(m) for m in sorted(self.face_masks(), key=sort_key)]
+        return [unpack(m) for m in sorted(self.face_masks(), key=_order_key(self.n))]
 
     def is_face_mask(self, mask: int) -> bool:
         if self._faces is not None:
@@ -299,15 +395,29 @@ class SimplicialComplex:
 
     def _circuit_masks(self) -> list[int]:
         """The minimal nonfaces as bitmasks, in no particular order (cached):
-        the engine only iterates them, so only the public views sort."""
+        the engine only iterates them, so only the public views sort.
+
+        A complex of dimension at most 1 is a graph, and its circuits are
+        its loops, read off its vertex mask, and its non-edges and triangles,
+        read off its adjacency (`_graph_circuits`, the rule of every graph
+        link too), with no face set and no sweep.  Any larger complex sweeps
+        its cached face set (`_minimal_nonfaces`).  The facets are trusted,
+        as every constructor has checked them.
+        """
         if self._mnf is None:
             self._require_nonvoid("minimal_nonfaces")
-            object.__setattr__(self, "_mnf", _minimal_nonfaces(self.face_masks(), self.n))
+            if self.rank <= 2:
+                loops = ((1 << self.n) - 1) & ~self.vertex_mask
+                mnf = [1 << i for i in range(self.n) if loops >> i & 1]
+                mnf += _graph_circuits(_adjacency(self.facet_masks))
+            else:
+                mnf = _minimal_nonfaces(self.face_masks(), self.n)
+            object.__setattr__(self, "_mnf", mnf)
         return self._mnf
 
     def minimal_nonface_masks(self) -> list[int]:
         """The minimal nonfaces as bitmasks, canonically sorted."""
-        return sorted(self._circuit_masks(), key=sort_key)
+        return sorted(self._circuit_masks(), key=_order_key(self.n))
 
     def minimal_nonfaces(self) -> list[tuple[int, ...]]:
         """Minimal nonfaces (circuits, when the complex is a matroid)."""
@@ -338,7 +448,7 @@ class SimplicialComplex:
     # -- constructions -------------------------------------------------
 
     def link_mask(self, A: int) -> "SimplicialComplex":
-        return SimplicialComplex(self.n, _link_facets(self.facet_masks, A))
+        return SimplicialComplex._of_masks(self.n, _link_facets(self.facet_masks, A))
 
     def link(self, F: Iterable[int]) -> "SimplicialComplex":
         """Link of F: all faces G disjoint from F with G u F a face.
@@ -350,12 +460,12 @@ class SimplicialComplex:
     def restrict(self, W: Iterable[int]) -> "SimplicialComplex":
         """Full subcomplex on the vertex subset W, on the same ground set."""
         w = pack(W, self.n)
-        return SimplicialComplex(self.n, [b & w for b in self.facet_masks])
+        return SimplicialComplex._of_masks(self.n, [b & w for b in self.facet_masks])
 
     def delete(self, W: Iterable[int]) -> "SimplicialComplex":
         """Deletion of W, i.e. the restriction to the complement of W."""
         w = pack(W, self.n)
-        return SimplicialComplex(self.n, [b & ~w for b in self.facet_masks])
+        return SimplicialComplex._of_masks(self.n, [b & ~w for b in self.facet_masks])
 
     def join(self, other: "SimplicialComplex") -> "SimplicialComplex":
         """Simplicial join, with the other ground set relabeled to follow this one.
@@ -367,7 +477,7 @@ class SimplicialComplex:
             raise VertexRangeError(f"joined ground size {n} exceeds limit {MAX_GROUND}")
         shift = self.n
         masks = [f | (g << shift) for f in self.facet_masks for g in other.facet_masks]
-        return SimplicialComplex(n, masks)
+        return SimplicialComplex._of_masks(n, masks)
 
     def __mul__(self, other: "SimplicialComplex") -> "SimplicialComplex":
         return self.join(other)
@@ -420,13 +530,19 @@ def boundary_simplex(F: Iterable[int], n: int | None = None) -> SimplicialComple
     """Boundary of the simplex on F: all proper subsets of F.
 
     The ground size defaults to max(F).  boundary_simplex([v]) is {emptyset}
-    with v a loop.
+    with v a loop.  Each vertex is checked to be an integer, as `pack` does,
+    before any two are compared, then to lie in 1..n, and n last.
     """
+    F = list(F)
+    for v in F:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise VertexRangeError(f"vertex {v!r} is not an integer")
     verts = sorted(set(F))
     if not verts:
         raise ValueError("boundary_simplex needs a nonempty vertex set")
     if n is None:
         n = max(verts)
     mask = pack(verts, n)
+    _check_ground(n, MAX_GROUND)
     facets = [mask & ~(1 << (v - 1)) for v in verts]
-    return SimplicialComplex(n, facets)
+    return SimplicialComplex._of_masks(n, facets)

@@ -50,8 +50,10 @@ Any other link takes the graph dimension, listed by `_walk`: its row at
 each vertex and the rules of `_wide_dim` at each wider degree where it may
 be nonzero.  A link of dimension at most 1 is a graph G on V, read off its
 adjacency with no face set: its circuits are its non-edges and triangles
-(`_graph_circuits`), and `_graph_dims` gives the dimension c(G[V \\ N[v]])
-+ e(G[N(v)]) - 1, clamped, at a vertex v (c counts components, e edges).
+(`_graph_circuits`, which `complexes` holds, as a whole complex of
+dimension at most 1 takes its own circuits by it too), and `_graph_dims`
+gives the dimension c(G[V \\ N[v]]) + e(G[N(v)]) - 1, clamped, at a vertex
+v (c counts components, e edges).
 
 Any larger link takes the circuit rule at its vertices and the wider rule
 of `_wide_dim` at its wider faces, both read off the circuits through b
@@ -85,6 +87,8 @@ from typing import Iterable, Iterator, NamedTuple
 from .complexes import (
     SimplicialComplex,
     VertexRangeError,
+    _adjacency,
+    _graph_circuits,
     _ground_size,
     _link_facets,
     _order_key,
@@ -191,19 +195,6 @@ def _circuit_faces(circuits: list[int]) -> set[int]:
     return {b for c in circuits for b in submasks(c)} - set(circuits) - {0}
 
 
-def _adjacency(facets: Iterable[int]) -> dict[int, int]:
-    """Each vertex bit of the complex with these facets of at most two
-    vertices, mapped to the mask of its neighbours."""
-    adj: dict[int, int] = {}
-    for f in facets:
-        rest = f
-        while rest:
-            u = rest & -rest
-            rest ^= u
-            adj[u] = adj.get(u, 0) | f ^ u
-    return adj
-
-
 def _edges_within(adj: dict[int, int], part: int) -> int:
     """The number of edges of the graph with adjacency adj that lie in part."""
     ends = 0
@@ -213,31 +204,6 @@ def _edges_within(adj: dict[int, int], part: int) -> int:
         rest ^= u
         ends += (adj[u] & part).bit_count()
     return ends // 2
-
-
-def _graph_circuits(adj: dict[int, int]) -> list[int]:
-    """The minimal nonfaces of two or more vertices of a complex of
-    dimension at most 1, from its adjacency: its non-edges, and the sets of
-    three vertices whose pairs are all edges, its triangles."""
-    verts = _union(adj)
-    out = []
-    for u, near in adj.items():
-        above = -(u << 1)  # the vertices above u, each set listed once
-        rest = verts & ~near & above
-        while rest:
-            w = rest & -rest
-            rest ^= w
-            out.append(u | w)
-        rest = near & above
-        while rest:
-            w = rest & -rest
-            rest ^= w
-            common = near & adj[w] & -(w << 1)
-            while common:
-                x = common & -common
-                common ^= x
-                out.append(u | w | x)
-    return out
 
 
 def _graph_dims(adj: dict[int, int]) -> Iterator[tuple[int, int, int]]:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .complexes import SimplicialComplex, pack, unpack
+from .complexes import MAX_GROUND, SimplicialComplex, _check_ground, pack, unpack
 from .cotangent import T1Table, _canonical, _mask_order, _matroid_table, _uniform_rows
 
 
@@ -187,7 +187,8 @@ def reconstruct(t: T1Table) -> SimplicialComplex:
             low = members & -members
             bases.add(a | low)
             members ^= low
-    candidate = SimplicialComplex(t.n, [b | coloops for b in bases])
+    _check_ground(t.n, MAX_GROUND)  # a table's ground is not capped, a complex's is
+    candidate = SimplicialComplex._of_masks(t.n, [b | coloops for b in bases])
     back = _matroid_table(candidate)
     if back is None:
         raise NotAMatroidTableError("recovered facets do not satisfy the exchange axiom")

@@ -251,7 +251,8 @@ def _graph_edges_one_too_high(monkeypatch):
 
 
 def _graph_circuits_drop_triangles(monkeypatch):
-    # a link of dimension 1 loses its triangles from its circuits
+    # a link of dimension 1 loses its triangles from its circuits; only the
+    # engine's binding is patched, so a complex's own circuits stay whole
     graph_circuits = cotangent._graph_circuits
 
     def wrong(adj):

@@ -5,8 +5,10 @@ import random
 
 import pytest
 
+from srt1.matroids import is_matroid_circuit_elimination
 from srt1.complexes import (
     MAX_GROUND,
+    _faces_of,
     _minimal_nonfaces,
     _order_key,
     MAX_NONFACE_GROUND,
@@ -190,6 +192,150 @@ def test_ground_size_validation():
     assert cx.is_face([MAX_GROUND])
 
 
+@pytest.mark.parametrize(
+    "n, facets, message",
+    [
+        ("5", [[1]], "ground size '5' must be a nonnegative integer"),
+        (None, [[1]], "ground size None must be a nonnegative integer"),
+        (-1, [[1]], "ground size -1 must be a nonnegative integer"),
+        (-1, [], "ground size -1 must be a nonnegative integer"),
+        (1.5, [[1]], "ground size 1.5 must be a nonnegative integer"),
+        (True, [[1]], "ground size True must be a nonnegative integer"),
+        (MAX_GROUND + 1, [[70]], f"ground size {MAX_GROUND + 1} exceeds limit {MAX_GROUND}"),
+    ],
+)
+def test_from_facets_checks_the_ground_size_first(n, facets, message):
+    # the same fault whatever the facets are, and before any is packed
+    def never_packed():
+        raise AssertionError("a facet was read before the ground size was checked")
+        yield
+
+    with pytest.raises(VertexRangeError) as exc:
+        SimplicialComplex.from_facets(n, facets)
+    assert str(exc.value) == message
+    with pytest.raises(VertexRangeError) as exc:
+        SimplicialComplex.from_facets(n, never_packed())
+    assert str(exc.value) == message
+
+
+class _Vertex(int):
+    """An int subclass, which `pack` accepts as a vertex."""
+
+
+def _old_build(n, facets):
+    """The build before the one-pass packing: `pack` per facet, then the
+    checking constructor."""
+    return SimplicialComplex(n, [pack(f, n) for f in facets] or [0])
+
+
+def _outcome(build, n, facets):
+    try:
+        return build(n, facets).facet_masks
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+def _random_facet_lists(seed):
+    """Facet lists with duplicate facets, duplicate vertices, non-maximal
+    facets and empty facets, on up to 12 vertices."""
+    rng = random.Random(seed)
+    n = rng.randint(0, 12)
+    facets = []
+    for _ in range(rng.randint(0, 12)):
+        f = [rng.randint(1, n) for _ in range(rng.randint(0, n))] if n else []
+        facets.append(f)
+        if f and rng.random() < 0.3:
+            facets.append(f[: len(f) // 2])  # a subset, absorbed
+        if rng.random() < 0.2:
+            facets.append(list(reversed(f)))  # a duplicate
+        if rng.random() < 0.1:
+            facets.append([])
+    rng.shuffle(facets)
+    return n, facets
+
+
+def test_the_fast_build_is_the_old_build():
+    # `from_facets` against `pack` per facet and the checking constructor
+    cases = [(cx.n, cx.facets) for m in range(6) for cx in representatives(m)]
+    cases += [_random_facet_lists(seed) for seed in range(300)]
+    for n, facets in cases:
+        assert _outcome(SimplicialComplex.from_facets, n, facets) == _outcome(
+            _old_build, n, facets
+        ), (n, facets)
+    # each bad vertex kind, put into a random facet, with a second bad vertex
+    # later in facet order: the first is the one named
+    rng = random.Random(11)
+    spoiled_cases = 0
+    for n, facets in (_random_facet_lists(seed) for seed in range(40)):
+        if not n or not facets:
+            continue
+        for bad in (True, 1.0, "1", 0, n + 1, -1):
+            spoiled = [list(f) for f in facets]
+            i = rng.randrange(len(spoiled))
+            spoiled[i].insert(rng.randint(0, len(spoiled[i])), bad)
+            spoiled.append([n + 2, "x"])
+            if isinstance(bad, int) and not isinstance(bad, bool):
+                message = f"vertex {bad} out of range 1..{n}"
+            else:
+                message = f"vertex {bad!r} is not an integer"
+            got = _outcome(SimplicialComplex.from_facets, n, spoiled)
+            assert got == (VertexRangeError, message), (n, spoiled)
+            assert got == _outcome(_old_build, n, spoiled), (n, spoiled)
+            spoiled_cases += 1
+    assert spoiled_cases > 100
+    # int subclass vertices are accepted and packed as ints
+    facets = [[_Vertex(1), _Vertex(3)], [2, _Vertex(5)], [_Vertex(1)]]
+    assert _outcome(SimplicialComplex.from_facets, 5, facets) == _outcome(_old_build, 5, facets)
+    assert SimplicialComplex.from_facets(5, facets).facets == ((1, 3), (2, 5))
+    # the canonical order of `maximal_masks` and the public views: every mask
+    # below 2^10 at each ground size that holds it (n <= 8 is the one-byte
+    # lookup), and seeded masks at every width up to 64
+    for n in range(11):
+        masks = list(range(1 << n))
+        assert sorted(masks, key=_order_key(n)) == sorted(masks, key=sort_key), n
+    for n in range(1, MAX_GROUND + 1):
+        masks = [rng.getrandbits(n) for _ in range(60)] + [0, (1 << n) - 1]
+        assert sorted(masks, key=_order_key(n)) == sorted(masks, key=sort_key), n
+    # the inline face walk: the void complex still has no faces
+    for n in (0, 1, 5, MAX_GROUND):
+        assert SimplicialComplex.void(n).face_masks() == frozenset()
+    assert _faces_of([]) == frozenset()
+    assert _faces_of([0]) == frozenset({0})
+
+
+def _random_graph(seed):
+    """A complex of dimension at most 1 with loops and isolated vertices."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 14)
+    verts = rng.sample(range(1, n + 1), rng.randint(0, n))  # the rest are loops
+    edges = [list(e) for e in itertools.combinations(verts, 2) if rng.random() < 0.45]
+    isolated = [[v] for v in verts if rng.random() < 0.3]
+    return SimplicialComplex.from_facets(n, edges + isolated)
+
+
+def test_graph_circuits_are_the_sweep():
+    # the circuits of a complex of dimension <= 1 come off its adjacency,
+    # with no face set; the sweep over its faces gives the same family
+    cases = [cx for m in range(1, 6) for cx in representatives(m) if cx.rank <= 2]
+    cases += [_random_graph(seed) for seed in range(200)]
+    cases += [SimplicialComplex.from_facets(n, []) for n in (0, 1, 3, 6, MAX_GROUND)]
+    for cx in cases:
+        cx = SimplicialComplex(cx.n, cx.facet_masks)  # no cache carried over
+        got = sorted(cx._circuit_masks())
+        assert cx._faces is None, cx
+        assert got == sorted(_minimal_nonfaces(cx.face_masks(), cx.n)), cx
+        assert len(set(got)) == len(got), cx
+
+
+def test_a_graph_builds_no_face_set_for_its_circuits():
+    path = SimplicialComplex.from_facets(64, [[v, v + 1] for v in range(1, 64)])
+    assert len(path.minimal_nonfaces()) == 63 * 62 // 2
+    assert path._faces is None
+    path = SimplicialComplex.from_facets(64, [[v, v + 1] for v in range(1, 64)])
+    assert not is_matroid_circuit_elimination(path)
+    assert path._faces is None
+
+
 @pytest.mark.parametrize("mask", [-1, -8, 8, 1 << 64, True, False, 1.0, "1"])
 def test_constructor_rejects_facet_masks_outside_the_ground(mask):
     # a mask is checked before it is decoded: unpacking a negative int
@@ -357,6 +503,19 @@ def test_boundary_simplex():
     assert boundary_simplex([3]).facets == ((),)
     with pytest.raises(ValueError):
         boundary_simplex([])
+
+
+@pytest.mark.parametrize("F", [[1, "a"], ["a", 1], [2, 1.0], [True, 2], [1, None]])
+def test_boundary_simplex_checks_vertices_before_sorting(F):
+    # as `pack` does, and as `MultiDegree.make` does: no vertex is compared
+    # with another before each is known to be an integer
+    bad = next(v for v in F if not isinstance(v, int) or isinstance(v, bool))
+    with pytest.raises(VertexRangeError, match=f"vertex {bad!r} is not an integer"):
+        boundary_simplex(F)
+    with pytest.raises(VertexRangeError, match="out of range"):
+        boundary_simplex([1, 0])
+    with pytest.raises(VertexRangeError, match=f"exceeds limit {MAX_GROUND}"):
+        boundary_simplex([1, MAX_GROUND + 1])
 
 
 def test_repr_mentions_shape():

@@ -1,9 +1,10 @@
 """Pins the public surface: the package's exported names, the CLI's options
-and the census calls the benchmark harness makes.  Pins four internal
+and the census calls the benchmark harness makes.  Pins five internal
 boundaries too: only `cotangent` reads a link for the singleton test,
-`cotangent` runs no circuit sweep of its own, `dim_t1` decides a degree
-of two or more vertices through `cotangent._wide_dim` alone, and the
-definition lives in `definition`, apart from the engine.
+`cotangent` runs no circuit sweep of its own, the graph circuit rule lives
+in `complexes` alone, `dim_t1` decides a degree of two or more vertices
+through `cotangent._wide_dim` alone, and the definition lives in
+`definition`, apart from the engine.
 
 A refactor that drops or renames any of them fails here first.
 """
@@ -13,7 +14,7 @@ import argparse
 import pytest
 
 import srt1
-from srt1 import census, cli, cotangent, definition, recognition, reconstruction
+from srt1 import census, cli, complexes, cotangent, definition, recognition, reconstruction
 from srt1.cli import build_parser
 
 EXPORTS = [
@@ -118,6 +119,15 @@ def test_cotangent_binds_no_circuit_sweep():
     # contraction (`cotangent._contract`), so `complexes._minimal_nonfaces`
     # runs behind `SimplicialComplex._circuit_masks` alone, once per complex
     assert "_minimal_nonfaces" not in vars(cotangent)
+
+
+def test_one_graph_rule_lives_in_complexes():
+    # a complex of dimension <= 1 takes its own circuits off its adjacency,
+    # by the rule every graph link uses, so the rule is defined once, in
+    # `complexes`, and `cotangent` binds it from there
+    for name in ("_adjacency", "_graph_circuits"):
+        assert getattr(cotangent, name) is getattr(complexes, name)
+        assert getattr(cotangent, name).__module__ == "srt1.complexes"
 
 
 def test_dim_t1_names_no_wide_rule_of_its_own():
