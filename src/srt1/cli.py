@@ -15,7 +15,8 @@ import os
 import sys
 
 import srt1
-from .complexes import MAX_CENSUS_GROUND, SimplicialComplex, check_threads, unpack
+from .complexes import MAX_CENSUS_GROUND, MAX_GROUND, SimplicialComplex, check_threads, unpack
+from .complexes import _check_ground, _ground_size
 
 
 def parse_degree(text: str) -> srt1.MultiDegree:
@@ -62,7 +63,10 @@ def read_complex(path: str) -> SimplicialComplex:
 
 
 def read_table(path: str) -> srt1.T1Table:
-    return srt1.T1Table.from_json_dict(_read_json(path))
+    doc = _read_json(path)
+    if isinstance(doc, dict):  # the ground size first: no entry is packed past the limit
+        _check_ground(_ground_size(doc), MAX_GROUND)
+    return srt1.T1Table.from_json_dict(doc)
 
 
 def _emit(doc) -> None:

@@ -531,7 +531,8 @@ def boundary_simplex(F: Iterable[int], n: int | None = None) -> SimplicialComple
 
     The ground size defaults to max(F).  boundary_simplex([v]) is {emptyset}
     with v a loop.  Each vertex is checked to be an integer, as `pack` does,
-    before any two are compared, then to lie in 1..n, and n last.
+    before any two are compared, then n by `_check_ground`, before any mask
+    is built, and last each vertex to lie in 1..n.
     """
     F = list(F)
     for v in F:
@@ -542,7 +543,7 @@ def boundary_simplex(F: Iterable[int], n: int | None = None) -> SimplicialComple
         raise ValueError("boundary_simplex needs a nonempty vertex set")
     if n is None:
         n = max(verts)
-    mask = pack(verts, n)
     _check_ground(n, MAX_GROUND)
+    mask = pack(verts, n)
     facets = [mask & ~(1 << (v - 1)) for v in verts]
     return SimplicialComplex._of_masks(n, facets)

@@ -276,9 +276,9 @@ def _contract(faces: frozenset[int], a: int, v: int, circuits: list[int]) -> tup
                 out.append(c)
             else:
                 loops |= c
-        elif (c & (c - 1) | a) in faces:  # x the lowest vertex of C first
-            rest = c & (c - 1)
-            while rest and (c ^ (rest & -rest) | a) in faces:
+        else:
+            rest = c
+            while rest and (c ^ (rest & -rest) | a) in faces:  # x from the lowest vertex up
                 rest &= rest - 1
             if not rest:
                 out.append(c)
@@ -330,13 +330,14 @@ def _grows_unmarked(
 
 def _wide_dim(link: dict | frozenset, a: int, circuits: list[int] | None, rank: int, b: int) -> int:
     """The graph dimension at a degree b of two or more vertices of the link
-    at a, in two or more facets and of rank at least 2, read as `_read_link`
-    reads it: its adjacency at rank 2, else the face set in which S is a
-    face of it when S u a is one, and its circuits of two or more vertices,
-    None allowed at rank 2.  The one list of the rules at such degrees,
-    shared by `_walk` and `dim_t1`:
+    at a, in two or more facets, read as `_read_link` reads it: its adjacency
+    at rank at most 2, else the face set in which S is a face of it when
+    S u a is one, and its circuits of two or more vertices, None allowed at
+    rank at most 2.  The one list of the rules at such degrees, shared by
+    `_walk` and `dim_t1`:
 
-    * an edge b of a graph link: `_graph_edge_dim`;
+    * an edge b of a graph link: `_graph_edge_dim`; a link of rank 1, U(d, 1)
+      with loops, is a graph with no edge, which only `dim_t1` reads here;
     * a face b of a larger link: the wider rule of the module docstring,
       0 with no circuit through b;
     * a nonface b: 1 on an isolated circuit (`_isolated_circuits`), else 0;
@@ -350,7 +351,7 @@ def _wide_dim(link: dict | frozenset, a: int, circuits: list[int] | None, rank: 
     is a face whenever F u {u} is, so u marks nothing, and taking such
     vertices out of a member of W keeps it in W and a marked face above it
     marked."""
-    if rank == 2:
+    if rank <= 2:
         if b.bit_count() == 2 and b & link[b & -b]:
             return _graph_edge_dim(link, b)
         if circuits is None:
@@ -447,12 +448,14 @@ def _walk(cx: SimplicialComplex) -> Iterator[tuple[int, int, list[int] | None, l
 
 def dim_t1(cx: SimplicialComplex, degree) -> int:
     """dim T1 of cx at the degree with supports (A, b): 0 outside the
-    vanishing range or on a link in one facet, the `_uniform_rows` row at
-    rank 1, else the graph dimension of link(cx, A), which `_read_link`
-    reads as a complex of its own, building nothing beyond it: its row at a
-    vertex b, 0 at a vertex it lists nowhere, and `_wide_dim` at a wider b.
-    `_walk` counts the graph side only where the singleton test fails; where
-    it passes, the walk writes the circuit formula (`_class_rows`,
+    vanishing range or on a link in one facet, else the graph dimension of
+    link(cx, A), which `_read_link` reads as a complex of its own, building
+    nothing beyond it: its row at a vertex b, 0 at a vertex it lists
+    nowhere, and `_wide_dim` at a wider b.  A link of rank 1, U(d, 1) with
+    loops, is a graph with no edge: d - 2 at each vertex, clamped, and by
+    the isolated-circuit rule 1 at the pair when d = 2.  `_walk` counts the
+    graph side only where the singleton test fails; where it passes, and at
+    every link of rank 1, the walk writes the circuit formula (`_class_rows`,
     `_uniform_rows`, `_uniform_up_set`), equal there by the main theorem."""
     cx._require_nonvoid("dim_t1")
     am, bm = _degree_masks(degree, cx.n)
@@ -461,8 +464,6 @@ def dim_t1(cx: SimplicialComplex, degree) -> int:
     if bm == 0 or bm & ~verts or len(link_facets) < 2:
         return 0
     rank = max(map(int.bit_count, link_facets))
-    if rank == 1:
-        return dict(_uniform_rows(verts, 1)).get(bm, 0)
     link, circuits, rows = _read_link(cx.link_mask(am) if am else cx, 0, link_facets, rank)
     if not bm & (bm - 1):
         return next((graph * (v == bm) for v, graph, _ in rows if v >= bm), 0)  # in vertex order

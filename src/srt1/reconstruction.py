@@ -148,8 +148,11 @@ def reconstruct_rank_one(t: T1Table, ground: Iterable[int]) -> tuple[int, ...]:
 def reconstruct(t: T1Table) -> SimplicialComplex:
     """The unique nondiscrete matroid with T1 table t.
 
-    Classifies loops and coloops, then in one pass over the rows groups the
-    entries whose A avoids the coloops by A, each group a dict b -> dim.
+    Raises DiscreteAmbiguousError on the empty table, then VertexRangeError
+    on a ground of more than MAX_GROUND vertices, before any step walks
+    1..n.  Classifies loops and coloops, then in one pass over the rows
+    groups the entries whose A avoids the coloops by A, each group a dict
+    b -> dim.
     The core rank r is one more than the largest A among them; each group
     with |A| = r - 1, in canonical order of A, goes through the rank-one rule
     (`_rank_one_members`) with the ordinary vertices outside A as ground, and
@@ -162,6 +165,7 @@ def reconstruct(t: T1Table) -> SimplicialComplex:
         raise DiscreteAmbiguousError(
             "empty table: every discrete matroid on this ground set is rigid"
         )
+    _check_ground(t.n, MAX_GROUND)  # a table's ground is not capped, a complex's is
     roles = classify_loops_coloops(t)
     ordinary = coloops = 0
     for v, role in roles.items():
@@ -187,7 +191,6 @@ def reconstruct(t: T1Table) -> SimplicialComplex:
             low = members & -members
             bases.add(a | low)
             members ^= low
-    _check_ground(t.n, MAX_GROUND)  # a table's ground is not capped, a complex's is
     candidate = SimplicialComplex._of_masks(t.n, [b | coloops for b in bases])
     back = _matroid_table(candidate)
     if back is None:

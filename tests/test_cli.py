@@ -5,10 +5,12 @@ import random
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import srt1
 from srt1 import census, cli
 from srt1.complexes import SimplicialComplex
 from srt1.cotangent import MultiDegree, t1_table
@@ -476,6 +478,22 @@ def test_table_vertex_error_keeps_its_kind(capsys, tmp_path, entry, message):
     p.write_text(json.dumps({"n": 3, "entries": [entry]}))
     assert cli.main(["reconstruct", str(p)]) == 1
     assert capsys.readouterr().err == f"error [VertexRange]: {message}\n"
+
+
+def test_reconstruct_checks_the_ground_before_reading_entries(capsys, tmp_path, monkeypatch):
+    # a document on 2^40 vertices stops at its ground size: no entry is
+    # packed, so no mask of 2^40 bits is asked for
+    def spy(doc):
+        raise AssertionError("the entries were read before the ground check")
+
+    monkeypatch.setattr(srt1.T1Table, "from_json_dict", spy)
+    p = tmp_path / "table.json"
+    p.write_text(json.dumps({"n": 2**40, "entries": [{"A": [], "b": [1, 2**40], "dim": 1}]}))
+    start = time.perf_counter()
+    assert cli.main(["reconstruct", str(p)]) == 1
+    assert time.perf_counter() - start < 1
+    want = f"error [VertexRange]: ground size {2**40} exceeds limit 64\n"
+    assert capsys.readouterr().err == want
 
 
 def test_table_bad_n_names_key_n(capsys, tmp_path):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from srt1 import complexes
 from srt1.matroids import is_matroid_circuit_elimination
 from srt1.complexes import (
     MAX_GROUND,
@@ -516,6 +517,28 @@ def test_boundary_simplex_checks_vertices_before_sorting(F):
         boundary_simplex([1, 0])
     with pytest.raises(VertexRangeError, match=f"exceeds limit {MAX_GROUND}"):
         boundary_simplex([1, MAX_GROUND + 1])
+
+
+def test_boundary_simplex_checks_the_ground_before_packing(monkeypatch):
+    # n is checked once every vertex is known to be an integer, before
+    # `pack` builds a mask of up to n bits or names a vertex
+    packed = []
+
+    def spy(verts, n):
+        packed.append(n)
+        if not isinstance(n, int) or not 0 <= n <= MAX_GROUND:
+            raise AssertionError(f"pack on a ground of {n!r} before the ground check")
+        return pack(verts, n)
+
+    monkeypatch.setattr(complexes, "pack", spy)
+    with pytest.raises(VertexRangeError, match=f"ground size {2**40} exceeds limit {MAX_GROUND}"):
+        boundary_simplex([1, 2**40])
+    with pytest.raises(VertexRangeError, match="ground size '5' must be a nonnegative integer"):
+        boundary_simplex([1], "5")
+    with pytest.raises(VertexRangeError, match="ground size -1 must be a nonnegative integer"):
+        boundary_simplex([1, 2], -1)
+    assert packed == []
+    assert boundary_simplex([1, 2], MAX_GROUND).n == MAX_GROUND and packed == [MAX_GROUND]
 
 
 def test_repr_mentions_shape():

@@ -1,17 +1,20 @@
 """`dim_t1` by the walk's rules against the definition.
 
 `dim_t1` decides one degree (A, b) by the graph side of the rules of
-`cotangent._walk`: the U(d, 1) row at a link of rank 1, the singleton-test
+`cotangent._walk` at every link, one of rank 1 included, which
+`cotangent._read_link` reads as a graph with no edge: the singleton-test
 row at a vertex, and at a wider b the rules that `cotangent._wide_dim`
 lists.  The walk applies them only at a link that fails the singleton
-test; at one that passes it writes the circuit formula, which the main
-theorem makes equal.  The definition is the inclusion graph over the
-link's whole face set (`definition._dim_on_faces`), 0 outside the vanishing
-range.  The two meet at every face A, one nonface A and every nonempty b
-disjoint from A, on the census classes and on seeded random complexes on
-6 to 8 vertices; at every wider degree of a link that fails the test,
-`dim_t1` and the walk agree and both call `_wide_dim`; a work count shows
-that a singleton degree of "three facets k = 12" runs no wider rule.
+test; at one that passes, and at a link of rank 1, it writes the circuit
+formula, which the main theorem makes equal.  The definition is the
+inclusion graph over the link's whole face set (`definition._dim_on_faces`),
+0 outside the vanishing range.  The two meet at every face A, one nonface
+A and every nonempty b disjoint from A, on the census classes and on
+seeded random complexes on 6 to 8 vertices; at every wider degree of a link
+that fails the test, `dim_t1` and the walk agree and both call `_wide_dim`;
+`dim_t1` meets `t1_table` at every row of the star K(1, 63) and at the
+degrees of its centre link, U(63, 1); a work count shows that a singleton
+degree of "three facets k = 12" runs no wider rule.
 """
 
 import random
@@ -20,7 +23,7 @@ import pytest
 
 from srt1 import cotangent
 from srt1.complexes import SimplicialComplex, _faces_of, _link_facets, _union, submasks, unpack
-from srt1.cotangent import dim_t1
+from srt1.cotangent import dim_t1, t1_table
 from srt1.definition import _dim_on_faces
 
 from _census_reps import representatives
@@ -69,6 +72,21 @@ def test_dim_t1_meets_the_definition_at_every_degree(family):
                 degrees += 1
                 nonzero += want > 0
     assert (degrees, nonzero) == (want_degrees, want_nonzero)
+
+
+def test_dim_t1_meets_the_table_on_a_rank_one_link():
+    # the centre link of the star K(1, 63) is U(63, 1), a graph with no
+    # edge: 61 at each vertex and 0 at every wider degree, as `t1_table`
+    # writes it by `_uniform_rows`; every row of the table is met too
+    star = SimplicialComplex.from_facets(64, [[1, v] for v in range(2, 65)])
+    table = t1_table(star)
+    leaves = range(2, 65)
+    wider = [(u, v) for u in (2, 64) for v in leaves if u != v] + [(2, 3, 4), tuple(leaves)]
+    for b in [(v,) for v in leaves] + wider:
+        assert dim_t1(star, ((1,), b)) == table.dim((1,), b) == (61 if len(b) == 1 else 0), b
+    assert len(table) == 126
+    for (A, b), dim in table.items():
+        assert dim_t1(star, (A, b)) == dim, (A, b)
 
 
 def test_singleton_degree_counts_no_graph_over_faces(monkeypatch):

@@ -132,8 +132,13 @@ def test_one_graph_rule_lives_in_complexes():
 
 def test_dim_t1_names_no_wide_rule_of_its_own():
     # the rules at a degree of two or more vertices are listed once, in
-    # `cotangent._wide_dim`, which `dim_t1` and `_walk` both call
-    own = {"_graph_edge_dim", "_grows_unmarked", "_isolated_circuits", "_graph_circuits"}
+    # `cotangent._wide_dim`, which `dim_t1` and `_walk` both call; nor has it
+    # a rule of its own at a link of rank 1, which `_read_link` reads as a
+    # graph with no edge
+    own = {
+        "_graph_edge_dim", "_grows_unmarked", "_isolated_circuits", "_graph_circuits",
+        "_uniform_rows",
+    }
     assert own & set(cotangent.dim_t1.__code__.co_names) == set()
     assert "_wide_dim" in cotangent.dim_t1.__code__.co_names
     assert "_graph_edge_dims" not in vars(cotangent)

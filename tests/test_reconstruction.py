@@ -1,9 +1,11 @@
 import collections
 import itertools
 import random
+import time
 
 import pytest
 
+from srt1 import reconstruction
 from srt1.complexes import SimplicialComplex, VertexRangeError
 from srt1.cotangent import MultiDegree, T1Table, _matroid_table, t1_table
 from srt1.matroids import is_discrete, is_matroid_exchange, uniform
@@ -246,6 +248,23 @@ def test_reconstruct_consumes_only_the_table():
     m = uniform(5, 2) * uniform(1, 1)
     doc = t1_table(m).to_json_dict()
     assert reconstruct(T1Table.from_json_dict(doc)) == m
+
+
+def test_reconstruct_checks_the_ground_before_walking_it(monkeypatch):
+    # the loop/coloop step walks 1..n and builds a mask per vertex: a table
+    # on 10^6 vertices raises on its ground size first, and the empty table
+    # is still ambiguous before it is too large
+    def spy(t):
+        raise AssertionError("classify_loops_coloops ran before the ground check")
+
+    monkeypatch.setattr(reconstruction, "classify_loops_coloops", spy)
+    t = T1Table.from_json_dict({"n": 10**6, "entries": [{"A": [], "b": [1, 2], "dim": 1}]})
+    start = time.perf_counter()
+    with pytest.raises(VertexRangeError, match="ground size 1000000 exceeds limit 64"):
+        reconstruct(t)
+    assert time.perf_counter() - start < 1
+    with pytest.raises(DiscreteAmbiguousError):
+        reconstruct(T1Table(10**6, []))
 
 
 # -- row order -----------------------------------------------------------------
