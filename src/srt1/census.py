@@ -234,9 +234,10 @@ def check_complex(cx: SimplicialComplex) -> tuple[dict[str, CensusReport], bool]
     checked = 0
     for a in s.a_masks:
         link_faces, verts = s.links[a].face_masks(), s.links[a].vertex_mask
+        group = s.table._groups.get(a, {})
         for sub in filter(None, submasks(full & ~a)):
             checked += 1
-            lhs = s.table._rows.get((a, sub), 0)
+            lhs = group.get(sub, 0)
             rhs = s.dims[a, sub] = 0 if sub & ~verts else _dim_on_faces(link_faces, sub)
             if lhs != rhs:
                 fails.append(f"{tag}: degree ({unpack(a)},{unpack(sub)}) {lhs} != {rhs}")

@@ -151,10 +151,13 @@ def _cmd_rigidity(args) -> int:
         return 0
     from .cotangent import _canonical
 
-    # the canonically first row, the only one decoded
-    (a, b), dim = min(table._rows.items(), key=_canonical(table.n))
+    # the canonically first row, the least b of the least A, the only one decoded
+    key = _canonical(table.n)
+    a = min(table._groups, key=key)
+    group = table._groups[a]
+    b = min(group, key=key)
     first = srt1.MultiDegree(unpack(a), unpack(b))
-    sys.stdout.write(f"NONRIGID {format_degree(first)} dim={dim}\n")
+    sys.stdout.write(f"NONRIGID {format_degree(first)} dim={group[b]}\n")
     return 0
 
 

@@ -44,7 +44,8 @@ writes each one's rows from |W| and r alone (`_uniform_up_set`); a link
 whose d >= 2 facets are single vertices is U(d, 1) with loops, the case
 r = 1.  Above any other matroid link the vertices and circuits of a link
 follow from those of the link one vertex below (`_matroid_links`), and the
-rows of each link are computed once per vertex mask, which fixes the flat.
+rows of each link are computed once per vertex mask, which fixes the flat,
+and kept as one dict that the table shares between the faces of the flat.
 
 Any other link takes the graph dimension, listed by `_walk`: its row at
 each vertex and the rules of `_wide_dim` at each wider degree where it may
@@ -449,14 +450,15 @@ def _walk(cx: SimplicialComplex) -> Iterator[tuple[int, int, list[int] | None, l
 def dim_t1(cx: SimplicialComplex, degree) -> int:
     """dim T1 of cx at the degree with supports (A, b): 0 outside the
     vanishing range or on a link in one facet, else the graph dimension of
-    link(cx, A), which `_read_link` reads as a complex of its own, building
-    nothing beyond it: its row at a vertex b, 0 at a vertex it lists
-    nowhere, and `_wide_dim` at a wider b.  A link of rank 1, U(d, 1) with
-    loops, is a graph with no edge: d - 2 at each vertex, clamped, and by
-    the isolated-circuit rule 1 at the pair when d = 2.  `_walk` counts the
-    graph side only where the singleton test fails; where it passes, and at
-    every link of rank 1, the walk writes the circuit formula (`_class_rows`,
-    `_uniform_rows`, `_uniform_up_set`), equal there by the main theorem."""
+    link(cx, A), which `_read_link` reads off its facets at rank at most 2
+    and as a complex of its own above, building nothing beyond it: its row
+    at a vertex b, 0 at a vertex it lists nowhere, and `_wide_dim` at a
+    wider b.  A link of rank 1, U(d, 1) with loops, is a graph with no edge:
+    d - 2 at each vertex, clamped, and by the isolated-circuit rule 1 at the
+    pair when d = 2.  `_walk` counts the graph side only where the singleton
+    test fails; where it passes, and at every link of rank 1, the walk
+    writes the circuit formula (`_class_rows`, `_uniform_rows`,
+    `_uniform_up_set`), equal there by the main theorem."""
     cx._require_nonvoid("dim_t1")
     am, bm = _degree_masks(degree, cx.n)
     link_facets = _link_facets(cx.facet_masks, am)
@@ -464,77 +466,80 @@ def dim_t1(cx: SimplicialComplex, degree) -> int:
     if bm == 0 or bm & ~verts or len(link_facets) < 2:
         return 0
     rank = max(map(int.bit_count, link_facets))
-    link, circuits, rows = _read_link(cx.link_mask(am) if am else cx, 0, link_facets, rank)
+    # only a link of rank 3 or more is read as a complex, its face set and circuits
+    inner = cx.link_mask(am) if am and rank > 2 else cx
+    link, circuits, rows = _read_link(inner, 0, link_facets, rank)
     if not bm & (bm - 1):
         return next((graph * (v == bm) for v, graph, _ in rows if v >= bm), 0)  # in vertex order
     return _wide_dim(link, 0, circuits, rank, bm)
 
 
-def _check_row(rows: dict[tuple[int, int], int], a: int, b: int, dim) -> None:
-    """Stores dim at the row (a, b) of rows, after the checks on a table entry
-    that follow its vertices: b nonempty, dim a positive integer, (a, b) not
-    yet stored.  The messages name the entry as a MultiDegree."""
+def _check_row(groups: dict[int, dict[int, int]], a: int, b: int, dim) -> None:
+    """Stores dim at the row (a, b) of groups, in the group of a, after the
+    checks on a table entry that follow its vertices: b nonempty, dim a
+    positive integer, (a, b) not yet stored.  The messages name the entry
+    as a MultiDegree."""
     if not b:
         fault = "b must be nonempty"
     elif not isinstance(dim, int) or isinstance(dim, bool) or dim <= 0:
         fault = "dimension must be a positive integer"
-    elif (a, b) in rows:
+    elif b in groups.get(a, ()):
         fault = "duplicate degree"
     else:
-        rows[a, b] = dim
+        groups.setdefault(a, {})[b] = dim
         return
     raise ValueError(f"entry {MultiDegree(unpack(a), unpack(b))}: {fault}")
 
 
-def _mask_order(n: int):
-    """`complexes._order_key(n)`, memoised per mask for sorting table rows."""
-    return functools.lru_cache(maxsize=None)(_order_key(n))
-
-
 def _canonical(n: int):
-    """The key that puts rows whose first item is a pair (a, b) of masks on
-    n vertices in canonical degree order: by a, then by b, in `_mask_order`."""
-    key = _mask_order(n)
-    return lambda row: (key(row[0][0]), key(row[0][1]))
+    """The canonical order key of masks on n vertices, `complexes._order_key(n)`,
+    memoised per mask: rows sort by a, then by b, each in this order."""
+    return functools.lru_cache(maxsize=None)(_order_key(n))
 
 
 class T1Table:
     """Finite map from support pairs to positive T1 dimensions.
 
     Only nonzero dimensions are stored; lookups outside the stored support
-    classes return 0.  The rows are one dict `(a, b) -> dim`, a and b the
-    bitmasks of the supports A and b (vertex v is bit v - 1).  The rows
-    carry no order: the dict keeps the order it was built in, and equality
+    classes return 0.  The rows are kept by A, as T1 of a complex at (A, b)
+    is T1 of link(A) at (emptyset, b): one dict `a -> {b: dim}`, a and b the
+    bitmasks of the supports A and b (vertex v is bit v - 1), with a group
+    for each A that has a row and no empty group.  A table may share one
+    group object between faces with one link table (`t1_table` does so
+    between the faces of one flat of a matroid and between the faces of a
+    uniform up-set that differ by coloops, `slice_link_table` with the
+    table it slices), so nothing mutates a stored group.  The groups carry
+    no order: the dicts keep the order they were built in, and equality
     and the hash read the set of rows.  Only where a caller sees them are
     they sorted, by A, then by b, each by size and then lexicographically
-    (`_canonical`), and decoded into vertex tuples and MultiDegrees: `items`,
-    `keys`, iteration, `repr`, `to_json_dict`, `to_tsv` and the error
-    messages.  `T1Table(n, entries)` and `from_json_dict` check every entry;
-    the tables the library builds itself go through `_of_rows`, which checks
-    none.
+    (`_canonical`), and decoded into vertex tuples and MultiDegrees:
+    `items`, `keys`, iteration, `repr`, `to_json_dict`, `to_tsv` and the
+    error messages.  `T1Table(n, entries)` and `from_json_dict` check every
+    entry; the tables the library builds itself go through `_of_groups`,
+    which checks none.
     """
 
-    __slots__ = ("n", "_rows")
+    __slots__ = ("n", "_groups")
 
     def __init__(self, n: int, entries) -> None:
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ValueError("table ground size must be a nonnegative integer")
         items = entries.items() if hasattr(entries, "items") else entries
-        rows: dict[tuple[int, int], int] = {}
+        groups: dict[int, dict[int, int]] = {}
         for key, dim in items:
-            _check_row(rows, *_degree_masks(key, n), dim)
+            _check_row(groups, *_degree_masks(key, n), dim)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_groups", groups)
 
     @classmethod
-    def _of_rows(cls, n: int, rows: Iterable[tuple[tuple[int, int], int]]) -> "T1Table":
-        """The table of mask rows ((a, b), dim), in any order, that already
-        pass every check of `__init__`: disjoint a and b within the n-vertex
-        ground, b nonempty, positive dimensions, no degree twice.  Checks
-        and sorts nothing."""
+    def _of_groups(cls, n: int, groups: dict[int, dict[int, int]]) -> "T1Table":
+        """The table whose rows are groups, `a -> {b: dim}` in any order, that
+        already pass every check of `__init__`: disjoint a and b within the
+        n-vertex ground, b nonempty, positive dimensions, no empty group.
+        Keeps the dict it is given; checks, copies and sorts nothing."""
         t = object.__new__(cls)
         object.__setattr__(t, "n", n)
-        object.__setattr__(t, "_rows", dict(rows))
+        object.__setattr__(t, "_groups", groups)
         return t
 
     def __setattr__(self, name, value):
@@ -554,13 +559,19 @@ class T1Table:
 
     def dim(self, A, b=None) -> int:
         """Stored dimension at (A, b), or 0 when absent."""
-        return self._rows.get(self._mask_pair(A if b is None else (A, b)), 0)
+        pair = self._mask_pair(A if b is None else (A, b))
+        return 0 if pair is None else self._groups.get(pair[0], {}).get(pair[1], 0)
 
     def _vertex_rows(self) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
-        """The rows as (A, b, dim) with vertex tuples, sorted, each mask decoded once."""
-        tuples = {m: unpack(m) for m in {m for pair in self._rows for m in pair}}
-        rows = sorted(self._rows.items(), key=_canonical(self.n))
-        return [(tuples[a], tuples[b], dim) for (a, b), dim in rows]
+        """The rows as (A, b, dim) with vertex tuples, sorted by A, then by b
+        within its group, each mask decoded once."""
+        key = _canonical(self.n)
+        decoded = functools.lru_cache(maxsize=None)(unpack)
+        out = []
+        for a in sorted(self._groups, key=key):
+            group = self._groups[a]
+            out += [(decoded(a), decoded(b), group[b]) for b in sorted(group, key=key)]
+        return out
 
     def items(self) -> list[tuple[MultiDegree, int]]:
         return [(MultiDegree(A, b), dim) for A, b, dim in self._vertex_rows()]
@@ -572,18 +583,20 @@ class T1Table:
         return iter(self.keys())
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return sum(map(len, self._groups.values()))
 
     def __contains__(self, key) -> bool:
-        return self._mask_pair(key) in self._rows
+        pair = self._mask_pair(key)
+        return pair is not None and pair[1] in self._groups.get(pair[0], ())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, T1Table):
             return NotImplemented
-        return self.n == other.n and self._rows == other._rows
+        return self.n == other.n and self._groups == other._groups
 
     def __hash__(self):
-        return hash((self.n, frozenset(self._rows.items())))
+        rows = (((a, b), dim) for a, group in self._groups.items() for b, dim in group.items())
+        return hash((self.n, frozenset(rows)))
 
     def __repr__(self) -> str:
         body = ", ".join(f"({list(A)},{list(b)})->{v}" for A, b, v in self._vertex_rows())
@@ -605,9 +618,10 @@ class T1Table:
         plain int vertex in range is packed inline; any other goes to `pack`,
         which accepts an int subclass and names every fault.  The row checks
         of `_check_row` (b nonempty, dim a positive integer, no degree twice)
-        run in the same pass, but the first row fault is held back until
-        every entry's vertices have passed, so that a document with faults
-        of both kinds reports its vertex fault.
+        run in the same pass, which puts each row in the group of its A, but
+        the first row fault is held back until every entry's vertices have
+        passed, so that a document with faults of both kinds reports its
+        vertex fault.
         """
         if not isinstance(doc, dict):
             raise ValueError("table document must be a JSON object")
@@ -617,7 +631,7 @@ class T1Table:
         entries = doc["entries"]
         if not isinstance(entries, list):
             raise ValueError("key 'entries': must be a list")
-        rows: dict[tuple[int, int], int] = {}
+        groups: dict[int, dict[int, int]] = {}
         row_fault = None
         for i, e in enumerate(entries):
             if not isinstance(e, dict):
@@ -642,16 +656,17 @@ class T1Table:
                 raise ValueError(f"key 'entries[{i}]': A and b overlap at vertex {first}")
             if row_fault is None:
                 dim = e["dim"]
-                if b and type(dim) is int and dim > 0 and (a, b) not in rows:
-                    rows[a, b] = dim
+                group = groups.get(a)  # the first row of an A opens its group in `_check_row`
+                if group is not None and b and type(dim) is int and dim > 0 and b not in group:
+                    group[b] = dim
                 else:
                     try:
-                        _check_row(rows, a, b, dim)
+                        _check_row(groups, a, b, dim)
                     except ValueError as exc:
                         row_fault = exc
         if row_fault is not None:
             raise ValueError(f"key 'entries': {row_fault}") from row_fault
-        return cls._of_rows(n, rows)
+        return cls._of_groups(n, groups)
 
     def to_tsv(self) -> str:
         lines = ["A\tb\tdim"]
@@ -778,28 +793,29 @@ def _uniform_shape(link_circuits: list[int]) -> tuple[int, int] | None:
     return (part, size - 1) if len(link_circuits) == math.comb(part.bit_count(), size) else None
 
 
-def _uniform_up_set(a: int, verts: int, part: int, rank: int) -> list[tuple[tuple[int, int], int]]:
-    """The rows ((a', b), dim) of the link at a, U(|part|, rank) joined with
-    a simplex on its coloops verts - part, and of each link above it that
-    `_walk` reaches: a' = a u S for S within verts above a's highest vertex.
-    Contracting a vertex of part lowers the rank by one and contracting a
-    coloop leaves it, so the link at a' is U(|part - S|, rank - |S n part|)
-    joined with the coloops outside S, in two or more facets exactly when
-    |S n part| < rank; any other a' lies in one facet and has no rows.  No
-    circuit, contraction or face lookup is made."""
+def _uniform_up_set(
+    groups: dict[int, dict[int, int]], a: int, verts: int, part: int, rank: int
+) -> None:
+    """Writes into groups the rows of the link at a, U(|part|, rank) joined
+    with a simplex on its coloops verts - part, and of each link above it
+    that `_walk` reaches: a' = a u S for S within verts above a's highest
+    vertex.  Contracting a vertex of part lowers the rank by one and
+    contracting a coloop leaves it, so the link at a' is
+    U(|part - S|, rank - |S n part|) joined with the coloops outside S, in
+    two or more facets exactly when |S n part| < rank; any other a' lies in
+    one facet and has no rows.  One group is made per S n part and shared by
+    the faces that add a subset of the coloops to it.  No circuit,
+    contraction or face lookup is made."""
     above = -(1 << a.bit_length())
     coloops = list(submasks(verts & ~part & above))
     free = part & above
     bits = [1 << i for i in range(free.bit_length()) if free >> i & 1]
-    out = []
     for size in range(rank):
         for picked in itertools.combinations(bits, size):
             s = sum(picked)
-            link_rows = _uniform_rows(part ^ s, rank - size)
+            group = dict(_uniform_rows(part ^ s, rank - size))
             for c in coloops:
-                face = a | s | c
-                out += [((face, b), dim) for b, dim in link_rows]
-    return out
+                groups[a | s | c] = group
 
 
 def _matroid_links(
@@ -865,24 +881,28 @@ def _table_of(
     (Oxley, Matroid Theory, 3.1).  Each matroid link of a non-matroid cx is
     a separate matroid, so the memo is not shared between them.
 
-    The rows are written as `T1Table` keeps them, ((a, b), dim) with a and
-    b masks, in the order the links come, and sorted nowhere."""
-    rows = []
+    The rows are written as `T1Table` keeps them, one group `{b: dim}` per
+    face a, in the order the links come, and sorted nowhere: the faces of
+    one flat share its group, and the faces of a uniform up-set one group
+    per contracted shape."""
+    groups: dict[int, dict[int, int]] = {}
     for a, verts, circuits, dims in links:
         if dims is not None:
-            rows += [((a, b), dim) for b, dim in dims if dim]
+            group = {b: dim for b, dim in dims if dim}
+            if group:
+                groups[a] = group
             continue
         if circuits is None:  # U(d, 1) with loops, and nothing above it
-            rows += [((a, b), dim) for b, dim in _uniform_rows(verts, 1)]
+            groups[a] = dict(_uniform_rows(verts, 1))
             continue
         shape = _uniform_shape(circuits)
         if shape is not None:
-            rows += _uniform_up_set(a, verts, *shape)
+            _uniform_up_set(groups, a, verts, *shape)
             continue
-        by_flat: dict[int, list[tuple[int, int]]] = {}
+        by_flat: dict[int, dict[int, int]] = {}
         for a, v, c in _matroid_links(cx, a, verts, circuits):
-            link_rows = by_flat.get(v)
-            if link_rows is None:
-                link_rows = by_flat[v] = _uniform_rows(v, 1) if c is None else _class_rows(c)
-            rows += [((a, b), dim) for b, dim in link_rows]
-    return T1Table._of_rows(cx.n, rows)
+            group = by_flat.get(v)
+            if group is None:
+                group = by_flat[v] = dict(_uniform_rows(v, 1) if c is None else _class_rows(c))
+            groups[a] = group
+    return T1Table._of_groups(cx.n, groups)

@@ -79,9 +79,11 @@ def _discrepancies(
     n: int, rows: list[tuple[tuple[int, int], int, int]]
 ) -> list[Discrepancy]:
     """Rows ((a, b), graph, formula) as discrepancies, in canonical degree order."""
+    key = _canonical(n)
+    rows = sorted(rows, key=lambda row: (key(row[0][0]), key(row[0][1])))
     return [
         Discrepancy(MultiDegree(unpack(a), unpack(b)), graph_dim, formula_dim)
-        for (a, b), graph_dim, formula_dim in sorted(rows, key=_canonical(n))
+        for (a, b), graph_dim, formula_dim in rows
     ]
 
 

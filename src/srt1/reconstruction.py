@@ -15,17 +15,16 @@ all raise NotAMatroidTableError.  The steps reuse the rules that write tables:
 a rank-one group must be the rows of `cotangent._uniform_rows` at rank 1, and
 the walk's root verifies every returned complex (`cotangent._matroid_table`).
 
-Every step reads the table's mask rows ((a, b), dim), which carry no order,
-and decodes no vertex tuple.  Where an order could show, in the entry the
-loop/coloop probe reads and in the rank-one group whose error is raised
-first, the steps take the canonical order of `T1Table`'s public views, so the
-result and every error message depend on the table alone.
+Every step reads the table's groups, one dict b -> dim per A mask, which
+carry no order, and decodes no vertex tuple.  Where an order could show, in
+the entry the loop/coloop probe reads and in the rank-one group whose error
+is raised first, the steps take the canonical order of `T1Table`'s public
+views, so the result and every error message depend on the table alone.
 
-`reconstruct` builds no table of its own before the verification: it sorts
-the rows once for the loop/coloop probes, groups the rows whose A avoids the
-coloops by A in one pass, each group a dict b -> dim, reads the rank off the
-distinct A masks and sends each group of the largest A through the rank-one
-rule `_rank_one_members`, on a dict and a ground mask.  The public steps
+`reconstruct` builds no table of its own before the verification: it keeps
+the table's groups whose A avoids the coloops, reads the rank off their A
+masks and sends each group of the largest A through the rank-one rule
+`_rank_one_members`, on a dict and a ground mask.  The public steps
 `rank_from_table` and `reconstruct_rank_one` apply the same rules to a
 table, so each quantity keeps one path.
 """
@@ -35,7 +34,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .complexes import MAX_GROUND, SimplicialComplex, _check_ground, pack, unpack
-from .cotangent import T1Table, _canonical, _mask_order, _matroid_table, _uniform_rows
+from .cotangent import T1Table, _canonical, _matroid_table, _uniform_rows
 
 
 class DiscreteAmbiguousError(ValueError):
@@ -50,32 +49,52 @@ def slice_link_table(t: T1Table, F: Iterable[int]) -> T1Table:
     """The table of the link at F, read off from the table of the complex.
 
     Keeps the entries whose A-support contains F, with F removed from the
-    A-side.  Raises VertexRangeError unless each vertex of F is an integer
-    in 1..n.
+    A-side: the groups of the A that contain F, shared with t.  Raises
+    VertexRangeError unless each vertex of F is an integer in 1..n.
     """
     f = pack(F, t.n)
-    return T1Table._of_rows(
-        t.n, [((a ^ f, b), dim) for (a, b), dim in t._rows.items() if a & f == f]
+    return T1Table._of_groups(t.n, {a ^ f: g for a, g in t._groups.items() if a & f == f})
+
+
+def _least_row(
+    groups: dict[int, dict[int, int]], key, avoid: int
+) -> tuple[int, int, int] | None:
+    """The canonically least row (a, b, dim) of groups with a and b both
+    avoiding the mask avoid, or None: the least such A with such a b in its
+    group, then the least such b in it."""
+    a = min(
+        (a for a, g in groups.items() if not a & avoid and any(not b & avoid for b in g)),
+        key=key,
+        default=None,
     )
+    if a is None:
+        return None
+    b = min((b for b in groups[a] if not b & avoid), key=key)
+    return a, b, groups[a][b]
 
 
 def classify_loops_coloops(t: T1Table) -> dict[int, str]:
     """Split the ground set into 'loop', 'coloop' and 'ordinary' vertices.
 
     A vertex v is loop-or-coloop exactly when every entry with v in b and
-    |A u b| <= 2 is absent.  Such a v is then probed against the canonically
-    first entry (A0, b0) avoiding v: a coloop keeps the entry, with equal
-    dimension, after adjoining v to A0; a loop does not.  At the first probe
-    the canonically least row is found once; a vertex outside it reads it,
-    and only a vertex inside it looks for the least row that avoids it.
+    |A u b| <= 2 is absent, which the groups with |A| <= 1 decide.  Such a v
+    is then probed against the canonically first entry (A0, b0) avoiding v:
+    a coloop keeps the entry, with equal dimension, after adjoining v to A0;
+    a loop does not.  At the first probe the canonically least row is found
+    once, as the least A and the least b in its group; a vertex outside it
+    reads it, and only a vertex inside it looks for the least row that
+    avoids it.
     """
     if len(t) == 0:
         raise DiscreteAmbiguousError("the empty table does not separate loops from coloops")
-    rows = t._rows
+    groups = t._groups
     small_b = 0
-    for a, b in rows:
-        if a.bit_count() + b.bit_count() <= 2:
-            small_b |= b
+    for a, group in groups.items():
+        size = a.bit_count()
+        if size <= 1:
+            for b in group:
+                if size + b.bit_count() <= 2:
+                    small_b |= b
     out: dict[int, str] = {}
     key = least = None
     for v in range(1, t.n + 1):
@@ -85,15 +104,14 @@ def classify_loops_coloops(t: T1Table) -> dict[int, str]:
             continue
         if key is None:
             key = _canonical(t.n)
-            least = min(rows.items(), key=key)
+            least = _least_row(groups, key, 0)
         first = least
-        if (least[0][0] | least[0][1]) & bit:
-            avoiding = (row for row in rows.items() if not (row[0][0] | row[0][1]) & bit)
-            first = min(avoiding, key=key, default=None)
+        if (least[0] | least[1]) & bit:
+            first = _least_row(groups, key, bit)
         if first is None:
             raise NotAMatroidTableError(f"no entry avoids vertex {v}")
-        (a, b), dim = first
-        out[v] = "coloop" if rows.get((a | bit, b), 0) == dim else "loop"
+        a, b, dim = first
+        out[v] = "coloop" if groups.get(a | bit, {}).get(b, 0) == dim else "loop"
     return out
 
 
@@ -102,7 +120,7 @@ def rank_from_table(t: T1Table) -> int:
     with a nonempty sliced link table."""
     if len(t) == 0:
         raise DiscreteAmbiguousError("the empty table does not determine a rank")
-    return 1 + max(a.bit_count() for a, _ in t._rows)
+    return 1 + max(a.bit_count() for a in t._groups)
 
 
 def _rank_one_members(group: dict[int, int], ground: int) -> int:
@@ -136,11 +154,9 @@ def reconstruct_rank_one(t: T1Table, ground: Iterable[int]) -> tuple[int, ...]:
     `_rank_one_members`, whose vertices must lie in ground.
     """
     ground_set = frozenset(ground)
-    group: dict[int, int] = {}
-    for (a, b), dim in t._rows.items():
-        if a:
-            raise NotAMatroidTableError("rank-one table has an entry with nonempty A")
-        group[b] = dim
+    if t._groups.keys() - {0}:
+        raise NotAMatroidTableError("rank-one table has an entry with nonempty A")
+    group = t._groups.get(0, {})
     inside = pack((v for v in range(1, t.n + 1) if v in ground_set), t.n)
     return unpack(_rank_one_members(group, inside))
 
@@ -150,16 +166,15 @@ def reconstruct(t: T1Table) -> SimplicialComplex:
 
     Raises DiscreteAmbiguousError on the empty table, then VertexRangeError
     on a ground of more than MAX_GROUND vertices, before any step walks
-    1..n.  Classifies loops and coloops, then in one pass over the rows
-    groups the entries whose A avoids the coloops by A, each group a dict
-    b -> dim.
-    The core rank r is one more than the largest A among them; each group
-    with |A| = r - 1, in canonical order of A, goes through the rank-one rule
-    (`_rank_one_members`) with the ordinary vertices outside A as ground, and
-    names the vertices that complete A to a basis.  The coloops are then
-    reattached.  The result must pass the walk's singleton test and give
-    back t (`_matroid_table`), or NotAMatroidTableError is raised, as for
-    any table of non-matroid origin.
+    1..n.  Classifies loops and coloops, then keeps the table's groups,
+    one dict b -> dim per A, whose A avoids the coloops, with no pass over
+    the rows.  The core rank r is one more than the largest A among them;
+    each group with |A| = r - 1, in canonical order of A, goes through the
+    rank-one rule (`_rank_one_members`) with the ordinary vertices outside
+    A as ground, and names the vertices that complete A to a basis.  The
+    coloops are then reattached.  The result must pass the walk's singleton
+    test and give back t (`_matroid_table`), or NotAMatroidTableError is
+    raised, as for any table of non-matroid origin.
     """
     if len(t) == 0:
         raise DiscreteAmbiguousError(
@@ -173,19 +188,13 @@ def reconstruct(t: T1Table) -> SimplicialComplex:
             ordinary |= 1 << (v - 1)
         elif role == "coloop":
             coloops |= 1 << (v - 1)
-    groups: dict[int, dict[int, int]] = {}
-    for (a, b), dim in t._rows.items():
-        if not a & coloops:
-            group = groups.get(a)
-            if group is None:
-                group = groups[a] = {}
-            group[b] = dim
+    groups = {a: group for a, group in t._groups.items() if not a & coloops}
     if not groups:
         raise NotAMatroidTableError("no entry survives removing coloop support")
     top = max(a.bit_count() for a in groups)
     bases: set[int] = set()
     # in canonical order of A, so that a bad table reports its first bad group
-    for a in sorted((a for a in groups if a.bit_count() == top), key=_mask_order(t.n)):
+    for a in sorted((a for a in groups if a.bit_count() == top), key=_canonical(t.n)):
         members = _rank_one_members(groups[a], ordinary & ~a)
         while members:
             low = members & -members

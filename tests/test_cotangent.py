@@ -240,6 +240,33 @@ def test_dim_t1_off_the_empty_face_builds_no_root_face_set():
     assert cx._faces is None and cx._mnf is None
 
 
+def test_dim_t1_builds_no_link_complex_below_rank_three(monkeypatch):
+    # a link of rank at most 2 is read off the adjacency of its facets, so
+    # `dim_t1` builds no complex for it: the centre link of K(1, 63), 63
+    # loose vertices, and the link of an edge of a 3-dimensional complex, a
+    # 4-cycle; the vertex link there has rank 3 and is built, once
+    star = SimplicialComplex.from_facets(64, [[1, v] for v in range(2, 65)])
+    cycle = [(3, 4), (4, 5), (5, 6), (3, 6)]
+    solid = SimplicialComplex.from_facets(6, [[1, 2, u, w] for u, w in cycle])
+    cases = [(star, (1,), b) for b in ((2,), (64,), (2, 3))]
+    cases += [(solid, (1, 2), b) for b in ((3,), (3, 4), (3, 5))]
+    want = [_dim_on_faces(cx.link(A).face_masks(), pack(b, cx.n)) for cx, A, b in cases]
+    assert want[0] == 61 and solid.link((1, 2)).rank == 2
+    at_vertex = _dim_on_faces(solid.link((1,)).face_masks(), pack((3,), 6))
+    built = []
+    real = SimplicialComplex._set
+
+    def counting(self, n, masks):
+        built.append(n)
+        return real(self, n, masks)
+
+    monkeypatch.setattr(SimplicialComplex, "_set", counting)
+    assert [dim_t1(cx, (A, b)) for cx, A, b in cases] == want
+    assert built == []
+    assert dim_t1(solid, ((1,), (3,))) == at_vertex
+    assert built == [6]
+
+
 # -- nonface degrees -----------------------------------------------------------
 
 
@@ -690,18 +717,23 @@ def test_t1_table_pickle_and_eq():
 
 
 def test_t1_table_contract():
-    # the table keeps mask rows in no order; every public view of it sorts
+    # the table keeps mask groups in no order; every public view of it sorts
     # and decodes them, and every checking constructor rebuilds the same
-    # rows from that view, as does `_of_rows` from the rows in any order
+    # rows from that view, as does `_of_groups` from the groups in any order
     cases = [cx for n in range(1, 6) for cx in representatives(n)]
     cases += [uniform(n, k) for n in range(1, 9) for k in range(n + 1)]
     rng = random.Random(16)
     nonempty = 0
     for cx in cases:
         t = t1_table(cx)
-        shuffled = list(t._rows.items())
+        shuffled = [(a, list(group.items())) for a, group in t._groups.items()]
         rng.shuffle(shuffled)
-        unordered = [T1Table._of_rows(t.n, shuffled), T1Table._of_rows(t.n, reversed(shuffled))]
+        for _, rows in shuffled:
+            rng.shuffle(rows)
+        unordered = [
+            T1Table._of_groups(t.n, {a: dict(rows) for a, rows in shuffled}),
+            T1Table._of_groups(t.n, {a: dict(reversed(rows)) for a, rows in reversed(shuffled)}),
+        ]
         copies = [
             T1Table(t.n, t.items()),
             T1Table(t.n, dict(t.items())),

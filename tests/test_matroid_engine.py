@@ -214,26 +214,58 @@ def test_matroid_walk_matches_links_built_from_faces(cx):
             assert sorted(link_circuits) == sorted(want), unpack(a)
 
 
+class WriteOnce(dict):
+    """A dict that refuses to store one key twice."""
+
+    def __setitem__(self, key, value):
+        assert key not in self, key
+        super().__setitem__(key, value)
+
+
 def test_engine_states_each_degree_once(monkeypatch):
-    # `_of_rows` trusts its rows to hold no degree twice, and its dict would
-    # keep one of two; a second rule that wrote a link's isolated circuits
-    # beside the class rule, which writes them as classes, or a walk that
-    # reached a link twice, would state rows twice
-    batches = []
-    real = T1Table._of_rows.__func__
+    # the table keeps one group per face and one dim per b in it, and its
+    # dicts would keep one of two statements: a walk that reached a face
+    # twice, or a second rule that wrote a link's isolated circuits beside
+    # the class rule, which writes them as classes, would state rows twice.
+    # So each face is counted where its rows are written (a link the walk
+    # yields with dims or at rank 1, a face of the contraction walk, a face
+    # of a uniform up-set), and each list of a link's rows is checked for a
+    # repeated b
+    faces = collections.Counter()
 
-    def record(cls, n, rows):
-        rows = list(rows)
-        batches.append(rows)
-        return real(cls, n, rows)
+    def once(rows):
+        bs = [b for b, _ in rows]
+        assert len(bs) == len(set(bs)), rows
+        return rows
 
-    monkeypatch.setattr(T1Table, "_of_rows", classmethod(record))
+    def walk(cx, real=cotangent._walk):
+        for a, verts, circuits, dims in real(cx):
+            if dims is not None or circuits is None:
+                faces[a] += 1
+            yield a, verts, circuits, dims if dims is None else once(dims)
+
+    def matroid_links(*args, real=cotangent._matroid_links):
+        for link in real(*args):
+            faces[link[0]] += 1
+            yield link
+
+    def up_set(groups, *args, real=cotangent._uniform_up_set):
+        written = WriteOnce()
+        real(written, *args)
+        faces.update(written.keys())
+        groups.update(written)
+
+    monkeypatch.setattr(cotangent, "_walk", walk)
+    monkeypatch.setattr(cotangent, "_matroid_links", matroid_links)
+    monkeypatch.setattr(cotangent, "_uniform_up_set", up_set)
+    for name in ("_class_rows", "_uniform_rows"):
+        real = getattr(cotangent, name)
+        monkeypatch.setattr(cotangent, name, lambda *args, real=real: once(real(*args)))
     isolated = 0
     for cx in MATROIDS + CENSUS + [NEAR_U10]:
-        batches.clear()
-        t1_table(cx)
-        (rows,) = batches
-        assert len({d for d, _ in rows}) == len(rows), cx
+        faces.clear()
+        t = t1_table(cx)
+        assert set(t._groups) <= set(faces) and max(faces.values(), default=1) == 1, cx
         isolated += any(_isolated_circuits(cx.minimal_nonface_masks()))
     assert isolated
 
@@ -322,8 +354,7 @@ def test_rank_one_rows_match_the_graph_on_uniform_rank_one():
             assert len(cx.loops_and_coloops()[0]) == loops
             want = _graph_rows(cx.face_masks(), cx.vertex_mask)
             assert dict(cotangent._uniform_rows(cx.vertex_mask, 1)) == want, (d, loops)
-            rows = {(a, b): dim for (a, b), dim in t1_table(cx)._rows.items()}
-            assert rows == {(0, b): dim for b, dim in want.items()}, (d, loops)
+            assert t1_table(cx)._groups == {0: want}, (d, loops)
             assert cotangent._matroid_table(cx) == t1_table(cx)
 
 
@@ -399,7 +430,7 @@ def test_rank_one_links_build_no_faces_circuits_or_classes(monkeypatch, cx):
     # the 62 inner vertex links of the path are U(2, 1), with 1 at the
     # pair, and the 84 links of U(9, 4) at three vertices U(6, 1), with 4
     # at each vertex
-    top = [dim for (a, b), dim in table._rows.items() if a.bit_count() == cx.rank - 1]
+    top = [d for a, g in table._groups.items() if a.bit_count() == cx.rank - 1 for d in g.values()]
     assert top == ([1] * 62 if cx is PATH_64 else [4] * 84 * 6)
 
 
@@ -456,14 +487,14 @@ def test_table_and_reconstruct_sort_only_the_rank_one_groups(monkeypatch):
     # and reading one from JSON sort nothing, and `reconstruct` orders only
     # the A of its rank-one groups, so that its first error is the table's
     calls = []
-    real = cotangent._mask_order
+    real = cotangent._canonical
 
     def counting(n):
         key = real(n)
         return lambda m: calls.append(m) or key(m)
 
-    monkeypatch.setattr(cotangent, "_mask_order", counting)
-    monkeypatch.setattr(reconstruction, "_mask_order", counting)
+    monkeypatch.setattr(cotangent, "_canonical", counting)
+    monkeypatch.setattr(reconstruction, "_canonical", counting)
     m = uniform(8, 4)
     t = t1_table(m)
     assert calls == []
@@ -472,7 +503,7 @@ def test_table_and_reconstruct_sort_only_the_rank_one_groups(monkeypatch):
     back = T1Table.from_json_dict(doc)
     assert calls == []
     assert reconstruct(back) == m
-    groups = {a for a, _ in t._rows if a.bit_count() == 3}
+    groups = {a for a in t._groups if a.bit_count() == 3}
     assert sorted(calls) == sorted(groups) and len(groups) == 56
 
 
@@ -713,14 +744,14 @@ def uniform_with_coloops(m, r, coloops):
 
 
 def contraction_rows(cx, circuits):
-    """The rows of the matroid cx and of every link above it, the way a
-    non-uniform matroid link takes them: `_matroid_links`, then the class
-    rule at each link, or the uniform rule at rank 1."""
-    rows = {}
+    """The groups face -> {b: dim} of the matroid cx and of every link above
+    it, the way a non-uniform matroid link takes them: `_matroid_links`,
+    then the class rule at each link, or the uniform rule at rank 1."""
+    groups = {}
     for face, v, c in _matroid_links(cx, 0, cx.vertex_mask, circuits):
         link_rows = cotangent._uniform_rows(v, 1) if c is None else cotangent._class_rows(c)
-        rows.update({(face, b): dim for b, dim in link_rows})
-    return rows
+        groups[face] = dict(link_rows)
+    return groups
 
 
 @pytest.mark.parametrize("coloops", [0, 1, 2])
@@ -737,10 +768,10 @@ def test_uniform_rows_match_the_class_rule(coloops):
             rows = cotangent._uniform_rows(part, r)
             assert len(rows) == len(set(rows))
             assert set(rows) == set(cotangent._class_rows(circuits)), (m, r)
-            up_set = cotangent._uniform_up_set(0, part | free, part, r)
-            assert len(up_set) == len(dict(up_set)), (m, r)
-            assert dict(up_set) == contraction_rows(cx, circuits), (m, r)
-            assert t1_table(cx)._rows == dict(up_set)
+            up_set = WriteOnce()  # each face of the up-set is written once
+            cotangent._uniform_up_set(up_set, 0, part | free, part, r)
+            assert up_set == contraction_rows(cx, circuits), (m, r)
+            assert t1_table(cx)._groups == up_set
 
 
 def test_uniform_shape_rejects_other_circuit_families():
@@ -788,12 +819,14 @@ def parallel_copies(cx, times):
 
 
 def class_rule_at_every_face(cx):
-    """The table from the class rule at every face of cx, on the circuits of
-    the link built from its facets: no walk, no contraction, no shape test."""
+    """The groups of the table from the class rule at every face of cx, on
+    the circuits of the link built from its facets: no walk, no contraction,
+    no shape test."""
     out = {}
     for a in cx.face_masks():
         circuits = [c for c in cx.link_mask(a).minimal_nonface_masks() if c & (c - 1)]
-        out.update({(a, b): dim for b, dim in cotangent._class_rows(circuits)} if circuits else {})
+        if circuits:
+            out[a] = dict(cotangent._class_rows(circuits))
     return out
 
 
@@ -809,7 +842,7 @@ FLAT_CASES = [
 @pytest.mark.parametrize("cx", [cx for _, cx in FLAT_CASES], ids=[name for name, _ in FLAT_CASES])
 def test_t1_table_matches_the_class_rule_at_every_face(cx):
     assert is_matroid_exchange(cx)
-    assert t1_table(cx)._rows == class_rule_at_every_face(cx)
+    assert t1_table(cx)._groups == class_rule_at_every_face(cx)
 
 
 def test_flat_cases_reach_coloops_past_the_uniform_rule():
