@@ -149,15 +149,11 @@ def _cmd_rigidity(args) -> int:
         # a discrete matroid has one facet, any other matroid a nonzero degree
         sys.stdout.write("DISCRETE\n" if len(cx.facet_masks) == 1 else "RIGID\n")
         return 0
-    from .cotangent import _canonical
+    from .cotangent import _canonical, _least_row
 
-    # the canonically first row, the least b of the least A, the only one decoded
-    key = _canonical(table.n)
-    a = min(table._groups, key=key)
-    group = table._groups[a]
-    b = min(group, key=key)
+    a, b, dim = _least_row(table._groups, _canonical(table.n), 0)  # the only row decoded
     first = srt1.MultiDegree(unpack(a), unpack(b))
-    sys.stdout.write(f"NONRIGID {format_degree(first)} dim={group[b]}\n")
+    sys.stdout.write(f"NONRIGID {format_degree(first)} dim={dim}\n")
     return 0
 
 

@@ -424,10 +424,12 @@ class SimplicialComplex:
         return [unpack(m) for m in self.minimal_nonface_masks()]
 
     def rank_of(self, A: Iterable[int]) -> int:
-        """Cardinality of the largest face contained in A."""
+        """Cardinality of the largest face contained in A: max |F n A| over
+        the facets F, as every face inside A lies in some F n A, with no
+        face set built."""
         self._require_nonvoid("rank_of")
         a = pack(A, self.n)
-        return max(f.bit_count() for f in self.face_masks() if f & ~a == 0)
+        return max((f & a).bit_count() for f in self.facet_masks)
 
     @property
     def rank(self) -> int:

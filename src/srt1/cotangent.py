@@ -497,6 +497,23 @@ def _canonical(n: int):
     return functools.lru_cache(maxsize=None)(_order_key(n))
 
 
+def _least_row(
+    groups: dict[int, dict[int, int]], key, avoid: int
+) -> tuple[int, int, int] | None:
+    """The canonically least row (a, b, dim) of groups, `T1Table._groups`
+    sorted by key, with a and b both avoiding the mask avoid, or None: the
+    least such A with such a b in its group, then the least such b in it."""
+    a = min(
+        (a for a, g in groups.items() if not a & avoid and any(not b & avoid for b in g)),
+        key=key,
+        default=None,
+    )
+    if a is None:
+        return None
+    b = min((b for b in groups[a] if not b & avoid), key=key)
+    return a, b, groups[a][b]
+
+
 class T1Table:
     """Finite map from support pairs to positive T1 dimensions.
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .complexes import MAX_GROUND, SimplicialComplex, _check_ground, pack, unpack
-from .cotangent import T1Table, _canonical, _matroid_table, _uniform_rows
+from .cotangent import T1Table, _canonical, _least_row, _matroid_table, _uniform_rows
 
 
 class DiscreteAmbiguousError(ValueError):
@@ -56,21 +56,34 @@ def slice_link_table(t: T1Table, F: Iterable[int]) -> T1Table:
     return T1Table._of_groups(t.n, {a ^ f: g for a, g in t._groups.items() if a & f == f})
 
 
-def _least_row(
-    groups: dict[int, dict[int, int]], key, avoid: int
-) -> tuple[int, int, int] | None:
-    """The canonically least row (a, b, dim) of groups with a and b both
-    avoiding the mask avoid, or None: the least such A with such a b in its
-    group, then the least such b in it."""
-    a = min(
-        (a for a, g in groups.items() if not a & avoid and any(not b & avoid for b in g)),
-        key=key,
-        default=None,
-    )
-    if a is None:
-        return None
-    b = min((b for b in groups[a] if not b & avoid), key=key)
-    return a, b, groups[a][b]
+def _roles(t: T1Table) -> tuple[int, int]:
+    """The masks (ordinary, coloops) of `classify_loops_coloops`, by its
+    rules, errors and vertex order; every other vertex of 1..n is a loop."""
+    if len(t) == 0:
+        raise DiscreteAmbiguousError("the empty table does not separate loops from coloops")
+    groups = t._groups
+    ordinary = coloops = 0
+    for a, group in groups.items():
+        size = a.bit_count()
+        if size <= 1:
+            for b in group:
+                if size + b.bit_count() <= 2:
+                    ordinary |= b
+    key = least = None
+    for v in range(1, t.n + 1):
+        bit = 1 << (v - 1)
+        if ordinary & bit:
+            continue
+        if key is None:
+            key = _canonical(t.n)
+            least = _least_row(groups, key, 0)
+        first = _least_row(groups, key, bit) if (least[0] | least[1]) & bit else least
+        if first is None:
+            raise NotAMatroidTableError(f"no entry avoids vertex {v}")
+        a, b, dim = first
+        if groups.get(a | bit, {}).get(b, 0) == dim:
+            coloops |= bit
+    return ordinary, coloops
 
 
 def classify_loops_coloops(t: T1Table) -> dict[int, str]:
@@ -81,38 +94,17 @@ def classify_loops_coloops(t: T1Table) -> dict[int, str]:
     is then probed against the canonically first entry (A0, b0) avoiding v:
     a coloop keeps the entry, with equal dimension, after adjoining v to A0;
     a loop does not.  At the first probe the canonically least row is found
-    once, as the least A and the least b in its group; a vertex outside it
-    reads it, and only a vertex inside it looks for the least row that
-    avoids it.
+    once (`cotangent._least_row`, the least A and the least b in its group);
+    a vertex outside it reads it, and only a vertex inside it looks for the
+    least row that avoids it.  The vertices are checked in order, so the
+    first that fails names the error; `_roles` finds the roles as masks and
+    this dict is their view.
     """
-    if len(t) == 0:
-        raise DiscreteAmbiguousError("the empty table does not separate loops from coloops")
-    groups = t._groups
-    small_b = 0
-    for a, group in groups.items():
-        size = a.bit_count()
-        if size <= 1:
-            for b in group:
-                if size + b.bit_count() <= 2:
-                    small_b |= b
-    out: dict[int, str] = {}
-    key = least = None
-    for v in range(1, t.n + 1):
-        bit = 1 << (v - 1)
-        if small_b & bit:
-            out[v] = "ordinary"
-            continue
-        if key is None:
-            key = _canonical(t.n)
-            least = _least_row(groups, key, 0)
-        first = least
-        if (least[0] | least[1]) & bit:
-            first = _least_row(groups, key, bit)
-        if first is None:
-            raise NotAMatroidTableError(f"no entry avoids vertex {v}")
-        a, b, dim = first
-        out[v] = "coloop" if groups.get(a | bit, {}).get(b, 0) == dim else "loop"
-    return out
+    ordinary, coloops = _roles(t)
+    return {
+        v: "ordinary" if ordinary >> (v - 1) & 1 else "coloop" if coloops >> (v - 1) & 1 else "loop"
+        for v in range(1, t.n + 1)
+    }
 
 
 def rank_from_table(t: T1Table) -> int:
@@ -166,7 +158,8 @@ def reconstruct(t: T1Table) -> SimplicialComplex:
 
     Raises DiscreteAmbiguousError on the empty table, then VertexRangeError
     on a ground of more than MAX_GROUND vertices, before any step walks
-    1..n.  Classifies loops and coloops, then keeps the table's groups,
+    1..n.  Finds the masks of the ordinary vertices and the coloops
+    (`_roles`, the rules of `classify_loops_coloops`), then keeps the groups,
     one dict b -> dim per A, whose A avoids the coloops, with no pass over
     the rows.  The core rank r is one more than the largest A among them;
     each group with |A| = r - 1, in canonical order of A, goes through the
@@ -181,13 +174,7 @@ def reconstruct(t: T1Table) -> SimplicialComplex:
             "empty table: every discrete matroid on this ground set is rigid"
         )
     _check_ground(t.n, MAX_GROUND)  # a table's ground is not capped, a complex's is
-    roles = classify_loops_coloops(t)
-    ordinary = coloops = 0
-    for v, role in roles.items():
-        if role == "ordinary":
-            ordinary |= 1 << (v - 1)
-        elif role == "coloop":
-            coloops |= 1 << (v - 1)
+    ordinary, coloops = _roles(t)
     groups = {a: group for a, group in t._groups.items() if not a & coloops}
     if not groups:
         raise NotAMatroidTableError("no entry survives removing coloop support")

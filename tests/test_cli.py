@@ -17,6 +17,8 @@ from srt1.cotangent import MultiDegree, t1_table
 from srt1.matroids import uniform
 from srt1.recognition import formula_discrepancies
 
+from test_dim_t1_rules import random_complex
+
 REMARK_DOC = {"n": 5, "minimal_nonfaces": [[1, 2], [1, 3], [2, 3, 4], [2, 3, 5], [1, 4, 5]]}
 U32_DOC = {"n": 3, "facets": [[1, 2], [1, 3], [2, 3]]}
 # the non-matroid of the README: a triangle boundary beside a disjoint edge
@@ -354,6 +356,25 @@ def test_rigidity_rigid_nonmatroid(capsys, tmp_path):
 def test_rigidity_nonrigid(capsys, u32):
     out = run_ok(capsys, ["rigidity", u32])
     assert out == "NONRIGID ;1,2 dim=1\n"
+
+
+def test_rigidity_names_the_first_row_of_the_table(capsys, tmp_path, reps5):
+    # a nonempty table prints its first row in the order of `items`, over
+    # the census classes and seeded random complexes
+    rng = random.Random(36)
+    cases = [cx for n in reps5 for cx in reps5[n]] + [random_complex(rng) for _ in range(100)]
+    p = tmp_path / "cx.json"
+    nonrigid = 0
+    for cx in cases:
+        rows = t1_table(cx).items()
+        if not rows:
+            continue
+        (degree, dim) = rows[0]
+        p.write_text(json.dumps(cx.to_json_dict()))
+        out = run_ok(capsys, ["rigidity", str(p)])
+        assert out == f"NONRIGID {cli.format_degree(degree)} dim={dim}\n", cx
+        nonrigid += 1
+    assert nonrigid == 262
 
 
 def test_rigidity_decodes_only_the_degree_it_prints(capsys, tmp_path, monkeypatch):

@@ -422,6 +422,36 @@ def test_rank_and_loops_coloops():
     assert coloops == (1,)
 
 
+def test_rank_of_is_the_largest_face_inside_a():
+    # max |F n A| over the facets against the largest face inside A, at
+    # every A of the census classes and at 32 seeded A of random complexes
+    cases = [cx for m in range(1, 6) for cx in representatives(m)]
+    cases += [SimplicialComplex.from_facets(*_random_facet_lists(seed)) for seed in range(300)]
+    rng = random.Random(42)
+    checked = 0
+    for cx in cases:
+        if not cx.facet_masks:
+            continue  # the void complex has no rank
+        full = (1 << cx.n) - 1
+        masks = range(full + 1) if cx.n <= 5 else [rng.randint(0, full) for _ in range(32)]
+        for a in masks:
+            want = max(f.bit_count() for f in cx.face_masks() if not f & ~a)
+            assert cx.rank_of(unpack(a)) == want, (cx, unpack(a))
+            checked += 1
+    assert checked == 13753
+
+
+def test_rank_of_builds_no_face_set(monkeypatch):
+    built = []
+    real = complexes._faces_of
+    monkeypatch.setattr(complexes, "_faces_of", lambda facets: built.append(facets) or real(facets))
+    cx = SimplicialComplex.from_facets(20, [range(1, 19), range(3, 21), [1, 20]])
+    assert cx.rank_of(range(1, 21)) == 18
+    assert cx.rank_of([1, 2, 19, 20]) == 2
+    assert cx.rank_of([]) == 0
+    assert built == []
+
+
 def test_link_against_oracle():
     cx = SimplicialComplex.from_facets(4, [[1, 2, 3], [2, 3, 4], [1, 4]])
     for A in powerset([1, 2, 3, 4]):

@@ -255,9 +255,9 @@ def test_reconstruct_checks_the_ground_before_walking_it(monkeypatch):
     # on 10^6 vertices raises on its ground size first, and the empty table
     # is still ambiguous before it is too large
     def spy(t):
-        raise AssertionError("classify_loops_coloops ran before the ground check")
+        raise AssertionError("_roles ran before the ground check")
 
-    monkeypatch.setattr(reconstruction, "classify_loops_coloops", spy)
+    monkeypatch.setattr(reconstruction, "_roles", spy)
     t = T1Table.from_json_dict({"n": 10**6, "entries": [{"A": [], "b": [1, 2], "dim": 1}]})
     start = time.perf_counter()
     with pytest.raises(VertexRangeError, match="ground size 1000000 exceeds limit 64"):
