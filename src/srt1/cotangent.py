@@ -42,10 +42,11 @@ is U(|W|, r) joined with a simplex on its coloops, as is every link above
 it with r lowered by each vertex of W in the face, and `_uniform_rows`
 writes each one's rows from |W| and r alone (`_uniform_up_set`); a link
 whose d >= 2 facets are single vertices is U(d, 1) with loops, the case
-r = 1.  Above any other matroid link the vertices and circuits of a link
-follow from those of the link one vertex below (`_matroid_links`), and the
-rows of each link are computed once per vertex mask, which fixes the flat,
-and kept as one dict that the table shares between the faces of the flat.
+r = 1.  Above any other matroid link each link's vertex mask, which fixes
+its flat, is read off the circuits of two vertices of the link one vertex
+below, and its circuits and rows are computed once per flat, by one
+contraction step from that link, and kept as one dict that the table shares
+between the faces of the flat (`_matroid_up_set`).
 
 Any other link takes the graph dimension, listed by `_walk`: its row at
 each vertex and the rules of `_wide_dim` at each wider degree where it may
@@ -261,29 +262,27 @@ def _graph_edge_dim(adj: dict[int, int], b: int) -> int:
     return only
 
 
-def _contract(faces: frozenset[int], a: int, v: int, circuits: list[int]) -> tuple[list[int], int]:
-    """The circuits of two or more vertices of link(cx, a) and the mask of
-    its new loops, from the circuits C of L = link(cx, a \\ {v}) and cx's
-    faces.  link(cx, a) is L's link at v, whose circuits are the minimal
-    sets C \\ {v}, loops of L included (Oxley, Matroid Theory, 3.1.11).  For
-    C through v, C \\ {v} is one, as a C' \\ {v} inside it would put C'
-    inside C, and a loop {u} when C = {u, v}.  C missing v is one exactly
-    when (C \\ {x}) u a is a face for every x in C."""
-    out, loops = [], 0
+def _contract(faces: frozenset[int], a: int, v: int, circuits: list[int]) -> list[int]:
+    """The circuits of two or more vertices of link(cx, a), from the circuits
+    C of L = link(cx, a \\ {v}) and cx's faces.  link(cx, a) is L's link at
+    v, whose circuits are the minimal sets C \\ {v}, loops of L included
+    (Oxley, Matroid Theory, 3.1.11).  For C through v, C \\ {v} is one, as a
+    C' \\ {v} inside it would put C' inside C, and a loop {u}, left out, when
+    C = {u, v}: `_matroid_up_set` reads the loops off those pairs.  C missing v is one exactly when (C \\ {x}) u a is a face for
+    every x in C."""
+    out = []
     for c in circuits:
         if c & v:
             c ^= v
             if c & (c - 1):
                 out.append(c)
-            else:
-                loops |= c
         else:
             rest = c
             while rest and (c ^ (rest & -rest) | a) in faces:  # x from the lowest vertex up
                 rest &= rest - 1
             if not rest:
                 out.append(c)
-    return out, loops
+    return out
 
 
 def _read_link(
@@ -301,7 +300,7 @@ def _read_link(
     faces = cx.face_masks()
     circuits = [c for c in cx._circuit_masks() if c & (c - 1)]
     for v in (1 << i for i in range(a.bit_length()) if a >> i & 1):
-        circuits = _contract(faces, a & (2 * v - 1), v, circuits)[0]
+        circuits = _contract(faces, a & (2 * v - 1), v, circuits)
     return faces, circuits, _vertex_dims(faces, a, circuits, rank)
 
 
@@ -387,7 +386,7 @@ def _walk(cx: SimplicialComplex) -> Iterator[tuple[int, int, list[int] | None, l
       test is a matroid.  It comes with dims None, and the walk goes no
       higher: every link above it is a contraction of it, which
       `_table_of` writes from the link's shape (`_uniform_up_set`) or
-      reaches through `_matroid_links`.
+      flat by flat (`_matroid_up_set`).
     * any other link fails the singleton test, which compares the two sides
       of each row (v, graph dimension, circuit count) of the link as
       `_read_link` reads it.  Only then does it read its edges, and it
@@ -701,8 +700,8 @@ def t1_table(cx: SimplicialComplex, threads: int = 1) -> T1Table:
     uniform matroid link with coloops, a link of rank 1 among them, the rows
     of `_uniform_rows` on it and on every link above it; at any other
     matroid link the circuit formula of `_class_rows`, on it and on every
-    link above it, whose vertices and circuits `_matroid_links` derives from
-    the parent link's by contraction; at any other link the `_read_link`
+    link above it, whose circuits `_matroid_up_set` contracts once per flat
+    from a parent link's; at any other link the `_read_link`
     rows and the rules of `_wide_dim`.  A link of rank 1 costs its
     vertices, a link of dimension 1 vertices x vertices for its singleton
     test and vertices x edges more only if it fails.  A larger link at a
@@ -712,10 +711,11 @@ def t1_table(cx: SimplicialComplex, threads: int = 1) -> T1Table:
     rank vertices)^2 face lookups, none on a uniform link; cx's face set and
     circuits are built once.  Then a uniform matroid link costs one pass
     over its circuits and the rows it writes, with no circuit or lookup
-    above it; any other matroid link costs, per link above it, link circuits
-    x circuit size face lookups (none below rank 3), and per flat, a few
-    operations on an integer of link circuits x link vertices bits per link
-    vertex; and any other link, at each face b of two or more vertices in
+    above it; any other matroid link costs, per step, a pass over the
+    parent's circuits of two vertices, and per flat one contraction step of
+    parent circuits x circuit size face lookups (none below rank 3) and a
+    few operations on an integer of link circuits x link vertices bits per
+    link vertex; and any other link, at each face b of two or more vertices in
     a circuit, |b| lookups per pair of circuits through b for G_b and, per
     component, at most |b| + 1 per member of its part of W and circuit
     vertex tried, up to the first marked face: no face set of a link.
@@ -835,50 +835,57 @@ def _uniform_up_set(
                 groups[a | s | c] = group
 
 
-def _matroid_links(
-    cx: SimplicialComplex, a: int, verts: int, circuits: list[int]
-) -> Iterator[tuple[int, int, list[int] | None]]:
-    """For a face a of cx whose link M/a is a matroid, given the vertex mask
-    of M/a and its circuits with two or more vertices, yields a and each face
-    above it in more than one facet, with its link's vertex mask and circuits
-    with two or more vertices (None at rank 1), from cx's faces alone.
+def _matroid_up_set(
+    groups: dict[int, dict[int, int]], cx: SimplicialComplex, a: int, verts: int, circuits: list[int]
+) -> None:
+    """Writes into groups the rows of the link at a, a matroid M on the
+    vertex mask verts with these circuits of two or more vertices, and of
+    each link above it that `_walk` reaches: a u {v} for each link vertex v
+    above a's highest vertex, so that each face is reached once, one vertex
+    at a time, each step lowering the rank, the size of the link's facets,
+    by one.
 
-    The walk steps from a to a u {v} only for link vertices v above a's
-    highest vertex, so it reaches each face once, and lowers the rank, the
-    size of the link's facets, by one.  M/(a u v) is the contraction of M/a
-    at v: a step from rank 3 or more is `_contract`, with lookups in cx's
-    face set, built then, and one from rank 2 lands on U(d, 1) with loops,
-    the vertices of M/a less v and those parallel to v.
+    For an independent S of M, the link at a u S is M/cl(S) less its loops,
+    on the vertices E - cl(S) (Oxley, Matroid Theory, 3.1), so within M a
+    link's vertex mask fixes its flat and the link.  One dict, memo, maps
+    each vertex mask reached to the link's circuits and its group, which
+    the faces of the flat share.  A step to a u {v} first reads the child's
+    mask, the link's vertices less v and the new loops, those parallel to v:
+    the u with {u, v} one of the link's circuits.  Only on a mask not yet in
+    memo does it compute the child: from rank 2, U(d, 1) with loops, which
+    takes `_uniform_rows` at rank 1 with no face set and no lookup; from
+    rank 3 or more, by `_contract` and `_class_rows`.
 
-    A link whose circuits are all loops has a single facet, as have the
-    links above it, so the walk drops it with them; a matroid link with
-    facets B != B' has the circuit in B u {e}, e in B' \\ B, which holds e
-    and a vertex of B.  The faces visited are thus those of `_walk` above a.
-    """
+    A link with no circuit has a single facet, as have the links above it,
+    and its empty group is kept too, so that it is skipped at once: a
+    matroid link with facets B != B' has the circuit in B u {e},
+    e in B' \\ B, which holds e and a vertex of B.  The faces written are
+    thus those of `_walk` above a.  Each matroid link of a non-matroid cx is
+    a separate matroid, so memo is not shared between them."""
+    if not circuits:
+        return
     rank = max(map(int.bit_count, _link_facets(cx.facet_masks, a)))
-    stack = [(a, verts, circuits if rank > 1 else None, rank)] if circuits else []
+    memo = {verts: (circuits, dict(_class_rows(circuits)))}
+    stack = [(a, verts, rank)]
     while stack:
-        a, verts, circuits, rank = stack.pop()
-        yield a, verts, circuits
+        a, verts, rank = stack.pop()
+        circuits, groups[a] = memo[verts]
         if rank == 1:
             continue
+        pairs = [c for c in circuits if c.bit_count() == 2]
         rest = verts & -(1 << a.bit_length())
-        if rank == 2:
-            pairs = [c for c in circuits if c.bit_count() == 2]
-            while rest:
-                v = rest & -rest
-                rest ^= v
-                child_verts = verts & ~_union([v] + [c for c in pairs if c & v])
-                if child_verts & (child_verts - 1):
-                    stack.append((a | v, child_verts, None, 1))
-            continue
-        faces = cx.face_masks()
         while rest:
             v = rest & -rest
             rest ^= v
-            child, loops = _contract(faces, a | v, v, circuits)
-            if child:
-                stack.append((a | v, verts & ~(v | loops), child, rank - 1))
+            child = verts & ~_union([v] + [c for c in pairs if c & v])
+            if child not in memo:
+                if rank == 2:  # U(d, 1) with loops, or a single vertex
+                    memo[child] = None, dict(_uniform_rows(child, 1)) if child & (child - 1) else {}
+                else:
+                    found = _contract(cx.face_masks(), a | v, v, circuits)
+                    memo[child] = found, dict(_class_rows(found))
+            if memo[child][1]:
+                stack.append((a | v, child, rank - 1))
 
 
 def _table_of(
@@ -890,13 +897,8 @@ def _table_of(
     U(d, 1) with loops, with only simplices above it, and takes
     `_uniform_rows` at rank 1.  When a link is uniform with coloops
     (`_uniform_shape`), so is every link above it, and `_uniform_up_set`
-    writes them all from the shape.  Any other matroid link reaches the
-    links above it through `_matroid_links`, each taking `_uniform_rows` at
-    rank 1 and `_class_rows` else.  Those rows are kept by vertex mask,
-    which fixes a link within one matroid: for an independent A of a
-    matroid M, link(A) is M/cl(A) less its loops, on the vertices E - cl(A)
-    (Oxley, Matroid Theory, 3.1).  Each matroid link of a non-matroid cx is
-    a separate matroid, so the memo is not shared between them.
+    writes them all from the shape.  `_matroid_up_set` writes any other
+    matroid link and the links above it, one group per flat.
 
     The rows are written as `T1Table` keeps them, one group `{b: dim}` per
     face a, in the order the links come, and sorted nowhere: the faces of
@@ -915,11 +917,6 @@ def _table_of(
         shape = _uniform_shape(circuits)
         if shape is not None:
             _uniform_up_set(groups, a, verts, *shape)
-            continue
-        by_flat: dict[int, dict[int, int]] = {}
-        for a, v, c in _matroid_links(cx, a, verts, circuits):
-            group = by_flat.get(v)
-            if group is None:
-                group = by_flat[v] = dict(_uniform_rows(v, 1) if c is None else _class_rows(c))
-            groups[a] = group
+        else:
+            _matroid_up_set(groups, cx, a, verts, circuits)
     return T1Table._of_groups(cx.n, groups)

@@ -12,8 +12,8 @@ The inputs are every nonvoid labelled complex on at most five vertices
 `perfbench/catalogue.json` in their generators' labelling, U(10, 5),
 U(11, 4) and U(12, 6), three matroids that reach each matroid rule of
 the engine past the census: M(K6), the spanning trees of the complete graph
-on six nodes, whose links the contraction walk reaches and whose flats
-repeat; U(7, 4) with each element doubled; and U(8, 4) joined with two
+on six nodes, whose links `cotangent._matroid_up_set` writes and whose
+flats repeat; U(7, 4) with each element doubled; and U(8, 4) joined with two
 coloops, written from its uniform shape; and two non-matroids whose links
 of rank 3 or more fail the singleton test past the census: "three facets
 k = 9", with facets {1..9}, {2..14} and {1, 14}, and U(8, 4) less the

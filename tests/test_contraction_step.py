@@ -1,16 +1,18 @@
 """Link circuits by contraction against the circuit sweep of each link.
 
 `cotangent._contract` takes the circuits of two or more vertices of
-link(cx, a - v) to those of link(cx, a), and names the vertices that become
-loops; `cotangent._read_link` applies it at each vertex of a, from cx's
+link(cx, a - v) to those of link(cx, a); `cotangent._read_link` applies it
+at each vertex of a, from cx's
 cached circuits.  Here both meet `complexes._minimal_nonfaces` over the
 link's own face set (`complexes._link_facets`, `complexes._faces_of`): the
 circuits `_read_link` returns at every face in two or more facets whose
 link has rank 3 or more, on the 253 census classes, the 300 seeded random
 complexes of `test_singleton_rule`, "three facets k = 10" and U(8, 4) less
 two bases that share three elements; and one step at every vertex v of
-every nonempty face a, its loops included, on all but three facets,
-matroids among them, as `_matroid_links` takes the same step.
+every nonempty face a, on all but three facets, matroids among them, as
+`cotangent._matroid_up_set` takes the same step.  There the link's vertices
+are those of link(cx, a - v) less v and the new loops, the u with {u, v} a
+circuit of that link: the e with a u e a face.
 """
 
 import collections
@@ -29,6 +31,10 @@ FAMILIES = {
     "three-facets-10": [three_facets(10)],
     "U(8,4)-less-two-bases": [uniform_less_two_bases()],
 }
+
+
+def _bits(mask):
+    return [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def swept(cx, a):
@@ -66,8 +72,10 @@ def test_one_step_gives_the_circuits_and_loops_of_the_link(family):
             _, verts, want = swept(cx, a)
             for v in (1 << i for i in range(cx.n) if a >> i & 1):
                 _, below_verts, below = swept(cx, a ^ v)
-                circuits, loops = _contract(faces, a, v, below)
+                circuits = _contract(faces, a, v, below)
                 assert sorted(circuits) == want, (cx, a, v)
+                assert verts == sum(e for e in _bits(below_verts ^ v) if a | e in faces), (cx, a, v)
+                loops = _union([c ^ v for c in below if c & v and c.bit_count() == 2])
                 assert loops == below_verts & ~(v | verts), (cx, a, v)
                 counts["steps"] += 1
                 counts["loops"] += loops != 0

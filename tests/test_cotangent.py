@@ -15,7 +15,7 @@ from srt1.complexes import (
     pack,
     unpack,
 )
-from srt1.cotangent import MultiDegree, T1Table, _matroid_links, _walk, dim_t1, t1_table
+from srt1.cotangent import MultiDegree, T1Table, _matroid_up_set, _walk, dim_t1, t1_table
 from srt1.definition import (
     _dim_on_faces,
     InclusionGraph,
@@ -32,6 +32,7 @@ from srt1.matroids import NotAMatroidError, uniform
 
 from _census_reps import representatives
 from _oracles import naive_dim_t1, powerset
+from test_matroid_engine import WriteOnce
 from test_singleton_rule import three_facets
 
 REMARK = SimplicialComplex.from_minimal_nonfaces(
@@ -549,11 +550,13 @@ def test_walk_links_match_the_definition():
 
 def _walk_reach(cx):
     """The faces `_walk` yields, each matroid link of rank 2 or more with
-    the faces above it that `_matroid_links` yields from it."""
+    the faces above it that `_matroid_up_set` writes from it, each once."""
     out = []
     for a, verts, circuits, dims in _walk(cx):
         if dims is None and circuits is not None:
-            out += [c for c, _, _ in _matroid_links(cx, a, verts, circuits)]
+            written = WriteOnce()
+            _matroid_up_set(written, cx, a, verts, circuits)
+            out += written
         else:
             out.append(a)
     return out
@@ -566,7 +569,7 @@ def _walk_reach(cx):
 )
 def test_walk_and_hand_off_reach_each_link_once(cx):
     # a face in two or more facets is reached once, by the walk or by the
-    # contraction walk from the matroid link below it, and no other face is
+    # matroid up-set written from the matroid link below it, and no other face is
     reach = _walk_reach(cx)
     assert len(reach) == len(set(reach))
     assert set(reach) == _in_two_facets(cx)

@@ -11,26 +11,29 @@ link whose circuits are all the r + 1-subsets of their union W
 with coloops, and the uniform rule `cotangent._uniform_rows` writes it and
 every link above it (`cotangent._uniform_up_set`).  Any other
 matroid link takes the class rule `cotangent._class_rows`, at it and at
-each link above it, whose vertices and circuits the walk
-`cotangent._matroid_links` derives from the parent link by contraction,
-stepping to a link of rank 1 without circuits or lookups; the rows are
-kept once per vertex mask, the link's flat.  The uniform rule meets the
+each link above it, which `cotangent._matroid_up_set` writes: it reads each
+link's vertex mask, the link's flat, off the parent's circuits of two
+vertices, contracts the circuits and keeps the rows once per mask, and
+steps to a link of rank 1 without circuits or lookups.  The uniform rule meets the
 class rule on U(m, r) with 0, 1 or 2 coloops for 1 <= r < m <= 10, and at
 rank 1 the graph on U(d, 1) for d = 2..12, with and without loops, on every
 link of rank 1 of the census classes and on seeded random graphs.  The
-contraction walk meets the links built from their faces, and `t1_table`
+up-set writer meets the links built from their faces, and `t1_table`
 meets an independent graph table (the graph at every face of every link,
 each built from its facets) on every census class, on every U(n, k) with
 n <= 8, on seeded partition and graphic matroids on 8 and 9 elements, some
-with loops and coloops, and on a non-matroid near U(10, 5); and the class
-rule at every face, on circuits of links built from their facets, on
-M(K5), M(K6), U(5, 3) with each element tripled, U(7, 4) with each element
-doubled and seeded partition matroids with coloops.  The dispatch guards
+with loops and coloops, and on a non-matroid near U(10, 5); the
+vertex-mask rule holds at every step on the census matroids and on 100
+seeded sparse paving matroids; and the class rule at every face, on
+circuits of links built from their facets, on M(K5), M(K6), U(5, 3) with
+each element tripled, U(7, 4) with each element doubled and seeded
+partition matroids with coloops.  The dispatch guards
 check that a matroid's table and its reconstruction build no face set of a
 link, that no link of rank 1 gets a face set, circuits, the class rule or a
 face lookup, that a uniform link and the links above it run no class rule
-and no contraction, that the class rule runs once per flat of M(K6) and
-keeps no rows across the matroid links of a non-matroid, that
+and no contraction, that the class rule and the contraction step run once
+per flat of M(K6) and keep no rows across the matroid links of a
+non-matroid, that
 non-matroids compute no singleton degree and no circuit family twice, that
 a graph link reads the rule once, counts its edges only when it fails the
 singleton test, and builds no circuit family and counts no graph over
@@ -57,7 +60,7 @@ from srt1.cotangent import (
     MultiDegree,
     T1Table,
     _isolated_circuits,
-    _matroid_links,
+    _matroid_up_set,
     t1_table,
 )
 from srt1.matroids import is_matroid_exchange, uniform
@@ -65,6 +68,7 @@ from srt1.recognition import _all_discrepancies, formula_discrepancies, is_matro
 from srt1.reconstruction import reconstruct
 
 from _census_reps import representatives
+from _matroids import sparse_paving_matroid
 from test_large_matroids import minus_bases
 
 SEEDS = range(6)
@@ -194,24 +198,95 @@ def test_only_links_failing_the_singleton_test_run_wider_graphs(monkeypatch):
     assert len(failing) < len(NEAR_U10.face_masks()) // 10
 
 
+def _record_contractions(monkeypatch):
+    """The pairs (a, circuits) of each `_contract` call, by its face a."""
+    contracted = []
+    real = cotangent._contract
+
+    def contract(faces, a, v, below):
+        contracted.append((a, real(faces, a, v, below)))
+        return contracted[-1][1]
+
+    monkeypatch.setattr(cotangent, "_contract", contract)
+    return contracted
+
+
+def _in_two_facets(cx):
+    return {a for a in cx.face_masks() if sum(f & a == a for f in cx.facet_masks) > 1}
+
+
 @pytest.mark.parametrize(
     "cx", MATROIDS + [uniform(9, 4)], ids=[name for name, _ in NAMED] + ["U(9,4)"]
 )
-def test_matroid_walk_matches_links_built_from_faces(cx):
+def test_matroid_walk_matches_links_built_from_faces(monkeypatch, cx):
+    # the writer reaches each face in two or more facets once, and no other;
+    # each contraction step gives the circuits of the link built from its
+    # facets, at a link of rank 2 or more; and two faces share a group
+    # exactly when their links have one vertex mask, the writer's memo key
+    contracted = _record_contractions(monkeypatch)
     circuits = [c for c in cx.minimal_nonface_masks() if c.bit_count() > 1]
-    walk = list(_matroid_links(cx, 0, cx.vertex_mask, circuits))
-    assert len({a for a, _, _ in walk}) == len(walk)
-    assert {a for a, _, _ in walk} == {
-        a for a in cx.face_masks() if sum(f & a == a for f in cx.facet_masks) > 1
-    }
-    for a, link_vertices, link_circuits in walk:
+    written = WriteOnce()
+    _matroid_up_set(written, cx, 0, cx.vertex_mask, circuits)
+    assert set(written) == _in_two_facets(cx)
+    for a, found in contracted:
         link = cx.link_mask(a)
-        assert link_vertices == link.vertex_mask, unpack(a)
-        # a link of rank 1 comes without circuits, any other with its own
-        assert (link_circuits is None) == (link.rank == 1), unpack(a)
-        if link_circuits is not None:
-            want = [c for c in link.minimal_nonface_masks() if c.bit_count() > 1]
-            assert sorted(link_circuits) == sorted(want), unpack(a)
+        assert link.rank > 1, unpack(a)
+        assert sorted(found) == sorted(c for c in link.minimal_nonface_masks() if c.bit_count() > 1)
+    masks = collections.defaultdict(set)  # group -> the vertex masks of its faces' links
+    for a, group in written.items():
+        masks[id(group)].add(cx.link_mask(a).vertex_mask)
+    assert all(len(m) == 1 for m in masks.values())
+    assert len(masks) == len(set().union(*masks.values()))
+
+
+def _bits(mask):
+    return [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _link_vertices(cx, a):
+    """The vertex mask of link(cx, a) from the facets through a."""
+    return _union([f for f in cx.facet_masks if f & a == a]) & ~a
+
+
+def _link_rank(cx, a):
+    """The rank of link(cx, a) from the facets through a."""
+    return max(f.bit_count() for f in cx.facet_masks if f & a == a) - a.bit_count()
+
+
+RANDOM_MATROIDS = []
+for seed in range(100):
+    rng = random.Random(f"vertex-mask:{seed}")
+    n = rng.randint(6, 9)
+    RANDOM_MATROIDS.append(sparse_paving_matroid(n, rng.randint(3, n - 2), seed))
+
+
+@pytest.mark.parametrize("family", ["census", "sparse-paving"])
+def test_vertex_mask_rule_at_every_step(monkeypatch, family):
+    # at each step from a face a to a u {v}, the writer keys the child by the
+    # link's vertices less v and the u with {u, v} one of the link's circuits
+    # (the circuits it holds: the root's, or those `_contract` gave the
+    # flat); that mask is the e with a u v u e a face, link(a u {v})'s vertices
+    contracted = _record_contractions(monkeypatch)
+    cases = [cx for name, cx in NAMED if name.startswith("census")]
+    steps = 0
+    for cx in cases if family == "census" else RANDOM_MATROIDS:
+        faces = cx.face_masks()
+        written = {}
+        circuits = [c for c in cx.minimal_nonface_masks() if c.bit_count() > 1]
+        contracted.clear()
+        _matroid_up_set(written, cx, 0, cx.vertex_mask, circuits)
+        held = {cx.vertex_mask: circuits} | {_link_vertices(cx, a): c for a, c in contracted}
+        for a in written:
+            verts = _link_vertices(cx, a)
+            if _link_rank(cx, a) < 2:
+                continue
+            pairs = [c for c in held[verts] if c.bit_count() == 2]
+            for v in (u for u in _bits(verts) if u > a):
+                rule = verts & ~_union([v] + [c for c in pairs if c & v])
+                assert rule == _union([e for e in _bits(verts ^ v) if a | v | e in faces])
+                assert rule == _link_vertices(cx, a | v)
+                steps += 1
+    assert steps == {"census": 360, "sparse-paving": 11603}[family]
 
 
 class WriteOnce(dict):
@@ -228,9 +303,8 @@ def test_engine_states_each_degree_once(monkeypatch):
     # twice, or a second rule that wrote a link's isolated circuits beside
     # the class rule, which writes them as classes, would state rows twice.
     # So each face is counted where its rows are written (a link the walk
-    # yields with dims or at rank 1, a face of the contraction walk, a face
-    # of a uniform up-set), and each list of a link's rows is checked for a
-    # repeated b
+    # yields with dims or at rank 1, a face of either up-set writer, through
+    # `WriteOnce`), and each list of a link's rows is checked for a repeated b
     faces = collections.Counter()
 
     def once(rows):
@@ -244,20 +318,16 @@ def test_engine_states_each_degree_once(monkeypatch):
                 faces[a] += 1
             yield a, verts, circuits, dims if dims is None else once(dims)
 
-    def matroid_links(*args, real=cotangent._matroid_links):
-        for link in real(*args):
-            faces[link[0]] += 1
-            yield link
-
-    def up_set(groups, *args, real=cotangent._uniform_up_set):
+    def up_set(groups, *args, real):
         written = WriteOnce()
         real(written, *args)
         faces.update(written.keys())
         groups.update(written)
 
     monkeypatch.setattr(cotangent, "_walk", walk)
-    monkeypatch.setattr(cotangent, "_matroid_links", matroid_links)
-    monkeypatch.setattr(cotangent, "_uniform_up_set", up_set)
+    for name in ("_uniform_up_set", "_matroid_up_set"):
+        real = getattr(cotangent, name)
+        monkeypatch.setattr(cotangent, name, lambda *args, real=real: up_set(*args, real=real))
     for name in ("_class_rows", "_uniform_rows"):
         real = getattr(cotangent, name)
         monkeypatch.setattr(cotangent, name, lambda *args, real=real: once(real(*args)))
@@ -321,14 +391,12 @@ def test_class_rule_writes_each_isolated_circuit(cx):
     # rows; on a link of rank 1 it is the pair of U(2, 1), and the uniform
     # rule at rank 1 gives it 1
     circuits = [c for c in cx.minimal_nonface_masks() if c.bit_count() > 1]
-    for a, verts, link_circuits in _matroid_links(cx, 0, cx.vertex_mask, circuits):
-        if link_circuits is None:
-            rows = set(cotangent._uniform_rows(verts, 1))
-            link_circuits = [c for c in cx.link_mask(a).minimal_nonface_masks() if c & (c - 1)]
-        else:
-            rows = set(cotangent._class_rows(link_circuits))
+    groups = {}
+    _matroid_up_set(groups, cx, 0, cx.vertex_mask, circuits)
+    for a, group in groups.items():
+        link_circuits = [c for c in cx.link_mask(a).minimal_nonface_masks() if c & (c - 1)]
         for c in _isolated_circuits(link_circuits):
-            assert (c, 1) in rows, (unpack(a), unpack(c))
+            assert group.get(c) == 1, (unpack(a), unpack(c))
 
 
 # -- links of rank 1 ----------------------------------------------------------
@@ -412,7 +480,7 @@ PATH_64 = SimplicialComplex.from_facets(64, [[v, v + 1] for v in range(1, 64)])
 @pytest.mark.parametrize("cx", [PATH_64, uniform(9, 4)], ids=["path-64", "U(9,4)"])
 def test_rank_one_links_build_no_faces_circuits_or_classes(monkeypatch, cx):
     # the walk yields a link of rank 1 before building its faces or its
-    # circuits, the contraction walk steps to one without either, and its
+    # circuits, the up-set writer steps to one without either, and its
     # rows come from the uniform rule, not the class rule
     made = collections.Counter()
     for (module, name), rank_one in RANK_ONE_CALL.items():
@@ -435,18 +503,22 @@ def test_rank_one_links_build_no_faces_circuits_or_classes(monkeypatch, cx):
 
 
 def test_contraction_walk_looks_up_no_face_for_a_rank_one_link(monkeypatch):
-    # each face lookup tests a circuit C of a link L = M/a that misses a
-    # vertex v of L, for the child a u {v}; only a child of rank 2 or more
-    # needs one, so only a parent of rank 3 or more makes one
+    # a step from a link L = M/a to a u {v} reads the child's vertex mask
+    # off L's circuits and, at a mask not met before, tests each circuit of
+    # L that misses v, here with one lookup; only a child of rank 2 or more
+    # needs that, so only a parent of rank 3 or more makes a lookup
     m = uniform(9, 4)
-    want = 0
+    want, seen = 0, set()
     for a in m.face_masks():
         link = m.link_mask(a)
         if len(link.facet_masks) > 1 and link.rank >= 3:
             circuits = [c for c in link.minimal_nonface_masks() if c.bit_count() > 1]
             above = link.vertex_mask & -(1 << a.bit_length())
             for v in (1 << i for i in range(m.n) if above >> i & 1):
-                want += sum(1 for c in circuits if not c & v)
+                child = m.link_mask(a | v).vertex_mask
+                if child not in seen:
+                    seen.add(child)
+                    want += sum(1 for c in circuits if not c & v)
     lookups = []
 
     class Watched(frozenset):
@@ -457,8 +529,9 @@ def test_contraction_walk_looks_up_no_face_for_a_rank_one_link(monkeypatch):
     faces = Watched(m.face_masks())
     circuits = [c for c in m.minimal_nonface_masks() if c.bit_count() > 1]
     monkeypatch.setattr(SimplicialComplex, "face_masks", lambda self: faces)
-    walk = list(_matroid_links(m, 0, m.vertex_mask, circuits))
-    assert len(walk) == 1 + 9 + 36 + 84
+    written = WriteOnce()
+    _matroid_up_set(written, m, 0, m.vertex_mask, circuits)
+    assert len(written) == 1 + 9 + 36 + 84
     assert len(lookups) == want == 9 * 56 + 36 * 35
 
 
@@ -524,7 +597,7 @@ def test_matroid_table_runs_no_isolated_circuit_pass(monkeypatch):
 
 def test_matroid_table_builds_no_link_face_set(monkeypatch):
     # on a uniform matroid, written from its shape, and on M(K5), whose
-    # links the contraction walk reaches: the only face sets built are the
+    # links `_matroid_up_set` writes: the only face sets built are the
     # matroid's own, for the table and for the check of its reconstruction
     calls = []
     real = complexes._faces_of
@@ -540,7 +613,7 @@ def test_matroid_table_builds_no_link_face_set(monkeypatch):
 
 def test_rank_two_contraction_walk_builds_no_face_set(monkeypatch):
     # K(2, 3) = U(2, 1) + U(3, 1) is a rank-2 matroid that is not uniform,
-    # so the contraction walk starts at its root; it steps only to links of
+    # so `_matroid_up_set` starts at its root; it steps only to links of
     # rank 1 and looks no face up, so no face set of the complex is built
     calls = []
     real = complexes._faces_of
@@ -745,12 +818,10 @@ def uniform_with_coloops(m, r, coloops):
 
 def contraction_rows(cx, circuits):
     """The groups face -> {b: dim} of the matroid cx and of every link above
-    it, the way a non-uniform matroid link takes them: `_matroid_links`,
-    then the class rule at each link, or the uniform rule at rank 1."""
+    it, the way a non-uniform matroid link takes them: `_matroid_up_set`,
+    the class rule at each link, or the uniform rule at rank 1."""
     groups = {}
-    for face, v, c in _matroid_links(cx, 0, cx.vertex_mask, circuits):
-        link_rows = cotangent._uniform_rows(v, 1) if c is None else cotangent._class_rows(c)
-        groups[face] = dict(link_rows)
+    _matroid_up_set(groups, cx, 0, cx.vertex_mask, circuits)
     return groups
 
 
@@ -758,7 +829,7 @@ def contraction_rows(cx, circuits):
 def test_uniform_rows_match_the_class_rule(coloops):
     # for every 1 <= r < m <= 10: the shape test names W and r, the uniform
     # rows are the class rule's on the link's circuits, and the up-set the
-    # uniform rule writes is what the contraction walk and the class rule
+    # uniform rule writes is what the other up-set writer and the class rule
     # write at each link above
     for m in range(2, 11):
         for r in range(1, m):
@@ -865,13 +936,13 @@ def test_uniform_links_run_no_class_rule_or_contraction(monkeypatch):
     # a uniform matroid with coloops is written from its shape: no class
     # rule and no contraction step at its root or above it
     class_rows = _record_calls(monkeypatch, "_class_rows")
-    contractions = _record_calls(monkeypatch, "_matroid_links")
+    contractions = _record_calls(monkeypatch, "_matroid_up_set")
     for m, r, coloops in ((6, 3, 2), (9, 4, 1), (40, 2, 0)):
         cx, _, _ = uniform_with_coloops(m, r, coloops)
         assert reconstruct(t1_table(cx)) == cx
     assert class_rows == [] and contractions == []
     # near U(10, 5) most matroid links are uniform and take the rule: the
-    # contraction walk starts only at a link that is not
+    # other up-set writer starts only at a link that is not
     roots = [
         (a, circuits)
         for a, _, circuits, dims in cotangent._walk(NEAR_U10)
@@ -880,7 +951,7 @@ def test_uniform_links_run_no_class_rule_or_contraction(monkeypatch):
     uniform_roots = [a for a, circuits in roots if cotangent._uniform_shape(circuits)]
     t1_table(NEAR_U10)
     assert uniform_roots and len(contractions) == len(roots) - len(uniform_roots)
-    assert all(cotangent._uniform_shape(circuits) is None for _, _, _, circuits in contractions)
+    assert all(cotangent._uniform_shape(circuits) is None for *_, circuits in contractions)
 
 
 def test_class_rule_runs_once_per_flat(monkeypatch):
@@ -888,15 +959,28 @@ def test_class_rule_runs_once_per_flat(monkeypatch):
     # M(K6)'s 1636 links have 202 vertex masks, its flats of rank at most 4;
     # the 31 of rank 4 have links of rank 1, and the class rule runs once at
     # each of the other 171
-    circuits = [c for c in K6.minimal_nonface_masks() if c & (c - 1)]
-    links = list(_matroid_links(K6, 0, K6.vertex_mask, circuits))
+    links = [K6.link_mask(a) for a in _in_two_facets(K6)]
     assert len(links) == 1636
-    assert len({v for _, v, _ in links}) == 202
-    assert len({v for _, v, c in links if c is None}) == 31
+    assert len({link.vertex_mask for link in links}) == 202
+    assert len({link.vertex_mask for link in links if link.rank == 1}) == 31
     class_rows = _record_calls(monkeypatch, "_class_rows")
     table = t1_table(K6)
     assert len(class_rows) == len({frozenset(c) for (c,) in class_rows}) == 171
     assert reconstruct(table) == K6
+
+
+def test_contraction_runs_once_per_flat(monkeypatch):
+    # the steps from M(K6)'s links of rank 3 or more reach 170 vertex masks,
+    # its flats of rank 1 to 3, and each is contracted once, at the first
+    # step that reaches it; a step per face made 555 contractions
+    reached = set()
+    for a in _in_two_facets(K6):
+        if _link_rank(K6, a) >= 3:
+            reached |= {_link_vertices(K6, a | v) for v in _bits(_link_vertices(K6, a)) if v > a}
+    contractions = _record_calls(monkeypatch, "_contract")
+    t1_table(K6)
+    assert len(contractions) == len(reached) == 170
+    assert {_link_vertices(K6, a) for _, a, _, _ in contractions} == reached
 
 
 def test_flat_memo_is_not_shared_between_matroid_links():
