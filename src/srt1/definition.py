@@ -4,11 +4,15 @@ The face engine reads a degree b off a whole face set: the dimension is the
 number of components of the inclusion graph on N_b that miss N~_b, less one
 (clamped) at |b| = 1 (Altmann & Christophersen, Cotangent cohomology of
 Stanley-Reisner rings, Manuscripta Math. 115, 2004).  `_dim_on_faces`
-counts it, `_marks` tests N~_b and `_component_ids` joins N_b, and
-`_formula_on_link` is the circuit formula over a link's circuits.  No
-engine path runs any of it, as `cotangent` never imports this module: it is
-the independent count that the census, `recognition._all_discrepancies` and
-the tests hold the engine's rules to, with the public views built on it.
+counts exactly that: `_component_ids` joins the whole of N_b, `_marks`
+tests N~_b, and every component with a marked member is dropped.
+`_formula_on_link` is the circuit formula over a link's circuits, and
+`dim_t1_nonface` states the isolated-circuit rule itself.  No engine path
+runs any of it, as `cotangent` never imports this module, and it shares no
+rule with the engine: of `cotangent` it binds only the degree validator
+`_degree_masks`.  It is the independent count that the census,
+`recognition._all_discrepancies` and the tests hold the engine's rules to,
+with the public views built on it.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, NamedTuple
 
-from .complexes import SimplicialComplex, _ndel, _union, pack, sort_key, unpack
-from .cotangent import _degree_masks, _isolated_circuits
+from .complexes import SimplicialComplex, _ndel, pack, sort_key, unpack
+from .cotangent import _degree_masks
 
 
 def _less_one_for_singleton(count: int, b: int) -> int:
@@ -31,14 +35,12 @@ def _marks(faces: frozenset[int], nvert: list[int], b: int) -> list[bool]:
 
 
 def _component_ids(nvert: list[int]) -> list[int]:
-    """Component ids of the strict-inclusion graph on N_b, or on a down-set
-    of N_b, by union-find.
+    """Component ids of the strict-inclusion graph on N_b, by union-find.
 
     N_b is an up-set among the faces disjoint from b, so a strict inclusion
-    F < G inside it is a chain of one-vertex steps that stays in N_b; inside
-    a down-set W of N_b the chain also stays in W.  Joining each member to
-    its one-vertex deletions in the family gives the same components as
-    joining every comparable pair.
+    F < G inside it is a chain of one-vertex steps that stays in N_b.
+    Joining each member to its one-vertex deletions in N_b gives the same
+    components as joining every comparable pair.
     """
     index = {f: i for i, f in enumerate(nvert)}
     parent = list(range(len(nvert)))
@@ -64,42 +66,13 @@ def _component_ids(nvert: list[int]) -> list[int]:
 
 
 def _dim_on_faces(faces: frozenset[int], b: int) -> int:
-    """T1 dimension in degree -b over a nonvoid face set containing b's vertices.
-
-    For |b| = 1, N~_b is empty: every component of N_b counts, less one.
-    For |b| > 1 the marks form an up-set of N_b (F u b' a nonface stays one
-    for larger F), so the unmarked part W is a down-set of N_b, and union-find
-    runs on W alone.  Each one-vertex deletion of an F in W that lies in N_b
-    is in W again, so a component of W is a whole component of N_b unless a
-    member F has a face G = F u {u} outside W with u a vertex of N_b not in
-    F; such a G is disjoint from b, and G u b contains the nonface F u b, so
-    G is a marked member of N_b joined to F.  The dimension is the number of
-    components of W with no such G.
-    """
+    """T1 dimension in degree -b over a nonvoid face set containing b's
+    vertices: the number of components of the inclusion graph on N_b with no
+    member in N~_b, less one (clamped) at |b| = 1."""
     nvert = _ndel(faces, b)
-    if not nvert:
-        return 0
-    if b.bit_count() == 1:
-        return _less_one_for_singleton(len(set(_component_ids(nvert))), b)
-    unmarked = [f for f, m in zip(nvert, _marks(faces, nvert, b)) if not m]
-    if not unmarked:
-        return 0
-    comp = _component_ids(unmarked)
-    inside = set(unmarked)
-    above = _union(nvert)
-    dropped = set()
-    for f, c in zip(unmarked, comp):
-        if c in dropped:
-            continue
-        rest = above & ~f
-        while rest:
-            u = rest & -rest
-            rest ^= u
-            g = f | u
-            if g in faces and g not in inside:
-                dropped.add(c)
-                break
-    return len(set(comp) - dropped)
+    comp = _component_ids(nvert)
+    marked = {c for c, m in zip(comp, _marks(faces, nvert, b)) if m}
+    return _less_one_for_singleton(len(set(comp) - marked), b)
 
 
 def _formula_on_link(link_circuits: list[int], b: int) -> int:
@@ -203,7 +176,9 @@ def dim_t1_nonface(cx: SimplicialComplex, b: Iterable[int]) -> int:
     bm = pack(b, cx.n)
     if cx.is_face_mask(bm):
         raise ValueError(f"b {unpack(bm)} is a face; dim_t1_nonface needs a nonface")
-    return int(bm in _isolated_circuits(cx._circuit_masks()))
+    circuits = cx._circuit_masks()
+    meets = any(c & bm for c in circuits if c != bm)
+    return int(bm in circuits and bm.bit_count() > 1 and not meets)
 
 
 def dim_t1_matroid_formula(cx: SimplicialComplex, degree) -> int:

@@ -344,6 +344,31 @@ def _elimination_outside_the_union(monkeypatch):
     monkeypatch.setattr(census, "is_matroid_circuit_elimination", wrong)
 
 
+def _wider_rule_keeps_every_component(monkeypatch):
+    # the wider rule counts every component of the unmarked part W, grown to
+    # a face outside W or not
+    monkeypatch.setattr(cotangent, "_grows_unmarked", lambda *args: True)
+
+
+def _wider_rule_keeps_no_component(monkeypatch):
+    # the wider rule counts no component of W
+    monkeypatch.setattr(cotangent, "_grows_unmarked", lambda *args: False)
+
+
+def _no_isolated_circuits(monkeypatch):
+    # the engine finds no isolated circuit, so every nonface degree reads 0
+    monkeypatch.setattr(cotangent, "_isolated_circuits", lambda circuits: [])
+
+
+def _contraction_keeps_every_circuit_off_v(monkeypatch):
+    # a contraction step keeps every circuit that misses v, with no face test
+    def wrong(faces, a, v, circuits):
+        cut = [c ^ v if c & v else c for c in circuits]
+        return [c for c in cut if c & (c - 1)]
+
+    monkeypatch.setattr(cotangent, "_contract", wrong)
+
+
 # the invariants each mutant fails on the classes on up to 4 vertices
 MUTANTS = {
     "link-drops-a-facet": (
@@ -445,6 +470,8 @@ MUTANTS = {
     ),
     "unique-min-accepts-two-minima": (_unique_min_accepts_two_minima, {"oracle-agreement"}),
     "elimination-outside-the-union": (_elimination_outside_the_union, {"oracle-agreement"}),
+    "wider-rule-keeps-every-component": (_wider_rule_keeps_every_component, {"link-reduction"}),
+    "wider-rule-keeps-no-component": (_wider_rule_keeps_no_component, {"link-reduction"}),
     "rank-of-the-ground-too-low": (_rank_of_the_ground_too_low, {"rank-monotone"}),
     "no-coloops": (
         _no_coloops,
@@ -468,6 +495,27 @@ def test_each_mutant_fails_its_invariants(monkeypatch, mutate, fails):
     classes = [cx for n in range(1, 5) for cx in cached_representatives(n)]
     mutate(monkeypatch)
     assert _failed_invariants(classes) == fails
+
+
+# two engine mutants that fail no invariant on the classes on up to 4
+# vertices, each with a class on 5 vertices where `link-reduction` fails
+BLIND_SPOTS = {
+    "no-isolated-circuits": (_no_isolated_circuits, [[1, 2], [1, 3], [2, 4, 5], [3, 4, 5]]),
+    "contraction-keeps-every-circuit-off-v": (
+        _contraction_keeps_every_circuit_off_v,
+        [[1, 2], [1, 3], [1, 4], [1, 5], [2, 3, 4, 5]],
+    ),
+}
+
+
+@pytest.mark.parametrize("mutate, facets", BLIND_SPOTS.values(), ids=BLIND_SPOTS)
+def test_a_mutant_past_four_vertices_fails_link_reduction(monkeypatch, mutate, facets):
+    named = SimplicialComplex.from_facets(5, facets)
+    assert named.facet_masks in [cx.facet_masks for cx in cached_representatives(5)]
+    small = [cx for n in range(1, 5) for cx in cached_representatives(n)]
+    mutate(monkeypatch)
+    assert _failed_invariants(small) == set()
+    assert _failed_invariants([named]) == {"link-reduction"}
 
 
 def test_check_complex_reports_a_wrong_loop_coloop_split(monkeypatch):

@@ -172,6 +172,27 @@ def test_inclusion_graph_edges_are_strict_inclusions():
     assert g.components == ((0, 1, 2),)
 
 
+def test_inclusion_graph_count_is_the_engine_dimension():
+    # the unmarked components of the graph, less one (clamped) at a single
+    # vertex, are dim T1 at (A, b) by `dim_t1` and by `t1_table`, at every
+    # face A of every census class on up to 5 vertices and every nonempty b
+    # within the vertices of link(A)
+    checked = 0
+    for n in range(1, 6):
+        for cx in representatives(n):
+            table = t1_table(cx)
+            for a in sorted(cx.face_masks()):
+                A = unpack(a)
+                for b in powerset(unpack(cx.link_mask(a).vertex_mask)):
+                    if not b:
+                        continue
+                    count = inclusion_graph(cx, A, b).unmarked_component_count()
+                    want = max(count - 1, 0) if len(b) == 1 else count
+                    assert dim_t1(cx, (A, b)) == want == table.dim(A, b), (cx, A, b)
+                    checked += 1
+    assert checked == 19087
+
+
 def test_inclusion_graph_validation():
     with pytest.raises(ValueError):
         inclusion_graph(REMARK, [1], [])

@@ -163,3 +163,15 @@ def test_the_definition_stays_apart_from_the_engine():
     assert {name for name, module in srt1._OWNER.items() if module == "definition"} == {
         name for name in DEFINITION if not name.startswith("_")
     }
+
+
+def test_the_definition_binds_only_the_degree_validator_from_the_engine():
+    # the definition is what the engine's rules are checked against, so of
+    # `cotangent` it binds only `_degree_masks`, which validates a degree and
+    # decides no dimension
+    bound = {
+        name
+        for name, obj in vars(definition).items()
+        if cotangent.__name__ in (getattr(obj, "__name__", None), getattr(obj, "__module__", None))
+    }
+    assert bound == {"_degree_masks"}
