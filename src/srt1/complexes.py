@@ -64,27 +64,61 @@ def unpack(mask: int) -> tuple[int, ...]:
 _REVERSED_BITS = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
 # `_order_key` at one byte, for each mask below 256
 _BYTE_KEYS = tuple((m.bit_count() << 8) - _REVERSED_BITS[m] for m in range(256))
+# the order key and the decoder of masks of each byte width, made on first use
+_BY_WIDTH: dict[int, tuple] = {}
 
 
-def _order_key(n: int):
-    """The canonical order key of masks on an n-vertex ground, by size and
-    then lexicographically; `sort_key`, for faces, is its case MAX_GROUND.
+def _width_rules(width: int) -> tuple:
+    """The order key and the decoder of masks of `width` bytes.
 
-    Of two masks of one size, the one holding the lowest vertex where they
-    differ comes first.  With the bits reversed over ceil(n / 8) bytes that
-    vertex is the highest differing bit, so the key subtracts the reversed
-    mask.  At n <= 8 the key is one lookup in `_BYTE_KEYS`.
+    At two bytes (9 to 16 vertices) each is two lookups in 256-entry tables,
+    one per byte; at one byte the key is one lookup in `_BYTE_KEYS`; wider
+    masks pack their bytes for the key and decode with `unpack`.
     """
-    width = -(-n // 8)
     if width <= 1:
-        return _BYTE_KEYS.__getitem__
+        return _BYTE_KEYS.__getitem__, unpack
+    if width == 2:
+        rev = _REVERSED_BITS
+        lo_key = tuple((x.bit_count() << 16) - (rev[x] << 8) for x in range(256))
+        hi_key = tuple((x.bit_count() << 16) - rev[x] for x in range(256))
+        lo = tuple(unpack(x) for x in range(256))
+        hi = tuple(tuple(v + 8 for v in vs) for vs in lo)
+        return (lambda m: lo_key[m & 255] + hi_key[m >> 8]), (lambda m: lo[m & 255] + hi[m >> 8])
     shift = 8 * width
 
     def key(mask: int) -> int:
         reversed_bytes = mask.to_bytes(width, "little").translate(_REVERSED_BITS)
         return (mask.bit_count() << shift) - int.from_bytes(reversed_bytes, "big")
 
-    return key
+    return key, unpack
+
+
+def _rules(n: int) -> tuple:
+    """`_width_rules` of the byte width of an n-vertex ground, memoised."""
+    width = -(-n // 8)
+    rules = _BY_WIDTH.get(width)
+    if rules is None:
+        rules = _BY_WIDTH[width] = _width_rules(width)
+    return rules
+
+
+def _order_key(n: int):
+    """The canonical order key of masks on an n-vertex ground, by size and
+    then lexicographically; `sort_key`, for faces, is its case MAX_GROUND.
+    One object for every n of one byte width.
+
+    Of two masks of one size, the one holding the lowest vertex where they
+    differ comes first.  With the bits reversed over ceil(n / 8) bytes that
+    vertex is the highest differing bit, so the key subtracts the reversed
+    mask.
+    """
+    return _rules(n)[0]
+
+
+def _decoder(n: int):
+    """`unpack` for masks on an n-vertex ground, by byte tables at 9 to 16
+    vertices; one object for every n of one byte width."""
+    return _rules(n)[1]
 
 
 sort_key = _order_key(MAX_GROUND)
@@ -362,7 +396,7 @@ class SimplicialComplex:
     @property
     def facets(self) -> tuple[tuple[int, ...], ...]:
         """Facets as sorted vertex tuples, in canonical order."""
-        return tuple(unpack(m) for m in self.facet_masks)
+        return tuple(map(_decoder(self.n), self.facet_masks))
 
     @property
     def vertex_mask(self) -> int:
@@ -380,7 +414,7 @@ class SimplicialComplex:
 
     def faces(self) -> list[tuple[int, ...]]:
         """All faces as vertex tuples, canonically ordered."""
-        return [unpack(m) for m in sorted(self.face_masks(), key=_order_key(self.n))]
+        return list(map(_decoder(self.n), sorted(self.face_masks(), key=_order_key(self.n))))
 
     def is_face_mask(self, mask: int) -> bool:
         if self._faces is not None:
@@ -421,7 +455,7 @@ class SimplicialComplex:
 
     def minimal_nonfaces(self) -> list[tuple[int, ...]]:
         """Minimal nonfaces (circuits, when the complex is a matroid)."""
-        return [unpack(m) for m in self.minimal_nonface_masks()]
+        return list(map(_decoder(self.n), self.minimal_nonface_masks()))
 
     def rank_of(self, A: Iterable[int]) -> int:
         """Cardinality of the largest face contained in A: max |F n A| over

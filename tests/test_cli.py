@@ -135,6 +135,38 @@ def test_each_subcommand_loads_only_its_modules(tmp_path, argv, loaded):
     assert err.split() == sorted(loaded)
 
 
+def test_subcommands_on_eight_vertices_build_no_two_byte_table(tmp_path):
+    # the order key and the decoder of 9 to 16 vertices are tables made on
+    # first use; a process that sees only one-byte masks makes none of them
+    matroid, graph = tmp_path / "u83.json", tmp_path / "path8.json"
+    matroid.write_text(json.dumps(uniform(8, 3).to_json_dict()))
+    graph.write_text(json.dumps({"n": 8, "facets": [[v, v + 1] for v in range(1, 8)]}))
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps(t1_table(uniform(8, 3)).to_json_dict()))
+    runs = [["reconstruct", str(table)]]
+    for cx in (matroid, graph):
+        runs += [["t1", str(cx)], ["circuits", str(cx)], ["is-matroid", str(cx), "--method", "t1"]]
+        runs += [["discrepancies", str(cx)]]
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import json, sys\n"
+        "from srt1 import cli, complexes\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    cli.main(argv)\n"
+        "print(*sorted(complexes._BY_WIDTH), file=sys.stderr)\n"
+    )
+    err = subprocess.run(
+        [sys.executable, "-S", "-c", code, json.dumps(runs)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    ).stderr
+    # width 1 for the complexes, width 8 for `sort_key`, made on import
+    assert err.split() == ["1", "8"]
+
+
 # -- parse_degree ---------------------------------------------------------------
 
 

@@ -10,6 +10,7 @@ from srt1.matroids import is_matroid_circuit_elimination
 from srt1.complexes import (
     MAX_GROUND,
     _faces_of,
+    _decoder,
     _minimal_nonfaces,
     _order_key,
     MAX_NONFACE_GROUND,
@@ -72,6 +73,27 @@ def test_sort_key_orders_by_size_then_lex():
                 reversed_mask = int(f"{m:0{n}b}"[::-1], 2)
                 assert sort_key(m) == key(m) == (m.bit_count() << n) - reversed_mask
 
+
+
+def test_two_byte_key_and_decoder_at_every_mask():
+    # 9 to 16 vertices: the key is two table lookups whose sum is the key of
+    # the packed bytes, the size above 16 bits less the reversed bit string,
+    # and the decoder is two lookups that agree with `unpack`
+    key, decode = _order_key(16), _decoder(16)
+    for m in range(1 << 16):
+        assert key(m) == (m.bit_count() << 16) - int(f"{m:016b}"[::-1], 2), m
+        assert decode(m) == unpack(m), m
+
+
+def test_one_key_and_one_decoder_per_byte_width():
+    # each width's rules are made once, so the two-byte tables are built once
+    for widths in (range(0, 1), range(1, 9), range(9, 17), range(17, 25), range(57, 65)):
+        assert len({id(_order_key(n)) for n in widths}) == 1, widths
+        assert len({id(_decoder(n)) for n in widths}) == 1, widths
+    assert _order_key(16) is not _order_key(8) and _order_key(16) is not _order_key(17)
+    # only 9 to 16 vertices decode by tables; every other width by `unpack`
+    assert all(_decoder(n) is unpack for n in (0, 1, 8, 17, 64, 70))
+    assert _decoder(9) is not unpack
 
 def test_submasks_enumerates_all_subsets():
     got = set(submasks(0b1011))
