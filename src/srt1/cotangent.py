@@ -59,24 +59,28 @@ v (c counts components, e edges).
 
 Any larger link takes the circuit rule at its vertices and the wider rule
 of `_wide_dim` at its wider faces, both read off the circuits through b
-and lookups in the root's one face set, with no N_b.  Call F in N_b
-unmarked when it is not in N~_b; the marks form an up-set of N_b, so the
-unmarked part W is a down-set of it.  For F in W the nonface F u b holds a
-circuit C, and C holds b, since C missing v in b would lie in the face
-F u (b \\ {v}); and each such C - b is in W.  So the minimal members of W,
-its seeds, are the sets C - b over the circuits C through b: a face in no
-circuit has dimension 0, and the walk decides only the faces in one, the
-nonempty proper subsets of circuits (`_circuit_faces`).  Each member of W
-is reached from a seed below it one vertex at a time inside W; neighbours
-in W are comparable and share a seed, and two seeds inside one member of W
-have their union in W.  So the components of W are those of the graph G_b
-on the circuits through b, C and C' joined when (C u C') - v is a face for
-every v in b, which is G_v at a vertex.  A component of W is a whole one
-of N_b, and counts, unless a member F has a face F u {u} outside W, u
-outside b: a marked member of N_b, the only step out of W.
+and lookups in the root's one face set, with no N_b.  The wider rule reads
+T1 of a link L at -b, b a face of L with two or more vertices, off T1 as
+the cokernel of Der(S, k[L])_-b -> Hom_S(I_L, k[L])_-b.  A homomorphism of
+degree -b sends the generator x^g of a circuit g to lambda_g x^(g - b),
+which is a monomial only when b lies in g, and g - b is then a face, as g
+is a circuit.  The syzygies of the monomial ideal I_L are spanned by its
+Taylor syzygies, and the one of circuits g and h asks lambda_g = lambda_h
+when both contain b and (g u h) - b is a face, and lambda_g = 0 when h
+meets b without containing it and (g u h) - b is a face: h kills g.  A
+circuit h that misses b kills nothing, as (g u h) - b holds h.  No
+derivation has degree -b, since |b| >= 2.  So the dimension is the number
+of components of the graph G_b on the circuits through b, g and h joined
+when (g u h) - b is a face, that hold no killed node (`_unkilled_components`).
+A face in no circuit has no node and dimension 0, so the walk decides only
+the faces in one, the nonempty proper subsets of circuits
+(`_circuit_faces`).  At a vertex b = {v} nothing can kill, and the one
+derivation d/dx_v, lambda = 1 on every node, leaves c(G_v) - 1, clamped:
+the circuit rule above, so one reading of the algebra gives both rules.
 
 The face engine, which lists N_b over a whole face set, is the definition
-itself; it lives in `definition`, which this module never imports.
+itself, the route of Altmann and Christophersen to the same number; it
+lives in `definition`, which this module never imports.
 """
 
 from __future__ import annotations
@@ -304,28 +308,24 @@ def _read_link(
     return faces, circuits, _vertex_dims(faces, a, circuits, rank)
 
 
-def _grows_unmarked(
-    faces: frozenset[int], a: int, seeds: list[int], tries: int, subs: list[int]
-) -> bool:
-    """Whether the part of W above these seeds, grown by one vertex of tries
-    at a time, has no face one vertex above it outside W, with subs the sets
-    (b - v) u a, v in b, and S a face when S u a is in faces."""
-    inside = set(seeds)
-    stack = list(seeds)
-    while stack:
-        f = stack.pop()
-        rest = tries & ~f
-        while rest:
-            u = rest & -rest
-            rest ^= u
-            g = f | u
-            if g in inside or (g | a) not in faces:
-                continue
-            if not all(g | s in faces for s in subs):
-                return False
-            inside.add(g)
-            stack.append(g)
-    return True
+def _unkilled_components(faces: frozenset[int], nodes: list[int], killers: list[int]) -> int:
+    """The number of components of the graph on nodes, g and h joined when
+    g u h is in faces, that hold no node g with g u k in faces for some k in
+    killers: the wider rule of the module docstring, as `_wide_dim` calls
+    it, with the nodes (g - b) u a and the killers h - b.  Each pair of
+    nodes costs at most one lookup, and each (node, killer) pair at most
+    one more."""
+    kept = 0
+    left = list(nodes)
+    while left:  # one sweep per component
+        part = [left.pop()]
+        for g in part:  # part grows as the sweep reaches nodes
+            rest = []
+            for h in left:
+                (part if g | h in faces else rest).append(h)
+            left = rest
+        kept += not any(g | k in faces for g in part for k in killers)
+    return kept
 
 
 def _wide_dim(link: dict | frozenset, a: int, circuits: list[int] | None, rank: int, b: int) -> int:
@@ -343,33 +343,21 @@ def _wide_dim(link: dict | frozenset, a: int, circuits: list[int] | None, rank: 
     * a nonface b: 1 on an isolated circuit (`_isolated_circuits`), else 0;
       only here are circuits None built, by `_graph_circuits`.
 
-    The wider rule sweeps the components of G_b, which has at most as many
-    nodes as the first count c1 of `definition.t1_upper_bound`, as C |-> C - b
-    maps them one to one into the sets it counts, and grows each component
-    from its seeds C - b by `_grows_unmarked`, up to the first marked face.
-    Only vertices of circuits are tried: for u in no circuit, F u {u} u (b - v)
-    is a face whenever F u {u} is, so u marks nothing, and taking such
-    vertices out of a member of W keeps it in W and a marked face above it
-    marked."""
+    The wider rule counts the components of G_b with no killed node by
+    `_unkilled_components`, over the nodes g - b of the circuits g through
+    b and the killers h - b of the circuits h that meet b without
+    containing it.  G_b has at most as many nodes as the first count c1 of
+    `definition.t1_upper_bound`, as C |-> C - b maps them one to one into
+    the sets it counts."""
     if rank <= 2:
         if b.bit_count() == 2 and b & link[b & -b]:
             return _graph_edge_dim(link, b)
         if circuits is None:
             circuits = _graph_circuits(link)
     elif (b | a) in link:
-        subs = [b ^ 1 << i | a for i in range(b.bit_length()) if b >> i & 1]
-        left = [c ^ b for c in circuits if not b & ~c]  # the seeds
-        tries = _union(circuits) & ~b
-        kept = 0
-        while left:  # the components of G_b, one sweep each
-            part = [left.pop()]
-            for g in part:  # part grows as the sweep reaches seeds
-                rest = []
-                for h in left:
-                    (part if all(g | h | s in link for s in subs) else rest).append(h)
-                left = rest
-            kept += _grows_unmarked(link, a, part, tries, subs)
-        return kept
+        nodes = [c ^ b | a for c in circuits if not b & ~c]
+        killers = [c & ~b for c in circuits if c & b and b & ~c]
+        return _unkilled_components(link, nodes, killers)
     return int(b in _isolated_circuits(circuits))
 
 
@@ -716,9 +704,9 @@ def t1_table(cx: SimplicialComplex, threads: int = 1) -> T1Table:
     parent circuits x circuit size face lookups (none below rank 3) and a
     few operations on an integer of link circuits x link vertices bits per
     link vertex; and any other link, at each face b of two or more vertices in
-    a circuit, |b| lookups per pair of circuits through b for G_b and, per
-    component, at most |b| + 1 per member of its part of W and circuit
-    vertex tried, up to the first marked face: no face set of a link.
+    a circuit, two passes over its circuits, then at most one lookup per pair
+    of circuits through b and one per pair of a circuit through b and a
+    circuit that meets b without containing it: no face set of a link.
 
     The table is computed in-process: each face's piece costs well under a
     millisecond, too little to repay a process pool.  `threads` is accepted

@@ -22,9 +22,7 @@ from srt1.reconstruction import reconstruct  # noqa: E402
 from _matroids import sparse_paving_matroid  # noqa: E402
 from test_sparse_paving import check  # noqa: E402
 
-# (16, 8) is left out: `is_matroid_circuit_elimination` compares pairs of its
-# 11440 circuits and does not finish in minutes
-CASES = [(14, 5), (14, 7), (16, 4), (16, 5)]
+CASES = [(14, 5), (14, 7), (16, 4), (16, 5), (16, 8)]
 
 
 def main() -> int:

@@ -344,15 +344,39 @@ def _elimination_outside_the_union(monkeypatch):
     monkeypatch.setattr(census, "is_matroid_circuit_elimination", wrong)
 
 
+def _elimination_within_r(monkeypatch):
+    # strong circuit elimination tested only at the meeting pairs whose union
+    # has at most r vertices, one too few: a pair of r + 1 goes untested
+    def wrong(cx):
+        circuits = cx._circuit_masks()
+        for c1, c2 in itertools.combinations(circuits, 2):
+            union = c1 | c2
+            if not c1 & c2 or union.bit_count() > cx.rank:
+                continue
+            inside = [c for c in circuits if not c & ~union]
+            for i in range(cx.n):
+                if (c1 & c2) >> i & 1:
+                    avoiding = [c for c in inside if not c >> i & 1]
+                    for f in range(cx.n):
+                        if (c1 ^ c2) >> f & 1 and not any(c >> f & 1 for c in avoiding):
+                            return False
+        return True
+
+    monkeypatch.setattr(census, "is_matroid_circuit_elimination", wrong)
+
+
 def _wider_rule_keeps_every_component(monkeypatch):
-    # the wider rule counts every component of the unmarked part W, grown to
-    # a face outside W or not
-    monkeypatch.setattr(cotangent, "_grows_unmarked", lambda *args: True)
+    # the wider rule ignores the killers and counts every component of the
+    # graph on the circuits through b
+    real = cotangent._unkilled_components
+    monkeypatch.setattr(
+        cotangent, "_unkilled_components", lambda faces, nodes, killers: real(faces, nodes, [])
+    )
 
 
 def _wider_rule_keeps_no_component(monkeypatch):
-    # the wider rule counts no component of W
-    monkeypatch.setattr(cotangent, "_grows_unmarked", lambda *args: False)
+    # the wider rule treats every node as killed, so it counts no component
+    monkeypatch.setattr(cotangent, "_unkilled_components", lambda *args: 0)
 
 
 def _no_isolated_circuits(monkeypatch):
@@ -470,6 +494,7 @@ MUTANTS = {
     ),
     "unique-min-accepts-two-minima": (_unique_min_accepts_two_minima, {"oracle-agreement"}),
     "elimination-outside-the-union": (_elimination_outside_the_union, {"oracle-agreement"}),
+    "elimination-within-r": (_elimination_within_r, {"oracle-agreement"}),
     "wider-rule-keeps-every-component": (_wider_rule_keeps_every_component, {"link-reduction"}),
     "wider-rule-keeps-no-component": (_wider_rule_keeps_no_component, {"link-reduction"}),
     "rank-of-the-ground-too-low": (_rank_of_the_ground_too_low, {"rank-monotone"}),

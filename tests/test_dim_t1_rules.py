@@ -101,7 +101,7 @@ def test_singleton_degree_counts_no_graph_over_faces(monkeypatch):
     assert calls == []
 
 
-WIDE_RULES = ("_graph_edge_dim", "_grows_unmarked", "_isolated_circuits")
+WIDE_RULES = ("_graph_edge_dim", "_unkilled_components", "_isolated_circuits")
 
 
 def record_wide_calls(monkeypatch):

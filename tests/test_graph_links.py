@@ -163,7 +163,7 @@ def test_walk_builds_no_face_set_and_no_circuits_at_a_graph_link(monkeypatch, cx
     for module, name in (
         (complexes, "_faces_of"),
         (complexes, "_minimal_nonfaces"),
-        (cotangent, "_grows_unmarked"),
+        (cotangent, "_unkilled_components"),
     ):
         real = getattr(module, name)
         monkeypatch.setattr(

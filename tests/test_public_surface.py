@@ -136,7 +136,7 @@ def test_dim_t1_names_no_wide_rule_of_its_own():
     # a rule of its own at a link of rank 1, which `_read_link` reads as a
     # graph with no edge
     own = {
-        "_graph_edge_dim", "_grows_unmarked", "_isolated_circuits", "_graph_circuits",
+        "_graph_edge_dim", "_unkilled_components", "_isolated_circuits", "_graph_circuits",
         "_uniform_rows",
     }
     assert own & set(cotangent.dim_t1.__code__.co_names) == set()

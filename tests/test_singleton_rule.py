@@ -17,12 +17,16 @@ every vertex, and so exactly when the complex is a matroid.
 
 At a face b of two or more vertices in a circuit of a link of rank 3 or
 more, the wider rule of `cotangent._wide_dim` reads the link off cx's faces
-as the walk does, sweeps the graph G_b on the circuits through b and grows
-each component from its seeds; it meets the face engine over the link's own
-faces on the census classes, the random complexes, three facets k = 9 and
-10 and U(8, 4) less two bases, with pinned counts of nonzero dimensions and
-of dropped components.  Over the census, C |-> C - b maps the circuits
-through each nonempty face b into `t1_upper_bound`'s first count c1.
+as the walk does, and counts the components of the graph G_b on the
+circuits through b that hold no node killed by a circuit meeting b without
+containing it; it meets the face engine over the link's own faces on the
+census classes, the random complexes, three facets k = 9 and 10 and U(8, 4)
+less two bases, with pinned counts of nonzero dimensions and of the
+components the kill test drops.  On U(10, 5) less two bases it makes at most
+one face lookup per pair of nodes and one per node and killer, and the table
+of U(11, 5) less two bases takes well under half a second.  Over the census,
+C |-> C - b maps the circuits through each nonempty face b into
+`t1_upper_bound`'s first count c1.
 
 The guards count calls, with no timing: the table, the T1 recognition, the
 discrepancies and the reconstruction of U(12, 6), M(K6) and four parallel
@@ -38,6 +42,7 @@ marks or its union-find.
 import collections
 import itertools
 import random
+import time
 
 import pytest
 
@@ -195,10 +200,11 @@ def _failing_links(cx):
     return out
 
 
-def uniform_less_two_bases():
-    """U(8, 4) less the bases 1234 and 1235, which share three elements."""
-    dropped = {(1, 2, 3, 4), (1, 2, 3, 5)}
-    return SimplicialComplex.from_facets(8, [f for f in uniform(8, 4).facets if f not in dropped])
+def uniform_less_two_bases(n=8, k=4):
+    """U(n, k) less the bases [k] and [k - 1] + {k + 1}, which share k - 1
+    elements: U(8, 4) less 1234 and 1235 by default."""
+    dropped = {tuple(range(1, k + 1)), tuple(range(1, k)) + (k + 1,)}
+    return SimplicialComplex.from_facets(n, [f for f in uniform(n, k).facets if f not in dropped])
 
 
 @pytest.mark.parametrize(
@@ -239,13 +245,13 @@ def test_the_root_readers_share_one_face_set_and_one_circuit_sweep(monkeypatch, 
 
 
 # the inputs of the wider rule's differential test, each with the (link, b)
-# pairs compared, those with a nonzero dimension and those where the
-# growth drops a component of W
+# pairs compared, those with a nonzero dimension and the components of the
+# graph on the circuits through b that the kill test drops
 WIDER = {
-    "census": (CENSUS, 1_363, 345, 1_452),
-    "random": (RANDOMS, 1_520, 105, 1_520),
+    "census": (CENSUS, 1_363, 345, 1_058),
+    "random": (RANDOMS, 1_520, 105, 1_418),
     "three-facets-9-and-10": ([three_facets(9), three_facets(10)], 34, 0, 34),
-    "U(8,4)-less-two-bases": ([uniform_less_two_bases()], 592, 0, 3_772),
+    "U(8,4)-less-two-bases": ([uniform_less_two_bases()], 592, 0, 592),
 }
 
 
@@ -256,11 +262,16 @@ def test_wider_rule_matches_the_face_engine_at_every_wider_face(monkeypatch, fam
     # `_wide_dim` reads the link off cx's faces as the walk does, and meets
     # the face engine over the link's own faces
     complexes_, want_pairs, want_nonzero, want_dropped = WIDER[family]
-    grown = []
-    real = cotangent._grows_unmarked
-    monkeypatch.setattr(
-        cotangent, "_grows_unmarked", lambda *args: grown.append(real(*args)) or grown[-1]
-    )
+    dropped = []
+    real = cotangent._unkilled_components
+
+    def unkilled_components(faces, nodes, killers):
+        # the components that the kill test drops
+        kept = real(faces, nodes, killers)
+        dropped.append(real(faces, nodes, []) - kept)
+        return kept
+
+    monkeypatch.setattr(cotangent, "_unkilled_components", unkilled_components)
     pairs = nonzero = 0
     for cx in complexes_:
         faces = cx.face_masks()
@@ -277,7 +288,51 @@ def test_wider_rule_matches_the_face_engine_at_every_wider_face(monkeypatch, fam
                     assert cotangent._wide_dim(faces, a, circuits, rank, b) == want, (cx, a, b)
                     pairs += 1
                     nonzero += want > 0
-    assert (pairs, nonzero, grown.count(False)) == (want_pairs, want_nonzero, want_dropped)
+    assert (pairs, nonzero, sum(dropped)) == (want_pairs, want_nonzero, want_dropped)
+
+
+class CountingFaces(frozenset):
+    """A face set that counts its membership lookups."""
+
+    lookups = 0
+
+    def __contains__(self, face):
+        CountingFaces.lookups += 1
+        return frozenset.__contains__(self, face)
+
+
+def test_the_wider_rule_makes_one_lookup_per_pair_of_nodes_and_per_killer(monkeypatch):
+    # on U(10, 5) less two bases, at each wider face b of each link that
+    # fails the singleton test, the components of G_b cost at most one
+    # lookup per pair of nodes, and the kill test one per node and killer
+    calls = []
+    real = cotangent._unkilled_components
+
+    def unkilled_components(faces, nodes, killers):
+        CountingFaces.lookups = 0
+        kept = real(CountingFaces(faces), nodes, killers)
+        calls.append((CountingFaces.lookups, len(nodes), len(killers)))
+        return kept
+
+    monkeypatch.setattr(cotangent, "_unkilled_components", unkilled_components)
+    t1_table(uniform_less_two_bases(10, 5))
+    for lookups, nodes, killers in calls:
+        assert lookups <= nodes * (nodes - 1) // 2 + nodes * killers
+    assert len(calls) == 2_093 and sum(lookups for lookups, _, _ in calls) == 85_557
+    assert max(nodes for _, nodes, _ in calls) > 1 and max(k for _, _, k in calls) > 0
+
+
+def test_the_wider_rule_is_quick_on_a_near_uniform_non_matroid():
+    # the table of U(11, 5) less two bases took 0.9-1.05 s while the rule grew
+    # the unmarked part W of N_b face by face, and 0.17 s by the kill test
+    best = min(_timed_table(uniform_less_two_bases(11, 5)) for _ in range(2))
+    assert best < 0.45
+
+
+def _timed_table(cx):
+    start = time.perf_counter()
+    t1_table(cx)
+    return time.perf_counter() - start
 
 
 def test_circuits_through_a_face_map_into_the_first_bound_count():
