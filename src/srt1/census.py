@@ -25,9 +25,9 @@ from .complexes import (
     MAX_CENSUS_GROUND,
     SimplicialComplex,
     _ndel,
+    _order_key,
     check_threads,
     maximal_masks,
-    sort_key,
     submasks,
     unpack,
 )
@@ -170,7 +170,7 @@ class _Shared:
         n = cx.n
         self.cx = cx
         self.tag = _tag(cx)
-        self.a_masks = sorted(cx.face_masks(), key=sort_key)
+        self.a_masks = sorted(cx.face_masks(), key=_order_key(n))
         self.links = [cx.link_mask(m) for m in range(1 << n)]
         self.restrictions = [cx.restrict(unpack(m)) for m in range(1 << n)]
         self.table = t1_table(cx)
@@ -350,7 +350,8 @@ def _check_degrees(rec: _Recorder, s: _Shared, matroid: bool) -> None:
     rec.add("ndel-star-shape", degrees, shape)
     rec.add("min-element-containment", 2 * degrees, minima)
     rec.add("ndelred-empty-equivalence", degrees, equiv)
-    bound.sort(key=lambda item: sort_key(item[0]))
+    key = _order_key(n)
+    bound.sort(key=lambda item: key(item[0]))
     rec.add("upper-bound", len(faces) - 1, [f for _, f in bound])
     rec.add("nonface-dimension", degrees + 1 - len(faces), nonface)
     if matroid:
@@ -392,7 +393,7 @@ def _check_matroid_parts(rec: _Recorder, s: _Shared) -> None:
     for a in a_masks:
         link = s.links[a]
         link_circuits = link._circuit_masks()
-        for b in filter(None, sorted(link.face_masks(), key=sort_key)):
+        for b in filter(None, sorted(link.face_masks(), key=_order_key(n))):
             if any(c & b and b & ~c for c in link_circuits):
                 continue
             checked += 1

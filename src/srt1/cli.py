@@ -16,7 +16,7 @@ import sys
 
 import srt1
 from .complexes import MAX_CENSUS_GROUND, MAX_GROUND, SimplicialComplex, check_threads, unpack
-from .complexes import _check_ground, _ground_size
+from .complexes import _check_ground, _ground_size, _order_key
 
 
 def parse_degree(text: str) -> srt1.MultiDegree:
@@ -149,9 +149,9 @@ def _cmd_rigidity(args) -> int:
         # a discrete matroid has one facet, any other matroid a nonzero degree
         sys.stdout.write("DISCRETE\n" if len(cx.facet_masks) == 1 else "RIGID\n")
         return 0
-    from .cotangent import _canonical, _least_row
+    from .cotangent import _least_row
 
-    a, b, dim = _least_row(table._groups, _canonical(table.n), 0)  # the only row decoded
+    a, b, dim = _least_row(table._groups, _order_key(table.n), 0)  # the only row decoded
     first = srt1.MultiDegree(unpack(a), unpack(b))
     sys.stdout.write(f"NONRIGID {format_degree(first)} dim={dim}\n")
     return 0

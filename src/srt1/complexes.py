@@ -13,6 +13,7 @@ and flagged by `is_void`; most operations reject it.
 
 from __future__ import annotations
 
+import functools
 import os
 from typing import Iterable, Iterator
 
@@ -64,12 +65,12 @@ def unpack(mask: int) -> tuple[int, ...]:
 _REVERSED_BITS = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
 # `_order_key` at one byte, for each mask below 256
 _BYTE_KEYS = tuple((m.bit_count() << 8) - _REVERSED_BITS[m] for m in range(256))
-# the order key and the decoder of masks of each byte width, made on first use
-_BY_WIDTH: dict[int, tuple] = {}
 
 
+@functools.cache
 def _width_rules(width: int) -> tuple:
-    """The order key and the decoder of masks of `width` bytes.
+    """The order key and the decoder of masks of `width` bytes, made on
+    first use; the cache holds one pair per byte width.
 
     At two bytes (9 to 16 vertices) each is two lookups in 256-entry tables,
     one per byte; at one byte the key is one lookup in `_BYTE_KEYS`; wider
@@ -93,35 +94,24 @@ def _width_rules(width: int) -> tuple:
     return key, unpack
 
 
-def _rules(n: int) -> tuple:
-    """`_width_rules` of the byte width of an n-vertex ground, memoised."""
-    width = -(-n // 8)
-    rules = _BY_WIDTH.get(width)
-    if rules is None:
-        rules = _BY_WIDTH[width] = _width_rules(width)
-    return rules
-
-
 def _order_key(n: int):
     """The canonical order key of masks on an n-vertex ground, by size and
-    then lexicographically; `sort_key`, for faces, is its case MAX_GROUND.
-    One object for every n of one byte width.
+    then lexicographically: the one order of every sorted view, table row
+    and census listing.  One object for every n of one byte width, which
+    memoises nothing per mask.
 
     Of two masks of one size, the one holding the lowest vertex where they
     differ comes first.  With the bits reversed over ceil(n / 8) bytes that
     vertex is the highest differing bit, so the key subtracts the reversed
     mask.
     """
-    return _rules(n)[0]
+    return _width_rules(-(-n // 8))[0]
 
 
 def _decoder(n: int):
     """`unpack` for masks on an n-vertex ground, by byte tables at 9 to 16
     vertices; one object for every n of one byte width."""
-    return _rules(n)[1]
-
-
-sort_key = _order_key(MAX_GROUND)
+    return _width_rules(-(-n // 8))[1]
 
 
 def submasks(mask: int) -> Iterator[int]:
@@ -192,11 +182,10 @@ def maximal_masks(masks: Iterable[int]) -> list[int]:
     canonically sorted.  It checks nothing: `SimplicialComplex` checks the
     masks that come from outside before they get here.
 
-    One sort, by `_order_key` of the masks' own width (the order of
-    `sort_key`), puts them largest first.  Two distinct masks of one size
-    never contain each other, so the masks of the largest size are kept
-    untested, and each smaller one is tested against the masks kept so far,
-    all of them larger.
+    One sort, by `_order_key` of the masks' own width, puts them largest
+    first.  Two distinct masks of one size never contain each other, so the
+    masks of the largest size are kept untested, and each smaller one is
+    tested against the masks kept so far, all of them larger.
     """
     family = set(masks)
     if len(family) <= 1:

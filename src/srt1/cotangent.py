@@ -332,33 +332,34 @@ def _wide_dim(link: dict | frozenset, a: int, circuits: list[int] | None, rank: 
     """The graph dimension at a degree b of two or more vertices of the link
     at a, in two or more facets, read as `_read_link` reads it: its adjacency
     at rank at most 2, else the face set in which S is a face of it when
-    S u a is one, and its circuits of two or more vertices, None allowed at
-    rank at most 2.  The one list of the rules at such degrees, shared by
+    S u a is one, and its circuits of two or more vertices, read only at
+    rank 3 or more.  The one list of the rules at such degrees, shared by
     `_walk` and `dim_t1`:
 
-    * an edge b of a graph link: `_graph_edge_dim`; a link of rank 1, U(d, 1)
-      with loops, is a graph with no edge, which only `dim_t1` reads here;
-    * a face b of a larger link: the wider rule of the module docstring,
-      0 with no circuit through b;
-    * a nonface b: 1 on an isolated circuit (`_isolated_circuits`), else 0;
-      only here are circuits None built, by `_graph_circuits`.
+    * an edge b of a graph link: `_graph_edge_dim`; any other b of a graph
+      link is a nonface, 1 on an isolated circuit (`_isolated_circuits` of
+      `_graph_circuits`), else 0.  A link of rank 1, U(d, 1) with loops, is
+      a graph with no edge, which only `dim_t1` reads here;
+    * any b of a larger link: the wider rule of the module docstring.
 
     The wider rule counts the components of G_b with no killed node by
     `_unkilled_components`, over the nodes g - b of the circuits g through
     b and the killers h - b of the circuits h that meet b without
-    containing it.  G_b has at most as many nodes as the first count c1 of
+    containing it.  At a face b it is 0 with no circuit through b.  At a
+    nonface b the only circuit that can hold b is b itself, so G_b is the
+    one node b when b is a circuit and empty otherwise, and any circuit
+    that meets b is a killer, as h - b is a face: the count is 1 exactly on
+    an isolated circuit, the rule at a nonface of a graph link.  G_b has at
+    most as many nodes as the first count c1 of
     `definition.t1_upper_bound`, as C |-> C - b maps them one to one into
     the sets it counts."""
     if rank <= 2:
         if b.bit_count() == 2 and b & link[b & -b]:
             return _graph_edge_dim(link, b)
-        if circuits is None:
-            circuits = _graph_circuits(link)
-    elif (b | a) in link:
-        nodes = [c ^ b | a for c in circuits if not b & ~c]
-        killers = [c & ~b for c in circuits if c & b and b & ~c]
-        return _unkilled_components(link, nodes, killers)
-    return int(b in _isolated_circuits(circuits))
+        return int(b in _isolated_circuits(_graph_circuits(link)))
+    nodes = [c ^ b | a for c in circuits if not b & ~c]
+    killers = [c & ~b for c in circuits if c & b and b & ~c]
+    return _unkilled_components(link, nodes, killers)
 
 
 def _walk(cx: SimplicialComplex) -> Iterator[tuple[int, int, list[int] | None, list | None]]:
@@ -383,7 +384,9 @@ def _walk(cx: SimplicialComplex) -> Iterator[tuple[int, int, list[int] | None, l
       edge of a link of dimension 1 and at each wider `_circuit_faces` of a
       larger link, any other face 0.  A larger link is read off cx's face
       set and its circuits at every degree, so the walk builds no face set
-      of a link.
+      of a link.  A failing graph link has no isolated circuit of two or
+      more vertices: an isolated non-edge makes it complete bipartite and
+      an isolated triangle makes it K3, and both pass the test.
 
     A face in exactly one facet F is skipped with every face above it,
     before any lookup: its link is the simplex on F \\ a
@@ -478,12 +481,6 @@ def _check_row(groups: dict[int, dict[int, int]], a: int, b: int, dim) -> None:
     raise ValueError(f"entry {MultiDegree(unpack(a), unpack(b))}: {fault}")
 
 
-def _canonical(n: int):
-    """The canonical order key of masks on n vertices, `complexes._order_key(n)`,
-    memoised per mask: rows sort by a, then by b, each in this order."""
-    return functools.lru_cache(maxsize=None)(_order_key(n))
-
-
 def _least_row(
     groups: dict[int, dict[int, int]], key, avoid: int
 ) -> tuple[int, int, int] | None:
@@ -516,7 +513,7 @@ class T1Table:
     no order: the dicts keep the order they were built in, and equality
     and the hash read the set of rows.  Only where a caller sees them are
     they sorted, by A, then by b, each by size and then lexicographically
-    (`_canonical`), and decoded into vertex tuples and MultiDegrees:
+    (`complexes._order_key`), and decoded into vertex tuples and MultiDegrees:
     `items`, `keys`, iteration, `repr`, `to_json_dict`, `to_tsv` and the
     error messages.  `T1Table(n, entries)` and `from_json_dict` check every
     entry; the tables the library builds itself go through `_of_groups`,
@@ -568,8 +565,11 @@ class T1Table:
 
     def _vertex_rows(self) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
         """The rows as (A, b, dim) with vertex tuples, sorted by A, then by b
-        within its group, each mask decoded once."""
-        key = _canonical(self.n)
+        within its group, each mask keyed and decoded once."""
+        # one b recurs in many groups, so the key is memoised here, where
+        # masks repeat: on a 2-vCPU host U(20, 3) `to_json_dict` took 4.0 ms
+        # without it and 2.8-2.9 ms with it
+        key = functools.lru_cache(maxsize=None)(_order_key(self.n))
         decoded = functools.lru_cache(maxsize=None)(unpack)
         out = []
         for a in sorted(self._groups, key=key):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, NamedTuple
 
-from .complexes import SimplicialComplex, _ndel, pack, sort_key, unpack
+from .complexes import SimplicialComplex, _ndel, _order_key, pack, unpack
 from .cotangent import _degree_masks
 
 
@@ -99,7 +99,7 @@ def _canonical_ndel(cx: SimplicialComplex, b: Iterable[int], op: str):
     if bm == 0:
         raise ValueError(f"{op} needs a nonempty b")
     faces = cx.face_masks()
-    return faces, bm, sorted(_ndel(faces, bm), key=sort_key)
+    return faces, bm, sorted(_ndel(faces, bm), key=_order_key(cx.n))
 
 
 def n_del(cx: SimplicialComplex, b: Iterable[int]) -> list[tuple[int, ...]]:
@@ -118,7 +118,7 @@ def circuits_containing(cx: SimplicialComplex, b: Iterable[int]) -> list[tuple[i
     cx._require_nonvoid("circuits_containing")
     bm = pack(b, cx.n)
     through = [c for c in cx._circuit_masks() if bm & ~c == 0]
-    return [unpack(c) for c in sorted(through, key=sort_key)]
+    return [unpack(c) for c in sorted(through, key=_order_key(cx.n))]
 
 
 class InclusionGraph(NamedTuple):
@@ -147,7 +147,7 @@ def inclusion_graph(cx: SimplicialComplex, A: Iterable[int], b: Iterable[int]) -
     if am & bm:
         raise ValueError("A and b must be disjoint")
     link_faces = cx.link_mask(am).face_masks()
-    nvert = sorted(_ndel(link_faces, bm), key=sort_key)
+    nvert = sorted(_ndel(link_faces, bm), key=_order_key(cx.n))
     marks = _marks(link_faces, nvert, bm)
     comp = _component_ids(nvert)
     edges = [

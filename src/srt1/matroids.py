@@ -134,30 +134,32 @@ def is_matroid_unique_min(cx: SimplicialComplex) -> bool:
     Ranges over every vertex v and every member of N_v(cx), the faces F
     avoiding v with F u {v} not a face: each must contain exactly one
     inclusion-minimal member of N_v(cx).  N_v is an up-set among the faces
-    that avoid v, so a member F is minimal exactly when no one-vertex
-    deletion F - u is a member, that is when (F - u) u {v} is a face for
-    every u in F.
+    that avoid v, so a one-vertex deletion F - u of a member is a member
+    exactly when (F - u) u {v} is not a face.  One pass over the members
+    by size gives each member F its one minimal member: F itself when no
+    deletion of it is a member, else the one that its member deletions
+    carry, and two deletions that carry different ones fail the test.  A
+    minimal member M inside F other than F lies in some deletion F - u, a
+    member as N_v is an up-set, so M is the one F - u carries: F holds no
+    other minimal member.
     """
     cx._require_nonvoid("matroid test")
     faces = cx.face_masks()
     for v in range(cx.n):
         bit = 1 << v
-        nv = _ndel(faces, bit)
-        minimal = []
-        for f in nv:
+        least: dict[int, int] = {}  # each member of N_v -> the one minimal member inside it
+        for f in sorted(_ndel(faces, bit), key=int.bit_count):
+            m = f  # f itself until a member deletion carries one
             rest = f
             while rest:
                 u = rest & -rest
-                if ((f ^ u) | bit) not in faces:
-                    break
                 rest ^= u
-            else:
-                minimal.append(f)
-        for f in nv:
-            # the minimal members inside f are those with no vertex outside f
-            outside = ~f
-            if [m & outside for m in minimal].count(0) != 1:
-                return False
+                g = least.get(f ^ u, m)  # f ^ u is a member exactly when it is already keyed
+                if g != m:
+                    if m != f:
+                        return False
+                    m = g
+            least[f] = m
     return True
 
 

@@ -45,8 +45,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .complexes import SimplicialComplex, _faces_of, _link_facets, _minimal_nonfaces, unpack
-from .cotangent import MultiDegree, _canonical, _circuit_faces, _class_rows, _read_link, _walk
+from .complexes import SimplicialComplex, _faces_of, _link_facets, _minimal_nonfaces
+from .complexes import _order_key, unpack
+from .cotangent import MultiDegree, _circuit_faces, _class_rows, _read_link, _walk
 
 
 class Discrepancy(NamedTuple):
@@ -79,7 +80,7 @@ def _discrepancies(
     n: int, rows: list[tuple[tuple[int, int], int, int]]
 ) -> list[Discrepancy]:
     """Rows ((a, b), graph, formula) as discrepancies, in canonical degree order."""
-    key = _canonical(n)
+    key = _order_key(n)
     rows = sorted(rows, key=lambda row: (key(row[0][0]), key(row[0][1])))
     return [
         Discrepancy(MultiDegree(unpack(a), unpack(b)), graph_dim, formula_dim)

@@ -33,8 +33,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .complexes import MAX_GROUND, SimplicialComplex, _check_ground, pack, unpack
-from .cotangent import T1Table, _canonical, _least_row, _matroid_table, _uniform_rows
+from .complexes import MAX_GROUND, SimplicialComplex, _check_ground, _order_key, pack, unpack
+from .cotangent import T1Table, _least_row, _matroid_table, _uniform_rows
 
 
 class DiscreteAmbiguousError(ValueError):
@@ -75,7 +75,7 @@ def _roles(t: T1Table) -> tuple[int, int]:
         if ordinary & bit:
             continue
         if key is None:
-            key = _canonical(t.n)
+            key = _order_key(t.n)
             least = _least_row(groups, key, 0)
         first = _least_row(groups, key, bit) if (least[0] | least[1]) & bit else least
         if first is None:
@@ -181,7 +181,7 @@ def reconstruct(t: T1Table) -> SimplicialComplex:
     top = max(a.bit_count() for a in groups)
     bases: set[int] = set()
     # in canonical order of A, so that a bad table reports its first bad group
-    for a in sorted((a for a in groups if a.bit_count() == top), key=_canonical(t.n)):
+    for a in sorted((a for a in groups if a.bit_count() == top), key=_order_key(t.n)):
         members = _rank_one_members(groups[a], ordinary & ~a)
         while members:
             low = members & -members

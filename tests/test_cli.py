@@ -153,7 +153,9 @@ def test_subcommands_on_eight_vertices_build_no_two_byte_table(tmp_path):
         "from srt1 import cli, complexes\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    cli.main(argv)\n"
-        "print(*sorted(complexes._BY_WIDTH), file=sys.stderr)\n"
+        "made = complexes._width_rules.cache_info().currsize\n"
+        "complexes._width_rules(1)\n"
+        "print(made, complexes._width_rules.cache_info().currsize, file=sys.stderr)\n"
     )
     err = subprocess.run(
         [sys.executable, "-S", "-c", code, json.dumps(runs)],
@@ -163,8 +165,9 @@ def test_subcommands_on_eight_vertices_build_no_two_byte_table(tmp_path):
         timeout=60,
         check=True,
     ).stderr
-    # width 1 for the complexes, width 8 for `sort_key`, made on import
-    assert err.split() == ["1", "8"]
+    # one pair of rules is made, width 1's, for the complexes: asking for
+    # width 1 afterwards makes no second one
+    assert err.split() == ["1", "1"]
 
 
 # -- parse_degree ---------------------------------------------------------------

@@ -20,7 +20,6 @@ from srt1.complexes import (
     boundary_simplex,
     maximal_masks,
     pack,
-    sort_key,
     submasks,
     unpack,
 )
@@ -51,7 +50,7 @@ def test_pack_validates():
 
 def test_sort_key_orders_by_size_then_lex():
     masks = [0b111, 0b1, 0b110, 0b10, 0b11]
-    assert [unpack(m) for m in sorted(masks, key=sort_key)] == [
+    assert [unpack(m) for m in sorted(masks, key=_order_key(MAX_GROUND))] == [
         (1,),
         (2,),
         (1, 2),
@@ -59,7 +58,7 @@ def test_sort_key_orders_by_size_then_lex():
         (1, 2, 3),
     ]
     # one order key for every ground size, a table's beyond MAX_GROUND too;
-    # sort_key is its MAX_GROUND case, whose values are the reversed bit string
+    # at MAX_GROUND its values are the reversed bit string
     rng = random.Random(7)
     for n in (1, 7, 8, 9, 64, 65, 70):
         key = _order_key(n)
@@ -71,7 +70,7 @@ def test_sort_key_orders_by_size_then_lex():
         if n == MAX_GROUND:
             for m in masks:
                 reversed_mask = int(f"{m:0{n}b}"[::-1], 2)
-                assert sort_key(m) == key(m) == (m.bit_count() << n) - reversed_mask
+                assert key(m) == (m.bit_count() << n) - reversed_mask
 
 
 
@@ -116,7 +115,7 @@ def test_maximal_masks():
 def _naive_maximal(masks, n):
     """The inclusion-maximal members, by comparing every pair of sets."""
     sets = {frozenset(unpack(m)) for m in masks}
-    return sorted((pack(s, n) for s in sets if not any(s < t for t in sets)), key=sort_key)
+    return sorted((pack(s, n) for s in sets if not any(s < t for t in sets)), key=_order_key(n))
 
 
 def _random_families(seed):
@@ -145,23 +144,24 @@ def test_maximal_masks_against_naive_filter():
         assert maximal_masks(reversed(family)) == maximal_masks(family)
     # the largest one-size family is the 924 bases of U(12,6): all kept
     bases = [pack(c, 12) for c in itertools.combinations(range(1, 13), 6)]
-    assert maximal_masks(bases) == sorted(bases, key=sort_key)
+    assert maximal_masks(bases) == sorted(bases, key=_order_key(12))
 
 
 def test_minimal_nonface_masks_against_oracle():
     for cx in (cx for n in range(1, 6) for cx in representatives(n)):
-        got = [unpack(m) for m in sorted(_minimal_nonfaces(cx.face_masks(), cx.n), key=sort_key)]
+        circuits = _minimal_nonfaces(cx.face_masks(), cx.n)
+        got = [unpack(m) for m in sorted(circuits, key=_order_key(cx.n))]
         want = naive_minimal_nonfaces(faces_of(cx), range(1, cx.n + 1))
         assert got == sorted((tuple(sorted(s)) for s in want), key=lambda t: (len(t), t)), cx
 
 
 def test_minimal_nonface_masks_void_family():
-    assert sorted(_minimal_nonfaces(frozenset(), 3), key=sort_key) == [0]
-    assert sorted(_minimal_nonfaces(frozenset(), 0), key=sort_key) == [0]
+    assert sorted(_minimal_nonfaces(frozenset(), 3), key=_order_key(3)) == [0]
+    assert sorted(_minimal_nonfaces(frozenset(), 0), key=_order_key(0)) == [0]
 
 
 def test_minimal_nonface_masks_empty_set_only():
-    assert sorted(_minimal_nonfaces(frozenset({0}), 3), key=sort_key) == [0b001, 0b010, 0b100]
+    assert sorted(_minimal_nonfaces(frozenset({0}), 3), key=_order_key(3)) == [0b001, 0b010, 0b100]
 
 
 def test_minimal_nonface_masks_link_misses_vertices():
@@ -170,7 +170,7 @@ def test_minimal_nonface_masks_link_misses_vertices():
     cx = SimplicialComplex.from_facets(5, [[1, 2, 3], [1, 4]])
     link = cx.link([1])
     assert link.vertices() == (2, 3, 4)
-    got = [unpack(m) for m in sorted(_minimal_nonfaces(link.face_masks(), 5), key=sort_key)]
+    got = [unpack(m) for m in sorted(_minimal_nonfaces(link.face_masks(), 5), key=_order_key(5))]
     assert got == [(1,), (5,), (2, 4), (3, 4)]
 
 
@@ -315,10 +315,10 @@ def test_the_fast_build_is_the_old_build():
     # lookup), and seeded masks at every width up to 64
     for n in range(11):
         masks = list(range(1 << n))
-        assert sorted(masks, key=_order_key(n)) == sorted(masks, key=sort_key), n
+        assert sorted(masks, key=_order_key(n)) == sorted(masks, key=_order_key(MAX_GROUND)), n
     for n in range(1, MAX_GROUND + 1):
         masks = [rng.getrandbits(n) for _ in range(60)] + [0, (1 << n) - 1]
-        assert sorted(masks, key=_order_key(n)) == sorted(masks, key=sort_key), n
+        assert sorted(masks, key=_order_key(n)) == sorted(masks, key=_order_key(MAX_GROUND)), n
     # the inline face walk: the void complex still has no faces
     for n in (0, 1, 5, MAX_GROUND):
         assert SimplicialComplex.void(n).face_masks() == frozenset()

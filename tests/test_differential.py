@@ -10,7 +10,7 @@ up to 5 vertices, every U(n, k) with n <= 7, and paths, cycles and stars on
 
 import pytest
 
-from srt1.complexes import SimplicialComplex, _minimal_nonfaces, sort_key
+from srt1.complexes import SimplicialComplex, _minimal_nonfaces, _order_key
 from srt1.cotangent import t1_table
 from srt1.definition import inclusion_graph
 from srt1.matroids import uniform
@@ -105,12 +105,12 @@ def test_t1_table_matches_subset_scan(cx):
 
 @pytest.mark.parametrize("cx", SCAN_COMPLEXES, ids=repr)
 def test_minimal_nonfaces_match_sweep(cx):
-    faces = cx.face_masks()
-    assert cx.minimal_nonface_masks() == sorted(sweep_minimal_nonfaces(faces, cx.n), key=sort_key)
+    faces, key = cx.face_masks(), _order_key(cx.n)
+    assert cx.minimal_nonface_masks() == sorted(sweep_minimal_nonfaces(faces, cx.n), key=key)
     for a in faces:
         link = frozenset(f ^ a for f in faces if f & a == a)
-        want = sorted(sweep_minimal_nonfaces(link, cx.n), key=sort_key)
-        assert sorted(_minimal_nonfaces(link, cx.n), key=sort_key) == want, a
+        want = sorted(sweep_minimal_nonfaces(link, cx.n), key=key)
+        assert sorted(_minimal_nonfaces(link, cx.n), key=key) == want, a
 
 
 @pytest.mark.parametrize("cx", SCAN_COMPLEXES, ids=repr)

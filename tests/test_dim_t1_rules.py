@@ -135,8 +135,11 @@ def record_wide_calls(monkeypatch):
 def test_walk_and_dim_t1_decide_wide_degrees_by_one_rule(monkeypatch):
     # at each degree of two or more vertices in the dims of a link that
     # fails the singleton test, dim_t1 meets the walk and both decide it
-    # through `_wide_dim`; the walk lists its isolated circuits itself,
-    # by `_isolated_circuits`, the rule `_wide_dim` applies at a nonface
+    # through `_wide_dim`; the walk lists its isolated circuits itself, by
+    # `_isolated_circuits`, the rule `_wide_dim` applies at a nonface of a
+    # graph link.  A failing graph link has no isolated circuit, so that
+    # rule is reached at the isolated circuits of two passing graph links:
+    # the triangle of K3 and the non-edge {1, 2} of K(2, 3)
     calls = record_wide_calls(monkeypatch)
     reached, checked = set(), 0
     for cx in CENSUS + RANDOMS:
@@ -161,6 +164,13 @@ def test_walk_and_dim_t1_decide_wide_degrees_by_one_rule(monkeypatch):
                 checked += 1
             for _, rules in walk_calls:
                 reached |= rules
+    k3 = SimplicialComplex.from_facets(3, [[1, 2], [1, 3], [2, 3]])
+    k23 = SimplicialComplex.from_facets(5, [[u, w] for u in (1, 2) for w in (3, 4, 5)])
+    for cx, b in ((k3, 0b111), (k23, 0b11)):
+        del calls[:]
+        assert dim_t1(cx, ((), unpack(b))) == definition(cx, 0, b) == 1, cx
+        assert [c for c, _ in calls] == [b], cx
+        reached |= calls[0][1]
     assert checked == 3_030 and reached == set(WIDE_RULES)
 
 

@@ -560,14 +560,14 @@ def test_table_and_reconstruct_sort_only_the_rank_one_groups(monkeypatch):
     # and reading one from JSON sort nothing, and `reconstruct` orders only
     # the A of its rank-one groups, so that its first error is the table's
     calls = []
-    real = cotangent._canonical
+    real = cotangent._order_key
 
     def counting(n):
         key = real(n)
         return lambda m: calls.append(m) or key(m)
 
-    monkeypatch.setattr(cotangent, "_canonical", counting)
-    monkeypatch.setattr(reconstruction, "_canonical", counting)
+    monkeypatch.setattr(cotangent, "_order_key", counting)
+    monkeypatch.setattr(reconstruction, "_order_key", counting)
     m = uniform(8, 4)
     t = t1_table(m)
     assert calls == []

@@ -1,10 +1,11 @@
 """Pins the public surface: the package's exported names, the CLI's options
-and the census calls the benchmark harness makes.  Pins five internal
+and the census calls the benchmark harness makes.  Pins six internal
 boundaries too: only `cotangent` reads a link for the singleton test,
 `cotangent` runs no circuit sweep of its own, the graph circuit rule lives
 in `complexes` alone, `dim_t1` decides a degree of two or more vertices
-through `cotangent._wide_dim` alone, and the definition lives in
-`definition`, apart from the engine.
+through `cotangent._wide_dim` alone, the canonical mask order is
+`complexes._order_key` alone, and the definition lives in `definition`,
+apart from the engine.
 
 A refactor that drops or renames any of them fails here first.
 """
@@ -14,7 +15,8 @@ import argparse
 import pytest
 
 import srt1
-from srt1 import census, cli, complexes, cotangent, definition, recognition, reconstruction
+from srt1 import census, cli, complexes, cotangent, definition, matroids, recognition
+from srt1 import reconstruction
 from srt1.cli import build_parser
 
 EXPORTS = [
@@ -128,6 +130,17 @@ def test_one_graph_rule_lives_in_complexes():
     for name in ("_adjacency", "_graph_circuits"):
         assert getattr(cotangent, name) is getattr(complexes, name)
         assert getattr(cotangent, name).__module__ == "srt1.complexes"
+
+
+@pytest.mark.parametrize(
+    "module", [complexes, cotangent, definition, matroids, recognition, reconstruction, census, cli]
+)
+def test_one_owner_of_the_mask_order(module):
+    # every sorted view, table row and census listing sorts by
+    # `complexes._order_key(n)`: no module binds a key or a memo of its own
+    gone = {"sort_key", "_canonical", "_BY_WIDTH", "_rules"}
+    assert gone & set(vars(module)) == set(), module.__name__
+    assert vars(module).get("_order_key", complexes._order_key) is complexes._order_key
 
 
 def test_dim_t1_names_no_wide_rule_of_its_own():

@@ -139,13 +139,13 @@ def test_classify_sorts_the_rows_at_most_once(monkeypatch):
     # U(4, 2) with three loops (5, 6, 7) and three coloops (8, 9, 10): each of the
     # six is probed against the first row avoiding it, in one canonical order
     keys = []
-    real = reconstruction._canonical
+    real = reconstruction._order_key
 
     def counting(n):
         keys.append(n)
         return real(n)
 
-    monkeypatch.setattr(reconstruction, "_canonical", counting)
+    monkeypatch.setattr(reconstruction, "_order_key", counting)
     m = uniform(4, 2) * uniform(3, 0) * uniform(3, 3)
     roles = classify_loops_coloops(t1_table(m))
     assert [roles[v] for v in range(1, 11)] == ["ordinary"] * 4 + ["loop"] * 3 + ["coloop"] * 3
