@@ -11,8 +11,10 @@ deletion of b is the restriction to the complement of b), the rank of every
 vertex set, dim T1 of each link at each degree (emptyset, b) and, in one
 pass over the degrees b, N_b and N~_b.  An invariant that relates two of
 them compares what each caches, so no complex is built per pair or degree.
-`link-reduction` and `main-theorem-iff` read the face engine of `definition`
-over each link's faces, which no rule of `t1_table` or `dim_t1` runs.
+`link-reduction` counts T1 by the face engine of `definition` over each
+link's faces, which no rule of `t1_table` or `dim_t1` runs, once per degree
+(A, b), and holds each count to the circuit formula over the link's circuits
+as it goes: `main-theorem-iff` is read in that pass, from those counts.
 It returns the reports and whether the complex is a matroid; `run_census`
 keeps the matroids for the cross-complex checks.
 """
@@ -32,14 +34,15 @@ from .complexes import (
     unpack,
 )
 from .cotangent import T1Table, t1_table
-from .definition import _bijection_sets, _dim_on_faces, _marks, dim_t1_nonface, t1_upper_bound
+from .definition import _bijection_sets, _dim_on_faces, _formula_on_link, _marks
+from .definition import dim_t1_nonface, t1_upper_bound
 from .matroids import (
     is_matroid_circuit_elimination,
     is_matroid_exchange,
     is_matroid_unique_min,
     uniform,
 )
-from .recognition import _all_discrepancies, is_matroid_via_t1
+from .recognition import _discrepancies, is_matroid_via_t1
 from .reconstruction import classify_loops_coloops, reconstruct, slice_link_table
 
 
@@ -229,11 +232,15 @@ def check_complex(cx: SimplicialComplex) -> tuple[dict[str, CensusReport], bool]
         [] if ex == ce == um else [f"{tag}: exchange={ex} circuits={ce} unique-min={um}"],
     )
 
-    # T1 of the complex, from t1_table, equals T1 of its link, by definition, in the shifted degree
-    fails = []
+    # T1 of the complex, from t1_table, equals T1 of its link, by definition,
+    # in the shifted degree; each count by the definition is also held to the
+    # circuit formula over the link's circuits, and the rows where the two
+    # differ are the discrepancies that the main theorem reads below
+    fails, rows = [], []
     checked = 0
     for a in s.a_masks:
-        link_faces, verts = s.links[a].face_masks(), s.links[a].vertex_mask
+        link = s.links[a]
+        link_faces, verts, circuits = link.face_masks(), link.vertex_mask, link._circuit_masks()
         group = s.table._groups.get(a, {})
         for sub in filter(None, submasks(full & ~a)):
             checked += 1
@@ -241,13 +248,17 @@ def check_complex(cx: SimplicialComplex) -> tuple[dict[str, CensusReport], bool]
             rhs = s.dims[a, sub] = 0 if sub & ~verts else _dim_on_faces(link_faces, sub)
             if lhs != rhs:
                 fails.append(f"{tag}: degree ({unpack(a)},{unpack(sub)}) {lhs} != {rhs}")
+            formula = _formula_on_link(circuits, sub)
+            if rhs != formula:
+                rows.append(((a, sub), rhs, formula))
     rec.add("link-reduction", checked, fails)
 
     _check_degrees(rec, s, ex)
 
-    # main theorem, both directions, plus the singleton corollary; the full
+    # main theorem, both directions, plus the singleton corollary, read off
+    # the counts of `link-reduction` at every degree (A, b): the full
     # comparison, since formula_discrepancies assumes the theorem on matroid links
-    disc = _all_discrepancies(cx)
+    disc = _discrepancies(n, rows)
     rec.add(
         "main-theorem-iff",
         1,

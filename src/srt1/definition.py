@@ -10,8 +10,8 @@ tests N~_b, and every component with a marked member is dropped.
 `dim_t1_nonface` states the isolated-circuit rule itself.  No engine path
 runs any of it, as `cotangent` never imports this module, and it shares no
 rule with the engine: of `cotangent` it binds only the degree validator
-`_degree_masks`.  It is the independent count that the census,
-`recognition._all_discrepancies` and the tests hold the engine's rules to,
+`_degree_masks`.  It is the independent count that the census and the tests,
+their `definition_discrepancies` among them, hold the engine's rules to,
 with the public views built on it.
 """
 

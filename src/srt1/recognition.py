@@ -13,8 +13,7 @@ matroid there is no discrepancy, and the recognition corollary applied to L
 decides that from L's singleton degrees.  Matroids are closed under
 contraction, and link(D, A u {v}) is the contraction of link(D, A) at v, so
 the walk goes no higher than a matroid link.  At any other link the walk's
-dims, none of them read off N_b, meet the formula of `cotangent._class_rows`;
-`_all_discrepancies` compares the face engine of `definition` with it.
+dims, none of them read off N_b, meet the formula of `cotangent._class_rows`.
 
 The singleton test is the walk's: `is_matroid_via_t1` reads cx as the link
 at the empty face through `cotangent._read_link`, as the walk and `dim_t1`
@@ -45,9 +44,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .complexes import SimplicialComplex, _faces_of, _link_facets, _minimal_nonfaces
-from .complexes import _order_key, unpack
-from .cotangent import MultiDegree, _circuit_faces, _class_rows, _read_link, _walk
+from .complexes import SimplicialComplex, _order_key, unpack
+from .cotangent import MultiDegree, _class_rows, _read_link, _walk
 
 
 class Discrepancy(NamedTuple):
@@ -108,22 +106,3 @@ def formula_discrepancies(cx: SimplicialComplex) -> list[Discrepancy]:
                     out.append(((a, b), graph.get(b, 0), formula.get(b, 0)))
     return _discrepancies(cx.n, out)
 
-
-def _all_discrepancies(cx: SimplicialComplex) -> list[Discrepancy]:
-    """`formula_discrepancies` without the walk: at every face a of cx, the
-    face engine of `definition` against `_formula_on_link` at each face b of
-    its link in a circuit (0 on both sides at any other), each link built from
-    its facets.  On a matroid it checks the main theorem the walk assumes."""
-    from .definition import _dim_on_faces, _formula_on_link
-
-    cx._require_nonvoid("formula_discrepancies")
-    out = []
-    for a in cx.face_masks():
-        link_faces = _faces_of(_link_facets(cx.facet_masks, a))
-        link_circuits = _minimal_nonfaces(link_faces, cx.n)
-        for b in _circuit_faces(link_circuits):
-            graph_dim = _dim_on_faces(link_faces, b)
-            formula_dim = _formula_on_link(link_circuits, b)
-            if graph_dim != formula_dim:
-                out.append(((a, b), graph_dim, formula_dim))
-    return _discrepancies(cx.n, out)

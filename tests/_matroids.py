@@ -18,14 +18,16 @@ from srt1.complexes import SimplicialComplex
 def sparse_paving(n, r, seed):
     """The facets of a sparse paving matroid of rank r on [n] and its
     circuit-hyperplanes: seeded random r-sets, each kept when it meets every
-    one kept before in at most r - 2 elements."""
+    one kept before in at most r - 2 elements, tested on bitmasks."""
     rng = random.Random(f"sparse-paving:{n}:{r}:{seed}")
     subsets = list(itertools.combinations(range(1, n + 1), r))
     rng.shuffle(subsets)
-    hyperplanes = []
+    hyperplanes, masks = [], []
     for s in subsets:
-        if all(len(set(s) & set(h)) <= r - 2 for h in hyperplanes):
+        m = sum(1 << (v - 1) for v in s)
+        if all((m & h).bit_count() <= r - 2 for h in masks):
             hyperplanes.append(s)
+            masks.append(m)
     kept = set(hyperplanes)
     return [s for s in itertools.combinations(range(1, n + 1), r) if s not in kept], hyperplanes
 

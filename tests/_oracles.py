@@ -2,9 +2,11 @@
 
 The `naive_*` helpers run on frozensets with explicit enumeration and the
 full quantifiers from the definitions, no bitmask tricks and no pruning.  The
-last section keeps the package's former exhaustive engine, on bitmasks, as a
+next section keeps the package's former exhaustive engine, on bitmasks, as a
 differential oracle for the engine that skips provably zero work.  Slow on
-purpose; only ever applied to small or sparse inputs.
+purpose; only ever applied to small or sparse inputs.  The last,
+`definition_discrepancies`, holds the package's own face engine to its
+circuit formula at every degree, with no walk.
 """
 
 from __future__ import annotations
@@ -238,3 +240,32 @@ def subset_scan_discrepancies(cx) -> list:
             if graph != formula:
                 out.append(((_verts(a), _verts(b)), graph, formula))
     return sorted(out, key=lambda d: _degree_key(d[0]))
+
+
+# ---------------------------------------------------------------------------
+# the definition against the circuit formula, at every degree
+
+
+def definition_discrepancies(cx) -> list:
+    """`formula_discrepancies` without the walk: at every face a of cx, the
+    face engine of `definition` against `_formula_on_link` at each face b of
+    its link in a circuit (0 on both sides at any other), each link built from
+    its facets.  On a matroid it checks the main theorem the walk assumes.
+    Both are read through `definition` at each call, so a patch of either
+    reaches them."""
+    from srt1 import definition
+    from srt1.complexes import _faces_of, _link_facets, _minimal_nonfaces
+    from srt1.cotangent import _circuit_faces
+    from srt1.recognition import _discrepancies
+
+    cx._require_nonvoid("formula_discrepancies")
+    out = []
+    for a in cx.face_masks():
+        link_faces = _faces_of(_link_facets(cx.facet_masks, a))
+        link_circuits = _minimal_nonfaces(link_faces, cx.n)
+        for b in _circuit_faces(link_circuits):
+            graph_dim = definition._dim_on_faces(link_faces, b)
+            formula_dim = definition._formula_on_link(link_circuits, b)
+            if graph_dim != formula_dim:
+                out.append(((a, b), graph_dim, formula_dim))
+    return _discrepancies(cx.n, out)

@@ -24,10 +24,10 @@ from srt1.matroids import (
     is_matroid_unique_min,
     uniform,
 )
-from srt1.recognition import _all_discrepancies, is_matroid_via_t1
+from srt1.recognition import is_matroid_via_t1
 from srt1.reconstruction import DiscreteAmbiguousError, reconstruct
 
-from _oracles import powerset
+from _oracles import definition_discrepancies, powerset
 
 REMARK = SimplicialComplex.from_minimal_nonfaces(
     5, [[1, 2], [1, 3], [2, 3, 4], [2, 3, 5], [1, 4, 5]]
@@ -136,7 +136,7 @@ def test_acceptance_2_main_theorem_iff(reps5):
             assert len(set(matroid_votes)) == 1, cx.facets
             # the full comparison: formula_discrepancies assumes the theorem
             # on every link that passes the singleton test
-            formula_holds = _all_discrepancies(cx) == []
+            formula_holds = definition_discrepancies(cx) == []
             assert formula_holds == matroid_votes[0], cx.facets
             checked += 1
     elapsed = time.perf_counter() - started

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from srt1 import census, complexes, cotangent, definition, matroids, recognition
+from srt1 import census, complexes, cotangent, definition, matroids
 from srt1.census import (
     BATTERY_ORDER,
     MAX_CENSUS_GROUND,
@@ -269,8 +269,7 @@ def _circuits_drop_the_last(monkeypatch):
     def wrong(face_set, n):
         return minimal_nonfaces(face_set, n)[:-1]
 
-    for module in (complexes, recognition):
-        monkeypatch.setattr(module, "_minimal_nonfaces", wrong)
+    monkeypatch.setattr(complexes, "_minimal_nonfaces", wrong)
 
 
 def _rank_of_the_ground_too_low(monkeypatch):
@@ -598,6 +597,28 @@ def test_check_complex_builds_no_complex_per_pair(monkeypatch):
     assert 0 < len(built) < 2 * 3**5
     assert data["link-reduction"].checked == 206 == len(counts) + 10 * 3
     assert len(set(counts)) == len(counts) == 176
+
+
+def test_check_complex_counts_the_definition_once_per_degree(monkeypatch):
+    # `link-reduction` counts T1 by the definition at each face a and each
+    # nonempty b inside the vertices of link(a), and `main-theorem-iff` reads
+    # those counts: no other part of the battery reaches the face engine, by
+    # the census's binding or by the module's
+    calls = []
+    dim_on_faces = definition._dim_on_faces
+
+    def counting_dim(faces, b):
+        calls.append(b)
+        return dim_on_faces(faces, b)
+
+    monkeypatch.setattr(definition, "_dim_on_faces", counting_dim)
+    monkeypatch.setattr(census, "_dim_on_faces", counting_dim)
+    for n in range(1, 5):
+        for cx in cached_representatives(n):
+            calls.clear()
+            check_complex(cx)
+            links = [cx.link_mask(a) for a in cx.face_masks()]
+            assert len(calls) == sum((1 << link.vertex_mask.bit_count()) - 1 for link in links), cx
 
 
 def test_run_census_small_green():

@@ -23,8 +23,10 @@ from srt1.complexes import SimplicialComplex
 from srt1.cotangent import t1_table
 from srt1.definition import dim_t1_matroid_formula
 from srt1.matroids import is_matroid_exchange, uniform
-from srt1.recognition import _all_discrepancies, formula_discrepancies
+from srt1.recognition import formula_discrepancies
 from srt1.reconstruction import reconstruct
+
+from _oracles import definition_discrepancies
 
 BOUND_S = 10.0
 
@@ -76,7 +78,7 @@ def test_near_uniform_matches_full_comparison(drops, matroid):
     cx = minus_bases(drops)
     assert is_matroid_exchange(cx) == matroid
     found = formula_discrepancies(cx)
-    assert found == _all_discrepancies(minus_bases(drops))
+    assert found == definition_discrepancies(minus_bases(drops))
     assert (found == []) == matroid
 
 
@@ -84,6 +86,6 @@ def test_census_matches_full_comparison(reps5):
     checked = 0
     for reps in reps5.values():
         for cx in reps:
-            assert formula_discrepancies(cx) == _all_discrepancies(cx), cx.facets
+            assert formula_discrepancies(cx) == definition_discrepancies(cx), cx.facets
             checked += 1
     assert checked == 253

@@ -64,11 +64,12 @@ from srt1.cotangent import (
     t1_table,
 )
 from srt1.matroids import is_matroid_exchange, uniform
-from srt1.recognition import _all_discrepancies, formula_discrepancies, is_matroid_via_t1
+from srt1.recognition import formula_discrepancies, is_matroid_via_t1
 from srt1.reconstruction import reconstruct
 
 from _census_reps import representatives
 from _matroids import sparse_paving_matroid
+from _oracles import definition_discrepancies
 from test_large_matroids import minus_bases
 
 SEEDS = range(6)
@@ -796,10 +797,10 @@ def test_full_comparison_checks_what_the_shortcut_assumes(monkeypatch):
         definition, "_dim_on_faces", lambda faces, b: real_dim(faces, b) + (b.bit_count() > 1)
     )
     assert formula_discrepancies(uniform(4, 2)) == []
-    assert _all_discrepancies(uniform(4, 2))
+    assert definition_discrepancies(uniform(4, 2))
     added = [d for d in formula_discrepancies(REMARK) if d not in before]
     assert added and all(len(d.degree.b) > 1 for d in added)
-    assert added == [d for d in _all_discrepancies(REMARK) if d not in before]
+    assert added == [d for d in definition_discrepancies(REMARK) if d not in before]
 
 
 # -- uniform links and flats ----------------------------------------------------

@@ -5,12 +5,14 @@ boundaries too: only `cotangent` reads a link for the singleton test,
 in `complexes` alone, `dim_t1` decides a degree of two or more vertices
 through `cotangent._wide_dim` alone, the canonical mask order is
 `complexes._order_key` alone, and the definition lives in `definition`,
-apart from the engine.
+apart from the engine and from `recognition`.
 
 A refactor that drops or renames any of them fails here first.
 """
 
 import argparse
+import importlib
+import pkgutil
 
 import pytest
 
@@ -188,3 +190,21 @@ def test_the_definition_binds_only_the_degree_validator_from_the_engine():
         if cotangent.__name__ in (getattr(obj, "__name__", None), getattr(obj, "__module__", None))
     }
     assert bound == {"_degree_masks"}
+
+
+def test_recognition_holds_no_reference_count():
+    # `recognition` decides through the engine's walk alone: it binds no part
+    # of the face engine nor the face and circuit helpers a count by the
+    # definition needs.  The census reads the main theorem off the counts of
+    # `link-reduction`, and the full comparison lives in the tests
+    # (`_oracles.definition_discrepancies`), so no module, the census
+    # among them, defines or binds it
+    reference = {
+        "_dim_on_faces", "_formula_on_link", "_faces_of", "_minimal_nonfaces", "_link_facets",
+        "_circuit_faces",
+    }
+    assert reference & set(vars(recognition)) == set()
+    for info in pkgutil.iter_modules(srt1.__path__):
+        if info.name != "__main__":  # importing it runs the CLI
+            module = importlib.import_module(f"srt1.{info.name}")
+            assert "_all_discrepancies" not in vars(module), info.name

@@ -27,10 +27,11 @@ from srt1.matroids import (
     is_matroid_exchange,
     is_matroid_unique_min,
 )
-from srt1.recognition import _all_discrepancies, formula_discrepancies, is_matroid_via_t1
+from srt1.recognition import formula_discrepancies, is_matroid_via_t1
 from srt1.reconstruction import reconstruct
 
 from _matroids import less_two_bases, sparse_paving, sparse_paving_matroid
+from _oracles import definition_discrepancies
 
 CASES = [(8, 3), (9, 4), (10, 4), (10, 5), (12, 4), (12, 6)]
 ORACLES = (is_matroid_exchange, is_matroid_circuit_elimination, is_matroid_unique_min)
@@ -80,7 +81,8 @@ def test_sparse_paving_matroid(n, r, seed):
 @pytest.mark.parametrize("n, r", [(n, r) for n, r in CASES if n <= 10])
 def test_sparse_paving_discrepancies_match_the_full_comparison(n, r):
     m = sparse_paving_matroid(n, r, 0)
-    assert formula_discrepancies(m) == _all_discrepancies(sparse_paving_matroid(n, r, 0)) == []
+    fresh = sparse_paving_matroid(n, r, 0)
+    assert formula_discrepancies(m) == definition_discrepancies(fresh) == []
     near = less_two_bases(n, r, 0)
     found = formula_discrepancies(near)
-    assert found and found == _all_discrepancies(less_two_bases(n, r, 0))
+    assert found and found == definition_discrepancies(less_two_bases(n, r, 0))
