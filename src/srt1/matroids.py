@@ -6,12 +6,19 @@ one per classical axiom: independence exchange, strong circuit elimination
 and the unique-minimal-element criterion on N_v.  They run on bitmasks over
 the complex's cached face set and circuits, share no code with the T1 engine
 (`srt1.cotangent`, `srt1.recognition`), and all reject the void complex.
+
+Exchange is read in one pass over the faces, with no face-pair loop.  The
+pass builds e(J) = {v : J u {v} a face} for every face J, and the complex
+passes exactly when the graph of each link on e(J), x and y joined when
+J u {x, y} is a face, is complete multipartite.  Exchange at J + z against
+J + x + y gives that; conversely, an induction on |J \\ I| reduces each
+pair of faces J, I with |I| = |J| + 1 to that local case at a face of
+|J| - 1 vertices.  `is_matroid_exchange` carries the proof.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
 
 from .complexes import MAX_GROUND, SimplicialComplex, _check_ground, _ndel
 
@@ -32,14 +39,37 @@ def uniform(n: int, k: int) -> SimplicialComplex:
 
 
 def is_matroid_exchange(cx: SimplicialComplex) -> bool:
-    """Independence-exchange test.
+    """Independence-exchange test, read off the link graphs.
 
-    Ranges over every pair of faces J, I with |I| = |J| + 1, and checks that
-    there is v in I \\ J with J u {v} a face; the general unequal-size axiom
-    reduces to this case.  Level by level, one pass over the (k+1)-faces
-    builds the extension mask e(J) = {v : J u {v} a face} of each k-face J,
-    and J passes against I exactly when I meets e(J): e(J) is disjoint from
-    J, so I n e(J) lies in I \\ J.  The verdict is cached on cx, so the
+    Exchange asks, for every pair of faces J, I with |I| = |J| + 1, for
+    some v in I \\ J with J u {v} a face; the general unequal-size axiom
+    reduces to this case.  One pass over the faces builds the extension
+    mask e(J) = {v : J u {v} a face} of every face J: each face I puts each
+    u in I into e(I - u).  The graph of link(J) on e(J) joins x and y when
+    J u {x, y} is a face, and the test asks that each such graph be
+    complete multipartite.  That is the verdict of exchange.
+
+    (=>) Take z, x, y in e(J) with J + x + y a face.  Exchange at J + z
+    against J + x + y gives J + z + x or J + z + y, so no vertex of a link
+    graph misses both ends of an edge: non-adjacency, read reflexively, is
+    transitive, and the graph is complete multipartite.
+
+    (<=) Induct on m = |J \\ I|; m = 0 is J inside I.  Pick z in J \\ I.
+    The case m - 1 at J - z against a |J|-subset of I holding J n I gives
+    J - z + x with x in I \\ J; the case m - 1 at J - z + x against I gives
+    J - z + x + y with y in I \\ J.  At K = J - z, x, y and z lie in e(K)
+    and K + x + y is a face, so z is joined to x or to y: J + x or J + y is
+    a face.
+
+    The check.  At a face J and x in e(J), part(x) = e(J) - e(J + x) is x
+    with the vertices of e(J) not joined to it.  Non-adjacency, read
+    reflexively, is an equivalence exactly when each part(x) equals
+    part(y), y the least vertex of part(x).  Only if: part(x) is then the
+    class of x, and y is in it.  If: take w in part(x) = part(y) and y' the
+    least vertex of part(w).  Then y is in part(w), so y' <= y; and
+    part(y') = part(w) holds y, so y' is in part(y) = part(x), and
+    y <= y'.  Thus part(w) = part(y) = part(x) for every w in part(x),
+    which is transitivity.  The verdict is cached on cx, so the
     matroid-only operations that call `require_matroid` on every call run
     the test once per complex.
     """
@@ -50,23 +80,21 @@ def is_matroid_exchange(cx: SimplicialComplex) -> bool:
 
 
 def _exchange_holds(cx: SimplicialComplex) -> bool:
-    by_size: dict[int, list[int]] = defaultdict(list)
-    for f in cx.face_masks():
-        by_size[f.bit_count()].append(f)
-    for k in range(cx.rank):
-        uppers = by_size[k + 1]
-        # e(J) for every k-face J: each (k+1)-face I puts each u in I into e(I - u)
-        extensions = dict.fromkeys(by_size[k], 0)
-        for i in uppers:
-            rest = i
-            while rest:
-                u = rest & -rest
-                extensions[i ^ u] |= u
-                rest ^= u
-        for e in extensions.values():
-            for i in uppers:
-                if not i & e:
-                    return False
+    extensions = dict.fromkeys(cx.face_masks(), 0)  # e(J) for every face J
+    for i in extensions:
+        rest = i
+        while rest:
+            u = rest & -rest
+            extensions[i ^ u] |= u
+            rest ^= u
+    for j, e in extensions.items():
+        rest = e
+        while rest:
+            x = rest & -rest
+            rest ^= x
+            part = e & ~extensions[j | x]
+            if part != e & ~extensions[j | (part & -part)]:
+                return False
     return True
 
 

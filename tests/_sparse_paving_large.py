@@ -5,9 +5,11 @@ Run from the repository root:
 
     PYTHONPATH=src python3 tests/_sparse_paving_large.py
 
-Prints one line per matroid: its faces, the distinct groups of its table
-and the seconds taken by `t1_table`, `reconstruct` and the whole check.
-pytest does not collect this file.
+Prints two lines per matroid: its faces, the distinct groups of its table
+and the seconds taken by `t1_table`, `reconstruct` and the whole check;
+then the seconds each matroid oracle takes on the matroid and on its
+`less_two_bases` perturbation, fresh complexes whose face sets and circuits
+are built before the clock starts.  pytest does not collect this file.
 """
 
 import sys
@@ -17,12 +19,36 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from srt1.cotangent import t1_table  # noqa: E402
+from srt1.matroids import (  # noqa: E402
+    is_matroid_circuit_elimination,
+    is_matroid_exchange,
+    is_matroid_unique_min,
+)
 from srt1.reconstruction import reconstruct  # noqa: E402
 
-from _matroids import sparse_paving_matroid  # noqa: E402
+from _matroids import less_two_bases, sparse_paving_matroid  # noqa: E402
 from test_sparse_paving import check  # noqa: E402
 
 CASES = [(14, 5), (14, 7), (16, 4), (16, 5), (16, 8)]
+ORACLES = {
+    "exchange": is_matroid_exchange,
+    "circuit elimination": is_matroid_circuit_elimination,
+    "unique-min": is_matroid_unique_min,
+}
+
+
+def oracle_seconds(n, r):
+    """Each oracle's seconds on the matroid and on its perturbation."""
+    times = {}
+    for name, oracle in ORACLES.items():
+        for make, want in ((sparse_paving_matroid, True), (less_two_bases, False)):
+            cx = make(n, r, 0)
+            cx.face_masks()
+            cx._circuit_masks()
+            start = time.perf_counter()
+            assert oracle(cx) is want
+            times.setdefault(name, []).append(time.perf_counter() - start)
+    return "; ".join(f"{name} {a:.3f} + {b:.3f} s" for name, (a, b) in times.items())
 
 
 def main() -> int:
@@ -43,6 +69,7 @@ def main() -> int:
             f"t1_table {built:.3f} s, reconstruct {back:.3f} s, check {whole:.1f} s",
             flush=True,
         )
+        print(f"  oracles, matroid + perturbation: {oracle_seconds(n, r)}", flush=True)
     return 0
 
 

@@ -308,6 +308,19 @@ def _exchange_skips_the_top_level(monkeypatch):
     monkeypatch.setattr(matroids, "_exchange_holds", wrong)
 
 
+def _exchange_reads_the_one_skeleton(monkeypatch):
+    # independence exchange reads only the faces of at most two vertices, so
+    # only the link graph of the empty face and the links of its vertices,
+    # graphs with no edge, are tested: the verdict is that of the 1-skeleton
+    exchange_holds = matroids._exchange_holds
+
+    def wrong(cx):
+        edges = [f for f in cx.face_masks() if f.bit_count() <= 2]
+        return exchange_holds(SimplicialComplex(cx.n, edges))
+
+    monkeypatch.setattr(matroids, "_exchange_holds", wrong)
+
+
 def _unique_min_accepts_two_minima(monkeypatch):
     # the criterion on N_v passes a member that holds two minimal members
     def wrong(cx):
@@ -489,6 +502,22 @@ MUTANTS = {
             "rigidity-discrete",
             "round-trip",
             "upper-bound",
+        },
+    ),
+    "exchange-reads-the-one-skeleton": (
+        _exchange_reads_the_one_skeleton,
+        {
+            "basis-extension",
+            "coloop-free-link-heredity",
+            "deletion-basis-saturation",
+            "link-rigidity-basis",
+            "loop-coloop-classify",
+            "main-theorem-iff",
+            "matroid-equicardinal-facets",
+            "matroid-minor-closure",
+            "oracle-agreement",
+            "recognition-corollary",
+            "round-trip",
         },
     ),
     "unique-min-accepts-two-minima": (_unique_min_accepts_two_minima, {"oracle-agreement"}),
