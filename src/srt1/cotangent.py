@@ -725,10 +725,10 @@ def _matroid_table(cx: SimplicialComplex) -> T1Table | None:
     return None if root and root[0][3] is not None else _table_of(cx, root)
 
 
-def _class_rows(link_circuits: list[int]) -> list[tuple[int, int]]:
-    """(b, formula) at the degrees b of any link where the circuit formula
-    is positive, faces and nonfaces alike, from its circuits of two or more
-    vertices: on a matroid link, its whole table.
+def _class_rows(link_circuits: list[int]) -> dict[int, int]:
+    """The group {b: formula} at the degrees b of any link where the circuit
+    formula is positive, faces and nonfaces alike, from its circuits of two
+    or more vertices: on a matroid link, its whole table.
 
     The formula is nonzero only at a tame b, one that every circuit of the
     link L contains or misses, so all vertices of b lie in the same circuits.
@@ -755,33 +755,34 @@ def _class_rows(link_circuits: list[int]) -> list[tuple[int, int]]:
         through = grid >> j & ones  # one bit per circuit through vertex j
         if through:
             classes[through] = classes.get(through, 0) | 1 << j
-    out = []
+    out = {}
     for through, members in classes.items():
         larger = through.bit_count()  # the formula at a b of two or more vertices
         single = larger - 1  # and at a singleton b
         for b in submasks(members):
             if b & (b - 1):
-                out.append((b, larger))
+                out[b] = larger
             elif b and single:
-                out.append((b, single))
+                out[b] = single
     return out
 
 
-def _uniform_rows(part: int, rank: int) -> list[tuple[int, int]]:
-    """`_class_rows` on U(m, rank) with 1 <= rank < m, on the m vertices of
-    part, from m and rank alone.  Its circuits are the rank + 1-subsets of
-    part.  For m > rank + 1 each vertex lies in C(m - 1, rank) of them and
-    no other vertex lies in just the same ones, so each vertex is a class
-    with C(m - 1, rank) - 1; for m = rank + 1 part is the one circuit, a
-    class whose subsets of two or more vertices get 1.  Rank 1 is U(d, 1):
+def _uniform_rows(part: int, rank: int) -> dict[int, int]:
+    """The group {b: dim} of `_class_rows` on U(m, rank) with 1 <= rank < m,
+    on the m vertices of part, from m and rank alone.  Its circuits are the
+    rank + 1-subsets of part.  For m > rank + 1 each vertex lies in
+    C(m - 1, rank) of them and no other vertex lies in just the same ones,
+    so each vertex is a class with C(m - 1, rank) - 1; for m = rank + 1
+    part is the one circuit, a class whose subsets of two or more vertices
+    get 1.  Rank 1 is U(d, 1):
     d - 2 at each vertex for d >= 3, and 1 at the pair for d = 2."""
     m = part.bit_count()
     if m == 2:  # U(2, 1), most links of a graph: the pair alone, unlisted
-        return [(part, 1)]
+        return {part: 1}
     if m == rank + 1:
-        return [(b, 1) for b in submasks(part) if b & (b - 1)]
+        return {b: 1 for b in submasks(part) if b & (b - 1)}
     dim = math.comb(m - 1, rank) - 1
-    return [(1 << i, dim) for i in range(part.bit_length()) if part >> i & 1]
+    return {1 << i: dim for i in range(part.bit_length()) if part >> i & 1}
 
 
 def _uniform_shape(link_circuits: list[int]) -> tuple[int, int] | None:
@@ -818,7 +819,7 @@ def _uniform_up_set(
     for size in range(rank):
         for picked in itertools.combinations(bits, size):
             s = sum(picked)
-            group = dict(_uniform_rows(part ^ s, rank - size))
+            group = _uniform_rows(part ^ s, rank - size)
             for c in coloops:
                 groups[a | s | c] = group
 
@@ -853,7 +854,7 @@ def _matroid_up_set(
     if not circuits:
         return
     rank = max(map(int.bit_count, _link_facets(cx.facet_masks, a)))
-    memo = {verts: (circuits, dict(_class_rows(circuits)))}
+    memo = {verts: (circuits, _class_rows(circuits))}
     stack = [(a, verts, rank)]
     while stack:
         a, verts, rank = stack.pop()
@@ -868,10 +869,10 @@ def _matroid_up_set(
             child = verts & ~_union([v] + [c for c in pairs if c & v])
             if child not in memo:
                 if rank == 2:  # U(d, 1) with loops, or a single vertex
-                    memo[child] = None, dict(_uniform_rows(child, 1)) if child & (child - 1) else {}
+                    memo[child] = None, _uniform_rows(child, 1) if child & (child - 1) else {}
                 else:
                     found = _contract(cx.face_masks(), a | v, v, circuits)
-                    memo[child] = found, dict(_class_rows(found))
+                    memo[child] = found, _class_rows(found)
             if memo[child][1]:
                 stack.append((a | v, child, rank - 1))
 
@@ -900,7 +901,7 @@ def _table_of(
                 groups[a] = group
             continue
         if circuits is None:  # U(d, 1) with loops, and nothing above it
-            groups[a] = dict(_uniform_rows(verts, 1))
+            groups[a] = _uniform_rows(verts, 1)
             continue
         shape = _uniform_shape(circuits)
         if shape is not None:

@@ -93,14 +93,15 @@ def formula_discrepancies(cx: SimplicialComplex) -> list[Discrepancy]:
     the two can differ, as its docstring shows.  A link of rank 1, or one
     that passes the singleton test, is a matroid, as is every link above
     it, and has no discrepancy by the main theorem; every other link comes
-    with its dims, compared with its `_class_rows` at each degree either
-    lists (any other is 0 on both sides).  Empty exactly when cx is a matroid.
+    with its dims, compared with the group of its `_class_rows` at each
+    degree either holds (any other is 0 on both sides).  Empty exactly
+    when cx is a matroid.
     """
     cx._require_nonvoid("formula_discrepancies")
     out = []
     for a, _, circuits, dims in _walk(cx):
         if dims is not None:
-            graph, formula = dict(dims), dict(_class_rows(circuits))
+            graph, formula = dict(dims), _class_rows(circuits)
             for b in graph.keys() | formula.keys():
                 if graph.get(b, 0) != formula.get(b, 0):
                     out.append(((a, b), graph.get(b, 0), formula.get(b, 0)))

@@ -12,8 +12,9 @@ whose shape names the vertices that complete F to a basis.
 Discrete matroids all share the empty table, so reconstructing from an empty
 table raises DiscreteAmbiguousError.  Tables consistent with no matroid at
 all raise NotAMatroidTableError.  The steps reuse the rules that write tables:
-a rank-one group must be the rows of `cotangent._uniform_rows` at rank 1, and
-the walk's root verifies every returned complex (`cotangent._matroid_table`).
+a rank-one group must equal the group `cotangent._uniform_rows` writes at
+rank 1, and the walk's root verifies every returned complex
+(`cotangent._matroid_table`).
 
 Every step reads the table's groups, one dict b -> dim per A mask, which
 carry no order, and decodes no vertex tuple.  Where an order could show, in
@@ -33,7 +34,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .complexes import MAX_GROUND, SimplicialComplex, _check_ground, _order_key, pack, unpack
+from .complexes import MAX_GROUND, SimplicialComplex, pack, unpack
+from .complexes import _check_ground, _order_key, _union
 from .cotangent import T1Table, _least_row, _matroid_table, _uniform_rows
 
 
@@ -119,18 +121,12 @@ def _rank_one_members(group: dict[int, int], ground: int) -> int:
     """The mask of the non-loop vertices of the rank-one coloop-free matroid
     whose table has the rows (0, b) -> group[b], which must lie in ground.
 
-    Shape U(m, 1) * U(l, 0), m >= 2: the rows are those `_uniform_rows`
+    Shape U(m, 1) * U(l, 0), m >= 2: the group equals the one `_uniform_rows`
     writes at rank 1 for the union of the b's, the m non-loops: (0, {u, v})
     -> 1 for m = 2, (0, {i}) -> m - 2 for m > 2.
     """
-    members = 0
-    for b in group:
-        members |= b
-    shape = _uniform_rows(members, 1) if members & (members - 1) else []
-    bad = not shape or len(shape) != len(group)
-    for b, d in shape:  # a plain loop: a generator is slower
-        bad = bad or group.get(b) != d
-    if bad:
+    members = _union(group)
+    if not members & (members - 1) or _uniform_rows(members, 1) != group:
         raise NotAMatroidTableError("table shape matches no rank-one matroid")
     if members & ~ground:
         out = unpack(members)
@@ -148,9 +144,8 @@ def reconstruct_rank_one(t: T1Table, ground: Iterable[int]) -> tuple[int, ...]:
     ground_set = frozenset(ground)
     if t._groups.keys() - {0}:
         raise NotAMatroidTableError("rank-one table has an entry with nonempty A")
-    group = t._groups.get(0, {})
     inside = pack((v for v in range(1, t.n + 1) if v in ground_set), t.n)
-    return unpack(_rank_one_members(group, inside))
+    return unpack(_rank_one_members(t._groups.get(0, {}), inside))
 
 
 def reconstruct(t: T1Table) -> SimplicialComplex:

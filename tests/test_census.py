@@ -1,3 +1,4 @@
+import collections
 import itertools
 import os
 
@@ -102,6 +103,22 @@ def test_check_complex_flags():
     assert not matroid
 
 
+def test_census_reports_compare_by_name_count_and_failures():
+    report = census.CensusReport("round-trip", 3, ["n=1 facets=[[1]]"])
+    assert report == census.CensusReport("round-trip", 3, ["n=1 facets=[[1]]"])
+    assert report != census.CensusReport("round-trip", 4, ["n=1 facets=[[1]]"])
+    assert report != census.CensusReport("round-trip", 3, [])
+    assert report != census.CensusReport("upper-bound", 3, ["n=1 facets=[[1]]"])
+    assert (report == "round-trip") is False and report != ("round-trip", 3)
+    assert census.CensusReport("antichain") == census.CensusReport("antichain", 0, [])
+
+
+def test_census_report_repr_names_its_fields():
+    report = census.CensusReport("round-trip", 3, ["n=1 facets=[[1]]"])
+    want = "CensusReport(name='round-trip', checked=3, failures=['n=1 facets=[[1]]'])"
+    assert repr(report) == want
+
+
 def test_check_complex_reports_a_wrong_engine(monkeypatch):
     # a nonface dimension one too high and a bound one too low must each be
     # caught, with the upper bound's failures in canonical face order and
@@ -201,7 +218,7 @@ def _class_rows_drop_singletons(monkeypatch):
     class_rows = cotangent._class_rows
 
     def wrong(link_circuits):
-        return [(b, d) for b, d in class_rows(link_circuits) if b & (b - 1)]
+        return {b: d for b, d in class_rows(link_circuits).items() if b & (b - 1)}
 
     monkeypatch.setattr(cotangent, "_class_rows", wrong)
 
@@ -213,7 +230,7 @@ def _rank_one_vertices_one_too_high(monkeypatch):
 
     def wrong(part, rank):
         rows = uniform_rows(part, rank)
-        return [(b, d + (not b & (b - 1))) for b, d in rows] if rank == 1 else rows
+        return {b: d + (not b & (b - 1)) for b, d in rows.items()} if rank == 1 else rows
 
     monkeypatch.setattr(cotangent, "_uniform_rows", wrong)
 
@@ -225,7 +242,7 @@ def _uniform_vertices_one_too_high(monkeypatch):
 
     def wrong(part, rank):
         rows = uniform_rows(part, rank)
-        return [(b, d + (not b & (b - 1))) for b, d in rows] if rank > 1 else rows
+        return {b: d + (not b & (b - 1)) for b, d in rows.items()} if rank > 1 else rows
 
     monkeypatch.setattr(cotangent, "_uniform_rows", wrong)
 
@@ -569,6 +586,68 @@ def test_a_mutant_past_four_vertices_fails_link_reduction(monkeypatch, mutate, f
     mutate(monkeypatch)
     assert _failed_invariants(small) == set()
     assert _failed_invariants([named]) == {"link-reduction"}
+
+
+def _join_shifts_by_the_other_ground(monkeypatch):
+    # the other operand's vertices are shifted past its own ground, not past
+    # this one's: its vertices meet this one's or leave the joined ground
+    def wrong(self, other):
+        masks = [f | g << other.n for f in self.facet_masks for g in other.facet_masks]
+        return SimplicialComplex._of_masks(self.n + other.n, masks)
+
+    monkeypatch.setattr(SimplicialComplex, "join", wrong)
+
+
+def _join_is_the_disjoint_union(monkeypatch):
+    # the facets of both operands side by side, none joined with another
+    def wrong(self, other):
+        facets = list(self.facet_masks) + [g << self.n for g in other.facet_masks]
+        return SimplicialComplex._of_masks(self.n + other.n, facets)
+
+    monkeypatch.setattr(SimplicialComplex, "join", wrong)
+
+
+# mutants of `join`, which only the family invariants of `_check_families`
+# read: `test_each_mutant_fails_its_invariants` runs `check_complex` alone
+FAMILY_MUTANTS = {
+    "join-shifts-by-the-other-ground": (
+        _join_shifts_by_the_other_ground,
+        {"coloop-extension", "join-associativity"},
+    ),
+    "join-is-the-disjoint-union": (
+        _join_is_the_disjoint_union,
+        {"coloop-extension", "join-matroid-closure"},
+    ),
+}
+
+
+def _failed_with_families(classes):
+    """The invariants that fail on these classes, each through `check_complex`
+    on a fresh copy, then the family invariants on the matroids among them,
+    as `run_census` reads them."""
+    failed = set()
+    rec = census._Recorder()
+    matroid_reps = collections.defaultdict(list)
+    for cx in classes:
+        data, matroid = check_complex(SimplicialComplex(cx.n, cx.facet_masks))
+        failed |= {name for name, rep in data.items() if not rep.ok}
+        if matroid:
+            matroid_reps[cx.n].append(cx)
+    assert sum(map(len, matroid_reps.values())) == 31
+    census._check_families(rec, dict(matroid_reps))
+    return failed | {name for name, rep in rec.data.items() if not rep.ok}
+
+
+def test_the_family_harness_passes_the_clean_engine():
+    classes = [cx for n in range(1, 5) for cx in cached_representatives(n)]
+    assert _failed_with_families(classes) == set()
+
+
+@pytest.mark.parametrize("mutate, fails", FAMILY_MUTANTS.values(), ids=FAMILY_MUTANTS)
+def test_each_family_mutant_fails_its_invariants(monkeypatch, mutate, fails):
+    classes = [cx for n in range(1, 5) for cx in cached_representatives(n)]
+    mutate(monkeypatch)
+    assert _failed_with_families(classes) == fails
 
 
 def test_check_complex_reports_a_wrong_loop_coloop_split(monkeypatch):

@@ -740,6 +740,14 @@ def test_t1_table_pickle_and_eq():
     assert hash(t) == hash(t1_table(uniform(3, 2)))
 
 
+def test_t1_table_is_immutable():
+    t = t1_table(uniform(3, 2))
+    for name in ("n", "_groups", "extra"):
+        with pytest.raises(AttributeError, match="T1Table is immutable"):
+            setattr(t, name, 0)
+    assert t.n == 3 and t == t1_table(uniform(3, 2))
+
+
 def test_t1_table_contract():
     # the table keeps mask groups in no order; every public view of it sorts
     # and decodes them, and every checking constructor rebuilds the same
