@@ -19,6 +19,8 @@ from typing import Iterable, Iterator
 
 MAX_GROUND = 64
 MAX_NONFACE_GROUND = 20
+# grounds up to this many vertices read their circuits off the face cube
+_CUBE_GROUND = 12
 # the census runs over every complex on up to this many vertices
 MAX_CENSUS_GROUND = 5
 
@@ -32,11 +34,13 @@ class VoidComplexError(ValueError):
 
 
 def check_threads(threads: int) -> int:
-    """Return a worker count after checking it is an integer from 1 to the CPU count."""
+    """Return a worker count after checking it is an integer from 1 to the
+    CPU count, which is read only for a count above 1."""
+    if isinstance(threads, int) and not isinstance(threads, bool):
+        if threads == 1 or 1 < threads <= (os.cpu_count() or 1):
+            return threads
     cap = os.cpu_count() or 1
-    if not isinstance(threads, int) or isinstance(threads, bool) or not 1 <= threads <= cap:
-        raise ValueError(f"threads must be an integer in 1..{cap} (the CPU count), got {threads!r}")
-    return threads
+    raise ValueError(f"threads must be an integer in 1..{cap} (the CPU count), got {threads!r}")
 
 
 def pack(vertices: Iterable[int], n: int) -> int:
@@ -239,6 +243,57 @@ def _minimal_nonfaces(face_set: frozenset[int] | set[int], n: int) -> list[int]:
     return found
 
 
+def _selectors(n: int) -> tuple[int, ...]:
+    """The n selectors of the 2^n-bit cube of masks on n vertices: bit m of
+    the i-th is set exactly when the mask m holds the vertex i + 1."""
+    out = []
+    for i in range(n):
+        # the masks of one period of 2^(i+1) that hold i, doubled to fill the cube
+        sel, width = ((1 << (1 << i)) - 1) << (1 << i), 2 << i
+        while width < 1 << n:
+            sel |= sel << width
+            width <<= 1
+        out.append(sel)
+    return tuple(out)
+
+
+_cube_selectors = functools.cache(_selectors)  # at most _CUBE_GROUND + 1 entries
+
+
+def _set_bits(x: int) -> list[int]:
+    """The positions of the set bits of x, ascending."""
+    digits = bin(x)[:1:-1]  # lowest bit first
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
+
+
+def _cube_circuits(facets: Iterable[int], n: int) -> list[int]:
+    """Minimal nonfaces of the complex with these facets on n vertices,
+    ascending, off its face cube: the 2^n-bit integer whose bit m is set
+    exactly when m is a face, with no face set and no sweep.
+
+    The facets' bits are closed downward, one vertex at a time, by moving
+    each mask that holds i to the mask without it.  A nonface is minimal
+    exactly when each of its one-vertex deletions is a face, one AND per
+    vertex.  No facets (the void complex) give the empty set alone.  Each
+    step costs 2^n bits, so it pays on small grounds (`_CUBE_GROUND`).
+    """
+    sel = _cube_selectors(n)
+    faces = 0
+    for f in facets:
+        faces |= 1 << f
+    for i, s in enumerate(sel):
+        faces |= (faces & s) >> (1 << i)
+    out = ((1 << (1 << n)) - 1) ^ faces
+    for i, s in enumerate(sel):
+        out &= ~s | faces << (1 << i)
+    return _set_bits(out)
+
+
 def _adjacency(facets: Iterable[int]) -> dict[int, int]:
     """Each vertex bit of the complex with these facets of at most two
     vertices, mapped to the mask of its neighbours."""
@@ -355,17 +410,29 @@ class SimplicialComplex:
     def from_minimal_nonfaces(cls, n: int, nonfaces: Iterable[Iterable[int]]) -> "SimplicialComplex":
         """Build the complex whose faces are the sets containing no listed nonface.
 
-        The faces come from a sweep over all 2^n subsets of the ground set
-        (about 2 s at n = 20), so an n that is no nonnegative integer, or
-        lies above MAX_NONFACE_GROUND, raises VertexRangeError before the
-        sweep.
+        The facets are read off the 2^n-bit cube of the ground's subsets:
+        the listed nonfaces are closed upward one vertex at a time, the faces
+        are the rest, and a face is a facet when no one-vertex extension is
+        a face, 2n steps on 2^n bits in all.  The cube doubles with each
+        vertex, so an n that is no nonnegative integer, or lies above
+        MAX_NONFACE_GROUND, raises VertexRangeError before it is built.
         """
         _check_ground(n, MAX_NONFACE_GROUND)
         forb = [pack(f, n) for f in nonfaces]
         if any(m == 0 for m in forb):
             raise ValueError("the empty set cannot be a nonface")
-        faces = [m for m in range(1 << n) if not any(c & ~m == 0 for c in forb)]
-        return cls._of_masks(n, faces)
+        # built per call: at n = 20 the selectors hold 2.5 MiB
+        sel = _selectors(n)
+        nonface_cube = 0
+        for c in forb:
+            nonface_cube |= 1 << c
+        for i, s in enumerate(sel):
+            nonface_cube |= (nonface_cube & ~s) << (1 << i)
+        faces = ((1 << (1 << n)) - 1) & ~nonface_cube
+        tops = faces
+        for i, s in enumerate(sel):
+            tops &= s | ~(faces >> (1 << i))
+        return cls._of_masks(n, _set_bits(tops))
 
     @classmethod
     def void(cls, n: int) -> "SimplicialComplex":
@@ -423,9 +490,12 @@ class SimplicialComplex:
         A complex of dimension at most 1 is a graph, and its circuits are
         its loops, read off its vertex mask, and its non-edges and triangles,
         read off its adjacency (`_graph_circuits`, the rule of every graph
-        link too), with no face set and no sweep.  Any larger complex sweeps
-        its cached face set (`_minimal_nonfaces`).  The facets are trusted,
-        as every constructor has checked them.
+        link too), with no face set and no sweep.  A larger complex on at
+        most `_CUBE_GROUND` vertices reads them off its face cube
+        (`_cube_circuits`), with no face set either; on a larger ground it
+        sweeps its cached face set (`_minimal_nonfaces`), whose cost follows
+        the faces, not 2^n.  The facets are trusted, as every constructor
+        has checked them.
         """
         if self._mnf is None:
             self._require_nonvoid("minimal_nonfaces")
@@ -433,6 +503,8 @@ class SimplicialComplex:
                 loops = ((1 << self.n) - 1) & ~self.vertex_mask
                 mnf = [1 << i for i in range(self.n) if loops >> i & 1]
                 mnf += _graph_circuits(_adjacency(self.facet_masks))
+            elif self.n <= _CUBE_GROUND:
+                mnf = _cube_circuits(self.facet_masks, self.n)
             else:
                 mnf = _minimal_nonfaces(self.face_masks(), self.n)
             object.__setattr__(self, "_mnf", mnf)

@@ -173,6 +173,14 @@ def sweep_minimal_nonfaces(faces, n: int) -> list[int]:
     return found
 
 
+def sweep_facets_of_nonfaces(n: int, nonfaces: list[int]) -> list[int]:
+    """Facet masks of the complex on n vertices whose faces are the masks
+    holding no listed nonface mask, by testing each of the 2^n masks against
+    every nonface and keeping the faces in no larger face; ascending."""
+    faces = [m for m in range(1 << n) if not any(c & ~m == 0 for c in nonfaces)]
+    return [f for f in faces if not any(f != g and f & ~g == 0 for g in faces)]
+
+
 def _subset_scan(faces, a: int):
     """The link at the face a and every nonempty subset of its vertices."""
     link = {f ^ a for f in faces if f & a == a}

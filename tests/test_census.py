@@ -279,14 +279,16 @@ def _graph_circuits_drop_triangles(monkeypatch):
 
 
 def _circuits_drop_the_last(monkeypatch):
-    # the minimal nonfaces of a face set lose the last one found; the
-    # engine's links take theirs from the complex's by contraction
-    minimal_nonfaces = complexes._minimal_nonfaces
+    # the minimal nonfaces read off the face cube lose the last one, the
+    # largest mask; every class of rank 3 or more is read there, as its
+    # ground is small, and the engine's links take theirs from the
+    # complex's by contraction
+    cube_circuits = complexes._cube_circuits
 
-    def wrong(face_set, n):
-        return minimal_nonfaces(face_set, n)[:-1]
+    def wrong(facets, n):
+        return cube_circuits(facets, n)[:-1]
 
-    monkeypatch.setattr(complexes, "_minimal_nonfaces", wrong)
+    monkeypatch.setattr(complexes, "_cube_circuits", wrong)
 
 
 def _rank_of_the_ground_too_low(monkeypatch):
@@ -760,6 +762,18 @@ def test_run_census_rejects_thread_count_outside_cpu_range(threads):
         run_census(1, threads=threads)
     with pytest.raises(ValueError, match="threads must be an integer"):
         check_threads(threads)
+
+
+def test_one_thread_reads_no_cpu_count(monkeypatch):
+    # `t1_table` checks its thread count on every call; a count of 1 is
+    # always in range, so the CPU count is read only above 1 and for the
+    # message of a refusal
+    reads = []
+    monkeypatch.setattr(complexes.os, "cpu_count", lambda: reads.append(1) or 2)
+    assert check_threads(1) == 1 and reads == []
+    assert check_threads(2) == 2 and reads == [1]
+    with pytest.raises(ValueError, match=r"in 1\.\.2 \(the CPU count\), got 3"):
+        check_threads(3)
 
 
 @pytest.mark.parametrize("max_n", [True, False, 1.0, 2.5, "2"])

@@ -2,6 +2,7 @@ import itertools
 import json
 import pickle
 import random
+import time
 
 import pytest
 
@@ -9,6 +10,8 @@ from srt1 import complexes
 from srt1.matroids import is_matroid_circuit_elimination
 from srt1.complexes import (
     MAX_GROUND,
+    _CUBE_GROUND,
+    _cube_circuits,
     _faces_of,
     _decoder,
     _minimal_nonfaces,
@@ -25,7 +28,15 @@ from srt1.complexes import (
 )
 
 from _census_reps import representatives
-from _oracles import close_down, faces_of, naive_link, naive_minimal_nonfaces, powerset
+from _oracles import (
+    close_down,
+    faces_of,
+    naive_link,
+    naive_minimal_nonfaces,
+    powerset,
+    sweep_facets_of_nonfaces,
+    sweep_minimal_nonfaces,
+)
 
 
 def test_pack_unpack_roundtrip():
@@ -158,10 +169,76 @@ def test_minimal_nonface_masks_against_oracle():
 def test_minimal_nonface_masks_void_family():
     assert sorted(_minimal_nonfaces(frozenset(), 3), key=_order_key(3)) == [0]
     assert sorted(_minimal_nonfaces(frozenset(), 0), key=_order_key(0)) == [0]
+    assert _cube_circuits([], 3) == _cube_circuits([], 0) == [0]
 
 
 def test_minimal_nonface_masks_empty_set_only():
     assert sorted(_minimal_nonfaces(frozenset({0}), 3), key=_order_key(3)) == [0b001, 0b010, 0b100]
+    assert _cube_circuits([0], 3) == [0b001, 0b010, 0b100]
+    assert _cube_circuits([0], 0) == []
+
+
+def _random_cube_cases(n, seed):
+    """Seeded facet lists on n vertices: random masks, some of them
+    missing a few vertices that are then loops, with {emptyset} first."""
+    rng = random.Random(seed)
+    cases = [[0]]
+    for _ in range(12):
+        ground = (1 << n) - 1
+        if n and rng.random() < 0.5:
+            for _ in range(rng.randint(1, 2)):
+                ground &= ~(1 << rng.randrange(n))
+        cases.append([rng.getrandbits(n) & ground for _ in range(rng.randint(1, 2 * n + 1))])
+    return cases
+
+
+@pytest.mark.parametrize("n", range(_CUBE_GROUND + 1))
+def test_cube_circuits_are_the_sweep_and_the_definition(n):
+    # the face cube's circuits, ascending, against the sweep over the face
+    # set at every n up to the bound, and against the definition over
+    # frozensets where its powerset is small; the census classes too
+    cases = _random_cube_cases(n, seed=1000 + n)
+    if 1 <= n <= 5:
+        cases += [list(cx.facet_masks) for cx in representatives(n)]
+    for facets in cases:
+        got = _cube_circuits(facets, n)
+        assert got == sorted(_minimal_nonfaces(_faces_of(facets), n)), (n, facets)
+        if n <= 8:
+            faces = close_down(unpack(f) for f in facets)
+            want = naive_minimal_nonfaces(faces, range(1, n + 1))
+            assert sorted(map(unpack, got)) == sorted(tuple(sorted(c)) for c in want), (n, facets)
+
+
+@pytest.mark.parametrize("n", [_CUBE_GROUND, _CUBE_GROUND + 1])
+def test_public_minimal_nonfaces_on_both_sides_of_the_cube_bound(n):
+    # off the face cube at n = 12, by the sweep at n = 13, each against the
+    # oracle's sweep over all 2^n masks
+    rng = random.Random(n)
+    for _ in range(4):
+        facets = [rng.sample(range(1, n + 1), rng.randint(1, 5)) for _ in range(rng.randint(2, 8))]
+        cx = SimplicialComplex.from_facets(n, facets)
+        want = sweep_minimal_nonfaces(cx.face_masks(), n)
+        assert cx.minimal_nonface_masks() == sorted(want, key=_order_key(n)), cx
+
+
+@pytest.mark.parametrize("n", [4, 8, _CUBE_GROUND, _CUBE_GROUND + 1, 16])
+def test_circuits_build_a_face_set_and_sweep_only_past_the_cube_bound(monkeypatch, n):
+    # a complex of rank 3 or more on at most 12 vertices reads its circuits
+    # off the face cube, with no face set and no sweep; past that, one face
+    # set and one sweep
+    built, swept = [], []
+    real_faces, real_sweep = complexes._faces_of, complexes._minimal_nonfaces
+    monkeypatch.setattr(complexes, "_faces_of", lambda facets: built.append(1) or real_faces(facets))
+    monkeypatch.setattr(
+        complexes, "_minimal_nonfaces", lambda *args: swept.append(1) or real_sweep(*args)
+    )
+    cx = SimplicialComplex.from_facets(n, [range(1, n), [1, n], range(2, n + 1)])
+    assert cx.rank >= 3
+    cx.minimal_nonfaces()
+    cx.minimal_nonfaces()
+    past = n > _CUBE_GROUND
+    assert (built, swept) == ([1] * past, [1] * past)
+    assert (cx._faces is None) is not past
 
 
 def test_minimal_nonface_masks_link_misses_vertices():
@@ -412,16 +489,52 @@ def test_from_minimal_nonfaces_rejects_empty_set():
 
 
 def test_from_minimal_nonfaces_rejects_ground_past_limit():
-    # the faces come from a 2^n sweep, so this must fail before sweeping
+    # the facets come off a cube of 2^n bits, so this must fail before it is built
     with pytest.raises(VertexRangeError, match=f"exceeds limit {MAX_NONFACE_GROUND}"):
         SimplicialComplex.from_minimal_nonfaces(MAX_NONFACE_GROUND + 1, [[1, 2]])
 
 
 @pytest.mark.parametrize("n", [-1, 1.5, True, "3", None])
 def test_from_minimal_nonfaces_checks_the_ground_size_first(n):
-    # as the constructor does, before the sweep shifts by n
+    # as the constructor does, before the cube shifts by n
     with pytest.raises(VertexRangeError, match="must be a nonnegative integer"):
         SimplicialComplex.from_minimal_nonfaces(n, [])
+
+
+def _random_nonface_lists(seed):
+    """Seeded nonempty nonface masks on up to 7 vertices, none of them the
+    empty set, with one nonface inside another now and then."""
+    rng = random.Random(seed)
+    n = rng.randint(0, 7)
+    nonfaces = [rng.randint(1, (1 << n) - 1) for _ in range(rng.randint(0, 6))] if n else []
+    if nonfaces and rng.random() < 0.3:
+        nonfaces.append(nonfaces[0] | rng.getrandbits(n))
+    return n, nonfaces
+
+
+def test_from_minimal_nonfaces_is_the_old_sweep():
+    # the facets off the cube against the old test of every mask against
+    # every nonface, on every complex on 3 vertices and on seeded lists
+    cases = [(3, cx.minimal_nonface_masks()) for cx in representatives(3)]
+    cases += [_random_nonface_lists(seed) for seed in range(400)]
+    for n, nonfaces in cases:
+        cx = SimplicialComplex.from_minimal_nonfaces(n, [unpack(c) for c in nonfaces])
+        assert sorted(cx.facet_masks) == sweep_facets_of_nonfaces(n, nonfaces), (n, nonfaces)
+
+
+def test_from_minimal_nonfaces_round_trip_at_twenty_vertices():
+    # the 20-cycle from its 170 non-edges, and a 2-dimensional complex on
+    # 20 vertices from its 153 circuits; the old sweep over all 2^20 masks
+    # took 1.7-1.8 s for each, the cube 15-16 ms, best of 3 on a 2-vCPU host
+    n = MAX_NONFACE_GROUND
+    cycle = SimplicialComplex.from_facets(n, [[v, v % n + 1] for v in range(1, n + 1)])
+    fans = SimplicialComplex.from_facets(n, [[1, v, v + 1] for v in range(2, n)] + [[2, n, 7]])
+    for cx in (cycle, fans):
+        nonfaces = cx.minimal_nonfaces()
+        start = time.perf_counter()
+        again = SimplicialComplex.from_minimal_nonfaces(n, nonfaces)
+        assert time.perf_counter() - start < 0.5
+        assert again == cx
 
 
 def test_nonface_duality_small():

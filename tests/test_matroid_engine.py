@@ -670,15 +670,17 @@ def _path_edges(n):
     return [[v, v + 1] for v in range(1, n)]
 
 
-def _count_engine_calls(monkeypatch, faces):
-    """Counters of the calls `t1_table` makes on the face set faces, the
-    complex's: the graph at each degree b of the root link, by the circuit
-    rule `_vertex_dims` at a vertex and the wider rule of `_wide_dim` else,
-    and the circuit family (by ground size); and of the rule `_graph_dims`,
-    by the adjacency it is given."""
+def _count_engine_calls(monkeypatch, cx):
+    """Counters of the calls `t1_table` makes on the complex cx: the graph
+    at each degree b of the root link, by the circuit rule `_vertex_dims`
+    at a vertex and the wider rule of `_wide_dim` else, and the circuit
+    family, by the reader (the face cube or the sweep) and the ground size;
+    and of the rule `_graph_dims`, by the adjacency it is given."""
+    faces = cx.face_masks()
     dims, circuits, rule = collections.Counter(), [], []
     real_wide = cotangent._wide_dim
     real_vertex_dims = cotangent._vertex_dims
+    real_cube = complexes._cube_circuits
     real_circuits = complexes._minimal_nonfaces
     real_rule = cotangent._graph_dims
 
@@ -693,13 +695,19 @@ def _count_engine_calls(monkeypatch, faces):
                 dims[row[0]] += 1
             yield row
 
+    def count_cube(facets, ground):
+        if tuple(facets) == cx.facet_masks:
+            circuits.append(("cube", ground))
+        return real_cube(facets, ground)
+
     def count_circuits(face_set, ground):
         if face_set == faces:
-            circuits.append(ground)
+            circuits.append(("sweep", ground))
         return real_circuits(face_set, ground)
 
     monkeypatch.setattr(cotangent, "_wide_dim", count_wide)
     monkeypatch.setattr(cotangent, "_vertex_dims", count_vertex_dims)
+    monkeypatch.setattr(complexes, "_cube_circuits", count_cube)
     monkeypatch.setattr(complexes, "_minimal_nonfaces", count_circuits)
     monkeypatch.setattr(cotangent, "_graph_dims", lambda adj: rule.append(adj) or real_rule(adj))
     return dims, circuits, rule
@@ -714,7 +722,7 @@ def test_non_matroid_pays_once(monkeypatch, n, facets):
     # a face set
     cx = SimplicialComplex.from_facets(n, facets)
     want = graph_engine_table(SimplicialComplex.from_facets(n, facets))
-    dims, circuits, rule = _count_engine_calls(monkeypatch, cx.face_masks())
+    dims, circuits, rule = _count_engine_calls(monkeypatch, cx)
     table = t1_table(cx)
     assert circuits == []
     assert rule == [cotangent._adjacency(cx.facet_masks)]
@@ -732,13 +740,14 @@ def test_non_matroid_of_dimension_two_pays_once_per_degree(monkeypatch, n, facet
     # the root link is 2-dimensional, so the graph is counted there once at
     # each face in a circuit, by the circuit rule at a vertex and the wider
     # rule at a wider face (a vertex in none is 0 by rule 1), and every
-    # vertex link of dimension 1 takes the rule once
+    # vertex link of dimension 1 takes the rule once; the root's circuits
+    # are read once, off its face cube on so small a ground
     cx = SimplicialComplex.from_facets(n, facets)
     want = graph_engine_table(SimplicialComplex.from_facets(n, facets))
     mnf = SimplicialComplex.from_facets(n, facets).minimal_nonface_masks()
-    dims, circuits, rule = _count_engine_calls(monkeypatch, cx.face_masks())
+    dims, circuits, rule = _count_engine_calls(monkeypatch, cx)
     table = t1_table(cx)
-    assert circuits == [n]
+    assert circuits == [("cube", n)]
     assert max(dims.values()) == 1 and set(dims) == cotangent._circuit_faces(mnf)
     links = [cx.link_mask(1 << (v - 1)) for v in cx.vertices()]
     graph_links = [link.vertex_mask for link in links if link.rank == 2 and len(link.facet_masks) > 1]

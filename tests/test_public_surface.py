@@ -121,8 +121,9 @@ def test_only_cotangent_reads_a_link_for_the_singleton_test(module):
 def test_cotangent_binds_no_circuit_sweep():
     # every link takes its circuits from the complex's cached ones, by
     # contraction (`cotangent._contract`), so `complexes._minimal_nonfaces`
-    # runs behind `SimplicialComplex._circuit_masks` alone, once per complex
-    assert "_minimal_nonfaces" not in vars(cotangent)
+    # and the face cube `complexes._cube_circuits` run behind
+    # `SimplicialComplex._circuit_masks` alone, once per complex
+    assert {"_cube_circuits", "_minimal_nonfaces"} & set(vars(cotangent)) == set()
 
 
 def test_one_graph_rule_lives_in_complexes():

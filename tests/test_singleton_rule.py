@@ -33,7 +33,7 @@ discrepancies and the reconstruction of U(12, 6), M(K6) and four parallel
 classes of 12 run neither the wider rule nor the face engine nor its
 union-find, and `is_matroid_via_t1` reads the rule lazily, up to the first
 vertex that fails.  The T1 recognition, `dim_t1` at the vertices, the table
-and the discrepancies share one face set and one circuit sweep, cx's cached
+and the discrepancies share one face set and one circuit read, cx's cached
 ones, at the root and at every link above it, at the singleton test and at
 the wider faces alike; on three facets k = 12 none of them runs N_b, its
 marks or its union-find.
@@ -222,13 +222,20 @@ def test_the_root_readers_share_one_face_set_and_one_circuit_sweep(monkeypatch, 
     # discrepancies read the root through `cotangent._read_link`, from cx's
     # cached faces and circuits, and every larger link through them too, its
     # circuits contracted from cx's, at its singleton test and at its wider
-    # faces alike: one circuit sweep and one face set in all
+    # faces alike: one circuit read and one face set in all, the read off
+    # the face cube on at most `_CUBE_GROUND` vertices (U(5,3), the bowtie,
+    # U(8,4) less two bases) and the sweep above (three facets, n = 14)
     links = _failing_links(SimplicialComplex(cx.n, cx.facet_masks))
     assert len(links) == failing
-    sweeps, face_sets = [], []
-    real_sweep = complexes._minimal_nonfaces
+    reads, face_sets = [], []
+    real_cube, real_sweep = complexes._cube_circuits, complexes._minimal_nonfaces
     monkeypatch.setattr(
-        complexes, "_minimal_nonfaces", lambda *args: sweeps.append(args[1]) or real_sweep(*args)
+        complexes, "_cube_circuits", lambda *args: reads.append(("cube", args[1])) or real_cube(*args)
+    )
+    monkeypatch.setattr(
+        complexes,
+        "_minimal_nonfaces",
+        lambda *args: reads.append(("sweep", args[1])) or real_sweep(*args),
     )
     real = complexes._faces_of
     monkeypatch.setattr(
@@ -240,7 +247,7 @@ def test_the_root_readers_share_one_face_set_and_one_circuit_sweep(monkeypatch, 
         dim_t1(cx, ((), (v,)))
     t1_table(cx)
     formula_discrepancies(cx)
-    assert sweeps == [cx.n]
+    assert reads == [("cube" if cx.n <= complexes._CUBE_GROUND else "sweep", cx.n)]
     assert face_sets == [sorted(cx.facet_masks)]
 
 
@@ -304,7 +311,9 @@ class CountingFaces(frozenset):
 def test_the_wider_rule_makes_one_lookup_per_pair_of_nodes_and_per_killer(monkeypatch):
     # on U(10, 5) less two bases, at each wider face b of each link that
     # fails the singleton test, the components of G_b cost at most one
-    # lookup per pair of nodes, and the kill test one per node and killer
+    # lookup per pair of nodes, and the kill test one per node and killer;
+    # the total follows the order of the root's circuits, ascending masks
+    # as the face cube reads them
     calls = []
     real = cotangent._unkilled_components
 
@@ -318,7 +327,7 @@ def test_the_wider_rule_makes_one_lookup_per_pair_of_nodes_and_per_killer(monkey
     t1_table(uniform_less_two_bases(10, 5))
     for lookups, nodes, killers in calls:
         assert lookups <= nodes * (nodes - 1) // 2 + nodes * killers
-    assert len(calls) == 2_093 and sum(lookups for lookups, _, _ in calls) == 85_557
+    assert len(calls) == 2_093 and sum(lookups for lookups, _, _ in calls) == 83_147
     assert max(nodes for _, nodes, _ in calls) > 1 and max(k for _, _, k in calls) > 0
 
 
