@@ -32,10 +32,10 @@ def parse_degree(text: str) -> srt1.MultiDegree:
         out = []
         for tok in chunk.split(","):
             tok = tok.strip()
-            try:
-                v = int(tok)
-            except ValueError:
-                raise ValueError(f"degree side {name}: non-integer token {tok!r}") from None
+            # ASCII digits alone: int() would also read "1_0" as 10 and "٣" as 3
+            if not (tok.isascii() and tok.isdigit()):
+                raise ValueError(f"degree side {name}: non-integer token {tok!r}")
+            v = int(tok)
             if v < 1:
                 raise ValueError(f"degree side {name}: vertex {v} must be positive")
             out.append(v)

@@ -257,7 +257,9 @@ def _selectors(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-_cube_selectors = functools.cache(_selectors)  # at most _CUBE_GROUND + 1 entries
+# cached for n up to _CUBE_GROUND alone, at most _CUBE_GROUND + 1 entries:
+# the selectors at n = 20 hold 2.5 MiB, so a larger cube builds its own
+_cube_selectors = functools.cache(_selectors)
 
 
 def _set_bits(x: int) -> list[int]:
@@ -280,9 +282,10 @@ def _cube_circuits(facets: Iterable[int], n: int) -> list[int]:
     each mask that holds i to the mask without it.  A nonface is minimal
     exactly when each of its one-vertex deletions is a face, one AND per
     vertex.  No facets (the void complex) give the empty set alone.  Each
-    step costs 2^n bits, so it pays on small grounds (`_CUBE_GROUND`).
+    step costs 2^n bits, so it pays on small grounds (`_CUBE_GROUND`);
+    `from_minimal_nonfaces` reads larger cubes, up to MAX_NONFACE_GROUND.
     """
-    sel = _cube_selectors(n)
+    sel = _cube_selectors(n) if n <= _CUBE_GROUND else _selectors(n)
     faces = 0
     for f in facets:
         faces |= 1 << f
@@ -410,29 +413,27 @@ class SimplicialComplex:
     def from_minimal_nonfaces(cls, n: int, nonfaces: Iterable[Iterable[int]]) -> "SimplicialComplex":
         """Build the complex whose faces are the sets containing no listed nonface.
 
-        The facets are read off the 2^n-bit cube of the ground's subsets:
-        the listed nonfaces are closed upward one vertex at a time, the faces
-        are the rest, and a face is a facet when no one-vertex extension is
-        a face, 2n steps on 2^n bits in all.  The cube doubles with each
-        vertex, so an n that is no nonnegative integer, or lies above
+        The facets of this complex D are read off the face cube of its
+        Alexander dual D*, the complex whose facets are the sets [n] - C over
+        the listed nonfaces C.  A set G is a nonface of D exactly when it
+        holds some C, that is, when [n] - G lies inside some [n] - C, so the
+        faces of D* are the complements of the nonfaces of D.  Hence H is a
+        nonface of D* exactly when [n] - H is a face of D, and a minimal one
+        exactly when [n] - H is a facet: the circuits of D*, by
+        `_cube_circuits`, are the complements of the facets of D, each once.
+        With no nonfaces D* is void, its one circuit is the empty set, and D
+        is the full simplex; at n = 0 that is {emptyset}.  A listed nonface
+        that holds another gives a facet of D* inside another, which the
+        cube's downward closure absorbs.  The cube doubles with each vertex,
+        so an n that is no nonnegative integer, or lies above
         MAX_NONFACE_GROUND, raises VertexRangeError before it is built.
         """
         _check_ground(n, MAX_NONFACE_GROUND)
         forb = [pack(f, n) for f in nonfaces]
         if any(m == 0 for m in forb):
             raise ValueError("the empty set cannot be a nonface")
-        # built per call: at n = 20 the selectors hold 2.5 MiB
-        sel = _selectors(n)
-        nonface_cube = 0
-        for c in forb:
-            nonface_cube |= 1 << c
-        for i, s in enumerate(sel):
-            nonface_cube |= (nonface_cube & ~s) << (1 << i)
-        faces = ((1 << (1 << n)) - 1) & ~nonface_cube
-        tops = faces
-        for i, s in enumerate(sel):
-            tops &= s | ~(faces >> (1 << i))
-        return cls._of_masks(n, _set_bits(tops))
+        full = (1 << n) - 1
+        return cls._of_masks(n, [full ^ m for m in _cube_circuits([full ^ c for c in forb], n)])
 
     @classmethod
     def void(cls, n: int) -> "SimplicialComplex":

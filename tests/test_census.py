@@ -282,7 +282,8 @@ def _circuits_drop_the_last(monkeypatch):
     # the minimal nonfaces read off the face cube lose the last one, the
     # largest mask; every class of rank 3 or more is read there, as its
     # ground is small, and the engine's links take theirs from the
-    # complex's by contraction
+    # complex's by contraction; `from_minimal_nonfaces`, which reads the
+    # cube of the Alexander dual, loses a facet with it
     cube_circuits = complexes._cube_circuits
 
     def wrong(facets, n):

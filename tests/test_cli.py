@@ -3,9 +3,11 @@ import json
 import os
 import random
 import re
+import runpy
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -178,6 +180,7 @@ def test_parse_degree():
     assert cli.parse_degree(";4,5") == MultiDegree((), (4, 5))
     assert cli.parse_degree("2,1;") == MultiDegree((1, 2), ())
     assert cli.parse_degree(" 1 , 3 ; 2 ") == MultiDegree((1, 3), (2,))
+    assert cli.parse_degree("010;2") == MultiDegree((10,), (2,))
 
 
 def test_parse_degree_errors():
@@ -191,6 +194,25 @@ def test_parse_degree_errors():
         cli.parse_degree("a;2")
     with pytest.raises(ValueError, match="positive"):
         cli.parse_degree("0;2")
+
+
+@pytest.mark.parametrize(
+    "text, side, token",
+    [
+        ("1_0;2", "A", "1_0"),
+        ("\u0663;2", "A", "\u0663"),  # ARABIC-INDIC DIGIT THREE
+        ("1;\uff12", "b", "\uff12"),  # FULLWIDTH DIGIT TWO
+        ("\u00b2;1", "A", "\u00b2"),  # SUPERSCRIPT TWO
+        ("+3;1", "A", "+3"),
+        ("1,,2;3", "A", ""),
+        ("1;2 3", "b", "2 3"),
+    ],
+)
+def test_parse_degree_reads_only_ascii_decimal_vertices(text, side, token):
+    # int() reads "1_0" as 10 and "\u0663" as 3; a vertex is [0-9]+ alone
+    message = f"degree side {side}: non-integer token {token!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cli.parse_degree(text)
 
 
 # -- t1 ------------------------------------------------------------------------
@@ -603,3 +625,26 @@ def test_threads_not_an_integer_exit_2(capsys):
 def test_degree_error_exit_1(capsys, u32):
     assert cli.main(["t1", u32, "--degree", "1;1"]) == 1
     assert "overlap" in capsys.readouterr().err
+
+
+def test_degree_with_a_non_decimal_vertex_exit_1(capsys, u32):
+    for degree, token in [("1_0;2", "'1_0'"), ("\u0663;2", "'\u0663'")]:
+        assert cli.main(["t1", u32, "--degree", degree]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: degree side A: non-integer token {token}\n")
+
+
+@pytest.mark.parametrize("module", ["srt1", "srt1.cli"])
+def test_run_as_main_module(capsys, monkeypatch, remark, module):
+    # `python -m srt1` and `python -m srt1.cli`, in this process: each exits
+    # by `console_entry`, 0 on a readable file and 1 on a missing one
+    want = run_ok(capsys, ["circuits", remark])
+    for path, code in [(remark, 0), (remark + ".missing", 1)]:
+        monkeypatch.setattr(sys, "argv", [module, "circuits", path])
+        with pytest.raises(SystemExit) as exc, warnings.catch_warnings():
+            # srt1.cli is imported with the package before it runs as __main__
+            warnings.simplefilter("ignore", RuntimeWarning)
+            runpy.run_module(module, run_name="__main__", alter_sys=True)
+        assert exc.value.code == code
+        out, err = capsys.readouterr()
+        assert (out, bool(err)) == ((want, False) if code == 0 else ("", True))

@@ -537,6 +537,52 @@ def test_from_minimal_nonfaces_round_trip_at_twenty_vertices():
         assert again == cx
 
 
+def _seeded_nonface_lists(n, seed):
+    """Seeded nonfaces of 1 to 4 vertices on n vertices, with one inside
+    another now and then."""
+    rng = random.Random(seed)
+    sizes = [rng.randint(1, 4) for _ in range(rng.randint(0, 40))]
+    nonfaces = [pack(rng.sample(range(1, n + 1), k), n) for k in sizes]
+    if nonfaces and rng.random() < 0.5:
+        nonfaces.append(nonfaces[0] | rng.getrandbits(n))
+    return n, nonfaces
+
+
+def test_from_minimal_nonfaces_hands_on_exactly_its_facets(monkeypatch):
+    # the dual cube's circuits are the facets, each once: `_of_masks` gets
+    # no face below another to absorb, on seeded lists on up to 7 vertices
+    # and on 13 to 20
+    cases = [_random_nonface_lists(seed) for seed in range(400)]
+    for n in range(_CUBE_GROUND + 1, MAX_NONFACE_GROUND + 1):
+        cases += [_seeded_nonface_lists(n, seed) for seed in range(2)]
+    handed = []
+    real = SimplicialComplex._of_masks.__func__
+
+    def spy(cls, n, masks):
+        handed.append(list(masks))
+        return real(cls, n, handed[-1])
+
+    monkeypatch.setattr(SimplicialComplex, "_of_masks", classmethod(spy))
+    for n, nonfaces in cases:
+        handed.clear()
+        cx = SimplicialComplex.from_minimal_nonfaces(n, [unpack(c) for c in nonfaces])
+        assert len(handed) == 1, (n, nonfaces)
+        masks = handed[0]
+        assert (set(masks), len(masks)) == (set(cx.facet_masks), len(cx.facet_masks)), (n, nonfaces)
+
+
+def test_from_minimal_nonfaces_caches_no_selectors_past_the_cube_bound():
+    # the selectors of a cube past `_CUBE_GROUND` are built per call: at
+    # n = 20 they hold 2.5 MiB
+    complexes._cube_selectors.cache_clear()
+    cycle = [[v, v % 20 + 1] for v in range(1, 21)]
+    cx = SimplicialComplex.from_facets(20, cycle)
+    assert SimplicialComplex.from_minimal_nonfaces(20, cx.minimal_nonfaces()) == cx
+    assert complexes._cube_selectors.cache_info().currsize == 0
+    SimplicialComplex.from_minimal_nonfaces(_CUBE_GROUND, [[1, 2]])
+    assert complexes._cube_selectors.cache_info().currsize == 1
+
+
 def test_nonface_duality_small():
     # rebuilding from the computed minimal nonfaces gives the complex back,
     # over every complex on 3 vertices
@@ -624,6 +670,19 @@ def test_join_shifts_ground():
     assert (a * SimplicialComplex.void(1)).is_void
     with pytest.raises(VertexRangeError, match="^joined ground size 70 exceeds limit 64$"):
         SimplicialComplex.from_facets(40, [[1]]).join(SimplicialComplex.from_facets(30, [[1]]))
+
+
+def test_join_faces_are_the_unions_of_faces():
+    # the faces of m1 * m2 are F u (G shifted by m1.n) over the faces F of
+    # m1 and G of m2, at every ordered pair of the census classes on at most
+    # 3 vertices: second operands with two or more facets, and {emptyset}
+    classes = [cx for m in range(4) for cx in representatives(m)]
+    assert any(len(cx.facet_masks) >= 2 for cx in classes)
+    assert any(cx.facet_masks == (0,) for cx in classes)
+    for m1, m2 in itertools.product(classes, repeat=2):
+        j = m1.join(m2)
+        want = {f | g << m1.n for f in m1.face_masks() for g in m2.face_masks()}
+        assert (j.n, j.face_masks()) == (m1.n + m2.n, want), (m1, m2)
 
 
 def test_join_with_irrelevant_complex_adds_loops():
